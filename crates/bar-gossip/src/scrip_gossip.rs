@@ -40,10 +40,9 @@
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
 use crate::update::WindowSet;
-use lotus_core::bitset::BitSet;
-use lotus_core::faults::{CutStats, Fate, FaultCounters, FaultState};
-use lotus_core::population::Population;
-use lotus_core::schedule::{self, MetricKey, ScheduleState};
+use lotus_core::defense::SilenceCutoff;
+use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
+use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use netsim::partner::{PartnerSchedule, Protocol};
 use netsim::plan::{ExchangePlan, LINKED, VIABLE};
 use netsim::rng::DetRng;
@@ -142,8 +141,6 @@ struct ScripNode {
     money: u64,
     attacker: bool,
     target: bool,
-    /// Cut by the silence cut-off defense: excluded from all trade.
-    cut: bool,
 }
 
 /// The scrip-gossip simulator.
@@ -181,21 +178,16 @@ pub struct ScripGossipSim {
     purchases_refused: u64,
     purchases_broke: u64,
     served_this_round: Vec<u32>,
-    /// Attack timing stepper; while off, attacker nodes buy and sell
+    /// Churn, faults and attack timing (from `cfg.base`); while the
+    /// schedule has the attack off, attacker nodes buy and sell
     /// honestly (the cooperate phase).
-    schedule_state: ScheduleState,
-    attack_active: bool,
-    /// Membership under churn (from `cfg.base.churn`).
-    population: Population,
-    /// Fault injection (from `cfg.base.faults`); inert by default.
-    faults: FaultState,
+    env: RoundEnvelope,
     /// Masquerade attackers' silence draws; draw-free on a perfect
     /// network (see `BarGossipSim::masq_rng`).
     masq_rng: DetRng,
-    /// Distinct silence accusers per node (cut-off defense).
-    accusers: Vec<BitSet>,
-    cut_honest: u32,
-    cut_attacker: u32,
+    /// The silence cut-off defense: cut nodes are excluded from all
+    /// trade.
+    cutoff: SilenceCutoff,
     // Scratch buffers for the allocation-free round loop (see module
     // docs); contents are meaningless between rounds.
     /// Reusable exchange-plan batch: partner selection and viability
@@ -245,31 +237,31 @@ impl ScripGossipSim {
                 money: u64::from(cfg.money_per_node),
                 attacker: attacker[i],
                 target: target[i],
-                cut: false,
             })
             .collect();
-        let mut population = Population::new(n as usize, cfg.base.churn, rng.fork("population"));
         // As in BAR Gossip: the flash crowd is honest — attacker nodes
         // churn like anyone but are never held back.
-        for (i, &is_attacker) in attacker.iter().enumerate() {
-            if is_attacker {
-                population.exempt_arrival(i);
+        let timing = Timing {
+            churn: cfg.base.churn,
+            arrival: cfg.base.arrival,
+            faults: cfg.base.faults,
+            schedule: plan.schedule,
+        };
+        let env = RoundEnvelope::new(n as usize, timing, &rng, false, |i| {
+            if attacker[i] {
+                Shield::Crowd
+            } else {
+                Shield::None
             }
-        }
-        population.set_arrival(cfg.base.arrival);
-        let faults = FaultState::new(n as usize, cfg.base.faults, &rng);
+        });
+        let attackers = attacker.iter().filter(|&&a| a).count() as u32;
         ScripGossipSim {
             pool: window.clone(),
             full: window,
             schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
-            schedule_state: ScheduleState::seeded(plan.schedule, rng.fork("adaptive")),
-            attack_active: false,
-            population,
-            faults,
+            env,
             masq_rng: rng.fork("masquerade"),
-            accusers: vec![BitSet::new(n as usize); n as usize],
-            cut_honest: 0,
-            cut_attacker: 0,
+            cutoff: SilenceCutoff::new(n as usize, cfg.base.defenses.cutoff_quorum, attackers),
             served_this_round: vec![0; n as usize],
             plan_batch: ExchangePlan::new(),
             want_scratch: Vec::new(),
@@ -298,34 +290,14 @@ impl ScripGossipSim {
         }
     }
 
-    /// Canonical-metric observation for metric-threshold schedules,
-    /// computed from the running delivery counters (no allocation).
-    /// `None` until the first measured expiry; presence observes live
-    /// membership from round 0.
-    fn observe(&self, key: MetricKey) -> Option<f64> {
-        if key == MetricKey::PresentFraction {
-            return Some(self.population.present_fraction());
-        }
-        if key == MetricKey::FalseCutRate {
-            self.cfg.base.defenses.cutoff_quorum?;
-            let honest = self.nodes.iter().filter(|n| !n.attacker).count();
-            return Some(if honest == 0 {
-                0.0
-            } else {
-                f64::from(self.cut_honest) / honest as f64
-            });
-        }
-        schedule::class_delivery_observation(&self.delivered, &self.totals, key)
-    }
-
     /// A node trades only while present, not crashed and not cut.
     fn alive(&self, i: usize) -> bool {
-        !self.nodes[i].cut && !self.faults.is_down(i) && self.population.is_present(i)
+        !self.cutoff.is_cut(i) && self.env.is_up(i)
     }
 
     /// Masquerade silence draw — see `BarGossipSim::masquerade_silent`.
     fn masquerade_silent(&mut self, sender: usize) -> bool {
-        if !self.attack_active
+        if !self.env.attack_active()
             || self.plan.kind != AttackKind::Masquerade
             || !self.nodes[sender].attacker
         {
@@ -333,29 +305,8 @@ impl ScripGossipSim {
         }
         // Round-aware rate: folds expected partition blocking in while
         // an epoch is open (see `BarGossipSim::masquerade_silent`).
-        let rate = self.faults.ambient_silence_rate();
+        let rate = self.env.faults().ambient_silence_rate();
         self.masq_rng.chance(rate)
-    }
-
-    /// Silence strike by `observer` against `partner` — see
-    /// `BarGossipSim::note_silence` for the defense's contract.
-    fn note_silence(&mut self, observer: usize, partner: usize) {
-        let Some(quorum) = self.cfg.base.defenses.cutoff_quorum else {
-            return;
-        };
-        if self.nodes[observer].attacker {
-            return;
-        }
-        let set = &mut self.accusers[partner];
-        set.insert(observer);
-        if set.len() as u32 >= quorum && !self.nodes[partner].cut {
-            self.nodes[partner].cut = true;
-            if self.nodes[partner].attacker {
-                self.cut_attacker += 1;
-            } else {
-                self.cut_honest += 1;
-            }
-        }
     }
 
     /// Total scrip across all nodes (conserved).
@@ -415,7 +366,7 @@ impl ScripGossipSim {
     /// Ideal-attack forwarding: every attacker holding reaches every
     /// target instantly (out of band, free).
     fn ideal_forwarding(&mut self) {
-        if self.plan.kind != AttackKind::IdealLotusEater || !self.attack_active {
+        if self.plan.kind != AttackKind::IdealLotusEater || !self.env.attack_active() {
             return;
         }
         // The persistent pool window stays aligned with the live ones;
@@ -442,7 +393,7 @@ impl ScripGossipSim {
         // Covert (masquerade/poison) attackers take the honest path
         // throughout — masquerade defection is the silence draw at the
         // delivery step below; poison is digest-substrate-only.
-        if self.attack_active && !self.plan.kind.covert() && self.nodes[s].attacker {
+        if self.env.attack_active() && !self.plan.kind.covert() && self.nodes[s].attacker {
             // Attacker seller: gift everything, free, to targets only.
             if self.plan.kind == AttackKind::TradeLotusEater && self.nodes[b].target {
                 let mut gift = std::mem::take(&mut self.want_scratch);
@@ -461,7 +412,7 @@ impl ScripGossipSim {
             }
             return;
         }
-        if self.attack_active && self.nodes[b].attacker {
+        if self.env.attack_active() && self.nodes[b].attacker {
             // Trade attackers replenish their stock by buying like anyone
             // else would — but they pay with their own scrip, which the
             // supply bounds. (They start with the same endowment.)
@@ -506,9 +457,11 @@ impl ScripGossipSim {
         // goods, no money moved, supply conserved — and the buyer, who
         // agreed the trade and got silence, files a cut-off strike.
         // Duplicates are idempotent here (no bandwidth meter to junk).
-        let delivered = !self.masquerade_silent(s) && self.faults.fate(s, b) != Fate::Drop;
+        let delivered =
+            !self.masquerade_silent(s) && self.env.faults_mut().fate(s, b) != Fate::Drop;
         if !delivered {
-            self.note_silence(b, s);
+            let nodes = &self.nodes;
+            self.cutoff.accuse(b, s, |i| nodes[i].attacker);
             self.want_scratch = bought;
             return;
         }
@@ -556,20 +509,8 @@ impl ScripGossipSim {
             refusal_rate: self.purchases_refused as f64 / attempted,
             broke_rate: self.purchases_broke as f64 / attempted,
             total_money: self.total_money(),
-            cuts: self.cfg.base.defenses.cutoff_quorum.map(|_| {
-                let attackers = self.nodes.iter().filter(|n| n.attacker).count() as u32;
-                CutStats {
-                    cut_honest: self.cut_honest,
-                    cut_attacker: self.cut_attacker,
-                    honest: self.nodes.len() as u32 - attackers,
-                    attackers,
-                }
-            }),
-            fault_counters: if self.faults.is_active() {
-                Some(self.faults.counters())
-            } else {
-                None
-            },
+            cuts: self.cutoff.stats(),
+            fault_counters: self.env.fault_counters(),
         }
     }
 }
@@ -578,24 +519,20 @@ impl RoundSim for ScripGossipSim {
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         debug_assert_eq!(t, self.round, "rounds must be sequential");
-        self.population.begin_round(t);
-        self.faults.begin_round(t);
-        if !self.faults.just_crashed().is_empty() {
+        self.env.begin_round(t, &[], |key, _| {
+            crate::sim::gossip_observation(&self.delivered, &self.totals, &self.cutoff, key)
+        });
+        if !self.env.faults().just_crashed().is_empty() {
             // State-losing crash: the window empties but the balance
             // survives (scrip is a ledger, not local state), keeping the
             // supply invariant intact under fault injection.
-            let crashed = self.faults.just_crashed();
+            let crashed = self.env.faults().just_crashed();
             for (i, node) in self.nodes.iter_mut().enumerate() {
                 if crashed.contains(i) {
                     node.window.clear();
                 }
             }
         }
-        let observed = self
-            .schedule_state
-            .needs_observation()
-            .and_then(|k| self.observe(k));
-        self.attack_active = self.schedule_state.is_active(t, observed);
         self.advance_windows(t);
         self.seed_round(t);
         self.ideal_forwarding();
@@ -616,7 +553,7 @@ impl RoundSim for ScripGossipSim {
                 |v, p| {
                     if !(self.alive(v.index()) && self.alive(p.index())) {
                         0
-                    } else if self.faults.link_up(v.index(), p.index()) {
+                    } else if self.env.faults().link_up(v.index(), p.index()) {
                         VIABLE | LINKED
                     } else {
                         VIABLE
@@ -638,7 +575,7 @@ impl RoundSim for ScripGossipSim {
             // so non-viable pairs skip exactly as the legacy per-pair
             // checks did; the viable remainder rechecks liveness when
             // the cut-off defense can remove nodes under its feet.
-            let strict = self.cfg.base.defenses.cutoff_quorum.is_some();
+            let strict = self.cutoff.is_on();
             for &e in plan.entries() {
                 if !e.is_viable() {
                     continue; // absent/crashed/cut end: the slot is wasted
@@ -647,7 +584,7 @@ impl RoundSim for ScripGossipSim {
                 if strict && !self.alive(v.index()) {
                     continue;
                 }
-                if self.attack_active
+                if self.env.attack_active()
                     && self.nodes[v.index()].attacker
                     && matches!(
                         self.plan.kind,
@@ -660,7 +597,7 @@ impl RoundSim for ScripGossipSim {
                     continue;
                 }
                 if !e.is_linked() {
-                    self.faults.note_partition_blocked();
+                    self.env.faults_mut().note_partition_blocked();
                     continue; // partitioned apart
                 }
                 self.interaction(v, p, t, cap);
@@ -686,17 +623,7 @@ impl lotus_core::scenario::Scenario for ScripGossipSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        let total = self.cfg.base.total_rounds();
-        if self.round >= total {
-            return lotus_core::scenario::StepOutcome::Done;
-        }
-        let t = self.round;
-        RoundSim::round(self, t);
-        if self.round >= total {
-            lotus_core::scenario::StepOutcome::Done
-        } else {
-            lotus_core::scenario::StepOutcome::Continue
-        }
+        lotus_core::scenario::step_rounds(self, self.cfg.base.total_rounds())
     }
 
     fn report(&self) -> ScripGossipReport {
@@ -704,7 +631,7 @@ impl lotus_core::scenario::Scenario for ScripGossipSim {
     }
 
     fn arm_trace(&self) -> Option<&[lotus_core::adaptive::TraceEntry]> {
-        self.schedule_state.arm_trace()
+        self.env.schedule().arm_trace()
     }
 }
 
@@ -712,7 +639,7 @@ impl lotus_core::scenario::Summarize for ScripGossipReport {
     /// Common vocabulary for scrip-mediated gossip: delivery fractions as
     /// in BAR Gossip, with the market-health rates as custom metrics.
     fn summarize(&self) -> lotus_core::scenario::ScenarioReport {
-        let mut r = lotus_core::scenario::ScenarioReport::new(
+        lotus_core::scenario::ScenarioReport::new(
             "scrip-gossip",
             self.rounds,
             self.overall_delivery,
@@ -723,25 +650,9 @@ impl lotus_core::scenario::Summarize for ScripGossipReport {
         .with_metric("satiated_delivery", self.satiated_delivery)
         .with_metric("refusal_rate", self.refusal_rate)
         .with_metric("broke_rate", self.broke_rate)
-        .with_metric("total_money", self.total_money as f64);
-        // Conditional metrics: absent without the cut-off defense or an
-        // active fault plan, so pre-fault goldens stay byte-identical.
-        if let Some(c) = self.cuts {
-            r = r
-                .with_metric("false_cut_rate", c.false_cut_rate())
-                .with_metric("attacker_cut_rate", c.attacker_cut_rate())
-                .with_metric("cut_precision", c.precision())
-                .with_metric("cut_recall", c.attacker_cut_rate());
-        }
-        if let Some(f) = self.fault_counters {
-            r = r
-                .with_metric("faults_dropped", f.dropped as f64)
-                .with_metric("faults_duplicated", f.duplicated as f64)
-                .with_metric("faults_delayed", f.delayed as f64)
-                .with_metric("faults_crashes", f.crashes as f64)
-                .with_metric("faults_partition_blocked", f.partition_blocked as f64);
-        }
-        r
+        .with_metric("total_money", self.total_money as f64)
+        .with_cut_stats(self.cuts)
+        .with_fault_counters(self.fault_counters)
     }
 }
 

@@ -68,11 +68,12 @@ use crate::exchange::{
 };
 use crate::update::{UpdateId, WindowSet};
 use lotus_core::bitset::BitSet;
+use lotus_core::defense::SilenceCutoff;
 use lotus_core::digest::{region_hash, BloomDigest};
-use lotus_core::faults::{CutStats, Fate, FaultCounters, FaultState};
+use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
+use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use lotus_core::pool::WorkerPool;
-use lotus_core::population::Population;
-use lotus_core::schedule::{self, MetricKey, ScheduleState};
+use lotus_core::schedule::{self, MetricKey};
 use lotus_core::soa::ShardMap;
 use netsim::bandwidth::{BandwidthMeter, MsgClass};
 use netsim::partner::{PartnerSchedule, Protocol};
@@ -96,8 +97,8 @@ pub enum NodeClass {
 }
 
 // Per-node state lives in struct-of-arrays layout on the simulator
-// itself (`windows`, `class`, and the `target`/`obedient`/`evicted`/
-// `cut` bitsets), keyed by node index — the flat layout the sharded
+// itself (`windows`, `class`, and the `target`/`obedient`/`evicted`
+// bitsets), keyed by node index — the flat layout the sharded
 // `O(active)` engine iterates.
 
 /// Per-class delivery fractions measured at expiry.
@@ -268,8 +269,9 @@ pub struct BarGossipSim {
     obedient: BitSet,
     /// Evicted by the report defense.
     evicted: BitSet,
-    /// Cut by the silence cut-off defense (excluded like `evicted`).
-    cut: BitSet,
+    /// The silence cut-off defense (cut nodes are excluded like
+    /// `evicted`).
+    cutoff: SilenceCutoff,
     /// Nodes that have ever been present. A flash-crowd node still
     /// waiting outside the system is *disengaged*: its window is not
     /// advanced (the lazy-window seam that makes `advance_windows`
@@ -279,13 +281,6 @@ pub struct BarGossipSim {
     /// ([`WindowSet::skip_to`]) and its unusable-round counter is
     /// seeded with the measured expiries it slept through.
     engaged: BitSet,
-    /// The sharded activity index over node indices: active =
-    /// present ∧ ¬down ∧ ¬evicted ∧ ¬cut, rebuilt word-parallel at the
-    /// top of every round. Round loops walk this instead of `0..n`, so
-    /// per-step cost scales with active nodes, not total population.
-    shards: ShardMap,
-    /// Word-parallel scratch mask for the rebuilds above.
-    mask_scratch: BitSet,
     /// Attacker node indices, ascending (class is fixed at assignment).
     attacker_list: Vec<u32>,
     /// Honest node indices, ascending.
@@ -329,27 +324,20 @@ pub struct BarGossipSim {
     node_unusable_rounds: Vec<u32>,
     /// Measured expired rounds so far.
     measured_rounds: u32,
-    /// Attack timing stepper (dormant/cooperate vs defect phases).
-    schedule_state: ScheduleState,
-    /// Whether the schedule has the attack on this round. While off,
-    /// attacker nodes cooperate: they run the honest protocol like
-    /// everyone else (building stock the eventual defection exploits).
-    attack_active: bool,
-    /// Membership under churn; everyone present without churn.
-    population: Population,
-    /// Fault injection (from `cfg.faults`); inert under the default plan.
-    faults: FaultState,
+    /// The timing layer: churn membership, fault injection and attack
+    /// timing. While the schedule has the attack off, attacker nodes
+    /// cooperate: they run the honest protocol like everyone else
+    /// (building stock the eventual defection exploits). Its activity
+    /// index (present ∧ ¬down ∧ ¬evicted ∧ ¬cut, rebuilt word-parallel
+    /// at the top of every round) is what round loops walk instead of
+    /// `0..n`, so per-step cost scales with active nodes, not total
+    /// population.
+    env: RoundEnvelope,
     /// Fault-masquerading attackers' silence draws. Forked at
     /// construction (stream-invisible) and drawn from only when a
     /// masquerade attacker sends — `chance(0.0)` draws nothing, so on a
     /// perfect network the attacker is bit-for-bit honest.
     masq_rng: DetRng,
-    /// Distinct silence accusers per node (cut-off defense).
-    accusers: Vec<BitSet>,
-    /// Honest nodes cut by the silence defense.
-    cut_honest: u32,
-    /// Attacker nodes cut by the silence defense.
-    cut_attacker: u32,
     /// Intra-run worker pool for the plan phase of each exchange round
     /// (`cfg.run_threads`; figures are byte-identical for any count).
     run_pool: WorkerPool,
@@ -422,6 +410,24 @@ fn pack_id(round: Round, slot: u32) -> u64 {
     (round << 6) | u64::from(slot)
 }
 
+/// The gossip substrates' canonical-metric observation for
+/// metric-threshold schedules, computed from the running per-class
+/// delivery counters and the cut-off's tallies (no report, no
+/// allocation). `None` until the first measured expiry — an unmeasured
+/// metric must not latch a threshold trigger — and for false cuts while
+/// the cut-off is off.
+pub(crate) fn gossip_observation(
+    delivered: &[u64; 3],
+    totals: &[u64; 3],
+    cutoff: &SilenceCutoff,
+    key: MetricKey,
+) -> Option<f64> {
+    match key {
+        MetricKey::FalseCutRate => cutoff.stats().map(|c| c.false_cut_rate()),
+        _ => schedule::class_delivery_observation(delivered, totals, key),
+    }
+}
+
 fn class_idx(class: NodeClass) -> usize {
     match class {
         NodeClass::Isolated => 0,
@@ -474,7 +480,9 @@ impl BarGossipSim {
         }
 
         let window = WindowSet::new(cfg.updates_per_round, cfg.update_lifetime);
-        let windows: Vec<WindowSet> = vec![window.clone(); n as usize];
+        let windows: Vec<WindowSet> = (0..n)
+            .map(|_| WindowSet::new(cfg.updates_per_round, cfg.update_lifetime))
+            .collect();
         let mut target = BitSet::new(n as usize);
         let mut class_counts = [0u64; 3];
         let mut attacker_list = Vec::new();
@@ -491,22 +499,28 @@ impl BarGossipSim {
             }
         }
 
-        let mut population = Population::new(n as usize, cfg.churn, rng.fork("population"));
         // Flash-crowd nodes are withdrawn now (index-ordered, no
         // randomness) and enter with empty windows at their wave's
         // round. Attackers are exempt from the holdback — they churn
         // like anyone but the crowd itself is honest — so the defection
         // and the crowd stay independently timed dimensions.
-        for (i, &class) in classes.iter().enumerate() {
-            if class == NodeClass::Attacker {
-                population.exempt_arrival(i);
+        let (cutoff_quorum, attackers) = (cfg.defenses.cutoff_quorum, attacker_list.len() as u32);
+        let timing = Timing {
+            churn: cfg.churn,
+            arrival: cfg.arrival,
+            faults: cfg.faults,
+            schedule: plan.schedule,
+        };
+        let env = RoundEnvelope::new(n as usize, timing, &rng, true, |i| {
+            if classes[i] == NodeClass::Attacker {
+                Shield::Crowd
+            } else {
+                Shield::None
             }
-        }
-        population.set_arrival(cfg.arrival);
-        let faults = FaultState::new(n as usize, cfg.faults, &rng);
+        });
         // Everyone present at round 0 is engaged; flash-crowd nodes
         // engage when their wave lands.
-        let engaged = population.present().clone();
+        let engaged = env.population().present().clone();
         // Digest-exchange state only when configured. The forks below
         // are stream-invisible (forking never advances the parent), so
         // classic runs are bit-identical whether or not this substrate
@@ -529,23 +543,9 @@ impl BarGossipSim {
             full: window.clone(),
             pool: window,
             schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
-            schedule_state: ScheduleState::seeded(plan.schedule, rng.fork("adaptive")),
-            attack_active: false,
-            population,
-            faults,
+            env,
             faults_msg: cfg.faults.has_message_faults(),
             masq_rng: rng.fork("masquerade"),
-            // The accuser/reporter quorum sets are per-node bitsets —
-            // O(n²) bits — so they are only materialised when their
-            // defense is configured (they are never touched otherwise,
-            // and a million-node run cannot afford vestigial ones).
-            accusers: if cfg.defenses.cutoff_quorum.is_some() {
-                vec![BitSet::new(n as usize); n as usize]
-            } else {
-                Vec::new()
-            },
-            cut_honest: 0,
-            cut_attacker: 0,
             authority: Authority::new(rng.fork("authority").next_u64(), n),
             meter: BandwidthMeter::new(n),
             trace: TraceBuffer::disabled(),
@@ -554,6 +554,8 @@ impl BarGossipSim {
             totals: [0; 3],
             attacker_union_delivered: 0,
             attacker_union_total: 0,
+            // The reporter quorum sets are per-node bitsets — O(n²) bits
+            // — so they are only materialised under the report defense.
             reporters: if cfg.defenses.report.is_some() {
                 vec![BitSet::new(n as usize); n as usize]
             } else {
@@ -588,10 +590,8 @@ impl BarGossipSim {
             target,
             obedient,
             evicted: BitSet::new(n as usize),
-            cut: BitSet::new(n as usize),
+            cutoff: SilenceCutoff::new(n as usize, cutoff_quorum, attackers),
             engaged,
-            shards: ShardMap::new(n as usize),
-            mask_scratch: BitSet::new(n as usize),
             attacker_list,
             honest_list,
             class_counts,
@@ -636,7 +636,7 @@ impl BarGossipSim {
 
     /// The sharded activity index (this round's snapshot).
     pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
+        self.env.shards()
     }
 
     fn is_attacker(&self, node: NodeId) -> bool {
@@ -645,10 +645,7 @@ impl BarGossipSim {
 
     fn alive(&self, node: NodeId) -> bool {
         let i = node.index();
-        !self.evicted.contains(i)
-            && !self.cut.contains(i)
-            && !self.faults.is_down(i)
-            && self.population.is_present(i)
+        !self.evicted.contains(i) && !self.cutoff.is_cut(i) && self.env.is_up(i)
     }
 
     /// Engage `node` if it has never been present before: fast-forward
@@ -672,7 +669,7 @@ impl BarGossipSim {
     /// — except covert (masquerade/poison) attackers, who stay
     /// protocol-obedient to remain indistinguishable.
     fn responder_accepts(&mut self, node: NodeId, push: bool) -> bool {
-        if self.attack_active && !self.plan.kind.covert() && self.is_attacker(node) {
+        if self.env.attack_active() && !self.plan.kind.covert() && self.is_attacker(node) {
             return true;
         }
         let cap = self.cfg.responder_cap.map_or(u32::MAX, |c| c);
@@ -700,13 +697,13 @@ impl BarGossipSim {
     /// nothing for honest senders, other attack kinds, or a zero
     /// ambient rate (`chance(0.0)` is draw-free).
     fn masquerade_silent(&mut self, sender: NodeId) -> bool {
-        if !self.attack_active
+        if !self.env.attack_active()
             || self.plan.kind != AttackKind::Masquerade
             || !self.is_attacker(sender)
         {
             return false;
         }
-        let rate = self.faults.ambient_silence_rate();
+        let rate = self.env.faults().ambient_silence_rate();
         self.masq_rng.chance(rate)
     }
 
@@ -728,7 +725,7 @@ impl BarGossipSim {
         // costs a predicted-taken branch, not a call (this recovered
         // the bench regression the fault layer's introduction cost).
         let fate = if self.faults_msg {
-            self.faults.fate(from.index(), to.index())
+            self.env.faults_mut().fate(from.index(), to.index())
         } else {
             Fate::Deliver
         };
@@ -748,30 +745,18 @@ impl BarGossipSim {
         }
     }
 
-    /// The silence cut-off defense: `observer` expected a delivery from
-    /// `partner` inside an established balanced exchange (digests were
-    /// traded, so the want was mutual knowledge) and got nothing. One
-    /// strike per distinct accuser; `cutoff_quorum` accusers cut the
-    /// node from the protocol. Attacker nodes never file — a
-    /// masquerading defector wants less scrutiny, not more. Silence in a
-    /// push is not actionable: a lost offer and a withheld payment look
-    /// identical to the initiator.
+    /// `observer` expected a delivery from `partner` inside an
+    /// established balanced exchange (digests were traded, so the want
+    /// was mutual knowledge) and got nothing: a silence cut-off strike
+    /// ([`SilenceCutoff`]). Silence in a push is not actionable: a lost
+    /// offer and a withheld payment look identical to the initiator.
     fn note_silence(&mut self, observer: NodeId, partner: NodeId, now: Round) {
-        let Some(quorum) = self.cfg.defenses.cutoff_quorum else {
-            return;
-        };
-        if self.class[observer.index()] == NodeClass::Attacker {
-            return;
-        }
-        let set = &mut self.accusers[partner.index()];
-        set.insert(observer.index());
-        if set.len() as u32 >= quorum && !self.cut.contains(partner.index()) {
-            self.cut.insert(partner.index());
-            if self.class[partner.index()] == NodeClass::Attacker {
-                self.cut_attacker += 1;
-            } else {
-                self.cut_honest += 1;
-            }
+        let class = &self.class;
+        let is_attacker = |i: usize| class[i] == NodeClass::Attacker;
+        if self
+            .cutoff
+            .accuse(observer.index(), partner.index(), is_attacker)
+        {
             self.trace
                 .emit(now, partner, EventKind::Evict, "cut on silence quorum");
         }
@@ -780,30 +765,6 @@ impl BarGossipSim {
     // ------------------------------------------------------------------
     // Round phases.
     // ------------------------------------------------------------------
-
-    /// Canonical-metric observation for metric-threshold schedules,
-    /// computed from the running delivery counters (no report, no
-    /// allocation). `None` until the first measured expiry — an
-    /// unmeasured metric must not latch a threshold trigger. Presence is
-    /// answered from live membership, so `presence-*` triggers observe
-    /// from round 0.
-    fn observe(&self, key: MetricKey) -> Option<f64> {
-        if key == MetricKey::PresentFraction {
-            return Some(self.population.present_fraction());
-        }
-        if key == MetricKey::FalseCutRate {
-            // Running honest collateral of the cut-off defense; absent
-            // when the defense is off (nothing to observe).
-            self.cfg.defenses.cutoff_quorum?;
-            let honest = self.honest_list.len();
-            return Some(if honest == 0 {
-                0.0
-            } else {
-                f64::from(self.cut_honest) / honest as f64
-            });
-        }
-        schedule::class_delivery_observation(&self.delivered, &self.totals, key)
-    }
 
     /// Phase 0: account attacker union coverage for the round about to
     /// expire (must run before the windows slide).
@@ -894,7 +855,7 @@ impl BarGossipSim {
         // exactly the dense `(0..n).filter(alive)` list in the same
         // ascending order (the activity mask *is* that filter), so the
         // seeding draws are unchanged.
-        self.shards.collect_active_into(&mut alive);
+        self.env.shards().collect_active_into(&mut alive);
         let mut picks = std::mem::take(&mut self.picks_scratch);
         let copies = (self.cfg.copies_seeded as usize).min(alive.len());
         let mut seed_rng = self.rng.fork_idx("seeding", t);
@@ -919,7 +880,7 @@ impl BarGossipSim {
     /// Phase 3 (ideal attack only): instant out-of-band forwarding of the
     /// attacker pool to every satiated-set node.
     fn ideal_forwarding(&mut self) {
-        if self.plan.kind != AttackKind::IdealLotusEater || !self.attack_active {
+        if self.plan.kind != AttackKind::IdealLotusEater || !self.env.attack_active() {
             return;
         }
         // Representative attacker for bandwidth attribution (lowest
@@ -1106,7 +1067,8 @@ impl BarGossipSim {
             .min(self.honest_list.len());
         self.target.clear();
         let phase = self
-            .schedule_state
+            .env
+            .schedule()
             .rotation_phase(t)
             .expect("rotation_period() implies a rotation phase");
         for w in schedule::rotating_window(phase, count, self.honest_list.len()) {
@@ -1122,7 +1084,7 @@ impl BarGossipSim {
     /// snapshot stays exact through apply and the hot path can skip the
     /// per-pair liveness probes entirely.
     fn mid_phase_removals_possible(&self) -> bool {
-        self.cfg.defenses.report.is_some() || self.cfg.defenses.cutoff_quorum.is_some()
+        self.cfg.defenses.report.is_some() || self.cutoff.is_on()
     }
 
     /// Plan-time viability snapshot for a pair. In strict mode (a
@@ -1137,12 +1099,13 @@ impl BarGossipSim {
         let viable = if strict {
             self.alive(v) && self.alive(p)
         } else {
-            self.shards.contains(v.index()) && self.shards.contains(p.index())
+            let shards = self.env.shards();
+            shards.contains(v.index()) && shards.contains(p.index())
         };
         if !viable {
             return 0;
         }
-        if self.faults.link_up(v.index(), p.index()) {
+        if self.env.faults().link_up(v.index(), p.index()) {
             VIABLE | LINKED
         } else {
             VIABLE
@@ -1165,7 +1128,8 @@ impl BarGossipSim {
         } else {
             1
         };
-        let shard_count = self.shards.shard_count();
+        let shards = self.env.shards();
+        let shard_count = shards.shard_count();
         if workers <= 1 {
             sizes.push(total);
             bounds.push((0, shard_count));
@@ -1175,7 +1139,7 @@ impl BarGossipSim {
         let mut lo = 0usize;
         let mut acc = 0usize;
         for s in 0..shard_count {
-            acc += self.shards.shard_active_count(s) as usize;
+            acc += shards.shard_active_count(s) as usize;
             if acc >= target && sizes.len() + 1 < workers {
                 sizes.push(acc);
                 bounds.push((lo, s + 1));
@@ -1205,7 +1169,7 @@ impl BarGossipSim {
         let planner = self.schedule.planner(t, proto);
         let strict = self.mid_phase_removals_possible();
         let n = self.class.len();
-        if n <= self.shards.shard_size() {
+        if n <= self.env.shards().shard_size() {
             plan.reset(n);
             planner.fill(
                 NodeId::all(n as u32),
@@ -1213,7 +1177,7 @@ impl BarGossipSim {
                 plan.entries_mut(),
             );
         } else {
-            let total = self.shards.active_count();
+            let total = self.env.shards().active_count();
             plan.reset(total);
             let mut sizes = std::mem::take(&mut self.chunk_sizes);
             let mut bounds = std::mem::take(&mut self.chunk_bounds);
@@ -1224,7 +1188,7 @@ impl BarGossipSim {
                 .run_partitioned(plan.entries_mut(), &sizes, |chunk, out| {
                     let (lo, hi) = bounds_ref[chunk];
                     let mut k = 0usize;
-                    sim.shards.for_each_active_in(lo..hi, |i| {
+                    sim.env.shards().for_each_active_in(lo..hi, |i| {
                         let v = NodeId(i as u32);
                         let p = planner.partner_of(v);
                         out[k] = PlannedPair {
@@ -1249,7 +1213,10 @@ impl BarGossipSim {
         // Only slots inside active shards can be served this round
         // (responders are alive, and alive ⊆ the round snapshot), so
         // the clear is O(active shards), not a full-slab fill.
-        netsim::round::clear_counters_for(&mut self.served_balanced, self.shards.active_ranges());
+        netsim::round::clear_counters_for(
+            &mut self.served_balanced,
+            self.env.shards().active_ranges(),
+        );
         self.plan_phase(
             t,
             Protocol::BalancedExchange,
@@ -1273,7 +1240,7 @@ impl BarGossipSim {
                 // Partitioned apart: the interaction never happens. The
                 // blocked-interaction counter ticks here — the position
                 // the legacy walk's counting link check sat at.
-                self.faults.note_partition_blocked();
+                self.env.faults_mut().note_partition_blocked();
                 continue;
             }
             // While the schedule has the attack off, attacker nodes run
@@ -1282,7 +1249,7 @@ impl BarGossipSim {
             // (masquerade/poison) attackers *always* take the honest
             // path — their defection lives inside the delivery step, not
             // in the dispatch.
-            let classes = if self.attack_active && !self.plan.kind.covert() {
+            let classes = if self.env.attack_active() && !self.plan.kind.covert() {
                 (self.class[v.index()], self.class[p.index()])
             } else {
                 (NodeClass::Isolated, NodeClass::Isolated)
@@ -1355,7 +1322,7 @@ impl BarGossipSim {
     // lint: hot-loop
     fn push_phase(&mut self, t: Round) {
         // Shard-range clear, as in `balanced_phase`.
-        netsim::round::clear_counters_for(&mut self.served_push, self.shards.active_ranges());
+        netsim::round::clear_counters_for(&mut self.served_push, self.env.shards().active_ranges());
         self.plan_phase(
             t,
             Protocol::OptimisticPush,
@@ -1382,7 +1349,7 @@ impl BarGossipSim {
             // attacker arms are deliberately *not* gated on the link —
             // the legacy path never was (attacker pooling models an
             // out-of-band channel), and the goldens pin that.
-            if self.attack_active && !self.plan.kind.covert() && self.is_attacker(v) {
+            if self.env.attack_active() && !self.plan.kind.covert() && self.is_attacker(v) {
                 if self.plan.kind == AttackKind::TradeLotusEater && (!strict || self.alive(p)) {
                     if self.class[p.index()] == NodeClass::Attacker {
                         self.attacker_sync(v, p);
@@ -1400,10 +1367,10 @@ impl BarGossipSim {
                 continue;
             }
             if !e.is_linked() {
-                self.faults.note_partition_blocked();
+                self.env.faults_mut().note_partition_blocked();
                 continue; // partitioned apart
             }
-            if self.attack_active && !self.plan.kind.covert() && self.is_attacker(p) {
+            if self.env.attack_active() && !self.plan.kind.covert() && self.is_attacker(p) {
                 if self.plan.kind == AttackKind::TradeLotusEater && self.target.contains(v.index())
                 {
                     self.attacker_gift(p, v, t, true);
@@ -1462,7 +1429,10 @@ impl BarGossipSim {
     /// defection lives inside the transfer leg.
     // lint: hot-loop
     fn digest_phase(&mut self, t: Round) {
-        netsim::round::clear_counters_for(&mut self.served_balanced, self.shards.active_ranges());
+        netsim::round::clear_counters_for(
+            &mut self.served_balanced,
+            self.env.shards().active_ranges(),
+        );
         self.plan_phase(
             t,
             Protocol::BalancedExchange,
@@ -1479,10 +1449,10 @@ impl BarGossipSim {
                 continue;
             }
             if !e.is_linked() {
-                self.faults.note_partition_blocked();
+                self.env.faults_mut().note_partition_blocked();
                 continue;
             }
-            let classes = if self.attack_active && !self.plan.kind.covert() {
+            let classes = if self.env.attack_active() && !self.plan.kind.covert() {
                 (self.class[v.index()], self.class[p.index()])
             } else {
                 (NodeClass::Isolated, NodeClass::Isolated)
@@ -1673,8 +1643,9 @@ impl BarGossipSim {
     ) {
         let mut deliver = std::mem::take(&mut st.deliver);
         deliver.clear();
-        let poisoner =
-            self.attack_active && self.plan.kind == AttackKind::Poison && self.is_attacker(sender);
+        let poisoner = self.env.attack_active()
+            && self.plan.kind == AttackKind::Poison
+            && self.is_attacker(sender);
         let mut strike = false;
         for &id in want {
             if !self.windows[sender.index()].contains(id) {
@@ -1810,17 +1781,8 @@ impl BarGossipSim {
                         / samples as f64
                 }
             },
-            cuts: self.cfg.defenses.cutoff_quorum.map(|_| CutStats {
-                cut_honest: self.cut_honest,
-                cut_attacker: self.cut_attacker,
-                honest: counts.isolated + counts.satiated,
-                attackers: counts.attacker,
-            }),
-            fault_counters: if self.faults.is_active() {
-                Some(self.faults.counters())
-            } else {
-                None
-            },
+            cuts: self.cutoff.stats(),
+            fault_counters: self.env.fault_counters(),
             digest: self.digest_state.as_ref().map(|d| d.stats),
         }
     }
@@ -1830,27 +1792,33 @@ impl RoundSim for BarGossipSim {
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         debug_assert_eq!(t, self.round, "rounds must be sequential");
-        // Timing layer first: churn membership and faults, then the
-        // schedule decides whether this round is a cooperate or defect
-        // round. All are no-ops (no rng draws, no allocation) under the
-        // default always-on, churn-free, fault-free configuration.
-        self.population.begin_round(t);
-        self.faults.begin_round(t);
-        if !self.faults.just_crashed().is_empty() {
+        // Timing layer first. The activity index excludes evicted and
+        // cut nodes too; nothing becomes alive mid-round (evictions and
+        // cuts only remove), so the index is a superset of every
+        // `alive()` check below and the shard walks see exactly the
+        // dense filter lists.
+        self.env
+            .begin_round(t, &[&self.evicted, self.cutoff.cut_set()], |key, _| {
+                gossip_observation(&self.delivered, &self.totals, &self.cutoff, key)
+            });
+        if !self.env.faults().just_crashed().is_empty() {
             // State-losing crash: unlike churned-out nodes, which keep
             // their windows while away, a crashed node re-enters cold.
-            for i in self.faults.just_crashed().iter() {
+            for i in self.env.faults().just_crashed().iter() {
                 self.windows[i].clear();
             }
         }
-        // Engage nodes whose arrival wave just landed: fast-forward
-        // their windows into lockstep before anything slides. Inlined
-        // (rather than calling `ensure_engaged`) so the scratch-mask
-        // iteration and the window mutations borrow disjoint fields.
-        self.mask_scratch.copy_from(self.population.present());
-        self.mask_scratch.subtract(&self.engaged);
-        if !self.mask_scratch.is_empty() {
-            for i in self.mask_scratch.iter() {
+        // Engage nodes whose arrival wave just landed (present ∖
+        // engaged, one word at a time, ascending): fast-forward their
+        // windows into lockstep before anything slides. Inlined (rather
+        // than calling `ensure_engaged`) so the membership words and the
+        // window mutations borrow disjoint fields.
+        let present = self.env.population().present().words();
+        for (w, &word) in present.iter().enumerate() {
+            let mut arrived = word & !self.engaged.words()[w];
+            while arrived != 0 {
+                let i = w * 64 + arrived.trailing_zeros() as usize;
+                arrived &= arrived - 1;
                 if t > 0 {
                     self.windows[i].skip_to(t - 1);
                 }
@@ -1858,21 +1826,6 @@ impl RoundSim for BarGossipSim {
                 self.node_unusable_rounds[i] = self.measured_rounds;
             }
         }
-        // Rebuild the round's activity snapshot: active = present ∧
-        // ¬down ∧ ¬evicted ∧ ¬cut, word-parallel. Nothing becomes
-        // alive mid-round (evictions and cuts only remove), so the
-        // snapshot is a superset of every `alive()` check below and the
-        // shard walks see exactly the dense filter lists.
-        self.mask_scratch.copy_from(self.population.present());
-        self.mask_scratch.subtract(self.faults.down_mask());
-        self.mask_scratch.subtract(&self.evicted);
-        self.mask_scratch.subtract(&self.cut);
-        self.shards.load(&self.mask_scratch);
-        let observed = self
-            .schedule_state
-            .needs_observation()
-            .and_then(|k| self.observe(k));
-        self.attack_active = self.schedule_state.is_active(t, observed);
         self.account_attacker_coverage(t);
         self.rotate_targets(t);
         self.advance_windows(t);
@@ -1952,17 +1905,7 @@ impl lotus_core::scenario::Scenario for BarGossipSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        let total = self.cfg.total_rounds();
-        if self.round >= total {
-            return lotus_core::scenario::StepOutcome::Done;
-        }
-        let t = self.round;
-        RoundSim::round(self, t);
-        if self.round >= total {
-            lotus_core::scenario::StepOutcome::Done
-        } else {
-            lotus_core::scenario::StepOutcome::Continue
-        }
+        lotus_core::scenario::step_rounds(self, self.cfg.total_rounds())
     }
 
     fn report(&self) -> BarGossipReport {
@@ -1970,7 +1913,7 @@ impl lotus_core::scenario::Scenario for BarGossipSim {
     }
 
     fn arm_trace(&self) -> Option<&[lotus_core::adaptive::TraceEntry]> {
-        self.schedule_state.arm_trace()
+        self.env.schedule().arm_trace()
     }
 }
 
@@ -2011,25 +1954,9 @@ impl lotus_core::scenario::Summarize for BarGossipReport {
         .with_metric("mean_honest_upload", self.mean_honest_upload)
         .with_metric("min_node_delivery", self.min_node_delivery)
         .with_metric("nodes_ever_unusable", self.nodes_ever_unusable)
-        .with_metric("unusable_node_rounds", self.unusable_node_rounds);
-        // Defense- and fault-conditional metrics: absent from reports of
-        // runs that configured neither, so pre-fault goldens stay
-        // byte-identical.
-        if let Some(c) = self.cuts {
-            r = r
-                .with_metric("false_cut_rate", c.false_cut_rate())
-                .with_metric("attacker_cut_rate", c.attacker_cut_rate())
-                .with_metric("cut_precision", c.precision())
-                .with_metric("cut_recall", c.attacker_cut_rate());
-        }
-        if let Some(f) = self.fault_counters {
-            r = r
-                .with_metric("faults_dropped", f.dropped as f64)
-                .with_metric("faults_duplicated", f.duplicated as f64)
-                .with_metric("faults_delayed", f.delayed as f64)
-                .with_metric("faults_crashes", f.crashes as f64)
-                .with_metric("faults_partition_blocked", f.partition_blocked as f64);
-        }
+        .with_metric("unusable_node_rounds", self.unusable_node_rounds)
+        .with_cut_stats(self.cuts)
+        .with_fault_counters(self.fault_counters);
         if let Some(d) = self.digest {
             r = r
                 .with_metric("digest_bytes_on_wire", d.bytes_on_wire() as f64)

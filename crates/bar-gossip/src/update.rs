@@ -58,7 +58,9 @@ pub struct WindowSet {
 
 impl WindowSet {
     /// An empty window for batches of `per_round` updates with the given
-    /// `lifetime` in rounds.
+    /// `lifetime` in rounds. Its buffer is allocated by the first round
+    /// it tracks, so building one window per node of a million-node run
+    /// costs a 48-byte write each, not an allocation or a clone each.
     ///
     /// # Panics
     ///
@@ -71,7 +73,7 @@ impl WindowSet {
         );
         assert!(lifetime > 0, "lifetime must be positive");
         WindowSet {
-            masks: std::collections::VecDeque::with_capacity(lifetime as usize),
+            masks: std::collections::VecDeque::new(),
             start: 0,
             per_round,
             lifetime,

@@ -8,8 +8,7 @@
 //! `fig1`, `fig2`, `fig3` reproduce the paper's quantitative evaluation
 //! and the `ext_*` binaries turn each of the paper's §1/§3/§4 analytical
 //! claims into a measured experiment — but each is now a thin preset over
-//! the runner (a registry lookup plus an argument list). Criterion
-//! micro-benchmarks of every substrate live in `benches/`.
+//! the runner (a registry lookup plus an argument list).
 //!
 //! Every binary accepts `--quick` (fewer seeds and sweep points) so CI can
 //! smoke-test it, plus every other runner flag (`--seeds`, `--format

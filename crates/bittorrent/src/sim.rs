@@ -36,10 +36,10 @@
 use crate::attack::{SwarmAttack, TargetPolicy};
 use crate::config::{PiecePolicy, SwarmConfig};
 use lotus_core::bitset::BitSet;
-use lotus_core::faults::{Fate, FaultCounters, FaultState};
-use lotus_core::population::Population;
+use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
+use lotus_core::faults::{Fate, FaultCounters};
 use lotus_core::satiation::Satiable;
-use lotus_core::schedule::{MetricKey, ScheduleState};
+use lotus_core::schedule::MetricKey;
 use netsim::rng::DetRng;
 use netsim::round::RoundSim;
 use netsim::{NodeId, Round};
@@ -209,16 +209,11 @@ pub struct SwarmSim {
     round: Round,
     duplicates: u64,
     fixed_targets: Vec<usize>,
-    /// Attack timing stepper; while off, attacker peers seed like
-    /// ordinary seeds (the cooperate phase).
-    schedule_state: ScheduleState,
-    attack_active: bool,
-    /// Leecher membership under churn (seeds and attacker peers are
-    /// protected and never leave).
-    population: Population,
-    /// Fault injection (lost/duplicated transfers, leecher crashes, the
-    /// partition); a guaranteed no-op under an inactive plan.
-    faults: FaultState,
+    /// Leecher churn, faults (lost/duplicated transfers, leecher
+    /// crashes, the partition) and attack timing — while the schedule
+    /// has the attack off, attacker peers seed like ordinary seeds (the
+    /// cooperate phase). Seeds and attacker peers never leave or crash.
+    env: RoundEnvelope,
     scratch: Scratch,
 }
 
@@ -264,30 +259,27 @@ impl SwarmSim {
         } else {
             Vec::new()
         };
-        let mut population = Population::new(n, cfg.churn, rng.fork("population"));
-        // Forking never advances the parent, so adding the fault layer
-        // is stream-invisible to every existing draw. Non-leechers are
-        // crash-exempt, mirroring their churn protection: the origin
-        // seed's copy must survive, and the attacker's infrastructure is
-        // assumed reliable.
-        let mut faults = FaultState::new(n, cfg.faults, &rng);
-        for (i, peer) in peers.iter().enumerate() {
-            if peer.role != PeerRole::Leecher {
-                population.protect(i);
-                faults.exempt(i);
+        // Non-leechers never leave and never crash: the origin seed's
+        // copy must survive, and the attacker's infrastructure is assumed
+        // reliable. Flash-crowd leechers are withdrawn now (index-ordered,
+        // no randomness) and join with no pieces at their wave's round.
+        let timing = Timing {
+            churn: cfg.churn,
+            arrival: cfg.arrival,
+            faults: cfg.faults,
+            schedule: attack.schedule,
+        };
+        let env = RoundEnvelope::new(n, timing, &rng, false, |i| {
+            if peers[i].role == PeerRole::Leecher {
+                Shield::None
+            } else {
+                Shield::Full
             }
-        }
-        // Flash-crowd leechers are withdrawn now (index-ordered, no
-        // randomness) and join with no pieces at their wave's round;
-        // protected seeds/attackers are never held back.
-        population.set_arrival(cfg.arrival);
+        });
         SwarmSim {
             credit: vec![vec![0.0; n]; n],
             scratch: Scratch::new(cfg.pieces as usize),
-            schedule_state: ScheduleState::seeded(attack.schedule, rng.fork("adaptive")),
-            attack_active: false,
-            population,
-            faults,
+            env,
             cfg,
             attack,
             peers,
@@ -322,18 +314,18 @@ impl SwarmSim {
     }
 
     fn active(&self, i: usize) -> bool {
-        !self.peers[i].departed && self.population.is_present(i) && !self.faults.is_down(i)
+        !self.peers[i].departed && self.env.is_up(i)
     }
 
     /// Canonical-metric observation for metric-threshold schedules,
-    /// computed from completion flags (no allocation). Unlike the
-    /// gossip substrates' expiry-measured delivery, the completion
-    /// fraction is genuine data from round 0 (nobody has finished yet),
-    /// so this always observes.
-    fn observe(&self, key: MetricKey) -> Option<f64> {
+    /// computed from the leechers' completion flags (no allocation).
+    /// Unlike the gossip substrates' expiry-measured delivery, the
+    /// completion fraction is genuine data from round 0 (nobody has
+    /// finished yet), so this always observes.
+    fn completion_observation(leechers: &[Peer], key: MetricKey) -> Option<f64> {
         let mut done = [0u32; 2];
         let mut count = [0u32; 2];
-        for peer in self.peers.iter().take(self.cfg.leechers as usize) {
+        for peer in leechers {
             let ti = usize::from(peer.ever_targeted);
             count[ti] += 1;
             if peer.completed_at.is_some() {
@@ -361,10 +353,9 @@ impl SwarmSim {
                     frac(done[1], count[1])
                 }
             }
-            // Live membership state, not completion accounting.
-            MetricKey::PresentFraction => self.population.present_fraction(),
-            // The swarm has no silence cut-off defense to report.
-            MetricKey::FalseCutRate => return None,
+            // Presence is the envelope's to answer, and the swarm has no
+            // silence cut-off defense to report.
+            MetricKey::PresentFraction | MetricKey::FalseCutRate => return None,
         })
     }
 
@@ -397,7 +388,7 @@ impl SwarmSim {
         for peer in self.peers.iter_mut() {
             peer.targeted = false;
         }
-        if !self.attack_active {
+        if !self.env.attack_active() {
             return;
         }
         let count = self.attack.target_count(self.cfg.leechers) as usize;
@@ -480,7 +471,7 @@ impl SwarmSim {
             }
             // A cooperating (schedule-off) attacker seeds like an
             // ordinary seed instead of serving only its targets.
-            let role = if self.peers[i].role == PeerRole::Attacker && !self.attack_active {
+            let role = if self.peers[i].role == PeerRole::Attacker && !self.env.attack_active() {
                 PeerRole::Seed
             } else {
                 self.peers[i].role
@@ -614,7 +605,7 @@ impl SwarmSim {
                 // dropped piece costs the uploader its slot for nothing;
                 // a duplicated one arrives twice (counted as endgame-style
                 // waste — receivers are idempotent).
-                if !self.faults.link_ok(i, j) {
+                if !self.env.faults_mut().link_ok(i, j) {
                     continue;
                 }
                 if let Some(p) = self.select_piece(
@@ -626,7 +617,7 @@ impl SwarmSim {
                     &mut needed,
                     &mut rarest,
                 ) {
-                    match self.faults.fate(i, j) {
+                    match self.env.faults_mut().fate(i, j) {
                         Fate::Drop => {}
                         Fate::Duplicate => {
                             self.duplicates += 1;
@@ -711,11 +702,7 @@ impl SwarmSim {
                 .map(|p| p.uploads)
                 .sum(),
             duplicates: self.duplicates,
-            fault_counters: if self.faults.is_active() {
-                Some(self.faults.counters())
-            } else {
-                None
-            },
+            fault_counters: self.env.fault_counters(),
         }
     }
 }
@@ -724,12 +711,10 @@ impl RoundSim for SwarmSim {
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         debug_assert_eq!(t, self.round, "rounds must be sequential");
-        // Timing layer first: churn membership, then the schedule decides
-        // whether this is a cooperate or defect round. Both are no-ops
-        // under the default always-on, churn-free configuration.
-        self.population.begin_round(t);
-        self.faults.begin_round(t);
-        if !self.faults.just_crashed().is_empty() {
+        let leechers = &self.peers[..self.cfg.leechers as usize];
+        self.env
+            .begin_round(t, &[], |key, _| Self::completion_observation(leechers, key));
+        if !self.env.faults().just_crashed().is_empty() {
             // State-losing crash: unlike a churned-out leecher, which
             // resumes where it left off, a crashed leecher loses its
             // pieces, its reciprocity memory and its optimistic pick and
@@ -737,7 +722,7 @@ impl RoundSim for SwarmSim {
             // record (the download did finish); only non-leechers are
             // exempt, so the file itself survives on the origin seed.
             for i in 0..self.peers.len() {
-                if self.faults.just_crashed().contains(i) {
+                if self.env.faults().just_crashed().contains(i) {
                     self.peers[i].have.clear();
                     self.peers[i].optimistic = None;
                     for c in self.credit[i].iter_mut() {
@@ -746,11 +731,6 @@ impl RoundSim for SwarmSim {
                 }
             }
         }
-        let observed = self
-            .schedule_state
-            .needs_observation()
-            .and_then(|k| self.observe(k));
-        self.attack_active = self.schedule_state.is_active(t, observed);
         // Early lifecycle pass: peers satiated between rounds (e.g. fed by
         // the Observation 3.1 harness) complete — and depart, if they do
         // not linger — before they could serve anyone.
@@ -798,7 +778,7 @@ impl lotus_core::scenario::Scenario for SwarmSim {
     }
 
     fn arm_trace(&self) -> Option<&[lotus_core::adaptive::TraceEntry]> {
-        self.schedule_state.arm_trace()
+        self.env.schedule().arm_trace()
     }
 }
 
@@ -837,7 +817,7 @@ impl lotus_core::scenario::Summarize for SwarmReport {
         let nontargeted = self
             .mean_completion_nontargeted()
             .unwrap_or_else(|| self.mean_completion());
-        let mut report = lotus_core::scenario::ScenarioReport::new(
+        lotus_core::scenario::ScenarioReport::new(
             "bittorrent",
             self.rounds,
             overall,
@@ -857,18 +837,8 @@ impl lotus_core::scenario::Summarize for SwarmReport {
         )
         .with_metric("attacker_upload", self.attacker_upload as f64)
         .with_metric("honest_upload", self.honest_upload as f64)
-        .with_metric("duplicates", self.duplicates as f64);
-        // Fault metrics appear only under an active plan, keeping
-        // fault-free report output byte-identical to pre-fault runs.
-        if let Some(fc) = self.fault_counters {
-            report = report
-                .with_metric("faults_dropped", fc.dropped as f64)
-                .with_metric("faults_duplicated", fc.duplicated as f64)
-                .with_metric("faults_delayed", fc.delayed as f64)
-                .with_metric("faults_crashes", fc.crashes as f64)
-                .with_metric("faults_partition_blocked", fc.partition_blocked as f64);
-        }
-        report
+        .with_metric("duplicates", self.duplicates as f64)
+        .with_fault_counters(self.fault_counters)
     }
 }
 
@@ -1077,13 +1047,13 @@ mod tests {
         for t in 0..400 {
             sim.round(t);
             for i in 0..25 {
-                if sim.faults.just_crashed().contains(i) && sim.peers[i].have.is_empty() {
+                if sim.env.faults().just_crashed().contains(i) && sim.peers[i].have.is_empty() {
                     saw_wipe = true;
                 }
             }
             // The origin seed is crash-exempt: the file always survives.
             assert!(sim.peers[25].have.is_full());
-            assert!(!sim.faults.is_down(25));
+            assert!(!sim.env.faults().is_down(25));
         }
         assert!(saw_wipe, "some leecher crashed with pieces wiped");
     }

@@ -6,6 +6,13 @@
 //! and mechanisms a shared vocabulary so experiments can be labelled,
 //! composed and reported uniformly (the `defense_playbook` example walks
 //! through all four).
+//!
+//! It also holds the one defense mechanism two substrates share:
+//! [`SilenceCutoff`], the quorum-of-accusers cut behind both gossip
+//! substrates' `cutoff=<q>` knob.
+
+use crate::bitset::BitSet;
+use crate::faults::CutStats;
 
 /// The four defense principles of §4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,9 +132,149 @@ impl Mechanism {
     }
 }
 
+/// The silence cut-off defense: an honest observer that expected a
+/// delivery inside an established exchange and got nothing files one
+/// strike against the silent partner, and `quorum` distinct accusers
+/// cut the partner from the protocol. Attacker observers never file — a
+/// masquerading defector wants less scrutiny, not more. Under ambient
+/// faults an honest node's losses read exactly like a masquerader's
+/// withholding, which is the question [`CutStats`] answers.
+#[derive(Debug, Clone)]
+pub struct SilenceCutoff {
+    /// Distinct accusers needed to cut; `None` when the defense is off.
+    quorum: Option<u32>,
+    /// Distinct accusers per node: `n²` bits, so materialised only when
+    /// the defense is on (a million-node run cannot afford vestigial
+    /// ones).
+    accusers: Vec<BitSet>,
+    /// Nodes cut so far.
+    cut: BitSet,
+    /// Cuts against ground truth; the class totals are fixed at build.
+    stats: CutStats,
+}
+
+impl SilenceCutoff {
+    /// A cut-off over `n` nodes, `attackers` of them adversarial,
+    /// cutting at `quorum` distinct accusers (`None`: defense off).
+    pub fn new(n: usize, quorum: Option<u32>, attackers: u32) -> Self {
+        SilenceCutoff {
+            quorum,
+            accusers: if quorum.is_some() {
+                vec![BitSet::new(n); n]
+            } else {
+                Vec::new()
+            },
+            cut: BitSet::new(n),
+            stats: CutStats {
+                honest: n as u32 - attackers,
+                attackers,
+                ..CutStats::default()
+            },
+        }
+    }
+
+    /// Whether the defense is configured (and can cut nodes mid-round).
+    pub fn is_on(&self) -> bool {
+        self.quorum.is_some()
+    }
+
+    /// Whether `node` has been cut.
+    #[inline]
+    pub fn is_cut(&self, node: usize) -> bool {
+        self.cut.contains(node)
+    }
+
+    /// The cut set, for activity masks.
+    pub fn cut_set(&self) -> &BitSet {
+        &self.cut
+    }
+
+    /// `observer` expected a delivery from `partner` and got silence:
+    /// file one strike. Returns whether this strike cut `partner`. Does
+    /// nothing when the defense is off or the observer is an attacker.
+    pub fn accuse(
+        &mut self,
+        observer: usize,
+        partner: usize,
+        is_attacker: impl Fn(usize) -> bool,
+    ) -> bool {
+        let Some(quorum) = self.quorum else {
+            return false;
+        };
+        if is_attacker(observer) {
+            return false;
+        }
+        let set = &mut self.accusers[partner];
+        set.insert(observer);
+        if set.len() as u32 >= quorum && self.cut.insert(partner) {
+            if is_attacker(partner) {
+                self.stats.cut_attacker += 1;
+            } else {
+                self.stats.cut_honest += 1;
+            }
+            return true;
+        }
+        false
+    }
+
+    /// Cut outcomes for a report; `None` when the defense is off, so
+    /// defense-free reports are unchanged by the machinery existing.
+    pub fn stats(&self) -> Option<CutStats> {
+        self.quorum.map(|_| self.stats)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cutoff_needs_a_quorum_of_distinct_accusers() {
+        let mut c = SilenceCutoff::new(10, Some(2), 0);
+        let honest = |_| false;
+        assert!(!c.accuse(0, 5, honest));
+        assert!(!c.accuse(0, 5, honest), "a repeat accuser adds nothing");
+        assert!(!c.is_cut(5));
+        assert!(c.accuse(1, 5, honest), "the second distinct accuser cuts");
+        assert!(c.is_cut(5) && c.cut_set().contains(5));
+    }
+
+    #[test]
+    fn attacker_observers_never_file() {
+        let mut c = SilenceCutoff::new(10, Some(1), 3);
+        let attacker = |i| i < 3;
+        for observer in 0..3 {
+            assert!(!c.accuse(observer, 7, attacker));
+        }
+        assert!(!c.is_cut(7));
+        assert!(
+            c.accuse(4, 1, attacker),
+            "an honest observer cuts an attacker"
+        );
+        let stats = c.stats().expect("defense is on");
+        assert_eq!((stats.cut_honest, stats.cut_attacker), (0, 1));
+        assert_eq!((stats.honest, stats.attackers), (7, 3));
+    }
+
+    #[test]
+    fn a_node_is_cut_and_counted_once() {
+        let mut c = SilenceCutoff::new(10, Some(1), 0);
+        assert!(c.accuse(0, 5, |_| false));
+        assert!(!c.accuse(1, 5, |_| false), "already cut");
+        assert!(!c.accuse(2, 5, |_| false));
+        let stats = c.stats().expect("defense is on");
+        assert_eq!((stats.cut_honest, stats.cut_attacker), (1, 0));
+    }
+
+    #[test]
+    fn cutoff_off_allocates_no_accusers_and_never_cuts() {
+        let mut c = SilenceCutoff::new(1000, None, 10);
+        assert!(c.accusers.is_empty(), "no n² accuser sets when off");
+        assert!(!c.is_on());
+        assert!(!c.accuse(0, 5, |_| false));
+        assert!(!c.is_cut(5));
+        assert_eq!(c.stats(), None);
+    }
 
     #[test]
     fn four_principles_in_order() {

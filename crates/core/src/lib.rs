@@ -26,6 +26,10 @@
 //!   arrivals ([`ArrivalProcess`](population::ArrivalProcess)) driving a
 //!   deterministic membership tracker
 //!   ([`Population`](population::Population)) every simulator runs under;
+//! * [`envelope`] — the round skeleton's timing layer: one
+//!   [`RoundEnvelope`](envelope::RoundEnvelope) owns population, faults
+//!   and schedule for every scheduled substrate and steps them in one
+//!   fixed order per round;
 //! * [`faults`] — fault injection: lossy links, state-losing crashes and
 //!   epoch partitions ([`FaultPlan`](faults::FaultPlan) /
 //!   [`FaultState`](faults::FaultState)), the realistic-network
@@ -48,7 +52,8 @@
 //! * [`alloc_guard`] — the counting test allocator behind the
 //!   zero-allocations-per-steady-state-step regression suite (the
 //!   dynamic twin of `lotus-lint`'s static hot-loop rule);
-//! * [`defense`] — the four §4 defense principles and their mechanisms;
+//! * [`defense`] — the four §4 defense principles and their mechanisms,
+//!   and the silence cut-off both gossip substrates share;
 //! * [`scenario`] — the unified experiment API: the
 //!   [`Scenario`](scenario::Scenario) trait every substrate implements,
 //!   the common [`ScenarioReport`](scenario::ScenarioReport) metric
@@ -91,6 +96,7 @@ pub mod attack;
 pub mod bitset;
 pub mod defense;
 pub mod digest;
+pub mod envelope;
 pub mod faults;
 pub mod pool;
 pub mod population;

@@ -49,6 +49,8 @@
 //! # Ok::<(), lotus_core::token::ConfigError>(())
 //! ```
 
+use crate::faults::{CutStats, FaultCounters};
+use netsim::round::RoundSim;
 use netsim::Round;
 
 /// What a single [`Scenario::step`] call did.
@@ -141,6 +143,22 @@ pub fn run<S: Scenario>(cfg: S::Config, attack: S::Attack, seed: u64) -> S::Repo
     S::build(cfg, attack, seed).finish()
 }
 
+/// [`Scenario::step`] for a round-based substrate with a fixed horizon:
+/// run the next round unless `total` rounds have run, and report
+/// [`StepOutcome::Done`] once they have.
+pub fn step_rounds<S: RoundSim>(sim: &mut S, total: Round) -> StepOutcome {
+    let t = sim.rounds_run();
+    if t >= total {
+        return StepOutcome::Done;
+    }
+    sim.round(t);
+    if sim.rounds_run() >= total {
+        StepOutcome::Done
+    } else {
+        StepOutcome::Continue
+    }
+}
+
 /// Build a scenario behind the type-erased [`DynScenario`] interface.
 pub fn boxed<S: Scenario + 'static>(
     cfg: S::Config,
@@ -227,6 +245,31 @@ impl ScenarioReport {
             Ok(i) => self.metrics[i].1 = value,
             Err(i) => self.metrics.insert(i, (key, value)),
         }
+    }
+
+    /// Attach the fault counters as `faults_*` metrics; absent without
+    /// an active plan, so fault-free reports stay byte-identical.
+    pub fn with_fault_counters(self, counters: Option<FaultCounters>) -> Self {
+        let Some(f) = counters else {
+            return self;
+        };
+        self.with_metric("faults_dropped", f.dropped as f64)
+            .with_metric("faults_duplicated", f.duplicated as f64)
+            .with_metric("faults_delayed", f.delayed as f64)
+            .with_metric("faults_crashes", f.crashes as f64)
+            .with_metric("faults_partition_blocked", f.partition_blocked as f64)
+    }
+
+    /// Attach the silence cut-off's precision/recall metrics; absent
+    /// without the defense, so defense-free reports stay byte-identical.
+    pub fn with_cut_stats(self, cuts: Option<CutStats>) -> Self {
+        let Some(c) = cuts else {
+            return self;
+        };
+        self.with_metric("false_cut_rate", c.false_cut_rate())
+            .with_metric("attacker_cut_rate", c.attacker_cut_rate())
+            .with_metric("cut_precision", c.precision())
+            .with_metric("cut_recall", c.attacker_cut_rate())
     }
 
     /// Look up a metric by name.

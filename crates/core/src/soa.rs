@@ -148,6 +148,15 @@ impl ShardMap {
         self.commit();
     }
 
+    /// Rewrite the activity mask in place with `write`, then recompute
+    /// the shard counts. Word-parallel: `O(n/64)` plus what `write`
+    /// does.
+    // lint: hot-loop
+    pub fn rebuild(&mut self, write: impl FnOnce(&mut BitSet)) {
+        write(&mut self.active);
+        self.commit();
+    }
+
     /// Remove `mask`'s members from the activity mask and recompute
     /// the shard counts. Word-parallel: `O(n/64)`.
     // lint: hot-loop

@@ -15,7 +15,9 @@
 //! cost to deny, and how much a little altruism `a > 0` buys.
 
 use crate::bitset::BitSet;
+use crate::envelope::{RoundEnvelope, Shield, Timing};
 use crate::satiation::Satiable;
+use crate::schedule::MetricKey;
 use netsim::graph::Graph;
 use netsim::rng::DetRng;
 use netsim::round::RoundSim;
@@ -416,15 +418,10 @@ pub struct TokenSystem {
     /// Attacker randomness for the scenario path; forked exactly like
     /// [`TokenSystem::run`] forks so both paths see the same stream.
     attack_rng: DetRng,
-    /// Attack timing for the scenario path (always-on by default, so the
-    /// legacy entry points are unaffected).
-    schedule: crate::schedule::ScheduleState,
-    /// Membership under churn; closed (everyone always present) unless
-    /// the scenario config asks for churn.
-    population: crate::population::Population,
-    /// Fault injection for the scenario path (inactive by default, so
-    /// the legacy entry points are unaffected).
-    faults: crate::faults::FaultState,
+    /// Churn, faults and attack timing; inert (everyone present, no
+    /// faults, attack always on) unless the scenario config asks for
+    /// more, so the legacy entry points are unaffected.
+    env: RoundEnvelope,
 }
 
 impl TokenSystem {
@@ -478,13 +475,7 @@ impl TokenSystem {
             attack: crate::attack::TokenAttack::none(),
             horizon: 0,
             attack_rng: rng.fork("attacker"),
-            schedule: crate::schedule::ScheduleState::new(crate::schedule::AttackSchedule::always()),
-            population: crate::population::Population::new(
-                n,
-                crate::population::ChurnSpec::none(),
-                rng.fork("population"),
-            ),
-            faults: crate::faults::FaultState::new(n, crate::faults::FaultPlan::none(), &rng),
+            env: RoundEnvelope::new(n, Timing::default(), &rng, false, |_| Shield::None),
             rng,
             satiated_series: Vec::new(),
             all_satiated_at: None,
@@ -550,8 +541,7 @@ impl TokenSystem {
         }
         let mut round_rng = self.rng.fork_idx("round", self.round);
         for i in 0..n {
-            if self.satiated_scratch[i] || !self.population.is_present(i) || self.faults.is_down(i)
-            {
+            if self.satiated_scratch[i] || !self.env.is_up(i) {
                 continue; // satiated nodes stop initiating; absent/crashed can't
             }
             let degree = self.cfg.graph.degree(NodeId(i as u32));
@@ -562,10 +552,10 @@ impl TokenSystem {
             round_rng.sample_indices_into(degree, c, &mut self.picks_scratch);
             for p in 0..c {
                 let j = self.cfg.graph.neighbors(NodeId(i as u32))[self.picks_scratch[p]] as usize;
-                if !self.population.is_present(j) || self.faults.is_down(j) {
+                if !self.env.is_up(j) {
                     continue; // absent or crashed partner: the contact is wasted
                 }
-                if !self.faults.link_ok(i, j) {
+                if !self.env.faults_mut().link_ok(i, j) {
                     continue; // the partition separates the pair
                 }
                 if self.satiated_scratch[j] && !round_rng.chance(self.cfg.altruism) {
@@ -575,11 +565,11 @@ impl TokenSystem {
                 // direction draws its own fate (a lost half leaves a
                 // one-way exchange — under an inactive plan both always
                 // deliver without drawing).
-                if self.faults.fate(j, i) != crate::faults::Fate::Drop {
+                if self.env.faults_mut().fate(j, i) != crate::faults::Fate::Drop {
                     self.served[j] += self.snapshot[j].difference_count(&self.snapshot[i]) as u64;
                     self.holdings[i].union_with(&self.snapshot[j]);
                 }
-                if self.faults.fate(i, j) != crate::faults::Fate::Drop {
+                if self.env.faults_mut().fate(i, j) != crate::faults::Fate::Drop {
                     self.served[i] += self.snapshot[i].difference_count(&self.snapshot[j]) as u64;
                     self.holdings[j].union_with(&self.snapshot[i]);
                 }
@@ -599,8 +589,7 @@ impl TokenSystem {
     /// start-of-round state) and its chosen targets are satiated before any
     /// gossip happens, exactly as in the paper's model. The attacker rides
     /// the generic pre-round hook seam ([`netsim::round::run_with`]) over
-    /// the [`RoundSim`] gossip rounds — the same seam population churn and
-    /// schedule stepping use in the scenario path.
+    /// the [`RoundSim`] rounds the scenario path steps too.
     pub fn run(
         &mut self,
         attacker: &mut dyn crate::attack::Attacker,
@@ -667,18 +656,55 @@ impl TokenSystem {
             attacked_nodes: self.attacked.iter().copied().collect(),
             token_reach,
             untouched_satisfied,
-            fault_counters: if self.faults.is_active() {
-                Some(self.faults.counters())
-            } else {
-                None
-            },
+            fault_counters: self.env.fault_counters(),
         }
     }
 }
 
 impl RoundSim for TokenSystem {
+    /// One round: the timing layer steps, crashes wipe holdings, the
+    /// scenario attacker (when the schedule has the attack on) is
+    /// consulted on the start-of-round state and its present targets
+    /// are satiated, then gossip happens among present nodes. The
+    /// legacy [`TokenSystem::run`] drives this same round under an inert
+    /// timing layer and no scenario attacker.
+    // lint: hot-loop
     fn round(&mut self, t: Round) {
+        use crate::attack::Attacker;
         debug_assert_eq!(t, self.round, "TokenSystem rounds must be sequential");
+        let (holdings, attacked) = (&self.holdings, &self.attacked);
+        let attack_on = self.env.begin_round(t, &[], |key, crashed| {
+            coverage_observation(holdings, attacked, crashed, key)
+        });
+        if !self.env.faults().just_crashed().is_empty() {
+            // State-losing crash: unlike a churned-out node, which keeps
+            // its holdings while away, a crashed node re-enters with
+            // nothing and must regather tokens from its neighbors.
+            for i in 0..self.holdings.len() {
+                if self.env.faults().just_crashed().contains(i) {
+                    self.holdings[i].clear();
+                }
+            }
+        }
+        if attack_on {
+            // The attack, its rng and the target buffer move out during
+            // the round so the borrow checker lets the attacker inspect
+            // `self.view()`; DetRng clone and Vec take are heap-free.
+            let mut attack =
+                std::mem::replace(&mut self.attack, crate::attack::TokenAttack::none());
+            let mut attack_rng = self.attack_rng.clone();
+            let mut targets = std::mem::take(&mut self.targets_scratch);
+            targets.clear();
+            attack.targets_into(&self.view(), &mut attack_rng, &mut targets);
+            self.attack = attack;
+            self.attack_rng = attack_rng;
+            for &target in &targets {
+                if self.env.population().is_present(target.index()) {
+                    self.satiate(target);
+                }
+            }
+            self.targets_scratch = targets;
+        }
         self.gossip_round();
     }
 
@@ -767,50 +793,53 @@ impl TokenScenarioConfig {
     }
 }
 
-impl TokenSystem {
-    /// The canonical-metric observation for metric-threshold schedules:
-    /// computed directly from holdings (no report allocation). Coverage
-    /// is genuine data from round 0 (the initial allocation), so this
-    /// always observes.
-    fn observe(&self, key: crate::schedule::MetricKey) -> Option<f64> {
-        let mut untouched_sum = 0.0;
-        let mut untouched_n = 0usize;
-        let mut attacked_sum = 0.0;
-        let mut attacked_n = 0usize;
-        for (i, h) in self.holdings.iter().enumerate() {
-            let cov = if h.universe() == 0 {
-                1.0
+/// The canonical-metric observation for metric-threshold schedules:
+/// computed directly from holdings (no report allocation), as they stand
+/// once this round's `crashed` nodes are wiped. Coverage is genuine data
+/// from round 0 (the initial allocation), so this always observes.
+fn coverage_observation(
+    holdings: &[BitSet],
+    attacked: &std::collections::BTreeSet<NodeId>,
+    crashed: &BitSet,
+    key: MetricKey,
+) -> Option<f64> {
+    let mut untouched_sum = 0.0;
+    let mut untouched_n = 0usize;
+    let mut attacked_sum = 0.0;
+    let mut attacked_n = 0usize;
+    for (i, h) in holdings.iter().enumerate() {
+        let held = if crashed.contains(i) { 0 } else { h.len() };
+        let cov = if h.universe() == 0 {
+            1.0
+        } else {
+            held as f64 / h.universe() as f64
+        };
+        if attacked.contains(&NodeId(i as u32)) {
+            attacked_sum += cov;
+            attacked_n += 1;
+        } else {
+            untouched_sum += cov;
+            untouched_n += 1;
+        }
+    }
+    let overall = if untouched_n == 0 {
+        0.0
+    } else {
+        untouched_sum / untouched_n as f64
+    };
+    Some(match key {
+        MetricKey::OverallDelivery => overall,
+        MetricKey::TargetedService => {
+            if attacked_n == 0 {
+                overall
             } else {
-                h.len() as f64 / h.universe() as f64
-            };
-            if self.attacked.contains(&NodeId(i as u32)) {
-                attacked_sum += cov;
-                attacked_n += 1;
-            } else {
-                untouched_sum += cov;
-                untouched_n += 1;
+                attacked_sum / attacked_n as f64
             }
         }
-        let overall = if untouched_n == 0 {
-            0.0
-        } else {
-            untouched_sum / untouched_n as f64
-        };
-        Some(match key {
-            crate::schedule::MetricKey::OverallDelivery => overall,
-            crate::schedule::MetricKey::TargetedService => {
-                if attacked_n == 0 {
-                    overall
-                } else {
-                    attacked_sum / attacked_n as f64
-                }
-            }
-            // Live membership state, not a holdings metric.
-            crate::schedule::MetricKey::PresentFraction => self.population.present_fraction(),
-            // The token substrate has no cut defense to report on.
-            crate::schedule::MetricKey::FalseCutRate => return None,
-        })
-    }
+        // Presence is the envelope's to answer, and the token substrate
+        // has no cut defense to report on.
+        MetricKey::PresentFraction | MetricKey::FalseCutRate => return None,
+    })
 }
 
 impl crate::scenario::Scenario for TokenSystem {
@@ -826,85 +855,35 @@ impl crate::scenario::Scenario for TokenSystem {
         // Pre-size the per-round series so steady-state pushes never
         // reallocate mid-run.
         sys.satiated_series.reserve(cfg.rounds as usize);
-        // Seed the adaptive policy (if any) from a dedicated fork;
-        // forking never advances `sys.rng`, so non-adaptive runs stay
-        // bit-identical to the legacy path.
-        sys.schedule =
-            crate::schedule::ScheduleState::seeded(cfg.schedule, sys.rng.fork("adaptive"));
-        // Re-fork the population stream with the configured churn; forking
-        // never advances `sys.rng`, so churn-free runs stay bit-identical
-        // to the legacy path.
-        sys.population = crate::population::Population::new(
-            sys.holdings.len(),
-            cfg.churn,
-            sys.rng.fork("population"),
-        );
-        // Flash-crowd members are withdrawn now (index-ordered, no
-        // randomness) and re-enter with whatever their initial allocation
-        // gave them — they have never gossiped.
-        sys.population.set_arrival(cfg.arrival);
-        // Re-fork the fault layer with the configured plan; forking never
-        // advances `sys.rng`, so fault-free runs stay bit-identical. The
-        // rare-token holder is crash-exempt: faults degrade dissemination,
-        // they must not destroy the content outright.
-        sys.faults = crate::faults::FaultState::new(sys.holdings.len(), cfg.faults, &sys.rng);
-        if let Allocation::RareToken { holder, .. } = sys.cfg.allocation {
-            sys.faults.exempt(holder.index());
-        }
+        // Re-fork the timing layer with the configured dimensions;
+        // forking never advances `sys.rng`, so inert runs stay
+        // bit-identical to the legacy path. Flash-crowd members re-enter
+        // with whatever their initial allocation gave them — they have
+        // never gossiped. The rare-token holder is crash-exempt: faults
+        // degrade dissemination, they must not destroy the content
+        // outright.
+        let rare_holder = match sys.cfg.allocation {
+            Allocation::RareToken { holder, .. } => Some(holder.index()),
+            _ => None,
+        };
+        let timing = Timing {
+            churn: cfg.churn,
+            arrival: cfg.arrival,
+            faults: cfg.faults,
+            schedule: cfg.schedule,
+        };
+        sys.env = RoundEnvelope::new(sys.holdings.len(), timing, &sys.rng, false, |i| {
+            if Some(i) == rare_holder {
+                Shield::Crash
+            } else {
+                Shield::None
+            }
+        });
         sys
     }
 
-    /// One round, exactly as [`TokenSystem::run`] executes it: the
-    /// attacker is consulted on the start-of-round state (when the
-    /// schedule says the attack is on), its present targets are satiated,
-    /// then gossip happens among present nodes.
-    // lint: hot-loop
     fn step(&mut self) -> crate::scenario::StepOutcome {
-        use crate::attack::Attacker;
-        if self.round >= self.horizon {
-            return crate::scenario::StepOutcome::Done;
-        }
-        self.population.begin_round(self.round);
-        self.faults.begin_round(self.round);
-        if !self.faults.just_crashed().is_empty() {
-            // State-losing crash: unlike a churned-out node, which keeps
-            // its holdings while away, a crashed node re-enters with
-            // nothing and must regather tokens from its neighbors.
-            for i in 0..self.holdings.len() {
-                if self.faults.just_crashed().contains(i) {
-                    self.holdings[i].clear();
-                }
-            }
-        }
-        let observed = self
-            .schedule
-            .needs_observation()
-            .and_then(|k| self.observe(k));
-        if self.schedule.is_active(self.round, observed) {
-            // The attack, its rng and the target buffer move out during
-            // the round so the borrow checker lets the attacker inspect
-            // `self.view()`; DetRng clone and Vec take are heap-free.
-            let mut attack =
-                std::mem::replace(&mut self.attack, crate::attack::TokenAttack::none());
-            let mut attack_rng = self.attack_rng.clone();
-            let mut targets = std::mem::take(&mut self.targets_scratch);
-            targets.clear();
-            attack.targets_into(&self.view(), &mut attack_rng, &mut targets);
-            self.attack = attack;
-            self.attack_rng = attack_rng;
-            for &t in &targets {
-                if self.population.is_present(t.index()) {
-                    self.satiate(t);
-                }
-            }
-            self.targets_scratch = targets;
-        }
-        self.gossip_round();
-        if self.round >= self.horizon {
-            crate::scenario::StepOutcome::Done
-        } else {
-            crate::scenario::StepOutcome::Continue
-        }
+        crate::scenario::step_rounds(self, self.horizon)
     }
 
     fn report(&self) -> TokenReport {
@@ -912,7 +891,7 @@ impl crate::scenario::Scenario for TokenSystem {
     }
 
     fn arm_trace(&self) -> Option<&[crate::adaptive::TraceEntry]> {
-        self.schedule.arm_trace()
+        self.env.schedule().arm_trace()
     }
 }
 
@@ -967,17 +946,7 @@ impl crate::scenario::Summarize for TokenReport {
         if let Some(&reach) = self.token_reach.first() {
             report.set_metric("token0_reach", reach);
         }
-        // Fault metrics appear only under an active plan, keeping
-        // fault-free report output byte-identical to pre-fault runs.
-        if let Some(fc) = self.fault_counters {
-            report = report
-                .with_metric("faults_dropped", fc.dropped as f64)
-                .with_metric("faults_duplicated", fc.duplicated as f64)
-                .with_metric("faults_delayed", fc.delayed as f64)
-                .with_metric("faults_crashes", fc.crashes as f64)
-                .with_metric("faults_partition_blocked", fc.partition_blocked as f64);
-        }
-        report
+        report.with_fault_counters(self.fault_counters)
     }
 }
 

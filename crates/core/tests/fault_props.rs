@@ -15,8 +15,12 @@
 //! * the partition blocks exactly the cross-cell pairs while its epoch
 //!   is open, and nothing before or after — the two cells cover the
 //!   universe disjointly;
-//! * the whole fault history replays bit-identically per (plan, seed).
+//! * the whole fault history replays bit-identically per (plan, seed);
+//! * an inert [`RoundEnvelope`] — the timing layer every substrate
+//!   drives — draws nothing either: its fault and churn streams stay
+//!   equal to fresh forks of the substrate's root rng.
 
+use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
 use lotus_core::faults::{Fate, FaultPlan, FaultState};
 use lotus_core::proptest_lite::{check, Draw};
 use netsim::rng::DetRng;
@@ -239,6 +243,54 @@ fn fault_history_replays_bit_identically_per_plan_and_seed() {
         let second = drive(n, rounds, plan, seed);
         if first != second {
             return Err("same plan + seed diverged on replay".into());
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn inert_envelope_draws_nothing_and_its_streams_equal_fresh_forks() {
+    check("inert envelope is stream-invisible", 200, |d| {
+        let faults = match d.int("spelling", 0, 2) {
+            0 => FaultPlan::none(),
+            1 => FaultPlan::parse("loss:0/dup:0/delay:0/crash:0:0.5").expect("zero rates parse"),
+            _ => FaultPlan::parse("partition:3:5:0").expect("zero-fraction partition parses"),
+        };
+        let n = d.int("n", 1, 40) as usize;
+        let seed = d.int("seed", 1, 1 << 20) as u64;
+        let indexed = d.int("indexed", 0, 1) == 1;
+        let parent = DetRng::seed_from(seed);
+        let timing = Timing {
+            faults,
+            ..Timing::default()
+        };
+        let mut env = RoundEnvelope::new(n, timing, &parent, indexed, |_| Shield::None);
+        for t in 0..30 {
+            let attack_on = env.begin_round(t, &[], |key, _| {
+                panic!("an always-on schedule asked for {key:?}")
+            });
+            if !attack_on {
+                return Err(format!("always-on schedule off at t={t}"));
+            }
+            if (0..n).any(|i| !env.is_up(i)) {
+                return Err(format!("a node went missing at t={t} on an inert layer"));
+            }
+            if indexed && env.shards().active_count() != n {
+                return Err(format!("activity index lost nodes at t={t}"));
+            }
+        }
+        if env.fault_counters().is_some() {
+            return Err("an inert plan reported fault counters".into());
+        }
+        let f = env.faults();
+        if f.msg_rng_snapshot() != &parent.fork("faults")
+            || f.crash_rng_snapshot() != &parent.fork("crash")
+            || f.partition_rng_snapshot() != &parent.fork("partition")
+        {
+            return Err("a fault stream advanced on an inert envelope".into());
+        }
+        if env.population().rng_snapshot() != &parent.fork("population") {
+            return Err("the churn stream advanced on an inert envelope".into());
         }
         Ok(())
     });

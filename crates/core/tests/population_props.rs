@@ -15,8 +15,14 @@
 //! * the degenerate one-class profile draws exactly the uniform
 //!   [`ChurnSpec`] stream (the PR 3 compatibility guarantee);
 //! * zero-rate profiles — however they are spelled — never touch the
-//!   churn rng fork (the no-op/no-draw guard regression).
+//!   churn rng fork (the no-op/no-draw guard regression);
+//! * the [`RoundEnvelope`] keeps its role shields under churn, crashes
+//!   and flash crowds, and its activity index is exactly
+//!   present ∧ ¬down minus the substrate's exclusions every round.
 
+use lotus_core::bitset::BitSet;
+use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
+use lotus_core::faults::FaultPlan;
 use lotus_core::population::{
     ArrivalProcess, ChurnClass, ChurnProfile, ChurnSpec, Population, MAX_CHURN_CLASSES,
 };
@@ -311,6 +317,59 @@ fn rejoin_restores_identity() {
         }
         if returned == 0 {
             return Err("rates in [0.2, 0.8]: someone must have come back".to_string());
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn envelope_shields_hold_and_its_index_tracks_membership() {
+    check("envelope shields and activity index", 200, |d| {
+        let n = d.int("n", 4, 60) as usize;
+        let seed = d.int("seed", 1, 1 << 20) as u64;
+        let full = d.int("full", 0, (n / 4) as i64) as usize;
+        let crowd = d.int("crowd", 0, (n / 4) as i64) as usize;
+        let mut faults = FaultPlan::none();
+        faults.crash = 0.02 + 0.2 * d.ratio("crash");
+        faults.recover = 0.1 + 0.5 * d.ratio("recover");
+        let timing = Timing {
+            churn: draw_profile(d, false),
+            arrival: draw_arrival(d, n),
+            faults,
+            ..Timing::default()
+        };
+        // Full shields first, then crowd-exempt nodes, then the rest.
+        let shield = |i: usize| {
+            if i < full {
+                Shield::Full
+            } else if i < full + crowd {
+                Shield::Crowd
+            } else {
+                Shield::None
+            }
+        };
+        let excluded = BitSet::from_iter_with(n, (0..n).filter(|i| i % 5 == 4));
+        let rng = netsim::rng::DetRng::seed_from(seed);
+        let mut env = RoundEnvelope::new(n, timing, &rng, true, shield);
+        for i in full..full + crowd {
+            if !env.population().ever_arrived(i) {
+                return Err(format!("crowd-exempt node {i} was held back"));
+            }
+        }
+        for t in 0..80u64 {
+            env.begin_round(t, &[&excluded], |_, _| None);
+            for i in 0..n {
+                if i < full && !env.is_up(i) {
+                    return Err(format!("round {t}: fully shielded node {i} is not up"));
+                }
+                let expect = env.is_up(i) && !excluded.contains(i);
+                if env.shards().contains(i) != expect {
+                    return Err(format!(
+                        "round {t}: node {i} index {} but up ∧ ¬excluded = {expect}",
+                        env.shards().contains(i)
+                    ));
+                }
+            }
         }
         Ok(())
     });

@@ -2,7 +2,7 @@
 //!
 //! All simulators in the workspace advance in synchronous rounds (the
 //! paper's model is round-based, as is BAR Gossip). [`RoundSim`] is the
-//! common trait; [`run`] and [`run_while`] drive a simulator while keeping
+//! common trait; [`run`] and [`run_with`] drive a simulator while keeping
 //! the round counter honest in one place.
 
 use crate::Round;
@@ -38,50 +38,6 @@ pub fn run_with<S: RoundSim>(sim: &mut S, rounds: Round, mut before: impl FnMut(
         before(sim, t);
         sim.round(t);
     }
-}
-
-/// Drive `sim` until `stop` returns `true` or `max_rounds` total rounds
-/// have run. Returns the number of rounds executed by this call.
-pub fn run_while<S: RoundSim>(
-    sim: &mut S,
-    max_rounds: Round,
-    mut stop: impl FnMut(&S) -> bool,
-) -> Round {
-    let start = sim.rounds_run();
-    let mut executed = 0;
-    while sim.rounds_run() < max_rounds && !stop(sim) {
-        let t = sim.rounds_run();
-        sim.round(t);
-        executed = sim.rounds_run() - start;
-    }
-    executed
-}
-
-/// Drive `sim` until `stop` returns `true` or `max_rounds` total rounds
-/// have run, invoking `before` with the simulator and the round index
-/// ahead of every executed round. Returns the number of rounds executed
-/// by this call.
-///
-/// This composes [`run_while`]'s early-stopping contract with
-/// [`run_with`]'s pre-round hook seam, so per-round environment dynamics
-/// (churn, schedule flips, fault injection) work under early-stopping
-/// drivers too. As in [`run_while`], the predicate is checked first; a
-/// round that does not execute never sees the hook.
-pub fn run_while_with<S: RoundSim>(
-    sim: &mut S,
-    max_rounds: Round,
-    mut before: impl FnMut(&mut S, Round),
-    mut stop: impl FnMut(&S) -> bool,
-) -> Round {
-    let start = sim.rounds_run();
-    let mut executed = 0;
-    while sim.rounds_run() < max_rounds && !stop(sim) {
-        let t = sim.rounds_run();
-        before(sim, t);
-        sim.round(t);
-        executed = sim.rounds_run() - start;
-    }
-    executed
 }
 
 /// Zero per-node round counters over the given index ranges — the
@@ -158,73 +114,5 @@ mod tests {
         });
         assert_eq!(hooked, vec![0, 1, 2, 3]);
         assert_eq!(c.rounds_run(), 4);
-    }
-
-    #[test]
-    fn run_while_stops_on_predicate() {
-        let mut c = Counter {
-            t: 0,
-            history: vec![],
-        };
-        let executed = run_while(&mut c, 100, |s| s.rounds_run() >= 3);
-        assert_eq!(executed, 3);
-        assert_eq!(c.rounds_run(), 3);
-    }
-
-    #[test]
-    fn run_while_respects_max() {
-        let mut c = Counter {
-            t: 0,
-            history: vec![],
-        };
-        let executed = run_while(&mut c, 4, |_| false);
-        assert_eq!(executed, 4);
-    }
-
-    #[test]
-    fn run_while_zero_if_already_stopped() {
-        let mut c = Counter {
-            t: 0,
-            history: vec![],
-        };
-        let executed = run_while(&mut c, 10, |_| true);
-        assert_eq!(executed, 0);
-    }
-
-    #[test]
-    fn run_while_with_sequences_hook_check_round() {
-        let mut c = Counter {
-            t: 0,
-            history: vec![],
-        };
-        let mut hooked = Vec::new();
-        let executed = run_while_with(
-            &mut c,
-            100,
-            |sim, t| {
-                assert_eq!(sim.rounds_run(), t, "hook sees the pre-round state");
-                hooked.push(t);
-            },
-            |s| s.rounds_run() >= 3,
-        );
-        assert_eq!(executed, 3);
-        assert_eq!(c.history, vec![0, 1, 2]);
-        // The predicate stopped the fourth round before its hook ran:
-        // a round that does not execute never sees the hook.
-        assert_eq!(hooked, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn run_while_with_respects_max_and_immediate_stop() {
-        let mut c = Counter {
-            t: 0,
-            history: vec![],
-        };
-        let mut hooks = 0;
-        let executed = run_while_with(&mut c, 4, |_, _| hooks += 1, |_| false);
-        assert_eq!((executed, hooks), (4, 4));
-        let mut hooks = 0;
-        let executed = run_while_with(&mut c, 10, |_, _| hooks += 1, |_| true);
-        assert_eq!((executed, hooks), (0, 0), "already stopped: no hook runs");
     }
 }

@@ -33,10 +33,10 @@
 use crate::attack::ScripAttack;
 use crate::config::ScripConfig;
 use lotus_core::bitset::BitSet;
-use lotus_core::faults::{Fate, FaultCounters, FaultState};
-use lotus_core::population::Population;
+use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
+use lotus_core::faults::{Fate, FaultCounters};
 use lotus_core::satiation::Satiable;
-use lotus_core::schedule::{MetricKey, ScheduleState};
+use lotus_core::schedule::MetricKey;
 use lotus_core::soa::ShardMap;
 use netsim::plan::{ExchangePlan, PlannedPair, READY};
 use netsim::rng::DetRng;
@@ -155,12 +155,6 @@ pub struct ScripSim {
     rational_list: Vec<u32>,
     /// Attack-target indices, ascending (targets are fixed at build).
     target_list: Vec<u32>,
-    /// Sharded activity index over agents: active = present ∧ ¬down,
-    /// rebuilt word-parallel each round. The volunteer scan walks this
-    /// instead of `0..n`, so its cost scales with live agents.
-    shards: ShardMap,
-    /// Word-parallel scratch mask for the rebuild above.
-    mask_scratch: BitSet,
     attacker_money: u64,
     initial_supply: u64,
     rng: DetRng,
@@ -178,15 +172,13 @@ pub struct ScripSim {
     satiated_rounds: u64,
     target_satiated_samples: u64,
     target_samples: u64,
-    /// Attack timing stepper; while off, the attacker neither tops
-    /// targets up nor bids for requests.
-    schedule_state: ScheduleState,
-    attack_active: bool,
-    /// Membership under churn; everyone present without churn.
-    population: Population,
-    /// Fault injection (crashes, lost deliveries, the partition); a
-    /// guaranteed no-op under an inactive plan.
-    faults: FaultState,
+    /// Churn, faults (crashes, lost deliveries, the partition) and
+    /// attack timing — while the schedule has the attack off, the
+    /// attacker neither tops targets up nor bids for requests. Its
+    /// activity index (present ∧ ¬down, rebuilt each round) is what the
+    /// volunteer scan walks instead of `0..n`, so the scan's cost scales
+    /// with live agents.
+    env: RoundEnvelope,
     // Volunteer-pool scratch batches for the allocation-free request
     // loop (see module docs): each pool is an exchange plan whose
     // entries pair a volunteer with the round's requester, so the
@@ -257,15 +249,16 @@ impl ScripSim {
         }
         let target_list: Vec<u32> = targeted.iter().map(|i| i as u32).collect();
 
-        let schedule_state = ScheduleState::seeded(cfg.schedule, rng.fork("adaptive"));
-        // Forking never advances the parent, so adding the fault layer
-        // is stream-invisible to every existing draw.
-        let faults = FaultState::new(n, cfg.faults, &rng);
-        let mut population = Population::new(n, cfg.churn, rng.fork("population"));
         // Flash-crowd agents are withdrawn now (index-ordered, no
         // randomness) and enter with their initial balance, having never
         // requested or served.
-        population.set_arrival(cfg.arrival);
+        let timing = Timing {
+            churn: cfg.churn,
+            arrival: cfg.arrival,
+            faults: cfg.faults,
+            schedule: cfg.schedule,
+        };
+        let env = RoundEnvelope::new(n, timing, &rng, true, |_| Shield::None);
         ScripSim {
             cfg,
             attack,
@@ -279,12 +272,7 @@ impl ScripSim {
             free_received: vec![0; n],
             rational_list,
             target_list,
-            shards: ShardMap::new(n),
-            mask_scratch: BitSet::new(n),
-            schedule_state,
-            attack_active: false,
-            population,
-            faults,
+            env,
             attacker_money: endowment,
             initial_supply: supply,
             rng,
@@ -323,7 +311,7 @@ impl ScripSim {
 
     /// The sharded activity index (this round's snapshot).
     pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
+        self.env.shards()
     }
 
     /// The attacker's current war chest.
@@ -351,33 +339,6 @@ impl ScripSim {
         self.round >= self.cfg.warmup
     }
 
-    /// Canonical-metric observation for metric-threshold schedules,
-    /// computed from the running counters (no allocation). `None` until
-    /// the counter in question has measured samples — an unmeasured
-    /// metric must not latch a threshold trigger.
-    fn observe(&self, key: MetricKey) -> Option<f64> {
-        match key {
-            MetricKey::OverallDelivery => {
-                if self.requests == 0 {
-                    None
-                } else {
-                    Some((self.served_free + self.served_paid) as f64 / self.requests as f64)
-                }
-            }
-            MetricKey::TargetedService => {
-                if self.target_samples == 0 {
-                    None
-                } else {
-                    Some(self.target_satiated_samples as f64 / self.target_samples as f64)
-                }
-            }
-            // Live membership state, not a service counter.
-            MetricKey::PresentFraction => Some(self.population.present_fraction()),
-            // The bank economy has no silence cut-off defense to report.
-            MetricKey::FalseCutRate => None,
-        }
-    }
-
     /// Attack phase: top every target up to its threshold while the war
     /// chest lasts. Conservation: every unit moved comes from the chest.
     fn attack_phase(&mut self) {
@@ -390,7 +351,7 @@ impl ScripSim {
         for &ti in &self.target_list {
             let i = ti as usize;
             // A crashed target cannot be topped up, same as an absent one.
-            if !self.population.is_present(i) || self.faults.is_down(i) {
+            if !self.env.is_up(i) {
                 continue;
             }
             let need = u64::from(self.threshold[i]).saturating_sub(self.money[i]);
@@ -407,11 +368,8 @@ impl ScripSim {
         let mut rng = self.rng.fork_idx("round", self.round);
         let requester = rng.index(n);
         let special = rng.chance(self.cfg.special_request_prob);
-        if !self.population.is_present(requester) {
-            return; // the drawn requester is offline: no request this round
-        }
-        if self.faults.is_down(requester) {
-            return; // a crashed requester cannot request either
+        if !self.env.is_up(requester) {
+            return; // the drawn requester is offline or crashed: no request
         }
 
         // Volunteer pools (reused scratch batches): each viable
@@ -429,10 +387,20 @@ impl ScripSim {
         // the `||` short-circuit, and `link_ok`'s partition counter was
         // only reached past those gates), so the round's rng stream and
         // the fault counters are unchanged while the scan cost drops to
-        // O(live agents).
+        // O(live agents). Partition-blocked volunteers are tallied during
+        // the read-only walk and counted once after it.
         let availability = self.cfg.availability;
-        self.shards.for_each_active(|i| {
-            if i == requester || !self.faults.link_ok(requester, i) || !rng.chance(availability) {
+        let mut blocked = 0u64;
+        let env = &self.env;
+        env.shards().for_each_active(|i| {
+            if i == requester {
+                return;
+            }
+            if !env.faults().link_up(requester, i) {
+                blocked += 1;
+                return;
+            }
+            if !rng.chance(availability) {
                 return;
             }
             if special && !self.special.contains(i) {
@@ -452,11 +420,12 @@ impl ScripSim {
                 });
             }
         });
+        self.env.faults_mut().partition_blocked += blocked;
         // The attacker volunteers for ordinary paid requests, undercutting
         // honest providers ("providing cheap service", §1): a rational
         // requester prefers him whenever he bids, which both funds the
         // attack and starves honest agents of income.
-        let attacker_bids = !special && self.attack_active && self.attack.provides();
+        let attacker_bids = !special && self.env.attack_active() && self.attack.provides();
 
         let measured = self.measured();
         if measured {
@@ -471,7 +440,7 @@ impl ScripSim {
             // Free service still rides the network: a lost delivery
             // means the requester got nothing (and the altruist's effort
             // is wasted — no served credit for a unit never received).
-            if self.faults.fate(p, requester) == Fate::Drop {
+            if self.env.faults_mut().fate(p, requester) == Fate::Drop {
                 if measured {
                     self.failed_faulted += 1;
                 }
@@ -503,7 +472,7 @@ impl ScripSim {
             let p = e.initiator.index();
             // Payment on delivery: a lost shipment voids the sale — no
             // goods, no money movement, so the supply stays conserved.
-            if self.faults.fate(p, requester) == Fate::Drop {
+            if self.env.faults_mut().fate(p, requester) == Fate::Drop {
                 if measured {
                     self.failed_faulted += 1;
                 }
@@ -637,11 +606,7 @@ impl ScripSim {
             gini: gini(&rationals),
             attacker_money: self.attacker_money,
             total_money: self.total_money(),
-            fault_counters: if self.faults.is_active() {
-                Some(self.faults.counters())
-            } else {
-                None
-            },
+            fault_counters: self.env.fault_counters(),
         }
     }
 }
@@ -650,31 +615,28 @@ impl RoundSim for ScripSim {
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         debug_assert_eq!(t, self.round, "rounds must be sequential");
-        self.population.begin_round(t);
-        self.faults.begin_round(t);
-        if !self.faults.just_crashed().is_empty() {
+        // Threshold-trigger observations come from the running counters
+        // (no allocation); `None` until the counter in question has
+        // measured samples — an unmeasured metric must not latch a
+        // trigger. The bank economy has no silence cut-off to report.
+        let frac = |num: u64, den: u64| (den > 0).then(|| num as f64 / den as f64);
+        let attack_on = self.env.begin_round(t, &[], |key, _| match key {
+            MetricKey::OverallDelivery => frac(self.served_free + self.served_paid, self.requests),
+            MetricKey::TargetedService => frac(self.target_satiated_samples, self.target_samples),
+            MetricKey::PresentFraction | MetricKey::FalseCutRate => None,
+        });
+        if !self.env.faults().just_crashed().is_empty() {
             // State-losing crash: the agent forgets its learned threshold
             // and interval bookkeeping, but keeps its balance — scrip is
             // a bank ledger, so crashes conserve the money supply.
             let initial = self.cfg.initial_threshold;
-            for i in self.faults.just_crashed().iter() {
+            for i in self.env.faults().just_crashed().iter() {
                 self.threshold[i] = initial;
                 self.broke_failures[i] = 0;
                 self.free_received[i] = 0;
             }
         }
-        // Rebuild the round's activity snapshot: active = present ∧
-        // ¬down, word-parallel. Both the top-up and the volunteer scan
-        // below see exactly the dense filter set.
-        self.mask_scratch.copy_from(self.population.present());
-        self.mask_scratch.subtract(self.faults.down_mask());
-        self.shards.load(&self.mask_scratch);
-        let observed = self
-            .schedule_state
-            .needs_observation()
-            .and_then(|k| self.observe(k));
-        self.attack_active = self.schedule_state.is_active(t, observed);
-        if self.attack_active {
+        if attack_on {
             self.attack_phase();
         }
         self.request_round();
@@ -699,17 +661,7 @@ impl lotus_core::scenario::Scenario for ScripSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        let total = self.cfg.warmup + self.cfg.rounds;
-        if self.round >= total {
-            return lotus_core::scenario::StepOutcome::Done;
-        }
-        let t = self.round;
-        RoundSim::round(self, t);
-        if self.round >= total {
-            lotus_core::scenario::StepOutcome::Done
-        } else {
-            lotus_core::scenario::StepOutcome::Continue
-        }
+        lotus_core::scenario::step_rounds(self, self.cfg.warmup + self.cfg.rounds)
     }
 
     fn report(&self) -> ScripReport {
@@ -717,7 +669,7 @@ impl lotus_core::scenario::Scenario for ScripSim {
     }
 
     fn arm_trace(&self) -> Option<&[lotus_core::adaptive::TraceEntry]> {
-        self.schedule_state.arm_trace()
+        self.env.schedule().arm_trace()
     }
 }
 
@@ -753,16 +705,10 @@ impl lotus_core::scenario::Summarize for ScripReport {
         .with_metric("target_satiation", self.target_satiation.unwrap_or(0.0));
         // Fault metrics appear only under an active plan, keeping
         // fault-free report output byte-identical to pre-fault runs.
-        if let Some(fc) = self.fault_counters {
-            report = report
-                .with_metric("fail_faulted_rate", self.fail_faulted_rate)
-                .with_metric("faults_dropped", fc.dropped as f64)
-                .with_metric("faults_duplicated", fc.duplicated as f64)
-                .with_metric("faults_delayed", fc.delayed as f64)
-                .with_metric("faults_crashes", fc.crashes as f64)
-                .with_metric("faults_partition_blocked", fc.partition_blocked as f64);
+        if self.fault_counters.is_some() {
+            report = report.with_metric("fail_faulted_rate", self.fail_faulted_rate);
         }
-        report
+        report.with_fault_counters(self.fault_counters)
     }
 }
 
