@@ -83,9 +83,12 @@ const X20_PARAMS: &[(&str, &str)] = &[
 #[test]
 fn x20_digest_reports_are_pinned() {
     // The active path's goldens: the clean digest round, the full-rate
-    // poisoner, and the poisoner under the digest-audit defense. Any
-    // drift in the digest phase's plan stream, the want-list order, the
-    // poison/audit draws or the wire accounting breaks these.
+    // poisoner, the poisoner under the digest-audit defense, and the
+    // same under a 128-bit filter and a request cap, where false
+    // positives, withholding, truncated want lists and cuts all occur
+    // in one run. Any drift in the digest phase's plan stream, the
+    // want-list order, the bloom decisions, the poison/audit draws or
+    // the wire accounting breaks these.
     type Fixture = (
         &'static str,
         &'static [(&'static str, &'static str)],
@@ -98,6 +101,16 @@ fn x20_digest_reports_are_pinned() {
             "poison",
             &[("audit", "0.1"), ("cutoff", "3")],
             X20_AUDITED_JSON,
+        ),
+        (
+            "poison",
+            &[
+                ("digest_bits", "128"),
+                ("audit", "0.1"),
+                ("cutoff", "3"),
+                ("rate_limit", "4"),
+            ],
+            X20_FP_HEAVY_JSON,
         ),
     ];
     let reg = ScenarioRegistry::standard();
@@ -115,12 +128,23 @@ fn x20_digest_reports_are_pinned() {
             expected,
             "bar-gossip-digest {attack} {extra:?}: X20 report drifted"
         );
+        if *expected == X20_FP_HEAVY_JSON {
+            // The only golden on the bloom false-positive branch: a
+            // re-pin must not lose the path it exists to cover.
+            for key in ["digest_fp_rate", "digest_withheld", "false_cut_rate"] {
+                assert!(
+                    report.metric(key).unwrap() > 0.0,
+                    "fp-heavy fixture lost {key}"
+                );
+            }
+        }
     }
 }
 
 const X20_CLEAN_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":1,"targeted_service":0,"usable":true,"attacker_coverage":0,"digest_bytes_on_wire":4753480,"digest_bytes_updates":4432896,"digest_fp_rate":0,"digest_requests":4329,"digest_withheld":0,"evicted_fraction":0,"evictions":0,"isolated_delivery":1,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":86.58,"min_node_delivery":1,"nodes_ever_unusable":0,"satiated_delivery":0,"unusable_node_rounds":0}"#;
 const X20_POISON_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":1,"targeted_service":0,"usable":true,"attacker_coverage":0,"digest_bytes_on_wire":4676056,"digest_bytes_updates":4343808,"digest_fp_rate":0,"digest_requests":5787,"digest_withheld":1545,"evicted_fraction":0,"evictions":0,"isolated_delivery":1,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":114.64864864864865,"min_node_delivery":1,"nodes_ever_unusable":0,"satiated_delivery":0,"unusable_node_rounds":0}"#;
 const X20_AUDITED_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":1,"targeted_service":0,"usable":true,"attacker_coverage":0,"attacker_cut_rate":1,"cut_precision":1,"cut_recall":1,"digest_bytes_on_wire":3857544,"digest_bytes_updates":3613696,"digest_fp_rate":0,"digest_requests":4081,"digest_withheld":552,"evicted_fraction":0,"evictions":0,"false_cut_rate":0,"isolated_delivery":1,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":95.37837837837837,"min_node_delivery":1,"nodes_ever_unusable":0,"satiated_delivery":0,"unusable_node_rounds":0}"#;
+const X20_FP_HEAVY_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":0.9547297297297297,"targeted_service":0,"usable":true,"attacker_coverage":0,"attacker_cut_rate":1,"cut_precision":0.6842105263157895,"cut_recall":1,"digest_bytes_on_wire":3242552,"digest_bytes_updates":3185664,"digest_fp_rate":0.12074455057555719,"digest_requests":4083,"digest_withheld":479,"evicted_fraction":0,"evictions":0,"false_cut_rate":0.16216216216216217,"isolated_delivery":0.9547297297297297,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":84.08108108108108,"min_node_delivery":0.175,"nodes_ever_unusable":0.13513513513513514,"satiated_delivery":0,"unusable_node_rounds":0.062162162162162166}"#;
 
 #[test]
 fn digest_sweeps_are_bit_identical_across_worker_counts() {
