@@ -69,7 +69,7 @@ use crate::exchange::{
 use crate::update::{UpdateId, WindowSet};
 use lotus_core::bitset::BitSet;
 use lotus_core::defense::SilenceCutoff;
-use lotus_core::digest::{region_hash, BloomDigest};
+use lotus_core::digest::{region_hash, BloomIndex};
 use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use lotus_core::pool::WorkerPool;
@@ -377,8 +377,9 @@ pub const ID_WIRE_BYTES: u64 = 8;
 struct DigestState {
     /// The digest knobs in force.
     dcfg: DigestExchangeConfig,
-    /// Scratch bloom filter, rebuilt per advertisement (bloom mode).
-    bloom: BloomDigest,
+    /// The live window's bloom probe index (bloom mode), rebuilt once
+    /// per round; every advertisement of the round is answered from it.
+    bloom: BloomIndex,
     /// Ids the initiator requests from the partner this exchange.
     want_initiator: Vec<UpdateId>,
     /// Ids the partner requests from the initiator this exchange.
@@ -402,13 +403,6 @@ struct DigestState {
 /// and the sequential path is what the alloc-guard suite pins as
 /// allocation-free.
 const PLAN_POOL_MIN_ACTIVE: usize = 1 << 14;
-
-/// Pack an update id into the digest key space: `round * 64 + slot`
-/// (slots are capped at 64 per round, so the packing is injective).
-#[inline]
-fn pack_id(round: Round, slot: u32) -> u64 {
-    (round << 6) | u64::from(slot)
-}
 
 /// The gossip substrates' canonical-metric observation for
 /// metric-threshold schedules, computed from the running per-class
@@ -530,7 +524,12 @@ impl BarGossipSim {
             let live = (cfg.updates_per_round * cfg.update_lifetime) as usize;
             DigestState {
                 dcfg,
-                bloom: BloomDigest::new(dcfg.bits, dcfg.hashes),
+                bloom: BloomIndex::new(
+                    dcfg.bits,
+                    dcfg.hashes,
+                    cfg.updates_per_round,
+                    cfg.update_lifetime,
+                ),
                 want_initiator: Vec::with_capacity(live),
                 want_partner: Vec::with_capacity(live),
                 deliver: Vec::with_capacity(live),
@@ -1426,7 +1425,10 @@ impl BarGossipSim {
     /// differs, swapping the full-window balanced trade for an
     /// advertise-then-diff exchange ([`BarGossipSim::digest_exchange`]).
     /// Covert (masquerade/poison) attackers take the honest arm; their
-    /// defection lives inside the transfer leg.
+    /// defection lives inside the transfer leg. In bloom mode the probe
+    /// index is rebuilt over this round's live window first: every
+    /// engaged window is in lockstep with `full`, so it covers every
+    /// advertisement of the round.
     // lint: hot-loop
     fn digest_phase(&mut self, t: Round) {
         netsim::round::clear_counters_for(
@@ -1438,6 +1440,13 @@ impl BarGossipSim {
             Protocol::BalancedExchange,
             self.rng.fork_idx("digest-order", t),
         );
+        let st = self
+            .digest_state
+            .as_mut()
+            .expect("digest_phase implies digest state");
+        if !st.dcfg.exact {
+            st.bloom.rebuild(self.full.start(), t);
+        }
         let strict = self.mid_phase_removals_possible();
         let plan = std::mem::take(&mut self.plan_batch);
         for &e in plan.entries() {
@@ -1494,12 +1503,14 @@ impl BarGossipSim {
     /// request list; leg 2 ships the requested updates
     /// ([`BarGossipSim::digest_deliver`]).
     ///
-    /// * **Bloom mode** — each side advertises a [`BloomDigest`] of its
-    ///   whole window (`bits/8` bytes each way); the other side probes
-    ///   for its *own missing* live ids in round/slot order and requests
-    ///   the positives (8 bytes per id). No false negatives means every
-    ///   id the sender holds and the receiver needs is requested; a
-    ///   false positive wastes one request.
+    /// * **Bloom mode** — each side advertises a
+    ///   [`BloomDigest`](lotus_core::digest::BloomDigest) of its whole
+    ///   window (`bits/8` bytes each way); the other side probes for its
+    ///   *own missing* live ids in round/slot order and requests the
+    ///   positives (8 bytes per id). No false negatives means every id
+    ///   the sender holds and the receiver needs is requested; a false
+    ///   positive wastes one request. The probes are answered from the
+    ///   round's [`BloomIndex`], which gives the filter's exact answers.
     /// * **Exact mode** — the sides swap one [`region_hash`] per live
     ///   round (8 bytes each way); divergent rounds exchange their raw
     ///   slot masks (8 bytes each way, counted as request bytes) and
@@ -1581,12 +1592,14 @@ impl BarGossipSim {
         self.digest_state = Some(st);
     }
 
-    /// Rebuild `bloom` from `sender`'s window, then fill `want` with the
-    /// live ids `receiver` is missing that probe positive, in round/slot
-    /// order, stopping at `limit`.
+    /// Load `sender`'s window into the round's probe index as its
+    /// advertisement, then fill `want` with the live ids `receiver` is
+    /// missing that probe positive, in round/slot order, stopping at
+    /// `limit`. The answers are exactly those of a bloom filter built
+    /// from `sender`'s window; no filter is built.
     // lint: hot-loop
     fn bloom_wants(
-        bloom: &mut BloomDigest,
+        bloom: &mut BloomIndex,
         sender: &WindowSet,
         receiver: &WindowSet,
         t: Round,
@@ -1594,26 +1607,22 @@ impl BarGossipSim {
         want: &mut Vec<UpdateId>,
     ) {
         want.clear();
-        bloom.clear();
+        debug_assert!(
+            sender.start() == bloom.first() && receiver.start() == bloom.first(),
+            "engaged windows advance in lockstep with the round's index"
+        );
+        bloom.advertise((sender.start()..=t).map(|r| sender.mask(r).unwrap_or(0)));
         let per_round = receiver.per_round();
-        for r in sender.start()..=t {
-            let mut bits = sender.mask(r).unwrap_or(0);
-            while bits != 0 {
-                let slot = bits.trailing_zeros();
-                bits &= bits - 1;
-                bloom.insert(pack_id(r, slot));
-            }
-        }
         for r in receiver.start()..=t {
             let held = receiver.mask(r).unwrap_or(0);
-            for slot in 0..per_round {
-                if held & (1u64 << slot) != 0 {
-                    continue;
-                }
+            let mut missing = !held & (u64::MAX >> (64 - per_round));
+            while missing != 0 {
+                let slot = missing.trailing_zeros();
+                missing &= missing - 1;
                 if want.len() >= limit {
                     return;
                 }
-                if bloom.contains(pack_id(r, slot)) {
+                if bloom.contains(r, slot) {
                     want.push(UpdateId { round: r, slot });
                 }
             }

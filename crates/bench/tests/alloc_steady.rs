@@ -89,19 +89,24 @@ fn bar_gossip_steady_step_is_alloc_free() {
 fn bar_gossip_digest_steady_step_is_alloc_free() {
     // The two-leg digest round on its worst path: a poisoning attacker,
     // the digest audit arming the silence cut-off, and link faults on
-    // the transfer leg. Bloom rebuilds, want-list assembly and the
-    // delivery leg must all run on the construction-time scratch (the
-    // want/deliver buffers are reserved to the live-window ceiling).
-    assert_steady_steps_alloc_free(
-        "bar-gossip-digest",
-        "poison",
-        &[
-            ("rounds", "60"),
-            ("audit", "0.05"),
-            ("cutoff", "3"),
-            ("faults", "loss:0.05"),
-        ],
-    );
+    // the transfer leg. The per-round probe-index rebuild, want-list
+    // assembly and the delivery leg must all run on the
+    // construction-time scratch (every buffer is reserved to the
+    // live-window ceiling). The 64-bit filter gives the longest
+    // shared-bit runs and the most false positives.
+    for bits in ["1024", "64"] {
+        assert_steady_steps_alloc_free(
+            "bar-gossip-digest",
+            "poison",
+            &[
+                ("rounds", "60"),
+                ("audit", "0.05"),
+                ("cutoff", "3"),
+                ("faults", "loss:0.05"),
+                ("digest_bits", bits),
+            ],
+        );
+    }
 }
 
 #[test]

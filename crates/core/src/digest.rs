@@ -18,7 +18,10 @@
 //!   rate set by the bits/hashes/load trade-off
 //!   ([`BloomDigest::expected_fp_rate`]). False positives read as
 //!   *advertised-but-undelivered* on the wire, which is what gives a
-//!   low-rate poisoner plausible deniability.
+//!   low-rate poisoner plausible deniability. [`BloomIndex`] answers
+//!   the same membership questions for a filter built from a window of
+//!   per-round masks without building it: one index per round serves
+//!   every advertisement of that round.
 //! * [`region_hash`] — an exact order-free hash of one region's
 //!   membership mask. Peers compare per-region hashes and exchange the
 //!   raw masks only for regions that differ: zero false positives, so
@@ -27,10 +30,11 @@
 //! Hashing is deterministic splitmix ([`netsim::rng::split_mix64`])
 //! with fixed internal seeds — the same ids produce the same digest on
 //! every machine and thread count, which the determinism gate relies
-//! on. Probe and insert are allocation-free; the only allocation is the
-//! word vector at construction.
+//! on. Probe, insert and the index rebuild are allocation-free; the
+//! only allocations are the buffers sized at construction.
 
 use netsim::rng::split_mix64;
+use netsim::Round;
 
 /// Domain-separation seed for the first bloom probe stream.
 const BLOOM_SEED_A: u64 = 0x6c6f_7475_735f_6469; // "lotus_di"
@@ -39,13 +43,40 @@ const BLOOM_SEED_B: u64 = 0x6765_7374_5f62_6c6f; // "gest_blo"
 /// Domain-separation seed for [`region_hash`].
 const REGION_SEED: u64 = 0x7265_6769_6f6e_5f68; // "region_h"
 
-/// A fixed-size bloom filter over packed `u64` update ids.
+/// Pack an update id into the digest key space: `round * 64 + slot`
+/// (slots are capped at 64 per round, so the packing is injective).
+#[inline]
+pub fn pack_id(round: Round, slot: u32) -> u64 {
+    (round << 6) | u64::from(slot)
+}
+
+/// The `hashes` probe positions of `key` in a `bits`-wide filter.
 ///
 /// Double hashing (Kirsch–Mitzenmacher): two splitmix streams `h1`,
-/// `h2 | 1` generate the `k` probe positions `h1 + i·h2 mod m`, so a
-/// probe costs two mixes regardless of `hashes`. Membership never
-/// false-negatives; [`BloomDigest::expected_fp_rate`] estimates the
-/// false-positive rate from the realized fill ratio.
+/// `h2 | 1` give the positions `h1 + i·h2 mod bits`, so a key costs two
+/// mixes regardless of `hashes`. [`BloomDigest::insert`],
+/// [`BloomDigest::contains`] and [`BloomIndex::rebuild`] all probe
+/// through here, so a filter and its index cannot disagree.
+#[inline]
+fn probe_positions(key: u64, bits: u32, hashes: u32) -> impl Iterator<Item = usize> {
+    let h1 = split_mix64(key ^ BLOOM_SEED_A);
+    let h2 = split_mix64(key ^ BLOOM_SEED_B) | 1;
+    (0..u64::from(hashes))
+        .map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % u64::from(bits)) as usize)
+}
+
+/// On-wire size of a `bits`-wide filter, in bytes.
+#[inline]
+fn filter_bytes(bits: u32) -> u64 {
+    u64::from(bits).div_ceil(8)
+}
+
+/// A fixed-size bloom filter over packed `u64` update ids.
+///
+/// Each key sets or tests `hashes` double-hashed positions (two mixes
+/// per key regardless of `hashes`). Membership never false-negatives;
+/// [`BloomDigest::expected_fp_rate`] estimates the false-positive rate
+/// from the realized fill ratio.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BloomDigest {
     words: Vec<u64>,
@@ -90,7 +121,7 @@ impl BloomDigest {
 
     /// Size of this digest on the wire, in bytes.
     pub fn size_bytes(&self) -> u64 {
-        u64::from(self.bits).div_ceil(8)
+        filter_bytes(self.bits)
     }
 
     /// Reset to empty without releasing the word storage.
@@ -99,21 +130,11 @@ impl BloomDigest {
         self.inserted = 0;
     }
 
-    /// The two probe-stream bases for `key`.
-    #[inline]
-    fn probe_bases(key: u64) -> (u64, u64) {
-        let h1 = split_mix64(key ^ BLOOM_SEED_A);
-        let h2 = split_mix64(key ^ BLOOM_SEED_B) | 1;
-        (h1, h2)
-    }
-
     /// Insert a packed update id.
     // lint: hot-loop
     #[inline]
     pub fn insert(&mut self, key: u64) {
-        let (h1, h2) = Self::probe_bases(key);
-        for i in 0..u64::from(self.hashes) {
-            let bit = (h1.wrapping_add(i.wrapping_mul(h2)) % u64::from(self.bits)) as usize;
+        for bit in probe_positions(key, self.bits, self.hashes) {
             self.words[bit / 64] |= 1u64 << (bit % 64);
         }
         self.inserted += 1;
@@ -125,14 +146,8 @@ impl BloomDigest {
     // lint: hot-loop
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
-        let (h1, h2) = Self::probe_bases(key);
-        for i in 0..u64::from(self.hashes) {
-            let bit = (h1.wrapping_add(i.wrapping_mul(h2)) % u64::from(self.bits)) as usize;
-            if self.words[bit / 64] & (1u64 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        true
+        probe_positions(key, self.bits, self.hashes)
+            .all(|bit| self.words[bit / 64] & (1u64 << (bit % 64)) != 0)
     }
 
     /// Fraction of filter bits currently set.
@@ -148,6 +163,181 @@ impl BloomDigest {
     /// `fill_ratio ^ hashes`.
     pub fn expected_fp_rate(&self) -> f64 {
         self.fill_ratio().powi(self.hashes as i32)
+    }
+}
+
+/// The answers of a [`BloomDigest`] built from a window of per-round
+/// slot masks, without building the filter.
+///
+/// A digest-first gossip round advertises one filter per exchange leg,
+/// each over the sender's holdings in the same live window: release
+/// rounds `first..=last`, slots `0..per_round`. Every such filter is a
+/// function of which live ids the sender holds, and a filter built from
+/// a set `S` has bit `b` set exactly when some id of `S` probes `b`. So
+/// an id `x` tests positive exactly when, for each of its probes, some
+/// id of `S` shares that probe's bit. [`BloomIndex::rebuild`] computes
+/// once per round, for every live id and probe, the run of live ids
+/// sharing that bit; [`BloomIndex::contains`] then scans those runs
+/// against the sender's masks. No filter is cleared or filled and no
+/// key is hashed per advertisement, and the cost per probed id does not
+/// depend on the filter width.
+///
+/// ```
+/// use lotus_core::digest::{pack_id, BloomDigest, BloomIndex};
+/// let mut index = BloomIndex::new(256, 3, 8, 4);
+/// index.rebuild(5, 7); // live release rounds 5, 6, 7
+/// let sender = [0b1010, 0, 0b1];
+/// index.advertise(sender);
+/// let mut filter = BloomDigest::new(256, 3);
+/// for (r, slot) in [(5, 1), (5, 3), (7, 0)] {
+///     filter.insert(pack_id(r, slot));
+/// }
+/// for r in 5..=7 {
+///     for slot in 0..8 {
+///         assert_eq!(index.contains(r, slot), filter.contains(pack_id(r, slot)));
+///     }
+/// }
+/// ```
+#[derive(Clone, Debug)]
+pub struct BloomIndex {
+    bits: u32,
+    hashes: u32,
+    per_round: u32,
+    /// Oldest live release round.
+    first: Round,
+    /// Sender's slot mask per live round, oldest first.
+    held: Vec<u64>,
+    /// Rebuild scratch: `bit << 32 | pair` per (live id, probe) pair,
+    /// where `pair = id * hashes + probe` and `id = round offset *
+    /// per_round + slot`; sorted so equal bits form runs.
+    keys: Vec<u64>,
+    /// Per pair, the `[lo, hi)` range of `members` sharing its bit.
+    runs: Vec<(u32, u32)>,
+    /// Live ids in bit order as `round offset << 6 | slot`, so a
+    /// membership test is one shift into `held`.
+    members: Vec<u32>,
+}
+
+impl BloomIndex {
+    /// An index for `bits`-wide, `hashes`-probe filters over windows of
+    /// at most `lifetime` release rounds of `per_round` slots. Every
+    /// buffer is sized here; rebuilds and lookups never allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits`, `hashes`, `per_round` or `lifetime` is zero, or
+    /// `per_round` exceeds 64.
+    pub fn new(bits: u32, hashes: u32, per_round: u32, lifetime: u32) -> Self {
+        assert!(bits > 0, "bloom index wants at least one bit");
+        assert!(hashes > 0, "bloom index wants at least one hash");
+        assert!((1..=64).contains(&per_round), "per_round must be in 1..=64");
+        assert!(lifetime > 0, "lifetime must be positive");
+        let pairs = (per_round * lifetime * hashes) as usize;
+        BloomIndex {
+            bits,
+            hashes,
+            per_round,
+            first: 0,
+            held: Vec::with_capacity(lifetime as usize),
+            keys: vec![0; pairs],
+            runs: vec![(0, 0); pairs],
+            members: vec![0; pairs],
+        }
+    }
+
+    /// On-wire size of the filter this index stands in for, in bytes
+    /// (equal to [`BloomDigest::size_bytes`] at the same width).
+    pub fn size_bytes(&self) -> u64 {
+        filter_bytes(self.bits)
+    }
+
+    /// Oldest release round of the last [`BloomIndex::rebuild`].
+    pub fn first(&self) -> Round {
+        self.first
+    }
+
+    /// Index the live window `first..=last`: every slot of every round
+    /// in it, whether or not anyone holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty or longer than the construction
+    /// lifetime.
+    // lint: hot-loop
+    pub fn rebuild(&mut self, first: Round, last: Round) {
+        assert!(first <= last, "bloom index window is empty");
+        let n = ((last - first + 1) * u64::from(self.per_round * self.hashes)) as usize;
+        assert!(
+            n <= self.keys.len(),
+            "bloom index window exceeds its lifetime"
+        );
+        self.first = first;
+        let mut pair = 0;
+        for round in first..=last {
+            for slot in 0..self.per_round {
+                for bit in probe_positions(pack_id(round, slot), self.bits, self.hashes) {
+                    self.keys[pair] = (bit as u64) << 32 | pair as u64;
+                    pair += 1;
+                }
+            }
+        }
+        let k = self.hashes as usize;
+        let keys = &mut self.keys[..n];
+        keys.sort_unstable();
+        let mut lo = 0;
+        while lo < n {
+            let bit = keys[lo] >> 32;
+            let hi = lo
+                + keys[lo..]
+                    .iter()
+                    .take_while(|&&key| key >> 32 == bit)
+                    .count();
+            for (&key, member) in keys[lo..hi].iter().zip(&mut self.members[lo..hi]) {
+                let pair = (key & u64::from(u32::MAX)) as usize;
+                let id = pair / k;
+                let offset = id / self.per_round as usize;
+                let slot = id % self.per_round as usize;
+                self.runs[pair] = (lo as u32, hi as u32);
+                *member = (offset << 6 | slot) as u32;
+            }
+            lo = hi;
+        }
+    }
+
+    /// Load the sender's holdings: one slot mask per live round, oldest
+    /// first (missing trailing rounds read as empty).
+    // lint: hot-loop
+    pub fn advertise(&mut self, masks: impl IntoIterator<Item = u64>) {
+        self.held.clear();
+        self.held.extend(masks);
+    }
+
+    /// Whether a [`BloomDigest`] of this width and probe count, filled
+    /// with every id the advertised masks hold, would report
+    /// [`pack_id`]`(round, slot)` present. `round` must be live in the
+    /// last rebuild and `slot < per_round`.
+    // lint: hot-loop
+    #[inline]
+    pub fn contains(&self, round: Round, slot: u32) -> bool {
+        debug_assert!(slot < self.per_round, "slot {slot} outside the batch");
+        let held = |code: u32| {
+            self.held
+                .get((code >> 6) as usize)
+                .is_some_and(|mask| mask & (1u64 << (code & 63)) != 0)
+        };
+        let offset = (round - self.first) as u32;
+        // A held id lies in each of its own runs; answering it here
+        // skips the scans in the common true-positive case.
+        if held(offset << 6 | slot) {
+            return true;
+        }
+        let k = self.hashes as usize;
+        let pair = (offset * self.per_round + slot) as usize * k;
+        self.runs[pair..pair + k].iter().all(|&(lo, hi)| {
+            self.members[lo as usize..hi as usize]
+                .iter()
+                .any(|&c| held(c))
+        })
     }
 }
 

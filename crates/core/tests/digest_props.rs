@@ -15,9 +15,12 @@
 //!   `digest_fp_rate` a meaningful deniability floor for the
 //!   advertise-then-withhold attacker;
 //! * the exact [`region_hash`] variant separates distinct masks and
-//!   regions (zero false positives by construction).
+//!   regions (zero false positives by construction);
+//! * **index = filter** — every [`BloomIndex`] answer equals the answer
+//!   of a [`BloomDigest`] freshly built from the same sender masks, so
+//!   the digest round's per-round index changes no decision.
 
-use lotus_core::digest::{region_hash, BloomDigest};
+use lotus_core::digest::{pack_id, region_hash, BloomDigest, BloomIndex};
 use lotus_core::proptest_lite::{check, Draw};
 
 /// Draw a digest configuration plus a key load.
@@ -116,6 +119,61 @@ fn region_hash_is_exact_on_generated_masks() {
         }
         if region_hash(region, mask) == region_hash(region + 1, mask) {
             return Err("adjacent regions collide".into());
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn bloom_index_answers_like_a_freshly_built_filter() {
+    check("digest::index_matches_filter", 300, |d| {
+        let bits = d.int("bits", 64, 4096) as u32;
+        let hashes = d.int("hashes", 1, 16) as u32;
+        // Over-draw and clamp so full 64-slot batches (slot 63 live)
+        // come up in about a fifth of the cases.
+        let per_round = d.int("per_round", 1, 80).min(64) as u32;
+        let lifetime = d.int("lifetime", 1, 20) as u32;
+        let density = d.ratio("density");
+        let mut rng = d.rng("windows");
+        let mut index = BloomIndex::new(bits, hashes, per_round, lifetime);
+        let mut first = rng.range(1 << 30);
+        // Slide the window a few times (short early windows included)
+        // and advertise several senders per rebuild.
+        for _ in 0..3 {
+            first += rng.range(3);
+            let last = first + rng.range(u64::from(lifetime));
+            index.rebuild(first, last);
+            for sender in 0..4 {
+                let masks: Vec<u64> = (first..=last)
+                    .map(|_| {
+                        (0..per_round)
+                            .filter(|_| rng.chance(density))
+                            .fold(0u64, |m, slot| m | 1 << slot)
+                    })
+                    .collect();
+                let mut filter = BloomDigest::new(bits, hashes);
+                for (r, &mask) in (first..=last).zip(&masks) {
+                    for slot in (0..per_round).filter(|&s| mask & 1 << s != 0) {
+                        filter.insert(pack_id(r, slot));
+                    }
+                }
+                index.advertise(masks.iter().copied());
+                for r in first..=last {
+                    for slot in 0..per_round {
+                        let want = filter.contains(pack_id(r, slot));
+                        if index.contains(r, slot) != want {
+                            return Err(format!(
+                                "sender {sender}: id ({r}, {slot}) index says {}, filter {want} \
+                                 (window {first}..={last})",
+                                !want
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        if index.size_bytes() != BloomDigest::new(bits, hashes).size_bytes() {
+            return Err("index and filter disagree on the wire size".into());
         }
         Ok(())
     });
