@@ -15,7 +15,8 @@
 //! the uniform implementation drew. Zero-rate profiles must be
 //! indistinguishable from no churn at the report level (the no-op/
 //! no-draw guard), and flash-crowd figures must be bit-identical for
-//! any sweep worker count.
+//! any sweep worker count. Multi-shard flash-crowd runs whose crowd
+//! lands inside the measured window are pinned to exact reports.
 
 use lotus_bench::registry::{Params, RunRequest, ScenarioRegistry};
 use lotus_core::sweep::{sweep_fraction, SweepConfig};
@@ -275,4 +276,83 @@ fn presence_triggered_schedule_fires_when_the_crowd_lands() {
         never_fires, never_strikes,
         "an unreachable presence bar must equal a never-arriving trigger round"
     );
+}
+
+/// A flash-crowd run pinned to its exact report: a multi-shard
+/// population (above the 1024-index single-shard cutoff) whose crowd
+/// lands inside the measured window, so the arrivals' deliveries and
+/// unusable rounds are part of the pinned figures.
+struct CrowdGolden {
+    scenario: &'static str,
+    attack: &'static str,
+    /// Substrate parameters on top of [`CROWD_BASE`].
+    params: &'static [(&'static str, &'static str)],
+    json: &'static str,
+}
+
+/// 3000 nodes, 500 present from round 0 and 2500 landing at round 6:
+/// warm-up is rounds 0..4 and the measured releases are rounds 4..12,
+/// so the crowd joins two rounds into the measured window and one
+/// round after the first expiry (lifetime 5).
+const CROWD_BASE: &[(&str, &str)] = &[
+    ("nodes", "3000"),
+    ("arrival", "burst:6:2500"),
+    ("rounds", "8"),
+    ("warmup_rounds", "4"),
+    ("update_lifetime", "5"),
+    ("updates_per_round", "4"),
+    ("copies_seeded", "200"),
+];
+
+const CROWD_GOLDENS: &[CrowdGolden] = &[
+    CrowdGolden {
+        scenario: "bar-gossip",
+        attack: "trade",
+        params: &[],
+        json: r#"{"scenario":"bar-gossip","rounds":17,"overall_delivery":0.8766203703703703,"targeted_service":0.9273611111111111,"usable":false,"attacker_coverage":1,"evicted_fraction":0,"evictions":0,"isolated_delivery":0.7751388888888889,"junk_fraction":0.0660998423015628,"mean_attacker_upload":81.48333333333333,"mean_honest_upload":35.33481481481481,"min_node_delivery":0.03125,"nodes_ever_unusable":0.6666666666666666,"satiated_delivery":0.9273611111111111,"unusable_node_rounds":0.22449074074074074}"#,
+    },
+    CrowdGolden {
+        scenario: "bar-gossip",
+        attack: "ideal",
+        params: &[],
+        json: r#"{"scenario":"bar-gossip","rounds":17,"overall_delivery":0.7577546296296296,"targeted_service":1,"usable":false,"attacker_coverage":1,"evicted_fraction":0,"evictions":0,"isolated_delivery":0.27326388888888886,"junk_fraction":0.008224255762770763,"mean_attacker_upload":341.74333333333334,"mean_honest_upload":3.5948148148148147,"min_node_delivery":0,"nodes_ever_unusable":0.3333333333333333,"satiated_delivery":1,"unusable_node_rounds":0.3165277777777778}"#,
+    },
+    CrowdGolden {
+        scenario: "bar-gossip",
+        attack: "trade",
+        params: &[("faults", "crash:0.02:0.2")],
+        json: r#"{"scenario":"bar-gossip","rounds":17,"overall_delivery":0.7475925925925926,"targeted_service":0.78671875,"usable":false,"attacker_coverage":1,"evicted_fraction":0,"evictions":0,"faults_crashes":968,"faults_delayed":0,"faults_dropped":0,"faults_duplicated":0,"faults_partition_blocked":0,"isolated_delivery":0.6693402777777778,"junk_fraction":0.06691121973186727,"mean_attacker_upload":72.37,"mean_honest_upload":31.436296296296295,"min_node_delivery":0,"nodes_ever_unusable":0.8025925925925926,"satiated_delivery":0.78671875,"unusable_node_rounds":0.36333333333333334}"#,
+    },
+    CrowdGolden {
+        scenario: "scrip-gossip",
+        attack: "trade",
+        params: &[],
+        json: r#"{"scenario":"scrip-gossip","rounds":17,"overall_delivery":0.9874652777777778,"targeted_service":0.9918576388888889,"usable":true,"broke_rate":0.07709459726113896,"isolated_delivery":0.9786805555555556,"refusal_rate":0.009728087138403252,"satiated_delivery":0.9918576388888889,"total_money":60000}"#,
+    },
+];
+
+#[test]
+fn flash_crowd_reports_match_pinned_fixtures() {
+    // Trade exercises gifts and attacker syncs on late-joining windows,
+    // ideal unions the attacker pool into them, crash faults clear them,
+    // and scrip-gossip trades over them.
+    let reg = ScenarioRegistry::standard();
+    for g in CROWD_GOLDENS {
+        let mut p = Params::new();
+        for (k, v) in CROWD_BASE.iter().chain(g.params) {
+            p.set(*k, *v);
+        }
+        let req = RunRequest::new(0.1, 1, g.attack, "fraction", &p);
+        let report = reg
+            .run(g.scenario, &req)
+            .unwrap_or_else(|e| panic!("{} {}: {e}", g.scenario, g.attack));
+        assert_eq!(
+            report.to_json(),
+            g.json,
+            "{} / {} {:?}: flash-crowd report drifted from its fixture",
+            g.scenario,
+            g.attack,
+            g.params
+        );
+    }
 }
