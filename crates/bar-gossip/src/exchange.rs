@@ -2,8 +2,12 @@
 //!
 //! These are pure functions from a pair of update windows to a transfer
 //! plan; the simulator applies the plan, meters bandwidth and runs the
-//! excess-service check. Keeping them pure makes the exchange arithmetic
-//! directly testable — including the properties the attack relies on:
+//! excess-service check. Each takes its windows as any
+//! `impl Into<WindowView>`, so one code path serves both a
+//! [`WindowSet`](crate::update::WindowSet) and a
+//! [`WindowSlab`](crate::update::WindowSlab) row. Keeping them pure
+//! makes the exchange arithmetic directly testable — including the
+//! properties the attack relies on:
 //!
 //! * a **balanced exchange** transfers `min(needs)` in each direction, so
 //!   a satiated partner (needs 0) yields a useless exchange;
@@ -12,7 +16,7 @@
 //!   needs, topped up with junk) back, so a rational node with no missing
 //!   old updates never initiates one.
 
-use crate::update::{UpdateId, WindowSet};
+use crate::update::{UpdateId, WindowView};
 use netsim::Round;
 
 /// Transfer plan of a balanced exchange.
@@ -39,9 +43,9 @@ impl BalancedOutcome {
 /// defense) a node receiving at least one update is willing to give one
 /// extra, so the needier side receives `min + 1` where available.
 /// `rate_limit` caps each direction (the X9 defense).
-pub fn balanced_exchange(
-    initiator: &WindowSet,
-    responder: &WindowSet,
+pub fn balanced_exchange<'a, 'b>(
+    initiator: impl Into<WindowView<'a>>,
+    responder: impl Into<WindowView<'b>>,
     now: Round,
     unbalanced: bool,
     rate_limit: Option<u32>,
@@ -53,14 +57,15 @@ pub fn balanced_exchange(
 
 /// [`balanced_exchange`] into a caller-owned outcome (buffers cleared
 /// first), so per-round hot loops can reuse the allocations.
-pub fn balanced_exchange_into(
-    initiator: &WindowSet,
-    responder: &WindowSet,
+pub fn balanced_exchange_into<'a, 'b>(
+    initiator: impl Into<WindowView<'a>>,
+    responder: impl Into<WindowView<'b>>,
     now: Round,
     unbalanced: bool,
     rate_limit: Option<u32>,
     out: &mut BalancedOutcome,
 ) {
+    let (initiator, responder) = (initiator.into(), responder.into());
     let cap = rate_limit.map_or(usize::MAX, |c| c as usize);
     // m: what the initiator could receive; n: what the responder could.
     let m = initiator.missing_from(responder);
@@ -110,9 +115,9 @@ impl PushOutcome {
 /// after that. If the responder wants nothing, nothing happens. The push
 /// is *optimistic* because the initiator may be paid entirely in junk.
 #[allow(clippy::too_many_arguments)]
-pub fn optimistic_push(
-    initiator: &WindowSet,
-    responder: &WindowSet,
+pub fn optimistic_push<'a, 'b>(
+    initiator: impl Into<WindowView<'a>>,
+    responder: impl Into<WindowView<'b>>,
     now: Round,
     push_size: u32,
     old_age: u32,
@@ -129,9 +134,9 @@ pub fn optimistic_push(
 /// [`optimistic_push`] into a caller-owned outcome (buffers cleared
 /// first), so per-round hot loops can reuse the allocations.
 #[allow(clippy::too_many_arguments)]
-pub fn optimistic_push_into(
-    initiator: &WindowSet,
-    responder: &WindowSet,
+pub fn optimistic_push_into<'a, 'b>(
+    initiator: impl Into<WindowView<'a>>,
+    responder: impl Into<WindowView<'b>>,
     now: Round,
     push_size: u32,
     old_age: u32,
@@ -139,6 +144,7 @@ pub fn optimistic_push_into(
     rate_limit: Option<u32>,
     out: &mut PushOutcome,
 ) {
+    let (initiator, responder) = (initiator.into(), responder.into());
     let cap = rate_limit.map_or(usize::MAX, |c| c as usize);
     let take = (push_size as usize).min(cap);
     // Recents the responder lacks, from the initiator's offer.
@@ -163,8 +169,15 @@ pub fn optimistic_push_into(
 
 /// Whether the initiator has any reason to start an optimistic push: it is
 /// rational to initiate only when missing old (soon-expiring) updates.
-pub fn wants_push(node: &WindowSet, reference_full: &WindowSet, now: Round, old_age: u32) -> bool {
-    node.missing_in_age_band(reference_full, now, old_age, u32::MAX) > 0
+pub fn wants_push<'a, 'b>(
+    node: impl Into<WindowView<'a>>,
+    reference_full: impl Into<WindowView<'b>>,
+    now: Round,
+    old_age: u32,
+) -> bool {
+    node.into()
+        .missing_in_age_band(reference_full, now, old_age, u32::MAX)
+        > 0
 }
 
 /// The excess-service test used by the report-and-evict defense: a peer
@@ -182,6 +195,7 @@ pub fn is_excessive_service(given: usize, received: usize, slack: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::update::WindowSet;
 
     /// Build an aligned pair of windows at `now`, holding the given ids.
     fn pair(now: Round, a: &[(u64, u32)], b: &[(u64, u32)]) -> (WindowSet, WindowSet, Round) {

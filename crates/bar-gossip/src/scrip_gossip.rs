@@ -29,9 +29,10 @@
 //!
 //! The round loop is allocation-free in steady state: the interaction
 //! order, purchase, presence and seeding-pick lists are scratch buffers
-//! owned by the sim struct, and the ideal-attack pool is a persistent
-//! [`WindowSet`] advanced in lockstep with the node windows (cleared and
-//! re-unioned each round) rather than rebuilt from round 0. The timing
+//! owned by the sim struct, the node windows are rows of one
+//! [`WindowSlab`], and the ideal-attack pool is a persistent
+//! [`WindowSet`] advanced in lockstep with them (cleared and re-unioned
+//! each round) rather than rebuilt from round 0. The timing
 //! layer (`lotus_core::schedule`, `lotus_core::population`) adds no
 //! allocations. Scratch contents are meaningless between rounds;
 //! refactors here must keep reports bit-identical per seed (the
@@ -39,7 +40,7 @@
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
-use crate::update::WindowSet;
+use crate::update::{WindowSet, WindowSlab};
 use lotus_core::defense::SilenceCutoff;
 use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
@@ -137,7 +138,6 @@ impl ScripGossipReport {
 
 #[derive(Debug, Clone)]
 struct ScripNode {
-    window: WindowSet,
     money: u64,
     attacker: bool,
     target: bool,
@@ -165,6 +165,9 @@ pub struct ScripGossipSim {
     cfg: ScripGossipConfig,
     plan: AttackPlan,
     nodes: Vec<ScripNode>,
+    /// Per-node update windows, one slab row per node, in lockstep with
+    /// `full`.
+    windows: WindowSlab,
     full: WindowSet,
     /// Ideal-attack pool: union of attacker holdings, rebuilt in place
     /// each round; advanced in lockstep with the node windows.
@@ -230,10 +233,9 @@ impl ScripGossipSim {
         {
             target[honest[hi]] = true;
         }
-        let window = WindowSet::new(cfg.base.updates_per_round, cfg.base.update_lifetime);
+        let (per_round, lifetime) = (cfg.base.updates_per_round, cfg.base.update_lifetime);
         let nodes = (0..n as usize)
             .map(|i| ScripNode {
-                window: window.clone(),
                 money: u64::from(cfg.money_per_node),
                 attacker: attacker[i],
                 target: target[i],
@@ -256,8 +258,9 @@ impl ScripGossipSim {
         });
         let attackers = attacker.iter().filter(|&&a| a).count() as u32;
         ScripGossipSim {
-            pool: window.clone(),
-            full: window,
+            windows: WindowSlab::new(n as usize, per_round, lifetime),
+            pool: WindowSet::new(per_round, lifetime),
+            full: WindowSet::new(per_round, lifetime),
             schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
             env,
             masq_rng: rng.fork("masquerade"),
@@ -319,26 +322,26 @@ impl ScripGossipSim {
         self.nodes[node.index()].money
     }
 
+    /// Slide every window; rows are shifted only on rounds where a
+    /// release expires.
     fn advance_windows(&mut self, t: Round) {
         let popped_full = self.full.advance(t);
         let _ = self.pool.advance(t);
-        if let Some((expired_round, full_mask)) = popped_full {
-            let measured = self.cfg.base.is_measured_round(expired_round);
-            let total = u64::from(full_mask.count_ones());
-            for i in 0..self.nodes.len() {
-                let popped = self.nodes[i].window.advance(t);
-                if !measured {
-                    continue;
-                }
-                let (_, mask) = popped.expect("lockstep windows");
-                let ci = self.class_of(i);
-                self.delivered[ci] += u64::from((mask & full_mask).count_ones());
-                self.totals[ci] += total;
+        let expired = self.windows.advance(t);
+        let Some((expired_round, full_mask)) = popped_full else {
+            return;
+        };
+        debug_assert_eq!(expired, Some(expired_round), "rows advance with `full`");
+        let measured = self.cfg.base.is_measured_round(expired_round);
+        let total = u64::from(full_mask.count_ones());
+        for i in 0..self.nodes.len() {
+            let mask = self.windows.shift(i);
+            if !measured {
+                continue;
             }
-        } else {
-            for node in self.nodes.iter_mut() {
-                let _ = node.window.advance(t);
-            }
+            let ci = self.class_of(i);
+            self.delivered[ci] += u64::from((mask & full_mask).count_ones());
+            self.totals[ci] += total;
         }
     }
 
@@ -356,7 +359,7 @@ impl ScripGossipSim {
             self.full.insert(id);
             seed_rng.sample_indices_into(present.len(), copies, &mut picks);
             for &pick in &picks {
-                self.nodes[present[pick]].window.insert(id);
+                self.windows.insert(present[pick], id);
             }
         }
         self.present_scratch = present;
@@ -373,14 +376,14 @@ impl ScripGossipSim {
         // rebuild its contents in place as the union of all attacker
         // holdings.
         self.pool.clear();
-        for node in &self.nodes {
+        for (i, node) in self.nodes.iter().enumerate() {
             if node.attacker {
-                self.pool.union_with(&node.window);
+                self.pool.union_with(self.windows.row(i));
             }
         }
-        for node in self.nodes.iter_mut() {
+        for (i, node) in self.nodes.iter().enumerate() {
             if node.target && !node.attacker {
-                node.window.union_with(&self.pool);
+                self.windows.union_with(i, &self.pool);
             }
         }
     }
@@ -397,8 +400,8 @@ impl ScripGossipSim {
             // Attacker seller: gift everything, free, to targets only.
             if self.plan.kind == AttackKind::TradeLotusEater && self.nodes[b].target {
                 let mut gift = std::mem::take(&mut self.want_scratch);
-                self.nodes[b].window.wanted_from_into(
-                    &self.nodes[s].window,
+                self.windows.row(b).wanted_from_into(
+                    self.windows.row(s),
                     now,
                     usize::MAX,
                     0,
@@ -406,7 +409,7 @@ impl ScripGossipSim {
                     &mut gift,
                 );
                 for &id in &gift {
-                    self.nodes[b].window.insert(id);
+                    self.windows.insert(b, id);
                 }
                 self.want_scratch = gift;
             }
@@ -422,7 +425,7 @@ impl ScripGossipSim {
             }
         }
         // Honest (or attacker-buyer) purchase.
-        let wants = self.nodes[b].window.missing_from(&self.nodes[s].window) as u64;
+        let wants = self.windows.row(b).missing_from(self.windows.row(s)) as u64;
         if wants == 0 {
             return;
         }
@@ -440,8 +443,8 @@ impl ScripGossipSim {
         }
         let afford = self.nodes[b].money.min(wants) as usize;
         let mut bought = std::mem::take(&mut self.want_scratch);
-        self.nodes[b].window.wanted_from_into(
-            &self.nodes[s].window,
+        self.windows.row(b).wanted_from_into(
+            self.windows.row(s),
             now,
             afford,
             0,
@@ -466,7 +469,7 @@ impl ScripGossipSim {
             return;
         }
         for &id in &bought {
-            self.nodes[b].window.insert(id);
+            self.windows.insert(b, id);
         }
         let price = bought.len() as u64;
         self.nodes[b].money -= price;
@@ -526,11 +529,8 @@ impl RoundSim for ScripGossipSim {
             // State-losing crash: the window empties but the balance
             // survives (scrip is a ledger, not local state), keeping the
             // supply invariant intact under fault injection.
-            let crashed = self.env.faults().just_crashed();
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                if crashed.contains(i) {
-                    node.window.clear();
-                }
+            for i in self.env.faults().just_crashed().iter() {
+                self.windows.clear(i);
             }
         }
         self.advance_windows(t);

@@ -66,7 +66,7 @@ use crate::exchange::{
     balanced_exchange_into, is_excessive_service, optimistic_push_into, wants_push,
     BalancedOutcome, PushOutcome,
 };
-use crate::update::{UpdateId, WindowSet};
+use crate::update::{UpdateId, WindowSet, WindowSlab, WindowView};
 use lotus_core::bitset::BitSet;
 use lotus_core::defense::SilenceCutoff;
 use lotus_core::digest::{region_hash, BloomIndex};
@@ -97,8 +97,8 @@ pub enum NodeClass {
 }
 
 // Per-node state lives in struct-of-arrays layout on the simulator
-// itself (`windows`, `class`, and the `target`/`obedient`/`evicted`
-// bitsets), keyed by node index — the flat layout the sharded
+// itself (the `windows` slab, `class`, and the `target`/`obedient`/
+// `evicted` bitsets), keyed by node index — the flat layout the sharded
 // `O(active)` engine iterates.
 
 /// Per-class delivery fractions measured at expiry.
@@ -256,9 +256,11 @@ pub struct BarGossipSim {
     cfg: BarGossipConfig,
     plan: AttackPlan,
     // ---- struct-of-arrays per-node state, keyed by node index ----
-    /// Per-node update windows. A node's window is only advanced once
-    /// the node is *engaged* (has ever been present); see `engaged`.
-    windows: Vec<WindowSet>,
+    /// Per-node update windows, one slab row per node, in lockstep with
+    /// `full`. Only *engaged* rows (see `engaged`) are shifted when a
+    /// round expires; every other row is still all-zero, which is the
+    /// empty window at any alignment.
+    windows: WindowSlab,
     /// Metric class fixed at assignment time (isolated vs satiated).
     class: Vec<NodeClass>,
     /// Nodes the attacker currently tries to satiate. Equals the
@@ -273,13 +275,14 @@ pub struct BarGossipSim {
     /// `evicted`).
     cutoff: SilenceCutoff,
     /// Nodes that have ever been present. A flash-crowd node still
-    /// waiting outside the system is *disengaged*: its window is not
-    /// advanced (the lazy-window seam that makes `advance_windows`
+    /// waiting outside the system is *disengaged*: its slab row is not
+    /// shifted (the lazy-window seam that makes `advance_windows`
     /// `O(engaged)` instead of `O(population)`) and it accumulates
     /// zero deliveries — exactly what the dense path computed for it.
-    /// On arrival the window is fast-forwarded into lockstep
-    /// ([`WindowSet::skip_to`]) and its unusable-round counter is
-    /// seeded with the measured expiries it slept through.
+    /// Nothing ever writes a disengaged row, so it is still all-zero on
+    /// arrival — already the empty window in lockstep, with no
+    /// fast-forward — and engaging only seeds its unusable-round
+    /// counter with the measured expiries it slept through.
     engaged: BitSet,
     /// Attacker node indices, ascending (class is fixed at assignment).
     attacker_list: Vec<u32>,
@@ -473,10 +476,8 @@ impl BarGossipSim {
             }
         }
 
-        let window = WindowSet::new(cfg.updates_per_round, cfg.update_lifetime);
-        let windows: Vec<WindowSet> = (0..n)
-            .map(|_| WindowSet::new(cfg.updates_per_round, cfg.update_lifetime))
-            .collect();
+        let (per_round, lifetime) = (cfg.updates_per_round, cfg.update_lifetime);
+        let windows = WindowSlab::new(n as usize, per_round, lifetime);
         let mut target = BitSet::new(n as usize);
         let mut class_counts = [0u64; 3];
         let mut attacker_list = Vec::new();
@@ -520,27 +521,31 @@ impl BarGossipSim {
         // classic runs are bit-identical whether or not this substrate
         // exists. Buffers are capacity-reserved for the full live
         // window, so the steady digest round never reallocates.
-        let digest_state = cfg.digest.map(|dcfg| {
-            let live = (cfg.updates_per_round * cfg.update_lifetime) as usize;
-            DigestState {
-                dcfg,
-                bloom: BloomIndex::new(
-                    dcfg.bits,
-                    dcfg.hashes,
-                    cfg.updates_per_round,
-                    cfg.update_lifetime,
-                ),
-                want_initiator: Vec::with_capacity(live),
-                want_partner: Vec::with_capacity(live),
-                deliver: Vec::with_capacity(live),
-                poison_rng: rng.fork("poison"),
-                audit_rng: rng.fork("audit"),
-                stats: DigestStats::default(),
-            }
+        let live = (per_round * lifetime) as usize;
+        let digest_state = cfg.digest.map(|dcfg| DigestState {
+            dcfg,
+            bloom: BloomIndex::new(
+                dcfg.bits,
+                dcfg.hashes,
+                cfg.updates_per_round,
+                cfg.update_lifetime,
+            ),
+            want_initiator: Vec::with_capacity(live),
+            want_partner: Vec::with_capacity(live),
+            deliver: Vec::with_capacity(live),
+            poison_rng: rng.fork("poison"),
+            audit_rng: rng.fork("audit"),
+            stats: DigestStats::default(),
         });
+        // The plan batch and the exchange buffers are reserved to their
+        // ceilings (one entry per node; one live window of ids), so even
+        // the round a flash crowd lands allocates nothing.
+        let mut plan_batch = ExchangePlan::new();
+        plan_batch.reset(n as usize);
+        plan_batch.clear();
         BarGossipSim {
-            full: window.clone(),
-            pool: window,
+            full: WindowSet::new(per_round, lifetime),
+            pool: WindowSet::new(per_round, lifetime),
             schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
             env,
             faults_msg: cfg.faults.has_message_faults(),
@@ -573,14 +578,21 @@ impl BarGossipSim {
             measured_rounds: 0,
             run_pool: WorkerPool::new(cfg.run_threads),
             alive_scratch: Vec::with_capacity(n as usize),
-            picks_scratch: Vec::new(),
-            plan_batch: ExchangePlan::new(),
+            picks_scratch: Vec::with_capacity(cfg.copies_seeded as usize),
+            plan_batch,
             chunk_sizes: Vec::new(),
             chunk_bounds: Vec::new(),
-            gift_scratch: Vec::new(),
-            returned_scratch: Vec::new(),
-            balanced_scratch: BalancedOutcome::default(),
-            push_scratch: PushOutcome::default(),
+            gift_scratch: Vec::with_capacity(live),
+            returned_scratch: Vec::with_capacity(live),
+            balanced_scratch: BalancedOutcome {
+                to_initiator: Vec::with_capacity(live),
+                to_responder: Vec::with_capacity(live),
+            },
+            push_scratch: PushOutcome {
+                useful_to_initiator: Vec::with_capacity(live),
+                to_responder: Vec::with_capacity(live),
+                junk_to_initiator: 0,
+            },
             digest_state,
             cfg,
             plan,
@@ -647,17 +659,15 @@ impl BarGossipSim {
         !self.evicted.contains(i) && !self.cutoff.is_cut(i) && self.env.is_up(i)
     }
 
-    /// Engage `node` if it has never been present before: fast-forward
-    /// its window into lockstep and seed its unusable-round counter
-    /// with the measured expiries it slept through (a disengaged node
-    /// delivered nothing in each of them, exactly like an empty dense
-    /// window).
+    /// Engage `node` if it has never been present before: seed its
+    /// unusable-round counter with the measured expiries it slept
+    /// through (a disengaged node delivered nothing in each of them,
+    /// exactly like an empty dense window). Its window needs no
+    /// fast-forward: the row is still all-zero, the empty window in
+    /// lockstep.
     fn ensure_engaged(&mut self, i: usize) {
         if self.engaged.contains(i) {
             return;
-        }
-        if self.round > 0 {
-            self.windows[i].skip_to(self.round - 1);
         }
         self.engaged.insert(i);
         self.node_unusable_rounds[i] = self.measured_rounds;
@@ -777,7 +787,7 @@ impl BarGossipSim {
         }
         let mut union = 0u64;
         for &i in &self.attacker_list {
-            union |= self.windows[i as usize].mask(r).unwrap_or(0);
+            union |= self.windows.row(i as usize).mask(r).unwrap_or(0);
         }
         // The ideal attack's pool also counts (it is what gets forwarded).
         if self.plan.kind == AttackKind::IdealLotusEater {
@@ -789,10 +799,12 @@ impl BarGossipSim {
 
     /// Phase 1: slide windows; account expired (measured) rounds.
     ///
-    /// Only *engaged* windows are advanced — `O(engaged)`, the hottest
-    /// win of the sharded engine at flash-crowd scale. A disengaged
-    /// node's dense contribution was always `got = 0` with one
-    /// unusable round per measured expiry; the class totals below use
+    /// The slab's shared alignment moves in `O(1)`; per-row work happens
+    /// only on rounds where a release expires, and only for *engaged*
+    /// rows — `O(engaged)`, the hottest win of the sharded engine at
+    /// flash-crowd scale. A disengaged row is all-zero, so it needs no
+    /// shift: its dense contribution was always `got = 0` with one
+    /// unusable round per measured expiry. The class totals below use
     /// the static per-class counts (every window popped in lockstep in
     /// the dense loop, so its `class_nodes` tally was exactly those
     /// counts), and the unusable rounds are settled at engage time /
@@ -801,46 +813,42 @@ impl BarGossipSim {
     fn advance_windows(&mut self, t: Round) {
         let popped_full = self.full.advance(t);
         let _ = self.pool.advance(t);
-        if let Some((expired_round, full_mask)) = popped_full {
-            let measured = self.cfg.is_measured_round(expired_round);
-            let total = u64::from(full_mask.count_ones());
-            let mut class_delivered = [0u64; 3];
-            let usable_floor = self.cfg.usability_threshold;
-            for i in self.engaged.iter() {
-                let popped = self.windows[i].advance(t);
-                if !measured {
-                    continue;
-                }
-                let (r, mask) = popped.expect("engaged windows advance in lockstep");
-                debug_assert_eq!(r, expired_round);
-                let ci = class_idx(self.class[i]);
-                let got = u64::from((mask & full_mask).count_ones());
-                class_delivered[ci] += got;
-                if self.class[i] != NodeClass::Attacker {
-                    self.node_delivered[i] += got;
-                    if total > 0 && (got as f64 / total as f64) <= usable_floor {
-                        self.node_unusable_rounds[i] += 1;
-                    }
-                }
-            }
-            if measured {
-                self.measured_rounds += 1;
-                for (ci, got) in class_delivered.iter().enumerate() {
-                    self.delivered[ci] += got;
-                    self.totals[ci] += total * self.class_counts[ci];
-                }
-                let iso = if self.class_counts[0] * total > 0 {
-                    class_delivered[0] as f64 / (self.class_counts[0] * total) as f64
-                } else {
-                    0.0
-                };
-                self.isolated_series.push((expired_round, iso));
-            }
+        let expired = self.windows.advance(t);
+        let Some((expired_round, full_mask)) = popped_full else {
             return;
-        }
-        // No expiry yet: still advance engaged windows in lockstep.
+        };
+        debug_assert_eq!(expired, Some(expired_round), "rows advance with `full`");
+        let measured = self.cfg.is_measured_round(expired_round);
+        let total = u64::from(full_mask.count_ones());
+        let mut class_delivered = [0u64; 3];
+        let usable_floor = self.cfg.usability_threshold;
         for i in self.engaged.iter() {
-            let _ = self.windows[i].advance(t);
+            let mask = self.windows.shift(i);
+            if !measured {
+                continue;
+            }
+            let ci = class_idx(self.class[i]);
+            let got = u64::from((mask & full_mask).count_ones());
+            class_delivered[ci] += got;
+            if self.class[i] != NodeClass::Attacker {
+                self.node_delivered[i] += got;
+                if total > 0 && (got as f64 / total as f64) <= usable_floor {
+                    self.node_unusable_rounds[i] += 1;
+                }
+            }
+        }
+        if measured {
+            self.measured_rounds += 1;
+            for (ci, got) in class_delivered.iter().enumerate() {
+                self.delivered[ci] += got;
+                self.totals[ci] += total * self.class_counts[ci];
+            }
+            let iso = if self.class_counts[0] * total > 0 {
+                class_delivered[0] as f64 / (self.class_counts[0] * total) as f64
+            } else {
+                0.0
+            };
+            self.isolated_series.push((expired_round, iso));
         }
     }
 
@@ -864,7 +872,7 @@ impl BarGossipSim {
             seed_rng.sample_indices_into(alive.len(), copies, &mut picks);
             for &pick in &picks {
                 let i = alive[pick];
-                self.windows[i].insert(id);
+                self.windows.insert(i, id);
                 if self.class[i] == NodeClass::Attacker
                     && self.plan.kind == AttackKind::IdealLotusEater
                 {
@@ -896,9 +904,9 @@ impl BarGossipSim {
             if !self.alive(NodeId(i as u32)) {
                 continue;
             }
-            let gained = self.windows[i].missing_from(&self.pool) as u64;
+            let gained = self.windows.row(i).missing_from(&self.pool) as u64;
             if gained > 0 {
-                self.windows[i].union_with(&self.pool);
+                self.windows.union_with(i, &self.pool);
                 self.meter.transfer(
                     NodeId(rep as u32),
                     NodeId(i as u32),
@@ -924,8 +932,8 @@ impl BarGossipSim {
             .rate_limit
             .map_or(usize::MAX, |c| c as usize);
         let mut gift = std::mem::take(&mut self.gift_scratch);
-        self.windows[target.index()].wanted_from_into(
-            &self.windows[attacker.index()],
+        self.windows.row(target.index()).wanted_from_into(
+            self.windows.row(attacker.index()),
             now,
             cap,
             0,
@@ -946,8 +954,8 @@ impl BarGossipSim {
         let mut returned = std::mem::take(&mut self.returned_scratch);
         returned.clear();
         if self.cfg.attacker_receives {
-            self.windows[attacker.index()].wanted_from_into(
-                &self.windows[target.index()],
+            self.windows.row(attacker.index()).wanted_from_into(
+                self.windows.row(target.index()),
                 now,
                 gift.len(),
                 0,
@@ -956,11 +964,11 @@ impl BarGossipSim {
             );
         }
         for &id in &gift {
-            self.windows[target.index()].insert(id);
+            self.windows.insert(target.index(), id);
         }
         if self.faulty_send(target, attacker, returned.len() as u64, 0) {
             for &id in &returned {
-                self.windows[attacker.index()].insert(id);
+                self.windows.insert(attacker.index(), id);
             }
         }
         self.trace.emit_with(now, target, EventKind::Attack, || {
@@ -985,37 +993,20 @@ impl BarGossipSim {
         self.returned_scratch = returned;
     }
 
-    /// Disjoint mutable windows of two *distinct* nodes: the split-borrow
-    /// helper behind the clone-free attacker synchronisation.
-    fn windows_pair(&mut self, a: usize, b: usize) -> (&mut WindowSet, &mut WindowSet) {
-        debug_assert_ne!(a, b, "windows_pair needs distinct nodes");
-        if a < b {
-            let (lo, hi) = self.windows.split_at_mut(b);
-            (&mut lo[a], &mut hi[0])
-        } else {
-            let (lo, hi) = self.windows.split_at_mut(a);
-            (&mut hi[0], &mut lo[b])
-        }
-    }
-
     /// Colluding attacker nodes synchronise fully when the schedule pairs
     /// them — the only in-protocol pooling the trade attack gets.
     fn attacker_sync(&mut self, a: NodeId, b: NodeId) {
         if a == b {
             return;
         }
-        let (wa, wb) = self.windows_pair(a.index(), b.index());
-        let gained_b = wb.missing_from(wa) as u64;
-        let gained_a = wa.missing_from(wb) as u64;
-        // Both end at the same union, so the two in-place unions replace
-        // the clone-then-merge exactly.
-        wb.union_with(wa);
-        wa.union_with(wb);
+        let (gained_a, gained_b) = self.windows.sync(a.index(), b.index());
         if gained_b > 0 {
-            self.meter.transfer(a, b, MsgClass::Payload, gained_b);
+            self.meter
+                .transfer(a, b, MsgClass::Payload, gained_b as u64);
         }
         if gained_a > 0 {
-            self.meter.transfer(b, a, MsgClass::Payload, gained_a);
+            self.meter
+                .transfer(b, a, MsgClass::Payload, gained_a as u64);
         }
     }
 
@@ -1285,8 +1276,8 @@ impl BarGossipSim {
                     }
                     let mut out = std::mem::take(&mut self.balanced_scratch);
                     balanced_exchange_into(
-                        &self.windows[v.index()],
-                        &self.windows[p.index()],
+                        self.windows.row(v.index()),
+                        self.windows.row(p.index()),
                         t,
                         self.cfg.defenses.unbalanced_exchanges,
                         self.cfg.defenses.rate_limit,
@@ -1298,14 +1289,14 @@ impl BarGossipSim {
                     // indistinguishable here — by design).
                     if self.faulty_send(p, v, out.to_initiator.len() as u64, 0) {
                         for &id in &out.to_initiator {
-                            self.windows[v.index()].insert(id);
+                            self.windows.insert(v.index(), id);
                         }
                     } else if !out.to_initiator.is_empty() {
                         self.note_silence(v, p, t);
                     }
                     if self.faulty_send(v, p, out.to_responder.len() as u64, 0) {
                         for &id in &out.to_responder {
-                            self.windows[p.index()].insert(id);
+                            self.windows.insert(p.index(), id);
                         }
                     } else if !out.to_responder.is_empty() {
                         self.note_silence(p, v, t);
@@ -1359,7 +1350,7 @@ impl BarGossipSim {
                 continue;
             }
             // Rational initiation condition: only when missing old updates.
-            if !wants_push(&self.windows[v.index()], &self.full, t, self.cfg.old_age) {
+            if !wants_push(self.windows.row(v.index()), &self.full, t, self.cfg.old_age) {
                 continue;
             }
             if strict && !self.alive(p) {
@@ -1381,8 +1372,8 @@ impl BarGossipSim {
             }
             let mut out = std::mem::take(&mut self.push_scratch);
             optimistic_push_into(
-                &self.windows[v.index()],
-                &self.windows[p.index()],
+                self.windows.row(v.index()),
+                self.windows.row(p.index()),
                 t,
                 self.cfg.push_size,
                 self.cfg.old_age,
@@ -1400,7 +1391,7 @@ impl BarGossipSim {
             // cannot tell a lost offer from a withheld payment.
             if self.faulty_send(v, p, out.to_responder.len() as u64, 0) {
                 for &id in &out.to_responder {
-                    self.windows[p.index()].insert(id);
+                    self.windows.insert(p.index(), id);
                 }
             }
             if self.faulty_send(
@@ -1410,7 +1401,7 @@ impl BarGossipSim {
                 u64::from(out.junk_to_initiator),
             ) {
                 for &id in &out.useful_to_initiator {
-                    self.windows[v.index()].insert(id);
+                    self.windows.insert(v.index(), id);
                 }
             }
             self.push_scratch = out;
@@ -1534,14 +1525,15 @@ impl BarGossipSim {
             .map_or(usize::MAX, |c| c as usize);
         let mut want_v = std::mem::take(&mut st.want_initiator);
         let mut want_p = std::mem::take(&mut st.want_partner);
+        let (wv, wp) = (self.windows.row(v.index()), self.windows.row(p.index()));
         if st.dcfg.exact {
             want_v.clear();
             want_p.clear();
-            let start = self.windows[v.index()].start();
+            let start = wv.start();
             st.stats.bytes_digests += 2 * ID_WIRE_BYTES * (t - start + 1);
             for r in start..=t {
-                let mv = self.windows[v.index()].mask(r).unwrap_or(0);
-                let mp = self.windows[p.index()].mask(r).unwrap_or(0);
+                let mv = wv.mask(r).unwrap_or(0);
+                let mp = wp.mask(r).unwrap_or(0);
                 if region_hash(r, mv) == region_hash(r, mp) {
                     continue;
                 }
@@ -1564,22 +1556,8 @@ impl BarGossipSim {
                 }
             }
         } else {
-            Self::bloom_wants(
-                &mut st.bloom,
-                &self.windows[p.index()],
-                &self.windows[v.index()],
-                t,
-                limit,
-                &mut want_v,
-            );
-            Self::bloom_wants(
-                &mut st.bloom,
-                &self.windows[v.index()],
-                &self.windows[p.index()],
-                t,
-                limit,
-                &mut want_p,
-            );
+            Self::bloom_wants(&mut st.bloom, wp, wv, t, limit, &mut want_v);
+            Self::bloom_wants(&mut st.bloom, wv, wp, t, limit, &mut want_p);
             st.stats.bytes_digests += 2 * st.bloom.size_bytes();
             st.stats.bytes_requests += ID_WIRE_BYTES * (want_v.len() + want_p.len()) as u64;
         }
@@ -1600,8 +1578,8 @@ impl BarGossipSim {
     // lint: hot-loop
     fn bloom_wants(
         bloom: &mut BloomIndex,
-        sender: &WindowSet,
-        receiver: &WindowSet,
+        sender: WindowView<'_>,
+        receiver: WindowView<'_>,
         t: Round,
         limit: usize,
         want: &mut Vec<UpdateId>,
@@ -1657,7 +1635,7 @@ impl BarGossipSim {
             && self.is_attacker(sender);
         let mut strike = false;
         for &id in want {
-            if !self.windows[sender.index()].contains(id) {
+            if !self.windows.row(sender.index()).contains(id) {
                 st.stats.fp_requests += 1;
                 if !strike {
                     strike = st.audit_rng.chance(st.dcfg.audit);
@@ -1677,7 +1655,7 @@ impl BarGossipSim {
         if !deliver.is_empty() {
             if self.faulty_send(sender, receiver, deliver.len() as u64, 0) {
                 for &id in &deliver {
-                    self.windows[receiver.index()].insert(id);
+                    self.windows.insert(receiver.index(), id);
                 }
             } else {
                 self.note_silence(receiver, sender, t);
@@ -1814,23 +1792,21 @@ impl RoundSim for BarGossipSim {
             // State-losing crash: unlike churned-out nodes, which keep
             // their windows while away, a crashed node re-enters cold.
             for i in self.env.faults().just_crashed().iter() {
-                self.windows[i].clear();
+                self.windows.clear(i);
             }
         }
         // Engage nodes whose arrival wave just landed (present ∖
-        // engaged, one word at a time, ascending): fast-forward their
-        // windows into lockstep before anything slides. Inlined (rather
-        // than calling `ensure_engaged`) so the membership words and the
-        // window mutations borrow disjoint fields.
+        // engaged, one word at a time, ascending) before anything
+        // slides. Their all-zero rows are already in lockstep, so this
+        // touches no window. Inlined (rather than calling
+        // `ensure_engaged`) so the membership words and the engaged-set
+        // mutations borrow disjoint fields.
         let present = self.env.population().present().words();
         for (w, &word) in present.iter().enumerate() {
             let mut arrived = word & !self.engaged.words()[w];
             while arrived != 0 {
                 let i = w * 64 + arrived.trailing_zeros() as usize;
                 arrived &= arrived - 1;
-                if t > 0 {
-                    self.windows[i].skip_to(t - 1);
-                }
                 self.engaged.insert(i);
                 self.node_unusable_rounds[i] = self.measured_rounds;
             }
@@ -1843,7 +1819,7 @@ impl RoundSim for BarGossipSim {
         // moment it is released — "sufficiently rapidly" taken literally.
         if !self.fed.is_empty() {
             for i in self.fed.iter() {
-                self.windows[i].union_with(&self.full);
+                self.windows.union_with(i, &self.full);
             }
             self.fed.clear();
         }
@@ -1869,10 +1845,10 @@ impl lotus_core::satiation::Feedable for BarGossipSim {
     /// the broadcaster will release in the coming round (the attacker's
     /// power in the limit, as Observation 3.1 assumes).
     fn feed_fully(&mut self, node: NodeId) {
-        // Feeding a node implies it exists in the system: engage it
-        // first so its window is in lockstep before the union.
+        // Feeding a node implies it exists in the system: engage it so
+        // its row is shifted from now on.
         self.ensure_engaged(node.index());
-        self.windows[node.index()].union_with(&self.full);
+        self.windows.union_with(node.index(), &self.full);
         self.fed.insert(node.index());
     }
 
@@ -1887,15 +1863,10 @@ impl lotus_core::satiation::Satiable for BarGossipSim {
         self.class.len() as u32
     }
 
-    /// A node is satiated when it holds every live update.
+    /// A node is satiated when it holds every live update (a
+    /// disengaged node's all-zero row is satiated iff nothing is live).
     fn is_satiated(&self, node: NodeId) -> bool {
-        if !self.engaged.contains(node.index()) {
-            // A disengaged window is not in lockstep with `full`;
-            // the node holds nothing, so it is satiated iff nothing
-            // is live.
-            return self.full.is_empty();
-        }
-        self.windows[node.index()].missing_from(&self.full) == 0
+        self.windows.row(node.index()).missing_from(&self.full) == 0
     }
 
     fn service_provided(&self, node: NodeId) -> u64 {

@@ -3,10 +3,20 @@
 //! BAR Gossip streams *updates*: each round the broadcaster releases a
 //! batch, and every update must reach a node within `lifetime` rounds of
 //! its release to be useful (frames of a video stream). A node's holdings
-//! are therefore a *sliding window* of per-release-round bitmasks;
-//! [`WindowSet`] is that window. All nodes advance their windows in
-//! lockstep, so set operations between two windows can align masks
-//! round-by-round.
+//! are therefore a *sliding window* of per-release-round bitmasks. All
+//! nodes advance their windows in lockstep, so set operations between two
+//! windows zip their masks round by round.
+//!
+//! Three types share that representation:
+//!
+//! * [`WindowView`] — a borrowed, read-only window (live masks, oldest
+//!   first). Every read-only window operation is implemented once, here;
+//! * [`WindowSet`] — one owned window (the reference window of every
+//!   release, the attacker pool, test and benchmark windows);
+//! * [`WindowSlab`] — every node's window as one row of a single
+//!   contiguous array, advanced by one shared alignment. A simulator
+//!   holds its population's windows here, so an exchange reads two rows
+//!   of one allocation instead of chasing a heap pointer per node.
 
 use netsim::Round;
 
@@ -26,9 +36,182 @@ impl std::fmt::Display for UpdateId {
     }
 }
 
-/// The maximum batch size [`WindowSet`] supports (one `u64` mask per
-/// round).
+/// The maximum batch size a window supports (one `u64` mask per round).
 pub const MAX_UPDATES_PER_ROUND: u32 = 64;
+
+fn check_shape(per_round: u32, lifetime: u32) {
+    assert!(
+        (1..=MAX_UPDATES_PER_ROUND).contains(&per_round),
+        "per_round must be in 1..={MAX_UPDATES_PER_ROUND}"
+    );
+    assert!(lifetime > 0, "lifetime must be positive");
+}
+
+/// Pop a full window's oldest mask: shift the rest down one slot and
+/// open an empty newest slot.
+fn shift_out(masks: &mut [u64]) -> u64 {
+    let expired = masks[0];
+    masks.copy_within(1.., 0);
+    masks[masks.len() - 1] = 0;
+    expired
+}
+
+/// A read-only view of one window: its live masks, oldest first, and
+/// the release round of the first.
+///
+/// Binary operations take any `impl Into<WindowView>`, so a
+/// [`WindowSet`] and a [`WindowSlab`] row mix freely.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowView<'a> {
+    masks: &'a [u64],
+    start: Round,
+    per_round: u32,
+}
+
+impl<'a> From<&'a WindowSet> for WindowView<'a> {
+    fn from(w: &'a WindowSet) -> Self {
+        w.view()
+    }
+}
+
+impl<'a> WindowView<'a> {
+    /// Release round of the oldest live mask.
+    pub fn start(self) -> Round {
+        self.start
+    }
+
+    /// Updates per release round.
+    pub fn per_round(self) -> u32 {
+        self.per_round
+    }
+
+    fn mask_index(self, round: Round) -> Option<usize> {
+        let idx = round.checked_sub(self.start)?;
+        (idx < self.masks.len() as Round).then_some(idx as usize)
+    }
+
+    /// `true` if `id`'s release round is currently inside the window.
+    pub fn is_live(self, id: UpdateId) -> bool {
+        self.mask_index(id.round).is_some()
+    }
+
+    /// Membership test (expired updates are never contained).
+    pub fn contains(self, id: UpdateId) -> bool {
+        id.slot < self.per_round && self.mask(id.round).is_some_and(|m| m & (1 << id.slot) != 0)
+    }
+
+    /// Raw mask for a release round (`None` if outside the window).
+    pub fn mask(self, round: Round) -> Option<u64> {
+        self.mask_index(round).map(|i| self.masks[i])
+    }
+
+    /// Number of live updates held.
+    pub fn len(self) -> usize {
+        self.masks.iter().map(|m| m.count_ones() as usize).sum()
+    }
+
+    /// `true` if no live updates are held.
+    pub fn is_empty(self) -> bool {
+        self.masks.iter().all(|&m| m == 0)
+    }
+
+    fn check_aligned(self, other: WindowView<'_>) {
+        assert_eq!(self.start, other.start, "windows not aligned (start)");
+        assert_eq!(
+            self.masks.len(),
+            other.masks.len(),
+            "windows not aligned (len)"
+        );
+        assert_eq!(
+            self.per_round, other.per_round,
+            "windows not aligned (batch)"
+        );
+    }
+
+    /// Number of live updates in `other` that `self` lacks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the windows are not aligned (different start/shape).
+    pub fn missing_from<'b>(self, other: impl Into<WindowView<'b>>) -> usize {
+        let other = other.into();
+        self.check_aligned(other);
+        self.masks
+            .iter()
+            .zip(other.masks)
+            .map(|(mine, theirs)| (theirs & !mine).count_ones() as usize)
+            .sum()
+    }
+
+    /// The oldest `limit` updates in `other` that `self` lacks, into a
+    /// caller-owned buffer (cleared first), optionally restricted to
+    /// updates of age `>= min_age` or `<= max_age` (age in rounds
+    /// relative to `now`, where the newest round has age 0).
+    ///
+    /// "Oldest first" models nodes prioritising updates closest to expiry.
+    pub fn wanted_from_into<'b>(
+        self,
+        other: impl Into<WindowView<'b>>,
+        now: Round,
+        limit: usize,
+        min_age: u32,
+        max_age: u32,
+        out: &mut Vec<UpdateId>,
+    ) {
+        let other = other.into();
+        self.check_aligned(other);
+        out.clear();
+        let rounds = (self.start..).zip(self.masks.iter().zip(other.masks));
+        'outer: for (round, (mine, theirs)) in rounds {
+            let age = (now - round) as u32;
+            if age < min_age || age > max_age {
+                continue;
+            }
+            let mut want = theirs & !mine;
+            while want != 0 {
+                if out.len() == limit {
+                    break 'outer;
+                }
+                out.push(UpdateId {
+                    round,
+                    slot: want.trailing_zeros(),
+                });
+                want &= want - 1;
+            }
+        }
+    }
+
+    /// Count of updates in `other` missing from `self` within an age band.
+    pub fn missing_in_age_band<'b>(
+        self,
+        other: impl Into<WindowView<'b>>,
+        now: Round,
+        min_age: u32,
+        max_age: u32,
+    ) -> usize {
+        let other = other.into();
+        self.check_aligned(other);
+        (self.start..)
+            .zip(self.masks.iter().zip(other.masks))
+            .filter(|&(round, _)| {
+                let age = (now - round) as u32;
+                age >= min_age && age <= max_age
+            })
+            .map(|(_, (mine, theirs))| (theirs & !mine).count_ones() as usize)
+            .sum()
+    }
+
+    /// Iterate over held updates, oldest release round first.
+    pub fn iter(self) -> impl Iterator<Item = UpdateId> + 'a {
+        let (start, per_round) = (self.start, self.per_round);
+        self.masks.iter().enumerate().flat_map(move |(i, &mask)| {
+            let round = start + i as Round;
+            (0..per_round)
+                .filter(move |&s| mask & (1 << s) != 0)
+                .map(move |slot| UpdateId { round, slot })
+        })
+    }
+}
 
 /// A sliding window of live-update holdings.
 ///
@@ -49,7 +232,8 @@ pub const MAX_UPDATES_PER_ROUND: u32 = 64;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowSet {
-    masks: std::collections::VecDeque<u64>,
+    /// Live masks, oldest first; at most `lifetime` of them.
+    masks: Vec<u64>,
     /// Release round of `masks[0]`.
     start: Round,
     per_round: u32,
@@ -58,25 +242,29 @@ pub struct WindowSet {
 
 impl WindowSet {
     /// An empty window for batches of `per_round` updates with the given
-    /// `lifetime` in rounds. Its buffer is allocated by the first round
-    /// it tracks, so building one window per node of a million-node run
-    /// costs a 48-byte write each, not an allocation or a clone each.
+    /// `lifetime` in rounds. Its buffer is reserved to `lifetime` masks
+    /// up front, so advancing never reallocates.
     ///
     /// # Panics
     ///
     /// Panics if `per_round` is 0 or exceeds [`MAX_UPDATES_PER_ROUND`], or
     /// if `lifetime` is 0.
     pub fn new(per_round: u32, lifetime: u32) -> Self {
-        assert!(
-            (1..=MAX_UPDATES_PER_ROUND).contains(&per_round),
-            "per_round must be in 1..={MAX_UPDATES_PER_ROUND}"
-        );
-        assert!(lifetime > 0, "lifetime must be positive");
+        check_shape(per_round, lifetime);
         WindowSet {
-            masks: std::collections::VecDeque::new(),
+            masks: Vec::with_capacity(lifetime as usize),
             start: 0,
             per_round,
             lifetime,
+        }
+    }
+
+    /// The window as a read-only [`WindowView`].
+    pub fn view(&self) -> WindowView<'_> {
+        WindowView {
+            masks: &self.masks,
+            start: self.start,
+            per_round: self.per_round,
         }
     }
 
@@ -110,63 +298,18 @@ impl WindowSet {
             round, expected,
             "advance({round}) out of order, expected {expected}"
         );
-        self.masks.push_back(0);
-        if self.masks.len() > self.lifetime as usize {
-            let expired = self.masks.pop_front().expect("non-empty window");
-            let expired_round = self.start;
-            self.start += 1;
-            Some((expired_round, expired))
-        } else {
-            None
-        }
-    }
-
-    /// Fast-forward an *empty*, never-scrolled window to the alignment
-    /// that advancing it through `round` one step at a time would have
-    /// produced: `min(round + 1, lifetime)` all-zero masks ending at
-    /// release round `round`. The lazy-engagement seam of the sharded
-    /// engine — a flash-crowd node's window is not advanced while the
-    /// node waits outside the system (`O(pending)` saved per round),
-    /// then snapped into lockstep the round it arrives. An empty window
-    /// advanced `round + 1` times holds exactly these zero masks, so
-    /// the fast-forward is observationally identical to the dense path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window holds any update or has already expired a
-    /// round (those histories cannot be reproduced by zero-fill), or if
-    /// the fast-forward would rewind the window.
-    pub fn skip_to(&mut self, round: Round) {
-        assert!(
-            self.start == 0 && self.is_empty(),
-            "skip_to requires a fresh, empty window"
-        );
-        let len = (round + 1).min(Round::from(self.lifetime)) as usize;
-        assert!(
-            len >= self.masks.len(),
-            "skip_to({round}) would rewind past {} queued rounds",
-            self.masks.len()
-        );
-        self.masks.clear();
-        self.masks.resize(len, 0);
-        self.start = round + 1 - len as Round;
-    }
-
-    fn mask_index(&self, round: Round) -> Option<usize> {
-        if round < self.start {
+        if self.masks.len() < self.lifetime as usize {
+            self.masks.push(0);
             return None;
         }
-        let idx = (round - self.start) as usize;
-        if idx < self.masks.len() {
-            Some(idx)
-        } else {
-            None
-        }
+        let expired = shift_out(&mut self.masks);
+        self.start += 1;
+        Some((self.start - 1, expired))
     }
 
     /// `true` if `id`'s release round is currently inside the window.
     pub fn is_live(&self, id: UpdateId) -> bool {
-        self.mask_index(id.round).is_some()
+        self.view().is_live(id)
     }
 
     /// Insert a live update; returns `true` if newly inserted, `false` if
@@ -177,7 +320,7 @@ impl WindowSet {
     /// Panics if `id.slot >= per_round`.
     pub fn insert(&mut self, id: UpdateId) -> bool {
         assert!(id.slot < self.per_round, "slot {} out of range", id.slot);
-        let Some(idx) = self.mask_index(id.round) else {
+        let Some(idx) = self.view().mask_index(id.round) else {
             return false;
         };
         let bit = 1u64 << id.slot;
@@ -188,63 +331,35 @@ impl WindowSet {
 
     /// Membership test (expired updates are never contained).
     pub fn contains(&self, id: UpdateId) -> bool {
-        if id.slot >= self.per_round {
-            return false;
-        }
-        self.mask_index(id.round)
-            .is_some_and(|idx| self.masks[idx] & (1 << id.slot) != 0)
+        self.view().contains(id)
     }
 
     /// Raw mask for a release round (`None` if outside the window).
     pub fn mask(&self, round: Round) -> Option<u64> {
-        self.mask_index(round).map(|i| self.masks[i])
+        self.view().mask(round)
     }
 
     /// Number of live updates held.
     pub fn len(&self) -> usize {
-        self.masks.iter().map(|m| m.count_ones() as usize).sum()
+        self.view().len()
     }
 
     /// `true` if no live updates are held.
     pub fn is_empty(&self) -> bool {
-        self.masks.iter().all(|&m| m == 0)
+        self.view().is_empty()
     }
 
-    /// Number of live updates in `other` that `self` lacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the windows are not aligned (different start/shape).
-    pub fn missing_from(&self, other: &WindowSet) -> usize {
-        self.check_aligned(other);
-        self.masks
-            .iter()
-            .zip(&other.masks)
-            .map(|(mine, theirs)| (theirs & !mine).count_ones() as usize)
-            .sum()
+    /// Number of live updates in `other` that `self` lacks
+    /// ([`WindowView::missing_from`]).
+    pub fn missing_from<'b>(&self, other: impl Into<WindowView<'b>>) -> usize {
+        self.view().missing_from(other)
     }
 
-    fn check_aligned(&self, other: &WindowSet) {
-        assert_eq!(self.start, other.start, "windows not aligned (start)");
-        assert_eq!(
-            self.masks.len(),
-            other.masks.len(),
-            "windows not aligned (len)"
-        );
-        assert_eq!(
-            self.per_round, other.per_round,
-            "windows not aligned (batch)"
-        );
-    }
-
-    /// The oldest `limit` updates in `other` that `self` lacks, optionally
-    /// restricted to updates of age `>= min_age` or `<= max_age` (age in
-    /// rounds relative to `now`, where the newest round has age 0).
-    ///
-    /// "Oldest first" models nodes prioritising updates closest to expiry.
-    pub fn wanted_from(
+    /// The oldest `limit` updates in `other` that `self` lacks, in an age
+    /// band ([`WindowView::wanted_from_into`]).
+    pub fn wanted_from<'b>(
         &self,
-        other: &WindowSet,
+        other: impl Into<WindowView<'b>>,
         now: Round,
         limit: usize,
         min_age: u32,
@@ -257,61 +372,41 @@ impl WindowSet {
 
     /// [`WindowSet::wanted_from`] into a caller-owned buffer (cleared
     /// first), so per-round hot loops can reuse one allocation.
-    pub fn wanted_from_into(
+    pub fn wanted_from_into<'b>(
         &self,
-        other: &WindowSet,
+        other: impl Into<WindowView<'b>>,
         now: Round,
         limit: usize,
         min_age: u32,
         max_age: u32,
         out: &mut Vec<UpdateId>,
     ) {
-        self.check_aligned(other);
-        out.clear();
-        'outer: for (i, (mine, theirs)) in self.masks.iter().zip(&other.masks).enumerate() {
-            let round = self.start + i as Round;
-            let age = (now - round) as u32;
-            if age < min_age || age > max_age {
-                continue;
-            }
-            let mut want = theirs & !mine;
-            while want != 0 {
-                if out.len() == limit {
-                    break 'outer;
-                }
-                let slot = want.trailing_zeros();
-                out.push(UpdateId { round, slot });
-                want &= want - 1;
-            }
-        }
+        self.view()
+            .wanted_from_into(other, now, limit, min_age, max_age, out);
     }
 
     /// Count of updates in `other` missing from `self` within an age band.
-    pub fn missing_in_age_band(
+    pub fn missing_in_age_band<'b>(
         &self,
-        other: &WindowSet,
+        other: impl Into<WindowView<'b>>,
         now: Round,
         min_age: u32,
         max_age: u32,
     ) -> usize {
-        self.check_aligned(other);
-        self.masks
-            .iter()
-            .zip(&other.masks)
-            .enumerate()
-            .filter(|(i, _)| {
-                let age = (now - (self.start + *i as Round)) as u32;
-                age >= min_age && age <= max_age
-            })
-            .map(|(_, (mine, theirs))| (theirs & !mine).count_ones() as usize)
-            .sum()
+        self.view()
+            .missing_in_age_band(other, now, min_age, max_age)
     }
 
     /// Union `other` into `self` (used for pooled attacker knowledge and
     /// out-of-band deliveries).
-    pub fn union_with(&mut self, other: &WindowSet) {
-        self.check_aligned(other);
-        for (mine, theirs) in self.masks.iter_mut().zip(&other.masks) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the windows are not aligned.
+    pub fn union_with<'b>(&mut self, other: impl Into<WindowView<'b>>) {
+        let other = other.into();
+        self.view().check_aligned(other);
+        for (mine, theirs) in self.masks.iter_mut().zip(other.masks) {
             *mine |= theirs;
         }
     }
@@ -320,19 +415,191 @@ impl WindowSet {
     /// shape) intact — the scratch-buffer reset for pool windows that are
     /// rebuilt each round.
     pub fn clear(&mut self) {
-        for mask in self.masks.iter_mut() {
-            *mask = 0;
-        }
+        self.masks.fill(0);
     }
 
     /// Iterate over held updates, oldest release round first.
     pub fn iter(&self) -> impl Iterator<Item = UpdateId> + '_ {
-        self.masks.iter().enumerate().flat_map(move |(i, &mask)| {
-            let round = self.start + i as Round;
-            (0..self.per_round)
-                .filter(move |&s| mask & (1 << s) != 0)
-                .map(move |slot| UpdateId { round, slot })
-        })
+        self.view().iter()
+    }
+}
+
+/// Every node's window as one row of a single contiguous array.
+///
+/// Row `i` occupies masks `i·lifetime .. (i+1)·lifetime`; its live masks
+/// are the first `len` of those, oldest first, and every row shares one
+/// alignment (`start`, `len`). A row costs `8 × lifetime` bytes and no
+/// allocation of its own.
+///
+/// Advancing is split in two so a simulator pays per-row work only for
+/// the rows it tracks: [`WindowSlab::advance`] moves the shared
+/// alignment, and when a round expires the caller pops each tracked
+/// row's expired mask with [`WindowSlab::shift`]. A row that was never
+/// written stays all-zero, and an all-zero row is already the empty
+/// window in lockstep — so rows of nodes that have not joined yet need
+/// neither shifting nor any fast-forward when they join.
+///
+/// ```
+/// use bar_gossip::update::{UpdateId, WindowSlab};
+/// let mut slab = WindowSlab::new(3, 4, 2); // 3 rows, 4 updates/round, lifetime 2
+/// assert_eq!(slab.advance(0), None);
+/// slab.insert(0, UpdateId { round: 0, slot: 1 });
+/// assert_eq!(slab.advance(1), None);
+/// slab.insert(2, UpdateId { round: 1, slot: 0 });
+/// assert_eq!(slab.advance(2), Some(0)); // release round 0 expires
+/// assert_eq!(slab.shift(0), 0b10);
+/// assert_eq!(slab.shift(2), 0);
+/// // Row 1 was never written: unshifted, it is still an empty window.
+/// assert!(slab.row(1).is_empty());
+/// assert_eq!(slab.row(2).mask(1), Some(1));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WindowSlab {
+    /// `rows × lifetime` masks, row-major.
+    masks: Vec<u64>,
+    /// Row stride: the window lifetime.
+    lifetime: usize,
+    /// Release round of every row's first live mask.
+    start: Round,
+    /// Live masks per row (`≤ lifetime`).
+    len: usize,
+    per_round: u32,
+}
+
+impl WindowSlab {
+    /// `rows` empty windows for batches of `per_round` updates with the
+    /// given `lifetime`, in one zeroed allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the shapes [`WindowSet::new`] rejects.
+    pub fn new(rows: usize, per_round: u32, lifetime: u32) -> Self {
+        check_shape(per_round, lifetime);
+        WindowSlab {
+            masks: vec![0; rows * lifetime as usize],
+            lifetime: lifetime as usize,
+            start: 0,
+            len: 0,
+            per_round,
+        }
+    }
+
+    /// Row `i` as a read-only [`WindowView`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn row(&self, i: usize) -> WindowView<'_> {
+        let lo = i * self.lifetime;
+        WindowView {
+            masks: &self.masks[lo..lo + self.len],
+            start: self.start,
+            per_round: self.per_round,
+        }
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        let lo = i * self.lifetime;
+        &mut self.masks[lo..lo + self.len]
+    }
+
+    /// Insert a live update into row `i`; returns `true` if newly
+    /// inserted, `false` if already held or expired (ignored).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id.slot >= per_round` or `i` is out of range.
+    pub fn insert(&mut self, i: usize, id: UpdateId) -> bool {
+        assert!(id.slot < self.per_round, "slot {} out of range", id.slot);
+        let Some(idx) = id.round.checked_sub(self.start) else {
+            return false;
+        };
+        if idx >= self.len as Round {
+            return false;
+        }
+        let mask = &mut self.masks[i * self.lifetime + idx as usize];
+        let bit = 1u64 << id.slot;
+        let had = *mask & bit != 0;
+        *mask |= bit;
+        !had
+    }
+
+    /// Union `other` into row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` is not aligned with the slab.
+    pub fn union_with<'b>(&mut self, i: usize, other: impl Into<WindowView<'b>>) {
+        let other = other.into();
+        self.row(i).check_aligned(other);
+        for (mine, theirs) in self.row_mut(i).iter_mut().zip(other.masks) {
+            *mine |= theirs;
+        }
+    }
+
+    /// Set rows `a` and `b` both to their union; returns how many
+    /// updates `a` and `b` each gained, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b` or either is out of range.
+    pub fn sync(&mut self, a: usize, b: usize) -> (usize, usize) {
+        assert_ne!(a, b, "sync needs two distinct rows");
+        let (len, stride) = (self.len, self.lifetime);
+        let (lo, hi) = (a.min(b), a.max(b));
+        let (head, tail) = self.masks.split_at_mut(hi * stride);
+        let (row_lo, row_hi) = (&mut head[lo * stride..lo * stride + len], &mut tail[..len]);
+        let (row_a, row_b) = if a < b {
+            (row_lo, row_hi)
+        } else {
+            (row_hi, row_lo)
+        };
+        let (mut gained_a, mut gained_b) = (0, 0);
+        for (ma, mb) in row_a.iter_mut().zip(row_b.iter_mut()) {
+            gained_a += (*mb & !*ma).count_ones() as usize;
+            gained_b += (*ma & !*mb).count_ones() as usize;
+            *ma |= *mb;
+            *mb = *ma;
+        }
+        (gained_a, gained_b)
+    }
+
+    /// Drop every update row `i` holds (a state-losing crash); the row
+    /// stays aligned.
+    pub fn clear(&mut self, i: usize) {
+        self.row_mut(i).fill(0);
+    }
+
+    /// Open release round `round` for every row. Returns the expired
+    /// release round once the window is full; the caller must then
+    /// [`WindowSlab::shift`] every row it keeps in lockstep before
+    /// reading or writing it. All-zero rows may be skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if rounds are advanced out of order.
+    pub fn advance(&mut self, round: Round) -> Option<Round> {
+        let expected = self.start + self.len as Round;
+        assert_eq!(
+            round, expected,
+            "advance({round}) out of order, expected {expected}"
+        );
+        if self.len < self.lifetime {
+            self.len += 1;
+            return None;
+        }
+        self.start += 1;
+        Some(self.start - 1)
+    }
+
+    /// Pop row `i`'s expired mask after an expiring
+    /// [`WindowSlab::advance`]: one in-row `copy_within`, and the
+    /// newest slot opens empty.
+    pub fn shift(&mut self, i: usize) -> u64 {
+        debug_assert_eq!(self.len, self.lifetime, "shift follows an expiring advance");
+        let lo = i * self.lifetime;
+        shift_out(&mut self.masks[lo..lo + self.lifetime])
     }
 }
 
@@ -357,39 +624,6 @@ mod tests {
         assert!(w.contains(id));
         assert!(!w.contains(UpdateId { round: 0, slot: 8 }));
         assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn skip_to_matches_dense_advancement() {
-        // Both before the first expiry and well after it, a fast-forward
-        // must land on exactly the state a round-at-a-time advance of an
-        // empty window reaches: same alignment, same (zero) masks, and
-        // the next advance behaves identically.
-        for upto in [0, 2, 4, 5, 17] {
-            let dense = window(4, 5, upto);
-            let mut lazy = WindowSet::new(4, 5);
-            lazy.skip_to(upto);
-            assert_eq!(lazy.start(), dense.start(), "start after skip_to({upto})");
-            assert_eq!(lazy.len(), 0);
-            assert_eq!(lazy.missing_from(&dense), 0);
-            let mut d2 = dense.clone();
-            assert_eq!(lazy.advance(upto + 1), d2.advance(upto + 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fresh, empty window")]
-    fn skip_to_rejects_populated_windows() {
-        let mut w = window(4, 5, 1);
-        w.insert(UpdateId { round: 1, slot: 0 });
-        w.skip_to(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "rewind")]
-    fn skip_to_rejects_rewinds() {
-        let mut w = window(4, 8, 3); // empty, start still 0, 4 masks queued
-        w.skip_to(1);
     }
 
     #[test]

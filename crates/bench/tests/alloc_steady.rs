@@ -172,17 +172,17 @@ fn sharded_multi_shard_steady_step_is_alloc_free() {
 
 #[test]
 fn flash_crowd_landing_leaves_steady_steps_alloc_free() {
-    // The crowd lands during warm-up (round 10 < the 30 warm-up steps):
-    // the engage step may allocate then, but every measured step
-    // afterwards — now at full multi-shard occupancy — must be
-    // allocation-free.
+    // The crowd lands at round 35, inside the measured steps (rounds
+    // 30..40): the landing step itself — engaging 2000 nodes and
+    // quintupling the exchange plan — must be allocation-free, as must
+    // every step after it at full multi-shard occupancy.
     assert_steady_steps_alloc_free(
         "bar-gossip",
         "trade",
         &[
             ("nodes", "2500"),
             ("rounds", "60"),
-            ("arrival", "burst:10:2000"),
+            ("arrival", "burst:35:2000"),
         ],
     );
 }
