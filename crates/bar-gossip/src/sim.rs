@@ -452,27 +452,24 @@ impl BarGossipSim {
         for &i in &attacker_picks {
             classes[i] = NodeClass::Attacker;
         }
-        let honest: Vec<usize> = (0..n as usize)
-            .filter(|&i| classes[i] != NodeClass::Attacker)
-            .collect();
-        let satiated_count = (plan.satiated_honest_count(n) as usize).min(honest.len());
+        let (attacker_list, honest_list): (Vec<u32>, Vec<u32>) =
+            (0..n).partition(|&i| classes[i as usize] == NodeClass::Attacker);
+        let satiated_count = (plan.satiated_honest_count(n) as usize).min(honest_list.len());
         for &hi in assign_rng
-            .sample_indices(honest.len(), satiated_count)
+            .sample_indices(honest_list.len(), satiated_count)
             .iter()
         {
-            classes[honest[hi]] = NodeClass::Satiated;
+            classes[honest_list[hi] as usize] = NodeClass::Satiated;
         }
 
         // Obedient reporters among honest nodes (drawn only under the
         // report defense, exactly as before, so rng streams match).
         let mut obedient = BitSet::new(n as usize);
         if let Some(report) = &cfg.defenses.report {
-            let k = ((honest.len() as f64) * report.obedient_fraction).round() as usize;
-            for &hi in assign_rng
-                .sample_indices(honest.len(), k.min(honest.len()))
-                .iter()
-            {
-                obedient.insert(honest[hi]);
+            let honest = honest_list.len();
+            let k = ((honest as f64) * report.obedient_fraction).round() as usize;
+            for &hi in assign_rng.sample_indices(honest, k.min(honest)).iter() {
+                obedient.insert(honest_list[hi] as usize);
             }
         }
 
@@ -480,17 +477,10 @@ impl BarGossipSim {
         let windows = WindowSlab::new(n as usize, per_round, lifetime);
         let mut target = BitSet::new(n as usize);
         let mut class_counts = [0u64; 3];
-        let mut attacker_list = Vec::new();
-        let mut honest_list = Vec::new();
         for (i, &c) in classes.iter().enumerate() {
             class_counts[class_idx(c)] += 1;
             if c == NodeClass::Satiated {
                 target.insert(i);
-            }
-            if c == NodeClass::Attacker {
-                attacker_list.push(i as u32);
-            } else {
-                honest_list.push(i as u32);
             }
         }
 
@@ -540,9 +530,7 @@ impl BarGossipSim {
         // The plan batch and the exchange buffers are reserved to their
         // ceilings (one entry per node; one live window of ids), so even
         // the round a flash crowd lands allocates nothing.
-        let mut plan_batch = ExchangePlan::new();
-        plan_batch.reset(n as usize);
-        plan_batch.clear();
+        let plan_batch = ExchangePlan::with_capacity(n as usize);
         BarGossipSim {
             full: WindowSet::new(per_round, lifetime),
             pool: WindowSet::new(per_round, lifetime),
@@ -638,11 +626,6 @@ impl BarGossipSim {
     /// Whether `node` has been evicted by the report defense.
     pub fn is_evicted(&self, node: NodeId) -> bool {
         self.evicted.contains(node.index())
-    }
-
-    /// Bandwidth meter (units = updates/junk items).
-    pub fn meter(&self) -> &BandwidthMeter {
-        &self.meter
     }
 
     /// The sharded activity index (this round's snapshot).
@@ -1530,10 +1513,12 @@ impl BarGossipSim {
             want_v.clear();
             want_p.clear();
             let start = wv.start();
+            debug_assert!(
+                wv.is_live(UpdateId { round: t, slot: 0 }),
+                "window ends at t"
+            );
             st.stats.bytes_digests += 2 * ID_WIRE_BYTES * (t - start + 1);
-            for r in start..=t {
-                let mv = wv.mask(r).unwrap_or(0);
-                let mp = wp.mask(r).unwrap_or(0);
+            for (r, (mv, mp)) in (start..).zip(wv.masks().zip(wp.masks())) {
                 if region_hash(r, mv) == region_hash(r, mp) {
                     continue;
                 }
@@ -1570,11 +1555,13 @@ impl BarGossipSim {
         self.digest_state = Some(st);
     }
 
-    /// Load `sender`'s window into the round's probe index as its
+    /// Load `sender`'s packed row into the round's probe index as its
     /// advertisement, then fill `want` with the live ids `receiver` is
     /// missing that probe positive, in round/slot order, stopping at
-    /// `limit`. The answers are exactly those of a bloom filter built
-    /// from `sender`'s window; no filter is built.
+    /// `limit`. Both rows use the index's packed ids, so the receiver's
+    /// missing bits are probed as they are walked. The answers are
+    /// exactly those of a bloom filter built from `sender`'s window; no
+    /// filter is built.
     // lint: hot-loop
     fn bloom_wants(
         bloom: &mut BloomIndex,
@@ -1589,20 +1576,17 @@ impl BarGossipSim {
             sender.start() == bloom.first() && receiver.start() == bloom.first(),
             "engaged windows advance in lockstep with the round's index"
         );
-        bloom.advertise((sender.start()..=t).map(|r| sender.mask(r).unwrap_or(0)));
-        let per_round = receiver.per_round();
-        for r in receiver.start()..=t {
-            let held = receiver.mask(r).unwrap_or(0);
-            let mut missing = !held & (u64::MAX >> (64 - per_round));
-            while missing != 0 {
-                let slot = missing.trailing_zeros();
-                missing &= missing - 1;
-                if want.len() >= limit {
-                    return;
-                }
-                if bloom.contains(r, slot) {
-                    want.push(UpdateId { round: r, slot });
-                }
+        debug_assert!(
+            receiver.is_live(UpdateId { round: t, slot: 0 }),
+            "window ends at t"
+        );
+        bloom.advertise(sender.words());
+        for pos in receiver.absent() {
+            if want.len() >= limit {
+                return;
+            }
+            if bloom.contains_id(pos as u32) {
+                want.push(receiver.id_at(pos));
             }
         }
     }

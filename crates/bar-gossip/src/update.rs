@@ -3,20 +3,34 @@
 //! BAR Gossip streams *updates*: each round the broadcaster releases a
 //! batch, and every update must reach a node within `lifetime` rounds of
 //! its release to be useful (frames of a video stream). A node's holdings
-//! are therefore a *sliding window* of per-release-round bitmasks. All
-//! nodes advance their windows in lockstep, so set operations between two
-//! windows zip their masks round by round.
+//! are therefore a *sliding window* over the last `lifetime` release
+//! rounds. All nodes advance their windows in lockstep, so set operations
+//! between two windows zip them word by word.
 //!
-//! Three types share that representation:
+//! Every window is one packed bit row: `lifetime × per_round` contiguous
+//! bits, oldest release round first and slots ascending, so update
+//! `(round, slot)` sits at bit `(round − start)·per_round + slot` of
+//! `ceil(lifetime·per_round / 64)` words. Bits above the live rounds are
+//! always zero. A round's batch may straddle two words; walking the set
+//! bits in order visits updates in (round, slot) order, which is the
+//! order want lists, rng draws and digests consume them in. At Table 1
+//! (10 updates, lifetime 10) a window is 2 words; at 64 updates per
+//! round it is one word per round.
 //!
-//! * [`WindowView`] — a borrowed, read-only window (live masks, oldest
-//!   first). Every read-only window operation is implemented once, here;
+//! Three types share that layout:
+//!
+//! * [`WindowView`] — a borrowed, read-only window (the live words).
+//!   Every read-only window operation is implemented once, here;
 //! * [`WindowSet`] — one owned window (the reference window of every
 //!   release, the attacker pool, test and benchmark windows);
 //! * [`WindowSlab`] — every node's window as one row of a single
 //!   contiguous array, advanced by one shared alignment. A simulator
 //!   holds its population's windows here, so an exchange reads two rows
 //!   of one allocation instead of chasing a heap pointer per node.
+//!
+//! The digest path's probe index
+//! ([`BloomIndex`](lotus_core::digest::BloomIndex)) reads the same packed
+//! words, so an advertisement is a copy of the sender's row.
 
 use netsim::Round;
 
@@ -36,7 +50,8 @@ impl std::fmt::Display for UpdateId {
     }
 }
 
-/// The maximum batch size a window supports (one `u64` mask per round).
+/// The maximum batch size a window supports: a round's batch is read
+/// back as one `u64` mask ([`WindowView::mask`]).
 pub const MAX_UPDATES_PER_ROUND: u32 = 64;
 
 fn check_shape(per_round: u32, lifetime: u32) {
@@ -47,24 +62,103 @@ fn check_shape(per_round: u32, lifetime: u32) {
     assert!(lifetime > 0, "lifetime must be positive");
 }
 
-/// Pop a full window's oldest mask: shift the rest down one slot and
-/// open an empty newest slot.
-fn shift_out(masks: &mut [u64]) -> u64 {
-    let expired = masks[0];
-    masks.copy_within(1.., 0);
-    masks[masks.len() - 1] = 0;
+/// Words holding `rounds` packed batches of `per_round` bits.
+#[inline]
+fn words_for(rounds: u32, per_round: u32) -> usize {
+    (rounds as usize * per_round as usize).div_ceil(64)
+}
+
+/// The low `n` bits (`n` in `1..=64`).
+#[inline]
+fn low_bits(n: u32) -> u64 {
+    u64::MAX >> (64 - n)
+}
+
+/// The bits of word `w` that fall in the bit range `lo..hi` (the word
+/// must overlap the range).
+#[inline]
+fn range_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let base = w * 64;
+    let from = lo.saturating_sub(base);
+    let to = (hi - base).min(64) as u32;
+    low_bits(to) & (u64::MAX << from)
+}
+
+/// Ascending positions of the set bits of `word(w)` within bits `lo..hi`.
+#[inline]
+fn ones(lo: usize, hi: usize, word: impl Fn(usize) -> u64) -> impl Iterator<Item = usize> {
+    let end = if lo < hi { hi.div_ceil(64) } else { 0 };
+    let mut w = lo / 64;
+    let mut cur = if w < end {
+        word(w) & range_mask(w, lo, hi)
+    } else {
+        0
+    };
+    std::iter::from_fn(move || loop {
+        if cur != 0 {
+            let bit = cur.trailing_zeros() as usize;
+            cur &= cur - 1;
+            return Some(w * 64 + bit);
+        }
+        w += 1;
+        if w >= end {
+            return None;
+        }
+        cur = word(w) & range_mask(w, lo, hi);
+    })
+}
+
+/// Number of set bits of `word(w)` within bits `lo..hi`.
+#[inline]
+fn count_ones(lo: usize, hi: usize, word: impl Fn(usize) -> u64) -> usize {
+    if lo >= hi {
+        return 0;
+    }
+    (lo / 64..hi.div_ceil(64))
+        .map(|w| (word(w) & range_mask(w, lo, hi)).count_ones() as usize)
+        .sum()
+}
+
+/// Set bit `pos`; returns `true` if it was clear.
+#[inline]
+fn set_bit(words: &mut [u64], pos: usize) -> bool {
+    let (word, bit) = (&mut words[pos / 64], 1u64 << (pos % 64));
+    let had = *word & bit != 0;
+    *word |= bit;
+    !had
+}
+
+/// Pop a full window's oldest batch: shift the row right by `per_round`
+/// bits, so the newest batch opens empty, and return the popped batch.
+#[inline]
+fn shift_out(words: &mut [u64], per_round: u32) -> u64 {
+    let expired = words[0] & low_bits(per_round);
+    let last = words.len() - 1;
+    if per_round == 64 {
+        words.copy_within(1.., 0);
+        words[last] = 0;
+    } else {
+        let carry = 64 - per_round;
+        for w in 0..last {
+            words[w] = words[w] >> per_round | words[w + 1] << carry;
+        }
+        words[last] >>= per_round;
+    }
     expired
 }
 
-/// A read-only view of one window: its live masks, oldest first, and
-/// the release round of the first.
+/// A read-only view of one window: its live words, the release round of
+/// the oldest live batch and how many rounds are live.
 ///
 /// Binary operations take any `impl Into<WindowView>`, so a
 /// [`WindowSet`] and a [`WindowSlab`] row mix freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowView<'a> {
-    masks: &'a [u64],
+    /// The live bits, `ceil(len·per_round / 64)` words.
+    words: &'a [u64],
     start: Round,
+    /// Live release rounds.
+    len: u32,
     per_round: u32,
 }
 
@@ -75,7 +169,7 @@ impl<'a> From<&'a WindowSet> for WindowView<'a> {
 }
 
 impl<'a> WindowView<'a> {
-    /// Release round of the oldest live mask.
+    /// Release round of the oldest live batch.
     pub fn start(self) -> Round {
         self.start
     }
@@ -85,47 +179,101 @@ impl<'a> WindowView<'a> {
         self.per_round
     }
 
-    fn mask_index(self, round: Round) -> Option<usize> {
+    /// The packed live words: update `(round, slot)` at bit
+    /// `(round − start)·per_round + slot`, every bit above the live
+    /// rounds zero.
+    pub fn words(self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Number of live bits (`live rounds × per_round`).
+    fn bits(self) -> usize {
+        self.len as usize * self.per_round as usize
+    }
+
+    /// The update at packed position `pos`.
+    #[inline]
+    pub fn id_at(self, pos: usize) -> UpdateId {
+        let per_round = self.per_round as usize;
+        UpdateId {
+            round: self.start + (pos / per_round) as Round,
+            slot: (pos % per_round) as u32,
+        }
+    }
+
+    fn offset(self, round: Round) -> Option<usize> {
         let idx = round.checked_sub(self.start)?;
-        (idx < self.masks.len() as Round).then_some(idx as usize)
+        (idx < Round::from(self.len)).then_some(idx as usize)
     }
 
     /// `true` if `id`'s release round is currently inside the window.
     pub fn is_live(self, id: UpdateId) -> bool {
-        self.mask_index(id.round).is_some()
+        self.offset(id.round).is_some()
     }
 
     /// Membership test (expired updates are never contained).
     pub fn contains(self, id: UpdateId) -> bool {
-        id.slot < self.per_round && self.mask(id.round).is_some_and(|m| m & (1 << id.slot) != 0)
+        id.slot < self.per_round
+            && self.offset(id.round).is_some_and(|i| {
+                let pos = i * self.per_round as usize + id.slot as usize;
+                self.words[pos / 64] & (1 << (pos % 64)) != 0
+            })
     }
 
-    /// Raw mask for a release round (`None` if outside the window).
+    /// The batch of live round `i` (0 = oldest) as a slot mask.
+    #[inline]
+    fn batch(self, i: usize) -> u64 {
+        let per_round = self.per_round;
+        let pos = i * per_round as usize;
+        let (w, b) = (pos / 64, (pos % 64) as u32);
+        let mut mask = self.words[w] >> b;
+        if b + per_round > 64 {
+            mask |= self.words[w + 1] << (64 - b);
+        }
+        mask & low_bits(per_round)
+    }
+
+    /// Slot mask of a release round (`None` if outside the window).
     pub fn mask(self, round: Round) -> Option<u64> {
-        self.mask_index(round).map(|i| self.masks[i])
+        self.offset(round).map(|i| self.batch(i))
+    }
+
+    /// Slot mask of every live round, oldest first.
+    pub fn masks(self) -> impl Iterator<Item = u64> + 'a {
+        (0..self.len as usize).map(move |i| self.batch(i))
     }
 
     /// Number of live updates held.
     pub fn len(self) -> usize {
-        self.masks.iter().map(|m| m.count_ones() as usize).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `true` if no live updates are held.
     pub fn is_empty(self) -> bool {
-        self.masks.iter().all(|&m| m == 0)
+        self.words.iter().all(|&w| w == 0)
     }
 
     fn check_aligned(self, other: WindowView<'_>) {
         assert_eq!(self.start, other.start, "windows not aligned (start)");
-        assert_eq!(
-            self.masks.len(),
-            other.masks.len(),
-            "windows not aligned (len)"
-        );
+        assert_eq!(self.len, other.len, "windows not aligned (len)");
         assert_eq!(
             self.per_round, other.per_round,
             "windows not aligned (batch)"
         );
+    }
+
+    /// The bit range of the live rounds whose age relative to `now` (the
+    /// newest round has age 0) lies in `min_age..=max_age`.
+    fn age_band(self, now: Round, min_age: u32, max_age: u32) -> (usize, usize) {
+        let len = Round::from(self.len);
+        let Some(newest) = now.checked_sub(Round::from(min_age)) else {
+            return (0, 0);
+        };
+        let oldest = now.saturating_sub(Round::from(max_age));
+        let lo = oldest.saturating_sub(self.start).min(len);
+        let hi = (newest + 1).saturating_sub(self.start).clamp(lo, len);
+        let per_round = self.per_round as usize;
+        (lo as usize * per_round, hi as usize * per_round)
     }
 
     /// Number of live updates in `other` that `self` lacks.
@@ -136,9 +284,9 @@ impl<'a> WindowView<'a> {
     pub fn missing_from<'b>(self, other: impl Into<WindowView<'b>>) -> usize {
         let other = other.into();
         self.check_aligned(other);
-        self.masks
+        self.words
             .iter()
-            .zip(other.masks)
+            .zip(other.words)
             .map(|(mine, theirs)| (theirs & !mine).count_ones() as usize)
             .sum()
     }
@@ -161,24 +309,9 @@ impl<'a> WindowView<'a> {
         let other = other.into();
         self.check_aligned(other);
         out.clear();
-        let rounds = (self.start..).zip(self.masks.iter().zip(other.masks));
-        'outer: for (round, (mine, theirs)) in rounds {
-            let age = (now - round) as u32;
-            if age < min_age || age > max_age {
-                continue;
-            }
-            let mut want = theirs & !mine;
-            while want != 0 {
-                if out.len() == limit {
-                    break 'outer;
-                }
-                out.push(UpdateId {
-                    round,
-                    slot: want.trailing_zeros(),
-                });
-                want &= want - 1;
-            }
-        }
+        let (lo, hi) = self.age_band(now, min_age, max_age);
+        let want = ones(lo, hi, |w| other.words[w] & !self.words[w]);
+        out.extend(want.take(limit).map(|pos| self.id_at(pos)));
     }
 
     /// Count of updates in `other` missing from `self` within an age band.
@@ -191,33 +324,27 @@ impl<'a> WindowView<'a> {
     ) -> usize {
         let other = other.into();
         self.check_aligned(other);
-        (self.start..)
-            .zip(self.masks.iter().zip(other.masks))
-            .filter(|&(round, _)| {
-                let age = (now - round) as u32;
-                age >= min_age && age <= max_age
-            })
-            .map(|(_, (mine, theirs))| (theirs & !mine).count_ones() as usize)
-            .sum()
+        let (lo, hi) = self.age_band(now, min_age, max_age);
+        count_ones(lo, hi, |w| other.words[w] & !self.words[w])
     }
 
     /// Iterate over held updates, oldest release round first.
     pub fn iter(self) -> impl Iterator<Item = UpdateId> + 'a {
-        let (start, per_round) = (self.start, self.per_round);
-        self.masks.iter().enumerate().flat_map(move |(i, &mask)| {
-            let round = start + i as Round;
-            (0..per_round)
-                .filter(move |&s| mask & (1 << s) != 0)
-                .map(move |slot| UpdateId { round, slot })
-        })
+        ones(0, self.bits(), move |w| self.words[w]).map(move |pos| self.id_at(pos))
+    }
+
+    /// Packed positions of the live updates *not* held, ascending — the
+    /// ids a digest probe asks about ([`WindowView::id_at`] names them).
+    pub fn absent(self) -> impl Iterator<Item = usize> + 'a {
+        ones(0, self.bits(), move |w| !self.words[w])
     }
 }
 
 /// A sliding window of live-update holdings.
 ///
-/// Masks are indexed by release round; the window covers the most recent
-/// `lifetime` release rounds. Updates outside the window have expired and
-/// are dropped.
+/// One packed bit row (see the [module docs](self)); the window covers
+/// the most recent `lifetime` release rounds. Updates outside the window
+/// have expired and are dropped.
 ///
 /// ```
 /// use bar_gossip::update::{UpdateId, WindowSet};
@@ -232,18 +359,20 @@ impl<'a> WindowView<'a> {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowSet {
-    /// Live masks, oldest first; at most `lifetime` of them.
-    masks: Vec<u64>,
-    /// Release round of `masks[0]`.
+    /// `ceil(lifetime·per_round / 64)` packed words, oldest round first.
+    words: Vec<u64>,
+    /// Release round of the oldest live batch.
     start: Round,
+    /// Live release rounds (`≤ lifetime`).
+    len: u32,
     per_round: u32,
     lifetime: u32,
 }
 
 impl WindowSet {
     /// An empty window for batches of `per_round` updates with the given
-    /// `lifetime` in rounds. Its buffer is reserved to `lifetime` masks
-    /// up front, so advancing never reallocates.
+    /// `lifetime` in rounds, in one zeroed allocation, so advancing never
+    /// reallocates.
     ///
     /// # Panics
     ///
@@ -252,8 +381,9 @@ impl WindowSet {
     pub fn new(per_round: u32, lifetime: u32) -> Self {
         check_shape(per_round, lifetime);
         WindowSet {
-            masks: Vec::with_capacity(lifetime as usize),
+            words: vec![0; words_for(lifetime, per_round)],
             start: 0,
+            len: 0,
             per_round,
             lifetime,
         }
@@ -262,8 +392,9 @@ impl WindowSet {
     /// The window as a read-only [`WindowView`].
     pub fn view(&self) -> WindowView<'_> {
         WindowView {
-            masks: &self.masks,
+            words: &self.words[..words_for(self.len, self.per_round)],
             start: self.start,
+            len: self.len,
             per_round: self.per_round,
         }
     }
@@ -278,14 +409,14 @@ impl WindowSet {
         self.lifetime
     }
 
-    /// Release round of the oldest live mask (0 before any advance).
+    /// Release round of the oldest live batch (0 before any advance).
     pub fn start(&self) -> Round {
         self.start
     }
 
     /// Open release round `round` and expire anything older than
-    /// `round - lifetime + 1`. Returns the mask of the expired round, if
-    /// one fell out of the window.
+    /// `round - lifetime + 1`. Returns the slot mask of the expired
+    /// round, if one fell out of the window.
     ///
     /// Rounds must be advanced sequentially starting from 0.
     ///
@@ -293,16 +424,16 @@ impl WindowSet {
     ///
     /// Panics if rounds are advanced out of order.
     pub fn advance(&mut self, round: Round) -> Option<(Round, u64)> {
-        let expected = self.start + self.masks.len() as Round;
+        let expected = self.start + Round::from(self.len);
         assert_eq!(
             round, expected,
             "advance({round}) out of order, expected {expected}"
         );
-        if self.masks.len() < self.lifetime as usize {
-            self.masks.push(0);
+        if self.len < self.lifetime {
+            self.len += 1;
             return None;
         }
-        let expired = shift_out(&mut self.masks);
+        let expired = shift_out(&mut self.words, self.per_round);
         self.start += 1;
         Some((self.start - 1, expired))
     }
@@ -320,13 +451,13 @@ impl WindowSet {
     /// Panics if `id.slot >= per_round`.
     pub fn insert(&mut self, id: UpdateId) -> bool {
         assert!(id.slot < self.per_round, "slot {} out of range", id.slot);
-        let Some(idx) = self.view().mask_index(id.round) else {
+        let Some(i) = self.view().offset(id.round) else {
             return false;
         };
-        let bit = 1u64 << id.slot;
-        let had = self.masks[idx] & bit != 0;
-        self.masks[idx] |= bit;
-        !had
+        set_bit(
+            &mut self.words,
+            i * self.per_round as usize + id.slot as usize,
+        )
     }
 
     /// Membership test (expired updates are never contained).
@@ -334,7 +465,7 @@ impl WindowSet {
         self.view().contains(id)
     }
 
-    /// Raw mask for a release round (`None` if outside the window).
+    /// Slot mask of a release round (`None` if outside the window).
     pub fn mask(&self, round: Round) -> Option<u64> {
         self.view().mask(round)
     }
@@ -406,7 +537,7 @@ impl WindowSet {
     pub fn union_with<'b>(&mut self, other: impl Into<WindowView<'b>>) {
         let other = other.into();
         self.view().check_aligned(other);
-        for (mine, theirs) in self.masks.iter_mut().zip(other.masks) {
+        for (mine, theirs) in self.words.iter_mut().zip(other.words) {
             *mine |= theirs;
         }
     }
@@ -415,7 +546,7 @@ impl WindowSet {
     /// shape) intact — the scratch-buffer reset for pool windows that are
     /// rebuilt each round.
     pub fn clear(&mut self) {
-        self.masks.fill(0);
+        self.words.fill(0);
     }
 
     /// Iterate over held updates, oldest release round first.
@@ -426,15 +557,16 @@ impl WindowSet {
 
 /// Every node's window as one row of a single contiguous array.
 ///
-/// Row `i` occupies masks `i·lifetime .. (i+1)·lifetime`; its live masks
-/// are the first `len` of those, oldest first, and every row shares one
-/// alignment (`start`, `len`). A row costs `8 × lifetime` bytes and no
-/// allocation of its own.
+/// Row `i` occupies words `i·stride .. (i+1)·stride`, where the stride is
+/// `ceil(lifetime·per_round / 64)`: one packed bit row (see the
+/// [module docs](self)). Every row shares one alignment (`start` and the
+/// number of live rounds). A row costs `8 × stride` bytes — 16 B at
+/// Table 1, 8 B at 4 updates × lifetime 4 — and no allocation of its own.
 ///
 /// Advancing is split in two so a simulator pays per-row work only for
 /// the rows it tracks: [`WindowSlab::advance`] moves the shared
 /// alignment, and when a round expires the caller pops each tracked
-/// row's expired mask with [`WindowSlab::shift`]. A row that was never
+/// row's expired batch with [`WindowSlab::shift`]. A row that was never
 /// written stays all-zero, and an all-zero row is already the empty
 /// window in lockstep — so rows of nodes that have not joined yet need
 /// neither shifting nor any fast-forward when they join.
@@ -446,6 +578,7 @@ impl WindowSet {
 /// slab.insert(0, UpdateId { round: 0, slot: 1 });
 /// assert_eq!(slab.advance(1), None);
 /// slab.insert(2, UpdateId { round: 1, slot: 0 });
+/// assert_eq!(slab.row(2).words(), [1 << 4]); // round 1 starts at bit 4
 /// assert_eq!(slab.advance(2), Some(0)); // release round 0 expires
 /// assert_eq!(slab.shift(0), 0b10);
 /// assert_eq!(slab.shift(2), 0);
@@ -455,14 +588,17 @@ impl WindowSet {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowSlab {
-    /// `rows × lifetime` masks, row-major.
-    masks: Vec<u64>,
-    /// Row stride: the window lifetime.
-    lifetime: usize,
-    /// Release round of every row's first live mask.
+    /// `rows × stride` packed words, row-major.
+    words: Vec<u64>,
+    /// Row stride in words: `ceil(lifetime·per_round / 64)`.
+    stride: usize,
+    lifetime: u32,
+    /// Release round of every row's oldest live batch.
     start: Round,
-    /// Live masks per row (`≤ lifetime`).
-    len: usize,
+    /// Live release rounds per row (`≤ lifetime`).
+    len: u32,
+    /// Words holding the live bits: `ceil(len·per_round / 64)`.
+    live: usize,
     per_round: u32,
 }
 
@@ -475,11 +611,14 @@ impl WindowSlab {
     /// Panics on the shapes [`WindowSet::new`] rejects.
     pub fn new(rows: usize, per_round: u32, lifetime: u32) -> Self {
         check_shape(per_round, lifetime);
+        let stride = words_for(lifetime, per_round);
         WindowSlab {
-            masks: vec![0; rows * lifetime as usize],
-            lifetime: lifetime as usize,
+            words: vec![0; rows * stride],
+            stride,
+            lifetime,
             start: 0,
             len: 0,
+            live: 0,
             per_round,
         }
     }
@@ -491,17 +630,18 @@ impl WindowSlab {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn row(&self, i: usize) -> WindowView<'_> {
-        let lo = i * self.lifetime;
+        let lo = i * self.stride;
         WindowView {
-            masks: &self.masks[lo..lo + self.len],
+            words: &self.words[lo..lo + self.live],
             start: self.start,
+            len: self.len,
             per_round: self.per_round,
         }
     }
 
     fn row_mut(&mut self, i: usize) -> &mut [u64] {
-        let lo = i * self.lifetime;
-        &mut self.masks[lo..lo + self.len]
+        let lo = i * self.stride;
+        &mut self.words[lo..lo + self.live]
     }
 
     /// Insert a live update into row `i`; returns `true` if newly
@@ -512,17 +652,11 @@ impl WindowSlab {
     /// Panics if `id.slot >= per_round` or `i` is out of range.
     pub fn insert(&mut self, i: usize, id: UpdateId) -> bool {
         assert!(id.slot < self.per_round, "slot {} out of range", id.slot);
-        let Some(idx) = id.round.checked_sub(self.start) else {
+        let Some(offset) = self.row(i).offset(id.round) else {
             return false;
         };
-        if idx >= self.len as Round {
-            return false;
-        }
-        let mask = &mut self.masks[i * self.lifetime + idx as usize];
-        let bit = 1u64 << id.slot;
-        let had = *mask & bit != 0;
-        *mask |= bit;
-        !had
+        let pos = offset * self.per_round as usize + id.slot as usize;
+        set_bit(self.row_mut(i), pos)
     }
 
     /// Union `other` into row `i`.
@@ -533,7 +667,7 @@ impl WindowSlab {
     pub fn union_with<'b>(&mut self, i: usize, other: impl Into<WindowView<'b>>) {
         let other = other.into();
         self.row(i).check_aligned(other);
-        for (mine, theirs) in self.row_mut(i).iter_mut().zip(other.masks) {
+        for (mine, theirs) in self.row_mut(i).iter_mut().zip(other.words) {
             *mine |= theirs;
         }
     }
@@ -546,21 +680,24 @@ impl WindowSlab {
     /// Panics if `a == b` or either is out of range.
     pub fn sync(&mut self, a: usize, b: usize) -> (usize, usize) {
         assert_ne!(a, b, "sync needs two distinct rows");
-        let (len, stride) = (self.len, self.lifetime);
+        let (live, stride) = (self.live, self.stride);
         let (lo, hi) = (a.min(b), a.max(b));
-        let (head, tail) = self.masks.split_at_mut(hi * stride);
-        let (row_lo, row_hi) = (&mut head[lo * stride..lo * stride + len], &mut tail[..len]);
+        let (head, tail) = self.words.split_at_mut(hi * stride);
+        let (row_lo, row_hi) = (
+            &mut head[lo * stride..lo * stride + live],
+            &mut tail[..live],
+        );
         let (row_a, row_b) = if a < b {
             (row_lo, row_hi)
         } else {
             (row_hi, row_lo)
         };
         let (mut gained_a, mut gained_b) = (0, 0);
-        for (ma, mb) in row_a.iter_mut().zip(row_b.iter_mut()) {
-            gained_a += (*mb & !*ma).count_ones() as usize;
-            gained_b += (*ma & !*mb).count_ones() as usize;
-            *ma |= *mb;
-            *mb = *ma;
+        for (wa, wb) in row_a.iter_mut().zip(row_b.iter_mut()) {
+            gained_a += (*wb & !*wa).count_ones() as usize;
+            gained_b += (*wa & !*wb).count_ones() as usize;
+            *wa |= *wb;
+            *wb = *wa;
         }
         (gained_a, gained_b)
     }
@@ -580,26 +717,28 @@ impl WindowSlab {
     ///
     /// Panics if rounds are advanced out of order.
     pub fn advance(&mut self, round: Round) -> Option<Round> {
-        let expected = self.start + self.len as Round;
+        let expected = self.start + Round::from(self.len);
         assert_eq!(
             round, expected,
             "advance({round}) out of order, expected {expected}"
         );
         if self.len < self.lifetime {
             self.len += 1;
+            self.live = words_for(self.len, self.per_round);
             return None;
         }
         self.start += 1;
         Some(self.start - 1)
     }
 
-    /// Pop row `i`'s expired mask after an expiring
-    /// [`WindowSlab::advance`]: one in-row `copy_within`, and the
-    /// newest slot opens empty.
+    /// Pop row `i`'s expired batch after an expiring
+    /// [`WindowSlab::advance`]: the row shifts right by `per_round`
+    /// bits, and the newest batch opens empty.
+    #[inline]
     pub fn shift(&mut self, i: usize) -> u64 {
         debug_assert_eq!(self.len, self.lifetime, "shift follows an expiring advance");
-        let lo = i * self.lifetime;
-        shift_out(&mut self.masks[lo..lo + self.lifetime])
+        let lo = i * self.stride;
+        shift_out(&mut self.words[lo..lo + self.stride], self.per_round)
     }
 }
 
@@ -776,6 +915,34 @@ mod tests {
                 UpdateId { round: 2, slot: 0 },
             ]
         );
+    }
+
+    #[test]
+    fn packed_layout_is_pinned() {
+        // 10 updates × lifetime 7 = 70 bits in 2 words; round 6's batch
+        // occupies bits 60..70 and straddles the word boundary.
+        let mut w = window(10, 7, 6);
+        for (round, slot) in [(0, 0), (1, 9), (6, 3), (6, 4)] {
+            w.insert(UpdateId { round, slot });
+        }
+        assert_eq!(w.view().words(), [1 | 1 << 19 | 1 << 63, 1]);
+        assert_eq!(w.mask(6), Some(0b11000));
+        assert_eq!(
+            w.view().masks().collect::<Vec<_>>(),
+            [1, 1 << 9, 0, 0, 0, 0, 0b11000]
+        );
+        // Expiry shifts the row down by one batch.
+        assert_eq!(w.advance(7), Some((0, 1)));
+        assert_eq!(w.view().words(), [1 << 9 | 1 << 53 | 1 << 54, 0]);
+        assert_eq!(w.view().id_at(54), UpdateId { round: 6, slot: 4 });
+        // A short window exposes only its live words.
+        assert_eq!(window(10, 7, 5).view().words().len(), 1);
+        // A full 64-slot batch is one word per round.
+        let mut full = window(64, 2, 1);
+        full.insert(UpdateId { round: 1, slot: 63 });
+        assert_eq!(full.view().words(), [0, 1 << 63]);
+        assert_eq!(full.advance(2), Some((0, 0)));
+        assert_eq!(full.view().words(), [1 << 63, 0]);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   ([`BloomDigest::expected_fp_rate`]). False positives read as
 //!   *advertised-but-undelivered* on the wire, which is what gives a
 //!   low-rate poisoner plausible deniability. [`BloomIndex`] answers
-//!   the same membership questions for a filter built from a window of
-//!   per-round masks without building it: one index per round serves
-//!   every advertisement of that round.
+//!   the same membership questions for a filter built from a packed
+//!   window row without building it: one index per round serves every
+//!   advertisement of that round.
 //! * [`region_hash`] — an exact order-free hash of one region's
 //!   membership mask. Peers compare per-region hashes and exchange the
 //!   raw masks only for regions that differ: zero false positives, so
@@ -166,19 +166,22 @@ impl BloomDigest {
     }
 }
 
-/// The answers of a [`BloomDigest`] built from a window of per-round
-/// slot masks, without building the filter.
+/// The answers of a [`BloomDigest`] built from a packed window row,
+/// without building the filter.
 ///
 /// A digest-first gossip round advertises one filter per exchange leg,
 /// each over the sender's holdings in the same live window: release
-/// rounds `first..=last`, slots `0..per_round`. Every such filter is a
+/// rounds `first..=last`, slots `0..per_round`. The sender's holdings
+/// arrive as the window's packed bit row, where the id at round offset
+/// `o` and slot `s` is bit `o·per_round + s` — its *packed id* (the
+/// layout of `bar_gossip::update`). Every such filter is a
 /// function of which live ids the sender holds, and a filter built from
 /// a set `S` has bit `b` set exactly when some id of `S` probes `b`. So
 /// an id `x` tests positive exactly when, for each of its probes, some
 /// id of `S` shares that probe's bit. [`BloomIndex::rebuild`] computes
 /// once per round, for every live id and probe, the run of live ids
 /// sharing that bit; [`BloomIndex::contains`] then scans those runs
-/// against the sender's masks. No filter is cleared or filled and no
+/// against the sender's row. No filter is cleared or filled and no
 /// key is hashed per advertisement, and the cost per probed id does not
 /// depend on the filter width.
 ///
@@ -186,10 +189,15 @@ impl BloomDigest {
 /// use lotus_core::digest::{pack_id, BloomDigest, BloomIndex};
 /// let mut index = BloomIndex::new(256, 3, 8, 4);
 /// index.rebuild(5, 7); // live release rounds 5, 6, 7
-/// let sender = [0b1010, 0, 0b1];
-/// index.advertise(sender);
+/// // Pack the sender's ids into its row: bit (round − 5)·8 + slot.
+/// let pack = |ids: &[(u64, u32)]| {
+///     ids.iter()
+///         .fold(0u64, |row, &(r, slot)| row | 1 << ((r - 5) * 8 + u64::from(slot)))
+/// };
+/// let held = [(5, 1), (5, 3), (7, 0)];
+/// index.advertise(&[pack(&held)]);
 /// let mut filter = BloomDigest::new(256, 3);
-/// for (r, slot) in [(5, 1), (5, 3), (7, 0)] {
+/// for (r, slot) in held {
 ///     filter.insert(pack_id(r, slot));
 /// }
 /// for r in 5..=7 {
@@ -205,7 +213,7 @@ pub struct BloomIndex {
     per_round: u32,
     /// Oldest live release round.
     first: Round,
-    /// Sender's slot mask per live round, oldest first.
+    /// Sender's packed row: bit `id` set when it holds packed id `id`.
     held: Vec<u64>,
     /// Rebuild scratch: `bit << 32 | pair` per (live id, probe) pair,
     /// where `pair = id * hashes + probe` and `id = round offset *
@@ -213,8 +221,8 @@ pub struct BloomIndex {
     keys: Vec<u64>,
     /// Per pair, the `[lo, hi)` range of `members` sharing its bit.
     runs: Vec<(u32, u32)>,
-    /// Live ids in bit order as `round offset << 6 | slot`, so a
-    /// membership test is one shift into `held`.
+    /// Live packed ids in bit order, so a membership test is one bit
+    /// test on `held`.
     members: Vec<u32>,
 }
 
@@ -238,7 +246,7 @@ impl BloomIndex {
             hashes,
             per_round,
             first: 0,
-            held: Vec::with_capacity(lifetime as usize),
+            held: Vec::with_capacity((per_round * lifetime).div_ceil(64) as usize),
             keys: vec![0; pairs],
             runs: vec![(0, 0); pairs],
             members: vec![0; pairs],
@@ -294,45 +302,50 @@ impl BloomIndex {
                     .count();
             for (&key, member) in keys[lo..hi].iter().zip(&mut self.members[lo..hi]) {
                 let pair = (key & u64::from(u32::MAX)) as usize;
-                let id = pair / k;
-                let offset = id / self.per_round as usize;
-                let slot = id % self.per_round as usize;
                 self.runs[pair] = (lo as u32, hi as u32);
-                *member = (offset << 6 | slot) as u32;
+                *member = (pair / k) as u32;
             }
             lo = hi;
         }
     }
 
-    /// Load the sender's holdings: one slot mask per live round, oldest
-    /// first (missing trailing rounds read as empty).
+    /// Load the sender's holdings: its packed row, bit `(round −
+    /// first)·per_round + slot` per held id (missing trailing words read
+    /// as empty).
     // lint: hot-loop
-    pub fn advertise(&mut self, masks: impl IntoIterator<Item = u64>) {
+    pub fn advertise(&mut self, row: &[u64]) {
         self.held.clear();
-        self.held.extend(masks);
+        self.held.extend_from_slice(row);
     }
 
     /// Whether a [`BloomDigest`] of this width and probe count, filled
-    /// with every id the advertised masks hold, would report
+    /// with every id the advertised row holds, would report
     /// [`pack_id`]`(round, slot)` present. `round` must be live in the
     /// last rebuild and `slot < per_round`.
-    // lint: hot-loop
     #[inline]
     pub fn contains(&self, round: Round, slot: u32) -> bool {
         debug_assert!(slot < self.per_round, "slot {slot} outside the batch");
-        let held = |code: u32| {
+        self.contains_id((round - self.first) as u32 * self.per_round + slot)
+    }
+
+    /// [`BloomIndex::contains`] by packed id, the id's bit in the
+    /// advertised row: `(round − first)·per_round + slot`. `id` must be
+    /// live in the last rebuild.
+    // lint: hot-loop
+    #[inline]
+    pub fn contains_id(&self, id: u32) -> bool {
+        let held = |id: u32| {
             self.held
-                .get((code >> 6) as usize)
-                .is_some_and(|mask| mask & (1u64 << (code & 63)) != 0)
+                .get((id / 64) as usize)
+                .is_some_and(|word| word & (1u64 << (id % 64)) != 0)
         };
-        let offset = (round - self.first) as u32;
         // A held id lies in each of its own runs; answering it here
         // skips the scans in the common true-positive case.
-        if held(offset << 6 | slot) {
+        if held(id) {
             return true;
         }
         let k = self.hashes as usize;
-        let pair = (offset * self.per_round + slot) as usize * k;
+        let pair = id as usize * k;
         self.runs[pair..pair + k].iter().all(|&(lo, hi)| {
             self.members[lo as usize..hi as usize]
                 .iter()

@@ -23,6 +23,20 @@
 use lotus_core::digest::{pack_id, region_hash, BloomDigest, BloomIndex};
 use lotus_core::proptest_lite::{check, Draw};
 
+/// Pack per-round slot masks (oldest first) into one window row: slot
+/// `s` of the `o`-th round at bit `o·per_round + s`.
+fn pack_row(masks: &[u64], per_round: u32) -> Vec<u64> {
+    let per_round = per_round as usize;
+    let mut row = vec![0u64; (masks.len() * per_round).div_ceil(64)];
+    for (o, &mask) in masks.iter().enumerate() {
+        for slot in (0..per_round).filter(|&s| mask & 1 << s != 0) {
+            let pos = o * per_round + slot;
+            row[pos / 64] |= 1 << (pos % 64);
+        }
+    }
+    row
+}
+
 /// Draw a digest configuration plus a key load.
 fn draw_config(d: &mut Draw) -> (u32, u32, u64, usize) {
     let bits = d.int("bits", 64, 4096) as u32;
@@ -157,10 +171,14 @@ fn bloom_index_answers_like_a_freshly_built_filter() {
                         filter.insert(pack_id(r, slot));
                     }
                 }
-                index.advertise(masks.iter().copied());
+                index.advertise(&pack_row(&masks, per_round));
                 for r in first..=last {
                     for slot in 0..per_round {
                         let want = filter.contains(pack_id(r, slot));
+                        let id = (r - first) as u32 * per_round + slot;
+                        if index.contains_id(id) != index.contains(r, slot) {
+                            return Err(format!("contains_id({id}) disagrees with contains"));
+                        }
                         if index.contains(r, slot) != want {
                             return Err(format!(
                                 "sender {sender}: id ({r}, {slot}) index says {}, filter {want} \

@@ -31,7 +31,8 @@ impl MsgClass {
     }
 }
 
-/// Upload/download meter over `n` nodes.
+/// Upload meter over `n` nodes: every transfer is charged to its
+/// sender, by message class.
 ///
 /// ```
 /// use netsim::bandwidth::{BandwidthMeter, MsgClass};
@@ -40,12 +41,11 @@ impl MsgClass {
 /// let mut m = BandwidthMeter::new(2);
 /// m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 3);
 /// assert_eq!(m.uploaded(NodeId(0)), 3);
-/// assert_eq!(m.downloaded(NodeId(1)), 3);
+/// assert_eq!(m.uploaded(NodeId(1)), 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandwidthMeter {
     up: Vec<[u64; 3]>,
-    down: Vec<[u64; 3]>,
 }
 
 impl BandwidthMeter {
@@ -53,14 +53,12 @@ impl BandwidthMeter {
     pub fn new(n: u32) -> Self {
         BandwidthMeter {
             up: vec![[0; 3]; n as usize],
-            down: vec![[0; 3]; n as usize],
         }
     }
 
-    /// Record `units` of traffic from `src` to `dst`.
-    pub fn transfer(&mut self, src: NodeId, dst: NodeId, class: MsgClass, units: u64) {
+    /// Record `units` of traffic from `src` to `dst` (charged to `src`).
+    pub fn transfer(&mut self, src: NodeId, _dst: NodeId, class: MsgClass, units: u64) {
         self.up[src.index()][class.idx()] += units;
-        self.down[dst.index()][class.idx()] += units;
     }
 
     /// Total units uploaded by `node` across all classes.
@@ -68,19 +66,9 @@ impl BandwidthMeter {
         self.up[node.index()].iter().sum()
     }
 
-    /// Total units downloaded by `node` across all classes.
-    pub fn downloaded(&self, node: NodeId) -> u64 {
-        self.down[node.index()].iter().sum()
-    }
-
     /// Units uploaded by `node` in one class.
     pub fn uploaded_class(&self, node: NodeId, class: MsgClass) -> u64 {
         self.up[node.index()][class.idx()]
-    }
-
-    /// Units downloaded by `node` in one class.
-    pub fn downloaded_class(&self, node: NodeId, class: MsgClass) -> u64 {
-        self.down[node.index()][class.idx()]
     }
 
     /// System-wide uploads in one class.
@@ -120,9 +108,7 @@ impl BandwidthMeter {
 
     /// Reset all counters (e.g. at the end of a warm-up phase).
     pub fn reset(&mut self) {
-        for row in self.up.iter_mut().chain(self.down.iter_mut()) {
-            *row = [0; 3];
-        }
+        self.up.fill([0; 3]);
     }
 }
 
@@ -138,19 +124,17 @@ mod tests {
         m.transfer(NodeId(1), NodeId(0), MsgClass::Payload, 1);
 
         assert_eq!(m.uploaded(NodeId(0)), 7);
-        assert_eq!(m.downloaded(NodeId(0)), 1);
         assert_eq!(m.uploaded_class(NodeId(0), MsgClass::Junk), 2);
-        assert_eq!(m.downloaded_class(NodeId(2), MsgClass::Junk), 2);
+        assert_eq!(m.uploaded(NodeId(2)), 0);
     }
 
     #[test]
-    fn uploads_equal_downloads_globally() {
+    fn uploads_sum_to_the_system_total() {
         let mut m = BandwidthMeter::new(4);
         m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 5);
         m.transfer(NodeId(2), NodeId(3), MsgClass::Control, 4);
         let up: u64 = (0..4).map(|i| m.uploaded(NodeId(i))).sum();
-        let down: u64 = (0..4).map(|i| m.downloaded(NodeId(i))).sum();
-        assert_eq!(up, down);
+        assert_eq!(up, 9);
         assert_eq!(m.total(), 9);
     }
 

@@ -192,6 +192,14 @@ impl ExchangePlan {
         ExchangePlan::default()
     }
 
+    /// An empty plan reserved for `count` pairs, so filling up to that
+    /// many never reallocates. Nothing is written until a fill.
+    pub fn with_capacity(count: usize) -> Self {
+        ExchangePlan {
+            entries: Vec::with_capacity(count),
+        }
+    }
+
     /// Number of planned pairs.
     pub fn len(&self) -> usize {
         self.entries.len()
