@@ -215,3 +215,29 @@ fn bittorrent_steady_step_is_alloc_free() {
     // the measured window.
     assert_steady_steps_alloc_free("bittorrent", "satiate", &[("pieces", "128")]);
 }
+
+#[test]
+fn economy_weather_steady_steps_are_alloc_free() {
+    // The exact weather the economy-weather benchmark runs: a two-cohort
+    // churn profile, loss plus crash/recover faults and a periodic attack
+    // schedule (on for rounds 0..20 of every 40, so the warm-up crosses
+    // the switch-off and the measured steps run with the attack off).
+    let [churn, faults, schedule] = [
+        ("churn_profile", "0.7:0.01:0.2/0.3:0.1:0.5"),
+        ("faults", "loss:0.05/crash:0.01:0.2"),
+        ("schedule", "periodic:40:20"),
+    ];
+    let weather = [churn, faults, schedule];
+    assert_steady_steps_alloc_free("scrip", "lotus-eater", &weather);
+    assert_steady_steps_alloc_free(
+        "scrip-gossip",
+        "trade",
+        &[churn, faults, schedule, ("rounds", "60")],
+    );
+    assert_steady_steps_alloc_free(
+        "bittorrent",
+        "satiate",
+        &[churn, faults, schedule, ("pieces", "128")],
+    );
+    assert_steady_steps_alloc_free("token", "random-fraction", &weather);
+}

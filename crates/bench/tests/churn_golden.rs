@@ -356,3 +356,38 @@ fn flash_crowd_reports_match_pinned_fixtures() {
         );
     }
 }
+
+/// A three-cohort profile whose cohorts take every branch of the churn
+/// draw: one never leaves (leave rate 0, no draw), one always leaves
+/// (leave rate 1, no draw) and one always returns (rejoin rate 1, no
+/// draw), next to cohorts that do draw.
+const EDGE_RATE_PROFILE: &str = "0.4:0:0.5/0.3:1:0.4/0.3:0.2:1";
+
+/// One pinned report per scheduled substrate under [`EDGE_RATE_PROFILE`],
+/// in [`GOLDENS`] order.
+const EDGE_RATE_JSON: &[&str] = &[
+    r#"{"scenario":"bar-gossip","rounds":25,"overall_delivery":0.8057142857142857,"targeted_service":0.895,"usable":false,"attacker_coverage":0.725,"evicted_fraction":0,"evictions":0,"isolated_delivery":0.6866666666666666,"junk_fraction":0.031627576403695803,"mean_attacker_upload":76.93333333333334,"mean_honest_upload":47.42857142857143,"min_node_delivery":0.075,"nodes_ever_unusable":0.42857142857142855,"satiated_delivery":0.895,"unusable_node_rounds":0.2742857142857143}"#,
+    r#"{"scenario":"bar-gossip","rounds":25,"overall_delivery":0.8185714285714286,"targeted_service":0.95375,"usable":false,"attacker_coverage":0.775,"evicted_fraction":0,"evictions":0,"isolated_delivery":0.6383333333333333,"junk_fraction":0.03334740396791895,"mean_attacker_upload":98.6,"mean_honest_upload":25.428571428571427,"min_node_delivery":0,"nodes_ever_unusable":0.6285714285714286,"satiated_delivery":0.95375,"unusable_node_rounds":0.2914285714285714}"#,
+    r#"{"scenario":"scrip","rounds":700,"overall_delivery":0.3146853146853147,"targeted_service":0.97125,"usable":false,"attacker_money":33,"fail_broke_rate":0.6853146853146853,"fail_no_volunteer_rate":0,"free_rate":0,"gini":0.7058510638297872,"mean_satiated_fraction":0.2913750000000021,"mean_threshold":4,"paid_rate":0.3146853146853147,"service_rate":0.3146853146853147,"special_service_rate":1,"target_satiation":0.97125,"total_money":80}"#,
+    r#"{"scenario":"bittorrent","rounds":57,"overall_delivery":1,"targeted_service":1,"usable":true,"attacker_upload":84,"duplicates":109,"honest_upload":265,"mean_completion":12.333333333333334,"mean_completion_nontargeted":14.8,"mean_completion_targeted":7.4,"p95_completion_nontargeted":48.79999999999998}"#,
+    r#"{"scenario":"token","rounds":50,"overall_delivery":0.980392156862745,"targeted_service":1,"usable":true,"all_satiated_at":-1,"attacked_nodes":7,"final_satiated_fraction":0.9166666666666666,"mean_coverage":0.9861111111111112,"min_coverage":0.8333333333333334,"token0_reach":1,"untouched_mean_coverage":0.980392156862745,"untouched_satisfied":0.8823529411764706}"#,
+    r#"{"scenario":"scrip-gossip","rounds":25,"overall_delivery":0.9242857142857143,"targeted_service":0.97125,"usable":false,"broke_rate":0.14138438880706922,"isolated_delivery":0.8616666666666667,"refusal_rate":0.045655375552282766,"satiated_delivery":0.97125,"total_money":2000}"#,
+];
+
+#[test]
+fn multi_class_profile_with_rate_0_and_rate_1_cohorts_is_pinned() {
+    // Replay alone cannot catch a change to which nodes draw, or in what
+    // order: a changed draw sequence replays just as deterministically.
+    assert_eq!(GOLDENS.len(), EDGE_RATE_JSON.len());
+    for (g, expected) in GOLDENS.iter().zip(EDGE_RATE_JSON) {
+        let report = run_case(g, &[("churn_profile", EDGE_RATE_PROFILE.to_string())]);
+        assert_eq!(
+            report.to_json(),
+            *expected,
+            "{} / {} / seed {}: churn_profile={EDGE_RATE_PROFILE} drifted from its fixture",
+            g.scenario,
+            g.attack,
+            g.seed
+        );
+    }
+}

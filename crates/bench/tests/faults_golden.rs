@@ -220,3 +220,90 @@ fn faulted_sweeps_are_bit_identical_across_worker_counts() {
         "faulted sweep must fold bit-identically for any worker count"
     );
 }
+
+/// The crash/recover and partition fixtures: every scheduled substrate
+/// at a node count above one 64-node word and not a multiple of 64, so
+/// the crash and cell draws cross word boundaries and end on a partial
+/// word.
+const CRASH_PARTITION_GOLDENS: &[Golden] = &[
+    Golden {
+        scenario: "bar-gossip",
+        attack: "trade",
+        seed: 3,
+        params: &[
+            ("copies_seeded", "5"),
+            ("nodes", "100"),
+            ("rounds", "10"),
+            ("updates_per_round", "4"),
+            ("warmup_rounds", "5"),
+            ("faults", "crash:0.05:0.3/partition:3:10:0.4"),
+        ],
+        json: r#"{"scenario":"bar-gossip","rounds":25,"overall_delivery":0.6503571428571429,"targeted_service":0.79375,"usable":false,"attacker_coverage":0.875,"evicted_fraction":0,"evictions":0,"faults_crashes":108,"faults_delayed":0,"faults_dropped":0,"faults_duplicated":0,"faults_partition_blocked":663,"isolated_delivery":0.45916666666666667,"junk_fraction":0.0274250202647933,"mean_attacker_upload":146.73333333333332,"mean_honest_upload":42.857142857142854,"min_node_delivery":0,"nodes_ever_unusable":0.8285714285714286,"satiated_delivery":0.79375,"unusable_node_rounds":0.4442857142857143}"#,
+    },
+    Golden {
+        scenario: "scrip",
+        attack: "lotus-eater",
+        seed: 3,
+        params: &[
+            ("agents", "130"),
+            ("rounds", "600"),
+            ("warmup", "100"),
+            ("faults", "crash:0.02:0.3/partition:150:300:0.35"),
+        ],
+        json: r#"{"scenario":"scrip","rounds":700,"overall_delivery":0.3023255813953488,"targeted_service":0.9923504273504273,"usable":false,"attacker_money":105,"fail_broke_rate":0.6976744186046512,"fail_faulted_rate":0,"fail_no_volunteer_rate":0,"faults_crashes":1745,"faults_delayed":0,"faults_dropped":0,"faults_duplicated":0,"faults_partition_blocked":15941,"free_rate":0,"gini":0.7018858560794045,"mean_satiated_fraction":0.29770512820512995,"mean_threshold":4,"paid_rate":0.3023255813953488,"service_rate":0.3023255813953488,"special_service_rate":1,"target_satiation":0.9923504273504273,"total_money":260}"#,
+    },
+    Golden {
+        scenario: "bittorrent",
+        attack: "satiate",
+        seed: 3,
+        params: &[
+            ("leechers", "70"),
+            ("pieces", "16"),
+            ("faults", "crash:0.05:0.3/partition:2:6:0.4"),
+        ],
+        json: r#"{"scenario":"bittorrent","rounds":64,"overall_delivery":1,"targeted_service":1,"usable":true,"attacker_upload":319,"duplicates":645,"faults_crashes":204,"faults_delayed":0,"faults_dropped":0,"faults_duplicated":0,"faults_partition_blocked":541,"honest_upload":1594,"mean_completion":11.357142857142858,"mean_completion_nontargeted":12.122448979591837,"mean_completion_targeted":9.571428571428571,"p95_completion_nontargeted":25.599999999999937}"#,
+    },
+    Golden {
+        scenario: "token",
+        attack: "random-fraction",
+        seed: 3,
+        params: &[
+            ("nodes", "70"),
+            ("rounds", "50"),
+            ("faults", "crash:0.05:0.3/partition:5:20:0.4"),
+        ],
+        json: r#"{"scenario":"token","rounds":50,"overall_delivery":0.7738095238095237,"targeted_service":1,"usable":false,"all_satiated_at":-1,"attacked_nodes":21,"faults_crashes":136,"faults_delayed":0,"faults_dropped":0,"faults_duplicated":0,"faults_partition_blocked":206,"final_satiated_fraction":0.5142857142857142,"mean_coverage":0.8416666666666665,"min_coverage":0,"token0_reach":0.8714285714285714,"untouched_mean_coverage":0.7738095238095237,"untouched_satisfied":0.30612244897959184}"#,
+    },
+    Golden {
+        scenario: "scrip-gossip",
+        attack: "trade",
+        seed: 3,
+        params: &[
+            ("copies_seeded", "5"),
+            ("nodes", "100"),
+            ("rounds", "10"),
+            ("updates_per_round", "4"),
+            ("warmup_rounds", "5"),
+            ("faults", "crash:0.05:0.3/partition:3:10:0.4"),
+        ],
+        json: r#"{"scenario":"scrip-gossip","rounds":25,"overall_delivery":0.7864285714285715,"targeted_service":0.790625,"usable":false,"broke_rate":0.1763054463784391,"faults_crashes":102,"faults_delayed":0,"faults_dropped":0,"faults_duplicated":0,"faults_partition_blocked":671,"isolated_delivery":0.7808333333333334,"refusal_rate":0.04997192588433464,"satiated_delivery":0.790625,"total_money":4000}"#,
+    },
+];
+
+#[test]
+fn crash_and_partition_reports_are_pinned() {
+    // The loss fixtures above pin the message-fate stream; these pin the
+    // crash/recover and partition-cell streams, which only replay tests
+    // covered before.
+    for g in CRASH_PARTITION_GOLDENS {
+        let report = run_case(g, &[]);
+        assert_eq!(
+            report.to_json(),
+            g.json,
+            "{} / {} / seed {}: crash/partition report drifted from its fixture",
+            g.scenario,
+            g.attack,
+            g.seed
+        );
+    }
+}
