@@ -69,11 +69,8 @@ impl BitSet {
     }
 
     fn trim(&mut self) {
-        let extra = self.words.len() * 64 - self.universe;
-        if extra > 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= u64::MAX >> extra;
-            }
+        if let Some(last) = self.words.len().checked_sub(1) {
+            self.words[last] &= self.word_span(last);
         }
     }
 
@@ -209,6 +206,30 @@ impl BitSet {
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Overwrite backing word `w` (elements `64·w .. 64·w + 64`) — the
+    /// write half of [`BitSet::words`], for consumers that compute a set
+    /// 64 elements at a time. Bits at or above the universe are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is not a word of the set.
+    #[inline]
+    pub fn set_word(&mut self, w: usize, bits: u64) {
+        self.words[w] = bits & self.word_span(w);
+    }
+
+    /// The in-universe bits of word `w`: all ones except in a partial
+    /// last word.
+    #[inline]
+    pub(crate) fn word_span(&self, w: usize) -> u64 {
+        let below = self.universe - w * 64;
+        if below >= 64 {
+            u64::MAX
+        } else {
+            (1 << below) - 1
+        }
     }
 
     /// `true` if `self ⊆ other`.

@@ -30,6 +30,15 @@
 //! forking never advances the parent, so *constructing* a fault layer
 //! cannot perturb any existing stream.
 //!
+//! Within a stream, draws go in ascending node order. At the epoch's
+//! first round every node draws its cell; every round a down node draws
+//! to recover and an up unexempt node draws to crash. A rate of exactly
+//! 0 or 1 decides without a draw, as [`DetRng::chance`] does.
+//! [`FaultState::begin_round`] makes both draws 64 nodes per word through
+//! [`DetRng::chance_bits`] and keeps this order exactly;
+//! `crates/core/tests/fault_props.rs` checks it every round against the
+//! node-by-node loops it replaced.
+//!
 //! # Hot-loop allocation invariants
 //!
 //! [`FaultState::begin_round`] and [`FaultState::fate`] never allocate:
@@ -51,7 +60,7 @@
 //! queueing unbounded state.
 
 use crate::bitset::BitSet;
-use netsim::rng::DetRng;
+use netsim::rng::{DetRng, Odds};
 use netsim::Round;
 
 /// What happened to one directed message under [`FaultState::fate`].
@@ -544,12 +553,11 @@ impl FaultState {
         if self.plan.has_partition() {
             if t == self.plan.partition_start {
                 // Draw the minority cell once, at epoch start.
-                self.cell.clear();
-                let n = self.down.universe();
-                for i in 0..n {
-                    if self.partition_rng.chance(self.plan.partition_frac) {
-                        self.cell.insert(i);
-                    }
+                let odds = Odds::of(self.plan.partition_frac);
+                for w in 0..self.cell.words().len() {
+                    let nodes = self.cell.word_span(w);
+                    self.cell
+                        .set_word(w, odds.trial(&mut self.partition_rng, nodes));
                 }
                 self.partitioned = true;
             } else if self.partitioned && t >= self.plan.partition_start + self.plan.partition_len {
@@ -557,17 +565,26 @@ impl FaultState {
             }
         }
         if self.plan.has_crashes() {
-            let n = self.down.universe();
-            for i in 0..n {
-                if self.down.contains(i) {
-                    if self.crash_rng.chance(self.plan.recover) {
-                        self.down.remove(i);
-                    }
-                } else if !self.exempt.contains(i) && self.crash_rng.chance(self.plan.crash) {
-                    self.down.insert(i);
-                    self.crashed_now.insert(i);
-                    self.crashes += 1;
-                }
+            // 64 nodes per step: a down node draws to recover, an up
+            // unexempt node draws to crash, in ascending node order.
+            let (crash, recover) = (Odds::of(self.plan.crash), Odds::of(self.plan.recover));
+            for w in 0..self.down.words().len() {
+                let down = self.down.words()[w];
+                let up = !down & !self.exempt.words()[w] & self.down.word_span(w);
+                let draw = (down & recover.draw) | (up & crash.draw);
+                let hits = (down & recover.sure)
+                    | (up & crash.sure)
+                    | self.crash_rng.chance_bits(draw, |b| {
+                        if (down >> b) & 1 == 1 {
+                            recover.thr
+                        } else {
+                            crash.thr
+                        }
+                    });
+                let crashed = hits & up;
+                self.down.set_word(w, down ^ hits);
+                self.crashed_now.set_word(w, crashed);
+                self.crashes += u64::from(crashed.count_ones());
             }
         }
     }

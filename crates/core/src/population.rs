@@ -51,9 +51,20 @@
 //! single-cohort profile draws exactly the stream the PR 3 uniform
 //! [`ChurnSpec`] drew, so the degenerate profile reproduces every
 //! uniform-churn fixture byte-for-byte.
+//!
+//! # Draw order
+//!
+//! An active round takes its churn draws in ascending node order, at
+//! most one per node: a present unprotected node draws to leave, an
+//! absent arrived node draws to rejoin, each at its cohort's rate. A
+//! rate of exactly 0 or 1 decides without a draw, as
+//! [`DetRng::chance`] does. [`Population::begin_round`] steps 64 nodes
+//! per word through [`DetRng::chance_bits`] and keeps this order exactly;
+//! `crates/core/tests/population_props.rs` checks it every round against
+//! the node-by-node loop it replaced.
 
 use crate::bitset::BitSet;
-use netsim::rng::DetRng;
+use netsim::rng::{DetRng, Odds};
 use netsim::Round;
 
 /// Deterministic arrival/departure rates for one cohort.
@@ -144,6 +155,9 @@ pub struct ChurnClass {
 /// regulars / fringe / one-shot visitors) and keeps the profile `Copy`,
 /// so substrate configs stay cheap to clone and sweep.
 pub const MAX_CHURN_CLASSES: usize = 4;
+
+// `Population::begin_round` spells a cohort index as two bit planes.
+const _: () = assert!(MAX_CHURN_CLASSES <= 4);
 
 /// Heterogeneous churn: up to [`MAX_CHURN_CLASSES`] weighted cohorts,
 /// each with its own [`ChurnSpec`]. The degenerate one-class profile is
@@ -471,9 +485,13 @@ pub struct Population {
     /// from round 0 — substrates use this to keep attacker nodes out of
     /// the held-back crowd without touching their churn stream.
     arrival_exempt: BitSet,
-    /// Cohort index per node (empty for single-class profiles: everyone
-    /// is class 0 and no assignment randomness is drawn).
-    class: Vec<u8>,
+    /// One member mask per cohort, for multi-class profiles (empty for
+    /// single-class profiles: everyone is cohort 0 and no assignment
+    /// randomness is drawn).
+    cohorts: Vec<BitSet>,
+    /// Per-cohort leave odds, then per-cohort rejoin odds:
+    /// `odds[absent * MAX_CHURN_CLASSES + cohort]`.
+    odds: [Odds; 2 * MAX_CHURN_CLASSES],
     /// Cached `present.len()`, maintained incrementally at every
     /// membership mutation so `present_fraction` observations (the
     /// `presence-*` schedule triggers) and the flash-crowd withdrawal
@@ -498,28 +516,30 @@ impl Population {
     pub fn new(n: usize, profile: impl Into<ChurnProfile>, rng: DetRng) -> Self {
         let profile = profile.into();
         let classes = profile.classes();
-        let class = if classes.len() > 1 {
+        let mut cohorts = Vec::new();
+        if classes.len() > 1 {
+            cohorts = vec![BitSet::new(n); classes.len()];
             let total: f64 = classes.iter().map(|c| c.weight).sum();
             let mut crng = rng.fork("classes");
-            (0..n)
-                .map(|_| {
-                    let x = crng.f64() * total;
-                    let mut acc = 0.0;
-                    let mut idx = 0u8;
-                    for (i, c) in classes.iter().enumerate() {
-                        acc += c.weight;
-                        if x < acc {
-                            idx = i as u8;
-                            break;
-                        }
-                        idx = i as u8; // fp slack: the last class absorbs
+            for node in 0..n {
+                let x = crng.f64() * total;
+                let mut acc = 0.0;
+                let mut idx = classes.len() - 1; // fp slack: the last class absorbs
+                for (i, c) in classes.iter().enumerate() {
+                    acc += c.weight;
+                    if x < acc {
+                        idx = i;
+                        break;
                     }
-                    idx
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+                }
+                cohorts[idx].insert(node);
+            }
+        }
+        let mut odds = [Odds::of(0.0); 2 * MAX_CHURN_CLASSES];
+        for (c, class) in classes.iter().enumerate() {
+            odds[c] = Odds::of(class.spec.leave);
+            odds[MAX_CHURN_CLASSES + c] = Odds::of(class.spec.rejoin);
+        }
         Population {
             profile,
             arrival: ArrivalProcess::None,
@@ -527,7 +547,8 @@ impl Population {
             protected: BitSet::new(n),
             pending: BitSet::new(n),
             arrival_exempt: BitSet::new(n),
-            class,
+            cohorts,
+            odds,
             n_present: n,
             rng,
         }
@@ -669,16 +690,6 @@ impl Population {
         self.present_count() == self.present.universe()
     }
 
-    /// The cohort `node` belongs to.
-    fn class_spec(&self, node: usize) -> &ChurnSpec {
-        let idx = if self.class.is_empty() {
-            0
-        } else {
-            self.class[node] as usize
-        };
-        &self.profile.classes[idx].spec
-    }
-
     /// Admit up to `k` absent nodes in ascending index order: fresh
     /// (pending) arrivals first, then — unless `fresh_only` —
     /// churned-out returners. Arrival-exempt nodes never ride a wave
@@ -755,22 +766,40 @@ impl Population {
         if !self.profile.is_active() {
             return;
         }
-        let n = self.present.universe();
-        for i in 0..n {
-            if self.pending.contains(i) {
-                continue; // not yet arrived: invisible to churn
+        // 64 nodes per step. In each word a node takes at most one draw:
+        // a present unprotected node draws to leave, an absent arrived
+        // node draws to rejoin, at its cohort's rate — and only when that
+        // rate is strictly between 0 and 1 (`Odds::draw`); the other
+        // rates decide without a draw (`Odds::sure`). `chance_bits` then
+        // draws in ascending node order, exactly as the scalar loop did.
+        for w in 0..self.present.words().len() {
+            let present = self.present.words()[w];
+            let leaving = present & !self.protected.words()[w];
+            let joining = !present & !self.pending.words()[w] & self.present.word_span(w);
+            let (mut draw, mut sure, mut lo, mut hi) = (0, 0, 0, 0);
+            for c in 0..self.profile.classes().len() {
+                let members = match self.cohorts.get(c) {
+                    Some(set) => set.words()[w],
+                    None => u64::MAX,
+                };
+                let (leave, rejoin) = (self.odds[c], self.odds[MAX_CHURN_CLASSES + c]);
+                draw |= members & ((leaving & leave.draw) | (joining & rejoin.draw));
+                sure |= members & ((leaving & leave.sure) | (joining & rejoin.sure));
+                // The cohort index as two bit planes, for the threshold
+                // lookup below.
+                lo |= members & (c as u64 & 1).wrapping_neg();
+                hi |= members & (c as u64 >> 1).wrapping_neg();
             }
-            let spec = *self.class_spec(i);
-            if self.present.contains(i) {
-                if !self.protected.contains(i)
-                    && self.rng.chance(spec.leave)
-                    && self.present.remove(i)
-                {
-                    self.n_present -= 1;
-                }
-            } else if self.rng.chance(spec.rejoin) && self.present.insert(i) {
-                self.n_present += 1;
-            }
+            let odds = &self.odds;
+            let hits = sure
+                | self.rng.chance_bits(draw, |b| {
+                    let cohort = ((lo >> b) & 1) | (((hi >> b) & 1) << 1);
+                    let absent = ((!present >> b) & 1) as usize;
+                    odds[absent * MAX_CHURN_CLASSES + cohort as usize].thr
+                });
+            self.present.set_word(w, present ^ hits);
+            self.n_present += (hits & joining).count_ones() as usize;
+            self.n_present -= (hits & leaving).count_ones() as usize;
         }
     }
 }
@@ -894,9 +923,8 @@ mod tests {
         // fringe: only fringe members should ever be absent.
         let profile = ChurnProfile::parse("0.5:0:0/0.5:0.5:0.5").unwrap();
         let mut pop = Population::new(40, profile, DetRng::seed_from(11));
-        let stable: Vec<usize> = (0..40)
-            .filter(|&i| pop.class_spec(i).leave == 0.0)
-            .collect();
+        assert_eq!(pop.profile().classes()[0].spec.leave, 0.0);
+        let stable: Vec<usize> = pop.cohorts[0].iter().collect();
         assert!(
             !stable.is_empty() && stable.len() < 40,
             "both cohorts populated (got {} stable)",
@@ -918,11 +946,13 @@ mod tests {
         let profile = ChurnProfile::parse("0.8:0.01:0.5/0.2:0.3:0.3").unwrap();
         let assign = || {
             let pop = Population::new(400, profile, DetRng::seed_from(21));
-            pop.class.clone()
+            pop.cohorts.clone()
         };
         let a = assign();
         assert_eq!(a, assign(), "same seed, same cohorts");
-        let fringe = a.iter().filter(|&&c| c == 1).count();
+        assert_eq!(a[0].len() + a[1].len(), 400, "every node in one cohort");
+        assert_eq!(a[0].intersection_count(&a[1]), 0);
+        let fringe = a[1].len();
         assert!(
             (40..160).contains(&fringe),
             "~20% of 400 nodes in the fringe, got {fringe}"

@@ -18,7 +18,12 @@
 //! * the whole fault history replays bit-identically per (plan, seed);
 //! * an inert [`RoundEnvelope`] — the timing layer every substrate
 //!   drives — draws nothing either: its fault and churn streams stay
-//!   equal to fresh forks of the substrate's root rng.
+//!   equal to fresh forks of the substrate's root rng;
+//! * the word-wise crash/recover step and partition-cell draw of
+//!   [`FaultState::begin_round`] take exactly the steps of the scalar
+//!   node-by-node loops, kept below as a reference model: the same down,
+//!   crashed and cell sets, crash count and stream positions every
+//!   round, at universes on both sides of the 64-node word.
 
 use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
 use lotus_core::faults::{Fate, FaultPlan, FaultState};
@@ -291,6 +296,136 @@ fn inert_envelope_draws_nothing_and_its_streams_equal_fresh_forks() {
         }
         if env.population().rng_snapshot() != &parent.fork("population") {
             return Err("the churn stream advanced on an inert envelope".into());
+        }
+        Ok(())
+    });
+}
+
+/// Universes around the 64-node word: one node, one word short, exactly
+/// one word, one node over, and several words with a partial tail.
+const UNIVERSES: [usize; 6] = [1, 63, 64, 65, 200, 1100];
+
+/// A rate that is often exactly 0 or 1, the values `chance` decides
+/// without a draw.
+fn edge_rate(d: &mut Draw, name: &'static str) -> f64 {
+    match d.int(name, 0, 3) {
+        0 => 0.0,
+        1 => 1.0,
+        _ => d.ratio(name),
+    }
+}
+
+/// The scalar crash/recover and partition stepper the word-wise one
+/// replaced, node by node in ascending order.
+struct ScalarFaults {
+    plan: FaultPlan,
+    crash_rng: DetRng,
+    partition_rng: DetRng,
+    down: Vec<bool>,
+    crashed_now: Vec<bool>,
+    exempt: Vec<bool>,
+    cell: Vec<bool>,
+    partitioned: bool,
+    crashes: u64,
+}
+
+impl ScalarFaults {
+    fn begin_round(&mut self, t: u64) {
+        if !self.plan.is_active() {
+            return;
+        }
+        self.crashed_now.fill(false);
+        if self.plan.has_partition() {
+            if t == self.plan.partition_start {
+                for i in 0..self.cell.len() {
+                    self.cell[i] = self.partition_rng.chance(self.plan.partition_frac);
+                }
+                self.partitioned = true;
+            } else if self.partitioned && t >= self.plan.partition_start + self.plan.partition_len {
+                self.partitioned = false;
+            }
+        }
+        if self.plan.has_crashes() {
+            for i in 0..self.down.len() {
+                if self.down[i] {
+                    if self.crash_rng.chance(self.plan.recover) {
+                        self.down[i] = false;
+                    }
+                } else if !self.exempt[i] && self.crash_rng.chance(self.plan.crash) {
+                    self.down[i] = true;
+                    self.crashed_now[i] = true;
+                    self.crashes += 1;
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn word_wise_begin_round_matches_the_scalar_model() {
+    check("word-wise faults == scalar faults", 120, |d| {
+        let n = UNIVERSES[d.int("universe", 0, UNIVERSES.len() as i64 - 1) as usize];
+        let seed = d.int("seed", 1, 1 << 20) as u64;
+        let mut plan = FaultPlan::none();
+        plan.crash = edge_rate(d, "crash");
+        plan.recover = edge_rate(d, "recover");
+        if d.int("with_partition", 0, 1) == 1 {
+            plan.partition_start = d.int("p_start", 0, 20) as u64;
+            plan.partition_len = d.int("p_len", 1, 20) as u64;
+            plan.partition_frac = edge_rate(d, "p_frac");
+        }
+        let exempt_odds = 0.3 * d.ratio("exempt");
+        let mut marks = d.rng("marks");
+        let exempt: Vec<bool> = (0..n).map(|_| marks.chance(exempt_odds)).collect();
+        let parent = DetRng::seed_from(seed);
+        let mut st = FaultState::new(n, plan, &parent);
+        for (i, &e) in exempt.iter().enumerate() {
+            if e {
+                st.exempt(i);
+            }
+        }
+        let mut model = ScalarFaults {
+            plan,
+            crash_rng: parent.fork("crash"),
+            partition_rng: parent.fork("partition"),
+            down: vec![false; n],
+            crashed_now: vec![false; n],
+            exempt,
+            cell: vec![false; n],
+            partitioned: false,
+            crashes: 0,
+        };
+        for t in 0..60u64 {
+            st.begin_round(t);
+            model.begin_round(t);
+            for i in 0..n {
+                let word = (
+                    st.is_down(i),
+                    st.just_crashed().contains(i),
+                    st.cell().contains(i),
+                );
+                let scalar = (model.down[i], model.crashed_now[i], model.cell[i]);
+                if word != scalar {
+                    return Err(format!(
+                        "n={n} round {t}: node {i} (down, crashed, cell) {word:?} but the \
+                         scalar model says {scalar:?}"
+                    ));
+                }
+            }
+            let down = model.down.iter().filter(|&&x| x).count();
+            if st.down_count() != down || st.counters().crashes != model.crashes {
+                return Err(format!("n={n} round {t}: down or crash counts differ"));
+            }
+            if st.is_partitioned() != model.partitioned {
+                return Err(format!("n={n} round {t}: partition epoch differs"));
+            }
+            if *st.crash_rng_snapshot() != model.crash_rng
+                || *st.partition_rng_snapshot() != model.partition_rng
+            {
+                return Err(format!(
+                    "n={n} round {t}: a stream position differs from the scalar loop"
+                ));
+            }
         }
         Ok(())
     });

@@ -18,7 +18,11 @@
 //!   churn rng fork (the no-op/no-draw guard regression);
 //! * the [`RoundEnvelope`] keeps its role shields under churn, crashes
 //!   and flash crowds, and its activity index is exactly
-//!   present ∧ ¬down minus the substrate's exclusions every round.
+//!   present ∧ ¬down minus the substrate's exclusions every round;
+//! * the word-wise [`Population::begin_round`] takes exactly the steps
+//!   of the scalar node-by-node loop, kept below as a reference model:
+//!   the same membership and the same churn stream position every round,
+//!   at universes on both sides of the 64-node word.
 
 use lotus_core::bitset::BitSet;
 use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
@@ -27,6 +31,7 @@ use lotus_core::population::{
     ArrivalProcess, ChurnClass, ChurnProfile, ChurnSpec, Population, MAX_CHURN_CLASSES,
 };
 use lotus_core::proptest_lite::{check, Draw};
+use netsim::rng::DetRng;
 
 /// Fixed names for per-cohort draws (proptest_lite wants `&'static str`).
 const WEIGHT: [&str; MAX_CHURN_CLASSES] = ["w0", "w1", "w2", "w3"];
@@ -369,6 +374,193 @@ fn envelope_shields_hold_and_its_index_tracks_membership() {
                         env.shards().contains(i)
                     ));
                 }
+            }
+        }
+        Ok(())
+    });
+}
+
+/// Universes around the 64-node word: one node, one word short, exactly
+/// one word, one node over, and several words with a partial tail.
+const UNIVERSES: [usize; 6] = [1, 63, 64, 65, 200, 1100];
+
+/// A rate that is often exactly 0 or 1, the values `chance` decides
+/// without a draw.
+fn edge_rate(d: &mut Draw, name: &'static str) -> f64 {
+    match d.int(name, 0, 3) {
+        0 => 0.0,
+        1 => 1.0,
+        _ => d.ratio(name),
+    }
+}
+
+/// The scalar population stepper the word-wise one replaced, node by
+/// node in ascending order.
+struct ScalarPopulation {
+    profile: ChurnProfile,
+    arrival: ArrivalProcess,
+    present: Vec<bool>,
+    pending: Vec<bool>,
+    protected: Vec<bool>,
+    exempt: Vec<bool>,
+    cohort: Vec<usize>,
+    rng: DetRng,
+}
+
+impl ScalarPopulation {
+    /// The model of `pop` right after its setup calls, reading the
+    /// membership the (unchanged) setup produced.
+    fn of(pop: &Population, rng: DetRng, protected: Vec<bool>, exempt: Vec<bool>) -> Self {
+        let n = protected.len();
+        let classes = pop.profile().classes();
+        let total: f64 = classes.iter().map(|c| c.weight).sum();
+        let mut crng = rng.fork("classes");
+        let cohort = (0..n)
+            .map(|_| {
+                if classes.len() == 1 {
+                    return 0;
+                }
+                let x = crng.f64() * total;
+                let mut acc = 0.0;
+                for (i, c) in classes.iter().enumerate() {
+                    acc += c.weight;
+                    if x < acc {
+                        return i;
+                    }
+                }
+                classes.len() - 1
+            })
+            .collect();
+        ScalarPopulation {
+            profile: *pop.profile(),
+            arrival: *pop.arrival(),
+            present: (0..n).map(|i| pop.is_present(i)).collect(),
+            pending: (0..n).map(|i| !pop.ever_arrived(i)).collect(),
+            protected,
+            exempt,
+            cohort,
+            rng,
+        }
+    }
+
+    fn admit(&mut self, k: usize, fresh_only: bool) {
+        let mut left = k;
+        for i in 0..self.present.len() {
+            if left > 0 && self.pending[i] {
+                self.pending[i] = false;
+                self.present[i] = true;
+                left -= 1;
+            }
+        }
+        if fresh_only {
+            return;
+        }
+        for i in 0..self.present.len() {
+            if left > 0 && !self.present[i] && !self.exempt[i] {
+                self.present[i] = true;
+                left -= 1;
+            }
+        }
+    }
+
+    fn begin_round(&mut self, t: u64) {
+        match self.arrival {
+            ArrivalProcess::None => {}
+            ArrivalProcess::Burst {
+                round,
+                size,
+                period,
+            } => {
+                let due = match period {
+                    None => t == round,
+                    Some(p) => t >= round && (t - round).is_multiple_of(p),
+                };
+                if due {
+                    self.admit(size as usize, period.is_none());
+                }
+            }
+            ArrivalProcess::Ramp { start, rate, .. } => {
+                if t >= start && self.pending.contains(&true) {
+                    self.admit(rate as usize, true);
+                }
+            }
+        }
+        if !self.profile.is_active() {
+            return;
+        }
+        for i in 0..self.present.len() {
+            if self.pending[i] {
+                continue;
+            }
+            let spec = self.profile.classes()[self.cohort[i]].spec;
+            if self.present[i] {
+                if !self.protected[i] && self.rng.chance(spec.leave) {
+                    self.present[i] = false;
+                }
+            } else if self.rng.chance(spec.rejoin) {
+                self.present[i] = true;
+            }
+        }
+    }
+}
+
+#[test]
+fn word_wise_begin_round_matches_the_scalar_model() {
+    check("word-wise churn == scalar churn", 120, |d| {
+        let n = UNIVERSES[d.int("universe", 0, UNIVERSES.len() as i64 - 1) as usize];
+        let seed = d.int("seed", 1, 1 << 20) as u64;
+        let classes = d.int("classes", 1, MAX_CHURN_CLASSES as i64) as usize;
+        let cohorts: Vec<ChurnClass> = (0..classes)
+            .map(|c| ChurnClass {
+                weight: 0.05 + d.ratio(WEIGHT[c]),
+                spec: ChurnSpec::new(edge_rate(d, LEAVE[c]), edge_rate(d, REJOIN[c])),
+            })
+            .collect();
+        let profile = ChurnProfile::new(&cohorts).expect("drawn profiles are valid");
+        let arrival = draw_arrival(d, n);
+        // Random protected and arrival-exempt sets, at drawn densities.
+        let (protect_odds, exempt_odds) = (0.3 * d.ratio("protect"), 0.3 * d.ratio("exempt"));
+        let mut marks = d.rng("marks");
+        let protected: Vec<bool> = (0..n).map(|_| marks.chance(protect_odds)).collect();
+        let exempt: Vec<bool> = (0..n).map(|_| marks.chance(exempt_odds)).collect();
+        let rng = DetRng::seed_from(seed).fork("population");
+        let mut pop = Population::new(n, profile, rng.clone());
+        for i in 0..n {
+            if protected[i] {
+                pop.protect(i);
+            }
+            if exempt[i] {
+                pop.exempt_arrival(i);
+            }
+        }
+        pop.set_arrival(arrival);
+        let mut model = ScalarPopulation::of(&pop, rng, protected, exempt);
+        for t in 0..60u64 {
+            pop.begin_round(t);
+            model.begin_round(t);
+            for i in 0..n {
+                if pop.is_present(i) != model.present[i] {
+                    return Err(format!(
+                        "n={n} round {t}: node {i} present {} but the scalar model says {}",
+                        pop.is_present(i),
+                        model.present[i]
+                    ));
+                }
+                if pop.ever_arrived(i) == model.pending[i] {
+                    return Err(format!("n={n} round {t}: node {i} pending mark differs"));
+                }
+            }
+            let count = model.present.iter().filter(|&&p| p).count();
+            if pop.present_count() != count || pop.present().len() != count {
+                return Err(format!(
+                    "n={n} round {t}: present_count {} != scalar {count}",
+                    pop.present_count()
+                ));
+            }
+            if *pop.rng_snapshot() != model.rng {
+                return Err(format!(
+                    "n={n} round {t}: churn stream position differs from the scalar loop"
+                ));
             }
         }
         Ok(())

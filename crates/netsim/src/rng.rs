@@ -168,6 +168,39 @@ impl DetRng {
         }
     }
 
+    /// One [`DetRng::chance`] draw per set bit of `mask`, lowest bit
+    /// first, returning the mask of hits: bit `b` hits when its draw's
+    /// top 53 bits fall below `thr(b)` (an [`Odds::thr`]). Callers leave
+    /// out of `mask` the bits whose rate `chance` answers without a draw
+    /// (see [`Odds`]), so a word of trials consumes exactly the stream a
+    /// scalar `chance` loop over the same bits consumes, and hits the
+    /// same bits.
+    ///
+    /// ```
+    /// use netsim::rng::{DetRng, Odds};
+    ///
+    /// let odds = Odds::of(0.3);
+    /// let (mut a, mut b) = (DetRng::seed_from(1), DetRng::seed_from(1));
+    /// let mask = 0b1011_0110u64;
+    /// let hits = a.chance_bits(mask & odds.draw, |_| odds.thr);
+    /// let scalar = (0..64)
+    ///     .filter(|&i| mask >> i & 1 == 1)
+    ///     .filter(|_| b.chance(0.3))
+    ///     .fold(0u64, |acc, i| acc | 1 << i);
+    /// assert_eq!((hits, a), (scalar, b));
+    /// ```
+    #[inline]
+    pub fn chance_bits(&mut self, mask: u64, thr: impl Fn(u32) -> u64) -> u64 {
+        let mut hits = 0;
+        let mut left = mask;
+        while left != 0 {
+            let b = left.trailing_zeros();
+            hits |= u64::from((self.next_u64() >> 11) < thr(b)) << b;
+            left &= left - 1;
+        }
+        hits
+    }
+
     /// Fisher–Yates shuffle of `slice` in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -234,6 +267,71 @@ impl DetRng {
         // Inverse transform sampling.
         let u = self.f64().max(f64::MIN_POSITIVE);
         (u.ln() / (1.0 - p).ln()).floor() as u64
+    }
+}
+
+/// [`DetRng::chance`] at one rate, in the integer form
+/// [`DetRng::chance_bits`] draws against.
+///
+/// For `p` in (0, 1), `chance(p)` draws `x = next_u64()` and hits when
+/// `f64() < p`, where `f64()` is `u as f64 * 2⁻⁵³` with `u = x >> 11`.
+/// That test is exactly `u < ceil(p·2⁵³)`:
+///
+/// 1. `u < 2⁵³`, so `u as f64` is exact, and scaling by the power of two
+///    `2⁻⁵³` is exact too (the result is 0 or at least `2⁻⁵³`, far above
+///    the subnormal range). So `f64()` is the real number `u·2⁻⁵³`, and
+///    `f64() < p` ⇔ `u < p·2⁵³` over the reals.
+/// 2. `p * 2⁵³` in `f64` is also exact: scaling a finite `p < 1` up by a
+///    power of two cannot overflow, and a larger result has room for
+///    every significant bit of `p`.
+/// 3. For an integer `u` and a real `r`, `u < r` ⇔ `u < ceil(r)`. `ceil`
+///    of an `f64` is exact, and `ceil(p·2⁵³) <= 2⁵³` converts to `u64`
+///    exactly.
+///
+/// So [`Odds::thr`] is `ceil(p·2⁵³)`. A rate `chance` answers without a
+/// draw becomes a no-draw mask, with the same tests `chance` makes:
+/// `p <= 0` never hits and `p >= 1` always hits, and for both
+/// [`Odds::draw`] is zero. (A NaN rate falls through both tests, as it
+/// does in `chance`: it draws and, with `thr = 0`, never hits.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Odds {
+    /// All ones when `chance(p)` draws (`0 < p < 1`), zero otherwise.
+    pub draw: u64,
+    /// All ones when `chance(p)` hits without a draw (`p >= 1`).
+    pub sure: u64,
+    /// `ceil(p·2⁵³)`: a draw hits when `next_u64() >> 11` is below it.
+    pub thr: u64,
+}
+
+impl Odds {
+    /// The integer form of `chance(p)`.
+    pub fn of(p: f64) -> Odds {
+        if p <= 0.0 {
+            Odds {
+                draw: 0,
+                sure: 0,
+                thr: 0,
+            }
+        } else if p >= 1.0 {
+            Odds {
+                draw: 0,
+                sure: u64::MAX,
+                thr: 0,
+            }
+        } else {
+            Odds {
+                draw: u64::MAX,
+                sure: 0,
+                thr: (p * (1u64 << 53) as f64).ceil() as u64,
+            }
+        }
+    }
+
+    /// One `chance(p)` trial per set bit of `mask`, lowest bit first:
+    /// the hit mask, drawn from `rng` exactly as the scalar loop would.
+    #[inline]
+    pub fn trial(&self, rng: &mut DetRng, mask: u64) -> u64 {
+        (mask & self.sure) | rng.chance_bits(mask & self.draw, |_| self.thr)
     }
 }
 

@@ -22,13 +22,23 @@
 //! # Hot-loop invariants
 //!
 //! The per-round request loop is allocation-free in steady state: the
-//! free/paid volunteer pools are scratch buffers owned by the sim struct,
-//! cleared and refilled in place each round, and the timing layer
+//! free and paid volunteer pools are word masks owned by the sim struct
+//! and overwritten 64 agents at a time each round, and the timing layer
 //! (`lotus_core::schedule`, `lotus_core::population`) adds no allocations
 //! — threshold-trigger observations come from the running request
-//! counters. Scratch contents are meaningless between rounds, and
+//! counters. Pool contents are meaningless between rounds, and
 //! refactors here must keep reports bit-identical per seed (the
-//! determinism and schedule-golden tests are the guardrail).
+//! determinism, schedule-golden and scrip-golden tests are the
+//! guardrail).
+//!
+//! # Draw order
+//!
+//! A round draws, from its own `("round", t)` fork: the requester, the
+//! special-request coin, one availability coin per live linked agent in
+//! ascending index order, then one uniform pick from the free pool, or —
+//! when the free pool is empty and a paid sale is attempted — from the
+//! paid pool. A pick is `index(pool size)` followed by selecting that
+//! member in ascending order.
 
 use crate::attack::ScripAttack;
 use crate::config::ScripConfig;
@@ -38,8 +48,7 @@ use lotus_core::faults::{Fate, FaultCounters};
 use lotus_core::satiation::Satiable;
 use lotus_core::schedule::MetricKey;
 use lotus_core::soa::ShardMap;
-use netsim::plan::{ExchangePlan, PlannedPair, READY};
-use netsim::rng::DetRng;
+use netsim::rng::{DetRng, Odds};
 use netsim::round::RoundSim;
 use netsim::{NodeId, Round};
 
@@ -55,7 +64,7 @@ pub enum AgentRole {
 // Per-agent state lives in struct-of-arrays layout on the simulator
 // itself (`money`, `threshold`, `served`, and the `altruist`/`special`/
 // `targeted` bitsets), keyed by agent index — the flat layout the
-// sharded volunteer scan iterates.
+// word-wise volunteer scan reads 64 agents at a time.
 
 /// Final report of a scrip-economy run.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,6 +127,12 @@ pub fn gini(values: &[u64]) -> f64 {
     weighted / (n * total as f64)
 }
 
+/// The `k`-th member of `pool` in ascending order — the index a uniform
+/// `choose` over the ascending member list would return.
+fn pick(pool: &BitSet, k: usize) -> usize {
+    pool.iter().nth(k).expect("pick index below the pool size")
+}
+
 /// The scrip-economy simulator.
 ///
 /// ```
@@ -175,17 +190,14 @@ pub struct ScripSim {
     /// Churn, faults (crashes, lost deliveries, the partition) and
     /// attack timing — while the schedule has the attack off, the
     /// attacker neither tops targets up nor bids for requests. Its
-    /// activity index (present ∧ ¬down, rebuilt each round) is what the
-    /// volunteer scan walks instead of `0..n`, so the scan's cost scales
-    /// with live agents.
+    /// activity mask (present ∧ ¬down, rebuilt each round) is what the
+    /// volunteer scan reads word by word.
     env: RoundEnvelope,
-    // Volunteer-pool scratch batches for the allocation-free request
-    // loop (see module docs): each pool is an exchange plan whose
-    // entries pair a volunteer with the round's requester, so the
-    // requester's uniform `choose` draws the same indices it drew from
-    // the bare index lists (only the pool *length* feeds the draw).
-    free_pool: ExchangePlan,
-    paid_pool: ExchangePlan,
+    /// This round's available altruists (see module docs).
+    free_pool: BitSet,
+    /// This round's available threshold agents; narrowed to those below
+    /// threshold only when a paid sale is attempted.
+    paid_pool: BitSet,
 }
 
 impl ScripSim {
@@ -289,8 +301,8 @@ impl ScripSim {
             satiated_rounds: 0,
             target_satiated_samples: 0,
             target_samples: 0,
-            free_pool: ExchangePlan::new(),
-            paid_pool: ExchangePlan::new(),
+            free_pool: BitSet::new(n),
+            paid_pool: BitSet::new(n),
         }
     }
 
@@ -372,54 +384,37 @@ impl ScripSim {
             return; // the drawn requester is offline or crashed: no request
         }
 
-        // Volunteer pools (reused scratch batches): each viable
-        // volunteer is planned against the requester, and the uniform
-        // pick below draws only from the pool length — identical draws
-        // to the bare index lists these plans replaced.
-        let mut free = std::mem::take(&mut self.free_pool);
-        let mut paid = std::mem::take(&mut self.paid_pool);
-        free.clear();
-        paid.clear();
-        let requested = NodeId(requester as u32);
-        // Shard walk over present ∧ ¬down agents in ascending index
-        // order — exactly the agents the dense scan let through to the
-        // availability draw (absent and down agents drew nothing under
-        // the `||` short-circuit, and `link_ok`'s partition counter was
-        // only reached past those gates), so the round's rng stream and
-        // the fault counters are unchanged while the scan cost drops to
-        // O(live agents). Partition-blocked volunteers are tallied during
-        // the read-only walk and counted once after it.
-        let availability = self.cfg.availability;
+        // One word of 64 agents at a time: the live agents (present ∧
+        // ¬down) other than the requester, minus those across the
+        // partition, each draw one availability coin in ascending index
+        // order — exactly the agents and the order the scalar scan drew
+        // for — and the available ones split into the two pools.
+        let availability = Odds::of(self.cfg.availability);
+        let faults = self.env.faults();
+        let cell = faults
+            .is_partitioned()
+            .then(|| (faults.cell().words(), faults.cell().contains(requester)));
         let mut blocked = 0u64;
-        let env = &self.env;
-        env.shards().for_each_active(|i| {
-            if i == requester {
-                return;
+        let mut free_count = 0usize;
+        for (w, &live) in self.env.shards().active_mask().words().iter().enumerate() {
+            let mut linked = live;
+            if w == requester / 64 {
+                linked &= !(1 << (requester % 64));
             }
-            if !env.faults().link_up(requester, i) {
-                blocked += 1;
-                return;
+            if let Some((cell, inside)) = cell {
+                let same_side = if inside { cell[w] } else { !cell[w] };
+                blocked += u64::from((linked & !same_side).count_ones());
+                linked &= same_side;
             }
-            if !rng.chance(availability) {
-                return;
+            let mut available = availability.trial(&mut rng, linked);
+            if special {
+                available &= self.special.words()[w];
             }
-            if special && !self.special.contains(i) {
-                return;
-            }
-            if self.altruist.contains(i) {
-                free.push(PlannedPair {
-                    initiator: NodeId(i as u32),
-                    partner: requested,
-                    flags: READY,
-                });
-            } else if self.money[i] < u64::from(self.threshold[i]) {
-                paid.push(PlannedPair {
-                    initiator: NodeId(i as u32),
-                    partner: requested,
-                    flags: READY,
-                });
-            }
-        });
+            let free = available & self.altruist.words()[w];
+            free_count += free.count_ones() as usize;
+            self.free_pool.set_word(w, free);
+            self.paid_pool.set_word(w, available & !free);
+        }
         self.env.faults_mut().partition_blocked += blocked;
         // The attacker volunteers for ordinary paid requests, undercutting
         // honest providers ("providing cheap service", §1): a rational
@@ -435,8 +430,8 @@ impl ScripSim {
             }
         }
 
-        let outcome = if let Some(&e) = rng.choose(free.entries()) {
-            let p = e.initiator.index();
+        let outcome = if free_count > 0 {
+            let p = pick(&self.free_pool, rng.index(free_count));
             // Free service still rides the network: a lost delivery
             // means the requester got nothing (and the altruist's effort
             // is wasted — no served credit for a unit never received).
@@ -468,8 +463,7 @@ impl ScripSim {
                 self.served_paid += 1;
             }
             true
-        } else if let Some(&e) = rng.choose(paid.entries()) {
-            let p = e.initiator.index();
+        } else if let Some(p) = self.pick_paid(&mut rng) {
             // Payment on delivery: a lost shipment voids the sale — no
             // goods, no money movement, so the supply stays conserved.
             if self.env.faults_mut().fate(p, requester) == Fate::Drop {
@@ -496,8 +490,26 @@ impl ScripSim {
         if measured && special && outcome {
             self.special_served += 1;
         }
-        self.free_pool = free;
-        self.paid_pool = paid;
+    }
+
+    /// Narrow the paid pool to the available threshold agents still
+    /// below their threshold and pick one uniformly (`None` when there is
+    /// none, drawing nothing).
+    fn pick_paid(&mut self, rng: &mut DetRng) -> Option<usize> {
+        let mut count = 0usize;
+        for w in 0..self.paid_pool.words().len() {
+            let mut left = self.paid_pool.words()[w];
+            let mut below = 0u64;
+            while left != 0 {
+                let b = left.trailing_zeros();
+                let i = w * 64 + b as usize;
+                below |= u64::from(self.money[i] < u64::from(self.threshold[i])) << b;
+                left &= left - 1;
+            }
+            count += below.count_ones() as usize;
+            self.paid_pool.set_word(w, below);
+        }
+        (count > 0).then(|| pick(&self.paid_pool, rng.index(count)))
     }
 
     /// Adaptive threshold update (EC'07 crash dynamics, simplified): an
