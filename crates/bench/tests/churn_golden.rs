@@ -329,13 +329,34 @@ const CROWD_GOLDENS: &[CrowdGolden] = &[
         params: &[],
         json: r#"{"scenario":"scrip-gossip","rounds":17,"overall_delivery":0.9874652777777778,"targeted_service":0.9918576388888889,"usable":true,"broke_rate":0.07709459726113896,"isolated_delivery":0.9786805555555556,"refusal_rate":0.009728087138403252,"satiated_delivery":0.9918576388888889,"total_money":60000}"#,
     },
+    CrowdGolden {
+        scenario: "scrip-gossip",
+        attack: "ideal",
+        params: &[],
+        json: r#"{"scenario":"scrip-gossip","rounds":17,"overall_delivery":0.8512847222222222,"targeted_service":1,"usable":false,"broke_rate":0.8082676639508481,"isolated_delivery":0.5538541666666666,"refusal_rate":0.019099772939762255,"satiated_delivery":1,"total_money":60000}"#,
+    },
+    CrowdGolden {
+        scenario: "scrip-gossip",
+        attack: "ideal",
+        params: &[("schedule", "periodic:6:3")],
+        json: r#"{"scenario":"scrip-gossip","rounds":17,"overall_delivery":0.8782638888888888,"targeted_service":1,"usable":false,"broke_rate":0.3726344886242824,"isolated_delivery":0.6347916666666666,"refusal_rate":0.020128995676518536,"satiated_delivery":1,"total_money":60000}"#,
+    },
+    CrowdGolden {
+        scenario: "scrip-gossip",
+        attack: "crash",
+        params: &[],
+        json: r#"{"scenario":"scrip-gossip","rounds":17,"overall_delivery":0.9700694444444444,"targeted_service":0,"usable":true,"broke_rate":0.024945842731759607,"isolated_delivery":0.9700694444444444,"refusal_rate":0.0031042722826451078,"satiated_delivery":0,"total_money":60000}"#,
+    },
 ];
 
 #[test]
 fn flash_crowd_reports_match_pinned_fixtures() {
     // Trade exercises gifts and attacker syncs on late-joining windows,
     // ideal unions the attacker pool into them, crash faults clear them,
-    // and scrip-gossip trades over them.
+    // and scrip-gossip trades over them. Scrip-gossip's ideal pool
+    // reaches targets before their wave lands (and, under the periodic
+    // schedule, carries cooperate-phase holdings); its crash attackers
+    // waste every slot they are scheduled into.
     let reg = ScenarioRegistry::standard();
     for g in CROWD_GOLDENS {
         let mut p = Params::new();
