@@ -58,6 +58,7 @@
 
 pub mod attack;
 pub mod config;
+mod engine;
 pub mod exchange;
 pub mod scrip_gossip;
 pub mod sim;

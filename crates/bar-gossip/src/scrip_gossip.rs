@@ -20,32 +20,32 @@
 //! can hold at threshold simultaneously (exactly the X4 argument from the
 //! `scrip-economy` crate, now inside a gossip protocol).
 //!
-//! The simulator reuses the BAR Gossip substrate (windows, seeding,
-//! partner schedule, expiry-based delivery metrics) and mounts the same
-//! trade-style attack so the two protocols' attack curves are directly
-//! comparable (experiment X12).
+//! The simulator embeds the same gossip engine as [`crate::BarGossipSim`]
+//! (the crate's `engine` module): class assignment, update windows, the
+//! timing layer, seeding, the partner schedule, exchange planning and the
+//! expiry-based delivery metrics are one implementation. What this file
+//! adds is the purchase that replaces the exchange, the money ledger and
+//! its side of five deliberate model differences, which the engine's
+//! module docs list: its own stream labels, a dense plan at every size,
+//! an ideal pool rebuilt from attacker rows and forwarded to every
+//! target, crash and ideal initiators skipped before partition counting,
+//! and one responder counter across both sub-protocols. It mounts the
+//! same trade-style attack, so the two protocols' attack curves are
+//! directly comparable (experiment X12).
 //!
 //! # Hot-loop invariants
 //!
-//! The round loop is allocation-free in steady state: the interaction
-//! order, purchase, presence and seeding-pick lists are scratch buffers
-//! owned by the sim struct, the node windows are rows of one
-//! [`WindowSlab`], and the ideal-attack pool is a persistent
-//! [`WindowSet`] advanced in lockstep with them (cleared and re-unioned
-//! each round) rather than rebuilt from round 0. The timing
-//! layer (`lotus_core::schedule`, `lotus_core::population`) adds no
-//! allocations. Scratch contents are meaningless between rounds;
-//! refactors here must keep reports bit-identical per seed (the
-//! determinism and schedule-golden tests are the guardrail).
+//! The round loop is allocation-free in steady state: the purchase
+//! buffer is reserved to one live window, and everything else is the
+//! engine's scratch. Refactors here must keep reports bit-identical per
+//! seed (the determinism and golden tests are the guardrail).
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
-use crate::update::{WindowSet, WindowSlab};
-use lotus_core::defense::SilenceCutoff;
-use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
+use crate::engine::GossipEngine;
+use crate::update::UpdateId;
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
-use netsim::partner::{PartnerSchedule, Protocol};
-use netsim::plan::{ExchangePlan, LINKED, VIABLE};
+use netsim::partner::Protocol;
 use netsim::rng::DetRng;
 use netsim::round::RoundSim;
 use netsim::{NodeId, Round};
@@ -136,13 +136,6 @@ impl ScripGossipReport {
     }
 }
 
-#[derive(Debug, Clone)]
-struct ScripNode {
-    money: u64,
-    attacker: bool,
-    target: bool,
-}
-
 /// The scrip-gossip simulator.
 ///
 /// ```
@@ -162,45 +155,22 @@ struct ScripNode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ScripGossipSim {
-    cfg: ScripGossipConfig,
-    plan: AttackPlan,
-    nodes: Vec<ScripNode>,
-    /// Per-node update windows, one slab row per node, in lockstep with
-    /// `full`.
-    windows: WindowSlab,
-    full: WindowSet,
-    /// Ideal-attack pool: union of attacker holdings, rebuilt in place
-    /// each round; advanced in lockstep with the node windows.
-    pool: WindowSet,
-    schedule: PartnerSchedule,
-    rng: DetRng,
+    /// Node state, timing layer, seeding and planning, shared with BAR
+    /// Gossip; it holds `cfg.base`. While the schedule has the attack
+    /// off, attacker nodes buy and sell honestly (the cooperate phase).
+    eng: GossipEngine,
+    /// Sell only while the balance is below this threshold.
+    threshold: u32,
+    /// Per-node scrip balance.
+    money: Vec<u64>,
     round: Round,
-    delivered: [u64; 3], // isolated, satiated, attacker
-    totals: [u64; 3],
     purchases_attempted: u64,
     purchases_refused: u64,
     purchases_broke: u64,
+    /// Sales served this round per seller, across both sub-protocols.
     served_this_round: Vec<u32>,
-    /// Churn, faults and attack timing (from `cfg.base`); while the
-    /// schedule has the attack off, attacker nodes buy and sell
-    /// honestly (the cooperate phase).
-    env: RoundEnvelope,
-    /// Masquerade attackers' silence draws; draw-free on a perfect
-    /// network (see `BarGossipSim::masq_rng`).
-    masq_rng: DetRng,
-    /// The silence cut-off defense: cut nodes are excluded from all
-    /// trade.
-    cutoff: SilenceCutoff,
-    // Scratch buffers for the allocation-free round loop (see module
-    // docs); contents are meaningless between rounds.
-    /// Reusable exchange-plan batch: partner selection and viability
-    /// snapshots are planned up front (`netsim::plan`), then the
-    /// shuffled batch is applied in order — the same rng draws as the
-    /// legacy shuffled-initiator walk.
-    plan_batch: ExchangePlan,
-    want_scratch: Vec<crate::update::UpdateId>,
-    present_scratch: Vec<usize>,
-    picks_scratch: Vec<usize>,
+    /// Purchase and gift buffer (contents meaningless between uses).
+    want_scratch: Vec<UpdateId>,
 }
 
 impl ScripGossipSim {
@@ -209,182 +179,62 @@ impl ScripGossipSim {
     /// The attack plan is interpreted as in BAR Gossip: `Crash` attackers
     /// do nothing; `TradeLotusEater` attackers gift their holdings free of
     /// charge to the satiated set; `IdealLotusEater` forwards all attacker
-    /// seeds out-of-band to the satiated set.
+    /// holdings out-of-band to the satiated set.
     ///
     /// # Panics
     ///
     /// Panics if the config fails validation.
     pub fn new(cfg: ScripGossipConfig, plan: AttackPlan, seed: u64) -> Self {
         cfg.validate().expect("invalid ScripGossipConfig");
-        let n = cfg.base.nodes;
+        let n = cfg.base.nodes as usize;
+        let live = (cfg.base.updates_per_round * cfg.base.update_lifetime) as usize;
         let rng = DetRng::seed_from(seed).fork("scrip-gossip");
-        let mut assign_rng = rng.fork("assignment");
-        let attacker_count = plan.attacker_count(n) as usize;
-        let mut attacker = vec![false; n as usize];
-        for i in assign_rng.sample_indices(n as usize, attacker_count) {
-            attacker[i] = true;
-        }
-        let honest: Vec<usize> = (0..n as usize).filter(|&i| !attacker[i]).collect();
-        let satiated_count = (plan.satiated_honest_count(n) as usize).min(honest.len());
-        let mut target = vec![false; n as usize];
-        for &hi in assign_rng
-            .sample_indices(honest.len(), satiated_count)
-            .iter()
-        {
-            target[honest[hi]] = true;
-        }
-        let (per_round, lifetime) = (cfg.base.updates_per_round, cfg.base.update_lifetime);
-        let nodes = (0..n as usize)
-            .map(|i| ScripNode {
-                money: u64::from(cfg.money_per_node),
-                attacker: attacker[i],
-                target: target[i],
-            })
-            .collect();
-        // As in BAR Gossip: the flash crowd is honest — attacker nodes
-        // churn like anyone but are never held back.
-        let timing = Timing {
-            churn: cfg.base.churn,
-            arrival: cfg.base.arrival,
-            faults: cfg.base.faults,
-            schedule: plan.schedule,
-        };
-        let env = RoundEnvelope::new(n as usize, timing, &rng, false, |i| {
-            if attacker[i] {
-                Shield::Crowd
-            } else {
-                Shield::None
-            }
-        });
-        let attackers = attacker.iter().filter(|&&a| a).count() as u32;
         ScripGossipSim {
-            windows: WindowSlab::new(n as usize, per_round, lifetime),
-            pool: WindowSet::new(per_round, lifetime),
-            full: WindowSet::new(per_round, lifetime),
-            schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
-            env,
-            masq_rng: rng.fork("masquerade"),
-            cutoff: SilenceCutoff::new(n as usize, cfg.base.defenses.cutoff_quorum, attackers),
-            served_this_round: vec![0; n as usize],
-            plan_batch: ExchangePlan::new(),
-            want_scratch: Vec::new(),
-            present_scratch: Vec::with_capacity(n as usize),
-            picks_scratch: Vec::new(),
-            cfg,
-            plan,
-            nodes,
-            rng,
+            threshold: cfg.threshold,
+            money: vec![u64::from(cfg.money_per_node); n],
             round: 0,
-            delivered: [0; 3],
-            totals: [0; 3],
             purchases_attempted: 0,
             purchases_refused: 0,
             purchases_broke: 0,
+            served_this_round: vec![0; n],
+            want_scratch: Vec::with_capacity(live),
+            eng: GossipEngine::new(cfg.base, plan, rng),
         }
-    }
-
-    fn class_of(&self, i: usize) -> usize {
-        if self.nodes[i].attacker {
-            2
-        } else if self.nodes[i].target {
-            1
-        } else {
-            0
-        }
-    }
-
-    /// A node trades only while present, not crashed and not cut.
-    fn alive(&self, i: usize) -> bool {
-        !self.cutoff.is_cut(i) && self.env.is_up(i)
-    }
-
-    /// Masquerade silence draw — see `BarGossipSim::masquerade_silent`.
-    fn masquerade_silent(&mut self, sender: usize) -> bool {
-        if !self.env.attack_active()
-            || self.plan.kind != AttackKind::Masquerade
-            || !self.nodes[sender].attacker
-        {
-            return false;
-        }
-        // Round-aware rate: folds expected partition blocking in while
-        // an epoch is open (see `BarGossipSim::masquerade_silent`).
-        let rate = self.env.faults().ambient_silence_rate();
-        self.masq_rng.chance(rate)
     }
 
     /// Total scrip across all nodes (conserved).
     pub fn total_money(&self) -> u64 {
-        self.nodes.iter().map(|n| n.money).sum()
+        self.money.iter().sum()
     }
 
     /// Current balance of `node`.
     pub fn money(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].money
-    }
-
-    /// Slide every window; rows are shifted only on rounds where a
-    /// release expires.
-    fn advance_windows(&mut self, t: Round) {
-        let popped_full = self.full.advance(t);
-        let _ = self.pool.advance(t);
-        let expired = self.windows.advance(t);
-        let Some((expired_round, full_mask)) = popped_full else {
-            return;
-        };
-        debug_assert_eq!(expired, Some(expired_round), "rows advance with `full`");
-        let measured = self.cfg.base.is_measured_round(expired_round);
-        let total = u64::from(full_mask.count_ones());
-        for i in 0..self.nodes.len() {
-            let mask = self.windows.shift(i);
-            if !measured {
-                continue;
-            }
-            let ci = self.class_of(i);
-            self.delivered[ci] += u64::from((mask & full_mask).count_ones());
-            self.totals[ci] += total;
-        }
-    }
-
-    fn seed_round(&mut self, t: Round) {
-        let mut present = std::mem::take(&mut self.present_scratch);
-        present.clear();
-        // The broadcaster is reliable infrastructure: seeding skips
-        // crashed and cut nodes but is not subject to message faults.
-        present.extend((0..self.nodes.len()).filter(|&i| self.alive(i)));
-        let mut picks = std::mem::take(&mut self.picks_scratch);
-        let copies = (self.cfg.base.copies_seeded as usize).min(present.len());
-        let mut seed_rng = self.rng.fork_idx("seeding", t);
-        for slot in 0..self.cfg.base.updates_per_round {
-            let id = crate::update::UpdateId { round: t, slot };
-            self.full.insert(id);
-            seed_rng.sample_indices_into(present.len(), copies, &mut picks);
-            for &pick in &picks {
-                self.windows.insert(present[pick], id);
-            }
-        }
-        self.present_scratch = present;
-        self.picks_scratch = picks;
+        self.money[node.index()]
     }
 
     /// Ideal-attack forwarding: every attacker holding reaches every
-    /// target instantly (out of band, free).
+    /// target instantly (out of band, free), present or not. The pool
+    /// stays aligned with the rows and is rebuilt in place as the union
+    /// of all attacker rows. Targets are engaged before their rows are
+    /// written, so a held-back target's forwarded holdings expire and
+    /// count like everyone else's.
     fn ideal_forwarding(&mut self) {
-        if self.plan.kind != AttackKind::IdealLotusEater || !self.env.attack_active() {
+        let e = &mut self.eng;
+        if e.plan.kind != AttackKind::IdealLotusEater || !e.env.attack_active() {
             return;
         }
-        // The persistent pool window stays aligned with the live ones;
-        // rebuild its contents in place as the union of all attacker
-        // holdings.
-        self.pool.clear();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.attacker {
-                self.pool.union_with(self.windows.row(i));
-            }
+        e.pool.clear();
+        for &i in &e.attacker_list {
+            e.pool.union_with(e.windows.row(i as usize));
         }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.target && !node.attacker {
-                self.windows.union_with(i, &self.pool);
-            }
+        GossipEngine::engage(
+            &mut e.engaged,
+            &mut e.node_unusable_rounds,
+            e.measured_rounds,
+            &e.target,
+        );
+        for i in e.target.iter() {
+            e.windows.union_with(i, &e.pool);
         }
     }
 
@@ -396,12 +246,12 @@ impl ScripGossipSim {
         // Covert (masquerade/poison) attackers take the honest path
         // throughout — masquerade defection is the silence draw at the
         // delivery step below; poison is digest-substrate-only.
-        if self.env.attack_active() && !self.plan.kind.covert() && self.nodes[s].attacker {
+        if self.eng.overt_attacker(seller) {
             // Attacker seller: gift everything, free, to targets only.
-            if self.plan.kind == AttackKind::TradeLotusEater && self.nodes[b].target {
+            if self.eng.plan.kind == AttackKind::TradeLotusEater && self.eng.target.contains(b) {
                 let mut gift = std::mem::take(&mut self.want_scratch);
-                self.windows.row(b).wanted_from_into(
-                    self.windows.row(s),
+                self.eng.windows.row(b).wanted_from_into(
+                    self.eng.windows.row(s),
                     now,
                     usize::MAX,
                     0,
@@ -409,23 +259,30 @@ impl ScripGossipSim {
                     &mut gift,
                 );
                 for &id in &gift {
-                    self.windows.insert(b, id);
+                    self.eng.windows.insert(b, id);
                 }
                 self.want_scratch = gift;
             }
             return;
         }
-        if self.env.attack_active() && self.nodes[b].attacker {
-            // Trade attackers replenish their stock by buying like anyone
-            // else would — but they pay with their own scrip, which the
-            // supply bounds. (They start with the same endowment.)
-            // Covert attackers also buy honestly.
-            if self.plan.kind != AttackKind::TradeLotusEater && !self.plan.kind.covert() {
-                return;
-            }
+        // Trade attackers replenish their stock by buying like anyone
+        // else would — but they pay with their own scrip, which the
+        // supply bounds. (They start with the same endowment.) Covert
+        // attackers also buy honestly.
+        let kind = self.eng.plan.kind;
+        if self.eng.env.attack_active()
+            && self.eng.is_attacker(buyer)
+            && kind != AttackKind::TradeLotusEater
+            && !kind.covert()
+        {
+            return;
         }
         // Honest (or attacker-buyer) purchase.
-        let wants = self.windows.row(b).missing_from(self.windows.row(s)) as u64;
+        let wants = self
+            .eng
+            .windows
+            .row(b)
+            .missing_from(self.eng.windows.row(s)) as u64;
         if wants == 0 {
             return;
         }
@@ -433,18 +290,18 @@ impl ScripGossipSim {
         if self.served_this_round[s] >= cap {
             return; // seller busy (responder cap)
         }
-        if self.nodes[s].money >= u64::from(self.cfg.threshold) {
+        if self.money[s] >= u64::from(self.threshold) {
             self.purchases_refused += 1;
             return; // money-satiated seller refuses to work
         }
-        if self.nodes[b].money == 0 {
+        if self.money[b] == 0 {
             self.purchases_broke += 1;
             return;
         }
-        let afford = self.nodes[b].money.min(wants) as usize;
+        let afford = self.money[b].min(wants) as usize;
         let mut bought = std::mem::take(&mut self.want_scratch);
-        self.windows.row(b).wanted_from_into(
-            self.windows.row(s),
+        self.eng.windows.row(b).wanted_from_into(
+            self.eng.windows.row(s),
             now,
             afford,
             0,
@@ -460,27 +317,26 @@ impl ScripGossipSim {
         // goods, no money moved, supply conserved — and the buyer, who
         // agreed the trade and got silence, files a cut-off strike.
         // Duplicates are idempotent here (no bandwidth meter to junk).
-        let delivered =
-            !self.masquerade_silent(s) && self.env.faults_mut().fate(s, b) != Fate::Drop;
+        let delivered = !self.eng.masquerade_silent(seller)
+            && self.eng.env.faults_mut().fate(s, b) != Fate::Drop;
         if !delivered {
-            let nodes = &self.nodes;
-            self.cutoff.accuse(b, s, |i| nodes[i].attacker);
+            self.eng.accuse(buyer, seller);
             self.want_scratch = bought;
             return;
         }
         for &id in &bought {
-            self.windows.insert(b, id);
+            self.eng.windows.insert(b, id);
         }
         let price = bought.len() as u64;
-        self.nodes[b].money -= price;
-        self.nodes[s].money += price;
+        self.money[b] -= price;
+        self.money[s] += price;
         self.served_this_round[s] += 1;
         self.want_scratch = bought;
     }
 
     /// Run the configured horizon and produce the report.
     pub fn run_to_report(mut self) -> ScripGossipReport {
-        let total = self.cfg.base.total_rounds();
+        let total = self.eng.cfg.total_rounds();
         while self.round < total {
             let t = self.round;
             self.round(t);
@@ -490,30 +346,18 @@ impl ScripGossipSim {
 
     /// Snapshot the report so far.
     pub fn report(&self) -> ScripGossipReport {
-        let frac = |ci: usize| {
-            if self.totals[ci] == 0 {
-                0.0
-            } else {
-                self.delivered[ci] as f64 / self.totals[ci] as f64
-            }
-        };
-        let honest_delivered = self.delivered[0] + self.delivered[1];
-        let honest_total = self.totals[0] + self.totals[1];
+        let delivery = self.eng.delivery();
         let attempted = self.purchases_attempted.max(1) as f64;
         ScripGossipReport {
             rounds: self.round,
-            isolated_delivery: frac(0),
-            satiated_delivery: frac(1),
-            overall_delivery: if honest_total == 0 {
-                0.0
-            } else {
-                honest_delivered as f64 / honest_total as f64
-            },
+            isolated_delivery: delivery.isolated,
+            satiated_delivery: delivery.satiated,
+            overall_delivery: delivery.overall,
             refusal_rate: self.purchases_refused as f64 / attempted,
             broke_rate: self.purchases_broke as f64 / attempted,
             total_money: self.total_money(),
-            cuts: self.cutoff.stats(),
-            fault_counters: self.env.fault_counters(),
+            cuts: self.eng.cutoff.stats(),
+            fault_counters: self.eng.env.fault_counters(),
         }
     }
 }
@@ -522,87 +366,59 @@ impl RoundSim for ScripGossipSim {
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         debug_assert_eq!(t, self.round, "rounds must be sequential");
-        self.env.begin_round(t, &[], |key, _| {
-            crate::sim::gossip_observation(&self.delivered, &self.totals, &self.cutoff, key)
-        });
-        if !self.env.faults().just_crashed().is_empty() {
-            // State-losing crash: the window empties but the balance
-            // survives (scrip is a ledger, not local state), keeping the
-            // supply invariant intact under fault injection.
-            for i in self.env.faults().just_crashed().iter() {
-                self.windows.clear(i);
-            }
-        }
-        self.advance_windows(t);
-        self.seed_round(t);
+        // A crash empties the window but the balance survives (scrip is
+        // a ledger, not local state), keeping the supply invariant
+        // intact under fault injection.
+        self.eng.begin_round(t);
+        self.eng.advance_windows(t);
+        self.eng.seed_round(t);
         self.ideal_forwarding();
-        let cap = self.cfg.base.responder_cap.unwrap_or(u32::MAX);
+        let cap = self.eng.cfg.responder_cap.unwrap_or(u32::MAX);
         self.served_this_round.fill(0);
         // Two purchase opportunities per node per round, mirroring BAR
-        // Gossip's two sub-protocols.
-        for proto in [Protocol::BalancedExchange, Protocol::OptimisticPush] {
-            // Plan: batch every node's scheduled partner and a viability
-            // snapshot (ascending), then shuffle the batch — the same
-            // length, so the same draws as the legacy initiator shuffle.
-            let mut plan = std::mem::take(&mut self.plan_batch);
-            let n = self.nodes.len();
-            plan.reset(n);
-            let planner = self.schedule.planner(t, proto);
-            planner.fill(
-                NodeId::all(n as u32),
-                |v, p| {
-                    if !(self.alive(v.index()) && self.alive(p.index())) {
-                        0
-                    } else if self.env.faults().link_up(v.index(), p.index()) {
-                        VIABLE | LINKED
-                    } else {
-                        VIABLE
-                    }
-                },
-                plan.entries_mut(),
-            );
-            let proto_tag = match proto {
-                Protocol::BalancedExchange => 1u64,
-                Protocol::OptimisticPush => 2,
-                Protocol::Other(k) => 0x1_0000 + u64::from(k),
-            };
-            plan.shuffle(
-                &mut self
-                    .rng
-                    .fork_idx("order", t.wrapping_mul(4).wrapping_add(proto_tag)),
-            );
-            // Apply: aliveness only shrinks mid-phase (silence cuts),
-            // so non-viable pairs skip exactly as the legacy per-pair
-            // checks did; the viable remainder rechecks liveness when
-            // the cut-off defense can remove nodes under its feet.
-            let strict = self.cutoff.is_on();
+        // Gossip's two sub-protocols; every node is planned at any size.
+        for (proto, tag) in [
+            (Protocol::BalancedExchange, 1u64),
+            (Protocol::OptimisticPush, 2),
+        ] {
+            let order = self
+                .eng
+                .rng
+                .fork_idx("order", t.wrapping_mul(4).wrapping_add(tag));
+            self.eng.plan_phase(t, proto, order, true);
+            // Apply: aliveness only shrinks mid-phase (silence cuts), so
+            // non-viable pairs skip exactly; the viable remainder
+            // rechecks liveness when a defense can remove nodes under
+            // its feet.
+            let strict = self.eng.strict();
+            let plan = std::mem::take(&mut self.eng.plan_batch);
             for &e in plan.entries() {
                 if !e.is_viable() {
                     continue; // absent/crashed/cut end: the slot is wasted
                 }
                 let (v, p) = (e.initiator, e.partner);
-                if strict && !self.alive(v.index()) {
+                if strict && !self.eng.alive(v) {
                     continue;
                 }
-                if self.env.attack_active()
-                    && self.nodes[v.index()].attacker
+                if self.eng.env.attack_active()
+                    && self.eng.is_attacker(v)
                     && matches!(
-                        self.plan.kind,
+                        self.eng.plan.kind,
                         AttackKind::Crash | AttackKind::IdealLotusEater
                     )
                 {
                     continue; // crash/ideal attackers never interact
                 }
-                if strict && !self.alive(p.index()) {
+                if strict && !self.eng.alive(p) {
                     continue;
                 }
                 if !e.is_linked() {
-                    self.env.faults_mut().note_partition_blocked();
+                    self.eng.env.faults_mut().note_partition_blocked();
                     continue; // partitioned apart
                 }
                 self.interaction(v, p, t, cap);
             }
-            self.plan_batch = plan;
+            self.eng.plan_batch = plan;
         }
         self.round = t + 1;
     }
@@ -623,7 +439,7 @@ impl lotus_core::scenario::Scenario for ScripGossipSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        lotus_core::scenario::step_rounds(self, self.cfg.base.total_rounds())
+        lotus_core::scenario::step_rounds(self, self.eng.cfg.total_rounds())
     }
 
     fn report(&self) -> ScripGossipReport {
@@ -631,7 +447,7 @@ impl lotus_core::scenario::Scenario for ScripGossipSim {
     }
 
     fn arm_trace(&self) -> Option<&[lotus_core::adaptive::TraceEntry]> {
-        self.env.schedule().arm_trace()
+        self.eng.env.schedule().arm_trace()
     }
 }
 

@@ -27,30 +27,40 @@
 //! within its lifetime — exactly the streaming-usability notion the paper
 //! evaluates.
 //!
+//! The node state, the round prologue, window expiry, seeding and the
+//! plan half of each exchange phase live in the crate's gossip engine
+//! (the `engine` module), which scrip-gossip embeds as well; this file
+//! keeps the BAR Gossip exchange step.
+//!
 //! # Plan/apply exchange rounds
 //!
 //! Phases 4 and 5 run as two sub-phases each (see [`netsim::plan`]):
 //! a read-only **plan** walks the live shards in ascending order,
 //! batch-selecting every initiator's scheduled partner and a snapshot
-//! of pair viability into a flat [`ExchangePlan`]; a sequential
-//! **apply** shuffles the batch with the same `fork_idx` stream the
-//! legacy initiator-list shuffle drew from (a Fisher–Yates shuffle's
-//! draws depend only on length, and the batch has one entry per
-//! initiator) and then commits transfers, counters and rng-consuming
-//! outcomes pair by pair. Because partner selection is a pure hash and
-//! plan-time state is read-only, the plan fill is partitioned along
-//! shard bounds across the [`WorkerPool`] — concatenation in chunk
-//! order reproduces the ascending walk exactly, so every figure is
+//! of pair viability into a flat [`netsim::plan::ExchangePlan`]; a
+//! sequential **apply** shuffles the batch with the same `fork_idx`
+//! stream the legacy initiator-list shuffle drew from (a Fisher–Yates
+//! shuffle's draws depend only on length, and the batch has one entry
+//! per initiator) and then commits transfers, counters and
+//! rng-consuming outcomes pair by pair. Because partner selection is a
+//! pure hash and plan-time state is read-only, the plan fill is
+//! partitioned along shard bounds across the
+//! [`lotus_core::pool::WorkerPool`] — concatenation in chunk order
+//! reproduces the ascending walk exactly, so every figure is
 //! byte-identical for any `run_threads` value.
+//!
+//! The digest substrate runs the same balanced apply loop: only its
+//! order stream, the per-round bloom index rebuild and the honest arm
+//! (`digest_exchange` instead of `balanced_transfer`) differ, and it
+//! replaces the push phase.
 //!
 //! # Hot-loop invariants
 //!
 //! The per-round phases are **allocation-free in steady state**: every
-//! index list the round loop needs (`alive_scratch`, the exchange-plan
-//! batch and its chunk tables, seeding picks, gift/return buffers) is a
-//! scratch buffer owned by the sim struct, cleared and refilled in
-//! place, and membership tracking (`reporters`, `fed`) uses
-//! [`lotus_core::bitset::BitSet`]. The timing layer keeps the invariant:
+//! index list the round loop needs (the engine's seeding and plan
+//! scratch, gift/return and exchange buffers) is a scratch buffer owned
+//! by the sim, cleared and refilled in place, and membership tracking
+//! (`reporters`, `fed`) uses [`lotus_core::bitset::BitSet`]. The timing layer keeps the invariant:
 //! the schedule stepper ([`lotus_core::schedule::ScheduleState`]) and the
 //! churn tracker ([`lotus_core::population::Population`]) never allocate,
 //! and metric observations for threshold triggers are computed from the
@@ -62,22 +72,19 @@
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::{BarGossipConfig, DigestExchangeConfig};
+use crate::engine::GossipEngine;
 use crate::exchange::{
     balanced_exchange_into, is_excessive_service, optimistic_push_into, wants_push,
     BalancedOutcome, PushOutcome,
 };
-use crate::update::{UpdateId, WindowSet, WindowSlab, WindowView};
+use crate::update::{UpdateId, WindowView};
 use lotus_core::bitset::BitSet;
-use lotus_core::defense::SilenceCutoff;
 use lotus_core::digest::{region_hash, BloomIndex};
-use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
-use lotus_core::pool::WorkerPool;
-use lotus_core::schedule::{self, MetricKey};
+use lotus_core::schedule;
 use lotus_core::soa::ShardMap;
 use netsim::bandwidth::{BandwidthMeter, MsgClass};
-use netsim::partner::{PartnerSchedule, Protocol};
-use netsim::plan::{ExchangePlan, PlannedPair, LINKED, VIABLE};
+use netsim::partner::Protocol;
 use netsim::rng::DetRng;
 use netsim::round::RoundSim;
 use netsim::sign::Authority;
@@ -96,10 +103,10 @@ pub enum NodeClass {
     Attacker,
 }
 
-// Per-node state lives in struct-of-arrays layout on the simulator
-// itself (the `windows` slab, `class`, and the `target`/`obedient`/
-// `evicted` bitsets), keyed by node index — the flat layout the sharded
-// `O(active)` engine iterates.
+// Per-node state lives in struct-of-arrays layout on the gossip engine
+// (the `windows` slab, `class`, and the `target`/`obedient`/`evicted`
+// bitsets), keyed by node index — the flat layout the sharded
+// `O(active)` round iterates.
 
 /// Per-class delivery fractions measured at expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -235,7 +242,6 @@ impl BarGossipReport {
         self.delivery.isolated > self.usability_threshold
     }
 }
-
 /// The BAR Gossip simulator.
 ///
 /// ```
@@ -253,107 +259,29 @@ impl BarGossipReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BarGossipSim {
-    cfg: BarGossipConfig,
-    plan: AttackPlan,
-    // ---- struct-of-arrays per-node state, keyed by node index ----
-    /// Per-node update windows, one slab row per node, in lockstep with
-    /// `full`. Only *engaged* rows (see `engaged`) are shifted when a
-    /// round expires; every other row is still all-zero, which is the
-    /// empty window at any alignment.
-    windows: WindowSlab,
-    /// Metric class fixed at assignment time (isolated vs satiated).
-    class: Vec<NodeClass>,
-    /// Nodes the attacker currently tries to satiate. Equals the
-    /// satiated class for the static attacks of Figures 1-3; rotates
-    /// under [`AttackPlan::rotation_period`].
-    target: BitSet,
-    /// Obedient reporters (report-and-evict defense).
-    obedient: BitSet,
-    /// Evicted by the report defense.
-    evicted: BitSet,
-    /// The silence cut-off defense (cut nodes are excluded like
-    /// `evicted`).
-    cutoff: SilenceCutoff,
-    /// Nodes that have ever been present. A flash-crowd node still
-    /// waiting outside the system is *disengaged*: its slab row is not
-    /// shifted (the lazy-window seam that makes `advance_windows`
-    /// `O(engaged)` instead of `O(population)`) and it accumulates
-    /// zero deliveries — exactly what the dense path computed for it.
-    /// Nothing ever writes a disengaged row, so it is still all-zero on
-    /// arrival — already the empty window in lockstep, with no
-    /// fast-forward — and engaging only seeds its unusable-round
-    /// counter with the measured expiries it slept through.
-    engaged: BitSet,
-    /// Attacker node indices, ascending (class is fixed at assignment).
-    attacker_list: Vec<u32>,
-    /// Honest node indices, ascending.
-    honest_list: Vec<u32>,
-    /// Static per-class node counts (classes never change), indexed by
-    /// `class_idx`. Expiry accounting multiplies by these totals so
-    /// disengaged nodes still count against delivery, as in the dense
-    /// path.
-    class_counts: [u64; 3],
+    /// Node state, timing layer, seeding and planning, shared with
+    /// scrip-gossip (see [`crate::engine`]).
+    eng: GossipEngine,
     /// Whether the fault plan can touch messages at all; hoisted out of
     /// `faulty_send` so inert plans skip the fate machinery entirely.
     faults_msg: bool,
-    /// Every update released (the reference window).
-    full: WindowSet,
-    /// Ideal-attack pooled seeds (the out-of-band channel).
-    pool: WindowSet,
-    schedule: PartnerSchedule,
-    rng: DetRng,
     authority: Authority,
     meter: BandwidthMeter,
     trace: TraceBuffer,
     round: Round,
-    /// delivered[class] / totals[class] over expired measured rounds.
-    delivered: [u64; 3],
-    totals: [u64; 3],
     attacker_union_delivered: u64,
     attacker_union_total: u64,
     /// Distinct reporters per node (report-and-evict defense).
     reporters: Vec<BitSet>,
     evictions: u32,
-    isolated_series: Vec<(Round, f64)>,
     /// Incoming interactions served this round, per node, per protocol.
     served_balanced: Vec<u32>,
     served_push: Vec<u32>,
     /// Nodes being fed "sufficiently rapidly" by the Observation 3.1
     /// harness: they receive each new batch the instant it is released.
     fed: BitSet,
-    /// Per-node delivered updates over measured expired rounds.
-    node_delivered: Vec<u64>,
-    /// Per-node count of measured rounds below the usability threshold.
-    node_unusable_rounds: Vec<u32>,
-    /// Measured expired rounds so far.
-    measured_rounds: u32,
-    /// The timing layer: churn membership, fault injection and attack
-    /// timing. While the schedule has the attack off, attacker nodes
-    /// cooperate: they run the honest protocol like everyone else
-    /// (building stock the eventual defection exploits). Its activity
-    /// index (present ∧ ¬down ∧ ¬evicted ∧ ¬cut, rebuilt word-parallel
-    /// at the top of every round) is what round loops walk instead of
-    /// `0..n`, so per-step cost scales with active nodes, not total
-    /// population.
-    env: RoundEnvelope,
-    /// Fault-masquerading attackers' silence draws. Forked at
-    /// construction (stream-invisible) and drawn from only when a
-    /// masquerade attacker sends — `chance(0.0)` draws nothing, so on a
-    /// perfect network the attacker is bit-for-bit honest.
-    masq_rng: DetRng,
-    /// Intra-run worker pool for the plan phase of each exchange round
-    /// (`cfg.run_threads`; figures are byte-identical for any count).
-    run_pool: WorkerPool,
     // Scratch buffers for the allocation-free round loop (see module
     // docs); contents are meaningless between phases.
-    alive_scratch: Vec<usize>,
-    picks_scratch: Vec<usize>,
-    /// Reusable exchange-plan batch (the plan/apply split's worklist).
-    plan_batch: ExchangePlan,
-    /// Per-chunk entry counts for the pool's partitioned plan fill.
-    chunk_sizes: Vec<usize>,
-    /// Per-chunk shard-range bounds, parallel to `chunk_sizes`.
-    chunk_bounds: Vec<(usize, usize)>,
     gift_scratch: Vec<UpdateId>,
     returned_scratch: Vec<UpdateId>,
     balanced_scratch: BalancedOutcome,
@@ -362,7 +290,6 @@ pub struct BarGossipSim {
     /// full-window round untouched.
     digest_state: Option<DigestState>,
 }
-
 /// Modeled wire size of one update payload, in bytes (a stream packet).
 /// The absolute value is a convention — bytes-on-wire metrics compare
 /// *across* curves sharing it, not against a real deployment.
@@ -400,39 +327,6 @@ struct DigestState {
     stats: DigestStats,
 }
 
-/// Active-node floor below which the plan phase stays on the calling
-/// thread even when the pool has more workers: at small populations the
-/// spawn/join cost of a scoped chunk fan-out exceeds the walk itself,
-/// and the sequential path is what the alloc-guard suite pins as
-/// allocation-free.
-const PLAN_POOL_MIN_ACTIVE: usize = 1 << 14;
-
-/// The gossip substrates' canonical-metric observation for
-/// metric-threshold schedules, computed from the running per-class
-/// delivery counters and the cut-off's tallies (no report, no
-/// allocation). `None` until the first measured expiry — an unmeasured
-/// metric must not latch a threshold trigger — and for false cuts while
-/// the cut-off is off.
-pub(crate) fn gossip_observation(
-    delivered: &[u64; 3],
-    totals: &[u64; 3],
-    cutoff: &SilenceCutoff,
-    key: MetricKey,
-) -> Option<f64> {
-    match key {
-        MetricKey::FalseCutRate => cutoff.stats().map(|c| c.false_cut_rate()),
-        _ => schedule::class_delivery_observation(delivered, totals, key),
-    }
-}
-
-fn class_idx(class: NodeClass) -> usize {
-    match class {
-        NodeClass::Isolated => 0,
-        NodeClass::Satiated => 1,
-        NodeClass::Attacker => 2,
-    }
-}
-
 impl BarGossipSim {
     /// Build a simulator for `cfg` under `plan`, deterministic in `seed`.
     ///
@@ -441,77 +335,17 @@ impl BarGossipSim {
     /// Panics if `cfg` fails validation (use the builder, which validates).
     pub fn new(cfg: BarGossipConfig, plan: AttackPlan, seed: u64) -> Self {
         cfg.validate().expect("invalid BarGossipConfig");
-        let n = cfg.nodes;
-        let rng = DetRng::seed_from(seed).fork("bar-gossip");
-
-        // Assign attacker nodes, then satiated targets among the honest.
-        let mut assign_rng = rng.fork("assignment");
-        let attacker_count = plan.attacker_count(n) as usize;
-        let mut classes = vec![NodeClass::Isolated; n as usize];
-        let attacker_picks = assign_rng.sample_indices(n as usize, attacker_count);
-        for &i in &attacker_picks {
-            classes[i] = NodeClass::Attacker;
-        }
-        let (attacker_list, honest_list): (Vec<u32>, Vec<u32>) =
-            (0..n).partition(|&i| classes[i as usize] == NodeClass::Attacker);
-        let satiated_count = (plan.satiated_honest_count(n) as usize).min(honest_list.len());
-        for &hi in assign_rng
-            .sample_indices(honest_list.len(), satiated_count)
-            .iter()
-        {
-            classes[honest_list[hi] as usize] = NodeClass::Satiated;
-        }
-
-        // Obedient reporters among honest nodes (drawn only under the
-        // report defense, exactly as before, so rng streams match).
-        let mut obedient = BitSet::new(n as usize);
-        if let Some(report) = &cfg.defenses.report {
-            let honest = honest_list.len();
-            let k = ((honest as f64) * report.obedient_fraction).round() as usize;
-            for &hi in assign_rng.sample_indices(honest, k.min(honest)).iter() {
-                obedient.insert(honest_list[hi] as usize);
-            }
-        }
-
-        let (per_round, lifetime) = (cfg.updates_per_round, cfg.update_lifetime);
-        let windows = WindowSlab::new(n as usize, per_round, lifetime);
-        let mut target = BitSet::new(n as usize);
-        let mut class_counts = [0u64; 3];
-        for (i, &c) in classes.iter().enumerate() {
-            class_counts[class_idx(c)] += 1;
-            if c == NodeClass::Satiated {
-                target.insert(i);
-            }
-        }
-
-        // Flash-crowd nodes are withdrawn now (index-ordered, no
-        // randomness) and enter with empty windows at their wave's
-        // round. Attackers are exempt from the holdback — they churn
-        // like anyone but the crowd itself is honest — so the defection
-        // and the crowd stay independently timed dimensions.
-        let (cutoff_quorum, attackers) = (cfg.defenses.cutoff_quorum, attacker_list.len() as u32);
-        let timing = Timing {
-            churn: cfg.churn,
-            arrival: cfg.arrival,
-            faults: cfg.faults,
-            schedule: plan.schedule,
-        };
-        let env = RoundEnvelope::new(n as usize, timing, &rng, true, |i| {
-            if classes[i] == NodeClass::Attacker {
-                Shield::Crowd
-            } else {
-                Shield::None
-            }
-        });
-        // Everyone present at round 0 is engaged; flash-crowd nodes
-        // engage when their wave lands.
-        let engaged = env.population().present().clone();
+        // The engine goes first so the class assignment's O(n)
+        // temporaries are freed before the big per-node arrays below are
+        // allocated (at 1M nodes the other order costs ~4 MiB of RSS).
+        let eng = GossipEngine::new(cfg, plan, DetRng::seed_from(seed).fork("bar-gossip"));
+        let (cfg, rng, n) = (&eng.cfg, &eng.rng, eng.cfg.nodes);
         // Digest-exchange state only when configured. The forks below
         // are stream-invisible (forking never advances the parent), so
         // classic runs are bit-identical whether or not this substrate
         // exists. Buffers are capacity-reserved for the full live
-        // window, so the steady digest round never reallocates.
-        let live = (per_round * lifetime) as usize;
+        // window, so the steady round never reallocates.
+        let live = (cfg.updates_per_round * cfg.update_lifetime) as usize;
         let digest_state = cfg.digest.map(|dcfg| DigestState {
             dcfg,
             bloom: BloomIndex::new(
@@ -527,23 +361,12 @@ impl BarGossipSim {
             audit_rng: rng.fork("audit"),
             stats: DigestStats::default(),
         });
-        // The plan batch and the exchange buffers are reserved to their
-        // ceilings (one entry per node; one live window of ids), so even
-        // the round a flash crowd lands allocates nothing.
-        let plan_batch = ExchangePlan::with_capacity(n as usize);
         BarGossipSim {
-            full: WindowSet::new(per_round, lifetime),
-            pool: WindowSet::new(per_round, lifetime),
-            schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
-            env,
             faults_msg: cfg.faults.has_message_faults(),
-            masq_rng: rng.fork("masquerade"),
             authority: Authority::new(rng.fork("authority").next_u64(), n),
             meter: BandwidthMeter::new(n),
             trace: TraceBuffer::disabled(),
             round: 0,
-            delivered: [0; 3],
-            totals: [0; 3],
             attacker_union_delivered: 0,
             attacker_union_total: 0,
             // The reporter quorum sets are per-node bitsets — O(n²) bits
@@ -554,22 +377,9 @@ impl BarGossipSim {
                 Vec::new()
             },
             evictions: 0,
-            // One sample per measured round; reserved up front so the
-            // per-round push in `advance_windows` never reallocates
-            // mid-run (the steady-state step stays allocation-free).
-            isolated_series: Vec::with_capacity(cfg.rounds as usize),
             served_balanced: vec![0; n as usize],
             served_push: vec![0; n as usize],
             fed: BitSet::new(n as usize),
-            node_delivered: vec![0; n as usize],
-            node_unusable_rounds: vec![0; n as usize],
-            measured_rounds: 0,
-            run_pool: WorkerPool::new(cfg.run_threads),
-            alive_scratch: Vec::with_capacity(n as usize),
-            picks_scratch: Vec::with_capacity(cfg.copies_seeded as usize),
-            plan_batch,
-            chunk_sizes: Vec::new(),
-            chunk_bounds: Vec::new(),
             gift_scratch: Vec::with_capacity(live),
             returned_scratch: Vec::with_capacity(live),
             balanced_scratch: BalancedOutcome {
@@ -582,19 +392,7 @@ impl BarGossipSim {
                 junk_to_initiator: 0,
             },
             digest_state,
-            cfg,
-            plan,
-            windows,
-            class: classes,
-            target,
-            obedient,
-            evicted: BitSet::new(n as usize),
-            cutoff: SilenceCutoff::new(n as usize, cutoff_quorum, attackers),
-            engaged,
-            attacker_list,
-            honest_list,
-            class_counts,
-            rng,
+            eng,
         }
     }
 
@@ -610,50 +408,27 @@ impl BarGossipSim {
 
     /// The configuration in force.
     pub fn config(&self) -> &BarGossipConfig {
-        &self.cfg
+        &self.eng.cfg
     }
 
     /// The attack plan in force.
     pub fn plan(&self) -> &AttackPlan {
-        &self.plan
+        &self.eng.plan
     }
 
     /// Metric class of `node`.
     pub fn class_of(&self, node: NodeId) -> NodeClass {
-        self.class[node.index()]
+        self.eng.class[node.index()]
     }
 
     /// Whether `node` has been evicted by the report defense.
     pub fn is_evicted(&self, node: NodeId) -> bool {
-        self.evicted.contains(node.index())
+        self.eng.evicted.contains(node.index())
     }
 
     /// The sharded activity index (this round's snapshot).
     pub fn shard_map(&self) -> &ShardMap {
-        self.env.shards()
-    }
-
-    fn is_attacker(&self, node: NodeId) -> bool {
-        self.class[node.index()] == NodeClass::Attacker
-    }
-
-    fn alive(&self, node: NodeId) -> bool {
-        let i = node.index();
-        !self.evicted.contains(i) && !self.cutoff.is_cut(i) && self.env.is_up(i)
-    }
-
-    /// Engage `node` if it has never been present before: seed its
-    /// unusable-round counter with the measured expiries it slept
-    /// through (a disengaged node delivered nothing in each of them,
-    /// exactly like an empty dense window). Its window needs no
-    /// fast-forward: the row is still all-zero, the empty window in
-    /// lockstep.
-    fn ensure_engaged(&mut self, i: usize) {
-        if self.engaged.contains(i) {
-            return;
-        }
-        self.engaged.insert(i);
-        self.node_unusable_rounds[i] = self.measured_rounds;
+        self.eng.env.shards()
     }
 
     /// Honest responders serve at most `responder_cap` incoming
@@ -661,10 +436,10 @@ impl BarGossipSim {
     /// — except covert (masquerade/poison) attackers, who stay
     /// protocol-obedient to remain indistinguishable.
     fn responder_accepts(&mut self, node: NodeId, push: bool) -> bool {
-        if self.env.attack_active() && !self.plan.kind.covert() && self.is_attacker(node) {
+        if self.eng.overt_attacker(node) {
             return true;
         }
-        let cap = self.cfg.responder_cap.map_or(u32::MAX, |c| c);
+        let cap = self.eng.cfg.responder_cap.map_or(u32::MAX, |c| c);
         let served = if push {
             &mut self.served_push[node.index()]
         } else {
@@ -678,27 +453,6 @@ impl BarGossipSim {
         }
     }
 
-    /// Whether `sender`'s side of this interaction goes silent: a
-    /// fault-masquerading attacker withholds at the *round-aware*
-    /// ambient fault rate
-    /// ([`lotus_core::faults::FaultState::ambient_silence_rate`]), which
-    /// folds expected partition blocking in while an epoch is open —
-    /// matching only loss and delay would understate real ambient
-    /// silence there and make the masquerade statistically visible. Its
-    /// defections stay indistinguishable from background silence. Draws
-    /// nothing for honest senders, other attack kinds, or a zero
-    /// ambient rate (`chance(0.0)` is draw-free).
-    fn masquerade_silent(&mut self, sender: NodeId) -> bool {
-        if !self.env.attack_active()
-            || self.plan.kind != AttackKind::Masquerade
-            || !self.is_attacker(sender)
-        {
-            return false;
-        }
-        let rate = self.env.faults().ambient_silence_rate();
-        self.masq_rng.chance(rate)
-    }
-
     /// Deliver one directed batch `from → to` through the masquerade
     /// filter and the fault layer; returns whether the receiver got it.
     /// Uploads are metered on send (a lost message still cost the sender
@@ -709,7 +463,7 @@ impl BarGossipSim {
     // lint: hot-loop
     fn faulty_send(&mut self, from: NodeId, to: NodeId, payload: u64, junk: u64) -> bool {
         let units = payload + junk;
-        if units == 0 || self.masquerade_silent(from) {
+        if units == 0 || self.eng.masquerade_silent(from) {
             return false;
         }
         // Inert fault plans skip the fate machinery entirely: the flag
@@ -717,7 +471,7 @@ impl BarGossipSim {
         // costs a predicted-taken branch, not a call (this recovered
         // the bench regression the fault layer's introduction cost).
         let fate = if self.faults_msg {
-            self.env.faults_mut().fate(from.index(), to.index())
+            self.eng.env.faults_mut().fate(from.index(), to.index())
         } else {
             Fate::Deliver
         };
@@ -740,15 +494,11 @@ impl BarGossipSim {
     /// `observer` expected a delivery from `partner` inside an
     /// established balanced exchange (digests were traded, so the want
     /// was mutual knowledge) and got nothing: a silence cut-off strike
-    /// ([`SilenceCutoff`]). Silence in a push is not actionable: a lost
-    /// offer and a withheld payment look identical to the initiator.
+    /// ([`lotus_core::defense::SilenceCutoff`]). Silence in a push is not
+    /// actionable: a lost offer and a withheld payment look identical to
+    /// the initiator.
     fn note_silence(&mut self, observer: NodeId, partner: NodeId, now: Round) {
-        let class = &self.class;
-        let is_attacker = |i: usize| class[i] == NodeClass::Attacker;
-        if self
-            .cutoff
-            .accuse(observer.index(), partner.index(), is_attacker)
-        {
+        if self.eng.accuse(observer, partner) {
             self.trace
                 .emit(now, partner, EventKind::Evict, "cut on silence quorum");
         }
@@ -761,135 +511,49 @@ impl BarGossipSim {
     /// Phase 0: account attacker union coverage for the round about to
     /// expire (must run before the windows slide).
     fn account_attacker_coverage(&mut self, t: Round) {
-        if !self.plan.kind.satiates() || t < u64::from(self.cfg.update_lifetime) {
+        if !self.eng.plan.kind.satiates() || t < u64::from(self.eng.cfg.update_lifetime) {
             return;
         }
-        let r = t - u64::from(self.cfg.update_lifetime);
-        if !self.cfg.is_measured_round(r) {
+        let r = t - u64::from(self.eng.cfg.update_lifetime);
+        if !self.eng.cfg.is_measured_round(r) {
             return;
         }
         let mut union = 0u64;
-        for &i in &self.attacker_list {
-            union |= self.windows.row(i as usize).mask(r).unwrap_or(0);
+        for &i in &self.eng.attacker_list {
+            union |= self.eng.windows.row(i as usize).mask(r).unwrap_or(0);
         }
         // The ideal attack's pool also counts (it is what gets forwarded).
-        if self.plan.kind == AttackKind::IdealLotusEater {
-            union |= self.pool.mask(r).unwrap_or(0);
+        if self.eng.plan.kind == AttackKind::IdealLotusEater {
+            union |= self.eng.pool.mask(r).unwrap_or(0);
         }
         self.attacker_union_delivered += u64::from(union.count_ones());
-        self.attacker_union_total += u64::from(self.cfg.updates_per_round);
-    }
-
-    /// Phase 1: slide windows; account expired (measured) rounds.
-    ///
-    /// The slab's shared alignment moves in `O(1)`; per-row work happens
-    /// only on rounds where a release expires, and only for *engaged*
-    /// rows — `O(engaged)`, the hottest win of the sharded engine at
-    /// flash-crowd scale. A disengaged row is all-zero, so it needs no
-    /// shift: its dense contribution was always `got = 0` with one
-    /// unusable round per measured expiry. The class totals below use
-    /// the static per-class counts (every window popped in lockstep in
-    /// the dense loop, so its `class_nodes` tally was exactly those
-    /// counts), and the unusable rounds are settled at engage time /
-    /// report time. Reports stay bit-identical.
-    // lint: hot-loop
-    fn advance_windows(&mut self, t: Round) {
-        let popped_full = self.full.advance(t);
-        let _ = self.pool.advance(t);
-        let expired = self.windows.advance(t);
-        let Some((expired_round, full_mask)) = popped_full else {
-            return;
-        };
-        debug_assert_eq!(expired, Some(expired_round), "rows advance with `full`");
-        let measured = self.cfg.is_measured_round(expired_round);
-        let total = u64::from(full_mask.count_ones());
-        let mut class_delivered = [0u64; 3];
-        let usable_floor = self.cfg.usability_threshold;
-        for i in self.engaged.iter() {
-            let mask = self.windows.shift(i);
-            if !measured {
-                continue;
-            }
-            let ci = class_idx(self.class[i]);
-            let got = u64::from((mask & full_mask).count_ones());
-            class_delivered[ci] += got;
-            if self.class[i] != NodeClass::Attacker {
-                self.node_delivered[i] += got;
-                if total > 0 && (got as f64 / total as f64) <= usable_floor {
-                    self.node_unusable_rounds[i] += 1;
-                }
-            }
-        }
-        if measured {
-            self.measured_rounds += 1;
-            for (ci, got) in class_delivered.iter().enumerate() {
-                self.delivered[ci] += got;
-                self.totals[ci] += total * self.class_counts[ci];
-            }
-            let iso = if self.class_counts[0] * total > 0 {
-                class_delivered[0] as f64 / (self.class_counts[0] * total) as f64
-            } else {
-                0.0
-            };
-            self.isolated_series.push((expired_round, iso));
-        }
-    }
-
-    /// Phase 2: broadcaster releases and seeds the new batch.
-    // lint: hot-loop
-    fn seed_round(&mut self, t: Round) {
-        let mut alive = std::mem::take(&mut self.alive_scratch);
-        // The broadcaster itself is reliable infrastructure (the paper's
-        // content source): seeding is not subject to message faults, but
-        // crashed and cut nodes receive no seeds. The shard walk yields
-        // exactly the dense `(0..n).filter(alive)` list in the same
-        // ascending order (the activity mask *is* that filter), so the
-        // seeding draws are unchanged.
-        self.env.shards().collect_active_into(&mut alive);
-        let mut picks = std::mem::take(&mut self.picks_scratch);
-        let copies = (self.cfg.copies_seeded as usize).min(alive.len());
-        let mut seed_rng = self.rng.fork_idx("seeding", t);
-        for slot in 0..self.cfg.updates_per_round {
-            let id = UpdateId { round: t, slot };
-            self.full.insert(id);
-            seed_rng.sample_indices_into(alive.len(), copies, &mut picks);
-            for &pick in &picks {
-                let i = alive[pick];
-                self.windows.insert(i, id);
-                if self.class[i] == NodeClass::Attacker
-                    && self.plan.kind == AttackKind::IdealLotusEater
-                {
-                    self.pool.insert(id);
-                }
-            }
-        }
-        self.alive_scratch = alive;
-        self.picks_scratch = picks;
+        self.attacker_union_total += u64::from(self.eng.cfg.updates_per_round);
     }
 
     /// Phase 3 (ideal attack only): instant out-of-band forwarding of the
     /// attacker pool to every satiated-set node.
     fn ideal_forwarding(&mut self) {
-        if self.plan.kind != AttackKind::IdealLotusEater || !self.env.attack_active() {
+        if self.eng.plan.kind != AttackKind::IdealLotusEater || !self.eng.env.attack_active() {
             return;
         }
         // Representative attacker for bandwidth attribution (lowest
         // live attacker index, as in the dense scan).
         let Some(rep) = self
+            .eng
             .attacker_list
             .iter()
             .map(|&i| i as usize)
-            .find(|&i| self.alive(NodeId(i as u32)))
+            .find(|&i| self.eng.alive(NodeId(i as u32)))
         else {
             return;
         };
-        for i in self.target.iter() {
-            if !self.alive(NodeId(i as u32)) {
+        for i in self.eng.target.iter() {
+            if !self.eng.alive(NodeId(i as u32)) {
                 continue;
             }
-            let gained = self.windows.row(i).missing_from(&self.pool) as u64;
+            let gained = self.eng.windows.row(i).missing_from(&self.eng.pool) as u64;
             if gained > 0 {
-                self.windows.union_with(i, &self.pool);
+                self.eng.windows.union_with(i, &self.eng.pool);
                 self.meter.transfer(
                     NodeId(rep as u32),
                     NodeId(i as u32),
@@ -910,13 +574,14 @@ impl BarGossipSim {
     /// up to `push_size` is protocol-legal.
     fn attacker_gift(&mut self, attacker: NodeId, target: NodeId, now: Round, push_slot: bool) {
         let cap = self
+            .eng
             .cfg
             .defenses
             .rate_limit
             .map_or(usize::MAX, |c| c as usize);
         let mut gift = std::mem::take(&mut self.gift_scratch);
-        self.windows.row(target.index()).wanted_from_into(
-            self.windows.row(attacker.index()),
+        self.eng.windows.row(target.index()).wanted_from_into(
+            self.eng.windows.row(attacker.index()),
             now,
             cap,
             0,
@@ -936,9 +601,9 @@ impl BarGossipSim {
         }
         let mut returned = std::mem::take(&mut self.returned_scratch);
         returned.clear();
-        if self.cfg.attacker_receives {
-            self.windows.row(attacker.index()).wanted_from_into(
-                self.windows.row(target.index()),
+        if self.eng.cfg.attacker_receives {
+            self.eng.windows.row(attacker.index()).wanted_from_into(
+                self.eng.windows.row(target.index()),
                 now,
                 gift.len(),
                 0,
@@ -947,27 +612,27 @@ impl BarGossipSim {
             );
         }
         for &id in &gift {
-            self.windows.insert(target.index(), id);
+            self.eng.windows.insert(target.index(), id);
         }
         if self.faulty_send(target, attacker, returned.len() as u64, 0) {
             for &id in &returned {
-                self.windows.insert(attacker.index(), id);
+                self.eng.windows.insert(attacker.index(), id);
             }
         }
         self.trace.emit_with(now, target, EventKind::Attack, || {
             format!("gift of {} from {attacker}", gift.len())
         });
 
-        if let Some(report) = self.cfg.defenses.report {
+        if let Some(report) = self.eng.cfg.defenses.report {
             // In a push slot, service up to push_size is protocol-legal;
             // in a balanced slot only reciprocity (+slack) is.
             let effective_received = if push_slot {
-                returned.len().max(self.cfg.push_size as usize)
+                returned.len().max(self.eng.cfg.push_size as usize)
             } else {
                 returned.len()
             };
             if is_excessive_service(gift.len(), effective_received, report.excess_slack)
-                && self.obedient.contains(target.index())
+                && self.eng.obedient.contains(target.index())
             {
                 self.file_report(target, attacker, now, gift.len() as u64);
             }
@@ -982,7 +647,7 @@ impl BarGossipSim {
         if a == b {
             return;
         }
-        let (gained_a, gained_b) = self.windows.sync(a.index(), b.index());
+        let (gained_a, gained_b) = self.eng.windows.sync(a.index(), b.index());
         if gained_b > 0 {
             self.meter
                 .transfer(a, b, MsgClass::Payload, gained_b as u64);
@@ -996,6 +661,7 @@ impl BarGossipSim {
     /// File a signed excess-service report; evict on quorum.
     fn file_report(&mut self, reporter: NodeId, reported: NodeId, now: Round, amount: u64) {
         let report_cfg = self
+            .eng
             .cfg
             .defenses
             .report
@@ -1012,8 +678,8 @@ impl BarGossipSim {
         });
         let set = &mut self.reporters[reported.index()];
         set.insert(reporter.index());
-        if set.len() as u32 >= report_cfg.quorum && !self.evicted.contains(reported.index()) {
-            self.evicted.insert(reported.index());
+        if set.len() as u32 >= report_cfg.quorum && !self.eng.evicted.contains(reported.index()) {
+            self.eng.evicted.insert(reported.index());
             self.evictions += 1;
             self.trace
                 .emit(now, reported, EventKind::Evict, "evicted on report quorum");
@@ -1024,163 +690,52 @@ impl BarGossipSim {
     /// target window slides over the honest population so every node takes
     /// turns being satiated — and, in between, isolated.
     fn rotate_targets(&mut self, t: Round) {
-        let Some(period) = self.plan.rotation_period() else {
+        let Some(period) = self.eng.plan.rotation_period() else {
             return;
         };
-        if !self.plan.kind.satiates() || !t.is_multiple_of(period) {
+        if !self.eng.plan.kind.satiates() || !t.is_multiple_of(period) {
             return;
         }
         // Honest indices are fixed at assignment time, so the rotation
         // window reads the static ascending `honest_list` directly —
         // the same list the per-rotation dense scan used to rebuild.
-        if self.honest_list.is_empty() {
+        if self.eng.honest_list.is_empty() {
             return;
         }
-        let count = (self.plan.satiated_honest_count(self.class.len() as u32) as usize)
-            .min(self.honest_list.len());
-        self.target.clear();
+        let count = (self
+            .eng
+            .plan
+            .satiated_honest_count(self.eng.class.len() as u32) as usize)
+            .min(self.eng.honest_list.len());
+        self.eng.target.clear();
         let phase = self
+            .eng
             .env
             .schedule()
             .rotation_phase(t)
             .expect("rotation_period() implies a rotation phase");
-        for w in schedule::rotating_window(phase, count, self.honest_list.len()) {
-            self.target.insert(self.honest_list[w] as usize);
+        for w in schedule::rotating_window(phase, count, self.eng.honest_list.len()) {
+            self.eng.target.insert(self.eng.honest_list[w] as usize);
         }
     }
 
-    /// Whether a configured defense can remove nodes *during* an
-    /// exchange phase: report-and-evict inserts into `evicted` and the
-    /// silence cut-off inserts into `cut` while pairs are being applied.
-    /// When neither is on, aliveness is fixed for the whole round (churn
-    /// and faults only flip at round start), so the plan's viability
-    /// snapshot stays exact through apply and the hot path can skip the
-    /// per-pair liveness probes entirely.
-    fn mid_phase_removals_possible(&self) -> bool {
-        self.cfg.defenses.report.is_some() || self.cutoff.is_on()
-    }
-
-    /// Plan-time viability snapshot for a pair. In strict mode (a
-    /// defense can remove nodes mid-phase) this probes the live
-    /// [`BarGossipSim::alive`] sets; otherwise the round-top shard
-    /// snapshot *is* aliveness — one probe per endpoint instead of four.
-    /// Link state is static within a round, so it is only sampled for
-    /// viable pairs (apply never reads it on skipped ones).
-    // lint: hot-loop
-    #[inline]
-    fn pair_flags(&self, v: NodeId, p: NodeId, strict: bool) -> u8 {
-        let viable = if strict {
-            self.alive(v) && self.alive(p)
-        } else {
-            let shards = self.env.shards();
-            shards.contains(v.index()) && shards.contains(p.index())
-        };
-        if !viable {
-            return 0;
-        }
-        if self.env.faults().link_up(v.index(), p.index()) {
-            VIABLE | LINKED
-        } else {
-            VIABLE
-        }
-    }
-
-    /// Partition the shard range into at most `run_pool.threads()`
-    /// contiguous chunks of near-equal active counts (from the shard
-    /// map's cached popcounts — no walk). Chunk boundaries depend on
-    /// the worker count, but their concatenation is always the full
-    /// ascending shard walk, so plan content never does. Populations
-    /// under [`PLAN_POOL_MIN_ACTIVE`] stay on one chunk: the fan-out
-    /// costs more than the walk, and the sequential path is what the
-    /// alloc-guard suite pins as allocation-free.
-    fn plan_chunks(&self, total: usize, sizes: &mut Vec<usize>, bounds: &mut Vec<(usize, usize)>) {
-        sizes.clear();
-        bounds.clear();
-        let workers = if total >= PLAN_POOL_MIN_ACTIVE {
-            self.run_pool.threads().max(1)
-        } else {
-            1
-        };
-        let shards = self.env.shards();
-        let shard_count = shards.shard_count();
-        if workers <= 1 {
-            sizes.push(total);
-            bounds.push((0, shard_count));
-            return;
-        }
-        let target = total.div_ceil(workers);
-        let mut lo = 0usize;
-        let mut acc = 0usize;
-        for s in 0..shard_count {
-            acc += shards.shard_active_count(s) as usize;
-            if acc >= target && sizes.len() + 1 < workers {
-                sizes.push(acc);
-                bounds.push((lo, s + 1));
-                lo = s + 1;
-                acc = 0;
-            }
-        }
-        sizes.push(acc);
-        bounds.push((lo, shard_count));
-    }
-
-    /// The plan sub-phase shared by both exchange protocols: batch every
-    /// initiator's scheduled partner and viability snapshot into
-    /// `plan_batch` (ascending walk, chunk-partitioned across the
-    /// worker pool), then shuffle the batch with `order_rng` — the same
-    /// stream the legacy path used on its bare initiator list, drawing
-    /// identically because a Fisher–Yates shuffle depends only on
-    /// length. Populations that fit in one shard keep the legacy dense
-    /// order — all nodes, shuffled — so paper-scale runs (and their
-    /// golden fixtures) are byte-identical. Multi-shard populations
-    /// plan only the active shards: dead nodes never even enter the
-    /// batch, which is what keeps the round `O(active)` instead of
-    /// `O(population)`.
-    // lint: hot-loop
-    fn plan_phase(&mut self, t: Round, proto: Protocol, mut order_rng: DetRng) {
-        let mut plan = std::mem::take(&mut self.plan_batch);
-        let planner = self.schedule.planner(t, proto);
-        let strict = self.mid_phase_removals_possible();
-        let n = self.class.len();
-        if n <= self.env.shards().shard_size() {
-            plan.reset(n);
-            planner.fill(
-                NodeId::all(n as u32),
-                |v, p| self.pair_flags(v, p, strict),
-                plan.entries_mut(),
-            );
-        } else {
-            let total = self.env.shards().active_count();
-            plan.reset(total);
-            let mut sizes = std::mem::take(&mut self.chunk_sizes);
-            let mut bounds = std::mem::take(&mut self.chunk_bounds);
-            self.plan_chunks(total, &mut sizes, &mut bounds);
-            let sim = &*self;
-            let bounds_ref = &bounds;
-            self.run_pool
-                .run_partitioned(plan.entries_mut(), &sizes, |chunk, out| {
-                    let (lo, hi) = bounds_ref[chunk];
-                    let mut k = 0usize;
-                    sim.env.shards().for_each_active_in(lo..hi, |i| {
-                        let v = NodeId(i as u32);
-                        let p = planner.partner_of(v);
-                        out[k] = PlannedPair {
-                            initiator: v,
-                            partner: p,
-                            flags: sim.pair_flags(v, p, strict),
-                        };
-                        k += 1;
-                    });
-                    debug_assert_eq!(k, out.len(), "chunk sizes must match the shard walk");
-                });
-            self.chunk_sizes = sizes;
-            self.chunk_bounds = bounds;
-        }
-        plan.shuffle(&mut order_rng);
-        self.plan_batch = plan;
+    /// Whether the exchange plans cover every node: only while the
+    /// population fits one shard, so paper-scale runs keep the dense
+    /// order while multi-shard runs plan only active shards.
+    fn dense_plan(&self) -> bool {
+        self.eng.node_count() <= self.eng.env.shards().shard_size()
     }
 
     /// Phase 4: balanced exchanges — plan, shuffle, sequential apply.
+    ///
+    /// In digest mode this one loop also runs the two-leg digest round,
+    /// which replaces both classic phases: only the order stream
+    /// (`"digest-order"`), the bloom index rebuild and the honest arm
+    /// ([`BarGossipSim::digest_exchange`] instead of
+    /// [`BarGossipSim::balanced_transfer`]) differ. In bloom mode the
+    /// probe index is rebuilt over this round's live window first:
+    /// every engaged window is in lockstep with `full`, so it covers
+    /// every advertisement of the round.
     // lint: hot-loop
     fn balanced_phase(&mut self, t: Round) {
         // Only slots inside active shards can be served this round
@@ -1188,15 +743,22 @@ impl BarGossipSim {
         // the clear is O(active shards), not a full-slab fill.
         netsim::round::clear_counters_for(
             &mut self.served_balanced,
-            self.env.shards().active_ranges(),
+            self.eng.env.shards().active_ranges(),
         );
-        self.plan_phase(
-            t,
-            Protocol::BalancedExchange,
-            self.rng.fork_idx("balanced-order", t),
-        );
-        let strict = self.mid_phase_removals_possible();
-        let plan = std::mem::take(&mut self.plan_batch);
+        let order = match &mut self.digest_state {
+            Some(st) => {
+                if !st.dcfg.exact {
+                    st.bloom.rebuild(self.eng.full.start(), t);
+                }
+                self.eng.rng.fork_idx("digest-order", t)
+            }
+            None => self.eng.rng.fork_idx("balanced-order", t),
+        };
+        let dense = self.dense_plan();
+        self.eng
+            .plan_phase(t, Protocol::BalancedExchange, order, dense);
+        let strict = self.eng.strict();
+        let plan = std::mem::take(&mut self.eng.plan_batch);
         for &e in plan.entries() {
             // Aliveness only shrinks mid-phase, so a pair planned
             // non-viable can never revive; strict mode rechecks the
@@ -1206,14 +768,14 @@ impl BarGossipSim {
                 continue;
             }
             let (v, p) = (e.initiator, e.partner);
-            if strict && (!self.alive(v) || !self.alive(p)) {
+            if strict && (!self.eng.alive(v) || !self.eng.alive(p)) {
                 continue;
             }
             if !e.is_linked() {
                 // Partitioned apart: the interaction never happens. The
                 // blocked-interaction counter ticks here — the position
                 // the legacy walk's counting link check sat at.
-                self.env.faults_mut().note_partition_blocked();
+                self.eng.env.faults_mut().note_partition_blocked();
                 continue;
             }
             // While the schedule has the attack off, attacker nodes run
@@ -1222,20 +784,21 @@ impl BarGossipSim {
             // (masquerade/poison) attackers *always* take the honest
             // path — their defection lives inside the delivery step, not
             // in the dispatch.
-            let classes = if self.env.attack_active() && !self.plan.kind.covert() {
-                (self.class[v.index()], self.class[p.index()])
+            let classes = if self.eng.env.attack_active() && !self.eng.plan.kind.covert() {
+                (self.eng.class[v.index()], self.eng.class[p.index()])
             } else {
                 (NodeClass::Isolated, NodeClass::Isolated)
             };
+            let trade = self.eng.plan.kind == AttackKind::TradeLotusEater;
             match classes {
                 (NodeClass::Attacker, NodeClass::Attacker) => {
-                    if self.plan.kind == AttackKind::TradeLotusEater {
+                    if trade {
                         self.attacker_sync(v, p);
                     }
                 }
                 (NodeClass::Attacker, _) => {
-                    if self.plan.kind == AttackKind::TradeLotusEater
-                        && self.target.contains(p.index())
+                    if trade
+                        && self.eng.target.contains(p.index())
                         && self.responder_accepts(p, false)
                     {
                         self.attacker_gift(v, p, t, false);
@@ -1243,9 +806,7 @@ impl BarGossipSim {
                     // Crash/ideal attackers never initiate.
                 }
                 (_, NodeClass::Attacker) => {
-                    if self.plan.kind == AttackKind::TradeLotusEater
-                        && self.target.contains(v.index())
-                    {
+                    if trade && self.eng.target.contains(v.index()) {
                         // The scheduled exchange gives the attacker an
                         // interaction; it responds by gifting.
                         self.attacker_gift(p, v, t, false);
@@ -1257,52 +818,67 @@ impl BarGossipSim {
                     if !self.responder_accepts(p, false) {
                         continue; // responder at capacity: initiation wasted
                     }
-                    let mut out = std::mem::take(&mut self.balanced_scratch);
-                    balanced_exchange_into(
-                        self.windows.row(v.index()),
-                        self.windows.row(p.index()),
-                        t,
-                        self.cfg.defenses.unbalanced_exchanges,
-                        self.cfg.defenses.rate_limit,
-                        &mut out,
-                    );
-                    // Each direction is one message through the fault
-                    // layer; an expected-but-silent direction is what the
-                    // cut-off defense strikes on (loss and masquerade are
-                    // indistinguishable here — by design).
-                    if self.faulty_send(p, v, out.to_initiator.len() as u64, 0) {
-                        for &id in &out.to_initiator {
-                            self.windows.insert(v.index(), id);
-                        }
-                    } else if !out.to_initiator.is_empty() {
-                        self.note_silence(v, p, t);
+                    if self.digest_state.is_some() {
+                        self.digest_exchange(v, p, t);
+                    } else {
+                        self.balanced_transfer(v, p, t);
                     }
-                    if self.faulty_send(v, p, out.to_responder.len() as u64, 0) {
-                        for &id in &out.to_responder {
-                            self.windows.insert(p.index(), id);
-                        }
-                    } else if !out.to_responder.is_empty() {
-                        self.note_silence(p, v, t);
-                    }
-                    self.balanced_scratch = out;
                 }
             }
         }
-        self.plan_batch = plan;
+        self.eng.plan_batch = plan;
+    }
+
+    /// The classic honest arm of a balanced exchange: a one-for-one
+    /// trade of full windows. Each direction is one message through the
+    /// fault layer; an expected-but-silent direction is what the cut-off
+    /// defense strikes on (loss and masquerade are indistinguishable
+    /// here — by design).
+    // lint: hot-loop
+    fn balanced_transfer(&mut self, v: NodeId, p: NodeId, t: Round) {
+        let mut out = std::mem::take(&mut self.balanced_scratch);
+        balanced_exchange_into(
+            self.eng.windows.row(v.index()),
+            self.eng.windows.row(p.index()),
+            t,
+            self.eng.cfg.defenses.unbalanced_exchanges,
+            self.eng.cfg.defenses.rate_limit,
+            &mut out,
+        );
+        if self.faulty_send(p, v, out.to_initiator.len() as u64, 0) {
+            for &id in &out.to_initiator {
+                self.eng.windows.insert(v.index(), id);
+            }
+        } else if !out.to_initiator.is_empty() {
+            self.note_silence(v, p, t);
+        }
+        if self.faulty_send(v, p, out.to_responder.len() as u64, 0) {
+            for &id in &out.to_responder {
+                self.eng.windows.insert(p.index(), id);
+            }
+        } else if !out.to_responder.is_empty() {
+            self.note_silence(p, v, t);
+        }
+        self.balanced_scratch = out;
     }
 
     /// Phase 5: optimistic pushes — plan, shuffle, sequential apply.
     // lint: hot-loop
     fn push_phase(&mut self, t: Round) {
         // Shard-range clear, as in `balanced_phase`.
-        netsim::round::clear_counters_for(&mut self.served_push, self.env.shards().active_ranges());
-        self.plan_phase(
+        netsim::round::clear_counters_for(
+            &mut self.served_push,
+            self.eng.env.shards().active_ranges(),
+        );
+        let dense = self.dense_plan();
+        self.eng.plan_phase(
             t,
             Protocol::OptimisticPush,
-            self.rng.fork_idx("push-order", t),
+            self.eng.rng.fork_idx("push-order", t),
+            dense,
         );
-        let strict = self.mid_phase_removals_possible();
-        let plan = std::mem::take(&mut self.plan_batch);
+        let strict = self.eng.strict();
+        let plan = std::mem::take(&mut self.eng.plan_batch);
         for &e in plan.entries() {
             // Either end planned dead means the legacy walk did nothing
             // for this pair (an attacker initiator with a dead partner
@@ -1312,7 +888,7 @@ impl BarGossipSim {
                 continue;
             }
             let (v, p) = (e.initiator, e.partner);
-            if strict && !self.alive(v) {
+            if strict && !self.eng.alive(v) {
                 continue;
             }
             // Attacker-specific push behaviour only while the attack is
@@ -1322,29 +898,38 @@ impl BarGossipSim {
             // attacker arms are deliberately *not* gated on the link —
             // the legacy path never was (attacker pooling models an
             // out-of-band channel), and the goldens pin that.
-            if self.env.attack_active() && !self.plan.kind.covert() && self.is_attacker(v) {
-                if self.plan.kind == AttackKind::TradeLotusEater && (!strict || self.alive(p)) {
-                    if self.class[p.index()] == NodeClass::Attacker {
+            if self.eng.overt_attacker(v) {
+                if self.eng.plan.kind == AttackKind::TradeLotusEater
+                    && (!strict || self.eng.alive(p))
+                {
+                    if self.eng.class[p.index()] == NodeClass::Attacker {
                         self.attacker_sync(v, p);
-                    } else if self.target.contains(p.index()) && self.responder_accepts(p, true) {
+                    } else if self.eng.target.contains(p.index()) && self.responder_accepts(p, true)
+                    {
                         self.attacker_gift(v, p, t, true);
                     }
                 }
                 continue;
             }
             // Rational initiation condition: only when missing old updates.
-            if !wants_push(self.windows.row(v.index()), &self.full, t, self.cfg.old_age) {
+            if !wants_push(
+                self.eng.windows.row(v.index()),
+                &self.eng.full,
+                t,
+                self.eng.cfg.old_age,
+            ) {
                 continue;
             }
-            if strict && !self.alive(p) {
+            if strict && !self.eng.alive(p) {
                 continue;
             }
             if !e.is_linked() {
-                self.env.faults_mut().note_partition_blocked();
+                self.eng.env.faults_mut().note_partition_blocked();
                 continue; // partitioned apart
             }
-            if self.env.attack_active() && !self.plan.kind.covert() && self.is_attacker(p) {
-                if self.plan.kind == AttackKind::TradeLotusEater && self.target.contains(v.index())
+            if self.eng.overt_attacker(p) {
+                if self.eng.plan.kind == AttackKind::TradeLotusEater
+                    && self.eng.target.contains(v.index())
                 {
                     self.attacker_gift(p, v, t, true);
                 }
@@ -1355,13 +940,13 @@ impl BarGossipSim {
             }
             let mut out = std::mem::take(&mut self.push_scratch);
             optimistic_push_into(
-                self.windows.row(v.index()),
-                self.windows.row(p.index()),
+                self.eng.windows.row(v.index()),
+                self.eng.windows.row(p.index()),
                 t,
-                self.cfg.push_size,
-                self.cfg.old_age,
-                self.cfg.recent_age,
-                self.cfg.defenses.rate_limit,
+                self.eng.cfg.push_size,
+                self.eng.cfg.old_age,
+                self.eng.cfg.recent_age,
+                self.eng.cfg.defenses.rate_limit,
                 &mut out,
             );
             if out.is_empty() {
@@ -1374,7 +959,7 @@ impl BarGossipSim {
             // cannot tell a lost offer from a withheld payment.
             if self.faulty_send(v, p, out.to_responder.len() as u64, 0) {
                 for &id in &out.to_responder {
-                    self.windows.insert(p.index(), id);
+                    self.eng.windows.insert(p.index(), id);
                 }
             }
             if self.faulty_send(
@@ -1384,92 +969,12 @@ impl BarGossipSim {
                 u64::from(out.junk_to_initiator),
             ) {
                 for &id in &out.useful_to_initiator {
-                    self.windows.insert(v.index(), id);
+                    self.eng.windows.insert(v.index(), id);
                 }
             }
             self.push_scratch = out;
         }
-        self.plan_batch = plan;
-    }
-
-    /// Phases 4+5 (digest mode): the two-leg digest exchange replaces
-    /// both classic exchange phases. Planning, shuffling, strict
-    /// rechecks and the attacker-class dispatch mirror
-    /// [`BarGossipSim::balanced_phase`] exactly — only the honest arm
-    /// differs, swapping the full-window balanced trade for an
-    /// advertise-then-diff exchange ([`BarGossipSim::digest_exchange`]).
-    /// Covert (masquerade/poison) attackers take the honest arm; their
-    /// defection lives inside the transfer leg. In bloom mode the probe
-    /// index is rebuilt over this round's live window first: every
-    /// engaged window is in lockstep with `full`, so it covers every
-    /// advertisement of the round.
-    // lint: hot-loop
-    fn digest_phase(&mut self, t: Round) {
-        netsim::round::clear_counters_for(
-            &mut self.served_balanced,
-            self.env.shards().active_ranges(),
-        );
-        self.plan_phase(
-            t,
-            Protocol::BalancedExchange,
-            self.rng.fork_idx("digest-order", t),
-        );
-        let st = self
-            .digest_state
-            .as_mut()
-            .expect("digest_phase implies digest state");
-        if !st.dcfg.exact {
-            st.bloom.rebuild(self.full.start(), t);
-        }
-        let strict = self.mid_phase_removals_possible();
-        let plan = std::mem::take(&mut self.plan_batch);
-        for &e in plan.entries() {
-            if !e.is_viable() {
-                continue;
-            }
-            let (v, p) = (e.initiator, e.partner);
-            if strict && (!self.alive(v) || !self.alive(p)) {
-                continue;
-            }
-            if !e.is_linked() {
-                self.env.faults_mut().note_partition_blocked();
-                continue;
-            }
-            let classes = if self.env.attack_active() && !self.plan.kind.covert() {
-                (self.class[v.index()], self.class[p.index()])
-            } else {
-                (NodeClass::Isolated, NodeClass::Isolated)
-            };
-            match classes {
-                (NodeClass::Attacker, NodeClass::Attacker) => {
-                    if self.plan.kind == AttackKind::TradeLotusEater {
-                        self.attacker_sync(v, p);
-                    }
-                }
-                (NodeClass::Attacker, _) => {
-                    if self.plan.kind == AttackKind::TradeLotusEater
-                        && self.target.contains(p.index())
-                        && self.responder_accepts(p, false)
-                    {
-                        self.attacker_gift(v, p, t, false);
-                    }
-                }
-                (_, NodeClass::Attacker) => {
-                    if self.plan.kind == AttackKind::TradeLotusEater
-                        && self.target.contains(v.index())
-                    {
-                        self.attacker_gift(p, v, t, false);
-                    }
-                }
-                (_, _) => {
-                    if !self.responder_accepts(p, false) {
-                        continue;
-                    }
-                    self.digest_exchange(v, p, t);
-                }
-            }
-        }
-        self.plan_batch = plan;
+        self.eng.plan_batch = plan;
     }
 
     /// One two-leg digest exchange between `v` (initiator) and `p`
@@ -1500,15 +1005,19 @@ impl BarGossipSim {
         let mut st = self
             .digest_state
             .take()
-            .expect("digest_phase implies digest state");
+            .expect("digest exchanges imply digest state");
         let limit = self
+            .eng
             .cfg
             .defenses
             .rate_limit
             .map_or(usize::MAX, |c| c as usize);
         let mut want_v = std::mem::take(&mut st.want_initiator);
         let mut want_p = std::mem::take(&mut st.want_partner);
-        let (wv, wp) = (self.windows.row(v.index()), self.windows.row(p.index()));
+        let (wv, wp) = (
+            self.eng.windows.row(v.index()),
+            self.eng.windows.row(p.index()),
+        );
         if st.dcfg.exact {
             want_v.clear();
             want_p.clear();
@@ -1614,19 +1123,19 @@ impl BarGossipSim {
     ) {
         let mut deliver = std::mem::take(&mut st.deliver);
         deliver.clear();
-        let poisoner = self.env.attack_active()
-            && self.plan.kind == AttackKind::Poison
-            && self.is_attacker(sender);
+        let poisoner = self.eng.env.attack_active()
+            && self.eng.plan.kind == AttackKind::Poison
+            && self.eng.is_attacker(sender);
         let mut strike = false;
         for &id in want {
-            if !self.windows.row(sender.index()).contains(id) {
+            if !self.eng.windows.row(sender.index()).contains(id) {
                 st.stats.fp_requests += 1;
                 if !strike {
                     strike = st.audit_rng.chance(st.dcfg.audit);
                 }
                 continue;
             }
-            if poisoner && st.poison_rng.chance(self.plan.poison_rate) {
+            if poisoner && st.poison_rng.chance(self.eng.plan.poison_rate) {
                 st.stats.withheld += 1;
                 if !strike {
                     strike = st.audit_rng.chance(st.dcfg.audit);
@@ -1639,7 +1148,7 @@ impl BarGossipSim {
         if !deliver.is_empty() {
             if self.faulty_send(sender, receiver, deliver.len() as u64, 0) {
                 for &id in &deliver {
-                    self.windows.insert(receiver.index(), id);
+                    self.eng.windows.insert(receiver.index(), id);
                 }
             } else {
                 self.note_silence(receiver, sender, t);
@@ -1653,7 +1162,7 @@ impl BarGossipSim {
 
     /// Run the configured horizon and produce the report.
     pub fn run_to_report(mut self) -> BarGossipReport {
-        let total = self.cfg.total_rounds();
+        let total = self.eng.cfg.total_rounds();
         while self.round < total {
             let t = self.round;
             self.round(t);
@@ -1663,43 +1172,17 @@ impl BarGossipSim {
 
     /// Snapshot the report for the rounds executed so far.
     pub fn report(&self) -> BarGossipReport {
-        let frac = |ci: usize| -> f64 {
-            if self.totals[ci] == 0 {
-                0.0
-            } else {
-                self.delivered[ci] as f64 / self.totals[ci] as f64
-            }
-        };
-        let honest_delivered = self.delivered[0] + self.delivered[1];
-        let honest_total = self.totals[0] + self.totals[1];
         let counts = ClassCounts {
-            isolated: self.class_counts[0] as u32,
-            satiated: self.class_counts[1] as u32,
-            attacker: self.class_counts[2] as u32,
+            isolated: self.eng.class_counts[0] as u32,
+            satiated: self.eng.class_counts[1] as u32,
+            attacker: self.eng.class_counts[2] as u32,
         };
-        let attacker_nodes = &self.attacker_list;
-        let honest_nodes = &self.honest_list;
-        // A node that never engaged (its arrival wave never landed)
-        // delivered nothing in every measured round — exactly what its
-        // empty dense window would have tallied.
-        let unusable_rounds = |i: usize| {
-            if self.engaged.contains(i) {
-                self.node_unusable_rounds[i]
-            } else {
-                self.measured_rounds
-            }
-        };
+        let attacker_nodes = &self.eng.attacker_list;
+        let honest_nodes = &self.eng.honest_list;
+        let unusable_rounds = |i: usize| self.eng.unusable_rounds(i);
         BarGossipReport {
             rounds: self.round,
-            delivery: ClassDelivery {
-                isolated: frac(0),
-                satiated: frac(1),
-                overall: if honest_total == 0 {
-                    0.0
-                } else {
-                    honest_delivered as f64 / honest_total as f64
-                },
-            },
+            delivery: self.eng.delivery(),
             attacker_coverage: if self.attacker_union_total == 0 {
                 0.0
             } else {
@@ -1714,17 +1197,19 @@ impl BarGossipSim {
             mean_honest_upload: self
                 .meter
                 .mean_uploaded(honest_nodes.iter().map(|&i| NodeId(i))),
-            isolated_series: self.isolated_series.clone(),
-            usability_threshold: self.cfg.usability_threshold,
+            isolated_series: self.eng.isolated_series.clone(),
+            usability_threshold: self.eng.cfg.usability_threshold,
             min_node_delivery: {
                 let per_round_total =
-                    u64::from(self.cfg.updates_per_round) * u64::from(self.measured_rounds);
+                    u64::from(self.eng.cfg.updates_per_round) * u64::from(self.eng.measured_rounds);
                 if per_round_total == 0 {
                     0.0
                 } else {
                     honest_nodes
                         .iter()
-                        .map(|&i| self.node_delivered[i as usize] as f64 / per_round_total as f64)
+                        .map(|&i| {
+                            self.eng.node_delivered[i as usize] as f64 / per_round_total as f64
+                        })
                         .fold(f64::INFINITY, f64::min)
                         .min(1.0)
                 }
@@ -1741,7 +1226,7 @@ impl BarGossipSim {
                 }
             },
             unusable_node_rounds: {
-                let samples = honest_nodes.len() as u64 * u64::from(self.measured_rounds);
+                let samples = honest_nodes.len() as u64 * u64::from(self.eng.measured_rounds);
                 if samples == 0 {
                     0.0
                 } else {
@@ -1752,8 +1237,8 @@ impl BarGossipSim {
                         / samples as f64
                 }
             },
-            cuts: self.cutoff.stats(),
-            fault_counters: self.env.fault_counters(),
+            cuts: self.eng.cutoff.stats(),
+            fault_counters: self.eng.env.fault_counters(),
             digest: self.digest_state.as_ref().map(|d| d.stats),
         }
     }
@@ -1763,57 +1248,24 @@ impl RoundSim for BarGossipSim {
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         debug_assert_eq!(t, self.round, "rounds must be sequential");
-        // Timing layer first. The activity index excludes evicted and
-        // cut nodes too; nothing becomes alive mid-round (evictions and
-        // cuts only remove), so the index is a superset of every
-        // `alive()` check below and the shard walks see exactly the
-        // dense filter lists.
-        self.env
-            .begin_round(t, &[&self.evicted, self.cutoff.cut_set()], |key, _| {
-                gossip_observation(&self.delivered, &self.totals, &self.cutoff, key)
-            });
-        if !self.env.faults().just_crashed().is_empty() {
-            // State-losing crash: unlike churned-out nodes, which keep
-            // their windows while away, a crashed node re-enters cold.
-            for i in self.env.faults().just_crashed().iter() {
-                self.windows.clear(i);
-            }
-        }
-        // Engage nodes whose arrival wave just landed (present ∖
-        // engaged, one word at a time, ascending) before anything
-        // slides. Their all-zero rows are already in lockstep, so this
-        // touches no window. Inlined (rather than calling
-        // `ensure_engaged`) so the membership words and the engaged-set
-        // mutations borrow disjoint fields.
-        let present = self.env.population().present().words();
-        for (w, &word) in present.iter().enumerate() {
-            let mut arrived = word & !self.engaged.words()[w];
-            while arrived != 0 {
-                let i = w * 64 + arrived.trailing_zeros() as usize;
-                arrived &= arrived - 1;
-                self.engaged.insert(i);
-                self.node_unusable_rounds[i] = self.measured_rounds;
-            }
-        }
+        self.eng.begin_round(t);
         self.account_attacker_coverage(t);
         self.rotate_targets(t);
-        self.advance_windows(t);
-        self.seed_round(t);
+        self.eng.advance_windows(t);
+        self.eng.seed_round(t);
         // Observation 3.1 harness: fed nodes receive the new batch the
         // moment it is released — "sufficiently rapidly" taken literally.
         if !self.fed.is_empty() {
             for i in self.fed.iter() {
-                self.windows.union_with(i, &self.full);
+                self.eng.windows.union_with(i, &self.eng.full);
             }
             self.fed.clear();
         }
         self.ideal_forwarding();
-        if self.digest_state.is_some() {
-            // Digest mode: the two-leg exchange replaces both classic
-            // phases (its diff already covers what pushes would carry).
-            self.digest_phase(t);
-        } else {
-            self.balanced_phase(t);
+        self.balanced_phase(t);
+        // Digest mode: the two-leg exchange replaces both classic phases
+        // (its diff already covers what pushes would carry).
+        if self.digest_state.is_none() {
             self.push_phase(t);
         }
         self.round = t + 1;
@@ -1823,7 +1275,6 @@ impl RoundSim for BarGossipSim {
         self.round
     }
 }
-
 impl lotus_core::satiation::Feedable for BarGossipSim {
     /// Hand the node every live update instantly, *including* the batch
     /// the broadcaster will release in the coming round (the attacker's
@@ -1831,8 +1282,8 @@ impl lotus_core::satiation::Feedable for BarGossipSim {
     fn feed_fully(&mut self, node: NodeId) {
         // Feeding a node implies it exists in the system: engage it so
         // its row is shifted from now on.
-        self.ensure_engaged(node.index());
-        self.windows.union_with(node.index(), &self.full);
+        self.eng.ensure_engaged(node.index());
+        self.eng.windows.union_with(node.index(), &self.eng.full);
         self.fed.insert(node.index());
     }
 
@@ -1844,13 +1295,17 @@ impl lotus_core::satiation::Feedable for BarGossipSim {
 
 impl lotus_core::satiation::Satiable for BarGossipSim {
     fn node_count(&self) -> u32 {
-        self.class.len() as u32
+        self.eng.class.len() as u32
     }
 
     /// A node is satiated when it holds every live update (a
     /// disengaged node's all-zero row is satiated iff nothing is live).
     fn is_satiated(&self, node: NodeId) -> bool {
-        self.windows.row(node.index()).missing_from(&self.full) == 0
+        self.eng
+            .windows
+            .row(node.index())
+            .missing_from(&self.eng.full)
+            == 0
     }
 
     fn service_provided(&self, node: NodeId) -> u64 {
@@ -1869,7 +1324,7 @@ impl lotus_core::scenario::Scenario for BarGossipSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        lotus_core::scenario::step_rounds(self, self.cfg.total_rounds())
+        lotus_core::scenario::step_rounds(self, self.eng.cfg.total_rounds())
     }
 
     fn report(&self) -> BarGossipReport {
@@ -1877,7 +1332,7 @@ impl lotus_core::scenario::Scenario for BarGossipSim {
     }
 
     fn arm_trace(&self) -> Option<&[lotus_core::adaptive::TraceEntry]> {
-        self.env.schedule().arm_trace()
+        self.eng.env.schedule().arm_trace()
     }
 }
 

@@ -158,6 +158,29 @@ impl<'a> RunRequest<'a> {
         self.params.num(key)
     }
 
+    /// A probability parameter (sweep override as in [`RunRequest::num`]),
+    /// rejected outside `[0, 1]` — NaN included — rather than clamped.
+    fn unit(&self, key: &str) -> Result<Option<f64>, String> {
+        match self.opt_num(key)? {
+            Some(p) if !(0.0..=1.0).contains(&p) => {
+                Err(format!("parameter {key}={p} outside [0, 1]"))
+            }
+            p => Ok(p),
+        }
+    }
+
+    /// A count parameter (sweep override as in [`RunRequest::num`]),
+    /// rejected unless it is a whole number in `u32` range rather than
+    /// truncated or saturated.
+    fn whole(&self, key: &str) -> Result<Option<u32>, String> {
+        match self.opt_num(key)? {
+            Some(v) if !(0.0..=f64::from(u32::MAX)).contains(&v) || v.fract() != 0.0 => {
+                Err(format!("parameter {key}={v} is not a whole number"))
+            }
+            v => Ok(v.map(|v| v as u32)),
+        }
+    }
+
     /// The attack intensity: `x` under the default fraction sweep,
     /// otherwise the `fraction` parameter (so a parameter sweep can hold
     /// the attack fixed, e.g. "trade attack at 30 %").
@@ -596,7 +619,7 @@ fn bar_gossip_spec() -> ScenarioSpec {
             ),
             (
                 "rate_limit",
-                "per-interaction cap on useful updates (<=0 or >=32 = uncapped)",
+                "per-interaction cap on useful updates (0 or >=32 = uncapped)",
             ),
             (
                 "report_obedient",
@@ -680,57 +703,45 @@ fn bar_gossip_spec() -> ScenarioSpec {
 
 fn bar_gossip_config(req: &RunRequest<'_>) -> Result<BarGossipConfig, String> {
     let mut b = BarGossipConfig::builder();
-    if let Some(v) = req.opt_num("nodes")? {
-        b = b.nodes(v as u32);
+    if let Some(v) = req.whole("nodes")? {
+        b = b.nodes(v);
     }
-    if let Some(v) = req.opt_num("updates_per_round")? {
-        b = b.updates_per_round(v as u32);
+    if let Some(v) = req.whole("updates_per_round")? {
+        b = b.updates_per_round(v);
     }
-    if let Some(v) = req.opt_num("update_lifetime")? {
-        b = b.update_lifetime(v as u32);
+    if let Some(v) = req.whole("update_lifetime")? {
+        b = b.update_lifetime(v);
     }
-    if let Some(v) = req.opt_num("copies_seeded")? {
-        b = b.copies_seeded(v as u32);
+    if let Some(v) = req.whole("copies_seeded")? {
+        b = b.copies_seeded(v);
     }
-    if let Some(v) = req.opt_num("push_size")? {
-        b = b.push_size(v as u32);
+    if let Some(v) = req.whole("push_size")? {
+        b = b.push_size(v);
     }
-    if let Some(v) = req.opt_num("rounds")? {
-        b = b.rounds(v as u32);
+    if let Some(v) = req.whole("rounds")? {
+        b = b.rounds(v);
     }
-    if let Some(v) = req.opt_num("warmup_rounds")? {
-        b = b.warmup_rounds(v as u32);
+    if let Some(v) = req.whole("warmup_rounds")? {
+        b = b.warmup_rounds(v);
     }
     if req.params.flag("unbalanced")?.unwrap_or(false) {
         b = b.unbalanced_exchanges(true);
     }
-    if let Some(v) = req.opt_num("rate_limit")? {
+    if let Some(v) = req.whole("rate_limit")? {
         // The X9 plotting convention: the unbounded point sits at 32.
-        b = b.rate_limit(if v <= 0.0 || v >= 32.0 {
-            None
-        } else {
-            Some(v as u32)
-        });
+        b = b.rate_limit(if v == 0 || v >= 32 { None } else { Some(v) });
     }
-    if let Some(ob) = req.opt_num("report_obedient")? {
+    if let Some(ob) = req.unit("report_obedient")? {
         b = b.report_defense(ReportConfig {
             obedient_fraction: ob,
-            quorum: req.num("report_quorum", 3.0)? as u32,
-            excess_slack: req.num("report_excess_slack", 1.0)? as u32,
+            quorum: req.whole("report_quorum")?.unwrap_or(3),
+            excess_slack: req.whole("report_excess_slack")?.unwrap_or(1),
         });
     }
-    if let Some(q) = req.opt_num("cutoff")? {
-        if q < 0.0 || q.fract() != 0.0 {
-            return Err(format!("parameter cutoff={q} is not a whole quorum size"));
-        }
-        b = b.cutoff_quorum(if q == 0.0 { None } else { Some(q as u32) });
+    if let Some(q) = req.whole("cutoff")? {
+        b = b.cutoff_quorum(if q == 0 { None } else { Some(q) });
     }
-    if let Some(v) = req.opt_num("run_threads")? {
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(format!(
-                "parameter run_threads={v} is not a whole worker count"
-            ));
-        }
+    if let Some(v) = req.whole("run_threads")? {
         b = b.run_threads(v as usize);
     }
     let (churn, arrival) = parse_population(req)?;
@@ -740,8 +751,10 @@ fn bar_gossip_config(req: &RunRequest<'_>) -> Result<BarGossipConfig, String> {
 }
 
 fn bar_gossip_plan(req: &RunRequest<'_>) -> Result<AttackPlan, String> {
-    let fraction = req.fraction(0.0)?;
-    let satiate = req.num("satiate_fraction", AttackPlan::PAPER_SATIATE_FRACTION)?;
+    let fraction = req.unit("fraction")?.unwrap_or(0.0);
+    let satiate = req
+        .unit("satiate_fraction")?
+        .unwrap_or(AttackPlan::PAPER_SATIATE_FRACTION);
     let mut plan = match req.attack {
         "none" => AttackPlan::none(),
         "crash" => AttackPlan::crash(fraction),
@@ -750,12 +763,12 @@ fn bar_gossip_plan(req: &RunRequest<'_>) -> Result<AttackPlan, String> {
         "masquerade" => AttackPlan::masquerade(fraction),
         // Only reachable through the digest spec (attack names are
         // validated against each spec's list before build).
-        "poison" => AttackPlan::poison(fraction, req.num("poison_rate", 1.0)?),
+        "poison" => AttackPlan::poison(fraction, req.unit("poison_rate")?.unwrap_or(1.0)),
         other => return Err(format!("unknown bar-gossip attack {other:?}")),
     };
     let timing = parse_timing(req)?;
-    let rotation = req.num("rotation_period", 0.0)?;
-    if rotation > 0.0 {
+    let rotation = req.whole("rotation_period")?.unwrap_or(0);
+    if rotation > 0 {
         if timing.adaptive.is_some() {
             return Err(
                 "adaptive attackers rotate on their own phase clock: drop rotation_period \
@@ -763,7 +776,7 @@ fn bar_gossip_plan(req: &RunRequest<'_>) -> Result<AttackPlan, String> {
                     .to_string(),
             );
         }
-        plan = plan.with_rotation(rotation as u64);
+        plan = plan.with_rotation(u64::from(rotation));
     }
     plan = plan.with_schedule(timing);
     Ok(plan)
@@ -825,7 +838,7 @@ fn bar_gossip_digest_spec() -> ScenarioSpec {
             ),
             (
                 "rate_limit",
-                "per-direction cap on requested updates (<=0 or >=32 = uncapped)",
+                "per-direction cap on requested updates (0 or >=32 = uncapped)",
             ),
             (
                 "report_obedient",
@@ -1710,6 +1723,67 @@ mod tests {
         let bad = Params::new().with("no_such_param", "1");
         let req = RunRequest::new(0.0, 1, "none", "fraction", &bad);
         assert!(reg.run("token", &req).is_err());
+    }
+
+    #[test]
+    fn gossip_params_reject_bad_values_instead_of_clamping() {
+        // One parser serves every gossip scenario: an out-of-range
+        // probability or a non-whole count must fail with the parameter's
+        // name, never run as a clamped, truncated or saturated value.
+        const UNIT: &str = "outside [0, 1]";
+        const WHOLE: &str = "is not a whole number";
+        let cases: &[(&str, &str, &str, &str)] = &[
+            ("trade", "satiate_fraction", "1.5", UNIT),
+            ("trade", "satiate_fraction", "-0.5", UNIT),
+            ("trade", "satiate_fraction", "NaN", UNIT),
+            ("trade", "fraction", "1.01", UNIT),
+            ("trade", "report_obedient", "2", UNIT),
+            ("poison", "poison_rate", "-0.1", UNIT),
+            ("trade", "nodes", "40.7", WHOLE),
+            ("trade", "copies_seeded", "-1", WHOLE),
+            ("trade", "rounds", "1e12", WHOLE),
+            ("trade", "rotation_period", "2.5", WHOLE),
+            ("trade", "rate_limit", "-3", WHOLE),
+            ("trade", "report_quorum", "2.5", WHOLE),
+            ("trade", "cutoff", "1.5", WHOLE),
+            ("trade", "run_threads", "-2", WHOLE),
+        ];
+        let reg = ScenarioRegistry::standard();
+        for scenario in [
+            "bar-gossip",
+            "bar-gossip-digest",
+            "bar-gossip-1m",
+            "scrip-gossip",
+        ] {
+            let spec = reg.get(scenario).unwrap();
+            for &(attack, key, value, expected) in cases {
+                if !spec.has_param(key) || !spec.has_attack(attack) {
+                    continue;
+                }
+                // report_quorum is read only under the report defense.
+                let mut p = Params::new();
+                if key == "report_quorum" {
+                    p.set("report_obedient", "0.5");
+                }
+                p.set(key, value);
+                // x drives an unrelated knob so `fraction` is read from
+                // the params.
+                let req = RunRequest::new(0.2, 1, attack, "fault_loss", &p);
+                let err = reg
+                    .build(scenario, &req)
+                    .err()
+                    .unwrap_or_else(|| panic!("{scenario}: {key}={value} must be rejected"));
+                assert!(
+                    err.contains(key) && err.contains(expected),
+                    "{scenario}: {key}={value} gave {err:?}"
+                );
+            }
+            // The swept x is the fraction: it is checked the same way.
+            let p = Params::new();
+            let req = RunRequest::new(1.5, 1, "trade", "fraction", &p);
+            let err = reg.build(scenario, &req).err().expect("x=1.5 rejected");
+            assert!(err.contains(UNIT), "{scenario}: x=1.5 gave {err:?}");
+        }
     }
 
     #[test]

@@ -175,16 +175,15 @@ fn flash_crowd_landing_leaves_steady_steps_alloc_free() {
     // The crowd lands at round 35, inside the measured steps (rounds
     // 30..40): the landing step itself — engaging 2000 nodes and
     // quintupling the exchange plan — must be allocation-free, as must
-    // every step after it at full multi-shard occupancy.
-    assert_steady_steps_alloc_free(
-        "bar-gossip",
-        "trade",
-        &[
-            ("nodes", "2500"),
-            ("rounds", "60"),
-            ("arrival", "burst:35:2000"),
-        ],
-    );
+    // every step after it at full multi-shard occupancy. Scrip-gossip's
+    // ideal pool also engages held-back targets before their wave lands.
+    let crowd = [
+        ("nodes", "2500"),
+        ("rounds", "60"),
+        ("arrival", "burst:35:2000"),
+    ];
+    assert_steady_steps_alloc_free("bar-gossip", "trade", &crowd);
+    assert_steady_steps_alloc_free("scrip-gossip", "ideal", &crowd);
 }
 
 #[test]

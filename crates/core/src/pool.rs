@@ -19,6 +19,8 @@
 //! small populations take that path even when more threads are
 //! available.
 
+use std::sync::OnceLock;
+
 /// Default intra-run worker count: the `LOTUS_RUN_THREADS` environment
 /// variable when set to a positive integer (the CI determinism matrix
 /// pins runs to 1 and 8 workers with it), otherwise the machine's
@@ -55,30 +57,31 @@ pub fn default_run_threads() -> usize {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPool {
-    threads: usize,
+    /// The worker budget; "auto" is resolved on first use, so a run
+    /// that never fans out never pays for the parallelism query (a
+    /// syscall that costs more than building a small simulator).
+    threads: OnceLock<usize>,
 }
 
 impl WorkerPool {
     /// A pool with `requested` worker threads; `0` means "auto"
     /// ([`default_run_threads`]).
     pub fn new(requested: usize) -> Self {
-        WorkerPool {
-            threads: if requested == 0 {
-                default_run_threads()
-            } else {
-                requested
-            },
+        let threads = OnceLock::new();
+        if requested != 0 {
+            let _ = threads.set(requested);
         }
+        WorkerPool { threads }
     }
 
     /// A pool that never spawns (the sequential, allocation-free path).
     pub fn sequential() -> Self {
-        WorkerPool { threads: 1 }
+        Self::new(1)
     }
 
     /// The worker budget (at least 1).
     pub fn threads(&self) -> usize {
-        self.threads
+        *self.threads.get_or_init(default_run_threads)
     }
 
     /// Split `data` into `sizes.len()` consecutive chunks (chunk `k` is
@@ -103,7 +106,7 @@ impl WorkerPool {
     {
         let total: usize = sizes.iter().sum();
         assert_eq!(total, data.len(), "chunk sizes must cover the data");
-        if self.threads <= 1 || sizes.len() <= 1 {
+        if sizes.len() <= 1 || self.threads() <= 1 {
             let mut rest = data;
             for (k, &size) in sizes.iter().enumerate() {
                 let (chunk, tail) = rest.split_at_mut(size);
