@@ -83,7 +83,8 @@ const X20_PARAMS: &[(&str, &str)] = &[
 #[test]
 fn x20_digest_reports_are_pinned() {
     // The active path's goldens: the clean digest round, the full-rate
-    // poisoner, the poisoner under the digest-audit defense, and the
+    // poisoner, the poisoner under the digest-audit defense (also at
+    // 1500 nodes, where the cut-off's accusers span shards), and the
     // same under a 128-bit filter and a request cap, where false
     // positives, withholding, truncated want lists and cuts all occur
     // in one run. Any drift in the digest phase's plan stream, the
@@ -103,6 +104,16 @@ fn x20_digest_reports_are_pinned() {
             "poison",
             &[("audit", "0.1"), ("cutoff", "3")],
             X20_AUDITED_JSON,
+        ),
+        (
+            "poison",
+            &[
+                ("nodes", "1500"),
+                ("copies_seeded", "60"),
+                ("audit", "0.1"),
+                ("cutoff", "3"),
+            ],
+            X20_AUDITED_1500_JSON,
         ),
         (
             "poison",
@@ -158,6 +169,7 @@ const X20_POISON_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"ov
 const X20_AUDITED_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":1,"targeted_service":0,"usable":true,"attacker_coverage":0,"attacker_cut_rate":1,"cut_precision":1,"cut_recall":1,"digest_bytes_on_wire":3857544,"digest_bytes_updates":3613696,"digest_fp_rate":0,"digest_requests":4081,"digest_withheld":552,"evicted_fraction":0,"evictions":0,"false_cut_rate":0,"isolated_delivery":1,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":95.37837837837837,"min_node_delivery":1,"nodes_ever_unusable":0,"satiated_delivery":0,"unusable_node_rounds":0}"#;
 const X20_TRADE_SPLIT_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":0.9844594594594595,"targeted_service":0.9818181818181818,"usable":true,"attacker_coverage":0.875,"digest_bytes_on_wire":3073856,"digest_bytes_updates":2924544,"digest_fp_rate":0,"digest_requests":2856,"digest_withheld":0,"evicted_fraction":0,"evictions":0,"faults_crashes":0,"faults_delayed":0,"faults_dropped":0,"faults_duplicated":0,"faults_partition_blocked":288,"isolated_delivery":0.9883333333333333,"junk_fraction":0,"mean_attacker_upload":61.61538461538461,"mean_honest_upload":77.1891891891892,"min_node_delivery":0.9,"nodes_ever_unusable":0.5405405405405406,"satiated_delivery":0.9818181818181818,"unusable_node_rounds":0.05945945945945946}"#;
 const X20_CRASH_SPLIT_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":0.9851351351351352,"targeted_service":0,"usable":true,"attacker_coverage":0,"digest_bytes_on_wire":3310680,"digest_bytes_updates":3156992,"digest_fp_rate":0,"digest_requests":3083,"digest_withheld":0,"evicted_fraction":0,"evictions":0,"faults_crashes":0,"faults_delayed":0,"faults_dropped":0,"faults_duplicated":0,"faults_partition_blocked":288,"isolated_delivery":0.9851351351351352,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":83.32432432432432,"min_node_delivery":0.925,"nodes_ever_unusable":0.5405405405405406,"satiated_delivery":0,"unusable_node_rounds":0.05675675675675676}"#;
+const X20_AUDITED_1500_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":1,"targeted_service":0,"usable":true,"attacker_coverage":0,"attacker_cut_rate":0.976,"cut_precision":1,"cut_recall":0.976,"digest_bytes_on_wire":123920512,"digest_bytes_updates":116289536,"digest_fp_rate":0,"digest_requests":129744,"digest_withheld":16180,"evicted_fraction":0,"evictions":0,"false_cut_rate":0,"isolated_delivery":1,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":100.94577777777778,"min_node_delivery":1,"nodes_ever_unusable":0,"satiated_delivery":0,"unusable_node_rounds":0}"#;
 const X20_FP_HEAVY_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":0.9547297297297297,"targeted_service":0,"usable":true,"attacker_coverage":0,"attacker_cut_rate":1,"cut_precision":0.6842105263157895,"cut_recall":1,"digest_bytes_on_wire":3242552,"digest_bytes_updates":3185664,"digest_fp_rate":0.12074455057555719,"digest_requests":4083,"digest_withheld":479,"evicted_fraction":0,"evictions":0,"false_cut_rate":0.16216216216216217,"isolated_delivery":0.9547297297297297,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":84.08108108108108,"min_node_delivery":0.175,"nodes_ever_unusable":0.13513513513513514,"satiated_delivery":0,"unusable_node_rounds":0.062162162162162166}"#;
 
 #[test]

@@ -12,7 +12,10 @@
 //!
 //! The X19 fixtures then pin the *active* path: masquerade attack under
 //! loss with the silence cut-off armed, one report string per gossip
-//! substrate, plus worker-count independence for faulted sweeps.
+//! substrate, plus worker-count independence for faulted sweeps. The
+//! report-and-evict fixtures pin the other quorum defense: the trade
+//! attacker reported for excess service, with its evictions and the
+//! three upload metrics, at Table 1 and above the single-shard cutoff.
 
 use lotus_bench::registry::{Params, RunRequest, ScenarioRegistry};
 use lotus_core::sweep::{sweep_fraction, SweepConfig};
@@ -305,5 +308,42 @@ fn crash_and_partition_reports_are_pinned() {
             g.attack,
             g.seed
         );
+    }
+}
+
+/// The trade attack under report-and-evict (half the honest nodes
+/// report excess service): Table 1, and 1500 nodes (multi-shard).
+const REPORT_EVICT_GOLDENS: &[Golden] = &[
+    Golden {
+        scenario: "bar-gossip",
+        attack: "trade",
+        seed: 1,
+        params: &[("report_obedient", "0.5")],
+        json: r#"{"scenario":"bar-gossip","rounds":60,"overall_delivery":0.9733285714285714,"targeted_service":0.981825,"usable":true,"attacker_coverage":0.11,"evicted_fraction":1,"evictions":75,"isolated_delivery":0.962,"junk_fraction":0.017408309823031546,"mean_attacker_upload":69.36,"mean_honest_upload":504.9942857142857,"min_node_delivery":0.7725,"nodes_ever_unusable":0.4,"satiated_delivery":0.981825,"unusable_node_rounds":0.06671428571428571}"#,
+    },
+    Golden {
+        scenario: "bar-gossip",
+        attack: "trade",
+        seed: 1,
+        params: &[("nodes", "1500"), ("report_obedient", "0.5")],
+        json: r#"{"scenario":"bar-gossip","rounds":60,"overall_delivery":0.8361404761904762,"targeted_service":0.876225,"usable":false,"attacker_coverage":0.4225,"evicted_fraction":0.9755555555555555,"evictions":439,"isolated_delivery":0.7826944444444445,"junk_fraction":0.006183120163098052,"mean_attacker_upload":86.33111111111111,"mean_honest_upload":432.4819047619048,"min_node_delivery":0.2375,"nodes_ever_unusable":0.9695238095238096,"satiated_delivery":0.876225,"unusable_node_rounds":0.35964285714285715}"#,
+    },
+];
+
+#[test]
+fn report_and_evict_reports_are_pinned() {
+    // Any drift in the report flow, the eviction quorum or the upload
+    // meter breaks these; each fixture must actually evict.
+    for g in REPORT_EVICT_GOLDENS {
+        let report = run_case(g, &[]);
+        assert_eq!(
+            report.to_json(),
+            g.json,
+            "{} / {} / {:?}: report-and-evict report drifted from its fixture",
+            g.scenario,
+            g.attack,
+            g.params
+        );
+        assert!(report.metric("evictions").unwrap() > 0.0, "{:?}", g.params);
     }
 }

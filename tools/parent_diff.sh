@@ -13,7 +13,9 @@
 #   {bar-gossip, bar-gossip-digest, scrip-gossip}
 #   x every registered attack of the scenario
 #   x {plain, churn profile, crash+partition faults, periodic schedule,
-#      flash crowd, cutoff=2 under loss}
+#      flash crowd, cutoff=2 under loss, report_obedient=0.5}
+#   (report_obedient only on the two BAR Gossip scenarios: scrip-gossip
+#   has no report defense)
 #   plus one trade case per scenario at 1500 nodes with a flash crowd,
 #   above the 1024-node single-shard cutoff.
 #
@@ -53,6 +55,7 @@ variants=(
     "--param schedule=periodic:6:3"
     "--param arrival=burst:6:20"
     "--param cutoff=2 --param faults=loss:0.1"
+    "--param report_obedient=0.5"
 )
 large="--param nodes=1500 --param arrival=burst:6:1000 --param copies_seeded=60"
 
@@ -98,6 +101,7 @@ run_case() {
 for scenario in bar-gossip bar-gossip-digest scrip-gossip; do
     for attack in $(attacks_of "$scenario"); do
         for extra in "${variants[@]}"; do
+            [[ $scenario == scrip-gossip && $extra == *report_obedient=* ]] && continue
             run_case "$scenario" "$attack" "$extra"
         done
     done
