@@ -53,10 +53,10 @@
 //! 4. **Slot accounting.** Scrip-gossip skips a crash or ideal attacker's
 //!    initiation before it counts a partition-blocked pair; BAR Gossip
 //!    counts the blocked pair first.
-//! 5. **Responder caps.** BAR Gossip keeps one served counter per
-//!    sub-protocol, cleared per phase over the active shards.
-//!    Scrip-gossip keeps one counter across both sub-protocols, cleared
-//!    once per round.
+//! 5. **Responder caps.** BAR Gossip clears its served counters over
+//!    the active shards at the start of each sub-protocol phase, so
+//!    each sub-protocol has its own cap. Scrip-gossip keeps one counter
+//!    across both sub-protocols, cleared once per round.
 //!
 //! # Hot-loop invariants
 //!
@@ -158,7 +158,7 @@ pub(crate) struct GossipEngine {
     /// (`cfg.run_threads`; figures are byte-identical for any count).
     run_pool: WorkerPool,
     // Scratch buffers; contents are meaningless between phases.
-    alive_scratch: Vec<usize>,
+    alive_scratch: Vec<u32>,
     picks_scratch: Vec<usize>,
     /// The exchange-plan batch [`GossipEngine::plan_phase`] fills; the
     /// caller takes it for its apply loop and puts it back.
@@ -175,25 +175,37 @@ impl GossipEngine {
     pub(crate) fn new(cfg: BarGossipConfig, plan: AttackPlan, rng: DetRng) -> Self {
         let n = cfg.nodes;
         // Assign attacker nodes, then satiated targets among the honest.
+        // Each draw is a set (`BitSet::sample` draws what a sampled index
+        // list would), dropped as soon as it is read: a sample kept alive
+        // past the index lists' allocation raised `flash-crowd-1m` peak
+        // RSS by ~3.6 MiB (heap placement across the benchmark's three
+        // builds). The index lists are sized exactly.
         let mut assign_rng = rng.fork("assignment");
         let attacker_count = plan.attacker_count(n) as usize;
         let mut class = vec![NodeClass::Isolated; n as usize];
-        for i in assign_rng.sample_indices(n as usize, attacker_count) {
+        for i in BitSet::sample(n as usize, attacker_count, &mut assign_rng).iter() {
             class[i] = NodeClass::Attacker;
         }
-        let (attacker_list, honest_list): (Vec<u32>, Vec<u32>) =
-            (0..n).partition(|&i| class[i as usize] == NodeClass::Attacker);
-        let satiated_count = (plan.satiated_honest_count(n) as usize).min(honest_list.len());
-        for hi in assign_rng.sample_indices(honest_list.len(), satiated_count) {
+        let mut attacker_list = Vec::with_capacity(attacker_count);
+        let mut honest_list = Vec::with_capacity(n as usize - attacker_count);
+        for i in 0..n {
+            if class[i as usize] == NodeClass::Attacker {
+                attacker_list.push(i);
+            } else {
+                honest_list.push(i);
+            }
+        }
+        let honest = honest_list.len();
+        let satiated_count = (plan.satiated_honest_count(n) as usize).min(honest);
+        for hi in BitSet::sample(honest, satiated_count, &mut assign_rng).iter() {
             class[honest_list[hi] as usize] = NodeClass::Satiated;
         }
         // Obedient reporters among honest nodes, drawn only under the
         // report defense.
         let mut obedient = BitSet::new(n as usize);
         if let Some(report) = &cfg.defenses.report {
-            let honest = honest_list.len();
             let k = ((honest as f64) * report.obedient_fraction).round() as usize;
-            for hi in assign_rng.sample_indices(honest, k.min(honest)) {
+            for hi in BitSet::sample(honest, k.min(honest), &mut assign_rng).iter() {
                 obedient.insert(honest_list[hi] as usize);
             }
         }
@@ -451,7 +463,7 @@ impl GossipEngine {
             self.full.insert(id);
             seed_rng.sample_indices_into(alive.len(), copies, &mut picks);
             for &pick in &picks {
-                let i = alive[pick];
+                let i = alive[pick] as usize;
                 self.windows.insert(i, id);
                 if self.class[i] == NodeClass::Attacker
                     && self.plan.kind == AttackKind::IdealLotusEater

@@ -60,7 +60,9 @@
 //! index list the round loop needs (the engine's seeding and plan
 //! scratch, gift/return and exchange buffers) is a scratch buffer owned
 //! by the sim, cleared and refilled in place, and membership tracking
-//! (`reporters`, `fed`) uses [`lotus_core::bitset::BitSet`]. The timing layer keeps the invariant:
+//! uses [`lotus_core::bitset::BitSet`] (`fed`) and a flat
+//! [`lotus_core::defense::QuorumSlots`] table (the report quorum). The
+//! timing layer keeps the invariant:
 //! the schedule stepper ([`lotus_core::schedule::ScheduleState`]) and the
 //! churn tracker ([`lotus_core::population::Population`]) never allocate,
 //! and metric observations for threshold triggers are computed from the
@@ -79,6 +81,7 @@ use crate::exchange::{
 };
 use crate::update::{UpdateId, WindowView};
 use lotus_core::bitset::BitSet;
+use lotus_core::defense::QuorumSlots;
 use lotus_core::digest::{region_hash, BloomIndex};
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use lotus_core::schedule;
@@ -265,18 +268,20 @@ pub struct BarGossipSim {
     /// Whether the fault plan can touch messages at all; hoisted out of
     /// `faulty_send` so inert plans skip the fate machinery entirely.
     faults_msg: bool,
-    authority: Authority,
+    /// Report-and-evict state; `None` unless the defense is on.
+    reports: Option<ReportState>,
+    /// Uploads: payload per node, every class per sender group
+    /// ([`BarGossipSim::meter_group`]).
     meter: BandwidthMeter,
     trace: TraceBuffer,
     round: Round,
     attacker_union_delivered: u64,
     attacker_union_total: u64,
-    /// Distinct reporters per node (report-and-evict defense).
-    reporters: Vec<BitSet>,
     evictions: u32,
-    /// Incoming interactions served this round, per node, per protocol.
-    served_balanced: Vec<u32>,
-    served_push: Vec<u32>,
+    /// Incoming interactions served in the current exchange phase, per
+    /// node. Each phase clears the active ranges before use, so the
+    /// balanced and push caps never see each other's counts.
+    served: Vec<u32>,
     /// Nodes being fed "sufficiently rapidly" by the Observation 3.1
     /// harness: they receive each new batch the instant it is released.
     fed: BitSet,
@@ -298,6 +303,21 @@ pub const UPDATE_WIRE_BYTES: u64 = 1024;
 /// Modeled wire size of one requested update id (or one region mask),
 /// in bytes.
 pub const ID_WIRE_BYTES: u64 = 8;
+
+/// Upload-meter sender group of honest nodes.
+const HONEST_GROUP: usize = 0;
+/// Upload-meter sender group of attacker nodes.
+const ATTACKER_GROUP: usize = 1;
+
+/// Per-run state of the report-and-evict defense (present only when
+/// the defense is configured).
+#[derive(Debug, Clone)]
+struct ReportState {
+    /// Signs and verifies excess-service evidence.
+    authority: Authority,
+    /// Distinct reporters per node, up to the eviction quorum.
+    reporters: QuorumSlots,
+}
 
 /// Per-run state of the two-leg digest exchange (present only when
 /// [`BarGossipConfig::digest`] is set, so classic runs carry none of
@@ -335,9 +355,6 @@ impl BarGossipSim {
     /// Panics if `cfg` fails validation (use the builder, which validates).
     pub fn new(cfg: BarGossipConfig, plan: AttackPlan, seed: u64) -> Self {
         cfg.validate().expect("invalid BarGossipConfig");
-        // The engine goes first so the class assignment's O(n)
-        // temporaries are freed before the big per-node arrays below are
-        // allocated (at 1M nodes the other order costs ~4 MiB of RSS).
         let eng = GossipEngine::new(cfg, plan, DetRng::seed_from(seed).fork("bar-gossip"));
         let (cfg, rng, n) = (&eng.cfg, &eng.rng, eng.cfg.nodes);
         // Digest-exchange state only when configured. The forks below
@@ -363,22 +380,19 @@ impl BarGossipSim {
         });
         BarGossipSim {
             faults_msg: cfg.faults.has_message_faults(),
-            authority: Authority::new(rng.fork("authority").next_u64(), n),
+            // The authority's fork is stream-invisible, so drawing its
+            // seed only under the defense changes no other draw.
+            reports: cfg.defenses.report.map(|report| ReportState {
+                authority: Authority::new(rng.fork("authority").next_u64(), n),
+                reporters: QuorumSlots::new(n as usize, report.quorum),
+            }),
             meter: BandwidthMeter::new(n),
             trace: TraceBuffer::disabled(),
             round: 0,
             attacker_union_delivered: 0,
             attacker_union_total: 0,
-            // The reporter quorum sets are per-node bitsets — O(n²) bits
-            // — so they are only materialised under the report defense.
-            reporters: if cfg.defenses.report.is_some() {
-                vec![BitSet::new(n as usize); n as usize]
-            } else {
-                Vec::new()
-            },
             evictions: 0,
-            served_balanced: vec![0; n as usize],
-            served_push: vec![0; n as usize],
+            served: vec![0; n as usize],
             fed: BitSet::new(n as usize),
             gift_scratch: Vec::with_capacity(live),
             returned_scratch: Vec::with_capacity(live),
@@ -435,21 +449,30 @@ impl BarGossipSim {
     /// interactions per protocol per round; attackers accept everything
     /// — except covert (masquerade/poison) attackers, who stay
     /// protocol-obedient to remain indistinguishable.
-    fn responder_accepts(&mut self, node: NodeId, push: bool) -> bool {
+    fn responder_accepts(&mut self, node: NodeId) -> bool {
         if self.eng.overt_attacker(node) {
             return true;
         }
         let cap = self.eng.cfg.responder_cap.map_or(u32::MAX, |c| c);
-        let served = if push {
-            &mut self.served_push[node.index()]
-        } else {
-            &mut self.served_balanced[node.index()]
-        };
+        let served = &mut self.served[node.index()];
         if *served >= cap {
             false
         } else {
             *served += 1;
             true
+        }
+    }
+
+    /// `node`'s sender group in the upload meter. Class is fixed at
+    /// build, so a node always meters into the same group, and the
+    /// report's group means divide the same integer sums as a per-node
+    /// table would.
+    #[inline]
+    fn meter_group(&self, node: NodeId) -> usize {
+        if self.eng.is_attacker(node) {
+            ATTACKER_GROUP
+        } else {
+            HONEST_GROUP
         }
     }
 
@@ -475,16 +498,17 @@ impl BarGossipSim {
         } else {
             Fate::Deliver
         };
+        let group = self.meter_group(from);
         if payload > 0 {
-            self.meter.transfer(from, to, MsgClass::Payload, payload);
+            self.meter.transfer(from, group, MsgClass::Payload, payload);
         }
         if junk > 0 {
-            self.meter.transfer(from, to, MsgClass::Junk, junk);
+            self.meter.transfer(from, group, MsgClass::Junk, junk);
         }
         match fate {
             Fate::Drop => false,
             Fate::Duplicate => {
-                self.meter.transfer(from, to, MsgClass::Junk, units);
+                self.meter.transfer(from, group, MsgClass::Junk, units);
                 true
             }
             Fate::Deliver => true,
@@ -556,7 +580,7 @@ impl BarGossipSim {
                 self.eng.windows.union_with(i, &self.eng.pool);
                 self.meter.transfer(
                     NodeId(rep as u32),
-                    NodeId(i as u32),
+                    ATTACKER_GROUP,
                     MsgClass::Payload,
                     gained,
                 );
@@ -650,35 +674,35 @@ impl BarGossipSim {
         let (gained_a, gained_b) = self.eng.windows.sync(a.index(), b.index());
         if gained_b > 0 {
             self.meter
-                .transfer(a, b, MsgClass::Payload, gained_b as u64);
+                .transfer(a, ATTACKER_GROUP, MsgClass::Payload, gained_b as u64);
         }
         if gained_a > 0 {
             self.meter
-                .transfer(b, a, MsgClass::Payload, gained_a as u64);
+                .transfer(b, ATTACKER_GROUP, MsgClass::Payload, gained_a as u64);
         }
     }
 
     /// File a signed excess-service report; evict on quorum.
     fn file_report(&mut self, reporter: NodeId, reported: NodeId, now: Round, amount: u64) {
-        let report_cfg = self
-            .eng
-            .cfg
-            .defenses
-            .report
+        let st = self
+            .reports
+            .as_mut()
             .expect("file_report requires the report defense");
         // Evidence: the reporter signs (reported, round, amount); the
         // tracker verifies before accepting. With the simulated authority
         // this always verifies, but the flow matches the real protocol.
-        let evidence = self.authority.sign(reporter, (reported, now, amount));
-        if self.authority.verify(&evidence).is_err() {
+        let evidence = st.authority.sign(reporter, (reported, now, amount));
+        if st.authority.verify(&evidence).is_err() {
             return; // forged evidence is dropped
         }
         self.trace.emit_with(now, reported, EventKind::Report, || {
             format!("excess service reported by {reporter}")
         });
-        let set = &mut self.reporters[reported.index()];
-        set.insert(reporter.index());
-        if set.len() as u32 >= report_cfg.quorum && !self.eng.evicted.contains(reported.index()) {
+        // Only reports evict, so an evicted node's quorum is reached and
+        // its reporters are never recorded again.
+        if !self.eng.evicted.contains(reported.index())
+            && st.reporters.record(reported.index(), reporter.index())
+        {
             self.eng.evicted.insert(reported.index());
             self.evictions += 1;
             self.trace
@@ -741,10 +765,7 @@ impl BarGossipSim {
         // Only slots inside active shards can be served this round
         // (responders are alive, and alive ⊆ the round snapshot), so
         // the clear is O(active shards), not a full-slab fill.
-        netsim::round::clear_counters_for(
-            &mut self.served_balanced,
-            self.eng.env.shards().active_ranges(),
-        );
+        netsim::round::clear_counters_for(&mut self.served, self.eng.env.shards().active_ranges());
         let order = match &mut self.digest_state {
             Some(st) => {
                 if !st.dcfg.exact {
@@ -797,10 +818,7 @@ impl BarGossipSim {
                     }
                 }
                 (NodeClass::Attacker, _) => {
-                    if trade
-                        && self.eng.target.contains(p.index())
-                        && self.responder_accepts(p, false)
-                    {
+                    if trade && self.eng.target.contains(p.index()) && self.responder_accepts(p) {
                         self.attacker_gift(v, p, t, false);
                     }
                     // Crash/ideal attackers never initiate.
@@ -815,7 +833,7 @@ impl BarGossipSim {
                     // wasted (exactly the crash attack's damage).
                 }
                 (_, _) => {
-                    if !self.responder_accepts(p, false) {
+                    if !self.responder_accepts(p) {
                         continue; // responder at capacity: initiation wasted
                     }
                     if self.digest_state.is_some() {
@@ -865,11 +883,9 @@ impl BarGossipSim {
     /// Phase 5: optimistic pushes — plan, shuffle, sequential apply.
     // lint: hot-loop
     fn push_phase(&mut self, t: Round) {
-        // Shard-range clear, as in `balanced_phase`.
-        netsim::round::clear_counters_for(
-            &mut self.served_push,
-            self.eng.env.shards().active_ranges(),
-        );
+        // Shard-range clear, as in `balanced_phase`: the push cap does
+        // not count the balanced phase's interactions.
+        netsim::round::clear_counters_for(&mut self.served, self.eng.env.shards().active_ranges());
         let dense = self.dense_plan();
         self.eng.plan_phase(
             t,
@@ -904,8 +920,7 @@ impl BarGossipSim {
                 {
                     if self.eng.class[p.index()] == NodeClass::Attacker {
                         self.attacker_sync(v, p);
-                    } else if self.eng.target.contains(p.index()) && self.responder_accepts(p, true)
-                    {
+                    } else if self.eng.target.contains(p.index()) && self.responder_accepts(p) {
                         self.attacker_gift(v, p, t, true);
                     }
                 }
@@ -935,7 +950,7 @@ impl BarGossipSim {
                 }
                 continue;
             }
-            if !self.responder_accepts(p, true) {
+            if !self.responder_accepts(p) {
                 continue;
             }
             let mut out = std::mem::take(&mut self.push_scratch);
@@ -1191,12 +1206,8 @@ impl BarGossipSim {
             counts,
             evictions: self.evictions,
             junk_fraction: self.meter.junk_fraction(),
-            mean_attacker_upload: self
-                .meter
-                .mean_uploaded(attacker_nodes.iter().map(|&i| NodeId(i))),
-            mean_honest_upload: self
-                .meter
-                .mean_uploaded(honest_nodes.iter().map(|&i| NodeId(i))),
+            mean_attacker_upload: self.meter.group_mean(ATTACKER_GROUP, attacker_nodes.len()),
+            mean_honest_upload: self.meter.group_mean(HONEST_GROUP, honest_nodes.len()),
             isolated_series: self.eng.isolated_series.clone(),
             usability_threshold: self.eng.cfg.usability_threshold,
             min_node_delivery: {
@@ -1309,7 +1320,7 @@ impl lotus_core::satiation::Satiable for BarGossipSim {
     }
 
     fn service_provided(&self, node: NodeId) -> u64 {
-        self.meter.uploaded_class(node, MsgClass::Payload)
+        self.meter.payload_uploaded(node)
     }
 }
 

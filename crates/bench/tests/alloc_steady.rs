@@ -9,6 +9,11 @@
 //! test proves the allocator shim is actually installed — without it the
 //! thread-local counters would sit at zero and every assertion here would
 //! pass vacuously.
+//!
+//! The same allocator also holds builds to a footprint budget: a
+//! million-node bar-gossip build requests at most 64 bytes per node, with
+//! or without a quorum defense, and a Table-1 build no more than it
+//! requested before its per-node state was trimmed.
 
 lotus_core::install_counting_allocator!();
 
@@ -239,4 +244,61 @@ fn economy_weather_steady_steps_are_alloc_free() {
         &[churn, faults, schedule, ("pieces", "128")],
     );
     assert_steady_steps_alloc_free("token", "random-fraction", &weather);
+}
+
+/// Heap bytes `ScenarioRegistry::build` requests for `scenario` under
+/// `attack` at x = `fraction`, with `params` set (cumulative: memory
+/// freed during the build still counts).
+fn build_bytes(scenario: &str, attack: &str, fraction: f64, params: &[(&str, &str)]) -> u64 {
+    let reg = ScenarioRegistry::standard();
+    let mut p = Params::new();
+    for (k, v) in params {
+        p.set(*k, *v);
+    }
+    let req = RunRequest::new(fraction, 1, attack, "fraction", &p);
+    measure(|| {
+        reg.build(scenario, &req)
+            .unwrap_or_else(|e| panic!("build {scenario}/{attack}: {e}"))
+    })
+    .bytes
+}
+
+/// Heap bytes per node a `bar-gossip-1m` build may request. The
+/// per-node state a run reads (window rows, plan entries, delivery and
+/// usability counters, payload meter, served counters, seeding list)
+/// comes to ~55 bytes; a quorum defense adds its accuser slots. A build
+/// that kept a per-class upload row, per-node signing keys and a
+/// `usize` seeding list requested ~91.4 bytes per node.
+const BYTES_PER_NODE_1M: u64 = 64;
+
+#[test]
+fn million_node_builds_fit_the_per_node_budget() {
+    let n = 1_000_000u64;
+    for (attack, x, extra) in [
+        ("none", 0.0, &[][..]),
+        ("crash", 0.005, &[][..]),
+        ("crash", 0.005, &[("cutoff", "3")][..]),
+        ("crash", 0.005, &[("report_obedient", "0.5")][..]),
+    ] {
+        let bytes = build_bytes("bar-gossip-1m", attack, x, extra);
+        assert!(
+            bytes <= BYTES_PER_NODE_1M * n,
+            "bar-gossip-1m {attack} {x} {extra:?}: build requested {bytes} bytes, \
+             {:.2} per node (budget {BYTES_PER_NODE_1M})",
+            bytes as f64 / n as f64
+        );
+    }
+}
+
+#[test]
+fn table_1_builds_stay_within_their_earlier_footprint() {
+    // Build bytes at Table 1 (250 nodes) before the per-node state was
+    // trimmed; a build must never request more again.
+    for (attack, x, before) in [("none", 0.0, 38_054), ("trade", 0.3, 40_462)] {
+        let bytes = build_bytes("bar-gossip", attack, x, &[]);
+        assert!(
+            bytes <= before,
+            "bar-gossip {attack} {x}: build requested {bytes} bytes, more than {before}"
+        );
+    }
 }

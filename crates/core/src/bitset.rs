@@ -68,6 +68,46 @@ impl BitSet {
         s
     }
 
+    /// A uniform sample of `k` distinct members of `0..universe`, as a
+    /// set. It draws from `rng` exactly what
+    /// [`DetRng::sample_indices`](netsim::rng::DetRng::sample_indices)
+    /// draws, its order shuffle included, and selects the same members,
+    /// but costs `O(k + universe/64)` and holds no index list (Floyd's
+    /// algorithm there tests membership with a linear scan).
+    ///
+    /// ```
+    /// use lotus_core::bitset::BitSet;
+    /// use netsim::rng::DetRng;
+    ///
+    /// let (mut a, mut b) = (DetRng::seed_from(3), DetRng::seed_from(3));
+    /// let set = BitSet::sample(50, 10, &mut a);
+    /// assert_eq!(set, BitSet::from_iter_with(50, b.sample_indices(50, 10)));
+    /// assert_eq!(a.next_u64(), b.next_u64(), "same draws");
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > universe`.
+    pub fn sample(universe: usize, k: usize, rng: &mut netsim::rng::DetRng) -> Self {
+        assert!(
+            k <= universe,
+            "cannot sample {k} items from a universe of {universe}"
+        );
+        let mut s = BitSet::new(universe);
+        for j in (universe - k)..universe {
+            let t = rng.index(j + 1);
+            if !s.insert(t) {
+                s.insert(j);
+            }
+        }
+        // The list version then shuffles; a shuffle's draws depend only
+        // on the length.
+        for i in (1..k).rev() {
+            rng.index(i + 1);
+        }
+        s
+    }
+
     fn trim(&mut self) {
         if let Some(last) = self.words.len().checked_sub(1) {
             self.words[last] &= self.word_span(last);
@@ -345,6 +385,21 @@ impl<'a> IntoIterator for &'a BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sample_selects_and_draws_what_sample_indices_does() {
+        for (universe, k) in [(0, 0), (1, 1), (10, 0), (10, 10), (100, 7), (1000, 700)] {
+            for seed in 0..4u64 {
+                let mut a = netsim::rng::DetRng::seed_from(seed);
+                let mut b = a.clone();
+                let set = BitSet::sample(universe, k, &mut a);
+                let list = b.sample_indices(universe, k);
+                assert_eq!(set, BitSet::from_iter_with(universe, list));
+                assert_eq!(set.len(), k);
+                assert_eq!(a.next_u64(), b.next_u64(), "streams stay aligned");
+            }
+        }
+    }
 
     #[test]
     fn insert_remove_contains() {

@@ -9,7 +9,8 @@
 //!
 //! It also holds the one defense mechanism two substrates share:
 //! [`SilenceCutoff`], the quorum-of-accusers cut behind both gossip
-//! substrates' `cutoff=<q>` knob.
+//! substrates' `cutoff=<q>` knob, and the distinct-accuser table
+//! ([`QuorumSlots`]) it shares with BAR Gossip's report-and-evict.
 
 use crate::bitset::BitSet;
 use crate::faults::CutStats;
@@ -132,6 +133,65 @@ impl Mechanism {
     }
 }
 
+/// Distinct accusers per node, kept until they reach a quorum: one flat
+/// table of `min(quorum - 1, n)` slots per node, each holding an accuser
+/// id plus one (0 marks an empty slot). The accuser that completes a
+/// quorum is never stored, and nothing is recorded against a node once
+/// its quorum is reached (the caller's cut or evicted set says so), so
+/// the table answers exactly as a full per-node set would. A record
+/// scans at most `quorum - 1` slots.
+///
+/// ```
+/// use lotus_core::defense::QuorumSlots;
+///
+/// let mut reporters = QuorumSlots::new(10, 3);
+/// assert!(!reporters.record(7, 1));
+/// assert!(!reporters.record(7, 1), "a repeat accuser adds nothing");
+/// assert!(!reporters.record(7, 2));
+/// assert!(reporters.record(7, 4), "the third distinct accuser makes the quorum");
+/// ```
+#[derive(Debug, Clone)]
+pub struct QuorumSlots {
+    /// Distinct accusers that make a quorum.
+    quorum: u32,
+    /// Slots per node: `min(quorum - 1, n)`.
+    width: usize,
+    /// `width` slots per node, filled from the front.
+    slots: Vec<u32>,
+}
+
+impl QuorumSlots {
+    /// An empty table over `n` nodes for quorums of `quorum` distinct
+    /// accusers.
+    pub fn new(n: usize, quorum: u32) -> Self {
+        let width = (quorum.saturating_sub(1) as usize).min(n);
+        QuorumSlots {
+            quorum,
+            width,
+            slots: vec![0; n * width],
+        }
+    }
+
+    /// Record `accuser` against `node`, whose quorum has not been
+    /// reached yet. Returns whether `node` now has a quorum of distinct
+    /// accusers; after that, record nothing more against it.
+    pub fn record(&mut self, node: usize, accuser: usize) -> bool {
+        let id = accuser as u32 + 1;
+        let row = &mut self.slots[node * self.width..(node + 1) * self.width];
+        for slot in row {
+            if *slot == id {
+                return false;
+            }
+            if *slot == 0 {
+                *slot = id;
+                return false;
+            }
+        }
+        // Every slot holds another accuser: this one is distinct too.
+        self.width + 1 >= self.quorum as usize
+    }
+}
+
 /// The silence cut-off defense: an honest observer that expected a
 /// delivery inside an established exchange and got nothing files one
 /// strike against the silent partner, and `quorum` distinct accusers
@@ -141,12 +201,9 @@ impl Mechanism {
 /// withholding, which is the question [`CutStats`] answers.
 #[derive(Debug, Clone)]
 pub struct SilenceCutoff {
-    /// Distinct accusers needed to cut; `None` when the defense is off.
-    quorum: Option<u32>,
-    /// Distinct accusers per node: `n²` bits, so materialised only when
-    /// the defense is on (a million-node run cannot afford vestigial
-    /// ones).
-    accusers: Vec<BitSet>,
+    /// Distinct accusers per node, up to the quorum that cuts; `None`
+    /// when the defense is off.
+    accusers: Option<QuorumSlots>,
     /// Nodes cut so far.
     cut: BitSet,
     /// Cuts against ground truth; the class totals are fixed at build.
@@ -158,12 +215,7 @@ impl SilenceCutoff {
     /// cutting at `quorum` distinct accusers (`None`: defense off).
     pub fn new(n: usize, quorum: Option<u32>, attackers: u32) -> Self {
         SilenceCutoff {
-            quorum,
-            accusers: if quorum.is_some() {
-                vec![BitSet::new(n); n]
-            } else {
-                Vec::new()
-            },
+            accusers: quorum.map(|q| QuorumSlots::new(n, q)),
             cut: BitSet::new(n),
             stats: CutStats {
                 honest: n as u32 - attackers,
@@ -175,7 +227,7 @@ impl SilenceCutoff {
 
     /// Whether the defense is configured (and can cut nodes mid-round).
     pub fn is_on(&self) -> bool {
-        self.quorum.is_some()
+        self.accusers.is_some()
     }
 
     /// Whether `node` has been cut.
@@ -198,15 +250,14 @@ impl SilenceCutoff {
         partner: usize,
         is_attacker: impl Fn(usize) -> bool,
     ) -> bool {
-        let Some(quorum) = self.quorum else {
+        let Some(accusers) = &mut self.accusers else {
             return false;
         };
-        if is_attacker(observer) {
+        if is_attacker(observer) || self.cut.contains(partner) {
             return false;
         }
-        let set = &mut self.accusers[partner];
-        set.insert(observer);
-        if set.len() as u32 >= quorum && self.cut.insert(partner) {
+        if accusers.record(partner, observer) {
+            self.cut.insert(partner);
             if is_attacker(partner) {
                 self.stats.cut_attacker += 1;
             } else {
@@ -220,7 +271,7 @@ impl SilenceCutoff {
     /// Cut outcomes for a report; `None` when the defense is off, so
     /// defense-free reports are unchanged by the machinery existing.
     pub fn stats(&self) -> Option<CutStats> {
-        self.quorum.map(|_| self.stats)
+        self.accusers.as_ref().map(|_| self.stats)
     }
 }
 
@@ -269,11 +320,33 @@ mod tests {
     #[test]
     fn cutoff_off_allocates_no_accusers_and_never_cuts() {
         let mut c = SilenceCutoff::new(1000, None, 10);
-        assert!(c.accusers.is_empty(), "no n² accuser sets when off");
+        assert!(c.accusers.is_none(), "no accuser slots when off");
         assert!(!c.is_on());
         assert!(!c.accuse(0, 5, |_| false));
         assert!(!c.is_cut(5));
         assert_eq!(c.stats(), None);
+    }
+
+    #[test]
+    fn quorum_slots_count_distinct_accusers_up_to_the_quorum() {
+        // Quorum 0 and 1: the first accuser completes it; no slots.
+        for q in [0, 1] {
+            let mut t = QuorumSlots::new(4, q);
+            assert!(t.slots.is_empty());
+            assert!(t.record(2, 3));
+        }
+        let mut t = QuorumSlots::new(5, 3);
+        assert_eq!(t.slots.len(), 10, "quorum - 1 slots per node");
+        assert!(!t.record(0, 4));
+        assert!(!t.record(1, 4), "rows are independent");
+        assert!(!t.record(0, 0), "id 0 is a real accuser");
+        assert!(!t.record(0, 4));
+        assert!(!t.record(0, 0));
+        assert!(t.record(0, 2));
+        // A quorum above the population can never be reached.
+        let mut t = QuorumSlots::new(2, 5);
+        assert!(!t.record(0, 0) && !t.record(0, 1));
+        assert!(!t.record(0, 1) && !t.record(0, 0));
     }
 
     #[test]

@@ -251,11 +251,13 @@ impl ShardMap {
 
     /// Clear `out` and fill it with the active indices in ascending
     /// order — the sharded stand-in for `(0..n).filter(active)` list
-    /// builds. Allocation-free once `out` has capacity.
+    /// builds. Indices are stored as `u32` (node ids are `NodeId(u32)`),
+    /// half the footprint of `usize`. Allocation-free once `out` has
+    /// capacity.
     // lint: hot-loop
-    pub fn collect_active_into(&self, out: &mut Vec<usize>) {
+    pub fn collect_active_into(&self, out: &mut Vec<u32>) {
         out.clear();
-        self.for_each_active(|i| out.push(i));
+        self.for_each_active(|i| out.push(i as u32));
     }
 
     /// Index ranges covering the active shards (adjacent active shards
@@ -414,7 +416,7 @@ mod tests {
         shards.load(&mask);
         let mut out = Vec::new();
         shards.collect_active_into(&mut out);
-        let dense: Vec<usize> = mask.iter().collect();
+        let dense: Vec<u32> = mask.iter().map(|i| i as u32).collect();
         assert_eq!(out, dense);
     }
 

@@ -77,7 +77,11 @@ fn sharded_walk_visits_exactly_the_set_bits_in_order() {
         }
         let mut collected = Vec::new();
         shards.collect_active_into(&mut collected);
-        if collected != dense {
+        if !collected
+            .iter()
+            .map(|&i| i as usize)
+            .eq(dense.iter().copied())
+        {
             return Err("collect_active_into diverged from the mask".to_string());
         }
         if shards.active_count() != dense.len() {

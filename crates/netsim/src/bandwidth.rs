@@ -1,9 +1,17 @@
-//! Per-node bandwidth accounting.
+//! Upload accounting by message class.
 //!
 //! The paper notes that the trade lotus-eater attack "does require enough
 //! bandwidth at each attacking node to satiate multiple nodes every round
 //! while the crash attack requires essentially no bandwidth". To make that
-//! comparison measurable, simulators meter every transfer by message class.
+//! comparison measurable, simulators meter every transfer by message class
+//! and charge it to the sender.
+//!
+//! The meter keeps only what a run reads: one payload counter per node
+//! (the service a node has provided) and, per message class, the total
+//! uploaded by each of [`GROUPS`] fixed sender groups (a simulator's
+//! honest/attacker split). Group means and the junk fraction divide
+//! those integer totals, so they equal the sums a full per-node,
+//! per-class table would give.
 
 use crate::NodeId;
 
@@ -20,8 +28,6 @@ pub enum MsgClass {
 }
 
 impl MsgClass {
-    const ALL: [MsgClass; 3] = [MsgClass::Payload, MsgClass::Junk, MsgClass::Control];
-
     fn idx(self) -> usize {
         match self {
             MsgClass::Payload => 0,
@@ -31,69 +37,80 @@ impl MsgClass {
     }
 }
 
-/// Upload meter over `n` nodes: every transfer is charged to its
-/// sender, by message class.
+/// Number of sender groups a [`BandwidthMeter`] totals separately.
+pub const GROUPS: usize = 2;
+
+/// Upload meter over `n` nodes in [`GROUPS`] fixed groups: every
+/// transfer is charged to its sender, by message class.
 ///
 /// ```
 /// use netsim::bandwidth::{BandwidthMeter, MsgClass};
 /// use netsim::NodeId;
 ///
 /// let mut m = BandwidthMeter::new(2);
-/// m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 3);
-/// assert_eq!(m.uploaded(NodeId(0)), 3);
-/// assert_eq!(m.uploaded(NodeId(1)), 0);
+/// m.transfer(NodeId(0), 1, MsgClass::Payload, 3);
+/// m.transfer(NodeId(1), 0, MsgClass::Junk, 1);
+/// assert_eq!(m.payload_uploaded(NodeId(0)), 3);
+/// assert_eq!(m.payload_uploaded(NodeId(1)), 0);
+/// assert_eq!(m.group_uploaded(1), 3);
+/// assert_eq!(m.total(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandwidthMeter {
-    up: Vec<[u64; 3]>,
+    /// Payload units uploaded per node.
+    payload: Vec<u64>,
+    /// Units uploaded per (sender group, class).
+    groups: [[u64; 3]; GROUPS],
 }
 
 impl BandwidthMeter {
     /// A meter for `n` nodes, all counters zero.
     pub fn new(n: u32) -> Self {
         BandwidthMeter {
-            up: vec![[0; 3]; n as usize],
+            payload: vec![0; n as usize],
+            groups: [[0; 3]; GROUPS],
         }
     }
 
-    /// Record `units` of traffic from `src` to `dst` (charged to `src`).
-    pub fn transfer(&mut self, src: NodeId, _dst: NodeId, class: MsgClass, units: u64) {
-        self.up[src.index()][class.idx()] += units;
+    /// Record `units` of `class` traffic uploaded by `src`, a member of
+    /// `group` (`< GROUPS`). A node must always be charged to the same
+    /// group.
+    #[inline]
+    pub fn transfer(&mut self, src: NodeId, group: usize, class: MsgClass, units: u64) {
+        self.groups[group][class.idx()] += units;
+        if class == MsgClass::Payload {
+            self.payload[src.index()] += units;
+        }
     }
 
-    /// Total units uploaded by `node` across all classes.
-    pub fn uploaded(&self, node: NodeId) -> u64 {
-        self.up[node.index()].iter().sum()
+    /// Payload units uploaded by `node`.
+    pub fn payload_uploaded(&self, node: NodeId) -> u64 {
+        self.payload[node.index()]
     }
 
-    /// Units uploaded by `node` in one class.
-    pub fn uploaded_class(&self, node: NodeId, class: MsgClass) -> u64 {
-        self.up[node.index()][class.idx()]
+    /// Units uploaded by `group`'s members across all classes.
+    pub fn group_uploaded(&self, group: usize) -> u64 {
+        self.groups[group].iter().sum()
+    }
+
+    /// Mean units uploaded per member of `group`, which has `members`
+    /// nodes (0 for an empty group).
+    pub fn group_mean(&self, group: usize, members: usize) -> f64 {
+        if members == 0 {
+            0.0
+        } else {
+            self.group_uploaded(group) as f64 / members as f64
+        }
     }
 
     /// System-wide uploads in one class.
     pub fn total_class(&self, class: MsgClass) -> u64 {
-        self.up.iter().map(|row| row[class.idx()]).sum()
+        self.groups.iter().map(|g| g[class.idx()]).sum()
     }
 
     /// System-wide uploads across all classes.
     pub fn total(&self) -> u64 {
-        MsgClass::ALL.iter().map(|&c| self.total_class(c)).sum()
-    }
-
-    /// Mean uploads per node over an arbitrary node subset.
-    pub fn mean_uploaded<I: IntoIterator<Item = NodeId>>(&self, nodes: I) -> f64 {
-        let mut total = 0u64;
-        let mut count = 0u64;
-        for n in nodes {
-            total += self.uploaded(n);
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total as f64 / count as f64
-        }
+        (0..GROUPS).map(|g| self.group_uploaded(g)).sum()
     }
 
     /// Fraction of system-wide traffic that is junk (0 when idle).
@@ -108,7 +125,8 @@ impl BandwidthMeter {
 
     /// Reset all counters (e.g. at the end of a warm-up phase).
     pub fn reset(&mut self) {
-        self.up.fill([0; 3]);
+        self.payload.fill(0);
+        self.groups = [[0; 3]; GROUPS];
     }
 }
 
@@ -119,43 +137,45 @@ mod tests {
     #[test]
     fn transfers_accumulate_by_direction() {
         let mut m = BandwidthMeter::new(3);
-        m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 5);
-        m.transfer(NodeId(0), NodeId(2), MsgClass::Junk, 2);
-        m.transfer(NodeId(1), NodeId(0), MsgClass::Payload, 1);
+        m.transfer(NodeId(0), 0, MsgClass::Payload, 5);
+        m.transfer(NodeId(0), 0, MsgClass::Junk, 2);
+        m.transfer(NodeId(1), 1, MsgClass::Payload, 1);
 
-        assert_eq!(m.uploaded(NodeId(0)), 7);
-        assert_eq!(m.uploaded_class(NodeId(0), MsgClass::Junk), 2);
-        assert_eq!(m.uploaded(NodeId(2)), 0);
+        assert_eq!(m.payload_uploaded(NodeId(0)), 5, "junk is not payload");
+        assert_eq!(m.payload_uploaded(NodeId(1)), 1);
+        assert_eq!(m.payload_uploaded(NodeId(2)), 0);
+        assert_eq!(m.group_uploaded(0), 7);
+        assert_eq!(m.group_uploaded(1), 1);
     }
 
     #[test]
     fn uploads_sum_to_the_system_total() {
         let mut m = BandwidthMeter::new(4);
-        m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 5);
-        m.transfer(NodeId(2), NodeId(3), MsgClass::Control, 4);
-        let up: u64 = (0..4).map(|i| m.uploaded(NodeId(i))).sum();
-        assert_eq!(up, 9);
+        m.transfer(NodeId(0), 0, MsgClass::Payload, 5);
+        m.transfer(NodeId(2), 1, MsgClass::Control, 4);
+        assert_eq!(m.group_uploaded(0) + m.group_uploaded(1), 9);
         assert_eq!(m.total(), 9);
+        assert_eq!(m.total_class(MsgClass::Control), 4);
     }
 
     #[test]
     fn junk_fraction_and_reset() {
         let mut m = BandwidthMeter::new(2);
         assert_eq!(m.junk_fraction(), 0.0);
-        m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 3);
-        m.transfer(NodeId(1), NodeId(0), MsgClass::Junk, 1);
+        m.transfer(NodeId(0), 0, MsgClass::Payload, 3);
+        m.transfer(NodeId(1), 1, MsgClass::Junk, 1);
         assert!((m.junk_fraction() - 0.25).abs() < 1e-12);
         m.reset();
         assert_eq!(m.total(), 0);
+        assert_eq!(m.payload_uploaded(NodeId(0)), 0);
     }
 
     #[test]
     fn mean_uploaded_subset() {
         let mut m = BandwidthMeter::new(3);
-        m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 10);
-        m.transfer(NodeId(2), NodeId(1), MsgClass::Payload, 2);
-        let mean = m.mean_uploaded([NodeId(0), NodeId(2)]);
-        assert!((mean - 6.0).abs() < 1e-12);
-        assert_eq!(m.mean_uploaded([]), 0.0);
+        m.transfer(NodeId(0), 1, MsgClass::Payload, 10);
+        m.transfer(NodeId(2), 1, MsgClass::Junk, 2);
+        assert!((m.group_mean(1, 2) - 6.0).abs() < 1e-12);
+        assert_eq!(m.group_mean(0, 0), 0.0);
     }
 }

@@ -18,7 +18,8 @@
 //!   aligned text tables, CSV output and ASCII line plots for the
 //!   figure-regeneration harness;
 //! * [`round`] — a minimal round-driven engine trait;
-//! * [`bandwidth`] — per-node traffic accounting by message class;
+//! * [`bandwidth`] — upload accounting by message class: payload per
+//!   node, every class per sender group;
 //! * [`trace`] — a bounded structured event log for debugging and tests.
 //!
 //! # Example

@@ -16,7 +16,7 @@
 //! **This module is not cryptographically secure** and must never be used
 //! outside simulations.
 
-use crate::rng::{split_mix64, DetRng};
+use crate::rng::split_mix64;
 use crate::NodeId;
 
 /// A 64-bit digest accumulator (FNV-1a with a strengthening finalizer).
@@ -173,6 +173,9 @@ impl std::error::Error for VerifyError {}
 
 /// A simulated PKI: issues per-node keys and verifies signatures.
 ///
+/// A node's key is a hash of the authority's seed and the node id,
+/// derived when used, so an authority holds no per-node state.
+///
 /// ```
 /// use netsim::sign::Authority;
 /// use netsim::NodeId;
@@ -184,25 +187,34 @@ impl std::error::Error for VerifyError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Authority {
-    keys: Vec<u64>,
+    /// Master secret every node key derives from.
+    seed: u64,
+    /// Registered nodes are `0..n`.
+    n: u32,
 }
 
 impl Authority {
     /// Issue keys for `n` nodes deterministically from `seed`.
     pub fn new(seed: u64, n: u32) -> Self {
-        let mut rng = DetRng::seed_from(seed ^ 0x5167_4e41_5455_5245); // "SIGNATURE"
-        let keys = (0..n).map(|_| rng.next_u64()).collect();
-        Authority { keys }
+        Authority {
+            seed: split_mix64(seed ^ 0x5167_4e41_5455_5245), // "SIGNATURE"
+            n,
+        }
     }
 
     /// Number of registered nodes.
     pub fn len(&self) -> u32 {
-        self.keys.len() as u32
+        self.n
     }
 
     /// `true` if no nodes are registered.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.n == 0
+    }
+
+    /// `node`'s key, or `None` when it is not registered.
+    fn key(&self, node: NodeId) -> Option<u64> {
+        (node.0 < self.n).then(|| split_mix64(self.seed ^ u64::from(node.0)))
     }
 
     fn mac<T: Digestible>(&self, key: u64, signer: NodeId, payload: &T) -> Signature {
@@ -220,7 +232,7 @@ impl Authority {
     ///
     /// Panics if `signer` is not registered.
     pub fn sign<T: Digestible>(&self, signer: NodeId, payload: T) -> Signed<T> {
-        let key = self.keys[signer.index()];
+        let key = self.key(signer).expect("signer is not registered");
         let signature = self.mac(key, signer, &payload);
         Signed {
             payload,
@@ -236,7 +248,7 @@ impl Authority {
     /// Returns [`VerifyError::UnknownSigner`] for unregistered signers and
     /// [`VerifyError::BadSignature`] if the signature does not match.
     pub fn verify<T: Digestible>(&self, signed: &Signed<T>) -> Result<(), VerifyError> {
-        let Some(&key) = self.keys.get(signed.signer.index()) else {
+        let Some(key) = self.key(signed.signer) else {
             return Err(VerifyError::UnknownSigner(signed.signer));
         };
         if self.mac(key, signed.signer, &signed.payload) == signed.signature {
