@@ -266,9 +266,8 @@ fn build_bytes(scenario: &str, attack: &str, fraction: f64, params: &[(&str, &st
 /// Heap bytes per node a `bar-gossip-1m` build may request. The
 /// per-node state a run reads (window rows, plan entries, delivery and
 /// usability counters, payload meter, served counters, seeding list)
-/// comes to ~55 bytes; a quorum defense adds its accuser slots. A build
-/// that kept a per-class upload row, per-node signing keys and a
-/// `usize` seeding list requested ~91.4 bytes per node.
+/// comes to ~55 bytes; a quorum defense at quorum 3 adds 8 bytes of
+/// accuser slots.
 const BYTES_PER_NODE_1M: u64 = 64;
 
 #[test]
