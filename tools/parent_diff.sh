@@ -16,6 +16,13 @@
 #      flash crowd, cutoff=2 under loss, report_obedient=0.5}
 #   (report_obedient only on the two BAR Gossip scenarios: scrip-gossip
 #   has no report defense)
+#   plus, at updates_per_round=10 (100-bit rows, so a release round's
+#   batch straddles two words: round 6 holds bits 60..69):
+#     rate_limit=3 unbalanced=1 on the two BAR Gossip scenarios
+#     (scrip-gossip has neither parameter),
+#     push_size=4 on the two classic scenarios (bar-gossip, scrip-gossip;
+#     the digest round runs no push phase),
+#     digest_exact=1, and digest_bits=128 rate_limit=4, on bar-gossip-digest
 #   plus one trade case per scenario at 1500 nodes with a flash crowd,
 #   above the 1024-node single-shard cutoff.
 #
@@ -56,6 +63,10 @@ variants=(
     "--param arrival=burst:6:20"
     "--param cutoff=2 --param faults=loss:0.1"
     "--param report_obedient=0.5"
+    "--param updates_per_round=10 --param rate_limit=3 --param unbalanced=1"
+    "--param updates_per_round=10 --param push_size=4"
+    "--param updates_per_round=10 --param digest_exact=1"
+    "--param updates_per_round=10 --param digest_bits=128 --param rate_limit=4"
 )
 large="--param nodes=1500 --param arrival=burst:6:1000 --param copies_seeded=60"
 
@@ -101,7 +112,12 @@ run_case() {
 for scenario in bar-gossip bar-gossip-digest scrip-gossip; do
     for attack in $(attacks_of "$scenario"); do
         for extra in "${variants[@]}"; do
-            [[ $scenario == scrip-gossip && $extra == *report_obedient=* ]] && continue
+            case $scenario:$extra in
+                scrip-gossip:*report_obedient=* | scrip-gossip:*rate_limit=*) continue ;;
+                bar-gossip-digest:*push_size=*) continue ;;
+                bar-gossip-digest:*) ;;
+                *:*digest_*) continue ;;
+            esac
             run_case "$scenario" "$attack" "$extra"
         done
     done
