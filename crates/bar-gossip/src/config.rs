@@ -16,6 +16,7 @@
 //! report-and-evict).
 
 use crate::update::MAX_UPDATES_PER_ROUND;
+use lotus_core::digest::BloomIndex;
 use lotus_core::faults::FaultPlan;
 use lotus_core::population::{ArrivalProcess, ChurnProfile};
 
@@ -349,6 +350,18 @@ impl BarGossipConfig {
                 return Err(ConfigError::BadDigest(format!(
                     "audit rate {} outside [0, 1]",
                     digest.audit
+                )));
+            }
+            // The bloom probe index numbers every (live id, probe) pair of
+            // a full window with a `u32`.
+            let pairs = u64::from(self.updates_per_round)
+                * u64::from(self.update_lifetime)
+                * u64::from(digest.hashes);
+            if pairs > BloomIndex::MAX_PAIRS as u64 {
+                return Err(ConfigError::BadDigest(format!(
+                    "{} updates per round × lifetime {} × {} hashes = {pairs} bloom \
+                     probe pairs overflow 32-bit pair ids",
+                    self.updates_per_round, self.update_lifetime, digest.hashes
                 )));
             }
         }

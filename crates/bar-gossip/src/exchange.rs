@@ -2,7 +2,9 @@
 //!
 //! These are pure functions from a pair of update windows to a transfer
 //! plan; the simulator applies the plan, meters bandwidth and runs the
-//! excess-service check. Each takes its windows as any
+//! excess-service check. Each direction of a plan is a [`Transfer`]: a
+//! mask in the window's bit layout and its popcount, which the simulator
+//! ORs into the receiving row as it is. Each takes its windows as any
 //! `impl Into<WindowView>`, so one code path serves both a
 //! [`WindowSet`](crate::update::WindowSet) and a
 //! [`WindowSlab`](crate::update::WindowSlab) row. Keeping them pure
@@ -16,16 +18,16 @@
 //!   needs, topped up with junk) back, so a rational node with no missing
 //!   old updates never initiates one.
 
-use crate::update::{UpdateId, WindowView};
+use crate::update::{Transfer, WindowView};
 use netsim::Round;
 
 /// Transfer plan of a balanced exchange.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BalancedOutcome {
     /// Updates the initiator receives.
-    pub to_initiator: Vec<UpdateId>,
+    pub to_initiator: Transfer,
     /// Updates the responder receives.
-    pub to_responder: Vec<UpdateId>,
+    pub to_responder: Transfer,
 }
 
 impl BalancedOutcome {
@@ -83,8 +85,9 @@ pub fn balanced_exchange_into<'a, 'b>(
     }
     recv_i = recv_i.min(cap);
     recv_r = recv_r.min(cap);
-    initiator.wanted_from_into(responder, now, recv_i, 0, u32::MAX, &mut out.to_initiator);
-    responder.wanted_from_into(initiator, now, recv_r, 0, u32::MAX, &mut out.to_responder);
+    let (to_i, to_r) = (&mut out.to_initiator, &mut out.to_responder);
+    to_i.len = initiator.wanted_from_into(responder, now, recv_i, 0, u32::MAX, &mut to_i.mask);
+    to_r.len = responder.wanted_from_into(initiator, now, recv_r, 0, u32::MAX, &mut to_r.mask);
 }
 
 /// Transfer plan of an optimistic push.
@@ -92,9 +95,9 @@ pub fn balanced_exchange_into<'a, 'b>(
 pub struct PushOutcome {
     /// Old updates the initiator receives (what it initiated the push
     /// for).
-    pub useful_to_initiator: Vec<UpdateId>,
+    pub useful_to_initiator: Transfer,
     /// Recent updates the responder takes from the initiator's offer.
-    pub to_responder: Vec<UpdateId>,
+    pub to_responder: Transfer,
     /// Junk items the responder pays when it lacks enough old updates.
     pub junk_to_initiator: u32,
 }
@@ -148,23 +151,25 @@ pub fn optimistic_push_into<'a, 'b>(
     let cap = rate_limit.map_or(usize::MAX, |c| c as usize);
     let take = (push_size as usize).min(cap);
     // Recents the responder lacks, from the initiator's offer.
-    responder.wanted_from_into(initiator, now, take, 0, recent_age, &mut out.to_responder);
-    if out.to_responder.is_empty() {
-        out.useful_to_initiator.clear();
+    let (to_r, to_i) = (&mut out.to_responder, &mut out.useful_to_initiator);
+    to_r.len = responder.wanted_from_into(initiator, now, take, 0, recent_age, &mut to_r.mask);
+    if to_r.is_empty() {
+        to_i.mask.clear();
+        to_i.len = 0;
         out.junk_to_initiator = 0;
         return;
     }
     // The responder pays one item per update taken: old updates first.
-    let owed = out.to_responder.len();
-    initiator.wanted_from_into(
+    let owed = to_r.len;
+    to_i.len = initiator.wanted_from_into(
         responder,
         now,
         owed.min(cap),
         old_age,
         u32::MAX,
-        &mut out.useful_to_initiator,
+        &mut to_i.mask,
     );
-    out.junk_to_initiator = (owed - out.useful_to_initiator.len()) as u32;
+    out.junk_to_initiator = (owed - to_i.len) as u32;
 }
 
 /// Whether the initiator has any reason to start an optimistic push: it is
@@ -192,10 +197,22 @@ pub fn is_excessive_service(given: usize, received: usize, slack: u32) -> bool {
     given > received + slack as usize
 }
 
+/// The ids a transfer into `w` names, oldest first.
+#[cfg(test)]
+fn transfer_ids(w: &crate::update::WindowSet, t: &Transfer) -> Vec<crate::update::UpdateId> {
+    let view = w.view();
+    let ids: Vec<_> = (0..t.mask.len() * 64)
+        .filter(|&pos| t.mask[pos / 64] >> (pos % 64) & 1 == 1)
+        .map(|pos| view.id_at(pos))
+        .collect();
+    assert_eq!(ids.len(), t.len, "the count matches the mask");
+    ids
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::WindowSet;
+    use crate::update::{UpdateId, WindowSet};
 
     /// Build an aligned pair of windows at `now`, holding the given ids.
     fn pair(now: Round, a: &[(u64, u32)], b: &[(u64, u32)]) -> (WindowSet, WindowSet, Round) {
@@ -219,14 +236,15 @@ mod tests {
         // Initiator lacks 3, responder lacks 1 => 1 each way.
         let (a, b, now) = pair(3, &[(0, 0)], &[(1, 0), (1, 1), (2, 0)]);
         let out = balanced_exchange(&a, &b, now, false, None);
-        assert_eq!(out.to_initiator.len(), 1);
-        assert_eq!(out.to_responder.len(), 1);
         assert_eq!(
-            out.to_initiator[0],
-            UpdateId { round: 1, slot: 0 },
+            transfer_ids(&a, &out.to_initiator),
+            [UpdateId { round: 1, slot: 0 }],
             "oldest first"
         );
-        assert_eq!(out.to_responder[0], UpdateId { round: 0, slot: 0 });
+        assert_eq!(
+            transfer_ids(&b, &out.to_responder),
+            [UpdateId { round: 0, slot: 0 }]
+        );
     }
 
     #[test]
@@ -244,8 +262,8 @@ mod tests {
     fn unbalanced_exchange_gives_one_extra_to_needier_side() {
         let (a, b, now) = pair(3, &[(0, 0)], &[(1, 0), (1, 1), (2, 0)]);
         let out = balanced_exchange(&a, &b, now, true, None);
-        assert_eq!(out.to_initiator.len(), 2, "initiator needed 3, gets min+1");
-        assert_eq!(out.to_responder.len(), 1);
+        assert_eq!(out.to_initiator.len, 2, "initiator needed 3, gets min+1");
+        assert_eq!(out.to_responder.len, 1);
     }
 
     #[test]
@@ -261,16 +279,16 @@ mod tests {
     fn unbalanced_symmetric_needs_stay_balanced() {
         let (a, b, now) = pair(2, &[(0, 0), (0, 1)], &[(1, 0), (1, 1)]);
         let out = balanced_exchange(&a, &b, now, true, None);
-        assert_eq!(out.to_initiator.len(), 2);
-        assert_eq!(out.to_responder.len(), 2);
+        assert_eq!(out.to_initiator.len, 2);
+        assert_eq!(out.to_responder.len, 2);
     }
 
     #[test]
     fn rate_limit_caps_both_directions() {
         let (a, b, now) = pair(4, &[(0, 0), (0, 1), (0, 2)], &[(1, 0), (1, 1), (1, 2)]);
         let out = balanced_exchange(&a, &b, now, false, Some(2));
-        assert_eq!(out.to_initiator.len(), 2);
-        assert_eq!(out.to_responder.len(), 2);
+        assert_eq!(out.to_initiator.len, 2);
+        assert_eq!(out.to_responder.len, 2);
     }
 
     #[test]
@@ -280,10 +298,10 @@ mod tests {
         // which the responder has.
         let (a, b, now) = pair(7, &[(7, 0), (7, 1)], &[(0, 0), (1, 0)]);
         let out = optimistic_push(&a, &b, now, 2, 4, 1, None);
-        assert_eq!(out.to_responder.len(), 2, "responder takes both recents");
+        assert_eq!(out.to_responder.len, 2, "responder takes both recents");
         assert_eq!(
-            out.useful_to_initiator,
-            vec![
+            transfer_ids(&a, &out.useful_to_initiator),
+            [
                 UpdateId { round: 0, slot: 0 },
                 UpdateId { round: 1, slot: 0 }
             ]
@@ -299,16 +317,16 @@ mod tests {
             &[(0, 0), (0, 1), (0, 2), (0, 3)],
         );
         let out = optimistic_push(&a, &b, now, 2, 4, 1, None);
-        assert_eq!(out.to_responder.len(), 2);
-        assert_eq!(out.useful_to_initiator.len(), 2, "pays one-for-one");
+        assert_eq!(out.to_responder.len, 2);
+        assert_eq!(out.useful_to_initiator.len, 2, "pays one-for-one");
     }
 
     #[test]
     fn push_pays_junk_when_responder_lacks_olds() {
         let (a, b, now) = pair(7, &[(7, 0), (7, 1)], &[(0, 0)]);
         let out = optimistic_push(&a, &b, now, 2, 4, 1, None);
-        assert_eq!(out.to_responder.len(), 2);
-        assert_eq!(out.useful_to_initiator.len(), 1);
+        assert_eq!(out.to_responder.len, 2);
+        assert_eq!(out.useful_to_initiator.len, 1);
         assert_eq!(out.junk_to_initiator, 1, "short one old update => junk");
     }
 
@@ -334,8 +352,8 @@ mod tests {
     fn push_rate_limited() {
         let (a, b, now) = pair(7, &[(7, 0), (7, 1), (7, 2)], &[(0, 0), (0, 1), (0, 2)]);
         let out = optimistic_push(&a, &b, now, 3, 4, 1, Some(1));
-        assert_eq!(out.to_responder.len(), 1);
-        assert!(out.useful_to_initiator.len() <= 1);
+        assert_eq!(out.to_responder.len, 1);
+        assert!(out.useful_to_initiator.len <= 1);
     }
 
     #[test]
@@ -378,13 +396,13 @@ mod tests {
             for unb in [false, true] {
                 let out = balanced_exchange(&a, &b, now, unb, None);
                 assert!(!is_excessive_service(
-                    out.to_initiator.len(),
-                    out.to_responder.len(),
+                    out.to_initiator.len,
+                    out.to_responder.len,
                     1
                 ));
                 assert!(!is_excessive_service(
-                    out.to_responder.len(),
-                    out.to_initiator.len(),
+                    out.to_responder.len,
+                    out.to_initiator.len,
                     1
                 ));
             }
@@ -395,6 +413,7 @@ mod tests {
 #[cfg(all(test, feature = "proptest-tests"))]
 mod proptests {
     use super::*;
+    use crate::update::{UpdateId, WindowSet};
     use proptest::prelude::*;
 
     fn arb_window(now: Round) -> impl Strategy<Value = WindowSet> {
@@ -416,7 +435,7 @@ mod proptests {
                                         unbalanced in any::<bool>(),
                                         cap in proptest::option::of(1u32..5)) {
             let out = balanced_exchange(&a, &b, 5, unbalanced, cap);
-            let (gi, gr) = (out.to_initiator.len(), out.to_responder.len());
+            let (gi, gr) = (out.to_initiator.len, out.to_responder.len);
             // Never exceeds one-for-one plus the defense's single extra.
             prop_assert!(gi <= gr + 1 && gr <= gi + 1);
             if !unbalanced {
@@ -427,11 +446,11 @@ mod proptests {
                 prop_assert!(gi <= c as usize && gr <= c as usize);
             }
             // Transfers are genuinely useful and available.
-            for u in &out.to_initiator {
-                prop_assert!(b.contains(*u) && !a.contains(*u));
+            for u in transfer_ids(&a, &out.to_initiator) {
+                prop_assert!(b.contains(u) && !a.contains(u));
             }
-            for u in &out.to_responder {
-                prop_assert!(a.contains(*u) && !b.contains(*u));
+            for u in transfer_ids(&b, &out.to_responder) {
+                prop_assert!(a.contains(u) && !b.contains(u));
             }
         }
 
@@ -439,19 +458,19 @@ mod proptests {
         fn push_invariants(a in arb_window(5), b in arb_window(5),
                            push_size in 1u32..6) {
             let out = optimistic_push(&a, &b, 5, push_size, 3, 1, None);
-            prop_assert!(out.to_responder.len() <= push_size as usize);
+            prop_assert!(out.to_responder.len <= push_size as usize);
             // Payment is exact: useful + junk == taken.
             prop_assert_eq!(
-                out.useful_to_initiator.len() + out.junk_to_initiator as usize,
-                out.to_responder.len()
+                out.useful_to_initiator.len + out.junk_to_initiator as usize,
+                out.to_responder.len
             );
-            for u in &out.to_responder {
-                prop_assert!(a.contains(*u) && !b.contains(*u));
+            for u in transfer_ids(&b, &out.to_responder) {
+                prop_assert!(a.contains(u) && !b.contains(u));
                 // Only recents are offered.
                 prop_assert!(5 - u.round <= 1);
             }
-            for u in &out.useful_to_initiator {
-                prop_assert!(b.contains(*u) && !a.contains(*u));
+            for u in transfer_ids(&a, &out.useful_to_initiator) {
+                prop_assert!(b.contains(u) && !a.contains(u));
                 // Only old updates are requested.
                 prop_assert!(5 - u.round >= 3);
             }

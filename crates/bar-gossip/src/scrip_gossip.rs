@@ -43,7 +43,7 @@
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
 use crate::engine::GossipEngine;
-use crate::update::UpdateId;
+use crate::update::Transfer;
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use netsim::partner::Protocol;
 use netsim::rng::DetRng;
@@ -170,7 +170,7 @@ pub struct ScripGossipSim {
     /// Sales served this round per seller, across both sub-protocols.
     served_this_round: Vec<u32>,
     /// Purchase and gift buffer (contents meaningless between uses).
-    want_scratch: Vec<UpdateId>,
+    want_scratch: Transfer,
 }
 
 impl ScripGossipSim {
@@ -187,7 +187,8 @@ impl ScripGossipSim {
     pub fn new(cfg: ScripGossipConfig, plan: AttackPlan, seed: u64) -> Self {
         cfg.validate().expect("invalid ScripGossipConfig");
         let n = cfg.base.nodes as usize;
-        let live = (cfg.base.updates_per_round * cfg.base.update_lifetime) as usize;
+        let words =
+            (cfg.base.updates_per_round as usize * cfg.base.update_lifetime as usize).div_ceil(64);
         let rng = DetRng::seed_from(seed).fork("scrip-gossip");
         ScripGossipSim {
             threshold: cfg.threshold,
@@ -197,7 +198,7 @@ impl ScripGossipSim {
             purchases_refused: 0,
             purchases_broke: 0,
             served_this_round: vec![0; n],
-            want_scratch: Vec::with_capacity(live),
+            want_scratch: Transfer::with_capacity(words),
             eng: GossipEngine::new(cfg.base, plan, rng),
         }
     }
@@ -249,19 +250,10 @@ impl ScripGossipSim {
         if self.eng.overt_attacker(seller) {
             // Attacker seller: gift everything, free, to targets only.
             if self.eng.plan.kind == AttackKind::TradeLotusEater && self.eng.target.contains(b) {
-                let mut gift = std::mem::take(&mut self.want_scratch);
-                self.eng.windows.row(b).wanted_from_into(
-                    self.eng.windows.row(s),
-                    now,
-                    usize::MAX,
-                    0,
-                    u32::MAX,
-                    &mut gift,
-                );
-                for &id in &gift {
-                    self.eng.windows.insert(b, id);
-                }
-                self.want_scratch = gift;
+                let gift = &mut self.want_scratch;
+                let (wb, ws) = (self.eng.windows.row(b), self.eng.windows.row(s));
+                gift.len = wb.wanted_from_into(ws, now, usize::MAX, 0, u32::MAX, &mut gift.mask);
+                self.eng.windows.union_words(b, &gift.mask);
             }
             return;
         }
@@ -299,17 +291,10 @@ impl ScripGossipSim {
             return;
         }
         let afford = self.money[b].min(wants) as usize;
-        let mut bought = std::mem::take(&mut self.want_scratch);
-        self.eng.windows.row(b).wanted_from_into(
-            self.eng.windows.row(s),
-            now,
-            afford,
-            0,
-            u32::MAX,
-            &mut bought,
-        );
+        let bought = &mut self.want_scratch;
+        let (wb, ws) = (self.eng.windows.row(b), self.eng.windows.row(s));
+        bought.len = wb.wanted_from_into(ws, now, afford, 0, u32::MAX, &mut bought.mask);
         if bought.is_empty() {
-            self.want_scratch = bought;
             return;
         }
         // The goods ride the faulty link; payment is on delivery, so a
@@ -321,17 +306,13 @@ impl ScripGossipSim {
             && self.eng.env.faults_mut().fate(s, b) != Fate::Drop;
         if !delivered {
             self.eng.accuse(buyer, seller);
-            self.want_scratch = bought;
             return;
         }
-        for &id in &bought {
-            self.eng.windows.insert(b, id);
-        }
-        let price = bought.len() as u64;
+        self.eng.windows.union_words(b, &self.want_scratch.mask);
+        let price = self.want_scratch.len as u64;
         self.money[b] -= price;
         self.money[s] += price;
         self.served_this_round[s] += 1;
-        self.want_scratch = bought;
     }
 
     /// Run the configured horizon and produce the report.

@@ -79,16 +79,16 @@ use crate::exchange::{
     balanced_exchange_into, is_excessive_service, optimistic_push_into, wants_push,
     BalancedOutcome, PushOutcome,
 };
-use crate::update::{UpdateId, WindowView};
+use crate::update::{Transfer, UpdateId};
 use lotus_core::bitset::BitSet;
 use lotus_core::defense::QuorumSlots;
-use lotus_core::digest::{region_hash, BloomIndex};
+use lotus_core::digest::BloomIndex;
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use lotus_core::schedule;
 use lotus_core::soa::ShardMap;
 use netsim::bandwidth::{BandwidthMeter, MsgClass};
 use netsim::partner::Protocol;
-use netsim::rng::DetRng;
+use netsim::rng::{DetRng, Odds};
 use netsim::round::RoundSim;
 use netsim::sign::Authority;
 use netsim::trace::{EventKind, TraceBuffer};
@@ -287,8 +287,8 @@ pub struct BarGossipSim {
     fed: BitSet,
     // Scratch buffers for the allocation-free round loop (see module
     // docs); contents are meaningless between phases.
-    gift_scratch: Vec<UpdateId>,
-    returned_scratch: Vec<UpdateId>,
+    gift_scratch: Transfer,
+    returned_scratch: Transfer,
     balanced_scratch: BalancedOutcome,
     push_scratch: PushOutcome,
     /// Two-leg digest-exchange state; `None` runs the classic
@@ -330,12 +330,11 @@ struct DigestState {
     /// The live window's bloom probe index (bloom mode), rebuilt once
     /// per round; every advertisement of the round is answered from it.
     bloom: BloomIndex,
-    /// Ids the initiator requests from the partner this exchange.
-    want_initiator: Vec<UpdateId>,
+    /// Ids the initiator requests from the partner this exchange; the
+    /// transfer leg narrows the mask to what it delivers.
+    want_initiator: Transfer,
     /// Ids the partner requests from the initiator this exchange.
-    want_partner: Vec<UpdateId>,
-    /// Transfer-leg delivery buffer (after poison/fp filtering).
-    deliver: Vec<UpdateId>,
+    want_partner: Transfer,
     /// The poisoning attacker's per-owed-update withhold draws. Forked
     /// at construction (stream-invisible); drawn only when a poison
     /// attacker answers a request, and `chance(0.0)` draws nothing.
@@ -360,9 +359,9 @@ impl BarGossipSim {
         // Digest-exchange state only when configured. The forks below
         // are stream-invisible (forking never advances the parent), so
         // classic runs are bit-identical whether or not this substrate
-        // exists. Buffers are capacity-reserved for the full live
-        // window, so the steady round never reallocates.
-        let live = (cfg.updates_per_round * cfg.update_lifetime) as usize;
+        // exists. Transfer masks are capacity-reserved for the full
+        // live window, so the steady round never reallocates.
+        let words = (cfg.updates_per_round as usize * cfg.update_lifetime as usize).div_ceil(64);
         let digest_state = cfg.digest.map(|dcfg| DigestState {
             dcfg,
             bloom: BloomIndex::new(
@@ -371,9 +370,8 @@ impl BarGossipSim {
                 cfg.updates_per_round,
                 cfg.update_lifetime,
             ),
-            want_initiator: Vec::with_capacity(live),
-            want_partner: Vec::with_capacity(live),
-            deliver: Vec::with_capacity(live),
+            want_initiator: Transfer::with_capacity(words),
+            want_partner: Transfer::with_capacity(words),
             poison_rng: rng.fork("poison"),
             audit_rng: rng.fork("audit"),
             stats: DigestStats::default(),
@@ -394,15 +392,15 @@ impl BarGossipSim {
             evictions: 0,
             served: vec![0; n as usize],
             fed: BitSet::new(n as usize),
-            gift_scratch: Vec::with_capacity(live),
-            returned_scratch: Vec::with_capacity(live),
+            gift_scratch: Transfer::with_capacity(words),
+            returned_scratch: Transfer::with_capacity(words),
             balanced_scratch: BalancedOutcome {
-                to_initiator: Vec::with_capacity(live),
-                to_responder: Vec::with_capacity(live),
+                to_initiator: Transfer::with_capacity(words),
+                to_responder: Transfer::with_capacity(words),
             },
             push_scratch: PushOutcome {
-                useful_to_initiator: Vec::with_capacity(live),
-                to_responder: Vec::with_capacity(live),
+                useful_to_initiator: Transfer::with_capacity(words),
+                to_responder: Transfer::with_capacity(words),
                 junk_to_initiator: 0,
             },
             digest_state,
@@ -604,14 +602,11 @@ impl BarGossipSim {
             .rate_limit
             .map_or(usize::MAX, |c| c as usize);
         let mut gift = std::mem::take(&mut self.gift_scratch);
-        self.eng.windows.row(target.index()).wanted_from_into(
+        let (tw, aw) = (
+            self.eng.windows.row(target.index()),
             self.eng.windows.row(attacker.index()),
-            now,
-            cap,
-            0,
-            u32::MAX,
-            &mut gift,
         );
+        gift.len = tw.wanted_from_into(aw, now, cap, 0, u32::MAX, &mut gift.mask);
         if gift.is_empty() {
             self.gift_scratch = gift;
             return;
@@ -619,46 +614,41 @@ impl BarGossipSim {
         // The gift rides the same faulty links as honest traffic; a
         // dropped gift is never seen by the target, so it neither
         // satiates nor triggers the excess-service detector.
-        if !self.faulty_send(attacker, target, gift.len() as u64, 0) {
+        if !self.faulty_send(attacker, target, gift.len as u64, 0) {
             self.gift_scratch = gift;
             return;
         }
         let mut returned = std::mem::take(&mut self.returned_scratch);
-        returned.clear();
+        returned.len = 0;
         if self.eng.cfg.attacker_receives {
-            self.eng.windows.row(attacker.index()).wanted_from_into(
+            let (tw, aw) = (
                 self.eng.windows.row(target.index()),
-                now,
-                gift.len(),
-                0,
-                u32::MAX,
-                &mut returned,
+                self.eng.windows.row(attacker.index()),
             );
+            returned.len = aw.wanted_from_into(tw, now, gift.len, 0, u32::MAX, &mut returned.mask);
         }
-        for &id in &gift {
-            self.eng.windows.insert(target.index(), id);
-        }
-        if self.faulty_send(target, attacker, returned.len() as u64, 0) {
-            for &id in &returned {
-                self.eng.windows.insert(attacker.index(), id);
-            }
+        self.eng.windows.union_words(target.index(), &gift.mask);
+        if self.faulty_send(target, attacker, returned.len as u64, 0) && !returned.is_empty() {
+            self.eng
+                .windows
+                .union_words(attacker.index(), &returned.mask);
         }
         self.trace.emit_with(now, target, EventKind::Attack, || {
-            format!("gift of {} from {attacker}", gift.len())
+            format!("gift of {} from {attacker}", gift.len)
         });
 
         if let Some(report) = self.eng.cfg.defenses.report {
             // In a push slot, service up to push_size is protocol-legal;
             // in a balanced slot only reciprocity (+slack) is.
             let effective_received = if push_slot {
-                returned.len().max(self.eng.cfg.push_size as usize)
+                returned.len.max(self.eng.cfg.push_size as usize)
             } else {
-                returned.len()
+                returned.len
             };
-            if is_excessive_service(gift.len(), effective_received, report.excess_slack)
+            if is_excessive_service(gift.len, effective_received, report.excess_slack)
                 && self.eng.obedient.contains(target.index())
             {
-                self.file_report(target, attacker, now, gift.len() as u64);
+                self.file_report(target, attacker, now, gift.len as u64);
             }
         }
         self.gift_scratch = gift;
@@ -863,17 +853,17 @@ impl BarGossipSim {
             self.eng.cfg.defenses.rate_limit,
             &mut out,
         );
-        if self.faulty_send(p, v, out.to_initiator.len() as u64, 0) {
-            for &id in &out.to_initiator {
-                self.eng.windows.insert(v.index(), id);
-            }
+        if self.faulty_send(p, v, out.to_initiator.len as u64, 0) {
+            self.eng
+                .windows
+                .union_words(v.index(), &out.to_initiator.mask);
         } else if !out.to_initiator.is_empty() {
             self.note_silence(v, p, t);
         }
-        if self.faulty_send(v, p, out.to_responder.len() as u64, 0) {
-            for &id in &out.to_responder {
-                self.eng.windows.insert(p.index(), id);
-            }
+        if self.faulty_send(v, p, out.to_responder.len as u64, 0) {
+            self.eng
+                .windows
+                .union_words(p.index(), &out.to_responder.mask);
         } else if !out.to_responder.is_empty() {
             self.note_silence(p, v, t);
         }
@@ -972,20 +962,20 @@ impl BarGossipSim {
             // fault layer (the payment's junk rides along with its
             // useful updates). No silence strikes here: the initiator
             // cannot tell a lost offer from a withheld payment.
-            if self.faulty_send(v, p, out.to_responder.len() as u64, 0) {
-                for &id in &out.to_responder {
-                    self.eng.windows.insert(p.index(), id);
-                }
+            if self.faulty_send(v, p, out.to_responder.len as u64, 0) {
+                self.eng
+                    .windows
+                    .union_words(p.index(), &out.to_responder.mask);
             }
             if self.faulty_send(
                 p,
                 v,
-                out.useful_to_initiator.len() as u64,
+                out.useful_to_initiator.len as u64,
                 u64::from(out.junk_to_initiator),
             ) {
-                for &id in &out.useful_to_initiator {
-                    self.eng.windows.insert(v.index(), id);
-                }
+                self.eng
+                    .windows
+                    .union_words(v.index(), &out.useful_to_initiator.mask);
             }
             self.push_scratch = out;
         }
@@ -994,7 +984,7 @@ impl BarGossipSim {
 
     /// One two-leg digest exchange between `v` (initiator) and `p`
     /// (responder). Leg 1 swaps advertisements and builds each side's
-    /// request list; leg 2 ships the requested updates
+    /// request mask; leg 2 ships the requested updates
     /// ([`BarGossipSim::digest_deliver`]).
     ///
     /// * **Bloom mode** — each side advertises a
@@ -1003,19 +993,24 @@ impl BarGossipSim {
     ///   *own missing* live ids in round/slot order and requests the
     ///   positives (8 bytes per id). No false negatives means every id
     ///   the sender holds and the receiver needs is requested; a false
-    ///   positive wastes one request. The probes are answered from the
-    ///   round's [`BloomIndex`], which gives the filter's exact answers.
-    /// * **Exact mode** — the sides swap one [`region_hash`] per live
-    ///   round (8 bytes each way); divergent rounds exchange their raw
-    ///   slot masks (8 bytes each way, counted as request bytes) and
-    ///   diff exactly.
+    ///   positive wastes one request. The round's [`BloomIndex`] gives
+    ///   the filter's exact answers as a mask: the sender's held ids the
+    ///   receiver lacks, plus the false positives among the ids neither
+    ///   holds.
+    /// * **Exact mode** — the sides swap one
+    ///   [`region_hash`](lotus_core::digest::region_hash) per live round
+    ///   (8 bytes each way); divergent rounds exchange their raw slot
+    ///   masks (8 bytes each way, counted as request bytes) and diff
+    ///   exactly. The hash is injective in the mask, so a round diverges
+    ///   exactly when its masks differ, and the masks are compared
+    ///   directly.
     ///
-    /// The X9 rate limit caps each request list at build time — the
-    /// receiver knows the cap, so truncation can never read as
-    /// withholding. Held ids enter the want lists in round/slot order in
-    /// both modes, so the poison stream draws identically whichever
-    /// advertisement is in force (the delivery-equivalence golden pins
-    /// this).
+    /// The X9 rate limit caps each request mask at build time (its
+    /// oldest ids are kept) — the receiver knows the cap, so truncation
+    /// can never read as withholding. Held ids enter the request masks
+    /// identically in both modes, so the poison stream draws identically
+    /// whichever advertisement is in force (the delivery-equivalence
+    /// golden pins this).
     fn digest_exchange(&mut self, v: NodeId, p: NodeId, t: Round) {
         let mut st = self
             .digest_state
@@ -1033,138 +1028,87 @@ impl BarGossipSim {
             self.eng.windows.row(v.index()),
             self.eng.windows.row(p.index()),
         );
+        debug_assert!(
+            wv.is_live(UpdateId { round: t, slot: 0 }),
+            "window ends at t"
+        );
         if st.dcfg.exact {
-            want_v.clear();
-            want_p.clear();
-            let start = wv.start();
-            debug_assert!(
-                wv.is_live(UpdateId { round: t, slot: 0 }),
-                "window ends at t"
-            );
-            st.stats.bytes_digests += 2 * ID_WIRE_BYTES * (t - start + 1);
-            for (r, (mv, mp)) in (start..).zip(wv.masks().zip(wp.masks())) {
-                if region_hash(r, mv) == region_hash(r, mp) {
-                    continue;
-                }
-                st.stats.bytes_requests += 2 * ID_WIRE_BYTES;
-                let mut only = mp & !mv;
-                while only != 0 {
-                    let slot = only.trailing_zeros();
-                    only &= only - 1;
-                    if want_v.len() < limit {
-                        want_v.push(UpdateId { round: r, slot });
-                    }
-                }
-                let mut only = mv & !mp;
-                while only != 0 {
-                    let slot = only.trailing_zeros();
-                    only &= only - 1;
-                    if want_p.len() < limit {
-                        want_p.push(UpdateId { round: r, slot });
-                    }
-                }
-            }
+            let diverged = wv.masks().zip(wp.masks()).filter(|(a, b)| a != b).count();
+            st.stats.bytes_digests += 2 * ID_WIRE_BYTES * (t - wv.start() + 1);
+            st.stats.bytes_requests += 2 * ID_WIRE_BYTES * diverged as u64;
+            want_v.len = wv.wanted_from_into(wp, t, limit, 0, u32::MAX, &mut want_v.mask);
+            want_p.len = wp.wanted_from_into(wv, t, limit, 0, u32::MAX, &mut want_p.mask);
         } else {
-            Self::bloom_wants(&mut st.bloom, wp, wv, t, limit, &mut want_v);
-            Self::bloom_wants(&mut st.bloom, wv, wp, t, limit, &mut want_p);
+            debug_assert!(
+                wv.start() == st.bloom.first(),
+                "engaged windows advance in lockstep with the round's index"
+            );
+            let (sv, sp) = (wv.words(), wp.words());
+            want_v.len = st.bloom.wanted_into(sp, sv, limit, &mut want_v.mask);
+            want_p.len = st.bloom.wanted_into(sv, sp, limit, &mut want_p.mask);
             st.stats.bytes_digests += 2 * st.bloom.size_bytes();
-            st.stats.bytes_requests += ID_WIRE_BYTES * (want_v.len() + want_p.len()) as u64;
+            st.stats.bytes_requests += ID_WIRE_BYTES * (want_v.len + want_p.len) as u64;
         }
-        st.stats.requests += (want_v.len() + want_p.len()) as u64;
-        // Leg 2: each side answers the other's request list.
-        self.digest_deliver(&mut st, p, v, &want_v, t);
-        self.digest_deliver(&mut st, v, p, &want_p, t);
+        st.stats.requests += (want_v.len + want_p.len) as u64;
+        // Leg 2: each side answers the other's request mask.
+        self.digest_deliver(&mut st, p, v, &mut want_v, t);
+        self.digest_deliver(&mut st, v, p, &mut want_p, t);
         st.want_initiator = want_v;
         st.want_partner = want_p;
         self.digest_state = Some(st);
     }
 
-    /// Load `sender`'s packed row into the round's probe index as its
-    /// advertisement, then fill `want` with the live ids `receiver` is
-    /// missing that probe positive, in round/slot order, stopping at
-    /// `limit`. Both rows use the index's packed ids, so the receiver's
-    /// missing bits are probed as they are walked. The answers are
-    /// exactly those of a bloom filter built from `sender`'s window; no
-    /// filter is built.
-    // lint: hot-loop
-    fn bloom_wants(
-        bloom: &mut BloomIndex,
-        sender: WindowView<'_>,
-        receiver: WindowView<'_>,
-        t: Round,
-        limit: usize,
-        want: &mut Vec<UpdateId>,
-    ) {
-        want.clear();
-        debug_assert!(
-            sender.start() == bloom.first() && receiver.start() == bloom.first(),
-            "engaged windows advance in lockstep with the round's index"
-        );
-        debug_assert!(
-            receiver.is_live(UpdateId { round: t, slot: 0 }),
-            "window ends at t"
-        );
-        bloom.advertise(sender.words());
-        for pos in receiver.absent() {
-            if want.len() >= limit {
-                return;
-            }
-            if bloom.contains_id(pos as u32) {
-                want.push(receiver.id_at(pos));
-            }
-        }
-    }
-
-    /// Transfer leg: `sender` answers `receiver`'s request list. A
-    /// requested id the sender lacks is a bloom false positive (exact
-    /// mode never produces one); a poisoning attacker withholds each
-    /// *held* id at [`AttackPlan::poison_rate`] — the draw happens only
-    /// for held ids, so the poison stream is advertisement-agnostic. The
+    /// Transfer leg: `sender` answers `receiver`'s request mask, which is
+    /// narrowed in place to what it delivers. A requested id the sender
+    /// lacks is a bloom false positive (exact mode never produces one); a
+    /// poisoning attacker withholds each *held* id at
+    /// [`AttackPlan::poison_rate`] — one draw per held id in round/slot
+    /// order, so the poison stream is advertisement-agnostic. The
     /// digest-audit defense samples every advertised-but-undelivered id
-    /// at `audit` and files at most one silence strike per direction: to
-    /// the receiver, a false positive and a withheld id are
-    /// indistinguishable — exactly the attack's deniability claim, which
-    /// is why the defense's collateral shows up as `false_cut_rate`.
-    /// Whole-message loss of a non-empty delivery strikes as in the
-    /// balanced phase (the want was mutual knowledge).
+    /// at `audit` until its first hit and files at most one silence
+    /// strike per direction: to the receiver, a false positive and a
+    /// withheld id are indistinguishable — exactly the attack's
+    /// deniability claim, which is why the defense's collateral shows up
+    /// as `false_cut_rate`. Every audit draw has the same rate, so the
+    /// draws depend only on how many ids went undelivered, not on their
+    /// order. Whole-message loss of a non-empty delivery strikes as in
+    /// the balanced phase (the want was mutual knowledge).
     // lint: hot-loop
     fn digest_deliver(
         &mut self,
         st: &mut DigestState,
         sender: NodeId,
         receiver: NodeId,
-        want: &[UpdateId],
+        want: &mut Transfer,
         t: Round,
     ) {
-        let mut deliver = std::mem::take(&mut st.deliver);
-        deliver.clear();
-        let poisoner = self.eng.env.attack_active()
+        let poison = if self.eng.env.attack_active()
             && self.eng.plan.kind == AttackKind::Poison
-            && self.eng.is_attacker(sender);
-        let mut strike = false;
-        for &id in want {
-            if !self.eng.windows.row(sender.index()).contains(id) {
-                st.stats.fp_requests += 1;
-                if !strike {
-                    strike = st.audit_rng.chance(st.dcfg.audit);
-                }
-                continue;
-            }
-            if poisoner && st.poison_rng.chance(self.eng.plan.poison_rate) {
-                st.stats.withheld += 1;
-                if !strike {
-                    strike = st.audit_rng.chance(st.dcfg.audit);
-                }
-                continue;
-            }
-            deliver.push(id);
+            && self.eng.is_attacker(sender)
+        {
+            Odds::of(self.eng.plan.poison_rate)
+        } else {
+            Odds::of(0.0)
+        };
+        let (mut fp, mut withheld) = (0, 0);
+        let held = self.eng.windows.row(sender.index()).words();
+        for (w, &s) in want.mask.iter_mut().zip(held) {
+            fp += (*w & !s).count_ones() as usize;
+            *w &= s;
+            let kept = poison.trial(&mut st.poison_rng, *w);
+            withheld += kept.count_ones() as usize;
+            *w &= !kept;
         }
-        st.stats.bytes_updates += UPDATE_WIRE_BYTES * deliver.len() as u64;
-        if !deliver.is_empty() {
-            if self.faulty_send(sender, receiver, deliver.len() as u64, 0) {
-                for &id in &deliver {
-                    self.eng.windows.insert(receiver.index(), id);
-                }
+        let delivered = want.len - fp - withheld;
+        want.len = delivered;
+        let audit = st.dcfg.audit;
+        let strike = (0..fp + withheld).any(|_| st.audit_rng.chance(audit));
+        st.stats.fp_requests += fp as u64;
+        st.stats.withheld += withheld as u64;
+        st.stats.bytes_updates += UPDATE_WIRE_BYTES * delivered as u64;
+        if delivered > 0 {
+            if self.faulty_send(sender, receiver, delivered as u64, 0) {
+                self.eng.windows.union_words(receiver.index(), &want.mask);
             } else {
                 self.note_silence(receiver, sender, t);
             }
@@ -1172,7 +1116,6 @@ impl BarGossipSim {
         if strike {
             self.note_silence(receiver, sender, t);
         }
-        st.deliver = deliver;
     }
 
     /// Run the configured horizon and produce the report.

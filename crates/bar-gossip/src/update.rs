@@ -28,10 +28,15 @@
 //!   holds its population's windows here, so an exchange reads two rows
 //!   of one allocation instead of chasing a heap pointer per node.
 //!
-//! The digest path's probe index
-//! ([`BloomIndex`](lotus_core::digest::BloomIndex)) reads the same packed
-//! words, so an advertisement is a copy of the sender's row.
+//! A [`Transfer`] — the updates one exchange moves into a window — is a
+//! mask in the same layout plus its popcount:
+//! [`WindowView::wanted_from_into`] computes it word by word and
+//! [`WindowSlab::union_words`] writes it, so no exchange names an update
+//! one id at a time. The digest path's probe index
+//! ([`BloomIndex`](lotus_core::digest::BloomIndex)) reads the sender's
+//! row in place and answers with a mask in the same layout.
 
+use lotus_core::bitset::lowest_ones;
 use netsim::Round;
 
 /// A single update's identity: the round it was released in and its slot
@@ -291,12 +296,15 @@ impl<'a> WindowView<'a> {
             .sum()
     }
 
-    /// The oldest `limit` updates in `other` that `self` lacks, into a
-    /// caller-owned buffer (cleared first), optionally restricted to
-    /// updates of age `>= min_age` or `<= max_age` (age in rounds
-    /// relative to `now`, where the newest round has age 0).
+    /// The oldest `limit` updates in `other` that `self` lacks, as a mask
+    /// in the window's bit layout written into `out` (resized to the live
+    /// words, so a buffer with that capacity never reallocates),
+    /// optionally restricted to updates of age `>= min_age` or `<=
+    /// max_age` (age in rounds relative to `now`, where the newest round
+    /// has age 0). Returns how many updates the mask holds.
     ///
     /// "Oldest first" models nodes prioritising updates closest to expiry.
+    // lint: hot-loop
     pub fn wanted_from_into<'b>(
         self,
         other: impl Into<WindowView<'b>>,
@@ -304,14 +312,27 @@ impl<'a> WindowView<'a> {
         limit: usize,
         min_age: u32,
         max_age: u32,
-        out: &mut Vec<UpdateId>,
-    ) {
+        out: &mut Vec<u64>,
+    ) -> usize {
         let other = other.into();
         self.check_aligned(other);
         out.clear();
+        out.resize(self.words.len(), 0);
         let (lo, hi) = self.age_band(now, min_age, max_age);
-        let want = ones(lo, hi, |w| other.words[w] & !self.words[w]);
-        out.extend(want.take(limit).map(|pos| self.id_at(pos)));
+        if lo >= hi {
+            return 0;
+        }
+        let (first, end) = (lo / 64, hi.div_ceil(64));
+        let mut left = limit;
+        for (w, want) in (first..end).zip(&mut out[first..end]) {
+            if left == 0 {
+                break;
+            }
+            let lacks = other.words[w] & !self.words[w] & range_mask(w, lo, hi);
+            *want = lowest_ones(lacks, left);
+            left -= want.count_ones() as usize;
+        }
+        limit - left
     }
 
     /// Count of updates in `other` missing from `self` within an age band.
@@ -332,11 +353,33 @@ impl<'a> WindowView<'a> {
     pub fn iter(self) -> impl Iterator<Item = UpdateId> + 'a {
         ones(0, self.bits(), move |w| self.words[w]).map(move |pos| self.id_at(pos))
     }
+}
 
-    /// Packed positions of the live updates *not* held, ascending — the
-    /// ids a digest probe asks about ([`WindowView::id_at`] names them).
-    pub fn absent(self) -> impl Iterator<Item = usize> + 'a {
-        ones(0, self.bits(), move |w| !self.words[w])
+/// The updates one exchange moves into a window: a mask in the window
+/// row's bit layout ([`WindowView::wanted_from_into`] fills it) and how
+/// many bits it holds. [`WindowSlab::union_words`] delivers it.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Transfer {
+    /// The moved updates' bits, one word per live word of the window.
+    pub mask: Vec<u64>,
+    /// Set bits of `mask`: the number of updates moved.
+    pub len: usize,
+}
+
+impl Transfer {
+    /// An empty transfer whose mask holds `words` words without
+    /// reallocating: pass a window's stride for an allocation-free round
+    /// loop.
+    pub fn with_capacity(words: usize) -> Self {
+        Transfer {
+            mask: Vec::with_capacity(words),
+            len: 0,
+        }
+    }
+
+    /// `true` if nothing moves.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -487,22 +530,8 @@ impl WindowSet {
     }
 
     /// The oldest `limit` updates in `other` that `self` lacks, in an age
-    /// band ([`WindowView::wanted_from_into`]).
-    pub fn wanted_from<'b>(
-        &self,
-        other: impl Into<WindowView<'b>>,
-        now: Round,
-        limit: usize,
-        min_age: u32,
-        max_age: u32,
-    ) -> Vec<UpdateId> {
-        let mut out = Vec::with_capacity(limit.min(8));
-        self.wanted_from_into(other, now, limit, min_age, max_age, &mut out);
-        out
-    }
-
-    /// [`WindowSet::wanted_from`] into a caller-owned buffer (cleared
-    /// first), so per-round hot loops can reuse one allocation.
+    /// band, as a mask into `out`; returns how many
+    /// ([`WindowView::wanted_from_into`]).
     pub fn wanted_from_into<'b>(
         &self,
         other: impl Into<WindowView<'b>>,
@@ -510,10 +539,10 @@ impl WindowSet {
         limit: usize,
         min_age: u32,
         max_age: u32,
-        out: &mut Vec<UpdateId>,
-    ) {
+        out: &mut Vec<u64>,
+    ) -> usize {
         self.view()
-            .wanted_from_into(other, now, limit, min_age, max_age, out);
+            .wanted_from_into(other, now, limit, min_age, max_age, out)
     }
 
     /// Count of updates in `other` missing from `self` within an age band.
@@ -667,7 +696,22 @@ impl WindowSlab {
     pub fn union_with<'b>(&mut self, i: usize, other: impl Into<WindowView<'b>>) {
         let other = other.into();
         self.row(i).check_aligned(other);
-        for (mine, theirs) in self.row_mut(i).iter_mut().zip(other.words) {
+        self.union_words(i, other.words);
+    }
+
+    /// OR a mask in the row layout — a [`Transfer`]'s — into row `i`: the
+    /// one write every exchange's delivery makes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or `mask` is longer than the live
+    /// words.
+    // lint: hot-loop
+    #[inline]
+    pub fn union_words(&mut self, i: usize, mask: &[u64]) {
+        let row = self.row_mut(i);
+        assert!(mask.len() <= row.len(), "mask wider than the live window");
+        for (mine, theirs) in row.iter_mut().zip(mask) {
             *mine |= theirs;
         }
     }
@@ -818,6 +862,32 @@ mod tests {
         let _ = a.missing_from(&b);
     }
 
+    /// `a.wanted_from_into(b, ..)` as the ids its mask names, after
+    /// checking the returned count against the mask.
+    fn wanted(
+        a: &WindowSet,
+        b: &WindowSet,
+        now: Round,
+        limit: usize,
+        min_age: u32,
+        max_age: u32,
+    ) -> Vec<UpdateId> {
+        let mut mask = Vec::new();
+        let n = a.wanted_from_into(b, now, limit, min_age, max_age, &mut mask);
+        let view = a.view();
+        assert_eq!(
+            mask.len(),
+            view.words().len(),
+            "one mask word per live word"
+        );
+        let ids: Vec<UpdateId> = (0..mask.len() * 64)
+            .filter(|&pos| mask[pos / 64] >> (pos % 64) & 1 == 1)
+            .map(|pos| view.id_at(pos))
+            .collect();
+        assert_eq!(n, ids.len(), "count matches the mask");
+        ids
+    }
+
     #[test]
     fn wanted_from_is_oldest_first_and_limited() {
         let mut a = window(8, 4, 3); // live rounds 0..=3, now = 3
@@ -825,9 +895,8 @@ mod tests {
         for (r, s) in [(0u64, 1u32), (1, 2), (2, 3), (3, 4)] {
             b.insert(UpdateId { round: r, slot: s });
         }
-        let want = a.wanted_from(&b, 3, 10, 0, u32::MAX);
         assert_eq!(
-            want,
+            wanted(&a, &b, 3, 10, 0, u32::MAX),
             vec![
                 UpdateId { round: 0, slot: 1 },
                 UpdateId { round: 1, slot: 2 },
@@ -835,19 +904,19 @@ mod tests {
                 UpdateId { round: 3, slot: 4 },
             ]
         );
-        let limited = a.wanted_from(&b, 3, 2, 0, u32::MAX);
+        let limited = wanted(&a, &b, 3, 2, 0, u32::MAX);
         assert_eq!(limited.len(), 2);
         assert_eq!(limited[0].round, 0);
         // Age bands: only "old" updates (age >= 2) => rounds 0 and 1.
-        let old = a.wanted_from(&b, 3, 10, 2, u32::MAX);
+        let old = wanted(&a, &b, 3, 10, 2, u32::MAX);
         assert_eq!(old.len(), 2);
         assert!(old.iter().all(|u| u.round <= 1));
         // Only "recent" (age <= 1) => rounds 2 and 3.
-        let recent = a.wanted_from(&b, 3, 10, 0, 1);
+        let recent = wanted(&a, &b, 3, 10, 0, 1);
         assert_eq!(recent.len(), 2);
         assert!(recent.iter().all(|u| u.round >= 2));
         a.insert(UpdateId { round: 0, slot: 1 });
-        assert_eq!(a.wanted_from(&b, 3, 10, 0, u32::MAX).len(), 3);
+        assert_eq!(wanted(&a, &b, 3, 10, 0, u32::MAX).len(), 3);
     }
 
     #[test]
@@ -855,14 +924,31 @@ mod tests {
         let a = window(8, 4, 3);
         let mut b = window(8, 4, 3);
         b.insert(UpdateId { round: 1, slot: 2 });
-        let mut buf = vec![UpdateId { round: 0, slot: 0 }; 5]; // stale content
-        a.wanted_from_into(&b, 3, 10, 0, u32::MAX, &mut buf);
-        assert_eq!(buf, vec![UpdateId { round: 1, slot: 2 }]);
+        let mut buf = vec![u64::MAX; 5]; // stale content, too long
+        assert_eq!(a.wanted_from_into(&b, 3, 10, 0, u32::MAX, &mut buf), 1);
+        assert_eq!(buf, [1 << 10], "round 1 slot 2 is bit 8 + 2");
+    }
+
+    #[test]
+    fn union_words_delivers_a_transfer() {
+        let mut slab = WindowSlab::new(2, 10, 7);
+        for t in 0..=6 {
+            slab.advance(t);
+        }
+        slab.insert(1, UpdateId { round: 6, slot: 4 }); // bit 64
+        slab.insert(1, UpdateId { round: 0, slot: 2 });
+        let mut t = Transfer::with_capacity(2);
+        t.len = slab
+            .row(0)
+            .wanted_from_into(slab.row(1), 6, 1, 0, 0, &mut t.mask);
         assert_eq!(
-            buf,
-            a.wanted_from(&b, 3, 10, 0, u32::MAX),
-            "into-variant matches the allocating form"
+            (t.len, t.mask.as_slice()),
+            (1, &[0, 1][..]),
+            "the age band keeps round 6"
         );
+        slab.union_words(0, &t.mask);
+        assert!(slab.row(0).contains(UpdateId { round: 6, slot: 4 }));
+        assert_eq!(slab.row(0).len(), 1);
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! on every expired mask, every `mask`, `masks()`, `iter()`, `len`, and
 //! every read a simulator makes: `missing_from`, `wanted_from_into`
 //! (random limits and age bands) and `missing_in_age_band`.
+//!
+//! A second property pins the mask kernel every exchange moves updates
+//! with — `wanted_from_into` and `WindowSlab::union_words` — against a
+//! scalar model that keeps each window as a sorted id list.
 
 use bar_gossip::update::{UpdateId, WindowSet, WindowSlab, WindowView};
 use lotus_core::proptest_lite::{check, Draw};
@@ -172,9 +176,10 @@ fn check_view(
         ));
     }
     want.truncate(q.limit);
-    let mut got = vec![UpdateId { round: 0, slot: 0 }; 3];
-    view.wanted_from_into(other, now, q.limit, q.min_age, q.max_age, &mut got);
-    if got != want {
+    let mut mask = vec![u64::MAX; 3];
+    let n = view.wanted_from_into(other, now, q.limit, q.min_age, q.max_age, &mut mask);
+    let got = mask_ids(view, &mask);
+    if n != got.len() || mask.len() != view.words().len() || got != want {
         return Err(format!(
             "{what} at round {now}: wanted_from_into(limit {}, ages {}..={}) \
              gave {got:?}, model {want:?}",
@@ -182,6 +187,14 @@ fn check_view(
         ));
     }
     Ok(())
+}
+
+/// The ids a mask in `view`'s layout names, in packed order.
+fn mask_ids(view: WindowView<'_>, mask: &[u64]) -> Vec<UpdateId> {
+    (0..mask.len() * 64)
+        .filter(|&pos| mask[pos / 64] >> (pos % 64) & 1 == 1)
+        .map(|pos| view.id_at(pos))
+        .collect()
 }
 
 /// Per row: its `WindowSet` and model, once joined.
@@ -362,6 +375,102 @@ fn slab_rows_and_sets_match_the_per_round_model() {
                 let j = pick(d);
                 compare(d, &slab, &rows, &full, i, j, t, lifetime)?;
             }
+        }
+        Ok(())
+    });
+}
+
+/// The mask kernel — [`WindowView::wanted_from_into`] and
+/// [`WindowSlab::union_words`] — against a scalar reference that keeps
+/// each window as a sorted id list: the want is the sender's ids the
+/// receiver lacks, filtered to the age band and cut to the first `limit`,
+/// and delivering it inserts those ids one at a time.
+#[test]
+fn mask_kernel_matches_the_scalar_id_list_model() {
+    check("window::mask_kernel_matches_id_lists", 400, |d| {
+        let per_round = [1, 7, 10, 63, 64][d.int("per_round", 0, 4) as usize];
+        let lifetime = d.int("lifetime", 1, 12) as u32;
+        let now = d.int("now", 0, 3 * i64::from(lifetime)) as Round;
+        // Rows 0 and 1 are the receiver and the sender; row 2 takes the
+        // scalar delivery.
+        let mut slab = WindowSlab::new(3, per_round, lifetime);
+        for t in 0..=now {
+            slab.advance(t);
+        }
+        let start = slab.row(0).start();
+        let mut lists: [Vec<UpdateId>; 2] = [Vec::new(), Vec::new()];
+        for (row, list) in lists.iter_mut().enumerate() {
+            let density = d.ratio("density");
+            let mut rng = d.rng(["receiver", "sender"][row]);
+            for round in start..=now {
+                for slot in 0..per_round {
+                    if rng.chance(density) {
+                        let id = UpdateId { round, slot };
+                        slab.insert(row, id);
+                        list.push(id);
+                    }
+                }
+            }
+        }
+        let [receiver, sender] = &lists;
+        let (min_age, max_age) = match d.int("band", 0, 3) {
+            0 => (0, u32::MAX),
+            // An empty band: inverted, or entirely older than the window.
+            1 => {
+                let max_age = d.int("max_age", 0, i64::from(lifetime)) as u32;
+                (max_age + 1, max_age)
+            }
+            2 => (lifetime + d.int("past", 0, 2) as u32, u32::MAX),
+            _ => (
+                d.int("min_age", 0, i64::from(lifetime)) as u32,
+                d.int("max_age", 0, i64::from(lifetime)) as u32,
+            ),
+        };
+        let in_band = |id: &&UpdateId| {
+            let age = (now - id.round) as u32;
+            (min_age..=max_age).contains(&age)
+        };
+        let lacking: Vec<UpdateId> = sender
+            .iter()
+            .filter(in_band)
+            .filter(|id| !receiver.contains(id))
+            .copied()
+            .collect();
+        let limit = match d.int("limit", 0, 3) {
+            0 => 0,
+            1 => 1,
+            2 => lacking.len() + 1 + d.int("over", 0, 64) as usize,
+            _ => d.int("some", 0, lacking.len() as i64) as usize,
+        };
+        let expected = &lacking[..limit.min(lacking.len())];
+        let mut mask = vec![u64::MAX; 5];
+        let n = slab
+            .row(0)
+            .wanted_from_into(slab.row(1), now, limit, min_age, max_age, &mut mask);
+        let got = mask_ids(slab.row(0), &mask);
+        if n != expected.len() || got != expected {
+            return Err(format!(
+                "per_round {per_round} lifetime {lifetime} now {now} ages {min_age}..={max_age} \
+                 limit {limit}: mask names {got:?} (count {n}), id lists give {expected:?}"
+            ));
+        }
+        let words = slab.row(0).words().len();
+        if mask.len() != words {
+            return Err(format!(
+                "mask of {} words for a {words}-word row",
+                mask.len()
+            ));
+        }
+        for &id in receiver.iter().chain(expected) {
+            slab.insert(2, id);
+        }
+        slab.union_words(0, &mask);
+        if slab.row(0).words() != slab.row(2).words() {
+            return Err(format!(
+                "union_words left {:?}, inserting the ids one at a time gives {:?}",
+                slab.row(0).words(),
+                slab.row(2).words()
+            ));
         }
         Ok(())
     });

@@ -1787,6 +1787,27 @@ mod tests {
     }
 
     #[test]
+    fn digest_index_overflow_is_a_typed_error() {
+        // 64 updates × lifetime 2^22 × 16 hashes = 2^32 (id, probe) pairs:
+        // one more than a 32-bit pair id can number. The parser must say
+        // so instead of building an index whose size wrapped to zero.
+        let reg = ScenarioRegistry::standard();
+        let p = Params::new()
+            .with("nodes", "4")
+            .with("copies_seeded", "2")
+            .with("updates_per_round", "64")
+            .with("update_lifetime", "4194304")
+            .with("digest_hashes", "16")
+            .with("rounds", "2");
+        let req = RunRequest::new(0.0, 1, "none", "fraction", &p);
+        let err = reg
+            .build("bar-gossip-digest", &req)
+            .err()
+            .expect("2^32 bloom probe pairs must be rejected");
+        assert!(err.contains("overflow 32-bit pair ids"), "gave {err:?}");
+    }
+
+    #[test]
     fn every_scenario_runs_its_baseline() {
         let reg = ScenarioRegistry::standard();
         // Small/fast overrides per scenario so the test stays quick.

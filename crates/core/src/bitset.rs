@@ -6,6 +6,28 @@
 //! counts) is word-parallel, which keeps full parameter sweeps fast enough
 //! to run hundreds of simulations per figure.
 
+/// The lowest `n` set bits of `word` (all of them when it has no more):
+/// the word-level "first `n` in order" that cuts a packed want mask at
+/// its limit.
+///
+/// ```
+/// use lotus_core::bitset::lowest_ones;
+/// assert_eq!(lowest_ones(0b1011_0100, 2), 0b0001_0100);
+/// assert_eq!(lowest_ones(0b1011_0100, 9), 0b1011_0100);
+/// assert_eq!(lowest_ones(0b1011_0100, 0), 0);
+/// ```
+#[inline]
+pub fn lowest_ones(word: u64, n: usize) -> u64 {
+    if n >= word.count_ones() as usize {
+        return word;
+    }
+    let mut rest = word;
+    for _ in 0..n {
+        rest &= rest - 1;
+    }
+    word ^ rest
+}
+
 /// A fixed-universe dynamic bitset.
 ///
 /// The universe size is fixed at construction; all operations between two

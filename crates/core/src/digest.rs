@@ -33,6 +33,7 @@
 //! on. Probe, insert and the index rebuild are allocation-free; the
 //! only allocations are the buffers sized at construction.
 
+use crate::bitset::lowest_ones;
 use netsim::rng::split_mix64;
 use netsim::Round;
 
@@ -180,10 +181,10 @@ impl BloomDigest {
 /// an id `x` tests positive exactly when, for each of its probes, some
 /// id of `S` shares that probe's bit. [`BloomIndex::rebuild`] computes
 /// once per round, for every live id and probe, the run of live ids
-/// sharing that bit; [`BloomIndex::contains`] then scans those runs
-/// against the sender's row. No filter is cleared or filled and no
-/// key is hashed per advertisement, and the cost per probed id does not
-/// depend on the filter width.
+/// sharing that bit; a query then scans those runs against the sender's
+/// row, which it reads by reference. No filter is cleared or filled and
+/// no key is hashed per advertisement, and the cost per probed id does
+/// not depend on the filter width.
 ///
 /// ```
 /// use lotus_core::digest::{pack_id, BloomDigest, BloomIndex};
@@ -195,16 +196,21 @@ impl BloomDigest {
 ///         .fold(0u64, |row, &(r, slot)| row | 1 << ((r - 5) * 8 + u64::from(slot)))
 /// };
 /// let held = [(5, 1), (5, 3), (7, 0)];
-/// index.advertise(&[pack(&held)]);
+/// let sender = [pack(&held)];
 /// let mut filter = BloomDigest::new(256, 3);
 /// for (r, slot) in held {
 ///     filter.insert(pack_id(r, slot));
 /// }
 /// for r in 5..=7 {
 ///     for slot in 0..8 {
-///         assert_eq!(index.contains(r, slot), filter.contains(pack_id(r, slot)));
+///         assert_eq!(index.contains(&sender, r, slot), filter.contains(pack_id(r, slot)));
 ///     }
 /// }
+/// // A receiver holding (5, 1) and (6, 2) asks for the rest.
+/// let mut want = Vec::new();
+/// let n = index.wanted_into(&sender, &[pack(&[(5, 1), (6, 2)])], usize::MAX, &mut want);
+/// assert_eq!(n, want[0].count_ones() as usize);
+/// assert_eq!(want[0] & sender[0], pack(&[(5, 3), (7, 0)]));
 /// ```
 #[derive(Clone, Debug)]
 pub struct BloomIndex {
@@ -213,8 +219,8 @@ pub struct BloomIndex {
     per_round: u32,
     /// Oldest live release round.
     first: Round,
-    /// Sender's packed row: bit `id` set when it holds packed id `id`.
-    held: Vec<u64>,
+    /// Live packed ids of the last rebuild: `live rounds × per_round`.
+    live: usize,
     /// Rebuild scratch: `bit << 32 | pair` per (live id, probe) pair,
     /// where `pair = id * hashes + probe` and `id = round offset *
     /// per_round + slot`; sorted so equal bits form runs.
@@ -222,8 +228,14 @@ pub struct BloomIndex {
     /// Per pair, the `[lo, hi)` range of `members` sharing its bit.
     runs: Vec<(u32, u32)>,
     /// Live packed ids in bit order, so a membership test is one bit
-    /// test on `held`.
+    /// test on the sender's row.
     members: Vec<u32>,
+}
+
+/// Whether `row` holds packed id `id`.
+#[inline]
+fn holds(row: &[u64], id: u32) -> bool {
+    row[(id / 64) as usize] & (1u64 << (id % 64)) != 0
 }
 
 impl BloomIndex {
@@ -233,25 +245,34 @@ impl BloomIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `bits`, `hashes`, `per_round` or `lifetime` is zero, or
-    /// `per_round` exceeds 64.
+    /// Panics if `bits`, `hashes`, `per_round` or `lifetime` is zero,
+    /// `per_round` exceeds 64, or the (id, probe) pairs of a full window
+    /// (`per_round × lifetime × hashes`) do not fit 32-bit pair ids.
     pub fn new(bits: u32, hashes: u32, per_round: u32, lifetime: u32) -> Self {
         assert!(bits > 0, "bloom index wants at least one bit");
         assert!(hashes > 0, "bloom index wants at least one hash");
         assert!((1..=64).contains(&per_round), "per_round must be in 1..=64");
         assert!(lifetime > 0, "lifetime must be positive");
-        let pairs = (per_round * lifetime * hashes) as usize;
+        let pairs = per_round as usize * lifetime as usize * hashes as usize;
+        assert!(
+            pairs <= Self::MAX_PAIRS,
+            "bloom index pairs {pairs} exceed 32-bit pair ids"
+        );
         BloomIndex {
             bits,
             hashes,
             per_round,
             first: 0,
-            held: Vec::with_capacity((per_round * lifetime).div_ceil(64) as usize),
+            live: 0,
             keys: vec![0; pairs],
             runs: vec![(0, 0); pairs],
             members: vec![0; pairs],
         }
     }
+
+    /// The most (id, probe) pairs an index can hold: pair ids and run
+    /// bounds are `u32`.
+    pub const MAX_PAIRS: usize = u32::MAX as usize;
 
     /// On-wire size of the filter this index stands in for, in bytes
     /// (equal to [`BloomDigest::size_bytes`] at the same width).
@@ -274,12 +295,14 @@ impl BloomIndex {
     // lint: hot-loop
     pub fn rebuild(&mut self, first: Round, last: Round) {
         assert!(first <= last, "bloom index window is empty");
-        let n = ((last - first + 1) * u64::from(self.per_round * self.hashes)) as usize;
+        let rounds = last - first + 1;
+        let n = (rounds * u64::from(self.per_round) * u64::from(self.hashes)) as usize;
         assert!(
             n <= self.keys.len(),
             "bloom index window exceeds its lifetime"
         );
         self.first = first;
+        self.live = rounds as usize * self.per_round as usize;
         let mut pair = 0;
         for round in first..=last {
             for slot in 0..self.per_round {
@@ -309,56 +332,107 @@ impl BloomIndex {
         }
     }
 
-    /// Load the sender's holdings: its packed row, bit `(round −
-    /// first)·per_round + slot` per held id (missing trailing words read
-    /// as empty).
-    // lint: hot-loop
-    pub fn advertise(&mut self, row: &[u64]) {
-        self.held.clear();
-        self.held.extend_from_slice(row);
-    }
-
     /// Whether a [`BloomDigest`] of this width and probe count, filled
-    /// with every id the advertised row holds, would report
+    /// with every id the sender's packed row holds (bit `(round −
+    /// first)·per_round + slot` per held id), would report
     /// [`pack_id`]`(round, slot)` present. `round` must be live in the
     /// last rebuild and `slot < per_round`.
     #[inline]
-    pub fn contains(&self, round: Round, slot: u32) -> bool {
+    pub fn contains(&self, sender: &[u64], round: Round, slot: u32) -> bool {
         debug_assert!(slot < self.per_round, "slot {slot} outside the batch");
-        self.contains_id((round - self.first) as u32 * self.per_round + slot)
+        self.contains_id(sender, (round - self.first) as u32 * self.per_round + slot)
     }
 
     /// [`BloomIndex::contains`] by packed id, the id's bit in the
-    /// advertised row: `(round − first)·per_round + slot`. `id` must be
+    /// sender's row: `(round − first)·per_round + slot`. `id` must be
     /// live in the last rebuild.
     // lint: hot-loop
     #[inline]
-    pub fn contains_id(&self, id: u32) -> bool {
-        let held = |id: u32| {
-            self.held
-                .get((id / 64) as usize)
-                .is_some_and(|word| word & (1u64 << (id % 64)) != 0)
-        };
+    pub fn contains_id(&self, sender: &[u64], id: u32) -> bool {
         // A held id lies in each of its own runs; answering it here
         // skips the scans in the common true-positive case.
-        if held(id) {
-            return true;
-        }
+        holds(sender, id) || self.false_positive(sender, id)
+    }
+
+    /// Whether an id the sender does not hold tests positive: every one
+    /// of its probe bits is shared by some id the sender holds.
+    // lint: hot-loop
+    #[inline]
+    fn false_positive(&self, sender: &[u64], id: u32) -> bool {
         let k = self.hashes as usize;
         let pair = id as usize * k;
         self.runs[pair..pair + k].iter().all(|&(lo, hi)| {
             self.members[lo as usize..hi as usize]
                 .iter()
-                .any(|&c| held(c))
+                .any(|&c| holds(sender, c))
         })
+    }
+
+    /// The request mask of one digest leg: the lowest `limit` live ids
+    /// the `receiver` row lacks that the filter over the `sender` row
+    /// reports present, written into `out` (resized to the live words)
+    /// in the rows' packed layout; returns how many.
+    ///
+    /// Every id the sender holds tests positive, so the mask is `sender
+    /// & !receiver` plus the false positives, and only the ids neither
+    /// row holds are probed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either row is not the live words of the last rebuild.
+    // lint: hot-loop
+    pub fn wanted_into(
+        &self,
+        sender: &[u64],
+        receiver: &[u64],
+        limit: usize,
+        out: &mut Vec<u64>,
+    ) -> usize {
+        let words = self.live.div_ceil(64);
+        assert!(
+            sender.len() == words && receiver.len() == words,
+            "rows are not the index's live window"
+        );
+        out.clear();
+        out.resize(words, 0);
+        let mut left = limit;
+        for (w, slot) in out.iter_mut().enumerate() {
+            if left == 0 {
+                break;
+            }
+            let (s, r) = (sender[w], receiver[w]);
+            let live = if (w + 1) * 64 <= self.live {
+                u64::MAX
+            } else {
+                (1u64 << (self.live - w * 64)) - 1
+            };
+            let mut want = s & !r;
+            let mut neither = !(s | r) & live;
+            while neither != 0 {
+                let bit = neither.trailing_zeros();
+                neither &= neither - 1;
+                if self.false_positive(sender, w as u32 * 64 + bit) {
+                    want |= 1 << bit;
+                }
+            }
+            *slot = lowest_ones(want, left);
+            left -= slot.count_ones() as usize;
+        }
+        limit - left
     }
 }
 
 /// Exact order-free summary of one region's membership mask: equal
-/// masks hash equal, different masks hash different (up to a 64-bit
-/// splitmix collision). Peers compare per-region hashes and exchange
-/// raw masks only for regions whose hashes differ — the exact
-/// (zero-false-positive) alternative to [`BloomDigest`].
+/// masks hash equal, and different masks of one region hash different.
+/// Peers compare per-region hashes and exchange raw masks only for
+/// regions whose hashes differ — the exact (zero-false-positive)
+/// alternative to [`BloomDigest`].
+///
+/// For a fixed region the hash is injective in the mask: it XORs the
+/// mask with a constant and applies [`split_mix64`], and both steps are
+/// bijections of `u64`. So "the hashes differ" means exactly "the masks
+/// differ", and a simulator may compare the masks in place of hashing
+/// them.
 #[inline]
 pub fn region_hash(region: u64, mask: u64) -> u64 {
     split_mix64(split_mix64(region ^ REGION_SEED) ^ mask)
@@ -425,6 +499,38 @@ mod tests {
             assert!(d.contains(key));
         }
         assert!(d.fill_ratio() <= 1.0);
+    }
+
+    /// The inverse of [`split_mix64`], step by step: an xor-shift
+    /// `z ^ z >> s` is undone by xoring in every multiple of the shift,
+    /// an odd multiplier by its inverse mod 2^64 (Newton's iteration).
+    fn split_mix64_inverse(z: u64) -> u64 {
+        let unshift = |z: u64, s: usize| (0..64).step_by(s).fold(0, |acc, k| acc ^ z >> k);
+        let inv = |c: u64| {
+            (0..6).fold(c, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)))
+            })
+        };
+        let z = unshift(z, 31);
+        let z = unshift(z.wrapping_mul(inv(0x94D0_49BB_1331_11EB)), 27);
+        let z = unshift(z.wrapping_mul(inv(0xBF58_476D_1CE4_E5B9)), 30);
+        z.wrapping_sub(0x9E37_79B9_7F4A_7C15)
+    }
+
+    #[test]
+    fn region_hash_is_injective_in_the_mask() {
+        // For a fixed region, region_hash is mask ↦ split_mix64(c ^ mask)
+        // with c = split_mix64(region ^ REGION_SEED): a XOR with a constant,
+        // then split_mix64, whose add, xor-shift and odd-multiply steps are
+        // each invertible. A left inverse recovers every mask, so no two
+        // masks of one region share a hash.
+        let masks = (0..4096u64).chain((0..4096u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        for region in [0u64, 3, 1 << 40, u64::MAX] {
+            let c = split_mix64(region ^ REGION_SEED);
+            for mask in masks.clone() {
+                assert_eq!(split_mix64_inverse(region_hash(region, mask)) ^ c, mask);
+            }
+        }
     }
 
     #[test]

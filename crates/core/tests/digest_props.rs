@@ -18,7 +18,10 @@
 //!   regions (zero false positives by construction);
 //! * **index = filter** — every [`BloomIndex`] answer equals the answer
 //!   of a [`BloomDigest`] freshly built from the same sender masks, so
-//!   the digest round's per-round index changes no decision.
+//!   the digest round's per-round index changes no decision;
+//! * **want mask = filter** — [`BloomIndex::wanted_into`]'s request mask
+//!   holds exactly the lowest `limit` ids the receiver lacks that such a
+//!   filter answers present, probed one id at a time in packed order.
 
 use lotus_core::digest::{pack_id, region_hash, BloomDigest, BloomIndex};
 use lotus_core::proptest_lite::{check, Draw};
@@ -171,15 +174,15 @@ fn bloom_index_answers_like_a_freshly_built_filter() {
                         filter.insert(pack_id(r, slot));
                     }
                 }
-                index.advertise(&pack_row(&masks, per_round));
+                let row = pack_row(&masks, per_round);
                 for r in first..=last {
                     for slot in 0..per_round {
                         let want = filter.contains(pack_id(r, slot));
                         let id = (r - first) as u32 * per_round + slot;
-                        if index.contains_id(id) != index.contains(r, slot) {
+                        if index.contains_id(&row, id) != index.contains(&row, r, slot) {
                             return Err(format!("contains_id({id}) disagrees with contains"));
                         }
-                        if index.contains(r, slot) != want {
+                        if index.contains(&row, r, slot) != want {
                             return Err(format!(
                                 "sender {sender}: id ({r}, {slot}) index says {}, filter {want} \
                                  (window {first}..={last})",
@@ -192,6 +195,79 @@ fn bloom_index_answers_like_a_freshly_built_filter() {
         }
         if index.size_bytes() != BloomDigest::new(bits, hashes).size_bytes() {
             return Err("index and filter disagree on the wire size".into());
+        }
+        Ok(())
+    });
+}
+
+/// Random per-round slot masks for `rounds` rounds at `density`.
+fn draw_masks(
+    rng: &mut netsim::rng::DetRng,
+    rounds: u64,
+    per_round: u32,
+    density: f64,
+) -> Vec<u64> {
+    (0..rounds)
+        .map(|_| {
+            (0..per_round)
+                .filter(|_| rng.chance(density))
+                .fold(0u64, |m, slot| m | 1 << slot)
+        })
+        .collect()
+}
+
+#[test]
+fn bloom_want_mask_matches_a_filter_of_the_senders_ids() {
+    check("digest::want_mask_matches_filter", 300, |d| {
+        let bits = d.int("bits", 64, 2048) as u32;
+        let hashes = d.int("hashes", 1, 16) as u32;
+        let per_round = match d.int("shape", 0, 3) {
+            0 => 64,
+            1 => 10,
+            _ => d.int("per_round", 1, 64) as u32,
+        };
+        let lifetime = d.int("lifetime", 1, 12) as u32;
+        let (sender_density, receiver_density) = (d.ratio("sender"), d.ratio("receiver"));
+        let mut rng = d.rng("windows");
+        let first = rng.range(1 << 20);
+        let last = first + rng.range(u64::from(lifetime));
+        let rounds = last - first + 1;
+        let mut index = BloomIndex::new(bits, hashes, per_round, lifetime);
+        index.rebuild(first, last);
+        let sent = draw_masks(&mut rng, rounds, per_round, sender_density);
+        let held = draw_masks(&mut rng, rounds, per_round, receiver_density);
+        let mut filter = BloomDigest::new(bits, hashes);
+        for (r, &mask) in (first..=last).zip(&sent) {
+            for slot in (0..per_round).filter(|&s| mask & 1 << s != 0) {
+                filter.insert(pack_id(r, slot));
+            }
+        }
+        // The scalar reference: walk the live ids in packed order and
+        // request each one the receiver lacks that the filter reports.
+        let requested: Vec<u32> = (first..=last)
+            .zip(&held)
+            .flat_map(|(r, &mask)| (0..per_round).map(move |slot| (r, slot, mask)))
+            .filter(|&(r, slot, mask)| mask & 1 << slot == 0 && filter.contains(pack_id(r, slot)))
+            .map(|(r, slot, _)| (r - first) as u32 * per_round + slot)
+            .collect();
+        let limit = match d.int("limit", 0, 3) {
+            0 => 0,
+            1 => 1,
+            2 => requested.len() + d.int("over", 0, 5) as usize,
+            _ => d.int("some", 0, requested.len() as i64) as usize,
+        };
+        let (sender, receiver) = (pack_row(&sent, per_round), pack_row(&held, per_round));
+        let mut got = vec![u64::MAX; 3];
+        let n = index.wanted_into(&sender, &receiver, limit, &mut got);
+        let ids: Vec<u32> = (0..got.len() as u32 * 64)
+            .filter(|&id| got[(id / 64) as usize] >> (id % 64) & 1 == 1)
+            .collect();
+        let expected = &requested[..limit.min(requested.len())];
+        if got.len() != sender.len() || n != ids.len() || ids != expected {
+            return Err(format!(
+                "limit {limit}: mask of {} words, count {n}, ids {ids:?}; filter requests {expected:?}",
+                got.len()
+            ));
         }
         Ok(())
     });
