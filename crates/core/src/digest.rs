@@ -351,14 +351,9 @@ impl BloomIndex {
     pub fn contains_id(&self, sender: &[u64], id: u32) -> bool {
         // A held id lies in each of its own runs; answering it here
         // skips the scans in the common true-positive case.
-        holds(sender, id) || self.false_positive(sender, id)
-    }
-
-    /// Whether an id the sender does not hold tests positive: every one
-    /// of its probe bits is shared by some id the sender holds.
-    // lint: hot-loop
-    #[inline]
-    fn false_positive(&self, sender: &[u64], id: u32) -> bool {
+        if holds(sender, id) {
+            return true;
+        }
         let k = self.hashes as usize;
         let pair = id as usize * k;
         self.runs[pair..pair + k].iter().all(|&(lo, hi)| {
@@ -411,7 +406,7 @@ impl BloomIndex {
             while neither != 0 {
                 let bit = neither.trailing_zeros();
                 neither &= neither - 1;
-                if self.false_positive(sender, w as u32 * 64 + bit) {
+                if self.contains_id(sender, w as u32 * 64 + bit) {
                     want |= 1 << bit;
                 }
             }
