@@ -200,11 +200,7 @@ pub fn is_excessive_service(given: usize, received: usize, slack: u32) -> bool {
 /// The ids a transfer into `w` names, oldest first.
 #[cfg(test)]
 fn transfer_ids(w: &crate::update::WindowSet, t: &Transfer) -> Vec<crate::update::UpdateId> {
-    let view = w.view();
-    let ids: Vec<_> = (0..t.mask.len() * 64)
-        .filter(|&pos| t.mask[pos / 64] >> (pos % 64) & 1 == 1)
-        .map(|pos| view.id_at(pos))
-        .collect();
+    let ids = crate::update::mask_ids(w.view(), &t.mask);
     assert_eq!(ids.len(), t.len, "the count matches the mask");
     ids
 }

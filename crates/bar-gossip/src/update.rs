@@ -786,6 +786,16 @@ impl WindowSlab {
     }
 }
 
+/// The ids a mask in `view`'s layout names, oldest first (the tests'
+/// way of reading a [`Transfer`]).
+#[cfg(test)]
+pub(crate) fn mask_ids(view: WindowView<'_>, mask: &[u64]) -> Vec<UpdateId> {
+    (0..mask.len() * 64)
+        .filter(|&pos| mask[pos / 64] >> (pos % 64) & 1 == 1)
+        .map(|pos| view.id_at(pos))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,7 +873,7 @@ mod tests {
     }
 
     /// `a.wanted_from_into(b, ..)` as the ids its mask names, after
-    /// checking the returned count against the mask.
+    /// checking the mask's width and count.
     fn wanted(
         a: &WindowSet,
         b: &WindowSet,
@@ -874,16 +884,8 @@ mod tests {
     ) -> Vec<UpdateId> {
         let mut mask = Vec::new();
         let n = a.wanted_from_into(b, now, limit, min_age, max_age, &mut mask);
-        let view = a.view();
-        assert_eq!(
-            mask.len(),
-            view.words().len(),
-            "one mask word per live word"
-        );
-        let ids: Vec<UpdateId> = (0..mask.len() * 64)
-            .filter(|&pos| mask[pos / 64] >> (pos % 64) & 1 == 1)
-            .map(|pos| view.id_at(pos))
-            .collect();
+        assert_eq!(mask.len(), a.view().words().len(), "one word per live word");
+        let ids = mask_ids(a.view(), &mask);
         assert_eq!(n, ids.len(), "count matches the mask");
         ids
     }
