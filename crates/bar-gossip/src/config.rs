@@ -178,7 +178,7 @@ pub struct BarGossipConfig {
     pub digest: Option<DigestExchangeConfig>,
     /// Worker threads for the intra-round exchange-plan phase (`0` =
     /// auto: the `LOTUS_RUN_THREADS` env var if set, else the machine's
-    /// available parallelism). Only the read-only plan fill is
+    /// available parallelism). Only the fill of the initiator list is
     /// partitioned; shards fold back in ascending order and apply runs
     /// sequentially, so every figure is byte-identical for any value.
     pub run_threads: usize,

@@ -17,7 +17,9 @@
 //!   crash clear, engaging arrivals), window expiry with the delivery
 //!   counters ([`GossipEngine::advance_windows`]), broadcaster seeding
 //!   ([`GossipEngine::seed_round`]) and the plan half of every exchange
-//!   round ([`GossipEngine::plan_phase`]);
+//!   round: the shuffled initiator list ([`GossipEngine::plan_phase`])
+//!   and its pairs, planned one block at a time
+//!   ([`GossipEngine::plan_block`]);
 //! * the read-outs: [`GossipEngine::delivery`] and the per-node
 //!   usability counters.
 //!
@@ -62,7 +64,10 @@
 //!
 //! Every per-round method is allocation-free in steady state: index
 //! lists are scratch buffers owned by the engine, reserved to their
-//! ceilings at build, and the plan batch holds one entry per node.
+//! ceilings at build. The one per-node list is the initiator list
+//! `order` (4 bytes per node), which seeding reuses as its active list;
+//! planned pairs live only in the apply loop's stack block of
+//! [`PLAN_BLOCK`] entries.
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
@@ -74,7 +79,7 @@ use lotus_core::envelope::{RoundEnvelope, Shield, Timing};
 use lotus_core::pool::WorkerPool;
 use lotus_core::schedule::{self, MetricKey};
 use netsim::partner::{PartnerSchedule, Protocol};
-use netsim::plan::{ExchangePlan, PlannedPair, LINKED, VIABLE};
+use netsim::plan::{PairPlanner, PlannedPair, LINKED, VIABLE};
 use netsim::rng::DetRng;
 use netsim::{NodeId, Round};
 
@@ -84,6 +89,11 @@ use netsim::{NodeId, Round};
 /// and the sequential path is what the alloc-guard suite pins as
 /// allocation-free.
 const PLAN_POOL_MIN_ACTIVE: usize = 1 << 14;
+
+/// Pairs the apply loops plan at a time ([`GossipEngine::plan_block`]):
+/// a stack block small enough to stay in L1, large enough that the
+/// partner hashing runs as a tight loop rather than once per apply step.
+pub(crate) const PLAN_BLOCK: usize = 64;
 
 /// Index of a class in the per-class counter arrays.
 fn class_idx(class: NodeClass) -> usize {
@@ -154,16 +164,17 @@ pub(crate) struct GossipEngine {
     pub(crate) node_unusable_rounds: Vec<u32>,
     /// Measured expired rounds so far.
     pub(crate) measured_rounds: u32,
-    /// Intra-run worker pool for the multi-shard plan fill
+    /// Intra-run worker pool for the multi-shard initiator-list fill
     /// (`cfg.run_threads`; figures are byte-identical for any count).
     run_pool: WorkerPool,
+    /// The round's node list, reserved to one entry per node: seeding's
+    /// ascending active list, then each exchange phase's shuffled
+    /// initiator list ([`GossipEngine::plan_phase`]), which the apply
+    /// loop plans block by block ([`GossipEngine::plan_block`]).
+    pub(crate) order: Vec<u32>,
     // Scratch buffers; contents are meaningless between phases.
-    alive_scratch: Vec<u32>,
     picks_scratch: Vec<usize>,
-    /// The exchange-plan batch [`GossipEngine::plan_phase`] fills; the
-    /// caller takes it for its apply loop and puts it back.
-    pub(crate) plan_batch: ExchangePlan,
-    /// Per-chunk entry counts for the pool's partitioned plan fill.
+    /// Per-chunk entry counts for the pool's partitioned fill of `order`.
     chunk_sizes: Vec<usize>,
     /// Per-chunk shard-range bounds, parallel to `chunk_sizes`.
     chunk_bounds: Vec<(usize, usize)>,
@@ -265,11 +276,10 @@ impl GossipEngine {
             node_unusable_rounds: vec![0; n as usize],
             measured_rounds: 0,
             run_pool: WorkerPool::new(cfg.run_threads),
-            alive_scratch: Vec::with_capacity(n as usize),
-            picks_scratch: Vec::with_capacity(cfg.copies_seeded as usize),
             // One entry per node, so even the round a flash crowd lands
             // allocates nothing.
-            plan_batch: ExchangePlan::with_capacity(n as usize),
+            order: Vec::with_capacity(n as usize),
+            picks_scratch: Vec::with_capacity(cfg.copies_seeded as usize),
             chunk_sizes: Vec::new(),
             chunk_bounds: Vec::new(),
             class,
@@ -450,20 +460,20 @@ impl GossipEngine {
     /// not subject to message faults, but crashed and cut nodes receive
     /// no seeds. The shard walk yields exactly the `(0..n).filter(alive)`
     /// list in ascending order, so the seeding draws match a dense scan.
-    /// Seeds landing on an ideal attacker enter the pool.
+    /// Seeds landing on an ideal attacker enter the pool. The active list
+    /// is collected into `order`, which the exchange phases then refill.
     // lint: hot-loop
     pub(crate) fn seed_round(&mut self, t: Round) {
-        let mut alive = std::mem::take(&mut self.alive_scratch);
-        self.env.shards().collect_active_into(&mut alive);
+        self.env.shards().collect_active_into(&mut self.order);
         let mut picks = std::mem::take(&mut self.picks_scratch);
-        let copies = (self.cfg.copies_seeded as usize).min(alive.len());
+        let copies = (self.cfg.copies_seeded as usize).min(self.order.len());
         let mut seed_rng = self.rng.fork_idx("seeding", t);
         for slot in 0..self.cfg.updates_per_round {
             let id = UpdateId { round: t, slot };
             self.full.insert(id);
-            seed_rng.sample_indices_into(alive.len(), copies, &mut picks);
+            seed_rng.sample_indices_into(self.order.len(), copies, &mut picks);
             for &pick in &picks {
-                let i = alive[pick] as usize;
+                let i = self.order[pick] as usize;
                 self.windows.insert(i, id);
                 if self.class[i] == NodeClass::Attacker
                     && self.plan.kind == AttackKind::IdealLotusEater
@@ -472,7 +482,6 @@ impl GossipEngine {
                 }
             }
         }
-        self.alive_scratch = alive;
         self.picks_scratch = picks;
     }
 
@@ -516,10 +525,10 @@ impl GossipEngine {
     /// contiguous chunks of near-equal active counts (from the shard
     /// map's cached popcounts — no walk). Chunk boundaries depend on
     /// the worker count, but their concatenation is always the full
-    /// ascending shard walk, so plan content never does. Populations
-    /// under [`PLAN_POOL_MIN_ACTIVE`] stay on one chunk: the fan-out
-    /// costs more than the walk, and the sequential path is what the
-    /// alloc-guard suite pins as allocation-free.
+    /// ascending shard walk, so the initiator list never does.
+    /// Populations under [`PLAN_POOL_MIN_ACTIVE`] stay on one chunk: the
+    /// fan-out costs more than the walk, and the sequential path is what
+    /// the alloc-guard suite pins as allocation-free.
     fn plan_chunks(&self, total: usize, sizes: &mut Vec<usize>, bounds: &mut Vec<(usize, usize)>) {
         sizes.clear();
         bounds.clear();
@@ -551,14 +560,18 @@ impl GossipEngine {
         bounds.push((lo, shard_count));
     }
 
-    /// The plan half of an exchange round: batch every initiator's
-    /// scheduled partner and viability snapshot into `plan_batch`, then
-    /// shuffle the batch with `order_rng` (a Fisher–Yates shuffle's
-    /// draws depend only on length, so this draws as a shuffle of the
-    /// bare initiator list would). A `dense` plan covers every node in
-    /// index order; otherwise only the active shards enter the batch
-    /// (ascending walk, chunk-partitioned across the worker pool), which
-    /// keeps the round `O(active)` instead of `O(population)`.
+    /// The plan half of an exchange round: fill `order` with the round's
+    /// initiators and shuffle it with `order_rng`, then return the
+    /// round's [`PairPlanner`] for the apply loop's
+    /// [`GossipEngine::plan_block`] calls. A `dense` plan covers every
+    /// node in index order; otherwise only the active shards enter the
+    /// list (ascending walk, chunk-partitioned across the worker pool),
+    /// which keeps the round `O(active)` instead of `O(population)`.
+    ///
+    /// The shuffled list is the permutation a shuffled batch of planned
+    /// pairs ([`netsim::plan::ExchangePlan::shuffle`]) would hold: a
+    /// Fisher–Yates shuffle's draws depend only on length, and a pair's
+    /// partner only on its initiator.
     // lint: hot-loop
     pub(crate) fn plan_phase(
         &mut self,
@@ -566,38 +579,25 @@ impl GossipEngine {
         proto: Protocol,
         mut order_rng: DetRng,
         dense: bool,
-    ) {
-        let mut plan = std::mem::take(&mut self.plan_batch);
-        let planner = self.schedule.planner(t, proto);
-        let strict = self.strict();
+    ) -> PairPlanner {
+        self.order.clear();
         if dense {
-            let n = self.node_count();
-            plan.reset(n);
-            planner.fill(
-                NodeId::all(n as u32),
-                |v, p| self.pair_flags(v, p, strict),
-                plan.entries_mut(),
-            );
+            let n = self.node_count() as u32;
+            self.order.extend(0..n);
         } else {
             let total = self.env.shards().active_count();
-            plan.reset(total);
+            self.order.resize(total, 0);
             let mut sizes = std::mem::take(&mut self.chunk_sizes);
             let mut bounds = std::mem::take(&mut self.chunk_bounds);
             self.plan_chunks(total, &mut sizes, &mut bounds);
-            let engine = &*self;
+            let shards = self.env.shards();
             let bounds_ref = &bounds;
             self.run_pool
-                .run_partitioned(plan.entries_mut(), &sizes, |chunk, out| {
+                .run_partitioned(&mut self.order, &sizes, |chunk, out| {
                     let (lo, hi) = bounds_ref[chunk];
                     let mut k = 0usize;
-                    engine.env.shards().for_each_active_in(lo..hi, |i| {
-                        let v = NodeId(i as u32);
-                        let p = planner.partner_of(v);
-                        out[k] = PlannedPair {
-                            initiator: v,
-                            partner: p,
-                            flags: engine.pair_flags(v, p, strict),
-                        };
+                    shards.for_each_active_in(lo..hi, |i| {
+                        out[k] = i as u32;
                         k += 1;
                     });
                     debug_assert_eq!(k, out.len(), "chunk sizes must match the shard walk");
@@ -605,8 +605,33 @@ impl GossipEngine {
             self.chunk_sizes = sizes;
             self.chunk_bounds = bounds;
         }
-        plan.shuffle(&mut order_rng);
-        self.plan_batch = plan;
+        order_rng.shuffle(&mut self.order);
+        self.schedule.planner(t, proto)
+    }
+
+    /// Plan the initiators `order[start..start + PLAN_BLOCK]` (fewer at
+    /// the list's tail) into `out`: each one's scheduled partner and a
+    /// viability snapshot ([`GossipEngine::pair_flags`]), taken now
+    /// rather than at the top of the phase. Aliveness only shrinks
+    /// within a phase, so a pair that is not viable here could not be
+    /// applied either, and strict mode rechecks the viable remainder
+    /// against removals made while the block is applied.
+    // lint: hot-loop
+    pub(crate) fn plan_block<'b>(
+        &self,
+        planner: &PairPlanner,
+        start: usize,
+        out: &'b mut [PlannedPair; PLAN_BLOCK],
+    ) -> &'b [PlannedPair] {
+        let initiators = &self.order[start..(start + PLAN_BLOCK).min(self.order.len())];
+        let out = &mut out[..initiators.len()];
+        let strict = self.strict();
+        planner.fill(
+            initiators.iter().map(|&i| NodeId(i)),
+            |v, p| self.pair_flags(v, p, strict),
+            out,
+        );
+        out
     }
 
     /// Per-class delivery fractions over the expired measured rounds.

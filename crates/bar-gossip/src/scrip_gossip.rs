@@ -42,10 +42,11 @@
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
-use crate::engine::GossipEngine;
+use crate::engine::{GossipEngine, PLAN_BLOCK};
 use crate::update::Transfer;
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use netsim::partner::Protocol;
+use netsim::plan::PlannedPair;
 use netsim::rng::DetRng;
 use netsim::round::RoundSim;
 use netsim::{NodeId, Round};
@@ -366,40 +367,41 @@ impl RoundSim for ScripGossipSim {
                 .eng
                 .rng
                 .fork_idx("order", t.wrapping_mul(4).wrapping_add(tag));
-            self.eng.plan_phase(t, proto, order, true);
+            let planner = self.eng.plan_phase(t, proto, order, true);
             // Apply: aliveness only shrinks mid-phase (silence cuts), so
             // non-viable pairs skip exactly; the viable remainder
             // rechecks liveness when a defense can remove nodes under
             // its feet.
             let strict = self.eng.strict();
-            let plan = std::mem::take(&mut self.eng.plan_batch);
-            for &e in plan.entries() {
-                if !e.is_viable() {
-                    continue; // absent/crashed/cut end: the slot is wasted
+            let mut block = [PlannedPair::default(); PLAN_BLOCK];
+            for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
+                for &e in self.eng.plan_block(&planner, start, &mut block) {
+                    if !e.is_viable() {
+                        continue; // absent/crashed/cut end: the slot is wasted
+                    }
+                    let (v, p) = (e.initiator, e.partner);
+                    if strict && !self.eng.alive(v) {
+                        continue;
+                    }
+                    if self.eng.env.attack_active()
+                        && self.eng.is_attacker(v)
+                        && matches!(
+                            self.eng.plan.kind,
+                            AttackKind::Crash | AttackKind::IdealLotusEater
+                        )
+                    {
+                        continue; // crash/ideal attackers never interact
+                    }
+                    if strict && !self.eng.alive(p) {
+                        continue;
+                    }
+                    if !e.is_linked() {
+                        self.eng.env.faults_mut().note_partition_blocked();
+                        continue; // partitioned apart
+                    }
+                    self.interaction(v, p, t, cap);
                 }
-                let (v, p) = (e.initiator, e.partner);
-                if strict && !self.eng.alive(v) {
-                    continue;
-                }
-                if self.eng.env.attack_active()
-                    && self.eng.is_attacker(v)
-                    && matches!(
-                        self.eng.plan.kind,
-                        AttackKind::Crash | AttackKind::IdealLotusEater
-                    )
-                {
-                    continue; // crash/ideal attackers never interact
-                }
-                if strict && !self.eng.alive(p) {
-                    continue;
-                }
-                if !e.is_linked() {
-                    self.eng.env.faults_mut().note_partition_blocked();
-                    continue; // partitioned apart
-                }
-                self.interaction(v, p, t, cap);
             }
-            self.eng.plan_batch = plan;
         }
         self.round = t + 1;
     }

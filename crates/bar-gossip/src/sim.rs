@@ -34,17 +34,21 @@
 //!
 //! # Plan/apply exchange rounds
 //!
-//! Phases 4 and 5 run as two sub-phases each (see [`netsim::plan`]):
-//! a read-only **plan** walks the live shards in ascending order,
-//! batch-selecting every initiator's scheduled partner and a snapshot
-//! of pair viability into a flat [`netsim::plan::ExchangePlan`]; a
-//! sequential **apply** shuffles the batch with the same `fork_idx`
-//! stream the legacy initiator-list shuffle drew from (a Fisher–Yates
-//! shuffle's draws depend only on length, and the batch has one entry
-//! per initiator) and then commits transfers, counters and
-//! rng-consuming outcomes pair by pair. Because partner selection is a
-//! pure hash and plan-time state is read-only, the plan fill is
-//! partitioned along shard bounds across the
+//! Phases 4 and 5 run as two sub-phases each (see [`netsim::plan`]).
+//! The **plan** fills the engine's initiator list — every node while the
+//! population fits one shard, otherwise the live shards in ascending
+//! order — and shuffles it with the phase's `fork_idx` stream. The
+//! sequential **apply** then walks the list 64 initiators at a time: it
+//! plans each block's scheduled partners and viability snapshots into a
+//! stack block of [`netsim::plan::PlannedPair`]s with the round's
+//! [`netsim::plan::PairPlanner`], and commits transfers, counters and
+//! rng-consuming outcomes pair by pair. A Fisher–Yates shuffle's draws
+//! depend only on length and a partner only on its initiator, so the
+//! blocks hold exactly the entries of a shuffled
+//! [`netsim::plan::ExchangePlan`] over the same initiators; a snapshot
+//! taken when its block is planned, rather than at the top of the phase,
+//! is exact because aliveness only shrinks within a phase. The list fill
+//! is partitioned along shard bounds across the
 //! [`lotus_core::pool::WorkerPool`] — concatenation in chunk order
 //! reproduces the ascending walk exactly, so every figure is
 //! byte-identical for any `run_threads` value.
@@ -57,9 +61,10 @@
 //! # Hot-loop invariants
 //!
 //! The per-round phases are **allocation-free in steady state**: every
-//! index list the round loop needs (the engine's seeding and plan
-//! scratch, gift/return and exchange buffers) is a scratch buffer owned
-//! by the sim, cleared and refilled in place, and membership tracking
+//! index list the round loop needs (the engine's initiator list, which
+//! seeding shares, and the gift/return and exchange buffers) is a
+//! scratch buffer owned by the sim, cleared and refilled in place; the
+//! planned pairs live in a stack block; and membership tracking
 //! uses [`lotus_core::bitset::BitSet`] (`fed`) and a flat
 //! [`lotus_core::defense::QuorumSlots`] table (the report quorum). The
 //! timing layer keeps the invariant:
@@ -74,7 +79,7 @@
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::{BarGossipConfig, DigestExchangeConfig};
-use crate::engine::GossipEngine;
+use crate::engine::{GossipEngine, PLAN_BLOCK};
 use crate::exchange::{
     balanced_exchange_into, is_excessive_service, optimistic_push_into, wants_push,
     BalancedOutcome, PushOutcome,
@@ -88,6 +93,7 @@ use lotus_core::schedule;
 use lotus_core::soa::ShardMap;
 use netsim::bandwidth::{BandwidthMeter, MsgClass};
 use netsim::partner::Protocol;
+use netsim::plan::PlannedPair;
 use netsim::rng::{DetRng, Odds};
 use netsim::round::RoundSim;
 use netsim::sign::Authority;
@@ -766,75 +772,78 @@ impl BarGossipSim {
             None => self.eng.rng.fork_idx("balanced-order", t),
         };
         let dense = self.dense_plan();
-        self.eng
+        let planner = self
+            .eng
             .plan_phase(t, Protocol::BalancedExchange, order, dense);
         let strict = self.eng.strict();
-        let plan = std::mem::take(&mut self.eng.plan_batch);
-        for &e in plan.entries() {
-            // Aliveness only shrinks mid-phase, so a pair planned
-            // non-viable can never revive; strict mode rechecks the
-            // viable remainder against removals applied earlier in this
-            // very loop (report evictions, silence cuts).
-            if !e.is_viable() {
-                continue;
-            }
-            let (v, p) = (e.initiator, e.partner);
-            if strict && (!self.eng.alive(v) || !self.eng.alive(p)) {
-                continue;
-            }
-            if !e.is_linked() {
-                // Partitioned apart: the interaction never happens. The
-                // blocked-interaction counter ticks here — the position
-                // the legacy walk's counting link check sat at.
-                self.eng.env.faults_mut().note_partition_blocked();
-                continue;
-            }
-            // While the schedule has the attack off, attacker nodes run
-            // the honest protocol (the cooperate phase), so both classes
-            // collapse to honest in the dispatch below. Covert
-            // (masquerade/poison) attackers *always* take the honest
-            // path — their defection lives inside the delivery step, not
-            // in the dispatch.
-            let classes = if self.eng.env.attack_active() && !self.eng.plan.kind.covert() {
-                (self.eng.class[v.index()], self.eng.class[p.index()])
-            } else {
-                (NodeClass::Isolated, NodeClass::Isolated)
-            };
-            let trade = self.eng.plan.kind == AttackKind::TradeLotusEater;
-            match classes {
-                (NodeClass::Attacker, NodeClass::Attacker) => {
-                    if trade {
-                        self.attacker_sync(v, p);
-                    }
+        let mut block = [PlannedPair::default(); PLAN_BLOCK];
+        for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
+            for &e in self.eng.plan_block(&planner, start, &mut block) {
+                // Aliveness only shrinks mid-phase, so a pair planned
+                // non-viable can never revive; strict mode rechecks the
+                // viable remainder against removals applied earlier in this
+                // very loop (report evictions, silence cuts).
+                if !e.is_viable() {
+                    continue;
                 }
-                (NodeClass::Attacker, _) => {
-                    if trade && self.eng.target.contains(p.index()) && self.responder_accepts(p) {
-                        self.attacker_gift(v, p, t, false);
-                    }
-                    // Crash/ideal attackers never initiate.
+                let (v, p) = (e.initiator, e.partner);
+                if strict && (!self.eng.alive(v) || !self.eng.alive(p)) {
+                    continue;
                 }
-                (_, NodeClass::Attacker) => {
-                    if trade && self.eng.target.contains(v.index()) {
-                        // The scheduled exchange gives the attacker an
-                        // interaction; it responds by gifting.
-                        self.attacker_gift(p, v, t, false);
-                    }
-                    // Otherwise the exchange fails: the initiator's slot is
-                    // wasted (exactly the crash attack's damage).
+                if !e.is_linked() {
+                    // Partitioned apart: the interaction never happens. The
+                    // blocked-interaction counter ticks here — the position
+                    // the legacy walk's counting link check sat at.
+                    self.eng.env.faults_mut().note_partition_blocked();
+                    continue;
                 }
-                (_, _) => {
-                    if !self.responder_accepts(p) {
-                        continue; // responder at capacity: initiation wasted
+                // While the schedule has the attack off, attacker nodes run
+                // the honest protocol (the cooperate phase), so both classes
+                // collapse to honest in the dispatch below. Covert
+                // (masquerade/poison) attackers *always* take the honest
+                // path — their defection lives inside the delivery step, not
+                // in the dispatch.
+                let classes = if self.eng.env.attack_active() && !self.eng.plan.kind.covert() {
+                    (self.eng.class[v.index()], self.eng.class[p.index()])
+                } else {
+                    (NodeClass::Isolated, NodeClass::Isolated)
+                };
+                let trade = self.eng.plan.kind == AttackKind::TradeLotusEater;
+                match classes {
+                    (NodeClass::Attacker, NodeClass::Attacker) => {
+                        if trade {
+                            self.attacker_sync(v, p);
+                        }
                     }
-                    if self.digest_state.is_some() {
-                        self.digest_exchange(v, p, t);
-                    } else {
-                        self.balanced_transfer(v, p, t);
+                    (NodeClass::Attacker, _) => {
+                        if trade && self.eng.target.contains(p.index()) && self.responder_accepts(p)
+                        {
+                            self.attacker_gift(v, p, t, false);
+                        }
+                        // Crash/ideal attackers never initiate.
+                    }
+                    (_, NodeClass::Attacker) => {
+                        if trade && self.eng.target.contains(v.index()) {
+                            // The scheduled exchange gives the attacker an
+                            // interaction; it responds by gifting.
+                            self.attacker_gift(p, v, t, false);
+                        }
+                        // Otherwise the exchange fails: the initiator's slot is
+                        // wasted (exactly the crash attack's damage).
+                    }
+                    (_, _) => {
+                        if !self.responder_accepts(p) {
+                            continue; // responder at capacity: initiation wasted
+                        }
+                        if self.digest_state.is_some() {
+                            self.digest_exchange(v, p, t);
+                        } else {
+                            self.balanced_transfer(v, p, t);
+                        }
                     }
                 }
             }
         }
-        self.eng.plan_batch = plan;
     }
 
     /// The classic honest arm of a balanced exchange: a one-for-one
@@ -877,109 +886,110 @@ impl BarGossipSim {
         // not count the balanced phase's interactions.
         netsim::round::clear_counters_for(&mut self.served, self.eng.env.shards().active_ranges());
         let dense = self.dense_plan();
-        self.eng.plan_phase(
+        let planner = self.eng.plan_phase(
             t,
             Protocol::OptimisticPush,
             self.eng.rng.fork_idx("push-order", t),
             dense,
         );
         let strict = self.eng.strict();
-        let plan = std::mem::take(&mut self.eng.plan_batch);
-        for &e in plan.entries() {
-            // Either end planned dead means the legacy walk did nothing
-            // for this pair (an attacker initiator with a dead partner
-            // entered its branch but took no action), so the skip is
-            // exact; strict mode rechecks against mid-phase removals.
-            if !e.is_viable() {
-                continue;
-            }
-            let (v, p) = (e.initiator, e.partner);
-            if strict && !self.eng.alive(v) {
-                continue;
-            }
-            // Attacker-specific push behaviour only while the attack is
-            // on; a cooperating attacker falls through to the honest
-            // rational-push logic below, as do covert attackers (whose
-            // defection lives inside the delivery step). Note the
-            // attacker arms are deliberately *not* gated on the link —
-            // the legacy path never was (attacker pooling models an
-            // out-of-band channel), and the goldens pin that.
-            if self.eng.overt_attacker(v) {
-                if self.eng.plan.kind == AttackKind::TradeLotusEater
-                    && (!strict || self.eng.alive(p))
-                {
-                    if self.eng.class[p.index()] == NodeClass::Attacker {
-                        self.attacker_sync(v, p);
-                    } else if self.eng.target.contains(p.index()) && self.responder_accepts(p) {
-                        self.attacker_gift(v, p, t, true);
+        let mut block = [PlannedPair::default(); PLAN_BLOCK];
+        for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
+            for &e in self.eng.plan_block(&planner, start, &mut block) {
+                // Either end planned dead means the legacy walk did nothing
+                // for this pair (an attacker initiator with a dead partner
+                // entered its branch but took no action), so the skip is
+                // exact; strict mode rechecks against mid-phase removals.
+                if !e.is_viable() {
+                    continue;
+                }
+                let (v, p) = (e.initiator, e.partner);
+                if strict && !self.eng.alive(v) {
+                    continue;
+                }
+                // Attacker-specific push behaviour only while the attack is
+                // on; a cooperating attacker falls through to the honest
+                // rational-push logic below, as do covert attackers (whose
+                // defection lives inside the delivery step). Note the
+                // attacker arms are deliberately *not* gated on the link —
+                // the legacy path never was (attacker pooling models an
+                // out-of-band channel), and the goldens pin that.
+                if self.eng.overt_attacker(v) {
+                    if self.eng.plan.kind == AttackKind::TradeLotusEater
+                        && (!strict || self.eng.alive(p))
+                    {
+                        if self.eng.class[p.index()] == NodeClass::Attacker {
+                            self.attacker_sync(v, p);
+                        } else if self.eng.target.contains(p.index()) && self.responder_accepts(p) {
+                            self.attacker_gift(v, p, t, true);
+                        }
                     }
+                    continue;
                 }
-                continue;
-            }
-            // Rational initiation condition: only when missing old updates.
-            if !wants_push(
-                self.eng.windows.row(v.index()),
-                &self.eng.full,
-                t,
-                self.eng.cfg.old_age,
-            ) {
-                continue;
-            }
-            if strict && !self.eng.alive(p) {
-                continue;
-            }
-            if !e.is_linked() {
-                self.eng.env.faults_mut().note_partition_blocked();
-                continue; // partitioned apart
-            }
-            if self.eng.overt_attacker(p) {
-                if self.eng.plan.kind == AttackKind::TradeLotusEater
-                    && self.eng.target.contains(v.index())
-                {
-                    self.attacker_gift(p, v, t, true);
+                // Rational initiation condition: only when missing old updates.
+                if !wants_push(
+                    self.eng.windows.row(v.index()),
+                    &self.eng.full,
+                    t,
+                    self.eng.cfg.old_age,
+                ) {
+                    continue;
                 }
-                continue;
-            }
-            if !self.responder_accepts(p) {
-                continue;
-            }
-            let mut out = std::mem::take(&mut self.push_scratch);
-            optimistic_push_into(
-                self.eng.windows.row(v.index()),
-                self.eng.windows.row(p.index()),
-                t,
-                self.eng.cfg.push_size,
-                self.eng.cfg.old_age,
-                self.eng.cfg.recent_age,
-                self.eng.cfg.defenses.rate_limit,
-                &mut out,
-            );
-            if out.is_empty() {
+                if strict && !self.eng.alive(p) {
+                    continue;
+                }
+                if !e.is_linked() {
+                    self.eng.env.faults_mut().note_partition_blocked();
+                    continue; // partitioned apart
+                }
+                if self.eng.overt_attacker(p) {
+                    if self.eng.plan.kind == AttackKind::TradeLotusEater
+                        && self.eng.target.contains(v.index())
+                    {
+                        self.attacker_gift(p, v, t, true);
+                    }
+                    continue;
+                }
+                if !self.responder_accepts(p) {
+                    continue;
+                }
+                let mut out = std::mem::take(&mut self.push_scratch);
+                optimistic_push_into(
+                    self.eng.windows.row(v.index()),
+                    self.eng.windows.row(p.index()),
+                    t,
+                    self.eng.cfg.push_size,
+                    self.eng.cfg.old_age,
+                    self.eng.cfg.recent_age,
+                    self.eng.cfg.defenses.rate_limit,
+                    &mut out,
+                );
+                if out.is_empty() {
+                    self.push_scratch = out;
+                    continue;
+                }
+                // The offer and the payment are each one message through the
+                // fault layer (the payment's junk rides along with its
+                // useful updates). No silence strikes here: the initiator
+                // cannot tell a lost offer from a withheld payment.
+                if self.faulty_send(v, p, out.to_responder.len as u64, 0) {
+                    self.eng
+                        .windows
+                        .union_words(p.index(), &out.to_responder.mask);
+                }
+                if self.faulty_send(
+                    p,
+                    v,
+                    out.useful_to_initiator.len as u64,
+                    u64::from(out.junk_to_initiator),
+                ) {
+                    self.eng
+                        .windows
+                        .union_words(v.index(), &out.useful_to_initiator.mask);
+                }
                 self.push_scratch = out;
-                continue;
             }
-            // The offer and the payment are each one message through the
-            // fault layer (the payment's junk rides along with its
-            // useful updates). No silence strikes here: the initiator
-            // cannot tell a lost offer from a withheld payment.
-            if self.faulty_send(v, p, out.to_responder.len as u64, 0) {
-                self.eng
-                    .windows
-                    .union_words(p.index(), &out.to_responder.mask);
-            }
-            if self.faulty_send(
-                p,
-                v,
-                out.useful_to_initiator.len as u64,
-                u64::from(out.junk_to_initiator),
-            ) {
-                self.eng
-                    .windows
-                    .union_words(v.index(), &out.useful_to_initiator.mask);
-            }
-            self.push_scratch = out;
         }
-        self.eng.plan_batch = plan;
     }
 
     /// One two-leg digest exchange between `v` (initiator) and `p`

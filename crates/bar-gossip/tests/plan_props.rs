@@ -10,6 +10,11 @@
 //!   list with `partner_of` recomputed per edge — so every golden figure
 //!   stays byte-identical. Pinned over ~200 generated universes of
 //!   arbitrary size, round, protocol, and active subset.
+//! * **Block equivalence.** The simulators plan their shuffled
+//!   initiator list 64 pairs at a time; the concatenated blocks must be
+//!   exactly the shuffled [`ExchangePlan`] batch over the same
+//!   initiators and order stream, which ties the batch API (what the
+//!   perfbench replays time) to what the apply loops run.
 //! * **Worker-count invariance.** A full BAR Gossip run must produce an
 //!   identical report for *any* `run_threads` value — the pool only
 //!   splits the read-only plan walk, never the apply — under churn,
@@ -18,11 +23,12 @@
 //!   parallel split itself is exercised, not just the knob.
 
 use bar_gossip::{AttackPlan, BarGossipConfig, BarGossipReport, BarGossipSim, ReportConfig};
+use lotus_core::bitset::BitSet;
 use lotus_core::faults::FaultPlan;
 use lotus_core::population::{ArrivalProcess, ChurnSpec};
 use lotus_core::proptest_lite::{check, Draw};
 use netsim::partner::{PartnerSchedule, Protocol};
-use netsim::plan::{ExchangePlan, READY};
+use netsim::plan::{ExchangePlan, PlannedPair, READY, VIABLE};
 use netsim::NodeId;
 
 #[test]
@@ -79,6 +85,67 @@ fn plan_phase_consumes_the_per_edge_walk_stream() {
         // next consumer would fork differently.
         if legacy_rng.next_u64() != plan_rng.next_u64() {
             return Err("rng streams diverged after the shuffle".to_string());
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn blocks_of_the_shuffled_initiator_list_are_the_shuffled_plan() {
+    check("64-pair blocks == shuffled ExchangePlan", 40, |d| {
+        let seed = d.int("seed", 0, i64::MAX) as u64;
+        let round = d.int("round", 0, 1_000) as u64;
+        let proto = match d.int("proto", 0, 2) {
+            0 => Protocol::BalancedExchange,
+            1 => Protocol::OptimisticPush,
+            _ => Protocol::Other(7),
+        };
+        let near_thousand = d.int("near_thousand", 960, 1_040) as usize;
+        for len in [0, 1, 63, 64, 65, 128, 129, near_thousand] {
+            // A random active set of exactly `len` nodes.
+            let n = (len + d.int("spare", 0, 2_000) as usize).max(2);
+            let active = BitSet::sample(n, len, &mut d.rng("active"));
+            let initiators: Vec<u32> = active.iter().map(|i| i as u32).collect();
+            let planner = PartnerSchedule::new(seed, n as u32).planner(round, proto);
+            // Any pure function of the pair stands in for the viability
+            // snapshot.
+            let flags = |v: NodeId, p: NodeId| match (v.0 ^ p.0) % 3 {
+                0 => 0,
+                1 => VIABLE,
+                _ => READY,
+            };
+
+            let mut plan = ExchangePlan::new();
+            plan.reset(len);
+            planner.fill(
+                initiators.iter().map(|&i| NodeId(i)),
+                flags,
+                plan.entries_mut(),
+            );
+            plan.shuffle(&mut d.rng("order"));
+
+            let mut order = initiators;
+            d.rng("order").shuffle(&mut order);
+            let mut blocks = Vec::with_capacity(len);
+            let mut block = [PlannedPair::default(); 64];
+            for chunk in order.chunks(64) {
+                let out = &mut block[..chunk.len()];
+                planner.fill(chunk.iter().map(|&i| NodeId(i)), flags, out);
+                blocks.extend_from_slice(out);
+            }
+            if blocks != plan.entries() {
+                let at = blocks
+                    .iter()
+                    .zip(plan.entries())
+                    .position(|(b, e)| b != e)
+                    .unwrap_or(blocks.len().min(plan.len()));
+                return Err(format!(
+                    "len {len}: blocks diverge from the plan at entry {at} \
+                     ({} block entries, {} planned)",
+                    blocks.len(),
+                    plan.len()
+                ));
+            }
         }
         Ok(())
     });

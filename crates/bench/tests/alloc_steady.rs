@@ -11,7 +11,7 @@
 //! pass vacuously.
 //!
 //! The same allocator also holds builds to a footprint budget: a
-//! million-node bar-gossip build requests at most 64 bytes per node, with
+//! million-node bar-gossip build requests at most 52 bytes per node, with
 //! or without a quorum defense, and a Table-1 build no more than it
 //! requested before its per-node state was trimmed.
 
@@ -264,11 +264,11 @@ fn build_bytes(scenario: &str, attack: &str, fraction: f64, params: &[(&str, &st
 }
 
 /// Heap bytes per node a `bar-gossip-1m` build may request. The
-/// per-node state a run reads (window rows, plan entries, delivery and
-/// usability counters, payload meter, served counters, seeding list)
-/// comes to ~55 bytes; a quorum defense at quorum 3 adds 8 bytes of
-/// accuser slots.
-const BYTES_PER_NODE_1M: u64 = 64;
+/// per-node state a run reads (window rows, the initiator list, the
+/// delivery and usability counters, the payload meter and the served
+/// counters) comes to ~43 bytes; a quorum defense at quorum 3 adds 8
+/// bytes of accuser slots.
+const BYTES_PER_NODE_1M: u64 = 52;
 
 #[test]
 fn million_node_builds_fit_the_per_node_budget() {

@@ -1,33 +1,39 @@
-//! Two-phase batched exchange plans: plan read-only, apply in order.
+//! Two-phase exchange plans: plan read-only, apply in order.
 //!
 //! The per-edge call pattern — walk the initiators, and for each one
 //! immediately sample a partner, check liveness and links, and commit
 //! the exchange — welds *what the schedule says* to *what the round
 //! does*. This module splits them:
 //!
-//! 1. **Plan** ([`PairPlanner`] + [`ExchangePlan`]): for every
-//!    initiator, the scheduled partner and a snapshot of pair
-//!    viability (both ends alive, link up) are computed into a flat
-//!    batch of [`PlannedPair`] entries, in ascending initiator order.
-//!    Planning reads shared round state but writes only its own output
-//!    slice, so disjoint stretches of the batch can be filled by
-//!    concurrent workers (`lotus_core::pool`) — partner selection is a
-//!    pure hash ([`PartnerSchedule::partner_of`]), not an rng stream.
-//! 2. **Apply**: the caller shuffles the batch with the *same*
-//!    [`DetRng`] stream the legacy path used to shuffle its initiator
-//!    list (a Fisher–Yates shuffle draws only as a function of slice
-//!    *length*, and the batch has exactly one entry per initiator, so
-//!    the draws are bit-identical), then walks the entries
-//!    sequentially, committing transfers, counters and rng-consuming
-//!    outcomes. Everything order-sensitive stays in apply; everything
-//!    parallelizable moved to plan.
+//! 1. **Plan** ([`PairPlanner`]): for each initiator, the scheduled
+//!    partner and a snapshot of pair viability (both ends alive, link
+//!    up) are computed into [`PlannedPair`] entries. Planning reads
+//!    shared round state but writes only its own output slice, and
+//!    partner selection is a pure hash ([`PartnerSchedule::partner_of`]),
+//!    not an rng stream.
+//! 2. **Apply**: the caller walks the planned pairs in a shuffled
+//!    initiator order, committing transfers, counters and rng-consuming
+//!    outcomes. Everything order-sensitive stays in apply.
+//!
+//! Where the pairs live is the caller's choice. [`ExchangePlan`] holds a
+//! whole round as one flat batch, shuffled in place: a Fisher–Yates
+//! shuffle draws only as a function of slice *length*, and the batch
+//! has exactly one entry per initiator, so shuffling it draws exactly
+//! what shuffling the bare initiator list would. The gossip simulators
+//! do the latter: they shuffle the initiator list and plan it in blocks
+//! of 64 pairs just before applying each block, which gives the same
+//! entries without a per-node batch (a pair's partner depends only on
+//! its initiator).
 //!
 //! Viability snapshots stay sound during apply because mid-phase state
 //! changes only ever *remove* nodes (evictions, silence cut-offs): a
 //! pair planned non-viable can never become viable, so apply may skip
 //! it unconditionally, and a caller whose configuration enables
 //! mid-phase removals rechecks liveness on the viable remainder —
-//! exactly the checks the legacy path made on every pair.
+//! exactly the checks the legacy path made on every pair. The same
+//! holds for a snapshot taken at any point of the phase before its
+//! pair is applied, which is what lets the simulators plan block by
+//! block.
 
 use crate::partner::{PartnerSchedule, Protocol};
 use crate::rng::{split_mix64, DetRng};
@@ -160,8 +166,10 @@ impl PartnerSchedule {
     }
 }
 
-/// A reusable batch of [`PlannedPair`] entries — the output of the plan
-/// phase and the worklist of the apply phase.
+/// A reusable batch of a whole round's [`PlannedPair`] entries, one per
+/// initiator, shuffled in place. Its shuffled entries are the reference
+/// for block-wise planning of a shuffled initiator list (see the module
+/// docs).
 ///
 /// ```
 /// use netsim::partner::{PartnerSchedule, Protocol};
@@ -192,14 +200,6 @@ impl ExchangePlan {
         ExchangePlan::default()
     }
 
-    /// An empty plan reserved for `count` pairs, so filling up to that
-    /// many never reallocates. Nothing is written until a fill.
-    pub fn with_capacity(count: usize) -> Self {
-        ExchangePlan {
-            entries: Vec::with_capacity(count),
-        }
-    }
-
     /// Number of planned pairs.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -216,21 +216,6 @@ impl ExchangePlan {
     pub fn reset(&mut self, count: usize) {
         self.entries.clear();
         self.entries.resize(count, PlannedPair::default());
-    }
-
-    /// Drop all entries, keeping capacity — the incremental counterpart
-    /// of [`ExchangePlan::reset`] for call sites that discover their
-    /// pair set by scanning (e.g. volunteer pools) instead of
-    /// pre-sizing it from shard counts.
-    // lint: hot-loop
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Append one planned pair (allocation-free once the batch is warm).
-    // lint: hot-loop
-    pub fn push(&mut self, pair: PlannedPair) {
-        self.entries.push(pair);
     }
 
     /// The planned pairs.

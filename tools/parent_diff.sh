@@ -23,8 +23,16 @@
 #     push_size=4 on the two classic scenarios (bar-gossip, scrip-gossip;
 #     the digest round runs no push phase),
 #     digest_exact=1, and digest_bits=128 rate_limit=4, on bar-gossip-digest
+#   plus, at 65 and 129 nodes (the exchange apply loops plan 64 pairs
+#   at a time, so these runs end one pair into a second and a third
+#   block), every attack under {plain, crash+partition faults,
+#   cutoff=2 under loss, report_obedient=0.5}: the last two remove nodes
+#   mid-phase, where a pair's viability is read when its block is
+#   planned (report_obedient again only on the BAR Gossip scenarios),
 #   plus one trade case per scenario at 1500 nodes with a flash crowd,
 #   above the 1024-node single-shard cutoff.
+#
+# 261 cases in all.
 #
 # usage: tools/parent_diff.sh <rev>     e.g. tools/parent_diff.sh HEAD~1
 # Exits 0 when every case matches; otherwise prints the first invocation
@@ -68,6 +76,12 @@ variants=(
     "--param updates_per_round=10 --param digest_exact=1"
     "--param updates_per_round=10 --param digest_bits=128 --param rate_limit=4"
 )
+block_variants=(
+    ""
+    "--param faults=crash:0.02:0.2/partition:4:12:0.5"
+    "--param cutoff=2 --param faults=loss:0.1"
+    "--param report_obedient=0.5"
+)
 large="--param nodes=1500 --param arrival=burst:6:1000 --param copies_seeded=60"
 
 attacks_of() {
@@ -109,16 +123,27 @@ run_case() {
     fi
 }
 
+# Whether a scenario lacks a parameter the variant sets.
+skips() {
+    case $1:$2 in
+        scrip-gossip:*report_obedient=* | scrip-gossip:*rate_limit=*) return 0 ;;
+        bar-gossip-digest:*push_size=*) return 0 ;;
+        bar-gossip-digest:*) return 1 ;;
+        *:*digest_*) return 0 ;;
+    esac
+    return 1
+}
+
 for scenario in bar-gossip bar-gossip-digest scrip-gossip; do
     for attack in $(attacks_of "$scenario"); do
         for extra in "${variants[@]}"; do
-            case $scenario:$extra in
-                scrip-gossip:*report_obedient=* | scrip-gossip:*rate_limit=*) continue ;;
-                bar-gossip-digest:*push_size=*) continue ;;
-                bar-gossip-digest:*) ;;
-                *:*digest_*) continue ;;
-            esac
-            run_case "$scenario" "$attack" "$extra"
+            skips "$scenario" "$extra" || run_case "$scenario" "$attack" "$extra"
+        done
+        for nodes in 65 129; do
+            for extra in "${block_variants[@]}"; do
+                skips "$scenario" "$extra" ||
+                    run_case "$scenario" "$attack" "--param nodes=$nodes $extra"
+            done
         done
     done
     run_case "$scenario" trade "$large"
