@@ -8,8 +8,8 @@
 //! completion and returns the common-vocabulary [`ScenarioReport`];
 //! the `--bench` timing mode steps the same factory under a timer. The
 //! [`ScenarioRegistry`] is the name → spec map behind the `lotus-bench`
-//! CLI and every `ext_*`/`fig*` shim binary; experiment logic that used
-//! to be copy-pasted across 18 binaries lives here exactly once.
+//! CLI and every paper-artifact preset; experiment logic lives here
+//! exactly once.
 //!
 //! ```
 //! use lotus_bench::registry::{Params, RunRequest, ScenarioRegistry};
@@ -1463,16 +1463,42 @@ fn token_allocation(
     }
 }
 
-fn token_attack(req: &RunRequest<'_>, graph: &Graph) -> Result<TokenAttack, String> {
+fn token_attack(req: &RunRequest<'_>, graph: &Graph, tokens: usize) -> Result<TokenAttack, String> {
     let attack = match req.attack {
         "none" => TokenAttack::none(),
         "random-fraction" => TokenAttack::random_fraction(req.fraction(0.5)?),
-        "rare-holders" => TokenAttack::rare_holders(req.num("token", 0.0)? as usize),
-        "rotating" => TokenAttack::rotating(req.fraction(0.3)?, req.num("period", 10.0)? as u64),
+        "rare-holders" => {
+            let token = req.whole("token")?.unwrap_or(0) as usize;
+            if token >= tokens {
+                return Err(format!(
+                    "parameter token={token} out of range for tokens={tokens}"
+                ));
+            }
+            TokenAttack::rare_holders(token)
+        }
+        "rotating" => {
+            let period = req.whole("period")?.unwrap_or(10);
+            if period == 0 {
+                return Err("parameter period=0 must be at least 1".to_string());
+            }
+            TokenAttack::rotating(req.fraction(0.3)?, u64::from(period))
+        }
         "cut-column" => {
             let rows = req.num("rows", 8.0)? as u32;
             let cols = req.num("cols", 12.0)? as u32;
-            let col = req.num("cut_col", f64::from(cols / 2))? as u32;
+            let col = req.whole("cut_col")?.unwrap_or(cols / 2);
+            if col >= cols {
+                return Err(format!(
+                    "parameter cut_col={col} out of range for cols={cols}"
+                ));
+            }
+            let grid = u64::from(rows) * u64::from(cols);
+            if grid > u64::from(graph.len()) {
+                return Err(format!(
+                    "cut-column needs rows x cols = {grid} nodes but the graph has {}",
+                    graph.len()
+                ));
+            }
             TokenAttack::cut(SatiateCut::grid_column(rows, cols, col))
         }
         // The planner can fail on cut-free graphs — that failure IS the
@@ -1495,10 +1521,9 @@ fn token_attack(req: &RunRequest<'_>, graph: &Graph) -> Result<TokenAttack, Stri
 fn build_token(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
     let graph = token_graph(req)?;
     let n = graph.len();
-    let attack = token_attack(req, &graph)?;
-    let mut b = TokenSystemConfig::builder(graph);
     let tokens = req.num("tokens", 12.0)? as usize;
-    b = b.tokens(tokens);
+    let attack = token_attack(req, &graph, tokens)?;
+    let mut b = TokenSystemConfig::builder(graph).tokens(tokens);
     if let Some(v) = req.opt_num("altruism")? {
         b = b.altruism(v);
     }

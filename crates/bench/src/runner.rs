@@ -1,5 +1,4 @@
-//! The unified experiment runner behind the `lotus-bench` binary and
-//! every `fig*`/`ext_*` shim.
+//! The unified experiment runner behind the `lotus-bench` binary.
 //!
 //! One CLI drives any registered scenario:
 //!
@@ -9,15 +8,16 @@
 //!             --fraction-grid 0:1 --seeds 5
 //! lotus-bench --scenario token --sweep altruism --fraction-grid 0:0.5 \
 //!             --curve "random-fraction,fraction=0.5" --curve none
+//! lotus-bench --preset fig1 --quick
 //! lotus-bench --list
 //! ```
 //!
 //! Every evaluation goes through
 //! [`ScenarioRegistry::run`](crate::registry::ScenarioRegistry::run) —
 //! i.e. through the unified `Scenario` API — and is replicated across
-//! seeds by the `lotus-core` sweep harness, so the CLI, the shims and
-//! ad-hoc library sweeps all produce identical numbers for identical
-//! inputs.
+//! seeds by the `lotus-core` sweep harness, so the CLI, the
+//! [`presets`](crate::presets) and ad-hoc library sweeps all produce
+//! identical numbers for identical inputs.
 
 use crate::registry::{Params, RunRequest, ScenarioRegistry};
 use crate::timing::{bench_scenario, BenchRecord, TimingStats};
@@ -140,6 +140,9 @@ pub struct Options {
     /// Include a representative adaptive arm trace per curve in the
     /// output (x = middle grid point, first seed).
     pub arm_trace: bool,
+    /// Run this entry of [`PRESETS`](crate::presets::PRESETS), with the
+    /// other arguments appended to its own.
+    pub preset: Option<String>,
     /// List scenarios instead of running.
     pub list: bool,
     /// Print usage instead of running.
@@ -171,6 +174,7 @@ impl Default for Options {
             bench_iters: None,
             bench_warmup: None,
             arm_trace: false,
+            preset: None,
             list: false,
             help: false,
             title: None,
@@ -345,6 +349,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 )
             }
             "--quick" => opts.quick = true,
+            "--preset" => opts.preset = Some(take("--preset")?.to_string()),
             "--list" => opts.list = true,
             "--help" | "-h" => opts.help = true,
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
@@ -356,12 +361,16 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
 /// CLI usage text.
 pub const USAGE: &str = "\
 usage: lotus-bench --scenario NAME [--attack A[,B,...]] [options]
+       lotus-bench --preset ID [options]
        lotus-bench --bench [--scenario NAME] [options]
        lotus-bench --bench-scale [options]
        lotus-bench --list
 
 options:
   --scenario NAME       scenario to run (see --list)
+  --preset ID           run a paper artifact: table1, fig1..fig3 or x1..x20
+                        (see --list); the options given with it follow the
+                        preset's own, so they override its values
   --attack A[,B,...]    one curve per attack name
   --curve SPEC          curve with overrides: attack[,key=value]*
                         (reserved keys: label=, scenario=, metric=, paper=)
@@ -432,7 +441,8 @@ options:
                         3 under --bench-scale)
   --bench-warmup N      untimed warmup runs (default 3, 1 with --quick;
                         1 under --bench-scale)
-  --list                list scenarios, attacks, parameters and metrics";
+  --list                list scenarios, attacks, parameters and metrics,
+                        then the presets";
 
 /// One curve's representative adaptive arm trace (`--arm-trace`).
 #[derive(Debug, Clone)]
@@ -1340,6 +1350,7 @@ pub fn render_list(registry: &ScenarioRegistry) -> String {
             .collect();
         let _ = writeln!(out, "    params:  {}", params.join(", "));
     }
+    out.push_str(&crate::presets::render_list());
     out
 }
 
@@ -1357,53 +1368,28 @@ pub fn run_args(args: &[String]) -> Result<String, String> {
     if opts.list {
         return Ok(render_list(&registry));
     }
+    if let Some(id) = &opts.preset {
+        return crate::presets::run(&registry, id, args, &opts);
+    }
+    run_opts(&registry, &opts)
+}
+
+/// Run parsed options: the scale curves, the timing bench or a figure.
+///
+/// # Errors
+///
+/// Propagates validation and configuration errors as messages.
+pub fn run_opts(registry: &ScenarioRegistry, opts: &Options) -> Result<String, String> {
     if opts.bench_scale {
-        let scale = evaluate_bench_scale(&registry, &opts)?;
-        return Ok(render_bench_scale(&scale, &opts));
+        let scale = evaluate_bench_scale(registry, opts)?;
+        return Ok(render_bench_scale(&scale, opts));
     }
     if opts.bench {
-        let bench = evaluate_bench(&registry, &opts)?;
-        return Ok(render_bench(&bench, &opts));
+        let bench = evaluate_bench(registry, opts)?;
+        return Ok(render_bench(&bench, opts));
     }
-    let figure = evaluate(&registry, &opts)?;
-    Ok(render_figure(&figure, &opts))
-}
-
-/// Whether the current process was asked for JSON output (used by shims
-/// to suppress their prose epilogues).
-pub fn json_requested() -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .any(|w| w[0] == "--format" && w[1] == "json")
-}
-
-/// Run a shim-binary preset: the preset arguments first, then the
-/// process arguments (so `--quick`, `--seeds`, `--format json` and extra
-/// `--param`s work on every `fig*`/`ext_*` binary), then the epilogue
-/// lines (suppressed for JSON output). Exits with status 2 on errors
-/// (CLI semantics).
-pub fn run_shim(preset_args: &[&str], epilogue: &[&str]) {
-    let mut args: Vec<String> = preset_args.iter().map(|s| (*s).to_string()).collect();
-    args.extend(std::env::args().skip(1));
-    // Decide from the merged (preset + process) arguments, exactly as the
-    // parser will see them.
-    let json = args
-        .windows(2)
-        .any(|w| w[0] == "--format" && w[1] == "json");
-    match run_args(&args) {
-        Ok(out) => {
-            print!("{out}");
-            if !json {
-                for line in epilogue {
-                    println!("{line}");
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
+    let figure = evaluate(registry, opts)?;
+    Ok(render_figure(&figure, opts))
 }
 
 #[cfg(test)]

@@ -1,28 +1,21 @@
-//! Smoke tests: the figure binaries run end-to-end in `--quick` mode and
-//! print the blocks the harness promises (CSV, chart, conclusions).
+//! Smoke tests: the paper-artifact presets run end-to-end in `--quick`
+//! mode and print the blocks the harness promises (CSV, chart,
+//! conclusions).
 //!
-//! Only the light binaries are exercised here — the full sweeps live in
+//! Only the light presets are exercised here — the full sweeps live in
 //! `results/` and EXPERIMENTS.md.
 
 use std::process::Command;
 
-fn run_quick(bin: &str) -> String {
-    let out = Command::new(bin)
-        .arg("--quick")
-        .output()
-        .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-    assert!(
-        out.status.success(),
-        "{bin} exited with {:?}: {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("binaries print UTF-8")
+fn run_preset(id: &str, extra: &[&str]) -> String {
+    let mut args = vec!["--preset", id, "--quick"];
+    args.extend(extra);
+    run_runner(&args)
 }
 
 #[test]
 fn table1_prints_the_paper_parameters() {
-    let out = run_quick(env!("CARGO_BIN_EXE_table1"));
+    let out = run_preset("table1", &[]);
     for needle in [
         "TABLE 1",
         "Number of Nodes       | 250",
@@ -37,7 +30,7 @@ fn table1_prints_the_paper_parameters() {
 
 #[test]
 fn ext_rare_prints_series_and_conclusion() {
-    let out = run_quick(env!("CARGO_BIN_EXE_ext_rare"));
+    let out = run_preset("x3", &[]);
     assert!(out.contains("series,x,y"), "CSV block missing");
     assert!(out.contains("no attack"), "clean series missing");
     assert!(
@@ -49,7 +42,7 @@ fn ext_rare_prints_series_and_conclusion() {
 
 #[test]
 fn ext_coding_shows_the_collapse_at_zero_redundancy() {
-    let out = run_quick(env!("CARGO_BIN_EXE_ext_coding"));
+    let out = run_preset("x10", &[]);
     assert!(
         out.contains("rare-token attack,0.0000,0.0000"),
         "collect-all must be fully denied:\n{out}"
@@ -149,29 +142,55 @@ fn runner_schedule_and_churn_flags_run_end_to_end() {
     let out = run_runner(&scheduled);
     assert!(out.contains("\"points\":[[0.3,"), "no points in:\n{out}");
 
-    // Malformed specs fail at parse time with status 2.
-    for bad in [
-        ["--schedule", "sometimes"],
-        ["--schedule", "periodic:0:0"],
-        ["--churn", "1.5"],
+    // Malformed specs and parameters fail with status 2 and a message,
+    // never a panic (a panicking sweep worker would salvage a made-up
+    // point and exit 0).
+    let token = [
+        "--scenario",
+        "token",
+        "--quick",
+        "--seeds",
+        "1",
+        "--x-values",
+        "0.3",
+        "--param",
+        "nodes=20",
+        "--param",
+        "rounds=10",
+    ];
+    for (base, bad) in [
+        (&base[..], &["--schedule", "sometimes"][..]),
+        (&base, &["--schedule", "periodic:0:0"]),
+        (&base, &["--churn", "1.5"]),
+        (&token, &["--attack", "rotating", "--param", "period=0"]),
+        (&token, &["--attack", "rotating", "--param", "period=-1"]),
+        (&token, &["--attack", "rotating", "--param", "period=0.5"]),
+        (&token, &["--attack", "rare-holders", "--param", "token=12"]),
+        (&token, &["--attack", "rare-holders", "--param", "token=-1"]),
+        (&token, &["--attack", "cut-column", "--param", "cut_col=99"]),
+        (&token, &["--attack", "cut-column"]),
     ] {
         let mut args = base.to_vec();
         args.extend(bad);
-        let status = Command::new(env!("CARGO_BIN_EXE_lotus-bench"))
+        let out = Command::new(env!("CARGO_BIN_EXE_lotus-bench"))
             .args(&args)
             .output()
-            .expect("runner launches")
-            .status;
-        assert_eq!(status.code(), Some(2), "{bad:?} should be rejected");
+            .expect("runner launches");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?} should be rejected");
+        assert!(
+            !stderr.is_empty() && !stderr.contains("panicked"),
+            "{bad:?} needs a message, not a panic: {stderr}"
+        );
     }
 }
 
 #[test]
 fn oscillating_and_churn_presets_run_in_quick_mode() {
-    let osc = run_quick(env!("CARGO_BIN_EXE_ext_oscillating"));
+    let osc = run_preset("x15", &[]);
     assert!(osc.contains("Oscillating lotus-eater"), "{osc}");
     assert!(osc.contains("oscillating trade attack"), "{osc}");
-    let churn = run_quick(env!("CARGO_BIN_EXE_ext_churn"));
+    let churn = run_preset("x16", &[]);
     assert!(churn.contains("Churn-gossip"), "{churn}");
     assert!(churn.contains("trade attack at 22%"), "{churn}");
 }
@@ -180,10 +199,9 @@ fn oscillating_and_churn_presets_run_in_quick_mode() {
 fn adaptive_preset_runs_in_quick_mode_and_prints_arm_traces() {
     // X17 at full scale is a long sweep; shrink it through the ordinary
     // pass-through arguments (every preset accepts them).
-    let bin = env!("CARGO_BIN_EXE_ext_adaptive");
-    let out = Command::new(bin)
-        .args([
-            "--quick",
+    let out = run_preset(
+        "x17",
+        &[
             "--seeds",
             "1",
             "--x-values",
@@ -192,16 +210,8 @@ fn adaptive_preset_runs_in_quick_mode_and_prints_arm_traces() {
             "nodes=60",
             "--param",
             "rounds=60",
-        ])
-        .output()
-        .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-    assert!(
-        out.status.success(),
-        "ext_adaptive exited with {:?}: {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
+        ],
     );
-    let out = String::from_utf8(out.stdout).expect("UTF-8");
     assert!(out.contains("Adaptive bandit attackers"), "{out}");
     assert!(out.contains("adaptive epsilon-greedy"), "{out}");
     assert!(out.contains("Arm trace — adaptive UCB1"), "{out}");
@@ -350,17 +360,24 @@ fn bench_mode_covers_every_scenario_by_default() {
 
 #[test]
 fn runner_rejects_unknown_scenarios_with_status_2() {
-    let bin = env!("CARGO_BIN_EXE_lotus-bench");
-    let out = Command::new(bin)
-        .args([
-            "--scenario",
-            "no-such-substrate",
-            "--attack",
-            "none",
-            "--quick",
-        ])
-        .output()
-        .expect("launches");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown scenario"));
+    for (args, message) in [
+        (
+            &[
+                "--scenario",
+                "no-such-substrate",
+                "--attack",
+                "none",
+                "--quick",
+            ][..],
+            "unknown scenario",
+        ),
+        (&["--preset", "ext_churn", "--quick"], "unknown preset"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lotus-bench"))
+            .args(args)
+            .output()
+            .expect("launches");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(message));
+    }
 }

@@ -46,6 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Why it works: in scrip gossip, a node gifted every update stops BUYING");
     println!("but keeps SELLING — it still wants income. Update-satiation and");
     println!("money-satiation are decoupled, and money-satiation is capped by the");
-    println!("fixed scrip supply (see the ext_scrip_supply experiment).");
+    println!("fixed scrip supply (see the x4 preset).");
     Ok(())
 }

@@ -82,9 +82,9 @@
 //!
 //! The figure-regeneration harness lives in the `lotus-bench` crate: a
 //! `ScenarioRegistry` maps scenario and attack names to the API above,
-//! and the single `lotus-bench` CLI (plus the thin `fig*`/`ext_*` preset
-//! binaries) sweeps any of them; see `EXPERIMENTS.md` for the CLI
-//! grammar and the paper-vs-measured record.
+//! and the single `lotus-bench` CLI sweeps any of them, with every paper
+//! artifact a `--preset` (`fig1`, `x20`, ...); see `EXPERIMENTS.md` for
+//! the CLI grammar and the paper-vs-measured record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -34,6 +34,11 @@
 #
 # 261 cases in all.
 #
+# Then the preset leg: for every preset that <rev>'s `--list` names (a
+# `preset <id>` line), `--preset <id> --quick --format json` through both
+# binaries. A revision from before the presets lists none, so the leg is
+# empty there.
+#
 # usage: tools/parent_diff.sh <rev>     e.g. tools/parent_diff.sh HEAD~1
 # Exits 0 when every case matches; otherwise prints the first invocation
 # whose output differs and exits 1. The worktree lives under ${TMPDIR:-/tmp}
@@ -98,6 +103,17 @@ metrics_of() {
         on && $1 == "metrics:" { sub(/^ *metrics: */, ""); sub(/ \(default.*/, ""); gsub(/,/, ""); print; exit }'
 }
 
+# Run one invocation through both binaries; stop at the first difference.
+compare() {
+    "$old" "$@" > "$tmp/old.json"
+    "$new" "$@" > "$tmp/new.json"
+    if ! cmp -s "$tmp/old.json" "$tmp/new.json"; then
+        echo "DIFFERS: lotus-bench $*"
+        diff <(tr ',' '\n' < "$tmp/old.json") <(tr ',' '\n' < "$tmp/new.json") | head -20
+        exit 1
+    fi
+}
+
 cases=0
 run_case() {
     local scenario=$1 attack=$2 extra=$3
@@ -111,16 +127,9 @@ run_case() {
         curves+=(--curve "$attack,metric=$m")
     done
     # shellcheck disable=SC2086 # $extra is a list of words by design
-    local args=(--scenario "$scenario" --format json --x-values 0.3 --seeds 2
-                "${base[@]}" $extra "${curves[@]}")
-    "$old" "${args[@]}" > "$tmp/old.json"
-    "$new" "${args[@]}" > "$tmp/new.json"
+    compare --scenario "$scenario" --format json --x-values 0.3 --seeds 2 \
+        "${base[@]}" $extra "${curves[@]}"
     cases=$((cases + 1))
-    if ! cmp -s "$tmp/old.json" "$tmp/new.json"; then
-        echo "DIFFERS: lotus-bench --scenario $scenario --attack $attack ${base[*]} $extra"
-        diff <(tr ',' '\n' < "$tmp/old.json") <(tr ',' '\n' < "$tmp/new.json") | head -20
-        exit 1
-    fi
 }
 
 # Whether a scenario lacks a parameter the variant sets.
@@ -148,4 +157,9 @@ for scenario in bar-gossip bar-gossip-digest scrip-gossip; do
     done
     run_case "$scenario" trade "$large"
 done
-echo "parent_diff: $cases cases identical to $rev"
+presets=0
+for id in $("$old" --list | awk '$1 == "preset" && NF == 2 { print $2 }'); do
+    compare --preset "$id" --quick --format json
+    presets=$((presets + 1))
+done
+echo "parent_diff: $cases cases and $presets presets identical to $rev"
