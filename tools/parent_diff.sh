@@ -6,8 +6,8 @@
 # lotus-bench invocations through both binaries and compares their JSON
 # byte for byte. Each invocation carries one curve per metric the
 # scenario registers at <rev>, so a case compares the whole metric
-# vocabulary (two seeds, one x value; cut and fault metrics only where
-# the case turns their layer on).
+# vocabulary (two seeds, one x value but for the three sweeps; cut and
+# fault metrics only where the case turns their layer on).
 #
 # The matrix:
 #   {bar-gossip, bar-gossip-digest, scrip-gossip}
@@ -32,7 +32,16 @@
 #   plus one trade case per scenario at 1500 nodes with a flash crowd,
 #   above the 1024-node single-shard cutoff.
 #
-# 261 cases in all.
+#   {scrip, bittorrent, token} at small sizes (token on a 4x5 grid, so
+#   cut-column builds)
+#   x every registered attack of the scenario
+#   x {plain, churn profile, crash+partition faults, periodic schedule}
+#   plus every reputation attack, plain (it takes none of those
+#   parameters),
+#   plus one parameter sweep each: scrip altruists, bittorrent
+#   attacker_peers, token rare_holders under allocation=rare-spread.
+#
+# 310 cases in all.
 #
 # Then the preset leg: for every preset that <rev>'s `--list` names (a
 # `preset <id>` line), `--preset <id> --quick --format json` through both
@@ -66,8 +75,6 @@ build "$root"
 old="$tmp/src/target/release/lotus-bench"
 new="$root/target/release/lotus-bench"
 
-base=(--param nodes=50 --param rounds=10 --param warmup_rounds=5
-      --param updates_per_round=4 --param copies_seeded=5)
 variants=(
     ""
     "--param churn_profile=0.7:0.01:0.2/0.3:0.1:0.5"
@@ -89,11 +96,31 @@ block_variants=(
 )
 large="--param nodes=1500 --param arrival=burst:6:1000 --param copies_seeded=60"
 
-attacks_of() {
+economy_variants=(
+    ""
+    "--param churn_profile=0.7:0.01:0.2/0.3:0.1:0.5"
+    "--param faults=crash:0.02:0.2/partition:4:12:0.5"
+    "--param schedule=periodic:6:3"
+)
+
+# The small configuration every case of a scenario starts from.
+base_of() {
     case $1 in
-        bar-gossip | scrip-gossip) echo "none crash ideal trade masquerade" ;;
-        bar-gossip-digest) echo "none crash ideal trade masquerade poison" ;;
+        scrip | reputation) echo "--param agents=30 --param rounds=300 --param warmup=50" ;;
+        bittorrent) echo "--param leechers=10 --param pieces=12" ;;
+        token) echo "--param graph=grid --param rows=4 --param cols=5 --param rounds=20" ;;
+        *) echo "--param nodes=50 --param rounds=10 --param warmup_rounds=5" \
+               "--param updates_per_round=4 --param copies_seeded=5" ;;
     esac
+}
+
+# The attack names `--list` shows for one scenario.
+attacks_of() {
+    "$old" --list | awk -v s="$1" '
+        $1 == s && $2 == "—" { on = 1; next }
+        on && $1 == "attacks:" { listing = 1; next }
+        listing && /^      / { print $1; next }
+        listing { exit }'
 }
 
 # The metrics line of `--list` for one scenario, as a word list.
@@ -122,13 +149,13 @@ run_case() {
         # Cut and fault metrics exist only when their layer is on.
         case $m in
             *_cut_rate | cut_*) [[ $extra == *cutoff=* ]] || continue ;;
-            faults_*) [[ $extra == *faults=* ]] || continue ;;
+            faults_* | fail_faulted_rate) [[ $extra == *faults=* ]] || continue ;;
         esac
         curves+=(--curve "$attack,metric=$m")
     done
-    # shellcheck disable=SC2086 # $extra is a list of words by design
+    # shellcheck disable=SC2046,SC2086 # word lists by design
     compare --scenario "$scenario" --format json --x-values 0.3 --seeds 2 \
-        "${base[@]}" $extra "${curves[@]}"
+        $(base_of "$scenario") $extra "${curves[@]}"
     cases=$((cases + 1))
 }
 
@@ -157,6 +184,19 @@ for scenario in bar-gossip bar-gossip-digest scrip-gossip; do
     done
     run_case "$scenario" trade "$large"
 done
+for scenario in scrip bittorrent token reputation; do
+    for attack in $(attacks_of "$scenario"); do
+        for extra in "${economy_variants[@]}"; do
+            [[ $scenario == reputation && -n $extra ]] ||
+                run_case "$scenario" "$attack" "$extra"
+        done
+    done
+done
+# A later --x-values replaces the fraction point; the sweeps hold whole
+# values, the only ones a count takes.
+run_case scrip lotus-eater "--param fraction=0.3 --sweep altruists --x-values 0,2,5"
+run_case bittorrent satiate "--sweep attacker_peers --x-values 0,3"
+run_case token rare-holders "--param allocation=rare-spread --sweep rare_holders --x-values 1,3"
 presets=0
 for id in $("$old" --list | awk '$1 == "preset" && NF == 2 { print $2 }'); do
     compare --preset "$id" --quick --format json
