@@ -50,12 +50,11 @@ pub enum Extra {
         epilogue: &'static [&'static str],
     },
     /// After the figure, one line with the `attacker_coverage` of a single
-    /// ideal-attack run (seed 1, default system plus `params`) at `x`.
+    /// ideal-attack run at `x`: the figure's system (the preset's
+    /// parameters overlaid by the user's) at the first sweep seed.
     Coverage {
         /// Attacker fraction.
         x: f64,
-        /// Parameters of the probed system.
-        params: &'static [(&'static str, &'static str)],
         /// The paper's coverage figure, as printed.
         paper: &'static str,
     },
@@ -103,7 +102,6 @@ pub const PRESETS: &[Preset] = &[
         epilogue: &[],
         extra: Extra::Coverage {
             x: 0.04,
-            params: &[],
             paper: "~39%",
         },
     },
@@ -130,7 +128,6 @@ pub const PRESETS: &[Preset] = &[
         epilogue: &[],
         extra: Extra::Coverage {
             x: 0.15,
-            params: &[("push_size", "10")],
             paper: "~85%",
         },
     },
@@ -1025,27 +1022,39 @@ pub fn run(
             let first = figure(preset.args, &[], preset.epilogue)?;
             Ok(first + &figure(args, &[], epilogue)?)
         }
-        Extra::Coverage { x, params, paper } => {
+        Extra::Coverage { x, paper } => {
             let mut out = figure(preset.args, &[], preset.epilogue)?;
-            if opts.format != Format::Json {
-                let params = params.iter().fold(Params::new(), |p, &(k, v)| p.with(k, v));
-                let report = registry.run(
-                    "bar-gossip",
-                    &RunRequest::new(x, 1, "ideal", "fraction", &params),
-                )?;
-                let coverage = report
-                    .metric("attacker_coverage")
-                    .ok_or("bar-gossip reports no attacker_coverage")?;
-                out.push_str(&format!(
-                    "Ideal attacker at {:.0}% control holds {:.1}% of updates (paper: {paper})\n",
-                    x * 100.0,
-                    coverage * 100.0
-                ));
+            let merged = parse_args(&merged_args(preset.args, &[], user))?;
+            if merged.format != Format::Json {
+                out.push_str(&coverage_line(registry, &merged.params, x, paper)?);
             }
             Ok(out)
         }
         Extra::None => figure(preset.args, &[], preset.epilogue),
     }
+}
+
+/// The coverage probe of fig1/fig2: one ideal-attack bar-gossip run of
+/// the system `params` describes, at `x` and the first sweep seed.
+fn coverage_line(
+    registry: &ScenarioRegistry,
+    params: &Params,
+    x: f64,
+    paper: &str,
+) -> Result<String, String> {
+    // Sweep seeds run 1..=N.
+    let report = registry.run(
+        "bar-gossip",
+        &RunRequest::new(x, 1, "ideal", "fraction", params),
+    )?;
+    let coverage = report
+        .metric("attacker_coverage")
+        .ok_or("bar-gossip reports no attacker_coverage")?;
+    Ok(format!(
+        "Ideal attacker at {:.0}% control holds {:.1}% of updates (paper: {paper})\n",
+        x * 100.0,
+        coverage * 100.0
+    ))
 }
 
 /// The preset's arguments (each `"--flag value"` split at its first
@@ -1148,6 +1157,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn coverage_probe_runs_the_figures_system() {
+        // The probe line follows the user's parameters: with nodes=60 it
+        // reports a direct run of the 60-node system, not Table 1's.
+        let registry = ScenarioRegistry::standard();
+        let user = strings(&[
+            "--quick",
+            "--seeds",
+            "1",
+            "--x-values",
+            "0.04",
+            "--param",
+            "nodes=60",
+        ]);
+        let opts = parse_args(&user).unwrap();
+        let out = run(&registry, "fig1", &user, &opts).unwrap();
+        let params = Params::new().with("nodes", "60");
+        let report = registry
+            .run(
+                "bar-gossip",
+                &RunRequest::new(0.04, 1, "ideal", "fraction", &params),
+            )
+            .unwrap();
+        let expected = format!(
+            "Ideal attacker at 4% control holds {:.1}% of updates (paper: ~39%)",
+            report.metric("attacker_coverage").unwrap() * 100.0
+        );
+        assert_eq!(out.lines().last(), Some(expected.as_str()));
+        let table1 = coverage_line(&registry, &Params::new(), 0.04, "~39%").unwrap();
+        assert_ne!(table1.trim_end(), expected);
     }
 
     #[test]

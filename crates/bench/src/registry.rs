@@ -1,12 +1,15 @@
 //! The scenario registry: every substrate, every attack, one driving API.
 //!
 //! A [`ScenarioSpec`] describes one registered scenario — its attacks,
-//! tunable parameters, sweepable knobs and report metrics — plus a
-//! `build` factory that constructs the substrate through the unified
+//! its parameter table and its report metrics — plus a `build` factory
+//! that constructs the substrate through the unified
 //! [`Scenario`](lotus_core::scenario::Scenario) API as an unstarted
-//! [`DynScenario`]. [`ScenarioRegistry::run`] drives the factory to
-//! completion and returns the common-vocabulary [`ScenarioReport`];
-//! the `--bench` timing mode steps the same factory under a timer. The
+//! [`DynScenario`]. Each parameter is declared once, as a [`ParamSpec`]
+//! in a group the tables share: its [`Kind`] is checked before the
+//! builder runs, decides whether `--sweep` may drive it, and its doc is
+//! the `--list` line. [`ScenarioRegistry::run`] drives the factory to
+//! completion and returns the common-vocabulary [`ScenarioReport`]; the
+//! `--bench` timing mode steps the same factory under a timer. The
 //! [`ScenarioRegistry`] is the name → spec map behind the `lotus-bench`
 //! CLI and every paper-artifact preset; experiment logic lives here
 //! exactly once.
@@ -41,9 +44,9 @@ use scrip_economy::reputation::{ReputationAttack, ReputationConfig, ReputationSi
 use scrip_economy::{ScripAttack, ScripConfig, ScripSim};
 use torrent_sim::{PiecePolicy, SwarmAttack, SwarmConfig, SwarmSim, TargetPolicy};
 
-/// String-typed scenario parameters (CLI `--param key=value` pairs),
-/// with typed accessors. Values are kept raw so one map serves numeric,
-/// boolean and keyword parameters alike.
+/// String-typed scenario parameters (CLI `--param key=value` pairs). The
+/// values stay raw until [`ScenarioRegistry::build`] checks each against
+/// its [`ParamSpec`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Params(BTreeMap<String, String>);
 
@@ -82,35 +85,6 @@ impl Params {
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.0.keys().map(String::as_str)
     }
-
-    /// Numeric value, if present.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the value does not parse as a number.
-    pub fn num(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.0.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<f64>()
-                .map(Some)
-                .map_err(|_| format!("parameter {key}={v} is not a number")),
-        }
-    }
-
-    /// Boolean value (`1`/`true`/`yes` vs `0`/`false`/`no`), if present.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the value is not a recognised boolean.
-    pub fn flag(&self, key: &str) -> Result<Option<bool>, String> {
-        match self.0.get(key).map(String::as_str) {
-            None => Ok(None),
-            Some("1" | "true" | "yes" | "on") => Ok(Some(true)),
-            Some("0" | "false" | "no" | "off") => Ok(Some(false)),
-            Some(v) => Err(format!("parameter {key}={v} is not a boolean")),
-        }
-    }
 }
 
 /// One `(x, seed)` evaluation request against a registered scenario.
@@ -123,7 +97,8 @@ pub struct RunRequest<'a> {
     /// Attack name (one of the spec's `attacks`).
     pub attack: &'a str,
     /// The knob `x` drives: `"fraction"` (attack intensity, the default)
-    /// or any parameter name the spec lists under `sweeps`.
+    /// or any other numeric parameter of the spec. The swept x replaces
+    /// any `--param` of the same name.
     pub sweep: &'a str,
     /// Scenario parameters.
     pub params: &'a Params,
@@ -140,57 +115,171 @@ impl<'a> RunRequest<'a> {
             params,
         }
     }
+}
 
-    /// Numeric parameter with sweep override: when `--sweep key` is
-    /// active the x value wins over any `--param key=...`.
-    fn num(&self, key: &str, default: f64) -> Result<f64, String> {
-        if self.sweep == key {
-            return Ok(self.x);
-        }
-        Ok(self.params.num(key)?.unwrap_or(default))
+/// The values a parameter takes. Counts, probabilities and reals are
+/// numeric, and exactly the numeric parameters may be swept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A whole number in `u32` range, at least the given minimum.
+    Count(u32),
+    /// A probability in `[0, 1]`.
+    Unit,
+    /// A finite non-negative real.
+    Real,
+    /// A boolean: `1`/`true`/`yes`/`on` or `0`/`false`/`no`/`off`.
+    Flag,
+    /// One of the listed words.
+    Keyword(&'static [&'static str]),
+    /// A spec in a grammar only the builder parses.
+    Grammar,
+}
+
+/// A count with no lower bound beyond zero.
+const COUNT: Kind = Kind::Count(0);
+/// A count of at least one.
+const POSITIVE: Kind = Kind::Count(1);
+
+impl Kind {
+    /// Whether `--sweep` may drive a parameter of this kind.
+    pub fn is_numeric(self) -> bool {
+        matches!(self, Kind::Count(_) | Kind::Unit | Kind::Real)
     }
 
-    /// Like [`RunRequest::num`] but without a default.
-    fn opt_num(&self, key: &str) -> Result<Option<f64>, String> {
-        if self.sweep == key {
-            return Ok(Some(self.x));
+    /// Check a raw `--param` value.
+    fn check<'a>(self, key: &str, raw: &'a str) -> Result<Value<'a>, String> {
+        match self {
+            Kind::Flag => match raw {
+                "1" | "true" | "yes" | "on" => Ok(Value::Flag(true)),
+                "0" | "false" | "no" | "off" => Ok(Value::Flag(false)),
+                _ => Err(format!("parameter {key}={raw} is not a boolean")),
+            },
+            Kind::Keyword(words) if words.contains(&raw) => Ok(Value::Text(raw)),
+            Kind::Keyword(words) => Err(format!(
+                "parameter {key}={raw} is not one of {}",
+                words.join(" | ")
+            )),
+            Kind::Grammar => Ok(Value::Text(raw)),
+            numeric => match raw.parse::<f64>() {
+                Ok(v) => numeric.check_num(key, v),
+                Err(_) => Err(format!("parameter {key}={raw} is not a number")),
+            },
         }
-        self.params.num(key)
     }
 
-    /// A probability parameter (sweep override as in [`RunRequest::num`]),
-    /// rejected outside `[0, 1]` — NaN included — rather than clamped.
-    fn unit(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.opt_num(key)? {
-            Some(p) if !(0.0..=1.0).contains(&p) => {
-                Err(format!("parameter {key}={p} outside [0, 1]"))
+    /// Check a numeric value: a parsed `--param` or the swept x.
+    fn check_num(self, key: &str, v: f64) -> Result<Value<'static>, String> {
+        match self {
+            Kind::Count(min) => {
+                if v.fract() == 0.0 && (f64::from(min)..=f64::from(u32::MAX)).contains(&v) {
+                    // Whole and in range, so the conversion is exact.
+                    Ok(Value::Count(v as u32))
+                } else if min == 0 {
+                    Err(format!("parameter {key}={v} is not a whole number"))
+                } else {
+                    Err(format!(
+                        "parameter {key}={v} is not a whole number of at least {min}"
+                    ))
+                }
             }
-            p => Ok(p),
+            Kind::Unit if (0.0..=1.0).contains(&v) => Ok(Value::Num(v)),
+            Kind::Unit => Err(format!("parameter {key}={v} outside [0, 1]")),
+            Kind::Real if v >= 0.0 && v.is_finite() => Ok(Value::Num(v)),
+            Kind::Real => Err(format!("parameter {key}={v} is not a non-negative number")),
+            _ => unreachable!("parameter {key} is checked as a number"),
+        }
+    }
+}
+
+/// One parameter of a scenario: its name, its [`Kind`] and its `--list`
+/// line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParamSpec {
+    /// The `--param` key (and `--sweep` knob, when numeric).
+    pub name: &'static str,
+    /// The values it takes.
+    pub kind: Kind,
+    /// What it does (one line).
+    pub doc: &'static str,
+}
+
+const fn param(name: &'static str, kind: Kind, doc: &'static str) -> ParamSpec {
+    ParamSpec { name, kind, doc }
+}
+
+/// A checked parameter value.
+#[derive(Debug, Clone, Copy)]
+enum Value<'a> {
+    Count(u32),
+    Num(f64),
+    Flag(bool),
+    Text(&'a str),
+}
+
+/// A run request whose parameters passed their kinds' checks: the
+/// builders' view of it. The swept x is stored as the value of its knob.
+#[derive(Debug, Clone)]
+pub struct Args<'a> {
+    seed: u64,
+    attack: &'a str,
+    values: Vec<(&'a str, Value<'a>)>,
+}
+
+impl<'a> Args<'a> {
+    fn value(&self, key: &str) -> Option<Value<'a>> {
+        self.values.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
+    /// Whether `key` was supplied or swept.
+    fn has(&self, key: &str) -> bool {
+        self.value(key).is_some()
+    }
+
+    /// Add `value` for `key` unless it was supplied or swept.
+    fn or_default(&mut self, key: &'a str, value: Value<'a>) {
+        if !self.has(key) {
+            self.values.push((key, value));
         }
     }
 
-    /// A count parameter (sweep override as in [`RunRequest::num`]),
-    /// rejected unless it is a whole number in `u32` range rather than
-    /// truncated or saturated.
-    fn whole(&self, key: &str) -> Result<Option<u32>, String> {
-        match self.opt_num(key)? {
-            Some(v) if !(0.0..=f64::from(u32::MAX)).contains(&v) || v.fract() != 0.0 => {
-                Err(format!("parameter {key}={v} is not a whole number"))
-            }
-            v => Ok(v.map(|v| v as u32)),
-        }
+    // The typed reads. The table fixes each parameter's kind, so a read
+    // of the wrong type is a registry bug.
+    fn count(&self, key: &str) -> Option<u32> {
+        self.value(key).map(|v| match v {
+            Value::Count(c) => c,
+            _ => unreachable!("parameter {key} is not a count"),
+        })
     }
 
-    /// The attack intensity: `x` under the default fraction sweep,
-    /// otherwise the `fraction` parameter (so a parameter sweep can hold
-    /// the attack fixed, e.g. "trade attack at 30 %").
-    fn fraction(&self, default: f64) -> Result<f64, String> {
-        if self.sweep == "fraction" {
-            Ok(self.x)
-        } else {
-            Ok(self.params.num("fraction")?.unwrap_or(default))
-        }
+    fn size(&self, key: &str) -> Option<usize> {
+        self.count(key).map(wide)
     }
+
+    fn num(&self, key: &str) -> Option<f64> {
+        self.value(key).map(|v| match v {
+            Value::Num(x) => x,
+            _ => unreachable!("parameter {key} is not a real"),
+        })
+    }
+
+    fn flag(&self, key: &str) -> Option<bool> {
+        self.value(key).map(|v| match v {
+            Value::Flag(b) => b,
+            _ => unreachable!("parameter {key} is not a flag"),
+        })
+    }
+
+    fn text(&self, key: &str) -> Option<&'a str> {
+        self.value(key).map(|v| match v {
+            Value::Text(s) => s,
+            _ => unreachable!("parameter {key} is not a word or a spec"),
+        })
+    }
+}
+
+/// A count as a `usize`.
+fn wide(count: u32) -> usize {
+    usize::try_from(count).expect("usize holds every u32")
 }
 
 /// A registered scenario: documentation plus the driving function.
@@ -201,10 +290,8 @@ pub struct ScenarioSpec {
     pub about: &'static str,
     /// `(name, doc)` for every supported attack.
     pub attacks: &'static [(&'static str, &'static str)],
-    /// `(name, doc)` for every supported parameter.
-    pub params: &'static [(&'static str, &'static str)],
-    /// Parameter names that `--sweep` may drive (besides `"fraction"`).
-    pub sweeps: &'static [&'static str],
+    /// The parameter table, as the shared groups it is assembled from.
+    pub params: &'static [&'static [ParamSpec]],
     /// Metric names the summary exposes (beyond the canonical four).
     pub metrics: &'static [&'static str],
     /// Default y-axis metric.
@@ -213,7 +300,7 @@ pub struct ScenarioSpec {
     /// sweep path ([`ScenarioRegistry::run`]) drives it to completion;
     /// the `--bench` timing mode steps the very same factory under a
     /// timer — one grammar, no hand-wired loops.
-    pub build: fn(&RunRequest<'_>) -> Result<Box<dyn DynScenario>, String>,
+    pub build: fn(&Args<'_>) -> Result<Box<dyn DynScenario>, String>,
     /// Small-config parameter overrides for the `--bench` timing mode
     /// (sized so a single run finishes in milliseconds; explicit
     /// `--param`s override them).
@@ -226,14 +313,32 @@ impl ScenarioSpec {
         self.attacks.iter().any(|(a, _)| *a == name)
     }
 
-    /// Whether `knob` may be swept (`"fraction"` always may).
-    pub fn has_sweep(&self, knob: &str) -> bool {
-        knob == "fraction" || self.sweeps.contains(&knob)
+    /// Every parameter, in table order.
+    pub fn param_specs(&self) -> impl Iterator<Item = &'static ParamSpec> {
+        self.params.iter().copied().flatten()
+    }
+
+    /// The parameter called `name`.
+    pub fn param(&self, name: &str) -> Option<&'static ParamSpec> {
+        self.param_specs().find(|p| p.name == name)
     }
 
     /// Whether `name` is a registered parameter.
     pub fn has_param(&self, name: &str) -> bool {
-        self.params.iter().any(|(p, _)| *p == name)
+        self.param(name).is_some()
+    }
+
+    /// The knobs `--sweep` may drive: the numeric parameters, in table
+    /// order (`fraction` among them).
+    pub fn sweeps(&self) -> impl Iterator<Item = &'static str> {
+        self.param_specs()
+            .filter(|p| p.kind.is_numeric())
+            .map(|p| p.name)
+    }
+
+    /// Whether `knob` may be swept.
+    pub fn has_sweep(&self, knob: &str) -> bool {
+        self.param(knob).is_some_and(|p| p.kind.is_numeric())
     }
 }
 
@@ -281,10 +386,11 @@ impl ScenarioRegistry {
     /// Unknown scenario/attack names, unknown or malformed parameters,
     /// and invalid substrate configurations all surface as messages.
     pub fn run(&self, scenario: &str, req: &RunRequest<'_>) -> Result<ScenarioReport, String> {
-        let mut built = self.build(scenario, req)?;
+        let (spec, args) = self.check(scenario, req)?;
+        let mut built = (spec.build)(&args)?;
         let mut report = built.finish();
         let learning = matches!(
-            parse_adaptive(req),
+            parse_adaptive(&args),
             Ok(Some(spec)) if spec.needs_observation()
         );
         if learning {
@@ -307,6 +413,17 @@ impl ScenarioRegistry {
         scenario: &str,
         req: &RunRequest<'_>,
     ) -> Result<Box<dyn DynScenario>, String> {
+        let (spec, args) = self.check(scenario, req)?;
+        (spec.build)(&args)
+    }
+
+    /// Resolve the scenario and attack, and check every supplied
+    /// parameter and the swept x against the kinds of the spec's table.
+    fn check<'a>(
+        &self,
+        scenario: &str,
+        req: &RunRequest<'a>,
+    ) -> Result<(&ScenarioSpec, Args<'a>), String> {
         let spec = self.get(scenario).ok_or_else(|| {
             let known: Vec<&str> = self.specs.iter().map(|s| s.name).collect();
             format!("unknown scenario {scenario:?}; known: {}", known.join(", "))
@@ -319,130 +436,164 @@ impl ScenarioRegistry {
                 known.join(", ")
             ));
         }
-        if !spec.has_sweep(req.sweep) {
-            return Err(format!(
-                "scenario {scenario:?} cannot sweep {:?}; sweepable: fraction, {}",
-                req.sweep,
-                spec.sweeps.join(", ")
-            ));
-        }
-        for key in req.params.keys() {
-            if !spec.has_param(key) {
-                let known: Vec<&str> = spec.params.iter().map(|(p, _)| *p).collect();
-                return Err(format!(
+        let knob = spec
+            .param(req.sweep)
+            .filter(|p| p.kind.is_numeric())
+            .ok_or_else(|| {
+                let sweeps: Vec<&str> = spec.sweeps().collect();
+                format!(
+                    "scenario {scenario:?} cannot sweep {:?}; sweepable: {}",
+                    req.sweep,
+                    sweeps.join(", ")
+                )
+            })?;
+        // The swept x comes first, so it wins over a `--param` of its knob.
+        let mut values = Vec::with_capacity(req.params.0.len() + 1);
+        values.push((knob.name, knob.kind.check_num(knob.name, req.x)?));
+        for (key, raw) in &req.params.0 {
+            let p = spec.param(key).ok_or_else(|| {
+                let known: Vec<&str> = spec.param_specs().map(|p| p.name).collect();
+                format!(
                     "scenario {scenario:?} has no parameter {key:?}; known: {}",
                     known.join(", ")
-                ));
-            }
+                )
+            })?;
+            values.push((p.name, p.kind.check(key, raw)?));
         }
-        (spec.build)(req)
+        Ok((
+            spec,
+            Args {
+                seed: req.seed,
+                attack: req.attack,
+                values,
+            },
+        ))
     }
 }
 
-/// Shared parameter documentation for the cross-substrate schedule/churn
-/// axes (every schedulable scenario lists these).
-const SCHEDULE_PARAM_DOC: (&str, &str) = (
-    "schedule",
-    "attack timing: always | at:<r> | window:<a>:<b> | periodic:<p>:<a> | \
-     delivery-above:<x> | delivery-below:<x> | targeted-above:<x> | targeted-below:<x> | \
-     presence-above:<x> | presence-below:<x>",
-);
-const CHURN_LEAVE_DOC: (&str, &str) = (
-    "churn_leave",
-    "per-round probability a node goes offline (0 = closed population)",
-);
-const CHURN_REJOIN_DOC: (&str, &str) = (
-    "churn_rejoin",
-    "per-round probability an offline node returns (default 0.25)",
-);
-const CHURN_PROFILE_DOC: (&str, &str) = (
-    "churn_profile",
-    "heterogeneous churn cohorts: none | uniform:<leave>[:<rejoin>] | \
-     <w>:<leave>:<rejoin>[/...] (up to 4 weighted classes; replaces \
-     churn_leave/churn_rejoin)",
-);
-const ARRIVAL_DOC: (&str, &str) = (
-    "arrival",
-    "flash-crowd arrivals: none | burst:<round>:<size>[:<period>] | \
-     ramp:<start>:<size>[:<rate>] (held-back nodes enter with empty state)",
-);
-const ARRIVAL_SIZE_DOC: (&str, &str) = (
-    "arrival_size",
-    "override (or sweep) the flash-crowd size of the configured arrival process",
-);
-const FAULTS_PARAM_DOC: (&str, &str) = (
-    "faults",
-    "fault plan: loss:<p> | dup:<p> | delay:<p> | crash:<p>:<recover> | \
-     partition:<start>:<len>:<frac>, combined with '/' (default: none)",
-);
-const FAULT_LOSS_DOC: (&str, &str) = (
-    "fault_loss",
-    "override (or sweep) the message-loss rate of the fault plan",
-);
+// ---------------------------------------------------------------------
+// Shared parameter groups
+// ---------------------------------------------------------------------
 
-const ADAPTIVE_PARAM_DOC: (&str, &str) = (
-    "adaptive",
-    "bandit attacker re-planning each phase from observed damage: \
-     <policy>,<phase-len>,<epsilon>[,<metric>] with policy epsilon-greedy | ucb | \
-     fixed-<dormant|cooperate|defect|rotate> (replaces the open-loop schedule)",
-);
-const ADAPTIVE_EPSILON_DOC: (&str, &str) = (
-    "adaptive_epsilon",
-    "override the adaptive exploration parameter (epsilon / UCB weight)",
-);
-const ADAPTIVE_PHASE_DOC: (&str, &str) = (
-    "adaptive_phase",
-    "override the adaptive phase length in rounds",
-);
+/// The gossip core every gossip scenario takes.
+#[rustfmt::skip]
+const GOSSIP_CORE: &[ParamSpec] = &[
+    param("nodes", COUNT, "number of nodes (Table 1: 250)"),
+    param("updates_per_round", COUNT, "broadcaster batch size (Table 1: 10)"),
+    param("update_lifetime", COUNT, "rounds before an update expires (Table 1: 10)"),
+    param("copies_seeded", COUNT, "seed copies per update (Table 1: 12)"),
+    param("rounds", COUNT, "measured rounds"),
+    param("warmup_rounds", COUNT, "warm-up rounds excluded from measurement"),
+    param("fraction", Kind::Unit, "attacker fraction when x sweeps another knob"),
+    param("satiate_fraction", Kind::Unit,
+        "fraction of the system targeted for satiation (paper: 0.70)"),
+    param("cutoff", COUNT,
+        "silence cut-off defense: distinct accusers needed to cut a silent node (0 = off)"),
+];
 
-/// The `adaptive_*` convergence metrics every scenario report gains when
-/// a bandit drove the run.
-pub const ADAPTIVE_METRICS: &[&str] = &[
-    "adaptive_phases",
-    "adaptive_active_share",
-    "adaptive_dormant_share",
-    "adaptive_cooperate_share",
-    "adaptive_defect_share",
-    "adaptive_rotate_share",
-    "adaptive_final_arm",
+/// The optimistic push phase (the digest round has none).
+#[rustfmt::skip]
+const PUSH: &[ParamSpec] = &[param("push_size", COUNT, "optimistic push size (Table 1: 2)")];
+
+/// The BAR Gossip defenses, rotation and run threads.
+#[rustfmt::skip]
+const BAR_GOSSIP_EXTRAS: &[ParamSpec] = &[
+    param("rotation_period", COUNT, "rotate the satiated set every N rounds (0 = static)"),
+    param("unbalanced", Kind::Flag, "obedient unbalanced exchanges (Figure 3 defense)"),
+    param("rate_limit", COUNT,
+        "per-interaction cap on useful updates (per direction on requested updates in the \
+         digest round; 0 or >=32 = uncapped)"),
+    param("report_obedient", Kind::Unit,
+        "fraction of honest nodes reporting excess service (enables report-and-evict)"),
+    param("report_quorum", COUNT, "distinct reports needed to evict (default 3)"),
+    param("report_excess_slack", COUNT,
+        "updates above the cap tolerated before reporting (default 1)"),
+    param("run_threads", COUNT,
+        "intra-run plan-phase worker threads (0 = auto: LOTUS_RUN_THREADS, else machine \
+         parallelism; figures identical for any value; --run-threads)"),
+];
+
+/// The digest exchange, its audit defense and the poison attack.
+#[rustfmt::skip]
+const DIGEST: &[ParamSpec] = &[
+    param("digest_bits", POSITIVE,
+        "bloom digest width in bits (default 1024; wire cost bits/8 each way)"),
+    param("digest_hashes", POSITIVE, "bloom probe count per id (default 4)"),
+    param("digest_exact", Kind::Flag,
+        "advertise exact per-round region hashes instead of a bloom filter \
+         (zero false positives; delivery is identical by construction)"),
+    param("audit", Kind::Unit,
+        "digest-audit defense: sampling rate per advertised-but-undelivered \
+         id, feeding the silence cut-off (0 = off; needs cutoff > 0 to bite)"),
+    param("poison_rate", Kind::Unit,
+        "poison attack: probability a held, requested update is withheld \
+         (default 1.0; small values hide inside the bloom false-positive rate)"),
+];
+
+/// Attack timing, population churn and arrivals, and faults: every
+/// scheduled substrate takes these.
+#[rustfmt::skip]
+const TIMING_POPULATION_FAULTS: &[ParamSpec] = &[
+    param("faults", Kind::Grammar,
+        "fault plan: loss:<p> | dup:<p> | delay:<p> | crash:<p>:<recover> | \
+         partition:<start>:<len>:<frac>, combined with '/' (default: none; --faults)"),
+    param("fault_loss", Kind::Unit,
+        "override (or sweep) the message-loss rate of the fault plan"),
+    param("schedule", Kind::Grammar,
+        "attack timing: always | at:<r> | window:<a>:<b> | periodic:<p>:<a> | \
+         delivery-above:<x> | delivery-below:<x> | targeted-above:<x> | targeted-below:<x> | \
+         presence-above:<x> | presence-below:<x> | falsecut-above:<x> | falsecut-below:<x> \
+         (default always; --schedule)"),
+    param("adaptive", Kind::Grammar,
+        "bandit attacker re-planning each phase from observed damage: \
+         <policy>,<phase-len>,<epsilon>[,<metric>] with policy epsilon-greedy | ucb | \
+         fixed-<dormant|cooperate|defect|rotate> (replaces the schedule; a learning policy \
+         adds the metrics adaptive_phases, adaptive_<active|dormant|cooperate|defect|rotate>_share \
+         and adaptive_final_arm; --adaptive)"),
+    param("adaptive_epsilon", Kind::Real,
+        "override (or sweep) the adaptive exploration parameter (epsilon / UCB weight)"),
+    param("adaptive_phase", POSITIVE,
+        "override (or sweep) the adaptive phase length in rounds"),
+    param("churn_leave", Kind::Unit,
+        "per-round probability a node goes offline (0 = closed population; --churn)"),
+    param("churn_rejoin", Kind::Unit,
+        "per-round probability an offline node returns (default 0.25)"),
+    param("churn_profile", Kind::Grammar,
+        "heterogeneous churn cohorts: none | uniform:<leave>[:<rejoin>] | \
+         <w>:<leave>:<rejoin>[/...] (up to 4 weighted classes; replaces \
+         churn_leave/churn_rejoin; --churn-profile)"),
+    param("arrival", Kind::Grammar,
+        "flash-crowd arrivals: none | burst:<round>:<size>[:<period>] | \
+         ramp:<start>:<size>[:<rate>] (held-back nodes enter with empty state; --arrival)"),
+    param("arrival_size", COUNT,
+        "override (or sweep) the flash-crowd size of the configured arrival process"),
 ];
 
 /// Parse the `faults` / `fault_loss` parameters into a fault plan. The
 /// sweepable `fault_loss` override lets X19 drive the loss rate through
 /// x while the rest of the plan (crashes, partitions) stays fixed.
-fn parse_faults(req: &RunRequest<'_>) -> Result<FaultPlan, String> {
-    let mut plan = match req.params.get("faults") {
+fn parse_faults(args: &Args<'_>) -> Result<FaultPlan, String> {
+    let plan = match args.text("faults") {
         Some(spec) => FaultPlan::parse(spec)?,
         None => FaultPlan::none(),
     };
-    if let Some(loss) = req.opt_num("fault_loss")? {
-        if !(0.0..=1.0).contains(&loss) {
-            return Err(format!("parameter fault_loss={loss} outside [0, 1]"));
-        }
-        plan = plan.with_loss(loss);
-    }
-    Ok(plan)
-}
-
-/// Parse the `schedule` parameter (default: always-on).
-fn parse_schedule(req: &RunRequest<'_>) -> Result<AttackSchedule, String> {
-    match req.params.get("schedule") {
-        None => Ok(AttackSchedule::always()),
-        Some(spec) => AttackSchedule::parse(spec),
-    }
+    Ok(match args.num("fault_loss") {
+        Some(loss) => plan.with_loss(loss),
+        None => plan,
+    })
 }
 
 /// Parse the `adaptive` / `adaptive_phase` / `adaptive_epsilon`
 /// parameters into a bandit spec. The numeric overrides are sweepable
 /// (`--sweep adaptive_epsilon` drives x through them) and imply the
 /// default epsilon-greedy policy when `adaptive` itself is absent.
-fn parse_adaptive(req: &RunRequest<'_>) -> Result<Option<AdaptiveSpec>, String> {
-    let base = match req.params.get("adaptive") {
+fn parse_adaptive(args: &Args<'_>) -> Result<Option<AdaptiveSpec>, String> {
+    let base = match args.text("adaptive") {
         Some(spec) => Some(AdaptiveSpec::parse(spec)?),
         None => None,
     };
-    let phase = req.opt_num("adaptive_phase")?;
-    let epsilon = req.opt_num("adaptive_epsilon")?;
+    let phase = args.count("adaptive_phase");
+    let epsilon = args.num("adaptive_epsilon");
     let mut spec = match (base, phase, epsilon) {
         (None, None, None) => return Ok(None),
         (Some(s), _, _) => s,
@@ -452,20 +603,10 @@ fn parse_adaptive(req: &RunRequest<'_>) -> Result<Option<AdaptiveSpec>, String> 
         ),
     };
     if let Some(p) = phase {
-        if p < 1.0 || p.fract() != 0.0 {
-            return Err(format!(
-                "parameter adaptive_phase={p} is not a positive round count"
-            ));
-        }
-        spec.phase_len = p as u64;
+        spec.phase_len = u64::from(p);
     }
     if let Some(e) = epsilon {
-        let valid = match spec.policy {
-            PolicyKind::EpsilonGreedy => (0.0..=1.0).contains(&e),
-            PolicyKind::Ucb1 => e >= 0.0,
-            PolicyKind::Fixed(_) => true, // ignored, but keep it sane
-        };
-        if !valid {
+        if matches!(spec.policy, PolicyKind::EpsilonGreedy) && e > 1.0 {
             return Err(format!(
                 "parameter adaptive_epsilon={e} out of range for the {:?} policy",
                 spec.policy
@@ -479,9 +620,12 @@ fn parse_adaptive(req: &RunRequest<'_>) -> Result<Option<AdaptiveSpec>, String> 
 /// Resolve the full attack-timing axis: the open-loop `schedule`
 /// parameter plus the closed-loop `adaptive` family. The two are
 /// mutually exclusive (the bandit owns the activity switch).
-fn parse_timing(req: &RunRequest<'_>) -> Result<AttackSchedule, String> {
-    let schedule = parse_schedule(req)?;
-    match parse_adaptive(req)? {
+fn parse_timing(args: &Args<'_>) -> Result<AttackSchedule, String> {
+    let schedule = match args.text("schedule") {
+        Some(spec) => AttackSchedule::parse(spec)?,
+        None => AttackSchedule::always(),
+    };
+    match parse_adaptive(args)? {
         None => Ok(schedule),
         Some(adaptive) => {
             if !schedule.is_always() {
@@ -496,8 +640,7 @@ fn parse_timing(req: &RunRequest<'_>) -> Result<AttackSchedule, String> {
     }
 }
 
-/// Attach the arm-trace convergence metrics to an adaptive run's report
-/// (see [`ADAPTIVE_METRICS`]).
+/// Attach the arm-trace convergence metrics to an adaptive run's report.
 fn attach_adaptive_metrics(
     report: &mut ScenarioReport,
     trace: &[lotus_core::adaptive::TraceEntry],
@@ -521,29 +664,14 @@ fn attach_adaptive_metrics(
     report.set_metric("adaptive_final_arm", last.arm.index() as f64);
 }
 
-/// Parse the `churn_leave`/`churn_rejoin` parameters (default: none).
-fn parse_churn(req: &RunRequest<'_>) -> Result<ChurnSpec, String> {
-    let leave = req.num("churn_leave", 0.0)?;
-    let rejoin = req.num("churn_rejoin", 0.25)?;
-    for (name, p) in [("churn_leave", leave), ("churn_rejoin", rejoin)] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(format!("parameter {name}={p} outside [0, 1]"));
-        }
-    }
-    Ok(ChurnSpec::new(leave, rejoin))
-}
-
 /// Resolve the full population axis: the heterogeneous `churn_profile`
 /// (which supersedes the uniform `churn_leave`/`churn_rejoin` pair — the
 /// two spellings are mutually exclusive) plus the `arrival` flash-crowd
 /// process with its sweepable `arrival_size` override.
-fn parse_population(req: &RunRequest<'_>) -> Result<(ChurnProfile, ArrivalProcess), String> {
-    let profile = match req.params.get("churn_profile") {
+fn parse_population(args: &Args<'_>) -> Result<(ChurnProfile, ArrivalProcess), String> {
+    let profile = match args.text("churn_profile") {
         Some(spec) => {
-            let uniform_axis = ["churn_leave", "churn_rejoin"];
-            if uniform_axis.iter().any(|k| req.params.get(k).is_some())
-                || uniform_axis.contains(&req.sweep)
-            {
+            if args.has("churn_leave") || args.has("churn_rejoin") {
                 return Err(
                     "churn_profile replaces the uniform axis: drop churn_leave/churn_rejoin \
                      (use uniform:<leave>:<rejoin> inside the profile instead)"
@@ -552,25 +680,23 @@ fn parse_population(req: &RunRequest<'_>) -> Result<(ChurnProfile, ArrivalProces
             }
             ChurnProfile::parse(spec)?
         }
-        None => ChurnProfile::uniform(parse_churn(req)?),
+        None => ChurnProfile::uniform(ChurnSpec::new(
+            args.num("churn_leave").unwrap_or(0.0),
+            args.num("churn_rejoin").unwrap_or(0.25),
+        )),
     };
-    let mut arrival = match req.params.get("arrival") {
+    let mut arrival = match args.text("arrival") {
         Some(spec) => ArrivalProcess::parse(spec)?,
         None => ArrivalProcess::None,
     };
-    if let Some(size) = req.opt_num("arrival_size")? {
+    if let Some(size) = args.count("arrival_size") {
         if !arrival.is_some() {
             return Err(
                 "arrival_size needs an arrival process: pass arrival=burst:... or ramp:..."
                     .to_string(),
             );
         }
-        if size < 0.0 || size.fract() != 0.0 {
-            return Err(format!(
-                "parameter arrival_size={size} is not a non-negative node count"
-            ));
-        }
-        arrival = arrival.with_size(size as u32);
+        arrival = arrival.with_size(size);
     }
     Ok((profile, arrival))
 }
@@ -579,183 +705,124 @@ fn parse_population(req: &RunRequest<'_>) -> Result<(ChurnProfile, ArrivalProces
 // bar-gossip
 // ---------------------------------------------------------------------
 
+/// The attacks of every BAR Gossip scenario but the digest one's poison.
+const GOSSIP_ATTACKS: &[(&str, &str)] = &[
+    ("none", "no attack (baseline)"),
+    ("crash", "attacker nodes go silent"),
+    ("ideal", "ideal lotus-eater: out-of-band instant forwarding"),
+    ("trade", "trade lotus-eater: in-protocol give-everything"),
+    (
+        "masquerade",
+        "plausibly-deniable defection: silence rate tracks the ambient fault rate",
+    ),
+];
+
+/// The metrics of every BAR Gossip scenario; the digest one adds its own.
+const BAR_GOSSIP_METRICS: &[&str] = &[
+    "isolated_delivery",
+    "satiated_delivery",
+    "attacker_coverage",
+    "evictions",
+    "evicted_fraction",
+    "junk_fraction",
+    "mean_attacker_upload",
+    "mean_honest_upload",
+    "min_node_delivery",
+    "nodes_ever_unusable",
+    "unusable_node_rounds",
+    "false_cut_rate",
+    "attacker_cut_rate",
+    "cut_precision",
+    "cut_recall",
+    "faults_dropped",
+    "faults_duplicated",
+    "faults_delayed",
+    "faults_crashes",
+    "faults_partition_blocked",
+];
+
+/// The small gossip configuration of `--bench`.
+const GOSSIP_BENCH: &[(&str, &str)] = &[
+    ("nodes", "60"),
+    ("rounds", "12"),
+    ("warmup_rounds", "6"),
+    ("updates_per_round", "4"),
+    ("copies_seeded", "6"),
+];
+
 fn bar_gossip_spec() -> ScenarioSpec {
     ScenarioSpec {
         name: "bar-gossip",
         about: "BAR Gossip streaming (the paper's §2 evaluation substrate)",
-        attacks: &[
-            ("none", "no attack (baseline)"),
-            ("crash", "attacker nodes go silent"),
-            ("ideal", "ideal lotus-eater: out-of-band instant forwarding"),
-            ("trade", "trade lotus-eater: in-protocol give-everything"),
-            (
-                "masquerade",
-                "plausibly-deniable defection: silence rate tracks the ambient fault rate",
-            ),
-        ],
+        attacks: GOSSIP_ATTACKS,
         params: &[
-            ("nodes", "number of nodes (Table 1: 250)"),
-            ("updates_per_round", "broadcaster batch size (Table 1: 10)"),
-            (
-                "update_lifetime",
-                "rounds before an update expires (Table 1: 10)",
-            ),
-            ("copies_seeded", "seed copies per update (Table 1: 12)"),
-            ("push_size", "optimistic push size (Table 1: 2)"),
-            ("rounds", "measured rounds"),
-            ("warmup_rounds", "warm-up rounds excluded from measurement"),
-            ("fraction", "attacker fraction when x sweeps another knob"),
-            (
-                "satiate_fraction",
-                "fraction of the system targeted for satiation (paper: 0.70)",
-            ),
-            (
-                "rotation_period",
-                "rotate the satiated set every N rounds (0 = static)",
-            ),
-            (
-                "unbalanced",
-                "obedient unbalanced exchanges (Figure 3 defense)",
-            ),
-            (
-                "rate_limit",
-                "per-interaction cap on useful updates (0 or >=32 = uncapped)",
-            ),
-            (
-                "report_obedient",
-                "fraction of honest nodes reporting excess service (enables report-and-evict)",
-            ),
-            (
-                "report_quorum",
-                "distinct reports needed to evict (default 3)",
-            ),
-            (
-                "report_excess_slack",
-                "updates above the cap tolerated before reporting (default 1)",
-            ),
-            (
-                "cutoff",
-                "silence cut-off defense: distinct accusers needed to cut a silent node (0 = off)",
-            ),
-            (
-                "run_threads",
-                "intra-run plan-phase worker threads (0 = auto: LOTUS_RUN_THREADS, else machine parallelism; figures identical for any value)",
-            ),
-            FAULTS_PARAM_DOC,
-            FAULT_LOSS_DOC,
-            SCHEDULE_PARAM_DOC,
-            ADAPTIVE_PARAM_DOC,
-            ADAPTIVE_EPSILON_DOC,
-            ADAPTIVE_PHASE_DOC,
-            CHURN_LEAVE_DOC,
-            CHURN_REJOIN_DOC,
-            CHURN_PROFILE_DOC,
-            ARRIVAL_DOC,
-            ARRIVAL_SIZE_DOC,
+            GOSSIP_CORE,
+            PUSH,
+            BAR_GOSSIP_EXTRAS,
+            TIMING_POPULATION_FAULTS,
         ],
-        sweeps: &[
-            "rate_limit",
-            "rotation_period",
-            "report_obedient",
-            "push_size",
-            "satiate_fraction",
-            "fault_loss",
-            "cutoff",
-            "churn_leave",
-            "churn_rejoin",
-            "arrival_size",
-            "adaptive_epsilon",
-            "adaptive_phase",
-        ],
-        metrics: &[
-            "isolated_delivery",
-            "satiated_delivery",
-            "attacker_coverage",
-            "evictions",
-            "evicted_fraction",
-            "junk_fraction",
-            "mean_attacker_upload",
-            "mean_honest_upload",
-            "min_node_delivery",
-            "nodes_ever_unusable",
-            "unusable_node_rounds",
-            "false_cut_rate",
-            "attacker_cut_rate",
-            "cut_precision",
-            "cut_recall",
-            "faults_dropped",
-            "faults_duplicated",
-            "faults_delayed",
-            "faults_crashes",
-            "faults_partition_blocked",
-        ],
+        metrics: BAR_GOSSIP_METRICS,
         default_metric: "isolated_delivery",
         build: build_bar_gossip,
-        bench_params: &[
-            ("nodes", "60"),
-            ("rounds", "12"),
-            ("warmup_rounds", "6"),
-            ("updates_per_round", "4"),
-            ("copies_seeded", "6"),
-        ],
+        bench_params: GOSSIP_BENCH,
     }
 }
 
-fn bar_gossip_config(req: &RunRequest<'_>) -> Result<BarGossipConfig, String> {
+fn bar_gossip_config(args: &Args<'_>) -> Result<BarGossipConfig, String> {
     let mut b = BarGossipConfig::builder();
-    if let Some(v) = req.whole("nodes")? {
+    if let Some(v) = args.count("nodes") {
         b = b.nodes(v);
     }
-    if let Some(v) = req.whole("updates_per_round")? {
+    if let Some(v) = args.count("updates_per_round") {
         b = b.updates_per_round(v);
     }
-    if let Some(v) = req.whole("update_lifetime")? {
+    if let Some(v) = args.count("update_lifetime") {
         b = b.update_lifetime(v);
     }
-    if let Some(v) = req.whole("copies_seeded")? {
+    if let Some(v) = args.count("copies_seeded") {
         b = b.copies_seeded(v);
     }
-    if let Some(v) = req.whole("push_size")? {
+    if let Some(v) = args.count("push_size") {
         b = b.push_size(v);
     }
-    if let Some(v) = req.whole("rounds")? {
+    if let Some(v) = args.count("rounds") {
         b = b.rounds(v);
     }
-    if let Some(v) = req.whole("warmup_rounds")? {
+    if let Some(v) = args.count("warmup_rounds") {
         b = b.warmup_rounds(v);
     }
-    if req.params.flag("unbalanced")?.unwrap_or(false) {
+    if args.flag("unbalanced").unwrap_or(false) {
         b = b.unbalanced_exchanges(true);
     }
-    if let Some(v) = req.whole("rate_limit")? {
+    if let Some(v) = args.count("rate_limit") {
         // The X9 plotting convention: the unbounded point sits at 32.
         b = b.rate_limit(if v == 0 || v >= 32 { None } else { Some(v) });
     }
-    if let Some(ob) = req.unit("report_obedient")? {
+    if let Some(ob) = args.num("report_obedient") {
         b = b.report_defense(ReportConfig {
             obedient_fraction: ob,
-            quorum: req.whole("report_quorum")?.unwrap_or(3),
-            excess_slack: req.whole("report_excess_slack")?.unwrap_or(1),
+            quorum: args.count("report_quorum").unwrap_or(3),
+            excess_slack: args.count("report_excess_slack").unwrap_or(1),
         });
     }
-    if let Some(q) = req.whole("cutoff")? {
+    if let Some(q) = args.count("cutoff") {
         b = b.cutoff_quorum(if q == 0 { None } else { Some(q) });
     }
-    if let Some(v) = req.whole("run_threads")? {
-        b = b.run_threads(v as usize);
+    if let Some(v) = args.size("run_threads") {
+        b = b.run_threads(v);
     }
-    let (churn, arrival) = parse_population(req)?;
-    b = b.churn(churn).arrival(arrival).faults(parse_faults(req)?);
+    let (churn, arrival) = parse_population(args)?;
+    b = b.churn(churn).arrival(arrival).faults(parse_faults(args)?);
     b.build()
         .map_err(|e| format!("invalid bar-gossip config: {e}"))
 }
 
-fn bar_gossip_plan(req: &RunRequest<'_>) -> Result<AttackPlan, String> {
-    let fraction = req.unit("fraction")?.unwrap_or(0.0);
-    let satiate = req
-        .unit("satiate_fraction")?
+fn bar_gossip_plan(args: &Args<'_>) -> Result<AttackPlan, String> {
+    let fraction = args.num("fraction").unwrap_or(0.0);
+    let satiate = args
+        .num("satiate_fraction")
         .unwrap_or(AttackPlan::PAPER_SATIATE_FRACTION);
-    let mut plan = match req.attack {
+    let mut plan = match args.attack {
         "none" => AttackPlan::none(),
         "crash" => AttackPlan::crash(fraction),
         "ideal" => AttackPlan::ideal_lotus_eater(fraction, satiate),
@@ -763,11 +830,11 @@ fn bar_gossip_plan(req: &RunRequest<'_>) -> Result<AttackPlan, String> {
         "masquerade" => AttackPlan::masquerade(fraction),
         // Only reachable through the digest spec (attack names are
         // validated against each spec's list before build).
-        "poison" => AttackPlan::poison(fraction, req.unit("poison_rate")?.unwrap_or(1.0)),
+        "poison" => AttackPlan::poison(fraction, args.num("poison_rate").unwrap_or(1.0)),
         other => return Err(format!("unknown bar-gossip attack {other:?}")),
     };
-    let timing = parse_timing(req)?;
-    let rotation = req.whole("rotation_period")?.unwrap_or(0);
+    let timing = parse_timing(args)?;
+    let rotation = args.count("rotation_period").unwrap_or(0);
     if rotation > 0 {
         if timing.adaptive.is_some() {
             return Err(
@@ -782,10 +849,10 @@ fn bar_gossip_plan(req: &RunRequest<'_>) -> Result<AttackPlan, String> {
     Ok(plan)
 }
 
-fn build_bar_gossip(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
-    let cfg = bar_gossip_config(req)?;
-    let plan = bar_gossip_plan(req)?;
-    Ok(boxed::<BarGossipSim>(cfg, plan, req.seed))
+fn build_bar_gossip(args: &Args<'_>) -> Result<Box<dyn DynScenario>, String> {
+    let cfg = bar_gossip_config(args)?;
+    let plan = bar_gossip_plan(args)?;
+    Ok(boxed::<BarGossipSim>(cfg, plan, args.seed))
 }
 
 /// The digest-exchange configuration of bar-gossip: the two-leg
@@ -794,182 +861,76 @@ fn build_bar_gossip(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String
 /// advertise-then-withhold (`poison`) attack and the digest-audit
 /// defense alongside every classic attack.
 fn bar_gossip_digest_spec() -> ScenarioSpec {
+    const ATTACKS: &[(&str, &str)] = &[
+        GOSSIP_ATTACKS[0],
+        GOSSIP_ATTACKS[1],
+        GOSSIP_ATTACKS[2],
+        GOSSIP_ATTACKS[3],
+        GOSSIP_ATTACKS[4],
+        (
+            "poison",
+            "advertise-then-withhold: truthful digest, then withhold requested \
+             updates at poison_rate (deniable against bloom false positives)",
+        ),
+    ];
+    const METRICS: &[&str] = &[
+        "isolated_delivery",
+        "satiated_delivery",
+        "attacker_coverage",
+        "evictions",
+        "evicted_fraction",
+        "junk_fraction",
+        "mean_attacker_upload",
+        "mean_honest_upload",
+        "min_node_delivery",
+        "nodes_ever_unusable",
+        "unusable_node_rounds",
+        "false_cut_rate",
+        "attacker_cut_rate",
+        "cut_precision",
+        "cut_recall",
+        "faults_dropped",
+        "faults_duplicated",
+        "faults_delayed",
+        "faults_crashes",
+        "faults_partition_blocked",
+        "digest_bytes_on_wire",
+        "digest_bytes_updates",
+        "digest_fp_rate",
+        "digest_requests",
+        "digest_withheld",
+    ];
     ScenarioSpec {
         name: "bar-gossip-digest",
         about: "bar-gossip over a two-leg digest exchange (advertise, diff, transfer)",
-        attacks: &[
-            ("none", "no attack (baseline)"),
-            ("crash", "attacker nodes go silent"),
-            ("ideal", "ideal lotus-eater: out-of-band instant forwarding"),
-            ("trade", "trade lotus-eater: in-protocol give-everything"),
-            (
-                "masquerade",
-                "plausibly-deniable defection: silence rate tracks the ambient fault rate",
-            ),
-            (
-                "poison",
-                "advertise-then-withhold: truthful digest, then withhold requested \
-                 updates at poison_rate (deniable against bloom false positives)",
-            ),
-        ],
+        attacks: ATTACKS,
         params: &[
-            ("nodes", "number of nodes (Table 1: 250)"),
-            ("updates_per_round", "broadcaster batch size (Table 1: 10)"),
-            (
-                "update_lifetime",
-                "rounds before an update expires (Table 1: 10)",
-            ),
-            ("copies_seeded", "seed copies per update (Table 1: 12)"),
-            ("push_size", "optimistic push size (unused by the digest round)"),
-            ("rounds", "measured rounds"),
-            ("warmup_rounds", "warm-up rounds excluded from measurement"),
-            ("fraction", "attacker fraction when x sweeps another knob"),
-            (
-                "satiate_fraction",
-                "fraction of the system targeted for satiation (paper: 0.70)",
-            ),
-            (
-                "rotation_period",
-                "rotate the satiated set every N rounds (0 = static)",
-            ),
-            (
-                "unbalanced",
-                "obedient unbalanced exchanges (Figure 3 defense)",
-            ),
-            (
-                "rate_limit",
-                "per-direction cap on requested updates (0 or >=32 = uncapped)",
-            ),
-            (
-                "report_obedient",
-                "fraction of honest nodes reporting excess service (enables report-and-evict)",
-            ),
-            (
-                "report_quorum",
-                "distinct reports needed to evict (default 3)",
-            ),
-            (
-                "report_excess_slack",
-                "updates above the cap tolerated before reporting (default 1)",
-            ),
-            (
-                "cutoff",
-                "silence cut-off defense: distinct accusers needed to cut a silent node (0 = off)",
-            ),
-            (
-                "run_threads",
-                "intra-run plan-phase worker threads (0 = auto: LOTUS_RUN_THREADS, else machine parallelism; figures identical for any value)",
-            ),
-            (
-                "digest_bits",
-                "bloom digest width in bits (default 1024; wire cost bits/8 each way)",
-            ),
-            ("digest_hashes", "bloom probe count per id (default 4)"),
-            (
-                "digest_exact",
-                "advertise exact per-round region hashes instead of a bloom filter \
-                 (zero false positives; delivery is identical by construction)",
-            ),
-            (
-                "audit",
-                "digest-audit defense: sampling rate per advertised-but-undelivered \
-                 id, feeding the silence cut-off (0 = off; needs cutoff > 0 to bite)",
-            ),
-            (
-                "poison_rate",
-                "poison attack: probability a held, requested update is withheld \
-                 (default 1.0; small values hide inside the bloom false-positive rate)",
-            ),
-            FAULTS_PARAM_DOC,
-            FAULT_LOSS_DOC,
-            SCHEDULE_PARAM_DOC,
-            ADAPTIVE_PARAM_DOC,
-            ADAPTIVE_EPSILON_DOC,
-            ADAPTIVE_PHASE_DOC,
-            CHURN_LEAVE_DOC,
-            CHURN_REJOIN_DOC,
-            CHURN_PROFILE_DOC,
-            ARRIVAL_DOC,
-            ARRIVAL_SIZE_DOC,
+            GOSSIP_CORE,
+            BAR_GOSSIP_EXTRAS,
+            DIGEST,
+            TIMING_POPULATION_FAULTS,
         ],
-        sweeps: &[
-            "rate_limit",
-            "rotation_period",
-            "report_obedient",
-            "satiate_fraction",
-            "fault_loss",
-            "cutoff",
-            "digest_bits",
-            "poison_rate",
-            "audit",
-            "churn_leave",
-            "churn_rejoin",
-            "arrival_size",
-            "adaptive_epsilon",
-            "adaptive_phase",
-        ],
-        metrics: &[
-            "isolated_delivery",
-            "satiated_delivery",
-            "attacker_coverage",
-            "evictions",
-            "evicted_fraction",
-            "junk_fraction",
-            "mean_attacker_upload",
-            "mean_honest_upload",
-            "min_node_delivery",
-            "nodes_ever_unusable",
-            "unusable_node_rounds",
-            "false_cut_rate",
-            "attacker_cut_rate",
-            "cut_precision",
-            "cut_recall",
-            "faults_dropped",
-            "faults_duplicated",
-            "faults_delayed",
-            "faults_crashes",
-            "faults_partition_blocked",
-            "digest_bytes_on_wire",
-            "digest_bytes_updates",
-            "digest_fp_rate",
-            "digest_requests",
-            "digest_withheld",
-        ],
+        metrics: METRICS,
         default_metric: "isolated_delivery",
         build: build_bar_gossip_digest,
-        bench_params: &[
-            ("nodes", "60"),
-            ("rounds", "12"),
-            ("warmup_rounds", "6"),
-            ("updates_per_round", "4"),
-            ("copies_seeded", "6"),
-        ],
+        bench_params: GOSSIP_BENCH,
     }
 }
 
-fn build_bar_gossip_digest(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
-    let mut cfg = bar_gossip_config(req)?;
-    let bits = req.num("digest_bits", 1024.0)?;
-    let hashes = req.num("digest_hashes", 4.0)?;
-    for (name, v) in [("digest_bits", bits), ("digest_hashes", hashes)] {
-        if v < 1.0 || v.fract() != 0.0 {
-            return Err(format!(
-                "parameter {name}={v} is not a positive whole number"
-            ));
-        }
-    }
+fn build_bar_gossip_digest(args: &Args<'_>) -> Result<Box<dyn DynScenario>, String> {
+    let mut cfg = bar_gossip_config(args)?;
     cfg.digest = Some(DigestExchangeConfig {
-        bits: bits as u32,
-        hashes: hashes as u32,
-        exact: req.params.flag("digest_exact")?.unwrap_or(false),
-        audit: req.num("audit", 0.0)?,
+        bits: args.count("digest_bits").unwrap_or(1024),
+        hashes: args.count("digest_hashes").unwrap_or(4),
+        exact: args.flag("digest_exact").unwrap_or(false),
+        audit: args.num("audit").unwrap_or(0.0),
     });
     // The builder validated the base config; revalidate for the digest
     // block set after the fact.
     cfg.validate()
         .map_err(|e| format!("invalid bar-gossip-digest config: {e}"))?;
-    let plan = bar_gossip_plan(req)?;
-    Ok(boxed::<BarGossipSim>(cfg, plan, req.seed))
+    let plan = bar_gossip_plan(args)?;
+    Ok(boxed::<BarGossipSim>(cfg, plan, args.seed))
 }
 
 /// The million-node scale configuration of bar-gossip: a 1 000 000-node
@@ -983,19 +944,15 @@ fn bar_gossip_1m_spec() -> ScenarioSpec {
     ScenarioSpec {
         name: "bar-gossip-1m",
         about: "bar-gossip at 1M nodes behind a flash crowd (O(active) scale config)",
-        attacks: base.attacks,
-        params: base.params,
-        sweeps: base.sweeps,
-        metrics: base.metrics,
-        default_metric: base.default_metric,
         build: build_bar_gossip_1m,
         bench_params: &[],
+        ..base
     }
 }
 
-fn build_bar_gossip_1m(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
-    let mut base = Params::new();
-    base.set("nodes", "1000000");
+fn build_bar_gossip_1m(args: &Args<'_>) -> Result<Box<dyn DynScenario>, String> {
+    let mut scaled = args.clone();
+    scaled.or_default("nodes", Value::Count(1_000_000));
     // A run executes warmup + measured + lifetime drain rounds (2+4+4 =
     // 10 here); the 990k held-back nodes burst in at the final round, so
     // every benched run pays exactly one full-crowd round — the engine's
@@ -1004,17 +961,12 @@ fn build_bar_gossip_1m(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, Str
     // --param arrival=burst:5:990000) to land the crowd inside the
     // measured metric window instead; each earlier round is another
     // full-crowd round of wall-clock.
-    base.set("arrival", "burst:9:990000");
-    base.set("rounds", "4");
-    base.set("warmup_rounds", "2");
-    base.set("update_lifetime", "4");
-    base.set("updates_per_round", "4");
-    base.set("copies_seeded", "6");
-    let params = base.merged_with(req.params);
-    let scaled = RunRequest {
-        params: &params,
-        ..*req
-    };
+    scaled.or_default("arrival", Value::Text("burst:9:990000"));
+    scaled.or_default("rounds", Value::Count(4));
+    scaled.or_default("warmup_rounds", Value::Count(2));
+    scaled.or_default("update_lifetime", Value::Count(4));
+    scaled.or_default("updates_per_round", Value::Count(4));
+    scaled.or_default("copies_seeded", Value::Count(6));
     build_bar_gossip(&scaled)
 }
 
@@ -1023,6 +975,21 @@ fn build_bar_gossip_1m(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, Str
 // ---------------------------------------------------------------------
 
 fn scrip_spec() -> ScenarioSpec {
+    #[rustfmt::skip]
+    const PARAMS: &[ParamSpec] = &[
+        param("agents", COUNT, "number of agents"),
+        param("money_per_agent", COUNT, "initial scrip per agent (the money supply)"),
+        param("threshold", COUNT, "stop-providing balance threshold k"),
+        param("availability", Kind::Unit, "probability an agent can serve in a round"),
+        param("altruists", COUNT, "number of always-free providers"),
+        param("adaptive_thresholds", Kind::Flag,
+            "agents adapt their thresholds (altruist-crash dynamics)"),
+        param("rounds", COUNT, "measured rounds"),
+        param("warmup", COUNT, "warm-up rounds"),
+        param("fraction", Kind::Unit, "targeted fraction when x sweeps another knob"),
+        param("endowment", Kind::Unit,
+            "attacker's share of the money supply (default 1.0 = all of it)"),
+    ];
     ScenarioSpec {
         name: "scrip",
         about: "Scrip economy (KFH EC'07): conserved money as the satiation currency",
@@ -1034,49 +1001,7 @@ fn scrip_spec() -> ScenarioSpec {
             ),
             ("retainer", "hoard an endowment without satiating anyone"),
         ],
-        params: &[
-            ("agents", "number of agents"),
-            (
-                "money_per_agent",
-                "initial scrip per agent (the money supply)",
-            ),
-            ("threshold", "stop-providing balance threshold k"),
-            ("availability", "probability an agent can serve in a round"),
-            ("altruists", "number of always-free providers"),
-            (
-                "adaptive_thresholds",
-                "agents adapt their thresholds (altruist-crash dynamics)",
-            ),
-            ("rounds", "measured rounds"),
-            ("warmup", "warm-up rounds"),
-            ("fraction", "targeted fraction when x sweeps another knob"),
-            (
-                "endowment",
-                "attacker's share of the money supply (default 1.0 = all of it)",
-            ),
-            FAULTS_PARAM_DOC,
-            FAULT_LOSS_DOC,
-            SCHEDULE_PARAM_DOC,
-            ADAPTIVE_PARAM_DOC,
-            ADAPTIVE_EPSILON_DOC,
-            ADAPTIVE_PHASE_DOC,
-            CHURN_LEAVE_DOC,
-            CHURN_REJOIN_DOC,
-            CHURN_PROFILE_DOC,
-            ARRIVAL_DOC,
-            ARRIVAL_SIZE_DOC,
-        ],
-        sweeps: &[
-            "altruists",
-            "money_per_agent",
-            "threshold",
-            "fault_loss",
-            "churn_leave",
-            "churn_rejoin",
-            "arrival_size",
-            "adaptive_epsilon",
-            "adaptive_phase",
-        ],
+        params: &[PARAMS, TIMING_POPULATION_FAULTS],
         metrics: &[
             "service_rate",
             "free_rate",
@@ -1103,49 +1028,49 @@ fn scrip_spec() -> ScenarioSpec {
     }
 }
 
-fn build_scrip(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
+fn build_scrip(args: &Args<'_>) -> Result<Box<dyn DynScenario>, String> {
     let mut b = ScripConfig::builder();
-    if let Some(v) = req.opt_num("agents")? {
-        b = b.agents(v as u32);
+    if let Some(v) = args.count("agents") {
+        b = b.agents(v);
     }
-    if let Some(v) = req.opt_num("money_per_agent")? {
-        b = b.money_per_agent(v as u32);
+    if let Some(v) = args.count("money_per_agent") {
+        b = b.money_per_agent(v);
     }
-    if let Some(v) = req.opt_num("threshold")? {
-        b = b.threshold(v as u32);
+    if let Some(v) = args.count("threshold") {
+        b = b.threshold(v);
     }
-    if let Some(v) = req.opt_num("availability")? {
+    if let Some(v) = args.num("availability") {
         b = b.availability(v);
     }
-    if let Some(v) = req.opt_num("altruists")? {
-        b = b.altruists(v as u32);
+    if let Some(v) = args.count("altruists") {
+        b = b.altruists(v);
     }
-    if let Some(v) = req.params.flag("adaptive_thresholds")? {
+    if let Some(v) = args.flag("adaptive_thresholds") {
         b = b.adaptive(v);
     }
-    if let Some(v) = req.opt_num("rounds")? {
-        b = b.rounds(v as u64);
+    if let Some(v) = args.count("rounds") {
+        b = b.rounds(u64::from(v));
     }
-    if let Some(v) = req.opt_num("warmup")? {
-        b = b.warmup(v as u64);
+    if let Some(v) = args.count("warmup") {
+        b = b.warmup(u64::from(v));
     }
-    let (churn, arrival) = parse_population(req)?;
+    let (churn, arrival) = parse_population(args)?;
     b = b
-        .schedule(parse_timing(req)?)
+        .schedule(parse_timing(args)?)
         .churn(churn)
         .arrival(arrival)
-        .faults(parse_faults(req)?);
+        .faults(parse_faults(args)?);
     let cfg = b
         .build()
         .map_err(|e| format!("invalid scrip config: {e}"))?;
-    let endowment = req.num("endowment", 1.0)?;
-    let attack = match req.attack {
+    let endowment = args.num("endowment").unwrap_or(1.0);
+    let attack = match args.attack {
         "none" => ScripAttack::None,
-        "lotus-eater" => ScripAttack::lotus_eater(req.fraction(0.0)?, endowment),
+        "lotus-eater" => ScripAttack::lotus_eater(args.num("fraction").unwrap_or(0.0), endowment),
         "retainer" => ScripAttack::retainer(endowment),
         other => return Err(format!("unknown scrip attack {other:?}")),
     };
-    Ok(boxed::<ScripSim>(cfg, attack, req.seed))
+    Ok(boxed::<ScripSim>(cfg, attack, args.seed))
 }
 
 // ---------------------------------------------------------------------
@@ -1153,6 +1078,22 @@ fn build_scrip(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
 // ---------------------------------------------------------------------
 
 fn bittorrent_spec() -> ScenarioSpec {
+    #[rustfmt::skip]
+    const PARAMS: &[ParamSpec] = &[
+        param("leechers", COUNT, "number of leechers"),
+        param("origin_seeds", COUNT, "number of origin seeds"),
+        param("pieces", COUNT, "pieces in the file"),
+        param("unchoke_slots", COUNT, "tit-for-tat unchoke slots per peer"),
+        param("piece_policy", Kind::Keyword(&["rarest", "random"]),
+            "piece selection: rarest | random"),
+        param("seed_after_completion", COUNT, "rounds a finished leecher lingers as a seed"),
+        param("max_rounds", COUNT, "simulation horizon"),
+        param("fraction", Kind::Unit, "targeted leecher fraction when x sweeps another knob"),
+        param("attacker_peers", COUNT, "number of attacker peers (0 = no attack)"),
+        param("attacker_slots", COUNT, "upload slots per attacker peer"),
+        param("target_policy", Kind::Keyword(&["random", "rare"]),
+            "target choice: random | rare (rare-piece holders)"),
+    ];
     ScenarioSpec {
         name: "bittorrent",
         about: "Simplified BitTorrent swarm: the substrate the attack barely dents (§1)",
@@ -1163,50 +1104,7 @@ fn bittorrent_spec() -> ScenarioSpec {
                 "attacker peers upload generously, but only to their targets",
             ),
         ],
-        params: &[
-            ("leechers", "number of leechers"),
-            ("origin_seeds", "number of origin seeds"),
-            ("pieces", "pieces in the file"),
-            ("unchoke_slots", "tit-for-tat unchoke slots per peer"),
-            ("piece_policy", "piece selection: rarest | random"),
-            (
-                "seed_after_completion",
-                "rounds a finished leecher lingers as a seed",
-            ),
-            ("max_rounds", "simulation horizon"),
-            (
-                "fraction",
-                "targeted leecher fraction when x sweeps another knob",
-            ),
-            ("attacker_peers", "number of attacker peers (0 = no attack)"),
-            ("attacker_slots", "upload slots per attacker peer"),
-            (
-                "target_policy",
-                "target choice: random | rare (rare-piece holders)",
-            ),
-            FAULTS_PARAM_DOC,
-            FAULT_LOSS_DOC,
-            SCHEDULE_PARAM_DOC,
-            ADAPTIVE_PARAM_DOC,
-            ADAPTIVE_EPSILON_DOC,
-            ADAPTIVE_PHASE_DOC,
-            CHURN_LEAVE_DOC,
-            CHURN_REJOIN_DOC,
-            CHURN_PROFILE_DOC,
-            ARRIVAL_DOC,
-            ARRIVAL_SIZE_DOC,
-        ],
-        sweeps: &[
-            "attacker_peers",
-            "pieces",
-            "leechers",
-            "fault_loss",
-            "churn_leave",
-            "churn_rejoin",
-            "arrival_size",
-            "adaptive_epsilon",
-            "adaptive_phase",
-        ],
+        params: &[PARAMS, TIMING_POPULATION_FAULTS],
         metrics: &[
             "mean_completion",
             "mean_completion_nontargeted",
@@ -1227,48 +1125,44 @@ fn bittorrent_spec() -> ScenarioSpec {
     }
 }
 
-fn build_bittorrent(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
+fn build_bittorrent(args: &Args<'_>) -> Result<Box<dyn DynScenario>, String> {
     let mut b = SwarmConfig::builder();
-    if let Some(v) = req.opt_num("leechers")? {
-        b = b.leechers(v as u32);
+    if let Some(v) = args.count("leechers") {
+        b = b.leechers(v);
     }
-    if let Some(v) = req.opt_num("origin_seeds")? {
-        b = b.seeds(v as u32);
+    if let Some(v) = args.count("origin_seeds") {
+        b = b.seeds(v);
     }
-    if let Some(v) = req.opt_num("pieces")? {
-        b = b.pieces(v as u32);
+    if let Some(v) = args.count("pieces") {
+        b = b.pieces(v);
     }
-    if let Some(v) = req.opt_num("unchoke_slots")? {
-        b = b.unchoke_slots(v as u32);
+    if let Some(v) = args.count("unchoke_slots") {
+        b = b.unchoke_slots(v);
     }
-    if let Some(v) = req.opt_num("seed_after_completion")? {
-        b = b.seed_after_completion(v as u32);
+    if let Some(v) = args.count("seed_after_completion") {
+        b = b.seed_after_completion(v);
     }
-    if let Some(v) = req.opt_num("max_rounds")? {
-        b = b.max_rounds(v as u64);
+    if let Some(v) = args.count("max_rounds") {
+        b = b.max_rounds(u64::from(v));
     }
-    match req.params.get("piece_policy") {
-        None | Some("rarest") => {}
-        Some("random") => b = b.piece_policy(PiecePolicy::Random),
-        Some(other) => return Err(format!("unknown piece_policy {other:?} (rarest | random)")),
+    if args.text("piece_policy") == Some("random") {
+        b = b.piece_policy(PiecePolicy::Random);
     }
-    let (churn, arrival) = parse_population(req)?;
-    b = b.churn(churn).arrival(arrival).faults(parse_faults(req)?);
+    let (churn, arrival) = parse_population(args)?;
+    b = b.churn(churn).arrival(arrival).faults(parse_faults(args)?);
     let cfg = b
         .build()
         .map_err(|e| format!("invalid bittorrent config: {e}"))?;
-    let attack = match req.attack {
+    let attack = match args.attack {
         "none" => SwarmAttack::none(),
         "satiate" => {
-            let peers = req.num("attacker_peers", 4.0)? as u32;
-            let slots = req.num("attacker_slots", 8.0)? as u32;
-            let fraction = req.fraction(0.33)?;
-            let policy = match req.params.get("target_policy") {
-                None | Some("random") => TargetPolicy::Random,
-                Some("rare") => TargetPolicy::RarePieceHolders,
-                Some(other) => {
-                    return Err(format!("unknown target_policy {other:?} (random | rare)"))
-                }
+            let peers = args.count("attacker_peers").unwrap_or(4);
+            let slots = args.count("attacker_slots").unwrap_or(8);
+            let fraction = args.num("fraction").unwrap_or(0.33);
+            let policy = if args.text("target_policy") == Some("rare") {
+                TargetPolicy::RarePieceHolders
+            } else {
+                TargetPolicy::Random
             };
             if peers == 0 || fraction <= 0.0 {
                 SwarmAttack::none()
@@ -1278,8 +1172,8 @@ fn build_bittorrent(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String
         }
         other => return Err(format!("unknown bittorrent attack {other:?}")),
     };
-    let attack = attack.with_schedule(parse_timing(req)?);
-    Ok(boxed::<SwarmSim>(cfg, attack, req.seed))
+    let attack = attack.with_schedule(parse_timing(args)?);
+    Ok(boxed::<SwarmSim>(cfg, attack, args.seed))
 }
 
 // ---------------------------------------------------------------------
@@ -1287,6 +1181,31 @@ fn build_bittorrent(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String
 // ---------------------------------------------------------------------
 
 fn token_spec() -> ScenarioSpec {
+    #[rustfmt::skip]
+    const PARAMS: &[ParamSpec] = &[
+        param("nodes", COUNT, "number of nodes (complete/er/geometric graphs)"),
+        param("tokens", COUNT, "size of the token universe"),
+        param("altruism", Kind::Unit, "probability a satiated node still responds"),
+        param("contacts_per_round", COUNT, "gossip contacts per node per round"),
+        param("rounds", COUNT, "simulation horizon (default 150)"),
+        param("graph", Kind::Keyword(&["complete", "grid", "er", "geometric"]),
+            "topology: complete | grid | er | geometric"),
+        param("rows", COUNT, "grid rows"),
+        param("cols", COUNT, "grid columns"),
+        param("er_p", Kind::Unit, "Erdős–Rényi edge probability"),
+        param("radius", Kind::Real, "random-geometric connection radius"),
+        param("allocation", Kind::Keyword(&["uniform", "rare", "rare-spread"]),
+            "initial allocation: uniform | rare | rare-spread"),
+        param("copies", COUNT, "copies per token (uniform) / per non-rare token (rare)"),
+        param("rare_holders", POSITIVE,
+            "initial holders of token 0 (rare-spread allocation; at most the node count)"),
+        param("redundancy", COUNT, "coding defense: satiation needs (tokens - redundancy) tokens"),
+        param("fraction", Kind::Unit, "satiated fraction when x sweeps another knob"),
+        param("token", COUNT, "which token rare-holders chases (default 0)"),
+        param("budget", COUNT, "satiations per round the attacker can afford (0 = unlimited)"),
+        param("period", POSITIVE, "rotation period in rounds (rotating attack)"),
+        param("cut_col", COUNT, "which grid column to cut (default cols/2)"),
+    ];
     ScenarioSpec {
         name: "token",
         about: "The paper's §3 abstract token-collecting model (G, T, sat, f, c, a)",
@@ -1307,66 +1226,7 @@ fn token_spec() -> ScenarioSpec {
                 "plan a cut with the BFS-layer heuristic from node 0",
             ),
         ],
-        params: &[
-            ("nodes", "number of nodes (complete/er/geometric graphs)"),
-            ("tokens", "size of the token universe"),
-            ("altruism", "probability a satiated node still responds"),
-            ("contacts_per_round", "gossip contacts per node per round"),
-            ("rounds", "simulation horizon (default 150)"),
-            ("graph", "topology: complete | grid | er | geometric"),
-            ("rows", "grid rows"),
-            ("cols", "grid columns"),
-            ("er_p", "Erdős–Rényi edge probability"),
-            ("radius", "random-geometric connection radius"),
-            (
-                "allocation",
-                "initial allocation: uniform | rare | rare-spread",
-            ),
-            (
-                "copies",
-                "copies per token (uniform) / per non-rare token (rare)",
-            ),
-            (
-                "rare_holders",
-                "initial holders of token 0 (rare-spread allocation)",
-            ),
-            (
-                "redundancy",
-                "coding defense: satiation needs (tokens - redundancy) tokens",
-            ),
-            ("fraction", "satiated fraction when x sweeps another knob"),
-            ("token", "which token rare-holders chases (default 0)"),
-            (
-                "budget",
-                "satiations per round the attacker can afford (0 = unlimited)",
-            ),
-            ("period", "rotation period in rounds (rotating attack)"),
-            ("cut_col", "which grid column to cut (default cols/2)"),
-            FAULTS_PARAM_DOC,
-            FAULT_LOSS_DOC,
-            SCHEDULE_PARAM_DOC,
-            ADAPTIVE_PARAM_DOC,
-            ADAPTIVE_EPSILON_DOC,
-            ADAPTIVE_PHASE_DOC,
-            CHURN_LEAVE_DOC,
-            CHURN_REJOIN_DOC,
-            CHURN_PROFILE_DOC,
-            ARRIVAL_DOC,
-            ARRIVAL_SIZE_DOC,
-        ],
-        sweeps: &[
-            "altruism",
-            "rare_holders",
-            "redundancy",
-            "tokens",
-            "budget",
-            "fault_loss",
-            "churn_leave",
-            "churn_rejoin",
-            "arrival_size",
-            "adaptive_epsilon",
-            "adaptive_phase",
-        ],
+        params: &[PARAMS, TIMING_POPULATION_FAULTS],
         metrics: &[
             "mean_coverage",
             "min_coverage",
@@ -1388,31 +1248,33 @@ fn token_spec() -> ScenarioSpec {
     }
 }
 
+/// The grid shape `(rows, cols)` of the grid topology and the cut-column
+/// attack.
+fn token_grid(args: &Args<'_>) -> (u32, u32) {
+    (
+        args.count("rows").unwrap_or(8),
+        args.count("cols").unwrap_or(12),
+    )
+}
+
 /// Draw the configured topology, re-drawing random graphs (up to 50
 /// attempts) until connected, as every token experiment requires.
-fn token_graph(req: &RunRequest<'_>) -> Result<Graph, String> {
-    let nodes = req.num("nodes", 60.0)? as u32;
-    match req.params.get("graph").unwrap_or("complete") {
-        "complete" => Ok(Graph::complete(nodes)),
-        "grid" => {
-            let rows = req.num("rows", 8.0)? as u32;
-            let cols = req.num("cols", 12.0)? as u32;
+fn token_graph(args: &Args<'_>) -> Result<Graph, String> {
+    let nodes = args.count("nodes").unwrap_or(60);
+    match args.text("graph") {
+        None | Some("complete") => Ok(Graph::complete(nodes)),
+        Some("grid") => {
+            let (rows, cols) = token_grid(args);
             Ok(Graph::grid(rows, cols, false))
         }
-        kind @ ("er" | "geometric") => {
-            let rng = DetRng::seed_from(req.seed).fork("topology");
+        Some(kind) => {
+            let rng = DetRng::seed_from(args.seed).fork("topology");
             for attempt in 0..50 {
-                let g = match kind {
-                    "er" => Graph::erdos_renyi(
-                        nodes,
-                        req.num("er_p", 0.08)?,
-                        &mut rng.fork_idx("try", attempt),
-                    ),
-                    _ => Graph::random_geometric(
-                        nodes,
-                        req.num("radius", 0.17)?,
-                        &mut rng.fork_idx("try", attempt),
-                    ),
+                let mut draw = rng.fork_idx("try", attempt);
+                let g = if kind == "er" {
+                    Graph::erdos_renyi(nodes, args.num("er_p").unwrap_or(0.08), &mut draw)
+                } else {
+                    Graph::random_geometric(nodes, args.num("radius").unwrap_or(0.17), &mut draw)
                 };
                 if g.is_connected() {
                     return Ok(g);
@@ -1420,73 +1282,60 @@ fn token_graph(req: &RunRequest<'_>) -> Result<Graph, String> {
             }
             Err(format!("no connected {kind} draw within 50 attempts"))
         }
-        other => Err(format!(
-            "unknown graph {other:?} (complete | grid | er | geometric)"
-        )),
     }
 }
 
-fn token_allocation(
-    req: &RunRequest<'_>,
-    n: u32,
-    tokens: usize,
-) -> Result<Option<Allocation>, String> {
-    let copies = req.num("copies", 4.0)? as usize;
-    match req.params.get("allocation") {
-        None | Some("uniform") => Ok(if req.params.get("copies").is_some() {
-            Some(Allocation::UniformCopies { copies })
-        } else {
-            None // keep the builder default
-        }),
+fn token_allocation(args: &Args<'_>, n: u32, tokens: u32) -> Result<Option<Allocation>, String> {
+    let copies = args.count("copies");
+    match args.text("allocation") {
+        None | Some("uniform") => Ok(copies.map(|c| Allocation::UniformCopies { copies: wide(c) })),
         Some("rare") => Ok(Some(Allocation::RareToken {
             holder: NodeId(0),
-            copies,
+            copies: wide(copies.unwrap_or(4)),
         })),
-        Some("rare-spread") => {
-            // Token 0 starts at the first `rare_holders` nodes; every other
-            // token gets `copies` deterministically scattered holders (the
-            // X3 rare-token-denial layout).
-            let holders = (req.num("rare_holders", 1.0)? as u32).clamp(1, n);
+        Some(_) => {
+            // rare-spread: token 0 starts at the first `rare_holders`
+            // nodes; every other token gets `copies` deterministically
+            // scattered holders (the X3 rare-token-denial layout).
+            let holders = args.count("rare_holders").unwrap_or(1);
+            if holders > n {
+                return Err(format!(
+                    "parameter rare_holders={holders} out of range for a {n}-node graph"
+                ));
+            }
             let mut lists: Vec<Vec<NodeId>> = vec![(0..holders).map(NodeId).collect()];
-            for t in 1..tokens as u32 {
+            for t in 1..tokens {
                 lists.push(
-                    (0..copies as u32)
+                    (0..copies.unwrap_or(4))
                         .map(|i| NodeId((t * 5 + i) % n))
                         .collect(),
                 );
             }
             Ok(Some(Allocation::Explicit(lists)))
         }
-        Some(other) => Err(format!(
-            "unknown allocation {other:?} (uniform | rare | rare-spread)"
-        )),
     }
 }
 
-fn token_attack(req: &RunRequest<'_>, graph: &Graph, tokens: usize) -> Result<TokenAttack, String> {
-    let attack = match req.attack {
+fn token_attack(args: &Args<'_>, graph: &Graph, tokens: u32) -> Result<TokenAttack, String> {
+    let attack = match args.attack {
         "none" => TokenAttack::none(),
-        "random-fraction" => TokenAttack::random_fraction(req.fraction(0.5)?),
+        "random-fraction" => TokenAttack::random_fraction(args.num("fraction").unwrap_or(0.5)),
         "rare-holders" => {
-            let token = req.whole("token")?.unwrap_or(0) as usize;
+            let token = args.count("token").unwrap_or(0);
             if token >= tokens {
                 return Err(format!(
                     "parameter token={token} out of range for tokens={tokens}"
                 ));
             }
-            TokenAttack::rare_holders(token)
+            TokenAttack::rare_holders(wide(token))
         }
-        "rotating" => {
-            let period = req.whole("period")?.unwrap_or(10);
-            if period == 0 {
-                return Err("parameter period=0 must be at least 1".to_string());
-            }
-            TokenAttack::rotating(req.fraction(0.3)?, u64::from(period))
-        }
+        "rotating" => TokenAttack::rotating(
+            args.num("fraction").unwrap_or(0.3),
+            u64::from(args.count("period").unwrap_or(10)),
+        ),
         "cut-column" => {
-            let rows = req.num("rows", 8.0)? as u32;
-            let cols = req.num("cols", 12.0)? as u32;
-            let col = req.whole("cut_col")?.unwrap_or(cols / 2);
+            let (rows, cols) = token_grid(args);
+            let col = args.count("cut_col").unwrap_or(cols / 2);
             if col >= cols {
                 return Err(format!(
                     "parameter cut_col={col} out of range for cols={cols}"
@@ -1510,44 +1359,45 @@ fn token_attack(req: &RunRequest<'_>, graph: &Graph, tokens: usize) -> Result<To
         },
         other => return Err(format!("unknown token attack {other:?}")),
     };
-    let budget = req.num("budget", 0.0)? as usize;
-    Ok(if budget > 0 {
-        attack.budgeted(budget)
-    } else {
-        attack
+    Ok(match args.size("budget") {
+        Some(budget) if budget > 0 => attack.budgeted(budget),
+        _ => attack,
     })
 }
 
-fn build_token(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
-    let graph = token_graph(req)?;
+fn build_token(args: &Args<'_>) -> Result<Box<dyn DynScenario>, String> {
+    let graph = token_graph(args)?;
     let n = graph.len();
-    let tokens = req.num("tokens", 12.0)? as usize;
-    let attack = token_attack(req, &graph, tokens)?;
-    let mut b = TokenSystemConfig::builder(graph).tokens(tokens);
-    if let Some(v) = req.opt_num("altruism")? {
+    let tokens = args.count("tokens").unwrap_or(12);
+    let mut b = TokenSystemConfig::builder(graph).tokens(wide(tokens));
+    if let Some(v) = args.num("altruism") {
         b = b.altruism(v);
     }
-    if let Some(v) = req.opt_num("contacts_per_round")? {
-        b = b.contacts_per_round(v as usize);
+    if let Some(v) = args.size("contacts_per_round") {
+        b = b.contacts_per_round(v);
     }
-    let redundancy = req.num("redundancy", 0.0)? as usize;
+    let redundancy = args.count("redundancy").unwrap_or(0);
     if redundancy > 0 {
-        b = b.sat(SatFunction::AnyK(tokens.saturating_sub(redundancy).max(1)));
+        b = b.sat(SatFunction::AnyK(wide(
+            tokens.saturating_sub(redundancy).max(1),
+        )));
     }
-    if let Some(alloc) = token_allocation(req, n, tokens)? {
+    if let Some(alloc) = token_allocation(args, n, tokens)? {
         b = b.allocation(alloc);
     }
     let cfg = b
         .build()
         .map_err(|e| format!("invalid token config: {e}"))?;
-    let rounds = req.num("rounds", 150.0)? as u64;
-    let (churn, arrival) = parse_population(req)?;
+    // Planned on the validated graph: the cut planner assumes node 0.
+    let attack = token_attack(args, &cfg.graph, tokens)?;
+    let rounds = u64::from(args.count("rounds").unwrap_or(150));
+    let (churn, arrival) = parse_population(args)?;
     let scenario_cfg = TokenScenarioConfig::new(cfg, rounds)
-        .with_schedule(parse_timing(req)?)
+        .with_schedule(parse_timing(args)?)
         .with_churn(churn)
         .with_arrival(arrival)
-        .with_faults(parse_faults(req)?);
-    Ok(boxed::<TokenSystem>(scenario_cfg, attack, req.seed))
+        .with_faults(parse_faults(args)?);
+    Ok(boxed::<TokenSystem>(scenario_cfg, attack, args.seed))
 }
 
 // ---------------------------------------------------------------------
@@ -1571,44 +1421,7 @@ fn scrip_gossip_spec() -> ScenarioSpec {
                 "plausibly-deniable defection: silence rate tracks the ambient fault rate",
             ),
         ],
-        params: &[
-            ("nodes", "number of nodes"),
-            ("updates_per_round", "broadcaster batch size"),
-            ("update_lifetime", "rounds before an update expires"),
-            ("copies_seeded", "seed copies per update"),
-            ("push_size", "optimistic push size"),
-            ("rounds", "measured rounds"),
-            ("warmup_rounds", "warm-up rounds"),
-            ("fraction", "attacker fraction when x sweeps another knob"),
-            (
-                "satiate_fraction",
-                "fraction targeted for satiation (paper: 0.70)",
-            ),
-            (
-                "cutoff",
-                "silence cut-off defense: distinct accusers needed to cut a silent node (0 = off)",
-            ),
-            FAULTS_PARAM_DOC,
-            FAULT_LOSS_DOC,
-            SCHEDULE_PARAM_DOC,
-            ADAPTIVE_PARAM_DOC,
-            ADAPTIVE_EPSILON_DOC,
-            ADAPTIVE_PHASE_DOC,
-            CHURN_LEAVE_DOC,
-            CHURN_REJOIN_DOC,
-            CHURN_PROFILE_DOC,
-            ARRIVAL_DOC,
-            ARRIVAL_SIZE_DOC,
-        ],
-        sweeps: &[
-            "fault_loss",
-            "cutoff",
-            "churn_leave",
-            "churn_rejoin",
-            "arrival_size",
-            "adaptive_epsilon",
-            "adaptive_phase",
-        ],
+        params: &[GOSSIP_CORE, PUSH, TIMING_POPULATION_FAULTS],
         metrics: &[
             "isolated_delivery",
             "satiated_delivery",
@@ -1627,21 +1440,15 @@ fn scrip_gossip_spec() -> ScenarioSpec {
         ],
         default_metric: "isolated_delivery",
         build: build_scrip_gossip,
-        bench_params: &[
-            ("nodes", "60"),
-            ("rounds", "12"),
-            ("warmup_rounds", "6"),
-            ("updates_per_round", "4"),
-            ("copies_seeded", "6"),
-        ],
+        bench_params: GOSSIP_BENCH,
     }
 }
 
-fn build_scrip_gossip(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
-    let base = bar_gossip_config(req)?;
+fn build_scrip_gossip(args: &Args<'_>) -> Result<Box<dyn DynScenario>, String> {
+    let base = bar_gossip_config(args)?;
     let cfg = ScripGossipConfig::new(base);
-    let plan = bar_gossip_plan(req)?;
-    Ok(boxed::<ScripGossipSim>(cfg, plan, req.seed))
+    let plan = bar_gossip_plan(args)?;
+    Ok(boxed::<ScripGossipSim>(cfg, plan, args.seed))
 }
 
 // ---------------------------------------------------------------------
@@ -1649,6 +1456,16 @@ fn build_scrip_gossip(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, Stri
 // ---------------------------------------------------------------------
 
 fn reputation_spec() -> ScenarioSpec {
+    #[rustfmt::skip]
+    const PARAMS: &[ParamSpec] = &[
+        param("agents", COUNT, "number of agents"),
+        param("threshold", Kind::Real, "stop-volunteering reputation threshold"),
+        param("decay", Kind::Unit, "multiplicative per-round reputation decay"),
+        param("availability", Kind::Unit, "probability an agent can serve in a round"),
+        param("rounds", COUNT, "measured rounds"),
+        param("warmup", COUNT, "warm-up rounds"),
+        param("fraction", Kind::Unit, "targeted fraction when x sweeps another knob"),
+    ];
     ScenarioSpec {
         name: "reputation",
         about: "Minted reputation as the satiation currency (no supply wall, only a bill)",
@@ -1656,16 +1473,7 @@ fn reputation_spec() -> ScenarioSpec {
             ("none", "no attack (baseline)"),
             ("inflate", "fake praise tops targets up to their thresholds"),
         ],
-        params: &[
-            ("agents", "number of agents"),
-            ("threshold", "stop-volunteering reputation threshold"),
-            ("decay", "multiplicative per-round reputation decay"),
-            ("availability", "probability an agent can serve in a round"),
-            ("rounds", "measured rounds"),
-            ("warmup", "warm-up rounds"),
-            ("fraction", "targeted fraction when x sweeps another knob"),
-        ],
-        sweeps: &[],
+        params: &[PARAMS],
         metrics: &[
             "service_rate",
             "denied_rate",
@@ -1679,36 +1487,24 @@ fn reputation_spec() -> ScenarioSpec {
     }
 }
 
-fn build_reputation(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, String> {
+fn build_reputation(args: &Args<'_>) -> Result<Box<dyn DynScenario>, String> {
     let mut cfg = ReputationConfig::default();
-    if let Some(v) = req.opt_num("agents")? {
-        cfg.agents = v as u32;
-    }
-    if let Some(v) = req.opt_num("threshold")? {
-        cfg.threshold = v;
-    }
-    if let Some(v) = req.opt_num("decay")? {
-        cfg.decay = v;
-    }
-    if let Some(v) = req.opt_num("availability")? {
-        cfg.availability = v;
-    }
-    if let Some(v) = req.opt_num("rounds")? {
-        cfg.rounds = v as u64;
-    }
-    if let Some(v) = req.opt_num("warmup")? {
-        cfg.warmup = v as u64;
-    }
+    cfg.agents = args.count("agents").unwrap_or(cfg.agents);
+    cfg.threshold = args.num("threshold").unwrap_or(cfg.threshold);
+    cfg.decay = args.num("decay").unwrap_or(cfg.decay);
+    cfg.availability = args.num("availability").unwrap_or(cfg.availability);
+    cfg.rounds = args.count("rounds").map_or(cfg.rounds, u64::from);
+    cfg.warmup = args.count("warmup").map_or(cfg.warmup, u64::from);
     cfg.validate()
         .map_err(|e| format!("invalid reputation config: {e}"))?;
-    let attack = match req.attack {
+    let attack = match args.attack {
         "none" => ReputationAttack::None,
         "inflate" => ReputationAttack::Inflate {
-            target_fraction: req.fraction(0.0)?,
+            target_fraction: args.num("fraction").unwrap_or(0.0),
         },
         other => return Err(format!("unknown reputation attack {other:?}")),
     };
-    Ok(boxed::<ReputationSim>(cfg, attack, req.seed))
+    Ok(boxed::<ReputationSim>(cfg, attack, args.seed))
 }
 
 #[cfg(test)]
@@ -1727,12 +1523,21 @@ mod tests {
                 "{}: default metric must be listed",
                 spec.name
             );
-            for knob in spec.sweeps {
+            assert!(
+                spec.has_sweep("fraction"),
+                "{}: x defaults to fraction",
+                spec.name
+            );
+            let names: Vec<&str> = spec.param_specs().map(|p| p.name).collect();
+            for (i, name) in names.iter().enumerate() {
                 assert!(
-                    spec.has_param(knob),
-                    "{}: sweepable knob {knob} must be a parameter",
+                    !names[..i].contains(name),
+                    "{}: {name} is declared twice",
                     spec.name
                 );
+            }
+            for (key, _) in spec.bench_params {
+                assert!(spec.has_param(key), "{}: bench param {key}", spec.name);
             }
         }
     }
@@ -1752,12 +1557,14 @@ mod tests {
 
     #[test]
     fn gossip_params_reject_bad_values_instead_of_clamping() {
-        // One parser serves every gossip scenario: an out-of-range
-        // probability or a non-whole count must fail with the parameter's
-        // name, never run as a clamped, truncated or saturated value.
+        // Every scenario checks each value against its parameter's kind,
+        // whether or not the attack reads it: an out-of-range probability
+        // or a non-whole count must fail with the parameter's name, never
+        // run as a clamped, truncated or saturated value.
         const UNIT: &str = "outside [0, 1]";
         const WHOLE: &str = "is not a whole number";
-        let cases: &[(&str, &str, &str, &str)] = &[
+        const REAL: &str = "is not a non-negative number";
+        let picked: &[(&str, &str, &str, &str)] = &[
             ("trade", "satiate_fraction", "1.5", UNIT),
             ("trade", "satiate_fraction", "-0.5", UNIT),
             ("trade", "satiate_fraction", "NaN", UNIT),
@@ -1774,40 +1581,91 @@ mod tests {
             ("trade", "run_threads", "-2", WHOLE),
         ];
         let reg = ScenarioRegistry::standard();
-        for scenario in [
-            "bar-gossip",
-            "bar-gossip-digest",
-            "bar-gossip-1m",
-            "scrip-gossip",
-        ] {
-            let spec = reg.get(scenario).unwrap();
-            for &(attack, key, value, expected) in cases {
+        for spec in reg.specs() {
+            let attack = spec.attacks.last().expect("an attack").0;
+            // Out-of-kind values for every numeric parameter of the table.
+            let mut cases: Vec<(&str, &str, &str, &str)> = picked.to_vec();
+            for p in spec.param_specs() {
+                let (bad, expected): (&[&str], &str) = match p.kind {
+                    Kind::Count(0) => (&["0.5", "-1", "1e12"], WHOLE),
+                    Kind::Count(_) => (&["0", "0.5", "-1", "1e12"], WHOLE),
+                    Kind::Unit => (&["1.5", "-0.5", "NaN"], UNIT),
+                    Kind::Real => (&["-1", "NaN", "inf"], REAL),
+                    Kind::Flag => (&["maybe"], "is not a boolean"),
+                    Kind::Keyword(_) => (&["bogus"], "is not one of"),
+                    Kind::Grammar => continue,
+                };
+                cases.extend(bad.iter().map(|v| (attack, p.name, *v, expected)));
+            }
+            for (attack, key, value, expected) in cases {
                 if !spec.has_param(key) || !spec.has_attack(attack) {
                     continue;
                 }
-                // report_quorum is read only under the report defense.
-                let mut p = Params::new();
-                if key == "report_quorum" {
-                    p.set("report_obedient", "0.5");
-                }
-                p.set(key, value);
-                // x drives an unrelated knob so `fraction` is read from
-                // the params.
-                let req = RunRequest::new(0.2, 1, attack, "fault_loss", &p);
+                let p = Params::new().with(key, value);
+                // x drives an unrelated knob (at an in-kind value) so
+                // `fraction` is read from the params.
+                let knob = spec
+                    .param_specs()
+                    .find(|k| k.kind.is_numeric() && k.name != key && k.name != "fraction")
+                    .expect("a second numeric knob");
+                let x = if let Kind::Count(_) = knob.kind {
+                    1.0
+                } else {
+                    0.2
+                };
+                let req = RunRequest::new(x, 1, attack, knob.name, &p);
                 let err = reg
-                    .build(scenario, &req)
+                    .build(spec.name, &req)
                     .err()
-                    .unwrap_or_else(|| panic!("{scenario}: {key}={value} must be rejected"));
+                    .unwrap_or_else(|| panic!("{}: {key}={value} must be rejected", spec.name));
                 assert!(
-                    err.contains(key) && err.contains(expected),
-                    "{scenario}: {key}={value} gave {err:?}"
+                    err.contains(&format!("parameter {key}=")) && err.contains(expected),
+                    "{}: {key}={value} gave {err:?}",
+                    spec.name
                 );
             }
-            // The swept x is the fraction: it is checked the same way.
+            // The swept x is checked the same way, the fraction included.
             let p = Params::new();
-            let req = RunRequest::new(1.5, 1, "trade", "fraction", &p);
-            let err = reg.build(scenario, &req).err().expect("x=1.5 rejected");
-            assert!(err.contains(UNIT), "{scenario}: x=1.5 gave {err:?}");
+            for x in [1.5, -0.5, f64::NAN] {
+                let req = RunRequest::new(x, 1, attack, "fraction", &p);
+                let err = reg.build(spec.name, &req).err().expect("x outside [0, 1]");
+                assert!(
+                    err.contains("parameter fraction=") && err.contains(UNIT),
+                    "{err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweeping_a_knob_equals_setting_it() {
+        // Sweepability is derived from the kinds, so every numeric
+        // parameter must be read through the swept value: `--sweep p` at
+        // x = v and `--param p=v` give the same report or the same error.
+        let reg = ScenarioRegistry::standard();
+        for spec in reg.specs().iter().filter(|s| s.name != "bar-gossip-1m") {
+            let attack = spec.attacks[1].0;
+            let bench = spec
+                .bench_params
+                .iter()
+                .fold(Params::new(), |p, &(k, v)| p.with(k, v));
+            // x is the fraction by default, so it is left out here.
+            for p in spec.sweeps().filter(|&p| p != "fraction") {
+                // One more than the small config's value, where it sets one.
+                let small = bench.get(p).and_then(|v| v.parse::<f64>().ok());
+                let v = match spec.param(p).expect("listed").kind {
+                    Kind::Count(_) => small.map_or(3.0, |v| v + 1.0),
+                    Kind::Unit => 0.25,
+                    _ => 0.5,
+                };
+                let run = |params: &Params, sweep: &str, x: f64| {
+                    let req = RunRequest::new(x, 1, attack, sweep, params);
+                    format!("{:?}", reg.run(spec.name, &req))
+                };
+                let swept = run(&bench.clone().with("fraction", "0.3"), p, v);
+                let set = run(&bench.clone().with(p, v.to_string()), "fraction", 0.3);
+                assert_eq!(swept, set, "{}: --sweep {p} vs --param {p}={v}", spec.name);
+            }
         }
     }
 

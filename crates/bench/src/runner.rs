@@ -23,7 +23,7 @@ use crate::registry::{Params, RunRequest, ScenarioRegistry};
 use crate::timing::{bench_scenario, BenchRecord, TimingStats};
 use crate::Fidelity;
 use lotus_core::report::{CrossoverRecord, UsabilityThreshold};
-use lotus_core::sweep::{grid, sweep_fraction, SweepConfig};
+use lotus_core::sweep::{grid, sweep_stats_salvaged, SweepConfig};
 use netsim::metrics::Series;
 use netsim::plot::{render, PlotConfig};
 use netsim::table::Table;
@@ -377,7 +377,8 @@ options:
   --metric KEY          y-axis metric (default: scenario's default)
   --fraction-grid L:H[:N]  x grid over [L, H] (default 0:1, N from fidelity)
   --x-values a,b,c      explicit x values instead of a grid
-  --sweep KNOB          what x drives: fraction (default) or a parameter
+  --sweep KNOB          what x drives: fraction (default) or any numeric
+                        parameter (see sweeps: in --list)
   --seeds N             replication seeds 1..=N (default 5, 2 with --quick)
   --param K=V           scenario parameter (repeatable, applies to all curves)
   --schedule SPEC       attack timing: always (default) | at:<round> |
@@ -441,8 +442,8 @@ options:
                         3 under --bench-scale)
   --bench-warmup N      untimed warmup runs (default 3, 1 with --quick;
                         1 under --bench-scale)
-  --list                list scenarios, attacks, parameters and metrics,
-                        then the presets";
+  --list                list scenarios with their attacks, sweepable knobs,
+                        metrics and documented parameters, then the presets";
 
 /// One curve's representative adaptive arm trace (`--arm-trace`).
 #[derive(Debug, Clone)]
@@ -486,7 +487,8 @@ pub struct Figure {
 /// Unknown scenario names surface before the sweep; unknown
 /// attacks/metrics/parameters and invalid configurations (including ones
 /// only some x values trigger) surface as a clean error after the sweep
-/// pass that hit them — never as a panic.
+/// pass that hit them, and so does a job that panics: never as a made-up
+/// point.
 pub fn evaluate(registry: &ScenarioRegistry, opts: &Options) -> Result<Figure, String> {
     if opts.curves.is_empty() {
         return Err(format!(
@@ -556,33 +558,18 @@ pub fn evaluate(registry: &ScenarioRegistry, opts: &Options) -> Result<Figure, S
                 curve.attack.clone()
             }
         });
-        // Errors can be x-dependent (a swept knob may invalidate the
-        // config at some grid points only), and the sweep workers cannot
-        // return `Result` — collect the first failure here and fail the
-        // whole figure cleanly after the pass.
-        let sweep_error = std::sync::Mutex::new(None::<String>);
-        let series = sweep_fraction(label, &xs, &sweep_cfg, |x, seed| {
+        let series = sweep_curve(label, &xs, &sweep_cfg, |x, seed| {
             let req = RunRequest::new(x, seed, &curve.attack, &opts.sweep, &params);
-            let outcome = registry.run(scenario, &req).and_then(|report| {
+            registry.run(scenario, &req).and_then(|report| {
                 report.metric(&metric).ok_or_else(|| {
                     format!(
                         "no metric {metric:?}; available: {}",
                         report.metric_keys().join(", ")
                     )
                 })
-            });
-            match outcome {
-                Ok(y) => y,
-                Err(e) => {
-                    let mut slot = sweep_error.lock().expect("sweep error lock");
-                    slot.get_or_insert_with(|| format!("at x={x} seed={seed}: {e}"));
-                    f64::NAN
-                }
-            }
-        });
-        if let Some(e) = sweep_error.into_inner().expect("sweep error lock") {
-            return Err(format!("scenario {scenario:?} failed {e}"));
-        }
+            })
+        })
+        .map_err(|e| format!("scenario {scenario:?} failed {e}"))?;
         if let Some(paper) = curve.paper {
             figure.crossovers.push(CrossoverRecord::from_curve(
                 &series,
@@ -622,6 +609,45 @@ pub fn evaluate(registry: &ScenarioRegistry, opts: &Options) -> Result<Figure, S
         figure.metrics.push(metric);
     }
     Ok(figure)
+}
+
+/// Sweep one curve: the mean of `measure` over the seeds at each x.
+///
+/// Errors can be x-dependent (a swept knob may invalidate the config at
+/// some grid points only), and a job may panic. Either fails the curve:
+/// the error names the x and seed of a job that returned an error, else
+/// of the first job, in job order, that panicked on its retry too.
+fn sweep_curve<F>(
+    label: String,
+    xs: &[f64],
+    cfg: &SweepConfig,
+    measure: F,
+) -> Result<Series, String>
+where
+    F: Fn(f64, u64) -> Result<f64, String> + Sync,
+{
+    let error = std::sync::Mutex::new(None::<String>);
+    let (stats, failures) = sweep_stats_salvaged(xs, cfg, &|x, seed| {
+        measure(x, seed).unwrap_or_else(|e| {
+            let mut slot = error.lock().expect("sweep error lock");
+            slot.get_or_insert_with(|| format!("at x={x} seed={seed}: {e}"));
+            f64::NAN
+        })
+    });
+    if let Some(e) = error.into_inner().expect("sweep error lock") {
+        return Err(e);
+    }
+    if let Some(f) = failures.first() {
+        return Err(format!(
+            "at x={} seed={}: panicked: {}",
+            f.x, f.seed, f.message
+        ));
+    }
+    let mut series = Series::new(label);
+    for (&x, stat) in xs.iter().zip(&stats) {
+        series.push(x, stat.mean());
+    }
+    Ok(series)
 }
 
 /// The evaluated timing bench: one record per `(scenario, attack)` pair.
@@ -1272,10 +1298,9 @@ fn render_json(figure: &Figure, opts: &Options) -> String {
     out
 }
 
-/// Render the `--list` catalogue: every scenario with its attacks (one
-/// documented line each), its sweepable knobs, its metrics, and — where
-/// the substrate supports them — the schedule/churn axes, so timed and
-/// churned presets are discoverable without reading the source.
+/// Render the `--list` catalogue: every scenario with its attacks and
+/// its parameters (one documented line each), the knobs `--sweep` may
+/// drive and its metrics.
 pub fn render_list(registry: &ScenarioRegistry) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -1287,68 +1312,18 @@ pub fn render_list(registry: &ScenarioRegistry) -> String {
         for (name, doc) in spec.attacks {
             let _ = writeln!(out, "      {name} — {doc}");
         }
-        let _ = writeln!(
-            out,
-            "    sweeps:  fraction{}{}",
-            if spec.sweeps.is_empty() { "" } else { ", " },
-            spec.sweeps.join(", ")
-        );
-        if spec.has_param("schedule") {
-            let _ = writeln!(
-                out,
-                "    schedule: --schedule always|at:<r>|window:<a>:<b>|periodic:<p>:<a>|\
-                 delivery-above:<x>|delivery-below:<x>|targeted-above:<x>|targeted-below:<x>|\
-                 presence-above:<x>|presence-below:<x>"
-            );
-        }
-        if spec.has_param("churn_leave") {
-            let _ = writeln!(
-                out,
-                "    churn:   --churn <leave>[:<rejoin>]  (params churn_leave, churn_rejoin)"
-            );
-        }
-        if spec.has_param("churn_profile") {
-            let _ = writeln!(
-                out,
-                "    profile: --churn-profile none|uniform:<leave>[:<rejoin>]|\
-                 <w>:<leave>:<rejoin>[/...]  (heterogeneous cohorts; replaces --churn)"
-            );
-        }
-        if spec.has_param("arrival") {
-            let _ = writeln!(
-                out,
-                "    arrival: --arrival burst:<round>:<size>[:<period>]|\
-                 ramp:<start>:<size>[:<rate>]  (flash crowds; sweep arrival_size)"
-            );
-        }
-        if spec.has_param("faults") {
-            let _ = writeln!(
-                out,
-                "    faults:  --faults loss:<p>|dup:<p>|delay:<p>|crash:<p>:<recover>|\
-                 partition:<start>:<len>:<frac> ('/'-combined; sweep fault_loss)"
-            );
-        }
-        if spec.has_param("adaptive") {
-            let _ = writeln!(
-                out,
-                "    adaptive: --adaptive <policy>,<phase-len>,<epsilon>[,<metric>]  \
-                 (epsilon-greedy | ucb | fixed-<arm>; sweep adaptive_epsilon / \
-                 adaptive_phase; adds metrics {})",
-                crate::registry::ADAPTIVE_METRICS.join(", ")
-            );
-        }
+        let sweeps: Vec<&str> = spec.sweeps().collect();
+        let _ = writeln!(out, "    sweeps:  {}", sweeps.join(", "));
         let _ = writeln!(
             out,
             "    metrics: {} (default {})",
             spec.metrics.join(", "),
             spec.default_metric
         );
-        let params: Vec<String> = spec
-            .params
-            .iter()
-            .map(|(name, _)| (*name).to_string())
-            .collect();
-        let _ = writeln!(out, "    params:  {}", params.join(", "));
+        let _ = writeln!(out, "    params:");
+        for p in spec.param_specs() {
+            let _ = writeln!(out, "      {} — {}", p.name, p.doc);
+        }
     }
     out.push_str(&crate::presets::render_list());
     out
@@ -1434,6 +1409,35 @@ mod tests {
             "--quick"
         ]))
         .is_err());
+    }
+
+    #[test]
+    fn a_failed_job_fails_its_curve_with_its_x_and_seed() {
+        let cfg = SweepConfig {
+            seeds: vec![1, 2],
+            threads: 2,
+        };
+        let xs = [0.0, 0.5, 1.0];
+        let series = sweep_curve("line".into(), &xs, &cfg, |x, _| Ok(1.0 - x)).unwrap();
+        assert_eq!(series.points, vec![(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]);
+        // A job that panics on its retry too is no longer left out of the
+        // mean: the curve fails and names it.
+        let err = sweep_curve("line".into(), &xs, &cfg, |x, seed| {
+            if x == 0.5 && seed == 2 {
+                panic!("poisoned point");
+            }
+            Ok(x)
+        })
+        .unwrap_err();
+        assert_eq!(err, "at x=0.5 seed=2: panicked: poisoned point");
+        let err = sweep_curve("line".into(), &xs, &cfg, |x, seed| {
+            if x == 1.0 && seed == 1 {
+                return Err("bad config".to_string());
+            }
+            Ok(x)
+        })
+        .unwrap_err();
+        assert_eq!(err, "at x=1 seed=1: bad config");
     }
 
     #[test]

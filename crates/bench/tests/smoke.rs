@@ -93,16 +93,18 @@ fn runner_list_documents_attacks_and_schedule_churn_axes() {
     ] {
         assert!(out.contains(needle), "missing {needle:?} in:\n{out}");
     }
-    // The schedule/churn axes appear for every substrate config that
-    // takes them (bar-gossip three times: the paper scale, the digest
-    // substrate and the 1M scale).
+    // The schedule/churn axes appear, as parameter lines, for every
+    // substrate config that takes them (bar-gossip three times: the paper
+    // scale, the digest substrate and the 1M scale).
     assert_eq!(
-        out.matches("schedule: --schedule always|at:<r>").count(),
+        out.matches("      schedule — attack timing: always | at:<r>")
+            .count(),
         7,
         "seven scenario configs advertise the schedule axis:\n{out}"
     );
     assert_eq!(
-        out.matches("churn:   --churn <leave>[:<rejoin>]").count(),
+        out.matches("      churn_leave — per-round probability a node goes offline")
+            .count(),
         7,
         "seven scenario configs advertise the churn axis:\n{out}"
     );
@@ -158,17 +160,142 @@ fn runner_schedule_and_churn_flags_run_end_to_end() {
         "--param",
         "rounds=10",
     ];
-    for (base, bad) in [
-        (&base[..], &["--schedule", "sometimes"][..]),
-        (&base, &["--schedule", "periodic:0:0"]),
-        (&base, &["--churn", "1.5"]),
-        (&token, &["--attack", "rotating", "--param", "period=0"]),
-        (&token, &["--attack", "rotating", "--param", "period=-1"]),
-        (&token, &["--attack", "rotating", "--param", "period=0.5"]),
-        (&token, &["--attack", "rare-holders", "--param", "token=12"]),
-        (&token, &["--attack", "rare-holders", "--param", "token=-1"]),
-        (&token, &["--attack", "cut-column", "--param", "cut_col=99"]),
-        (&token, &["--attack", "cut-column"]),
+    let small = |scenario| {
+        let mut args = vec![scenario, "--quick", "--seeds", "1", "--x-values", "0.3"];
+        args.extend(match scenario {
+            "bittorrent" => &["--param", "leechers=10", "--param", "pieces=12"][..],
+            _ => &["--param", "agents=30", "--param", "rounds=200"],
+        });
+        [&["--scenario"][..], &args].concat()
+    };
+    let (scrip, bittorrent, reputation) =
+        (small("scrip"), small("bittorrent"), small("reputation"));
+    for (base, bad, named) in [
+        (&base[..], &["--schedule", "sometimes"][..], "schedule"),
+        (&base, &["--schedule", "periodic:0:0"], "schedule"),
+        (&base, &["--churn", "1.5"], "churn"),
+        (
+            &token,
+            &["--attack", "rotating", "--param", "period=0"],
+            "period",
+        ),
+        (
+            &token,
+            &["--attack", "rotating", "--param", "period=-1"],
+            "period",
+        ),
+        (
+            &token,
+            &["--attack", "rotating", "--param", "period=0.5"],
+            "period",
+        ),
+        (
+            &token,
+            &["--attack", "rare-holders", "--param", "token=12"],
+            "token=",
+        ),
+        (
+            &token,
+            &["--attack", "rare-holders", "--param", "token=-1"],
+            "token=",
+        ),
+        (
+            &token,
+            &["--attack", "cut-column", "--param", "cut_col=99"],
+            "cut_col",
+        ),
+        (&token, &["--attack", "cut-column"], "cut-column"),
+        // The cut planner ran on the graph before it was validated.
+        (
+            &token,
+            &["--attack", "cut-plan", "--param", "nodes=0"],
+            "two nodes",
+        ),
+        // Values that used to be truncated, clamped or let through.
+        (
+            &scrip,
+            &["--attack", "lotus-eater", "--param", "threshold=2.9"],
+            "threshold",
+        ),
+        (
+            &scrip,
+            &["--attack", "lotus-eater", "--param", "agents=40.7"],
+            "agents",
+        ),
+        (
+            &scrip,
+            &["--attack", "retainer", "--param", "endowment=2"],
+            "endowment",
+        ),
+        (
+            &scrip,
+            &[
+                "--attack",
+                "none",
+                "--sweep",
+                "altruists",
+                "--x-values",
+                "2.5",
+            ],
+            "altruists",
+        ),
+        (
+            &token,
+            &["--attack", "random-fraction", "--param", "budget=-1"],
+            "budget",
+        ),
+        (
+            &token,
+            &[
+                "--attack", "none", "--param", "graph=er", "--param", "er_p=2",
+            ],
+            "er_p",
+        ),
+        (
+            &token,
+            &[
+                "--attack",
+                "none",
+                "--param",
+                "allocation=rare-spread",
+                "--param",
+                "rare_holders=0",
+            ],
+            "rare_holders",
+        ),
+        (
+            &token,
+            &[
+                "--attack",
+                "none",
+                "--param",
+                "allocation=rare-spread",
+                "--param",
+                "rare_holders=1e9",
+            ],
+            "rare_holders",
+        ),
+        (
+            &bittorrent,
+            &["--attack", "satiate", "--param", "attacker_peers=2.5"],
+            "attacker_peers",
+        ),
+        // An x outside [0, 1] under the default fraction sweep.
+        (
+            &token,
+            &["--attack", "random-fraction", "--x-values", "1.5"],
+            "fraction",
+        ),
+        (
+            &scrip,
+            &["--attack", "lotus-eater", "--x-values", "-0.5"],
+            "fraction",
+        ),
+        (
+            &reputation,
+            &["--attack", "inflate", "--x-values", "2"],
+            "fraction",
+        ),
     ] {
         let mut args = base.to_vec();
         args.extend(bad);
@@ -179,8 +306,8 @@ fn runner_schedule_and_churn_flags_run_end_to_end() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{bad:?} should be rejected");
         assert!(
-            !stderr.is_empty() && !stderr.contains("panicked"),
-            "{bad:?} needs a message, not a panic: {stderr}"
+            stderr.contains(named) && !stderr.contains("panicked"),
+            "{bad:?} needs a message naming {named}, not a panic: {stderr}"
         );
     }
 }
