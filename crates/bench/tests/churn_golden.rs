@@ -324,6 +324,18 @@ const CROWD_GOLDENS: &[CrowdGolden] = &[
         json: r#"{"scenario":"bar-gossip","rounds":17,"overall_delivery":0.7475925925925926,"targeted_service":0.78671875,"usable":false,"attacker_coverage":1,"evicted_fraction":0,"evictions":0,"faults_crashes":968,"faults_delayed":0,"faults_dropped":0,"faults_duplicated":0,"faults_partition_blocked":0,"isolated_delivery":0.6693402777777778,"junk_fraction":0.06691121973186727,"mean_attacker_upload":72.37,"mean_honest_upload":31.436296296296295,"min_node_delivery":0,"nodes_ever_unusable":0.8025925925925926,"satiated_delivery":0.78671875,"unusable_node_rounds":0.36333333333333334}"#,
     },
     CrowdGolden {
+        scenario: "bar-gossip",
+        attack: "trade",
+        params: &[("cutoff", "2"), ("faults", "loss:0.1")],
+        json: r#"{"scenario":"bar-gossip","rounds":17,"overall_delivery":0.7800578703703703,"targeted_service":0.8319791666666667,"usable":false,"attacker_coverage":1,"attacker_cut_rate":0,"cut_precision":0,"cut_recall":0,"evicted_fraction":0,"evictions":0,"false_cut_rate":0.292962962962963,"faults_crashes":0,"faults_delayed":0,"faults_dropped":5283,"faults_duplicated":0,"faults_partition_blocked":0,"isolated_delivery":0.6762152777777778,"junk_fraction":0.06196262281272033,"mean_attacker_upload":82.99,"mean_honest_upload":31.22740740740741,"min_node_delivery":0,"nodes_ever_unusable":0.8477777777777777,"satiated_delivery":0.8319791666666667,"unusable_node_rounds":0.3748148148148148}"#,
+    },
+    CrowdGolden {
+        scenario: "bar-gossip",
+        attack: "trade",
+        params: &[("report_obedient", "0.5")],
+        json: r#"{"scenario":"bar-gossip","rounds":17,"overall_delivery":0.8564930555555555,"targeted_service":0.8914236111111111,"usable":false,"attacker_coverage":1,"evicted_fraction":0.7566666666666667,"evictions":227,"isolated_delivery":0.7866319444444444,"junk_fraction":0.07193462401795735,"mean_attacker_upload":50.18666666666667,"mean_honest_upload":36.6637037037037,"min_node_delivery":0.09375,"nodes_ever_unusable":0.7522222222222222,"satiated_delivery":0.8914236111111111,"unusable_node_rounds":0.26087962962962963}"#,
+    },
+    CrowdGolden {
         scenario: "scrip-gossip",
         attack: "trade",
         params: &[],
@@ -353,7 +365,9 @@ const CROWD_GOLDENS: &[CrowdGolden] = &[
 fn flash_crowd_reports_match_pinned_fixtures() {
     // Trade exercises gifts and attacker syncs on late-joining windows,
     // ideal unions the attacker pool into them, crash faults clear them,
-    // and scrip-gossip trades over them. Scrip-gossip's ideal pool
+    // and scrip-gossip trades over them. The cutoff and report_obedient
+    // rows remove nodes mid-phase (silence cuts, report evictions), so
+    // the multi-shard apply loops take their strict liveness rechecks. Scrip-gossip's ideal pool
     // reaches targets before their wave lands (and, under the periodic
     // schedule, carries cooperate-phase holdings); its crash attackers
     // waste every slot they are scheduled into.

@@ -29,8 +29,16 @@
 #   cutoff=2 under loss, report_obedient=0.5}: the last two remove nodes
 #   mid-phase, where a pair's viability is read when its block is
 #   planned (report_obedient again only on the BAR Gossip scenarios),
-#   plus one trade case per scenario at 1500 nodes with a flash crowd,
-#   above the 1024-node single-shard cutoff.
+#   plus, at 1500 nodes with a flash crowd (above the 1024-node
+#   single-shard cutoff, so the plans walk only the active shards):
+#     every attack of the two BAR Gossip scenarios under the same four
+#     block variants, whose cutoff and report_obedient rechecks are
+#     where a change to what a block reads at plan time would show,
+#     and one trade case on scrip-gossip (it plans every node at any
+#     size),
+#   plus bar-gossip-1m none, crash, ideal and trade at its registered
+#   defaults (1M nodes, the flash crowd landing in the final round) at
+#   x = 0.002.
 #
 #   {scrip, bittorrent, token} at small sizes (token on a 4x5 grid, so
 #   cut-column builds)
@@ -41,7 +49,7 @@
 #   plus one parameter sweep each: scrip altruists, bittorrent
 #   attacker_peers, token rare_holders under allocation=rare-spread.
 #
-# 310 cases in all.
+# 356 cases in all.
 #
 # Then the preset leg: for every preset that <rev>'s `--list` names (a
 # `preset <id>` line), `--preset <id> --quick --format json` through both
@@ -109,6 +117,7 @@ base_of() {
         scrip | reputation) echo "--param agents=30 --param rounds=300 --param warmup=50" ;;
         bittorrent) echo "--param leechers=10 --param pieces=12" ;;
         token) echo "--param graph=grid --param rows=4 --param cols=5 --param rounds=20" ;;
+        bar-gossip-1m) echo "" ;;
         *) echo "--param nodes=50 --param rounds=10 --param warmup_rounds=5" \
                "--param updates_per_round=4 --param copies_seeded=5" ;;
     esac
@@ -182,7 +191,20 @@ for scenario in bar-gossip bar-gossip-digest scrip-gossip; do
             done
         done
     done
-    run_case "$scenario" trade "$large"
+    if [[ $scenario == scrip-gossip ]]; then
+        run_case "$scenario" trade "$large"
+        continue
+    fi
+    for attack in $(attacks_of "$scenario"); do
+        for extra in "${block_variants[@]}"; do
+            run_case "$scenario" "$attack" "$large $extra"
+        done
+    done
+done
+# A later --x-values replaces the 0.3 point: 2,000 attackers among the
+# million.
+for attack in none crash ideal trade; do
+    run_case bar-gossip-1m "$attack" "--x-values 0.002"
 done
 for scenario in scrip bittorrent token reputation; do
     for attack in $(attacks_of "$scenario"); do
