@@ -68,6 +68,20 @@
 //! `order` (4 bytes per node), which seeding reuses as its active list;
 //! planned pairs live only in the apply loop's stack block of
 //! [`PLAN_BLOCK`] entries.
+//!
+//! Across a multi-shard population the apply loops are bound by memory
+//! latency, not by the exchange arithmetic: each pair reads two window
+//! rows, two classes and a responder counter at random indices into
+//! per-node arrays larger than the core's cache, one pair at a time
+//! inside a branchy loop. So a block that is not dense is *gathered*
+//! right after it is planned ([`GossipEngine::plan_block`]): those
+//! words are read for every viable pair up front, and the block's
+//! independent cache misses overlap. The gather only reads, so reports
+//! cannot change. Dense plans (Table 1 and every other single-shard
+//! run, and scrip-gossip at any size) skip it: there the arrays fit the
+//! cache and the reads would be pure overhead. In `bar-gossip-1m`'s
+//! burst round (1M pairs a phase) it cut each apply phase from about
+//! 150 ms to about 90 ms on a 2-vCPU Xeon VM.
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
@@ -172,6 +186,10 @@ pub(crate) struct GossipEngine {
     /// initiator list ([`GossipEngine::plan_phase`]), which the apply
     /// loop plans block by block ([`GossipEngine::plan_block`]).
     pub(crate) order: Vec<u32>,
+    /// Whether the current phase's plan is dense
+    /// ([`GossipEngine::plan_phase`]): dense plans skip the block
+    /// gather in [`GossipEngine::plan_block`].
+    dense: bool,
     // Scratch buffers; contents are meaningless between phases.
     picks_scratch: Vec<usize>,
     /// Per-chunk entry counts for the pool's partitioned fill of `order`.
@@ -279,6 +297,7 @@ impl GossipEngine {
             // One entry per node, so even the round a flash crowd lands
             // allocates nothing.
             order: Vec::with_capacity(n as usize),
+            dense: true,
             picks_scratch: Vec::with_capacity(cfg.copies_seeded as usize),
             chunk_sizes: Vec::new(),
             chunk_bounds: Vec::new(),
@@ -581,6 +600,7 @@ impl GossipEngine {
         dense: bool,
     ) -> PairPlanner {
         self.order.clear();
+        self.dense = dense;
         if dense {
             let n = self.node_count() as u32;
             self.order.extend(0..n);
@@ -616,12 +636,17 @@ impl GossipEngine {
     /// within a phase, so a pair that is not viable here could not be
     /// applied either, and strict mode rechecks the viable remainder
     /// against removals made while the block is applied.
+    ///
+    /// Unless the phase is dense, the block is then gathered
+    /// ([`GossipEngine::gather_block`]) against `served`, the
+    /// simulator's responder counters.
     // lint: hot-loop
     pub(crate) fn plan_block<'b>(
         &self,
         planner: &PairPlanner,
         start: usize,
         out: &'b mut [PlannedPair; PLAN_BLOCK],
+        served: &[u32],
     ) -> &'b [PlannedPair] {
         let initiators = &self.order[start..(start + PLAN_BLOCK).min(self.order.len())];
         let out = &mut out[..initiators.len()];
@@ -631,7 +656,35 @@ impl GossipEngine {
             |v, p| self.pair_flags(v, p, strict),
             out,
         );
+        if !self.dense {
+            self.gather_block(out, served);
+        }
         out
+    }
+
+    /// Read what the apply arms are about to touch for every viable pair
+    /// of a planned block: the first word of both rows, the responder's
+    /// `served` counter and both classes. Across a multi-shard population
+    /// these are random reads into per-node arrays far larger than the
+    /// cache; issued here, a block's independent misses are in flight
+    /// together instead of one pair at a time inside the branchy apply
+    /// loop. A pair planned non-viable is skipped by every apply arm, so
+    /// it is not read: in the rounds before a flash crowd lands most
+    /// scheduled partners are absent. The reads are folded into one
+    /// value passed through [`std::hint::black_box`], so the compiler
+    /// keeps them; nothing is written, so reports cannot change.
+    // lint: hot-loop
+    #[inline]
+    fn gather_block(&self, block: &[PlannedPair], served: &[u32]) {
+        let mut fold = 0u64;
+        for e in block.iter().filter(|e| e.is_viable()) {
+            let (v, p) = (e.initiator.index(), e.partner.index());
+            fold ^= self.windows.lead_word(v)
+                ^ self.windows.lead_word(p)
+                ^ u64::from(served[p])
+                ^ ((self.class[v] as u64) << 32 | (self.class[p] as u64) << 40);
+        }
+        std::hint::black_box(fold);
     }
 
     /// Per-class delivery fractions over the expired measured rounds.

@@ -375,7 +375,10 @@ impl RoundSim for ScripGossipSim {
             let strict = self.eng.strict();
             let mut block = [PlannedPair::default(); PLAN_BLOCK];
             for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
-                for &e in self.eng.plan_block(&planner, start, &mut block) {
+                for &e in self
+                    .eng
+                    .plan_block(&planner, start, &mut block, &self.served_this_round)
+                {
                     if !e.is_viable() {
                         continue; // absent/crashed/cut end: the slot is wasted
                     }

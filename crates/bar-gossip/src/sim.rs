@@ -47,10 +47,16 @@
 //! blocks hold exactly the entries of a shuffled
 //! [`netsim::plan::ExchangePlan`] over the same initiators; a snapshot
 //! taken when its block is planned, rather than at the top of the phase,
-//! is exact because aliveness only shrinks within a phase. The list fill
-//! is partitioned along shard bounds across the
-//! [`lotus_core::pool::WorkerPool`] — concatenation in chunk order
-//! reproduces the ascending walk exactly, so every figure is
+//! is exact because aliveness only shrinks within a phase. On a
+//! multi-shard population each planned block is also *gathered* before
+//! it is applied: the engine reads the first word of every viable
+//! pair's two rows, both classes and the responder's `served` counter
+//! (passed in, as it lives here), so the block's random reads miss the
+//! cache together rather than one pair at a time inside the branchy
+//! arms below. The gather writes nothing, and dense (single-shard)
+//! plans skip it. The list fill is partitioned along shard bounds
+//! across the [`lotus_core::pool::WorkerPool`] — concatenation in chunk
+//! order reproduces the ascending walk exactly, so every figure is
 //! byte-identical for any `run_threads` value.
 //!
 //! The digest substrate runs the same balanced apply loop: only its
@@ -778,7 +784,10 @@ impl BarGossipSim {
         let strict = self.eng.strict();
         let mut block = [PlannedPair::default(); PLAN_BLOCK];
         for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
-            for &e in self.eng.plan_block(&planner, start, &mut block) {
+            for &e in self
+                .eng
+                .plan_block(&planner, start, &mut block, &self.served)
+            {
                 // Aliveness only shrinks mid-phase, so a pair planned
                 // non-viable can never revive; strict mode rechecks the
                 // viable remainder against removals applied earlier in this
@@ -895,7 +904,10 @@ impl BarGossipSim {
         let strict = self.eng.strict();
         let mut block = [PlannedPair::default(); PLAN_BLOCK];
         for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
-            for &e in self.eng.plan_block(&planner, start, &mut block) {
+            for &e in self
+                .eng
+                .plan_block(&planner, start, &mut block, &self.served)
+            {
                 // Either end planned dead means the legacy walk did nothing
                 // for this pair (an attacker initiator with a dead partner
                 // entered its branch but took no action), so the skip is

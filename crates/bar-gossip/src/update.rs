@@ -668,6 +668,18 @@ impl WindowSlab {
         }
     }
 
+    /// The first stored word of row `i` (its oldest live rounds), read
+    /// without building a view: a cheap touch that brings the row's
+    /// cache line in before the row is used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn lead_word(&self, i: usize) -> u64 {
+        self.words[i * self.stride]
+    }
+
     fn row_mut(&mut self, i: usize) -> &mut [u64] {
         let lo = i * self.stride;
         &mut self.words[lo..lo + self.live]
