@@ -676,7 +676,7 @@ impl WindowSlab {
     ///
     /// Panics if `i` is out of range.
     #[inline]
-    pub fn lead_word(&self, i: usize) -> u64 {
+    pub(crate) fn lead_word(&self, i: usize) -> u64 {
         self.words[i * self.stride]
     }
 
