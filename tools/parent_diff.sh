@@ -23,6 +23,10 @@
 #     push_size=4 on the two classic scenarios (bar-gossip, scrip-gossip;
 #     the digest round runs no push phase),
 #     digest_exact=1, and digest_bits=128 rate_limit=4, on bar-gossip-digest
+#   plus two multi-word row shapes on all three scenarios:
+#     updates_per_round=33 (330-bit rows of 6 words, whose batches
+#     straddle words and whose age bands start and end inside a word),
+#     updates_per_round=64 update_lifetime=3 (one word per round),
 #   plus, at 65 and 129 nodes (the exchange apply loops plan 64 pairs
 #   at a time, so these runs end one pair into a second and a third
 #   block), every attack under {plain, crash+partition faults,
@@ -49,7 +53,7 @@
 #   plus one parameter sweep each: scrip altruists, bittorrent
 #   attacker_peers, token rare_holders under allocation=rare-spread.
 #
-# 356 cases in all.
+# 388 cases in all.
 #
 # Then the preset leg: for every preset that <rev>'s `--list` names (a
 # `preset <id>` line), `--preset <id> --quick --format json` through both
@@ -95,6 +99,8 @@ variants=(
     "--param updates_per_round=10 --param push_size=4"
     "--param updates_per_round=10 --param digest_exact=1"
     "--param updates_per_round=10 --param digest_bits=128 --param rate_limit=4"
+    "--param updates_per_round=33"
+    "--param updates_per_round=64 --param update_lifetime=3"
 )
 block_variants=(
     ""
