@@ -67,7 +67,18 @@
 //! ceilings at build. The one per-node list is the initiator list
 //! `order` (4 bytes per node), which seeding reuses as its active list;
 //! planned pairs live only in the apply loop's stack block of
-//! [`PLAN_BLOCK`] entries.
+//! [`PLAN_BLOCK`] entries. Seeding draws each update's copies with
+//! Floyd's algorithm over the `picked` bitset
+//! ([`BitSet::sample_into`]) and clears only the bits it picked, so a
+//! draw costs `O(copies)` whatever the population.
+//!
+//! Every row of the slab advances in lockstep, so an exchange never
+//! re-derives what is constant for the round: the apply arms hand the
+//! exchange layer's row kernels ([`crate::exchange::balanced_rows`],
+//! [`crate::exchange::push_rows`], [`crate::update::wanted_rows`]) bare
+//! row words and an age band the phase computed once
+//! ([`WindowSlab::band_into`]), and check the alignment of `full` or
+//! `pool` against the rows once per phase, not once per pair.
 //!
 //! Across a multi-shard population the apply loops are bound by memory
 //! latency, not by the exchange arithmetic: each pair reads two window
@@ -193,6 +204,9 @@ pub(crate) struct GossipEngine {
     dense: bool,
     // Scratch buffers; contents are meaningless between phases.
     picks_scratch: Vec<usize>,
+    /// Seeding's membership set over `order` positions, clear between
+    /// draws ([`BitSet::sample_into`]).
+    picked: BitSet,
     /// Per-chunk entry counts for the pool's partitioned fill of `order`.
     chunk_sizes: Vec<usize>,
     /// Per-chunk shard-range bounds, parallel to `chunk_sizes`.
@@ -300,6 +314,7 @@ impl GossipEngine {
             order: Vec::with_capacity(n as usize),
             dense: true,
             picks_scratch: Vec::with_capacity(cfg.copies_seeded as usize),
+            picked: BitSet::new(n as usize),
             chunk_sizes: Vec::new(),
             chunk_bounds: Vec::new(),
             class,
@@ -491,8 +506,13 @@ impl GossipEngine {
         for slot in 0..self.cfg.updates_per_round {
             let id = UpdateId { round: t, slot };
             self.full.insert(id);
-            seed_rng.sample_indices_into(self.order.len(), copies, &mut picks);
+            // The picks matter only as a set, so Floyd's draws test
+            // membership in a bitset; each pick's bit is cleared as it
+            // is used.
+            self.picked
+                .sample_into(self.order.len(), copies, &mut seed_rng, &mut picks);
             for &pick in &picks {
+                self.picked.remove(pick);
                 let i = self.order[pick] as usize;
                 self.windows.insert(i, id);
                 if self.class[i] == NodeClass::Attacker

@@ -4,10 +4,14 @@
 //! plan; the simulator applies the plan, meters bandwidth and runs the
 //! excess-service check. Each direction of a plan is a [`Transfer`]: a
 //! mask in the window's bit layout and its popcount, which the simulator
-//! ORs into the receiving row as it is. Each takes its windows as any
-//! `impl Into<WindowView>`, so one code path serves both a
-//! [`WindowSet`](crate::update::WindowSet) and a
-//! [`WindowSlab`](crate::update::WindowSlab) row. Keeping them pure
+//! ORs into the receiving row as it is. Each sub-protocol is one row
+//! kernel ([`balanced_rows`], [`push_rows`], [`wants_push_row`]): a
+//! single pass over two rows' words and the age bands the phase
+//! computed once (see [`crate::update`]'s module docs). The functions
+//! over any `impl Into<WindowView>` — a
+//! [`WindowSet`](crate::update::WindowSet) or a
+//! [`WindowSlab`](crate::update::WindowSlab) row — are thin wrappers that
+//! check alignment and derive the bands per call. Keeping them pure
 //! makes the exchange arithmetic directly testable — including the
 //! properties the attack relies on:
 //!
@@ -18,7 +22,7 @@
 //!   needs, topped up with junk) back, so a rational node with no missing
 //!   old updates never initiates one.
 
-use crate::update::{Transfer, WindowView};
+use crate::update::{keep_oldest, Transfer, WindowView};
 use netsim::Round;
 
 /// Transfer plan of a balanced exchange.
@@ -58,7 +62,9 @@ pub fn balanced_exchange<'a, 'b>(
 }
 
 /// [`balanced_exchange`] into a caller-owned outcome (buffers cleared
-/// first), so per-round hot loops can reuse the allocations.
+/// first), so per-round hot loops can reuse the allocations: the
+/// view-based entry to [`balanced_rows`], which checks the alignment and
+/// derives the band (every live round up to `now`) on every call.
 pub fn balanced_exchange_into<'a, 'b>(
     initiator: impl Into<WindowView<'a>>,
     responder: impl Into<WindowView<'b>>,
@@ -68,10 +74,58 @@ pub fn balanced_exchange_into<'a, 'b>(
     out: &mut BalancedOutcome,
 ) {
     let (initiator, responder) = (initiator.into(), responder.into());
-    let cap = rate_limit.map_or(usize::MAX, |c| c as usize);
-    // m: what the initiator could receive; n: what the responder could.
-    let m = initiator.missing_from(responder);
-    let n = responder.missing_from(initiator);
+    initiator.check_aligned(responder);
+    let band = initiator.band(now, 0, u32::MAX);
+    balanced_rows(
+        initiator.words(),
+        responder.words(),
+        band,
+        unbalanced,
+        rate_limit,
+        out,
+    );
+}
+
+/// Size both masks of a two-way outcome to `words` words (their content
+/// is overwritten next).
+#[inline]
+fn size_masks(a: &mut Transfer, b: &mut Transfer, words: usize) {
+    a.mask.resize(words, 0);
+    b.mask.resize(words, 0);
+}
+
+/// The balanced-exchange kernel on two rows of one alignment: one pass
+/// over the words yields both sides' needs and both transfer masks,
+/// restricted to `band` (a mask in the row layout; the simulators pass
+/// [`whole_window`](crate::update::whole_window)). Needs count the
+/// whole window, as [`WindowView::missing_from`] does. A mask is then
+/// cut to its side's share only when more updates qualify than it
+/// receives.
+// lint: hot-loop
+#[inline]
+pub fn balanced_rows(
+    initiator: &[u64],
+    responder: &[u64],
+    band: impl IntoIterator<Item = u64>,
+    unbalanced: bool,
+    rate_limit: Option<u32>,
+    out: &mut BalancedOutcome,
+) {
+    let (to_i, to_r) = (&mut out.to_initiator, &mut out.to_responder);
+    size_masks(to_i, to_r, initiator.len());
+    // m: what the initiator could receive; n: what the responder could;
+    // held_*: how much of it the band offers.
+    let (mut m, mut n, mut held_i, mut held_r) = (0, 0, 0, 0);
+    let masks = to_i.mask.iter_mut().zip(to_r.mask.iter_mut());
+    let rows = initiator.iter().zip(responder).zip(band);
+    for ((gi, gr), ((&a, &b), band)) in masks.zip(rows) {
+        let (need_i, need_r) = (b & !a, a & !b);
+        m += need_i.count_ones() as usize;
+        n += need_r.count_ones() as usize;
+        (*gi, *gr) = (need_i & band, need_r & band);
+        held_i += gi.count_ones() as usize;
+        held_r += gr.count_ones() as usize;
+    }
     let k = m.min(n);
     let (mut recv_i, mut recv_r) = (k, k);
     if unbalanced && k >= 1 {
@@ -83,11 +137,9 @@ pub fn balanced_exchange_into<'a, 'b>(
             recv_r = (k + 1).min(n);
         }
     }
-    recv_i = recv_i.min(cap);
-    recv_r = recv_r.min(cap);
-    let (to_i, to_r) = (&mut out.to_initiator, &mut out.to_responder);
-    to_i.len = initiator.wanted_from_into(responder, now, recv_i, 0, u32::MAX, &mut to_i.mask);
-    to_r.len = responder.wanted_from_into(initiator, now, recv_r, 0, u32::MAX, &mut to_r.mask);
+    let cap = rate_limit.map_or(usize::MAX, |c| c as usize);
+    to_i.len = keep_oldest(&mut to_i.mask, held_i, recv_i.min(cap));
+    to_r.len = keep_oldest(&mut to_r.mask, held_r, recv_r.min(cap));
 }
 
 /// Transfer plan of an optimistic push.
@@ -135,7 +187,9 @@ pub fn optimistic_push<'a, 'b>(
 }
 
 /// [`optimistic_push`] into a caller-owned outcome (buffers cleared
-/// first), so per-round hot loops can reuse the allocations.
+/// first), so per-round hot loops can reuse the allocations: the
+/// view-based entry to [`push_rows`], which checks the alignment and
+/// derives the recent and old bands on every call.
 #[allow(clippy::too_many_arguments)]
 pub fn optimistic_push_into<'a, 'b>(
     initiator: impl Into<WindowView<'a>>,
@@ -148,11 +202,51 @@ pub fn optimistic_push_into<'a, 'b>(
     out: &mut PushOutcome,
 ) {
     let (initiator, responder) = (initiator.into(), responder.into());
-    let cap = rate_limit.map_or(usize::MAX, |c| c as usize);
-    let take = (push_size as usize).min(cap);
-    // Recents the responder lacks, from the initiator's offer.
+    initiator.check_aligned(responder);
+    push_rows(
+        initiator.words(),
+        responder.words(),
+        initiator.band(now, 0, recent_age),
+        initiator.band(now, old_age, u32::MAX),
+        push_size,
+        rate_limit,
+        out,
+    );
+}
+
+/// The optimistic-push kernel on two rows of one alignment: one pass over
+/// the words yields the initiator's offer (its `recent` band, which the
+/// responder lacks) and what the responder can pay with (its `old` band,
+/// which the initiator lacks). Both bands are masks in the row layout
+/// ([`WindowSlab::band_into`](crate::update::WindowSlab::band_into)).
+/// The offer is cut to `push_size` and the payment to what was taken,
+/// oldest first, only when more qualifies.
+// lint: hot-loop
+#[inline]
+pub fn push_rows(
+    initiator: &[u64],
+    responder: &[u64],
+    recent: impl IntoIterator<Item = u64>,
+    old: impl IntoIterator<Item = u64>,
+    push_size: u32,
+    rate_limit: Option<u32>,
+    out: &mut PushOutcome,
+) {
     let (to_r, to_i) = (&mut out.to_responder, &mut out.useful_to_initiator);
-    to_r.len = responder.wanted_from_into(initiator, now, take, 0, recent_age, &mut to_r.mask);
+    size_masks(to_r, to_i, initiator.len());
+    let (mut offered, mut payable) = (0, 0);
+    let masks = to_r.mask.iter_mut().zip(to_i.mask.iter_mut());
+    let rows = initiator
+        .iter()
+        .zip(responder)
+        .zip(recent.into_iter().zip(old));
+    for ((offer, pay), ((&a, &b), (recent, old))) in masks.zip(rows) {
+        (*offer, *pay) = (a & !b & recent, b & !a & old);
+        offered += offer.count_ones() as usize;
+        payable += pay.count_ones() as usize;
+    }
+    let cap = rate_limit.map_or(usize::MAX, |c| c as usize);
+    to_r.len = keep_oldest(&mut to_r.mask, offered, (push_size as usize).min(cap));
     if to_r.is_empty() {
         to_i.mask.clear();
         to_i.len = 0;
@@ -161,28 +255,38 @@ pub fn optimistic_push_into<'a, 'b>(
     }
     // The responder pays one item per update taken: old updates first.
     let owed = to_r.len;
-    to_i.len = initiator.wanted_from_into(
-        responder,
-        now,
-        owed.min(cap),
-        old_age,
-        u32::MAX,
-        &mut to_i.mask,
-    );
+    to_i.len = keep_oldest(&mut to_i.mask, payable, owed.min(cap));
     out.junk_to_initiator = (owed - to_i.len) as u32;
 }
 
 /// Whether the initiator has any reason to start an optimistic push: it is
 /// rational to initiate only when missing old (soon-expiring) updates.
+/// The view-based entry to [`wants_push_row`].
 pub fn wants_push<'a, 'b>(
     node: impl Into<WindowView<'a>>,
     reference_full: impl Into<WindowView<'b>>,
     now: Round,
     old_age: u32,
 ) -> bool {
-    node.into()
-        .missing_in_age_band(reference_full, now, old_age, u32::MAX)
-        > 0
+    let (node, full) = (node.into(), reference_full.into());
+    node.check_aligned(full);
+    wants_push_row(
+        node.words(),
+        full.words(),
+        node.band(now, old_age, u32::MAX),
+    )
+}
+
+/// [`wants_push`] on a row and the reference window's words, given the
+/// old band as a mask in the row layout: whether any bit of
+/// `full & !row & old` is set.
+// lint: hot-loop
+#[inline]
+pub fn wants_push_row(row: &[u64], full: &[u64], old: impl IntoIterator<Item = u64>) -> bool {
+    row.iter()
+        .zip(full)
+        .zip(old)
+        .any(|((r, f), o)| f & !r & o != 0)
 }
 
 /// The excess-service test used by the report-and-evict defense: a peer
@@ -406,70 +510,85 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest-tests"))]
-mod proptests {
+#[cfg(test)]
+mod props {
     use super::*;
     use crate::update::{UpdateId, WindowSet};
-    use proptest::prelude::*;
+    use lotus_core::proptest_lite::{check, Draw};
 
-    fn arb_window(now: Round) -> impl Strategy<Value = WindowSet> {
-        proptest::collection::vec((0..=now, 0u32..16), 0..40).prop_map(move |items| {
-            let mut w = WindowSet::new(16, (now + 1) as u32);
-            for t in 0..=now {
-                w.advance(t);
-            }
-            for (round, slot) in items {
-                w.insert(UpdateId { round, slot });
-            }
-            w
-        })
+    /// A window of 16-update batches at round `now`, live from round 0,
+    /// holding up to 40 random ids.
+    fn arb_window(d: &mut Draw, now: Round) -> WindowSet {
+        let mut w = WindowSet::new(16, (now + 1) as u32);
+        for t in 0..=now {
+            w.advance(t);
+        }
+        for _ in 0..d.int("items", 0, 39) {
+            let round = d.int("round", 0, now as i64) as Round;
+            let slot = d.int("slot", 0, 15) as u32;
+            w.insert(UpdateId { round, slot });
+        }
+        w
     }
 
-    proptest! {
-        #[test]
-        fn balanced_exchange_invariants(a in arb_window(5), b in arb_window(5),
-                                        unbalanced in any::<bool>(),
-                                        cap in proptest::option::of(1u32..5)) {
+    fn ensure(holds: bool, what: &str) -> Result<(), String> {
+        if holds {
+            Ok(())
+        } else {
+            Err(what.to_string())
+        }
+    }
+
+    #[test]
+    fn balanced_exchange_invariants() {
+        check("exchange::balanced_invariants", 256, |d| {
+            let (a, b) = (arb_window(d, 5), arb_window(d, 5));
+            let unbalanced = d.int("unbalanced", 0, 1) == 1;
+            let cap = (d.int("capped", 0, 1) == 1).then(|| d.int("cap", 1, 4) as u32);
             let out = balanced_exchange(&a, &b, 5, unbalanced, cap);
             let (gi, gr) = (out.to_initiator.len, out.to_responder.len);
             // Never exceeds one-for-one plus the defense's single extra.
-            prop_assert!(gi <= gr + 1 && gr <= gi + 1);
-            if !unbalanced {
+            ensure(gi <= gr + 1 && gr <= gi + 1, "more than one extra")?;
+            if !unbalanced && cap.is_none() {
                 // Without the defense the cap is the only source of asymmetry.
-                if cap.is_none() { prop_assert_eq!(gi, gr); }
+                ensure(gi == gr, "asymmetric without the defense or a cap")?;
             }
             if let Some(c) = cap {
-                prop_assert!(gi <= c as usize && gr <= c as usize);
+                ensure(gi <= c as usize && gr <= c as usize, "over the cap")?;
             }
             // Transfers are genuinely useful and available.
             for u in transfer_ids(&a, &out.to_initiator) {
-                prop_assert!(b.contains(u) && !a.contains(u));
+                ensure(b.contains(u) && !a.contains(u), "useless to the initiator")?;
             }
             for u in transfer_ids(&b, &out.to_responder) {
-                prop_assert!(a.contains(u) && !b.contains(u));
+                ensure(a.contains(u) && !b.contains(u), "useless to the responder")?;
             }
-        }
+            Ok(())
+        });
+    }
 
-        #[test]
-        fn push_invariants(a in arb_window(5), b in arb_window(5),
-                           push_size in 1u32..6) {
+    #[test]
+    fn push_invariants() {
+        check("exchange::push_invariants", 256, |d| {
+            let (a, b) = (arb_window(d, 5), arb_window(d, 5));
+            let push_size = d.int("push_size", 1, 5) as u32;
             let out = optimistic_push(&a, &b, 5, push_size, 3, 1, None);
-            prop_assert!(out.to_responder.len <= push_size as usize);
+            ensure(out.to_responder.len <= push_size as usize, "over push_size")?;
             // Payment is exact: useful + junk == taken.
-            prop_assert_eq!(
-                out.useful_to_initiator.len + out.junk_to_initiator as usize,
-                out.to_responder.len
-            );
+            ensure(
+                out.useful_to_initiator.len + out.junk_to_initiator as usize
+                    == out.to_responder.len,
+                "payment differs from what was taken",
+            )?;
             for u in transfer_ids(&b, &out.to_responder) {
-                prop_assert!(a.contains(u) && !b.contains(u));
-                // Only recents are offered.
-                prop_assert!(5 - u.round <= 1);
+                ensure(a.contains(u) && !b.contains(u), "useless offer")?;
+                ensure(5 - u.round <= 1, "an offered update is not recent")?;
             }
             for u in transfer_ids(&a, &out.useful_to_initiator) {
-                prop_assert!(b.contains(u) && !a.contains(u));
-                // Only old updates are requested.
-                prop_assert!(5 - u.round >= 3);
+                ensure(b.contains(u) && !a.contains(u), "useless payment")?;
+                ensure(5 - u.round >= 3, "a paid update is not old")?;
             }
-        }
+            Ok(())
+        });
     }
 }

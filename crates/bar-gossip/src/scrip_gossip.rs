@@ -43,7 +43,7 @@
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
 use crate::engine::{GossipEngine, PLAN_BLOCK};
-use crate::update::Transfer;
+use crate::update::{count_lacking, wanted_rows, whole_window, Transfer};
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use netsim::partner::Protocol;
 use netsim::plan::PlannedPair;
@@ -235,15 +235,16 @@ impl ScripGossipSim {
             e.measured_rounds,
             &e.target,
         );
+        e.windows.check_aligned(&e.pool);
         for i in e.target.iter() {
-            e.windows.union_with(i, &e.pool);
+            e.windows.union_words(i, e.pool.view().words());
         }
     }
 
     /// A purchase: `buyer` buys everything it can afford that `seller`
     /// has. The seller refuses while money-satiated. Attackers gift free
     /// updates to targets instead of selling, and never buy.
-    fn interaction(&mut self, buyer: NodeId, seller: NodeId, now: Round, cap: u32) {
+    fn interaction(&mut self, buyer: NodeId, seller: NodeId, cap: u32) {
         let (b, s) = (buyer.index(), seller.index());
         // Covert (masquerade/poison) attackers take the honest path
         // throughout — masquerade defection is the silence draw at the
@@ -253,7 +254,13 @@ impl ScripGossipSim {
             if self.eng.plan.kind == AttackKind::TradeLotusEater && self.eng.target.contains(b) {
                 let gift = &mut self.want_scratch;
                 let (wb, ws) = (self.eng.windows.row(b), self.eng.windows.row(s));
-                gift.len = wb.wanted_from_into(ws, now, usize::MAX, 0, u32::MAX, &mut gift.mask);
+                gift.len = wanted_rows(
+                    wb.words(),
+                    ws.words(),
+                    whole_window(),
+                    usize::MAX,
+                    &mut gift.mask,
+                );
                 self.eng.windows.union_words(b, &gift.mask);
             }
             return;
@@ -271,11 +278,11 @@ impl ScripGossipSim {
             return;
         }
         // Honest (or attacker-buyer) purchase.
-        let wants = self
-            .eng
-            .windows
-            .row(b)
-            .missing_from(self.eng.windows.row(s)) as u64;
+        let (wb, ws) = (
+            self.eng.windows.row(b).words(),
+            self.eng.windows.row(s).words(),
+        );
+        let wants = count_lacking(wb, ws, whole_window()) as u64;
         if wants == 0 {
             return;
         }
@@ -293,8 +300,11 @@ impl ScripGossipSim {
         }
         let afford = self.money[b].min(wants) as usize;
         let bought = &mut self.want_scratch;
-        let (wb, ws) = (self.eng.windows.row(b), self.eng.windows.row(s));
-        bought.len = wb.wanted_from_into(ws, now, afford, 0, u32::MAX, &mut bought.mask);
+        let (wb, ws) = (
+            self.eng.windows.row(b).words(),
+            self.eng.windows.row(s).words(),
+        );
+        bought.len = wanted_rows(wb, ws, whole_window(), afford, &mut bought.mask);
         if bought.is_empty() {
             return;
         }
@@ -402,7 +412,7 @@ impl RoundSim for ScripGossipSim {
                         self.eng.env.faults_mut().note_partition_blocked();
                         continue; // partitioned apart
                     }
-                    self.interaction(v, p, t, cap);
+                    self.interaction(v, p, cap);
                 }
             }
         }

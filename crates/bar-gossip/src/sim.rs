@@ -59,6 +59,14 @@
 //! order reproduces the ascending walk exactly, so every figure is
 //! byte-identical for any `run_threads` value.
 //!
+//! Each arm exchanges through the exchange layer's row kernels, on bare
+//! row words: the rows advance in lockstep, so the push phase derives
+//! its recent and old age bands once (as masks in the row layout) and
+//! checks the rows' alignment with `full` once, and every other arm —
+//! the balanced transfer, the attacker's gift and its return, the
+//! digest's exact diff — reads the whole window. No pair builds a view,
+//! re-checks alignment or re-derives a band.
+//!
 //! The digest substrate runs the same balanced apply loop: only its
 //! order stream, the per-round bloom index rebuild and the honest arm
 //! (`digest_exchange` instead of `balanced_transfer`) differ, and it
@@ -73,6 +81,8 @@
 //! planned pairs live in a stack block; and membership tracking
 //! uses [`lotus_core::bitset::BitSet`] (`fed`) and a flat
 //! [`lotus_core::defense::QuorumSlots`] table (the report quorum). The
+//! push phase's two band masks are buffers of one row's stride,
+//! refilled in place each phase. The
 //! timing layer keeps the invariant:
 //! the schedule stepper ([`lotus_core::schedule::ScheduleState`]) and the
 //! churn tracker ([`lotus_core::population::Population`]) never allocate,
@@ -87,10 +97,9 @@ use crate::attack::{AttackKind, AttackPlan};
 use crate::config::{BarGossipConfig, DigestExchangeConfig};
 use crate::engine::{GossipEngine, PLAN_BLOCK};
 use crate::exchange::{
-    balanced_exchange_into, is_excessive_service, optimistic_push_into, wants_push,
-    BalancedOutcome, PushOutcome,
+    balanced_rows, is_excessive_service, push_rows, wants_push_row, BalancedOutcome, PushOutcome,
 };
-use crate::update::{Transfer, UpdateId};
+use crate::update::{count_lacking, wanted_rows, whole_window, Transfer, UpdateId};
 use lotus_core::bitset::BitSet;
 use lotus_core::defense::QuorumSlots;
 use lotus_core::digest::BloomIndex;
@@ -303,6 +312,11 @@ pub struct BarGossipSim {
     returned_scratch: Transfer,
     balanced_scratch: BalancedOutcome,
     push_scratch: PushOutcome,
+    /// The push phase's recent and old age bands, as masks in the row
+    /// layout: every row advances in lockstep, so the phase computes them
+    /// once ([`crate::update::WindowSlab::band_into`]).
+    recent_band: Vec<u64>,
+    old_band: Vec<u64>,
     /// Two-leg digest-exchange state; `None` runs the classic
     /// full-window round untouched.
     digest_state: Option<DigestState>,
@@ -415,6 +429,8 @@ impl BarGossipSim {
                 to_responder: Transfer::with_capacity(words),
                 junk_to_initiator: 0,
             },
+            recent_band: Vec::with_capacity(words),
+            old_band: Vec::with_capacity(words),
             digest_state,
             eng,
         }
@@ -581,13 +597,16 @@ impl BarGossipSim {
         else {
             return;
         };
+        self.eng.windows.check_aligned(&self.eng.pool);
         for i in self.eng.target.iter() {
             if !self.eng.alive(NodeId(i as u32)) {
                 continue;
             }
-            let gained = self.eng.windows.row(i).missing_from(&self.eng.pool) as u64;
+            let pool = self.eng.pool.view().words();
+            let gained =
+                count_lacking(self.eng.windows.row(i).words(), pool, whole_window()) as u64;
             if gained > 0 {
-                self.eng.windows.union_with(i, &self.eng.pool);
+                self.eng.windows.union_words(i, pool);
                 self.meter.transfer(
                     NodeId(rep as u32),
                     ATTACKER_GROUP,
@@ -615,10 +634,10 @@ impl BarGossipSim {
             .map_or(usize::MAX, |c| c as usize);
         let mut gift = std::mem::take(&mut self.gift_scratch);
         let (tw, aw) = (
-            self.eng.windows.row(target.index()),
-            self.eng.windows.row(attacker.index()),
+            self.eng.windows.row(target.index()).words(),
+            self.eng.windows.row(attacker.index()).words(),
         );
-        gift.len = tw.wanted_from_into(aw, now, cap, 0, u32::MAX, &mut gift.mask);
+        gift.len = wanted_rows(tw, aw, whole_window(), cap, &mut gift.mask);
         if gift.is_empty() {
             self.gift_scratch = gift;
             return;
@@ -634,10 +653,10 @@ impl BarGossipSim {
         returned.len = 0;
         if self.eng.cfg.attacker_receives {
             let (tw, aw) = (
-                self.eng.windows.row(target.index()),
-                self.eng.windows.row(attacker.index()),
+                self.eng.windows.row(target.index()).words(),
+                self.eng.windows.row(attacker.index()).words(),
             );
-            returned.len = aw.wanted_from_into(tw, now, gift.len, 0, u32::MAX, &mut returned.mask);
+            returned.len = wanted_rows(aw, tw, whole_window(), gift.len, &mut returned.mask);
         }
         self.eng.windows.union_words(target.index(), &gift.mask);
         if self.faulty_send(target, attacker, returned.len as u64, 0) && !returned.is_empty() {
@@ -863,10 +882,10 @@ impl BarGossipSim {
     // lint: hot-loop
     fn balanced_transfer(&mut self, v: NodeId, p: NodeId, t: Round) {
         let mut out = std::mem::take(&mut self.balanced_scratch);
-        balanced_exchange_into(
-            self.eng.windows.row(v.index()),
-            self.eng.windows.row(p.index()),
-            t,
+        balanced_rows(
+            self.eng.windows.row(v.index()).words(),
+            self.eng.windows.row(p.index()).words(),
+            whole_window(),
             self.eng.cfg.defenses.unbalanced_exchanges,
             self.eng.cfg.defenses.rate_limit,
             &mut out,
@@ -902,6 +921,14 @@ impl BarGossipSim {
             dense,
         );
         let strict = self.eng.strict();
+        // The rows and `full` advance in lockstep, so the phase checks
+        // their alignment and derives its two age bands once, relative to
+        // round t, the newest live round.
+        debug_assert!(self.eng.full.is_live(UpdateId { round: t, slot: 0 }));
+        let windows = &self.eng.windows;
+        windows.check_aligned(&self.eng.full);
+        windows.band_into(0, self.eng.cfg.recent_age, &mut self.recent_band);
+        windows.band_into(self.eng.cfg.old_age, u32::MAX, &mut self.old_band);
         let mut block = [PlannedPair::default(); PLAN_BLOCK];
         for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
             for &e in self
@@ -939,11 +966,10 @@ impl BarGossipSim {
                     continue;
                 }
                 // Rational initiation condition: only when missing old updates.
-                if !wants_push(
-                    self.eng.windows.row(v.index()),
-                    &self.eng.full,
-                    t,
-                    self.eng.cfg.old_age,
+                if !wants_push_row(
+                    self.eng.windows.row(v.index()).words(),
+                    self.eng.full.view().words(),
+                    self.old_band.iter().copied(),
                 ) {
                     continue;
                 }
@@ -966,13 +992,12 @@ impl BarGossipSim {
                     continue;
                 }
                 let mut out = std::mem::take(&mut self.push_scratch);
-                optimistic_push_into(
-                    self.eng.windows.row(v.index()),
-                    self.eng.windows.row(p.index()),
-                    t,
+                push_rows(
+                    self.eng.windows.row(v.index()).words(),
+                    self.eng.windows.row(p.index()).words(),
+                    self.recent_band.iter().copied(),
+                    self.old_band.iter().copied(),
                     self.eng.cfg.push_size,
-                    self.eng.cfg.old_age,
-                    self.eng.cfg.recent_age,
                     self.eng.cfg.defenses.rate_limit,
                     &mut out,
                 );
@@ -1058,8 +1083,9 @@ impl BarGossipSim {
             let diverged = wv.masks().zip(wp.masks()).filter(|(a, b)| a != b).count();
             st.stats.bytes_digests += 2 * ID_WIRE_BYTES * (t - wv.start() + 1);
             st.stats.bytes_requests += 2 * ID_WIRE_BYTES * diverged as u64;
-            want_v.len = wv.wanted_from_into(wp, t, limit, 0, u32::MAX, &mut want_v.mask);
-            want_p.len = wp.wanted_from_into(wv, t, limit, 0, u32::MAX, &mut want_p.mask);
+            let (sv, sp) = (wv.words(), wp.words());
+            want_v.len = wanted_rows(sv, sp, whole_window(), limit, &mut want_v.mask);
+            want_p.len = wanted_rows(sp, sv, whole_window(), limit, &mut want_p.mask);
         } else {
             debug_assert!(
                 wv.start() == st.bloom.first(),

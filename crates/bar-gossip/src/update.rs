@@ -30,11 +30,30 @@
 //!
 //! A [`Transfer`] — the updates one exchange moves into a window — is a
 //! mask in the same layout plus its popcount:
-//! [`WindowView::wanted_from_into`] computes it word by word and
+//! [`wanted_rows`] computes it word by word and
 //! [`WindowSlab::union_words`] writes it, so no exchange names an update
 //! one id at a time. The digest path's probe index
 //! ([`BloomIndex`](lotus_core::digest::BloomIndex)) reads the sender's
 //! row in place and answers with a mask in the same layout.
+//!
+//! # Row kernels and per-phase bands
+//!
+//! The exchange layer reads windows through *row kernels*: functions of
+//! bare row words and an *age band* — the mask, in the row layout, of the
+//! live rounds whose age lies in some `min_age..=max_age` — that make one
+//! straight pass over the words ([`wanted_rows`], [`count_lacking`], and
+//! the exchange kernels in [`crate::exchange`]). A kernel neither checks
+//! alignment nor derives a band: every slab row advances in lockstep, so
+//! a band is the same for every pair of a round. The simulators' push
+//! phase computes its recent and old bands once
+//! ([`WindowSlab::band_into`]), and every other exchange passes
+//! [`whole_window`]; a phase that reads a [`WindowSet`] (the reference
+//! window, the attacker pool) against the rows checks that alignment
+//! once ([`WindowSlab::check_aligned`]). The view-based entries
+//! ([`WindowView::wanted_from_into`],
+//! [`WindowView::missing_in_age_band`] and the exchange functions over
+//! views) are thin wrappers over the same kernels: they check the
+//! alignment and derive the band on every call.
 
 use lotus_core::bitset::lowest_ones;
 use netsim::Round;
@@ -113,15 +132,112 @@ fn ones(lo: usize, hi: usize, word: impl Fn(usize) -> u64) -> impl Iterator<Item
     })
 }
 
-/// Number of set bits of `word(w)` within bits `lo..hi`.
+/// The bit range of the live rounds whose age relative to `now` (the
+/// newest round has age 0) lies in `min_age..=max_age`, for a window
+/// whose oldest live batch was released in `start` and that holds `len`
+/// live rounds of `per_round` updates.
+fn age_band(
+    (start, len, per_round): Alignment,
+    now: Round,
+    min_age: u32,
+    max_age: u32,
+) -> (usize, usize) {
+    let len = Round::from(len);
+    let Some(newest) = now.checked_sub(Round::from(min_age)) else {
+        return (0, 0);
+    };
+    let oldest = now.saturating_sub(Round::from(max_age));
+    let lo = oldest.saturating_sub(start).min(len);
+    let hi = (newest + 1).saturating_sub(start).clamp(lo, len);
+    let per_round = per_round as usize;
+    (lo as usize * per_round, hi as usize * per_round)
+}
+
+/// The first `words` words of the mask of bits `lo..hi`, in the row
+/// layout: an age band ([`age_band`]) as the exchange kernels read it.
 #[inline]
-fn count_ones(lo: usize, hi: usize, word: impl Fn(usize) -> u64) -> usize {
-    if lo >= hi {
-        return 0;
+fn band_words(words: usize, (lo, hi): (usize, usize)) -> impl Iterator<Item = u64> {
+    (0..words).map(move |w| {
+        if lo >= hi || hi <= w * 64 || lo >= (w + 1) * 64 {
+            0
+        } else {
+            range_mask(w, lo, hi)
+        }
+    })
+}
+
+/// The band of every live round, for rows whose newest live round is the
+/// current one: rows keep the bits above their live rounds zero, so an
+/// all-ones band selects exactly the live window.
+pub fn whole_window() -> std::iter::Repeat<u64> {
+    std::iter::repeat(u64::MAX)
+}
+
+/// Cut a mask holding `held` set bits down to its lowest `limit` — the
+/// oldest updates first — and return how many it keeps.
+// lint: hot-loop
+#[inline]
+pub(crate) fn keep_oldest(mask: &mut [u64], held: usize, limit: usize) -> usize {
+    if held <= limit {
+        return held;
     }
-    (lo / 64..hi.div_ceil(64))
-        .map(|w| (word(w) & range_mask(w, lo, hi)).count_ones() as usize)
+    let mut left = limit;
+    for w in mask {
+        *w = lowest_ones(*w, left);
+        left -= w.count_ones() as usize;
+    }
+    limit
+}
+
+/// The window kernel: write into `want` the updates of row `theirs` that
+/// row `mine` lacks within `band`, keeping the oldest `limit`, and
+/// return how many it keeps. The rows must share one alignment and
+/// `band` must be a mask in their layout (a [`WindowSlab::band_into`]
+/// band, or [`whole_window`]); `want` is resized to the rows' words, so
+/// a buffer with that capacity never reallocates. One straight pass
+/// over the words; a second pass cuts the mask only when more than
+/// `limit` updates qualify.
+// lint: hot-loop
+#[inline]
+pub fn wanted_rows(
+    mine: &[u64],
+    theirs: &[u64],
+    band: impl IntoIterator<Item = u64>,
+    limit: usize,
+    want: &mut Vec<u64>,
+) -> usize {
+    want.clear();
+    let mut held = 0;
+    want.extend(mine.iter().zip(theirs).zip(band).map(|((m, t), b)| {
+        let w = t & !m & b;
+        held += w.count_ones() as usize;
+        w
+    }));
+    keep_oldest(want, held, limit)
+}
+
+/// Number of updates of row `theirs` that row `mine` lacks within
+/// `band` (rows and band as for [`wanted_rows`]).
+// lint: hot-loop
+#[inline]
+pub fn count_lacking(mine: &[u64], theirs: &[u64], band: impl IntoIterator<Item = u64>) -> usize {
+    mine.iter()
+        .zip(theirs)
+        .zip(band)
+        .map(|((m, t), b)| (t & !m & b).count_ones() as usize)
         .sum()
+}
+
+/// A window's alignment: the release round of its oldest live batch,
+/// its live rounds and its batch size. Windows meet only when theirs
+/// are equal.
+type Alignment = (Round, u32, u32);
+
+/// Panic unless two windows share one alignment.
+fn check_aligned(a: Alignment, b: Alignment) {
+    assert_eq!(a.0, b.0, "windows not aligned (start)");
+    assert_eq!(a.1, b.1, "windows not aligned (len)");
+    assert_eq!(a.2, b.2, "windows not aligned (batch)");
 }
 
 /// Set bit `pos`; returns `true` if it was clear.
@@ -258,27 +374,21 @@ impl<'a> WindowView<'a> {
         self.words.iter().all(|&w| w == 0)
     }
 
-    fn check_aligned(self, other: WindowView<'_>) {
-        assert_eq!(self.start, other.start, "windows not aligned (start)");
-        assert_eq!(self.len, other.len, "windows not aligned (len)");
-        assert_eq!(
-            self.per_round, other.per_round,
-            "windows not aligned (batch)"
-        );
+    fn alignment(self) -> Alignment {
+        (self.start, self.len, self.per_round)
     }
 
-    /// The bit range of the live rounds whose age relative to `now` (the
-    /// newest round has age 0) lies in `min_age..=max_age`.
-    fn age_band(self, now: Round, min_age: u32, max_age: u32) -> (usize, usize) {
-        let len = Round::from(self.len);
-        let Some(newest) = now.checked_sub(Round::from(min_age)) else {
-            return (0, 0);
-        };
-        let oldest = now.saturating_sub(Round::from(max_age));
-        let lo = oldest.saturating_sub(self.start).min(len);
-        let hi = (newest + 1).saturating_sub(self.start).clamp(lo, len);
-        let per_round = self.per_round as usize;
-        (lo as usize * per_round, hi as usize * per_round)
+    /// Panic unless `other` shares this window's alignment.
+    pub(crate) fn check_aligned(self, other: WindowView<'_>) {
+        check_aligned(self.alignment(), other.alignment());
+    }
+
+    /// The mask of the age band `min_age..=max_age` relative to `now`
+    /// (the newest round has age 0), one word per live word: what the
+    /// view-based entries hand the row kernels.
+    pub(crate) fn band(self, now: Round, min_age: u32, max_age: u32) -> impl Iterator<Item = u64> {
+        let bits = age_band(self.alignment(), now, min_age, max_age);
+        band_words(self.words.len(), bits)
     }
 
     /// Number of live updates in `other` that `self` lacks.
@@ -289,11 +399,7 @@ impl<'a> WindowView<'a> {
     pub fn missing_from<'b>(self, other: impl Into<WindowView<'b>>) -> usize {
         let other = other.into();
         self.check_aligned(other);
-        self.words
-            .iter()
-            .zip(other.words)
-            .map(|(mine, theirs)| (theirs & !mine).count_ones() as usize)
-            .sum()
+        count_lacking(self.words, other.words, whole_window())
     }
 
     /// The oldest `limit` updates in `other` that `self` lacks, as a mask
@@ -304,7 +410,8 @@ impl<'a> WindowView<'a> {
     /// has age 0). Returns how many updates the mask holds.
     ///
     /// "Oldest first" models nodes prioritising updates closest to expiry.
-    // lint: hot-loop
+    /// The view-based entry to [`wanted_rows`]: it checks the alignment
+    /// and derives the band on every call.
     pub fn wanted_from_into<'b>(
         self,
         other: impl Into<WindowView<'b>>,
@@ -316,26 +423,13 @@ impl<'a> WindowView<'a> {
     ) -> usize {
         let other = other.into();
         self.check_aligned(other);
-        out.clear();
-        out.resize(self.words.len(), 0);
-        let (lo, hi) = self.age_band(now, min_age, max_age);
-        if lo >= hi {
-            return 0;
-        }
-        let (first, end) = (lo / 64, hi.div_ceil(64));
-        let mut left = limit;
-        for (w, want) in (first..end).zip(&mut out[first..end]) {
-            if left == 0 {
-                break;
-            }
-            let lacks = other.words[w] & !self.words[w] & range_mask(w, lo, hi);
-            *want = lowest_ones(lacks, left);
-            left -= want.count_ones() as usize;
-        }
-        limit - left
+        let band = self.band(now, min_age, max_age);
+        wanted_rows(self.words, other.words, band, limit, out)
     }
 
-    /// Count of updates in `other` missing from `self` within an age band.
+    /// Count of updates in `other` missing from `self` within an age band
+    /// ([`count_lacking`] over the band [`WindowView::wanted_from_into`]
+    /// derives).
     pub fn missing_in_age_band<'b>(
         self,
         other: impl Into<WindowView<'b>>,
@@ -345,8 +439,7 @@ impl<'a> WindowView<'a> {
     ) -> usize {
         let other = other.into();
         self.check_aligned(other);
-        let (lo, hi) = self.age_band(now, min_age, max_age);
-        count_ones(lo, hi, |w| other.words[w] & !self.words[w])
+        count_lacking(self.words, other.words, self.band(now, min_age, max_age))
     }
 
     /// Iterate over held updates, oldest release round first.
@@ -356,7 +449,7 @@ impl<'a> WindowView<'a> {
 }
 
 /// The updates one exchange moves into a window: a mask in the window
-/// row's bit layout ([`WindowView::wanted_from_into`] fills it) and how
+/// row's bit layout ([`wanted_rows`] fills it) and how
 /// many bits it holds. [`WindowSlab::union_words`] delivers it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Transfer {
@@ -668,6 +761,37 @@ impl WindowSlab {
         }
     }
 
+    fn alignment(&self) -> Alignment {
+        (self.start, self.len, self.per_round)
+    }
+
+    /// Panic unless `other` shares the rows' alignment. Slab rows are
+    /// aligned with each other by construction, so a phase that reads a
+    /// [`WindowSet`] (the reference window, the attacker pool) against
+    /// them checks this once and then hands the row kernels bare words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` is not aligned with the slab.
+    pub fn check_aligned<'b>(&self, other: impl Into<WindowView<'b>>) {
+        check_aligned(self.alignment(), other.into().alignment());
+    }
+
+    /// Write into `band` the mask of the age band `min_age..=max_age`,
+    /// one word per live word of a row, with ages relative to the newest
+    /// live round (the round the last [`WindowSlab::advance`] opened;
+    /// it has age 0). Every row advances in lockstep, so one band serves
+    /// every pair of a phase: the push phase computes its recent and old
+    /// bands once and hands them to the row kernels. `band` is resized
+    /// to the live words, so a buffer of the stride's capacity never
+    /// reallocates.
+    pub fn band_into(&self, min_age: u32, max_age: u32, band: &mut Vec<u64>) {
+        let newest = (self.start + Round::from(self.len)).saturating_sub(1);
+        let bits = age_band(self.alignment(), newest, min_age, max_age);
+        band.clear();
+        band.extend(band_words(self.live, bits));
+    }
+
     /// The first stored word of row `i` (its oldest live rounds), read
     /// without building a view: a cheap touch that brings the row's
     /// cache line in before the row is used.
@@ -707,7 +831,7 @@ impl WindowSlab {
     /// Panics if `other` is not aligned with the slab.
     pub fn union_with<'b>(&mut self, i: usize, other: impl Into<WindowView<'b>>) {
         let other = other.into();
-        self.row(i).check_aligned(other);
+        self.check_aligned(other);
         self.union_words(i, other.words);
     }
 

@@ -20,10 +20,22 @@
 //! every read a simulator makes: `missing_from`, `wanted_from_into`
 //! (random limits and age bands) and `missing_in_age_band`.
 //!
+//!
+//! The same rounds check the exchange layer's row kernels on slab rows:
+//! the per-round band masks ([`WindowSlab::band_into`]) against the
+//! model's live ids of each age band, and the balanced-exchange, push and
+//! push-initiation kernels, fed those bands, against the model's
+//! transfers. The view-based entries (`balanced_exchange_into`,
+//! `optimistic_push_into`) are checked on the `WindowSet`s.
+//!
 //! A second property pins the mask kernel every exchange moves updates
 //! with — `wanted_from_into` and `WindowSlab::union_words` — against a
 //! scalar model that keeps each window as a sorted id list.
 
+use bar_gossip::exchange::{
+    balanced_exchange_into, balanced_rows, optimistic_push_into, push_rows, wants_push_row,
+    BalancedOutcome, PushOutcome,
+};
 use bar_gossip::update::{UpdateId, WindowSet, WindowSlab, WindowView};
 use lotus_core::proptest_lite::{check, Draw};
 use netsim::Round;
@@ -88,6 +100,71 @@ impl Model {
                     .map(move |slot| UpdateId { round, slot })
             })
             .collect()
+    }
+
+    /// Every live id (held or not) of a `per_round` batch with age in
+    /// `min_age..=max_age`, in order: what a band mask names.
+    fn band(&self, per_round: u32, now: Round, min_age: u32, max_age: u32) -> Vec<UpdateId> {
+        (self.start..self.start + self.masks.len() as Round)
+            .filter(|&round| (min_age..=max_age).contains(&((now - round) as u32)))
+            .flat_map(|round| (0..per_round).map(move |slot| UpdateId { round, slot }))
+            .collect()
+    }
+
+    /// A balanced exchange between `self` (the initiator) and `other`:
+    /// each side's needs over the whole window set the one-for-one
+    /// share (one extra for the needier side when `unbalanced`), and each
+    /// side receives the oldest of what it lacks within the age band, up
+    /// to that share and the cap.
+    fn balanced(
+        &self,
+        other: &Model,
+        now: Round,
+        (min_age, max_age): (u32, u32),
+        unbalanced: bool,
+        cap: Option<u32>,
+    ) -> [Vec<UpdateId>; 2] {
+        let (m, n) = (
+            self.wanted(other, now, 0, u32::MAX).len(),
+            other.wanted(self, now, 0, u32::MAX).len(),
+        );
+        let k = m.min(n);
+        let extra = |need: usize, partner: usize| {
+            if unbalanced && k >= 1 && need > partner {
+                k + 1
+            } else {
+                k
+            }
+        };
+        let cap = cap.map_or(usize::MAX, |c| c as usize);
+        let mut to_i = self.wanted(other, now, min_age, max_age);
+        let mut to_r = other.wanted(self, now, min_age, max_age);
+        to_i.truncate(extra(m, n).min(cap));
+        to_r.truncate(extra(n, m).min(cap));
+        [to_i, to_r]
+    }
+
+    /// An optimistic push from `self` to `other`: the responder takes the
+    /// oldest recents it lacks (up to `take`), and pays for each with an
+    /// old update the initiator lacks while it has them, junk after that.
+    /// Returns the offer taken, the useful payment and the junk.
+    fn push(
+        &self,
+        other: &Model,
+        now: Round,
+        (recent_age, old_age): (u32, u32),
+        take: usize,
+        cap: usize,
+    ) -> (Vec<UpdateId>, Vec<UpdateId>, usize) {
+        let mut offer = other.wanted(self, now, 0, recent_age);
+        offer.truncate(take);
+        if offer.is_empty() {
+            return (offer, Vec::new(), 0);
+        }
+        let mut pay = self.wanted(other, now, old_age, u32::MAX);
+        pay.truncate(offer.len().min(cap));
+        let junk = offer.len() - pay.len();
+        (offer, pay, junk)
     }
 
     /// `other`'s ids that `self` lacks with age (`now − round`) in
@@ -197,6 +274,128 @@ fn mask_ids(view: WindowView<'_>, mask: &[u64]) -> Vec<UpdateId> {
         .collect()
 }
 
+/// Check the exchange layer on slab rows `i` and `j` (and their sets)
+/// against the models: the slab's band masks, then the balanced, push
+/// and push-initiation kernels fed those bands.
+#[allow(clippy::too_many_arguments)]
+fn check_kernels(
+    d: &mut Draw,
+    slab: &WindowSlab,
+    (set_i, model_i): &(WindowSet, Model),
+    (set_j, model_j): &(WindowSet, Model),
+    full: &(WindowSet, Model),
+    (i, j): (usize, usize),
+    now: Round,
+    lifetime: u32,
+) -> Result<(), String> {
+    let per_round = full.0.per_round();
+    let (row_i, row_j) = (slab.row(i), slab.row(j));
+    let ages = (
+        draw_age(d, "band_min", lifetime),
+        draw_age(d, "band_max", lifetime),
+    );
+    let (recent_age, old_age) = (
+        draw_age(d, "recent_age", lifetime),
+        draw_age(d, "old_age", lifetime),
+    );
+    let mut bands = [Vec::new(), Vec::new(), Vec::new()];
+    for (band, (lo, hi)) in bands
+        .iter_mut()
+        .zip([ages, (0, recent_age), (old_age, u32::MAX)])
+    {
+        slab.band_into(lo, hi, band);
+        let want = full.1.band(per_round, now, lo, hi);
+        if band.len() != row_i.words().len() || mask_ids(row_i, band) != want {
+            return Err(format!(
+                "round {now}: band_into({lo}, {hi}) = {band:x?}, model {want:?}"
+            ));
+        }
+    }
+    let [band, recent, old] = &bands;
+    let unbalanced = d.int("unbalanced", 0, 1) == 1;
+    let cap = (d.int("capped", 0, 1) == 1).then(|| d.int("cap", 0, 4) as u32);
+    let (words_i, words_j) = (row_i.words(), row_j.words());
+    let mut bal = BalancedOutcome::default();
+    balanced_rows(
+        words_i,
+        words_j,
+        band.iter().copied(),
+        unbalanced,
+        cap,
+        &mut bal,
+    );
+    let want = model_i.balanced(model_j, now, ages, unbalanced, cap);
+    let got = [
+        mask_ids(row_i, &bal.to_initiator.mask),
+        mask_ids(row_j, &bal.to_responder.mask),
+    ];
+    if got != want || [bal.to_initiator.len, bal.to_responder.len] != [want[0].len(), want[1].len()]
+    {
+        return Err(format!(
+            "round {now}: balanced_rows({i}, {j}, ages {ages:?}, unbalanced {unbalanced}, \
+             cap {cap:?}) moved {got:?}, model {want:?}"
+        ));
+    }
+    balanced_exchange_into(set_i, set_j, now, unbalanced, cap, &mut bal);
+    let want = model_i.balanced(model_j, now, (0, u32::MAX), unbalanced, cap);
+    let got = [
+        mask_ids(set_i.view(), &bal.to_initiator.mask),
+        mask_ids(set_j.view(), &bal.to_responder.mask),
+    ];
+    if got != want {
+        return Err(format!(
+            "round {now}: balanced_exchange_into({i}, {j}) moved {got:?}, model {want:?}"
+        ));
+    }
+    let push_size = d.int("push_size", 0, 6) as u32;
+    let take = (push_size as usize).min(cap.map_or(usize::MAX, |c| c as usize));
+    let want = model_i.push(
+        model_j,
+        now,
+        (recent_age, old_age),
+        take,
+        cap.map_or(usize::MAX, |c| c as usize),
+    );
+    let mut push = PushOutcome::default();
+    push_rows(
+        words_i,
+        words_j,
+        recent.iter().copied(),
+        old.iter().copied(),
+        push_size,
+        cap,
+        &mut push,
+    );
+    let mut views = PushOutcome::default();
+    optimistic_push_into(
+        set_i, set_j, now, push_size, old_age, recent_age, cap, &mut views,
+    );
+    for (what, out, (vi, vj)) in [
+        ("push_rows", &push, (row_i, row_j)),
+        ("optimistic_push_into", &views, (set_i.view(), set_j.view())),
+    ] {
+        let got = (
+            mask_ids(vj, &out.to_responder.mask),
+            mask_ids(vi, &out.useful_to_initiator.mask),
+            out.junk_to_initiator as usize,
+        );
+        let lens = (out.to_responder.len, out.useful_to_initiator.len);
+        if got != want || lens != (want.0.len(), want.1.len()) {
+            return Err(format!(
+                "round {now}: {what}({i}, {j}, push {push_size}, recent {recent_age}, \
+                 old {old_age}, cap {cap:?}) gave {got:?}, model {want:?}"
+            ));
+        }
+    }
+    let wants = wants_push_row(words_i, full.0.view().words(), old.iter().copied());
+    if wants == model_i.wanted(&full.1, now, old_age, u32::MAX).is_empty() {
+        return Err(format!(
+            "round {now}: wants_push_row({i}, old {old_age}) = {wants}"
+        ));
+    }
+    Ok(())
+}
+
 /// Per row: its `WindowSet` and model, once joined.
 type Row = Option<(WindowSet, Model)>;
 
@@ -249,7 +448,9 @@ fn compare(
         (full_view, &full.1),
         now,
         &q,
-    )
+    )?;
+    let (row_i, row_j) = (rows[i].as_ref().unwrap(), rows[j].as_ref().unwrap());
+    check_kernels(d, slab, row_i, row_j, full, (i, j), now, lifetime)
 }
 
 #[test]

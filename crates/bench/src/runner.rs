@@ -626,15 +626,26 @@ fn sweep_curve<F>(
 where
     F: Fn(f64, u64) -> Result<f64, String> + Sync,
 {
-    let error = std::sync::Mutex::new(None::<String>);
+    // Jobs run x-major, seeds inner (the sweep's job order). Keeping the
+    // error of the first failed job in that order, not the first to reach
+    // the lock, makes the message independent of worker scheduling.
+    let job_of = |x: f64, seed: u64| {
+        let xi = xs.iter().position(|&v| v == x).unwrap_or(xs.len());
+        let si = cfg.seeds.iter().position(|&s| s == seed).unwrap_or(0);
+        xi * cfg.seeds.len() + si
+    };
+    let error = std::sync::Mutex::new(None::<(usize, String)>);
     let (stats, failures) = sweep_stats_salvaged(xs, cfg, &|x, seed| {
         measure(x, seed).unwrap_or_else(|e| {
+            let job = job_of(x, seed);
             let mut slot = error.lock().expect("sweep error lock");
-            slot.get_or_insert_with(|| format!("at x={x} seed={seed}: {e}"));
+            if slot.as_ref().is_none_or(|(first, _)| job < *first) {
+                *slot = Some((job, format!("at x={x} seed={seed}: {e}")));
+            }
             f64::NAN
         })
     });
-    if let Some(e) = error.into_inner().expect("sweep error lock") {
+    if let Some((_, e)) = error.into_inner().expect("sweep error lock") {
         return Err(e);
     }
     if let Some(f) = failures.first() {
@@ -1438,6 +1449,27 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, "at x=1 seed=1: bad config");
+        // Two failed jobs: the curve names the first in job order even
+        // when the later one fails first. Job 0 holds its failure until
+        // job 2 starts; with job 0's worker blocked, the other worker ran
+        // job 1 to its end before taking job 2, so job 1 has failed first.
+        let gate = std::sync::Barrier::new(2);
+        let err = sweep_curve("line".into(), &xs, &cfg, |x, seed| {
+            match (x, seed) {
+                (0.0, 1) => {
+                    gate.wait();
+                    return Err("held".to_string());
+                }
+                (0.0, 2) => return Err("fast".to_string()),
+                (0.5, 1) => {
+                    gate.wait();
+                }
+                _ => {}
+            }
+            Ok(x)
+        })
+        .unwrap_err();
+        assert_eq!(err, "at x=0 seed=1: held");
     }
 
     #[test]

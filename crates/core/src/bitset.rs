@@ -116,18 +116,76 @@ impl BitSet {
             "cannot sample {k} items from a universe of {universe}"
         );
         let mut s = BitSet::new(universe);
-        for j in (universe - k)..universe {
+        s.floyd(universe, k, rng, |_| {});
+        s
+    }
+
+    /// [`BitSet::sample`] of `k` members of `0..n` into a reused set:
+    /// `self` must hold no member below `n` on entry, and on return holds
+    /// the sample, whose members `picks` lists (cleared first) in draw
+    /// order. The same draws and members as [`BitSet::sample`] in
+    /// `O(k)`: a caller that needs the set only briefly removes each pick
+    /// afterwards, which leaves `self` ready for the next draw without a
+    /// pass over its words, and with `picks` reserved to `k` it
+    /// allocates nothing.
+    ///
+    /// ```
+    /// use lotus_core::bitset::BitSet;
+    /// use netsim::rng::DetRng;
+    ///
+    /// let (mut a, mut b) = (DetRng::seed_from(3), DetRng::seed_from(3));
+    /// let (mut seen, mut picks) = (BitSet::new(50), Vec::new());
+    /// seen.sample_into(50, 10, &mut a, &mut picks);
+    /// assert_eq!(seen, BitSet::sample(50, 10, &mut b));
+    /// assert_eq!(seen, BitSet::from_iter_with(50, picks.iter().copied()));
+    /// assert_eq!(a.next_u64(), b.next_u64(), "same draws");
+    /// for &i in &picks {
+    ///     seen.remove(i);
+    /// }
+    /// assert!(seen.is_empty(), "ready for the next draw");
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > n` or a pick lies outside the universe.
+    pub fn sample_into(
+        &mut self,
+        n: usize,
+        k: usize,
+        rng: &mut netsim::rng::DetRng,
+        picks: &mut Vec<usize>,
+    ) {
+        assert!(k <= n, "cannot sample {k} items from a universe of {n}");
+        picks.clear();
+        self.floyd(n, k, rng, |i| picks.push(i));
+    }
+
+    /// Floyd's algorithm over `0..n` with `self` as its membership test,
+    /// handing each pick to `pick`, then the draws of the order shuffle
+    /// [`DetRng::sample_indices`](netsim::rng::DetRng::sample_indices)
+    /// makes (a shuffle's draws depend only on the length).
+    // lint: hot-loop
+    fn floyd(
+        &mut self,
+        n: usize,
+        k: usize,
+        rng: &mut netsim::rng::DetRng,
+        mut pick: impl FnMut(usize),
+    ) {
+        for j in (n - k)..n {
             let t = rng.index(j + 1);
-            if !s.insert(t) {
-                s.insert(j);
-            }
+            // Every earlier pick is below j, so j itself is free.
+            let i = if self.insert(t) {
+                t
+            } else {
+                self.insert(j);
+                j
+            };
+            pick(i);
         }
-        // The list version then shuffles; a shuffle's draws depend only
-        // on the length.
         for i in (1..k).rev() {
             rng.index(i + 1);
         }
-        s
     }
 
     fn trim(&mut self) {
@@ -421,6 +479,43 @@ mod tests {
                 assert_eq!(a.next_u64(), b.next_u64(), "streams stay aligned");
             }
         }
+    }
+
+    #[test]
+    fn sample_into_reused_scratch_draws_what_sample_indices_does() {
+        crate::proptest_lite::check("bitset::sample_into_matches_sample_indices", 200, |d| {
+            let universe = d.int("universe", 0, 300) as usize;
+            let mut seen = BitSet::new(universe);
+            let mut picks = Vec::new();
+            let mut a = d.rng("draws");
+            let mut b = a.clone();
+            // Several draws through one scratch set, each over a prefix.
+            for _ in 0..d.int("draws", 1, 4) {
+                let n = d.int("n", 0, universe as i64) as usize;
+                let k = match d.int("edge", 0, 3) {
+                    0 => 0,
+                    1 => n,
+                    _ => d.int("k", 0, n as i64) as usize,
+                };
+                seen.sample_into(n, k, &mut a, &mut picks);
+                let list = b.sample_indices(n, k);
+                if seen != BitSet::from_iter_with(universe, list.iter().copied()) {
+                    return Err(format!("({n}, {k}): the set differs from sample_indices"));
+                }
+                if picks.len() != k
+                    || BitSet::from_iter_with(universe, picks.iter().copied()) != seen
+                {
+                    return Err(format!("({n}, {k}): picks {picks:?} are not the set"));
+                }
+                if a.next_u64() != b.next_u64() {
+                    return Err(format!("({n}, {k}): the streams diverge"));
+                }
+                for &i in &picks {
+                    seen.remove(i);
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -84,13 +84,16 @@ impl PlannedPair {
 /// A round-and-protocol-specialized partner selector: the per-round and
 /// rejection-threshold mixing of [`PartnerSchedule::partner_of`],
 /// hoisted once so per-initiator cost is two `split_mix64` rounds plus
-/// the (rare) rejection loop.
+/// the (rare) rejection loop. The draw's remainder is a multiplication
+/// by a reciprocal computed here, not a division.
 #[derive(Debug, Clone, Copy)]
 pub struct PairPlanner {
     round_h: u64,
     tag: u64,
     m: u64,
     threshold: u64,
+    /// `⌈2¹²⁸ / m⌉` modulo 2¹²⁸ (so 0 when `m = 1`).
+    recip: u128,
 }
 
 impl PairPlanner {
@@ -101,7 +104,22 @@ impl PairPlanner {
             tag: proto.tag(),
             m,
             threshold: m.wrapping_neg() % m,
+            recip: (u128::MAX / u128::from(m)).wrapping_add(1),
         }
+    }
+
+    /// `draw % m` without a division (Lemire, Kaser & Kurz 2019, "Faster
+    /// remainder by direct computation", Theorem 1 with 128 fractional
+    /// bits): the low 128 bits of `recip · draw` are the fraction
+    /// `draw / m` scaled by 2¹²⁸, and multiplying them by `m` carries the
+    /// remainder into bits 128 and up. Exact for every 64-bit draw,
+    /// because `recip · m` exceeds 2¹²⁸ by less than `m ≤ 2⁶⁴`.
+    #[inline]
+    fn rem(&self, draw: u64) -> u64 {
+        let frac = self.recip.wrapping_mul(u128::from(draw));
+        let m = u128::from(self.m);
+        let carry = (u128::from(frac as u64) * m) >> 64;
+        (((frac >> 64) * m + carry) >> 64) as u64
     }
 
     /// The partner `node` initiates with — bit-identical to
@@ -116,7 +134,7 @@ impl PairPlanner {
         let mut draw = h;
         let r = loop {
             if draw >= self.threshold {
-                break draw % self.m;
+                break self.rem(draw);
             }
             draw = split_mix64(draw);
         } as u32;
@@ -258,6 +276,34 @@ mod tests {
                 for v in NodeId::all(97) {
                     assert_eq!(planner.partner_of(v), s.partner_of(v, round, proto));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_remainder_equals_the_division() {
+        let mut cases = DetRng::seed_from(41);
+        // Node counts: m = n - 1 is 1, a power of two, or near 2³².
+        let mut counts = vec![
+            2,
+            3,
+            5,
+            17,
+            257,
+            (1 << 20) + 1,
+            (1 << 31) + 1,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        counts.extend((0..40).map(|_| (cases.next_u32() >> cases.range(31)).max(2)));
+        for n in counts {
+            let planner = PairPlanner::new(7, n, 0, Protocol::BalancedExchange);
+            let m = planner.m;
+            let mut draws = vec![0, 1, m - 1, m, m + 1, u64::MAX, u64::MAX - 1];
+            draws.extend([u64::MAX / m * m, (u64::MAX / m * m).wrapping_sub(1)]);
+            draws.extend((0..500).map(|_| cases.next_u64() >> cases.range(64)));
+            for draw in draws {
+                assert_eq!(planner.rem(draw), draw % m, "draw {draw} % {m}");
             }
         }
     }

@@ -130,11 +130,12 @@ impl DetRng {
     #[inline]
     pub fn range(&mut self, n: u64) -> u64 {
         assert!(n > 0, "DetRng::range called with n = 0");
-        // Unbiased rejection sampling (the "threshold" method).
-        let threshold = n.wrapping_neg() % n;
+        // Unbiased rejection sampling (the "threshold" method): reject a
+        // draw below 2⁶⁴ mod n. That threshold is below n, so a draw of
+        // at least n is accepted without the division that computes it.
         loop {
             let r = self.next_u64();
-            if r >= threshold {
+            if r >= n || r >= n.wrapping_neg() % n {
                 return r % n;
             }
         }
@@ -220,7 +221,11 @@ impl DetRng {
 
     /// Sample `k` distinct indices from `0..n`, in random order.
     ///
-    /// Uses Floyd's algorithm: `O(k)` expected time, `O(k)` space.
+    /// Uses Floyd's algorithm with a linear scan of the picks so far as
+    /// its membership test: `O(k²)` time, `O(k)` space. A caller that
+    /// needs only the set draws the same members with the same draws in
+    /// `O(k)` over a bitset (`lotus_core::bitset::BitSet::sample` and
+    /// `sample_into`).
     ///
     /// # Panics
     ///
@@ -416,6 +421,53 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
+    }
+
+    /// `range` as it was before it skipped the threshold for draws of at
+    /// least `n`: it computed the threshold on every call.
+    fn range_with_threshold_always(rng: &mut DetRng, n: u64) -> u64 {
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let r = rng.next_u64();
+            if r >= threshold {
+                return r % n;
+            }
+        }
+    }
+
+    #[test]
+    fn range_draws_what_the_threshold_always_version_draws() {
+        let mut cases = DetRng::seed_from(29);
+        let mut bounds = vec![
+            1,
+            2,
+            3,
+            7,
+            10,
+            64,
+            1 << 32,
+            (1 << 32) - 1,
+            u64::MAX,
+            u64::MAX - 1,
+        ];
+        // Above 2⁶³ half the draws are rejected, so the rejection path
+        // runs as often as the accepting one.
+        bounds.extend([(1 << 63) + 1, (1 << 63) + (1 << 62), u64::MAX / 3 * 2]);
+        bounds.extend(
+            (0..40)
+                .map(|_| cases.next_u64() >> cases.range(64))
+                .filter(|&n| n > 0),
+        );
+        for n in bounds {
+            let (mut a, mut b) = (DetRng::seed_from(n), DetRng::seed_from(n));
+            for _ in 0..200 {
+                assert_eq!(
+                    a.range(n),
+                    range_with_threshold_always(&mut b, n),
+                    "n = {n}"
+                );
+            }
+        }
     }
 
     #[test]
