@@ -86,18 +86,10 @@ pub fn balanced_exchange_into<'a, 'b>(
     );
 }
 
-/// Size both masks of a two-way outcome to `words` words (their content
-/// is overwritten next).
-#[inline]
-fn size_masks(a: &mut Transfer, b: &mut Transfer, words: usize) {
-    a.mask.resize(words, 0);
-    b.mask.resize(words, 0);
-}
-
 /// The balanced-exchange kernel on two rows of one alignment: one pass
 /// over the words yields both sides' needs and both transfer masks,
 /// restricted to `band` (a mask in the row layout; the simulators pass
-/// [`whole_window`](crate::update::whole_window)). Needs count the
+/// an all-ones band, the whole window). Needs count the
 /// whole window, as [`WindowView::missing_from`] does. A mask is then
 /// cut to its side's share only when more updates qualify than it
 /// receives.
@@ -112,7 +104,9 @@ pub fn balanced_rows(
     out: &mut BalancedOutcome,
 ) {
     let (to_i, to_r) = (&mut out.to_initiator, &mut out.to_responder);
-    size_masks(to_i, to_r, initiator.len());
+    // Every word of both masks is written below.
+    to_i.mask.resize(initiator.len(), 0);
+    to_r.mask.resize(initiator.len(), 0);
     // m: what the initiator could receive; n: what the responder could;
     // held_*: how much of it the band offers.
     let (mut m, mut n, mut held_i, mut held_r) = (0, 0, 0, 0);
@@ -233,7 +227,9 @@ pub fn push_rows(
     out: &mut PushOutcome,
 ) {
     let (to_r, to_i) = (&mut out.to_responder, &mut out.useful_to_initiator);
-    size_masks(to_r, to_i, initiator.len());
+    // Every word of both masks is written below.
+    to_r.mask.resize(initiator.len(), 0);
+    to_i.mask.resize(initiator.len(), 0);
     let (mut offered, mut payable) = (0, 0);
     let masks = to_r.mask.iter_mut().zip(to_i.mask.iter_mut());
     let rows = initiator

@@ -30,7 +30,7 @@
 //!
 //! A [`Transfer`] — the updates one exchange moves into a window — is a
 //! mask in the same layout plus its popcount:
-//! [`wanted_rows`] computes it word by word and
+//! `wanted_rows` computes it word by word and
 //! [`WindowSlab::union_words`] writes it, so no exchange names an update
 //! one id at a time. The digest path's probe index
 //! ([`BloomIndex`](lotus_core::digest::BloomIndex)) reads the sender's
@@ -41,15 +41,15 @@
 //! The exchange layer reads windows through *row kernels*: functions of
 //! bare row words and an *age band* — the mask, in the row layout, of the
 //! live rounds whose age lies in some `min_age..=max_age` — that make one
-//! straight pass over the words ([`wanted_rows`], [`count_lacking`], and
+//! straight pass over the words (`wanted_rows`, `count_lacking`, and
 //! the exchange kernels in [`crate::exchange`]). A kernel neither checks
 //! alignment nor derives a band: every slab row advances in lockstep, so
 //! a band is the same for every pair of a round. The simulators' push
 //! phase computes its recent and old bands once
 //! ([`WindowSlab::band_into`]), and every other exchange passes
-//! [`whole_window`]; a phase that reads a [`WindowSet`] (the reference
+//! an all-ones band; a phase that reads a [`WindowSet`] (the reference
 //! window, the attacker pool) against the rows checks that alignment
-//! once ([`WindowSlab::check_aligned`]). The view-based entries
+//! once. The view-based entries
 //! ([`WindowView::wanted_from_into`],
 //! [`WindowView::missing_in_age_band`] and the exchange functions over
 //! views) are thin wrappers over the same kernels: they check the
@@ -169,7 +169,7 @@ fn band_words(words: usize, (lo, hi): (usize, usize)) -> impl Iterator<Item = u6
 /// The band of every live round, for rows whose newest live round is the
 /// current one: rows keep the bits above their live rounds zero, so an
 /// all-ones band selects exactly the live window.
-pub fn whole_window() -> std::iter::Repeat<u64> {
+pub(crate) fn whole_window() -> std::iter::Repeat<u64> {
     std::iter::repeat(u64::MAX)
 }
 
@@ -199,7 +199,7 @@ pub(crate) fn keep_oldest(mask: &mut [u64], held: usize, limit: usize) -> usize 
 /// `limit` updates qualify.
 // lint: hot-loop
 #[inline]
-pub fn wanted_rows(
+pub(crate) fn wanted_rows(
     mine: &[u64],
     theirs: &[u64],
     band: impl IntoIterator<Item = u64>,
@@ -220,7 +220,11 @@ pub fn wanted_rows(
 /// `band` (rows and band as for [`wanted_rows`]).
 // lint: hot-loop
 #[inline]
-pub fn count_lacking(mine: &[u64], theirs: &[u64], band: impl IntoIterator<Item = u64>) -> usize {
+pub(crate) fn count_lacking(
+    mine: &[u64],
+    theirs: &[u64],
+    band: impl IntoIterator<Item = u64>,
+) -> usize {
     mine.iter()
         .zip(theirs)
         .zip(band)
@@ -410,7 +414,7 @@ impl<'a> WindowView<'a> {
     /// has age 0). Returns how many updates the mask holds.
     ///
     /// "Oldest first" models nodes prioritising updates closest to expiry.
-    /// The view-based entry to [`wanted_rows`]: it checks the alignment
+    /// The view-based entry to the row kernel: it checks the alignment
     /// and derives the band on every call.
     pub fn wanted_from_into<'b>(
         self,
@@ -428,7 +432,7 @@ impl<'a> WindowView<'a> {
     }
 
     /// Count of updates in `other` missing from `self` within an age band
-    /// ([`count_lacking`] over the band [`WindowView::wanted_from_into`]
+    /// (the row kernel over the band [`WindowView::wanted_from_into`]
     /// derives).
     pub fn missing_in_age_band<'b>(
         self,
@@ -449,7 +453,7 @@ impl<'a> WindowView<'a> {
 }
 
 /// The updates one exchange moves into a window: a mask in the window
-/// row's bit layout ([`wanted_rows`] fills it) and how
+/// row's bit layout (the exchange kernels fill it) and how
 /// many bits it holds. [`WindowSlab::union_words`] delivers it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Transfer {
@@ -773,7 +777,7 @@ impl WindowSlab {
     /// # Panics
     ///
     /// Panics if `other` is not aligned with the slab.
-    pub fn check_aligned<'b>(&self, other: impl Into<WindowView<'b>>) {
+    pub(crate) fn check_aligned<'b>(&self, other: impl Into<WindowView<'b>>) {
         check_aligned(self.alignment(), other.into().alignment());
     }
 
