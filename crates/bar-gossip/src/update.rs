@@ -206,13 +206,13 @@ pub(crate) fn wanted_rows(
     limit: usize,
     want: &mut Vec<u64>,
 ) -> usize {
-    want.clear();
+    // Every word is written below.
+    want.resize(mine.len(), 0);
     let mut held = 0;
-    want.extend(mine.iter().zip(theirs).zip(band).map(|((m, t), b)| {
-        let w = t & !m & b;
+    for ((w, (m, t)), b) in want.iter_mut().zip(mine.iter().zip(theirs)).zip(band) {
+        *w = t & !m & b;
         held += w.count_ones() as usize;
-        w
-    }));
+    }
     keep_oldest(want, held, limit)
 }
 
