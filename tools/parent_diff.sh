@@ -60,6 +60,13 @@
 # binaries. A revision from before the presets lists none, so the leg is
 # empty there.
 #
+# Then the examples leg: both trees' root-package examples are built
+# (`cargo build --release --offline --examples`), and every example that
+# exists at <rev> (`examples/*.rs`) runs through both builds; their
+# stdout must match byte for byte. The seven examples add ≈0.3 s of runs
+# (release, 2 vCPUs) plus the two example builds. An example deleted or
+# renamed since <rev> fails the leg.
+#
 # usage: tools/parent_diff.sh <rev>     e.g. tools/parent_diff.sh HEAD~1
 # Exits 0 when every case matches; otherwise prints the first invocation
 # whose output differs and exits 1. The worktree lives under ${TMPDIR:-/tmp}
@@ -84,6 +91,12 @@ build() {
 }
 build "$tmp/src"
 build "$root"
+build_examples() {
+    cargo build --release --offline --quiet -p lotus-eater --examples \
+        --manifest-path "$1/Cargo.toml" --target-dir "$1/target"
+}
+build_examples "$tmp/src"
+build_examples "$root"
 old="$tmp/src/target/release/lotus-bench"
 new="$root/target/release/lotus-bench"
 
@@ -230,4 +243,17 @@ for id in $("$old" --list | awk '$1 == "preset" && NF == 2 { print $2 }'); do
     compare --preset "$id" --quick --format json
     presets=$((presets + 1))
 done
-echo "parent_diff: $cases cases and $presets presets identical to $rev"
+examples=0
+for src in "$tmp"/src/examples/*.rs; do
+    [[ -e $src ]] || continue
+    name=$(basename "$src" .rs)
+    "$tmp/src/target/release/examples/$name" > "$tmp/old.out"
+    if ! "$root/target/release/examples/$name" > "$tmp/new.out" ||
+        ! cmp -s "$tmp/old.out" "$tmp/new.out"; then
+        echo "DIFFERS: example $name"
+        diff "$tmp/old.out" "$tmp/new.out" | head -20
+        exit 1
+    fi
+    examples=$((examples + 1))
+done
+echo "parent_diff: $cases cases, $presets presets and $examples examples identical to $rev"
