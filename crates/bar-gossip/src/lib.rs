@@ -36,6 +36,7 @@
 //!
 //! ```
 //! use bar_gossip::{AttackPlan, BarGossipConfig, BarGossipSim};
+//! use lotus_core::scenario::run;
 //!
 //! let cfg = BarGossipConfig::builder()
 //!     .nodes(80)
@@ -46,7 +47,7 @@
 //!
 //! // The paper's headline attack: satiate 70% of the system.
 //! let attack = AttackPlan::trade_lotus_eater(0.25, 0.70);
-//! let report = BarGossipSim::new(cfg, attack, 42).run_to_report();
+//! let report = run::<BarGossipSim>(cfg, attack, 42);
 //!
 //! // Satiated nodes receive near-perfect service; isolated nodes suffer.
 //! assert!(report.satiated_delivery() >= report.isolated_delivery());

@@ -142,6 +142,7 @@ impl ScripGossipReport {
 /// ```
 /// use bar_gossip::scrip_gossip::{ScripGossipConfig, ScripGossipSim};
 /// use bar_gossip::{AttackPlan, BarGossipConfig};
+/// use lotus_core::scenario::run;
 ///
 /// let base = BarGossipConfig::builder()
 ///     .nodes(60)
@@ -150,7 +151,7 @@ impl ScripGossipReport {
 ///     .rounds(20)
 ///     .build()?;
 /// let cfg = ScripGossipConfig::new(base);
-/// let report = ScripGossipSim::new(cfg, AttackPlan::none(), 7).run_to_report();
+/// let report = run::<ScripGossipSim>(cfg, AttackPlan::none(), 7);
 /// assert!(report.overall_delivery > 0.9, "scrip gossip delivers");
 /// # Ok::<(), bar_gossip::config::ConfigError>(())
 /// ```
@@ -326,16 +327,6 @@ impl ScripGossipSim {
         self.served_this_round[s] += 1;
     }
 
-    /// Run the configured horizon and produce the report.
-    pub fn run_to_report(mut self) -> ScripGossipReport {
-        let total = self.eng.cfg.total_rounds();
-        while self.round < total {
-            let t = self.round;
-            self.round(t);
-        }
-        self.report()
-    }
-
     /// Snapshot the report so far.
     pub fn report(&self) -> ScripGossipReport {
         let delivery = self.eng.delivery();
@@ -471,6 +462,7 @@ impl lotus_core::scenario::Summarize for ScripGossipReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lotus_core::scenario::run;
 
     fn base() -> BarGossipConfig {
         BarGossipConfig::builder()
@@ -490,7 +482,7 @@ mod tests {
 
     #[test]
     fn healthy_scrip_gossip_delivers() {
-        let report = ScripGossipSim::new(cfg(), AttackPlan::none(), 1).run_to_report();
+        let report = run::<ScripGossipSim>(cfg(), AttackPlan::none(), 1);
         assert!(
             report.overall_delivery > 0.95,
             "unattacked delivery {}",
@@ -510,10 +502,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a =
-            ScripGossipSim::new(cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 9).run_to_report();
-        let b =
-            ScripGossipSim::new(cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 9).run_to_report();
+        let a = run::<ScripGossipSim>(cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 9);
+        let b = run::<ScripGossipSim>(cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 9);
         assert_eq!(a, b);
     }
 
@@ -523,8 +513,8 @@ mod tests {
         // nodes still sell to isolated nodes, so isolated delivery holds
         // far better than in vanilla BAR Gossip at the same attack size.
         let attack = AttackPlan::trade_lotus_eater(0.30, 0.70);
-        let scrip = ScripGossipSim::new(cfg(), attack, 5).run_to_report();
-        let vanilla = crate::BarGossipSim::new(base(), attack, 5).run_to_report();
+        let scrip = run::<ScripGossipSim>(cfg(), attack, 5);
+        let vanilla = run::<crate::BarGossipSim>(base(), attack, 5);
         assert!(
             scrip.isolated_delivery > vanilla.isolated_delivery(),
             "scrip gossip must resist the gift attack: {} vs vanilla {}",
@@ -538,13 +528,13 @@ mod tests {
         // With a huge threshold nobody is ever money-satiated: no refusals.
         let mut c = cfg();
         c.threshold = 100_000;
-        let report = ScripGossipSim::new(c, AttackPlan::none(), 3).run_to_report();
+        let report = run::<ScripGossipSim>(c, AttackPlan::none(), 3);
         assert_eq!(report.refusal_rate, 0.0);
         // With a threshold at the starting balance, sellers refuse until
         // they have spent below it.
         let mut c = cfg();
         c.threshold = c.money_per_node; // everyone starts money-satiated
-        let report = ScripGossipSim::new(c, AttackPlan::none(), 3).run_to_report();
+        let report = run::<ScripGossipSim>(c, AttackPlan::none(), 3);
         assert!(report.refusal_rate > 0.0, "got {}", report.refusal_rate);
     }
 
@@ -572,14 +562,12 @@ mod tests {
     fn zero_fault_plan_is_report_invisible() {
         let mut b = base();
         b.faults = lotus_core::faults::FaultPlan::parse("loss:0/dup:0").unwrap();
-        let faulted = ScripGossipSim::new(
+        let faulted = run::<ScripGossipSim>(
             ScripGossipConfig::new(b),
             AttackPlan::trade_lotus_eater(0.2, 0.7),
             9,
-        )
-        .run_to_report();
-        let plain =
-            ScripGossipSim::new(cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 9).run_to_report();
+        );
+        let plain = run::<ScripGossipSim>(cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 9);
         assert_eq!(faulted, plain);
         assert!(faulted.cuts.is_none());
         assert!(faulted.fault_counters.is_none());
@@ -589,8 +577,7 @@ mod tests {
     fn cutoff_is_surgical_without_faults() {
         let mut b = base();
         b.defenses.cutoff_quorum = Some(2);
-        let report =
-            ScripGossipSim::new(ScripGossipConfig::new(b), AttackPlan::none(), 3).run_to_report();
+        let report = run::<ScripGossipSim>(ScripGossipConfig::new(b), AttackPlan::none(), 3);
         let cuts = report.cuts.expect("cutoff defense reports cut stats");
         assert_eq!((cuts.cut_honest, cuts.cut_attacker), (0, 0));
     }
@@ -600,8 +587,7 @@ mod tests {
         let mut b = base();
         b.defenses.cutoff_quorum = Some(2);
         b.faults = lotus_core::faults::FaultPlan::parse("loss:0.3").unwrap();
-        let report =
-            ScripGossipSim::new(ScripGossipConfig::new(b), AttackPlan::none(), 3).run_to_report();
+        let report = run::<ScripGossipSim>(ScripGossipConfig::new(b), AttackPlan::none(), 3);
         let cuts = report.cuts.expect("cutoff defense reports cut stats");
         assert!(cuts.cut_honest > 0, "voided sales read as silence");
     }

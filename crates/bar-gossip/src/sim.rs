@@ -90,8 +90,8 @@
 //! running delivery counters, not from a report. Scratch contents are
 //! meaningless between phases — each user clears before filling — and
 //! none of it affects reports: refactors here must keep reports
-//! bit-identical per seed (the determinism, legacy-equivalence and
-//! schedule-golden tests are the guardrail).
+//! bit-identical per seed (the determinism and schedule-golden tests and
+//! `tools/parent_diff.sh` are the guardrail).
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::{BarGossipConfig, DigestExchangeConfig};
@@ -270,6 +270,7 @@ impl BarGossipReport {
 ///
 /// ```
 /// use bar_gossip::{AttackPlan, BarGossipConfig, BarGossipSim};
+/// use lotus_core::scenario::run;
 ///
 /// let cfg = BarGossipConfig::builder()
 ///     .nodes(60)
@@ -277,7 +278,7 @@ impl BarGossipReport {
 ///     .copies_seeded(6)
 ///     .rounds(20)
 ///     .build()?;
-/// let report = BarGossipSim::new(cfg, AttackPlan::none(), 7).run_to_report();
+/// let report = run::<BarGossipSim>(cfg, AttackPlan::none(), 7);
 /// assert!(report.overall_delivery() > 0.9, "healthy system delivers");
 /// # Ok::<(), bar_gossip::config::ConfigError>(())
 /// ```
@@ -1166,16 +1167,6 @@ impl BarGossipSim {
         }
     }
 
-    /// Run the configured horizon and produce the report.
-    pub fn run_to_report(mut self) -> BarGossipReport {
-        let total = self.eng.cfg.total_rounds();
-        while self.round < total {
-            let t = self.round;
-            self.round(t);
-        }
-        self.report()
-    }
-
     /// Snapshot the report for the rounds executed so far.
     pub fn report(&self) -> BarGossipReport {
         let counts = ClassCounts {
@@ -1288,11 +1279,6 @@ impl lotus_core::satiation::Feedable for BarGossipSim {
         self.eng.windows.union_with(node.index(), &self.eng.full);
         self.fed.insert(node.index());
     }
-
-    fn step(&mut self) {
-        let t = self.round;
-        self.round(t);
-    }
 }
 
 impl lotus_core::satiation::Satiable for BarGossipSim {
@@ -1394,6 +1380,7 @@ impl lotus_core::scenario::Summarize for BarGossipReport {
 mod tests {
     use super::*;
     use lotus_core::satiation::Satiable;
+    use lotus_core::scenario::run;
 
     fn small_cfg() -> BarGossipConfig {
         BarGossipConfig::builder()
@@ -1409,7 +1396,7 @@ mod tests {
 
     #[test]
     fn healthy_system_delivers_nearly_everything() {
-        let report = BarGossipSim::new(small_cfg(), AttackPlan::none(), 1).run_to_report();
+        let report = run::<BarGossipSim>(small_cfg(), AttackPlan::none(), 1);
         assert!(
             report.overall_delivery() > 0.95,
             "unattacked delivery was {}",
@@ -1423,24 +1410,18 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = BarGossipSim::new(small_cfg(), AttackPlan::crash(0.2), 5).run_to_report();
-        let b = BarGossipSim::new(small_cfg(), AttackPlan::crash(0.2), 5).run_to_report();
+        let a = run::<BarGossipSim>(small_cfg(), AttackPlan::crash(0.2), 5);
+        let b = run::<BarGossipSim>(small_cfg(), AttackPlan::crash(0.2), 5);
         assert_eq!(a, b);
-        let c = BarGossipSim::new(small_cfg(), AttackPlan::crash(0.2), 6).run_to_report();
+        let c = run::<BarGossipSim>(small_cfg(), AttackPlan::crash(0.2), 6);
         assert_ne!(a.delivery, c.delivery);
     }
 
     #[test]
     fn crash_attack_degrades_delivery_monotonically_ish() {
-        let d0 = BarGossipSim::new(small_cfg(), AttackPlan::none(), 3)
-            .run_to_report()
-            .overall_delivery();
-        let d50 = BarGossipSim::new(small_cfg(), AttackPlan::crash(0.5), 3)
-            .run_to_report()
-            .isolated_delivery();
-        let d90 = BarGossipSim::new(small_cfg(), AttackPlan::crash(0.9), 3)
-            .run_to_report()
-            .isolated_delivery();
+        let d0 = run::<BarGossipSim>(small_cfg(), AttackPlan::none(), 3).overall_delivery();
+        let d50 = run::<BarGossipSim>(small_cfg(), AttackPlan::crash(0.5), 3).isolated_delivery();
+        let d90 = run::<BarGossipSim>(small_cfg(), AttackPlan::crash(0.9), 3).isolated_delivery();
         assert!(d50 < d0, "50% crash must hurt: {d50} vs {d0}");
         assert!(d90 < d50, "90% crash must hurt more: {d90} vs {d50}");
         assert!(d90 < 0.5, "90% crash should cripple the system");
@@ -1448,8 +1429,7 @@ mod tests {
 
     #[test]
     fn trade_attack_starves_isolated_and_feeds_satiated() {
-        let report = BarGossipSim::new(small_cfg(), AttackPlan::trade_lotus_eater(0.3, 0.7), 4)
-            .run_to_report();
+        let report = run::<BarGossipSim>(small_cfg(), AttackPlan::trade_lotus_eater(0.3, 0.7), 4);
         assert!(
             report.satiated_delivery() > 0.9,
             "satiated nodes get near-perfect service, got {}",
@@ -1471,10 +1451,8 @@ mod tests {
         // attacker is starved of scheduled interactions while the ideal
         // attacker forwards out-of-band to everyone (paper Figure 1: ideal
         // breaks the system at ~4%, trade needs ~22%).
-        let ideal = BarGossipSim::new(small_cfg(), AttackPlan::ideal_lotus_eater(0.05, 0.7), 4)
-            .run_to_report();
-        let trade = BarGossipSim::new(small_cfg(), AttackPlan::trade_lotus_eater(0.05, 0.7), 4)
-            .run_to_report();
+        let ideal = run::<BarGossipSim>(small_cfg(), AttackPlan::ideal_lotus_eater(0.05, 0.7), 4);
+        let trade = run::<BarGossipSim>(small_cfg(), AttackPlan::trade_lotus_eater(0.05, 0.7), 4);
         assert!(
             ideal.isolated_delivery() <= trade.isolated_delivery() + 0.02,
             "ideal ({}) should hit at least as hard as trade ({}) at 5%",
@@ -1485,8 +1463,7 @@ mod tests {
 
     #[test]
     fn ideal_attacker_holds_partial_coverage() {
-        let report = BarGossipSim::new(small_cfg(), AttackPlan::ideal_lotus_eater(0.05, 0.7), 2)
-            .run_to_report();
+        let report = run::<BarGossipSim>(small_cfg(), AttackPlan::ideal_lotus_eater(0.05, 0.7), 2);
         assert!(
             report.attacker_coverage > 0.05 && report.attacker_coverage < 0.9,
             "a small attacker holds partial coverage, got {}",
@@ -1496,7 +1473,7 @@ mod tests {
 
     #[test]
     fn crash_attack_needs_no_bandwidth() {
-        let report = BarGossipSim::new(small_cfg(), AttackPlan::crash(0.3), 2).run_to_report();
+        let report = run::<BarGossipSim>(small_cfg(), AttackPlan::crash(0.3), 2);
         assert_eq!(report.mean_attacker_upload, 0.0);
         assert_eq!(
             report.attacker_coverage, 0.0,
@@ -1534,8 +1511,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let report =
-            BarGossipSim::new(cfg, AttackPlan::trade_lotus_eater(0.2, 0.7), 3).run_to_report();
+        let report = run::<BarGossipSim>(cfg, AttackPlan::trade_lotus_eater(0.2, 0.7), 3);
         assert!(report.evictions > 0, "attackers should be evicted");
     }
 
@@ -1556,7 +1532,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let report = BarGossipSim::new(cfg, AttackPlan::none(), 3).run_to_report();
+        let report = run::<BarGossipSim>(cfg, AttackPlan::none(), 3);
         assert_eq!(
             report.evictions, 0,
             "honest protocol traffic is never excessive"
@@ -1566,10 +1542,10 @@ mod tests {
     #[test]
     fn rate_limit_blunts_trade_attack() {
         let attack = AttackPlan::trade_lotus_eater(0.25, 0.7);
-        let open = BarGossipSim::new(small_cfg(), attack, 6).run_to_report();
+        let open = run::<BarGossipSim>(small_cfg(), attack, 6);
         let mut limited_cfg = small_cfg();
         limited_cfg.defenses.rate_limit = Some(2);
-        let limited = BarGossipSim::new(limited_cfg, attack, 6).run_to_report();
+        let limited = run::<BarGossipSim>(limited_cfg, attack, 6);
         assert!(
             limited.isolated_delivery() >= open.isolated_delivery() - 0.02,
             "rate limiting should not make isolated nodes worse off: {} vs {}",
@@ -1586,7 +1562,7 @@ mod tests {
     fn series_covers_measured_rounds() {
         let cfg = small_cfg();
         let expected = cfg.rounds as usize;
-        let report = BarGossipSim::new(cfg, AttackPlan::none(), 1).run_to_report();
+        let report = run::<BarGossipSim>(cfg, AttackPlan::none(), 1);
         assert_eq!(report.isolated_series.len(), expected);
         for (r, frac) in &report.isolated_series {
             assert!(*frac >= 0.0 && *frac <= 1.0);
@@ -1608,10 +1584,8 @@ mod tests {
     fn attacker_receives_flag_controls_pool_growth() {
         let mut cfg = small_cfg();
         cfg.attacker_receives = false;
-        let no_recv =
-            BarGossipSim::new(cfg, AttackPlan::trade_lotus_eater(0.2, 0.7), 5).run_to_report();
-        let recv = BarGossipSim::new(small_cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 5)
-            .run_to_report();
+        let no_recv = run::<BarGossipSim>(cfg, AttackPlan::trade_lotus_eater(0.2, 0.7), 5);
+        let recv = run::<BarGossipSim>(small_cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 5);
         assert!(
             recv.attacker_coverage >= no_recv.attacker_coverage,
             "receiving can only grow attacker coverage: {} vs {}",
@@ -1628,8 +1602,8 @@ mod tests {
         // updates expire, effectively healing them.
         let static_plan = AttackPlan::trade_lotus_eater(0.3, 0.7);
         let rotating = static_plan.with_rotation(16); // 2x the lifetime
-        let fixed = BarGossipSim::new(small_cfg(), static_plan, 12).run_to_report();
-        let rotated = BarGossipSim::new(small_cfg(), rotating, 12).run_to_report();
+        let fixed = run::<BarGossipSim>(small_cfg(), static_plan, 12);
+        let rotated = run::<BarGossipSim>(small_cfg(), rotating, 12);
         assert!(
             rotated.nodes_ever_unusable >= fixed.nodes_ever_unusable,
             "slow rotation must touch at least as many nodes: {} vs {}",
@@ -1640,8 +1614,7 @@ mod tests {
 
     #[test]
     fn per_node_metrics_are_sane() {
-        let report = BarGossipSim::new(small_cfg(), AttackPlan::trade_lotus_eater(0.3, 0.7), 3)
-            .run_to_report();
+        let report = run::<BarGossipSim>(small_cfg(), AttackPlan::trade_lotus_eater(0.3, 0.7), 3);
         assert!(report.min_node_delivery >= 0.0 && report.min_node_delivery <= 1.0);
         assert!(report.min_node_delivery <= report.overall_delivery() + 1e-9);
         assert!(report.nodes_ever_unusable >= 0.0 && report.nodes_ever_unusable <= 1.0);
@@ -1653,7 +1626,7 @@ mod tests {
 
     #[test]
     fn clean_run_has_no_unusable_nodes() {
-        let report = BarGossipSim::new(small_cfg(), AttackPlan::none(), 2).run_to_report();
+        let report = run::<BarGossipSim>(small_cfg(), AttackPlan::none(), 2);
         assert!(
             report.unusable_node_rounds < 0.2,
             "healthy system rarely dips below threshold, got {}",
@@ -1668,10 +1641,8 @@ mod tests {
         // field byte-identical to the default (no fault layer at all).
         let mut cfg = small_cfg();
         cfg.faults = lotus_core::faults::FaultPlan::parse("loss:0/crash:0:0.5").unwrap();
-        let faulted =
-            BarGossipSim::new(cfg, AttackPlan::trade_lotus_eater(0.2, 0.7), 5).run_to_report();
-        let plain = BarGossipSim::new(small_cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 5)
-            .run_to_report();
+        let faulted = run::<BarGossipSim>(cfg, AttackPlan::trade_lotus_eater(0.2, 0.7), 5);
+        let plain = run::<BarGossipSim>(small_cfg(), AttackPlan::trade_lotus_eater(0.2, 0.7), 5);
         assert_eq!(faulted, plain);
         assert!(faulted.fault_counters.is_none());
         assert!(faulted.cuts.is_none());
@@ -1681,8 +1652,8 @@ mod tests {
     fn message_loss_degrades_delivery() {
         let mut cfg = small_cfg();
         cfg.faults = lotus_core::faults::FaultPlan::parse("loss:0.4").unwrap();
-        let lossy = BarGossipSim::new(cfg, AttackPlan::none(), 3).run_to_report();
-        let clean = BarGossipSim::new(small_cfg(), AttackPlan::none(), 3).run_to_report();
+        let lossy = run::<BarGossipSim>(cfg, AttackPlan::none(), 3);
+        let clean = run::<BarGossipSim>(small_cfg(), AttackPlan::none(), 3);
         assert!(
             lossy.overall_delivery() < clean.overall_delivery(),
             "40% loss must hurt: {} vs {}",
@@ -1697,8 +1668,8 @@ mod tests {
     fn crashes_lose_state_and_count() {
         let mut cfg = small_cfg();
         cfg.faults = lotus_core::faults::FaultPlan::parse("crash:0.05:0.3").unwrap();
-        let crashy = BarGossipSim::new(cfg, AttackPlan::none(), 7).run_to_report();
-        let clean = BarGossipSim::new(small_cfg(), AttackPlan::none(), 7).run_to_report();
+        let crashy = run::<BarGossipSim>(cfg, AttackPlan::none(), 7);
+        let clean = run::<BarGossipSim>(small_cfg(), AttackPlan::none(), 7);
         let counters = crashy.fault_counters.expect("active plan reports counters");
         assert!(counters.crashes > 0, "5% per round crashes someone");
         assert!(
@@ -1713,14 +1684,14 @@ mod tests {
     fn partition_blocks_interactions_for_its_epoch() {
         let mut cfg = small_cfg();
         cfg.faults = lotus_core::faults::FaultPlan::parse("partition:10:10:0.5").unwrap();
-        let split = BarGossipSim::new(cfg, AttackPlan::none(), 2).run_to_report();
+        let split = run::<BarGossipSim>(cfg, AttackPlan::none(), 2);
         let counters = split.fault_counters.expect("active plan reports counters");
         assert!(counters.partition_blocked > 0, "cross-cell pairs blocked");
     }
 
     #[test]
     fn masquerade_is_honest_on_a_perfect_network() {
-        let report = BarGossipSim::new(small_cfg(), AttackPlan::masquerade(0.2), 4).run_to_report();
+        let report = run::<BarGossipSim>(small_cfg(), AttackPlan::masquerade(0.2), 4);
         assert!(
             report.overall_delivery() > 0.95,
             "no ambient faults, nothing to hide behind: delivery {}",
@@ -1732,9 +1703,8 @@ mod tests {
     fn masquerade_defects_at_the_ambient_rate() {
         let mut cfg = small_cfg();
         cfg.faults = lotus_core::faults::FaultPlan::parse("loss:0.2").unwrap();
-        let attacked =
-            BarGossipSim::new(cfg.clone(), AttackPlan::masquerade(0.3), 4).run_to_report();
-        let unattacked = BarGossipSim::new(cfg, AttackPlan::none(), 4).run_to_report();
+        let attacked = run::<BarGossipSim>(cfg.clone(), AttackPlan::masquerade(0.3), 4);
+        let unattacked = run::<BarGossipSim>(cfg, AttackPlan::none(), 4);
         assert!(
             attacked.overall_delivery() < unattacked.overall_delivery(),
             "masquerade defection compounds the ambient loss: {} vs {}",
@@ -1757,7 +1727,7 @@ mod tests {
             .cutoff_quorum(Some(2))
             .build()
             .unwrap();
-        let report = BarGossipSim::new(cfg, AttackPlan::none(), 6).run_to_report();
+        let report = run::<BarGossipSim>(cfg, AttackPlan::none(), 6);
         let cuts = report.cuts.expect("cutoff defense reports cut stats");
         assert_eq!((cuts.cut_honest, cuts.cut_attacker), (0, 0));
         assert_eq!(cuts.precision(), 1.0, "vacuous precision");
@@ -1778,7 +1748,7 @@ mod tests {
             .faults(lotus_core::faults::FaultPlan::parse("loss:0.3").unwrap())
             .build()
             .unwrap();
-        let report = BarGossipSim::new(cfg, AttackPlan::none(), 6).run_to_report();
+        let report = run::<BarGossipSim>(cfg, AttackPlan::none(), 6);
         let cuts = report.cuts.expect("cutoff defense reports cut stats");
         assert!(cuts.cut_honest > 0, "loss-induced silence gets punished");
         assert!(cuts.false_cut_rate() > 0.0);
@@ -1792,8 +1762,8 @@ mod tests {
         capped_cfg.responder_cap = Some(1);
         let mut open_cfg = small_cfg();
         open_cfg.responder_cap = None;
-        let capped = BarGossipSim::new(capped_cfg, AttackPlan::none(), 11).run_to_report();
-        let open = BarGossipSim::new(open_cfg, AttackPlan::none(), 11).run_to_report();
+        let capped = run::<BarGossipSim>(capped_cfg, AttackPlan::none(), 11);
+        let open = run::<BarGossipSim>(open_cfg, AttackPlan::none(), 11);
         assert!(
             open.mean_honest_upload >= capped.mean_honest_upload,
             "uncapped responders serve at least as much: {} vs {}",
@@ -1810,12 +1780,11 @@ mod tests {
 
     #[test]
     fn truthful_digest_exchange_delivers_nearly_everything() {
-        let report = BarGossipSim::new(
+        let report = run::<BarGossipSim>(
             digest_cfg(DigestExchangeConfig::default()),
             AttackPlan::none(),
             1,
-        )
-        .run_to_report();
+        );
         assert!(
             report.overall_delivery() > 0.95,
             "digest-round delivery was {}",
@@ -1832,21 +1801,19 @@ mod tests {
         // The sim-level cut of the keystone golden: wire accounting
         // differs by mode, delivery must not (no false negatives, and
         // a false positive only ever wastes a request).
-        let bloom = BarGossipSim::new(
+        let bloom = run::<BarGossipSim>(
             digest_cfg(DigestExchangeConfig::default()),
             AttackPlan::poison(0.3, 1.0),
             9,
-        )
-        .run_to_report();
-        let exact = BarGossipSim::new(
+        );
+        let exact = run::<BarGossipSim>(
             digest_cfg(DigestExchangeConfig {
                 exact: true,
                 ..DigestExchangeConfig::default()
             }),
             AttackPlan::poison(0.3, 1.0),
             9,
-        )
-        .run_to_report();
+        );
         let mut b = bloom.clone();
         let mut e = exact.clone();
         b.digest = None;
@@ -1863,18 +1830,16 @@ mod tests {
 
     #[test]
     fn poison_attack_starves_via_withholding_only() {
-        let honest = BarGossipSim::new(
+        let honest = run::<BarGossipSim>(
             digest_cfg(DigestExchangeConfig::default()),
             AttackPlan::poison(0.3, 0.0),
             7,
-        )
-        .run_to_report();
-        let full = BarGossipSim::new(
+        );
+        let full = run::<BarGossipSim>(
             digest_cfg(DigestExchangeConfig::default()),
             AttackPlan::poison(0.3, 1.0),
             7,
-        )
-        .run_to_report();
+        );
         assert_eq!(honest.digest.unwrap().withheld, 0, "rate 0 poisons nothing");
         assert!(honest.overall_delivery() > 0.9);
         assert!(full.digest.unwrap().withheld > 0);
@@ -1893,7 +1858,7 @@ mod tests {
             ..DigestExchangeConfig::default()
         });
         cfg.defenses.cutoff_quorum = Some(2);
-        let report = BarGossipSim::new(cfg, AttackPlan::poison(0.3, 1.0), 5).run_to_report();
+        let report = run::<BarGossipSim>(cfg, AttackPlan::poison(0.3, 1.0), 5);
         let cuts = report.cuts.expect("cutoff defense reports cut stats");
         assert!(
             cuts.attacker_cut_rate() > 0.5,
@@ -1905,21 +1870,19 @@ mod tests {
 
     #[test]
     fn digest_runs_are_deterministic_and_config_is_inert_elsewhere() {
-        let a = BarGossipSim::new(
+        let a = run::<BarGossipSim>(
             digest_cfg(DigestExchangeConfig::default()),
             AttackPlan::poison(0.2, 0.6),
             3,
-        )
-        .run_to_report();
-        let b = BarGossipSim::new(
+        );
+        let b = run::<BarGossipSim>(
             digest_cfg(DigestExchangeConfig::default()),
             AttackPlan::poison(0.2, 0.6),
             3,
-        )
-        .run_to_report();
+        );
         assert_eq!(a, b);
         // A classic run carries no digest stats at all.
-        let classic = BarGossipSim::new(small_cfg(), AttackPlan::none(), 3).run_to_report();
+        let classic = run::<BarGossipSim>(small_cfg(), AttackPlan::none(), 3);
         assert!(classic.digest.is_none());
     }
 }

@@ -27,6 +27,7 @@ use lotus_core::bitset::BitSet;
 use lotus_core::faults::FaultPlan;
 use lotus_core::population::{ArrivalProcess, ChurnSpec};
 use lotus_core::proptest_lite::{check, Draw};
+use lotus_core::scenario::run;
 use netsim::partner::{PartnerSchedule, Protocol};
 use netsim::plan::{ExchangePlan, PlannedPair, READY, VIABLE};
 use netsim::NodeId;
@@ -231,7 +232,7 @@ impl Universe {
             b = b.report_defense(report);
         }
         let cfg = b.build().map_err(|e| format!("config rejected: {e:?}"))?;
-        Ok(BarGossipSim::new(cfg, self.attack, self.seed).run_to_report())
+        Ok(run::<BarGossipSim>(cfg, self.attack, self.seed))
     }
 }
 

@@ -7,6 +7,7 @@
 //! protocol invariants under arbitrary attacks and defenses.
 
 use bar_gossip::{AttackPlan, BarGossipConfig, BarGossipSim, DefenseSuite, ReportConfig};
+use lotus_core::scenario::run;
 use proptest::prelude::*;
 
 fn arb_plan() -> impl Strategy<Value = AttackPlan> {
@@ -58,7 +59,7 @@ proptest! {
             .defenses(defenses)
             .build()
             .expect("valid config");
-        let report = BarGossipSim::new(cfg, plan, seed).run_to_report();
+        let report = run::<BarGossipSim>(cfg, plan, seed);
 
         for v in [
             report.delivery.isolated,
@@ -99,7 +100,7 @@ proptest! {
             .warmup_rounds(3)
             .build()
             .expect("valid config");
-        let report = BarGossipSim::new(cfg, AttackPlan::crash(frac), seed).run_to_report();
+        let report = run::<BarGossipSim>(cfg, AttackPlan::crash(frac), seed);
         prop_assert_eq!(report.mean_attacker_upload, 0.0);
     }
 
@@ -120,7 +121,7 @@ proptest! {
             })
             .build()
             .expect("valid config");
-        let report = BarGossipSim::new(cfg, AttackPlan::none(), seed).run_to_report();
+        let report = run::<BarGossipSim>(cfg, AttackPlan::none(), seed);
         prop_assert_eq!(report.evictions, 0);
     }
 }

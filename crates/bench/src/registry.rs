@@ -388,7 +388,7 @@ impl ScenarioRegistry {
     pub fn run(&self, scenario: &str, req: &RunRequest<'_>) -> Result<ScenarioReport, String> {
         let (spec, args) = self.check(scenario, req)?;
         let mut built = (spec.build)(&args)?;
-        let mut report = built.finish();
+        let mut report = built.finish_dyn();
         let learning = matches!(
             parse_adaptive(&args),
             Ok(Some(spec)) if spec.needs_observation()

@@ -595,7 +595,7 @@ pub fn evaluate(registry: &ScenarioRegistry, opts: &Options) -> Result<Figure, S
             );
             let req = RunRequest::new(x, seed, &curve.attack, &opts.sweep, &params);
             let mut built = registry.build(scenario, &req)?;
-            let _ = built.finish();
+            let _ = built.finish_dyn();
             if let Some(trace) = built.arm_trace_dyn() {
                 figure.arm_traces.push(ArmTraceRecord {
                     label: series.label.clone(),

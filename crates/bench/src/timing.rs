@@ -191,7 +191,7 @@ where
         s
     };
     for _ in 0..warmup {
-        next(&mut build)?.finish();
+        next(&mut build)?.finish_dyn();
     }
     let mut run_samples = Vec::with_capacity(iters as usize);
     for _ in 0..iters {

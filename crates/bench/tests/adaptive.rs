@@ -79,7 +79,7 @@ fn run_case(
 
 /// Run through the build path and capture the arm trace alongside the
 /// summary.
-fn run_with_trace(
+fn traced_run(
     scenario: &str,
     attack: &str,
     seed: u64,
@@ -95,7 +95,7 @@ fn run_with_trace(
     let mut built = reg
         .build(scenario, &req)
         .unwrap_or_else(|e| panic!("{scenario} {attack} seed {seed}: {e}"));
-    let report = built.finish();
+    let report = built.finish_dyn();
     (report, built.arm_trace_dyn().map(<[TraceEntry]>::to_vec))
 }
 
@@ -150,8 +150,8 @@ fn adaptive_runs_replay_bit_identically() {
     for policy in ["epsilon-greedy,6,0.3", "ucb,6,0.8"] {
         for (scenario, attack, base) in CASES {
             let extra = [("adaptive", policy)];
-            let (r1, t1) = run_with_trace(scenario, attack, 1, base, &extra);
-            let (r2, t2) = run_with_trace(scenario, attack, 1, base, &extra);
+            let (r1, t1) = traced_run(scenario, attack, 1, base, &extra);
+            let (r2, t2) = traced_run(scenario, attack, 1, base, &extra);
             assert_eq!(
                 r1, r2,
                 "{scenario} with {policy} must replay bit-identically"
@@ -185,7 +185,7 @@ fn exploration_randomness_is_seed_dependent() {
     let (_, base) = ("bar-gossip", CASES[0].2);
     let traces: Vec<Vec<TraceEntry>> = (1..=8)
         .map(|seed| {
-            run_with_trace(
+            traced_run(
                 "bar-gossip",
                 "trade",
                 seed,

@@ -11,6 +11,7 @@
 
 use bar_gossip::{AttackPlan, BarGossipConfig, BarGossipSim, DigestExchangeConfig};
 use lotus_bench::registry::{Params, RunRequest, ScenarioRegistry};
+use lotus_core::scenario::run;
 use lotus_core::sweep::{sweep_fraction, SweepConfig};
 
 /// A small digest-run config; `faults` and churn exercise the paths that
@@ -49,8 +50,8 @@ fn bloom_and_exact_digests_run_bit_identically_modulo_wire_stats() {
     ];
     for (i, mk) in attacks.iter().enumerate() {
         for seed in 1..=4u64 {
-            let mut bloom = BarGossipSim::new(base_cfg(false), mk(), seed).run_to_report();
-            let mut exact = BarGossipSim::new(base_cfg(true), mk(), seed).run_to_report();
+            let mut bloom = run::<BarGossipSim>(base_cfg(false), mk(), seed);
+            let mut exact = run::<BarGossipSim>(base_cfg(true), mk(), seed);
             assert_eq!(
                 exact.digest.expect("digest runs carry stats").fp_requests,
                 0,

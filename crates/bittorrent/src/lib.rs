@@ -18,11 +18,12 @@
 //! # Example
 //!
 //! ```
+//! use lotus_core::scenario::run;
 //! use torrent_sim::{SwarmAttack, SwarmConfig, SwarmSim, TargetPolicy};
 //!
 //! let cfg = SwarmConfig::builder().leechers(20).pieces(32).build()?;
 //! let attack = SwarmAttack::satiate(3, 8, 0.3, TargetPolicy::Random);
-//! let report = SwarmSim::new(cfg, attack, 42).run_to_report();
+//! let report = run::<SwarmSim>(cfg, attack, 42);
 //! // Satiated targets finish early and leave — but the swarm survives.
 //! assert!(report.all_complete);
 //! # Ok::<(), torrent_sim::config::ConfigError>(())

@@ -188,13 +188,14 @@ impl Scratch {
 /// The swarm simulator.
 ///
 /// ```
+/// use lotus_core::scenario::run;
 /// use torrent_sim::{SwarmAttack, SwarmConfig, SwarmSim};
 ///
 /// let cfg = SwarmConfig::builder()
 ///     .leechers(20)
 ///     .pieces(32)
 ///     .build()?;
-/// let report = SwarmSim::new(cfg, SwarmAttack::none(), 7).run_to_report();
+/// let report = run::<SwarmSim>(cfg, SwarmAttack::none(), 7);
 /// assert!(report.all_complete, "healthy swarm finishes");
 /// # Ok::<(), torrent_sim::config::ConfigError>(())
 /// ```
@@ -666,15 +667,6 @@ impl SwarmSim {
         }
     }
 
-    /// Run until every leecher completes or the horizon is hit.
-    pub fn run_to_report(mut self) -> SwarmReport {
-        while self.round < self.cfg.max_rounds && !self.all_leechers_complete() {
-            let t = self.round;
-            self.round(t);
-        }
-        self.report()
-    }
-
     /// Snapshot the report so far.
     pub fn report(&self) -> SwarmReport {
         let leechers = self.cfg.leechers as usize;
@@ -848,11 +840,6 @@ impl lotus_core::satiation::Feedable for SwarmSim {
         let pieces = self.cfg.pieces as usize;
         self.peers[node.index()].have = BitSet::full(pieces);
     }
-
-    fn step(&mut self) {
-        let t = self.round;
-        RoundSim::round(self, t);
-    }
 }
 
 impl Satiable for SwarmSim {
@@ -873,6 +860,7 @@ impl Satiable for SwarmSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lotus_core::scenario::run;
 
     fn quick_cfg() -> SwarmConfig {
         SwarmConfig::builder()
@@ -886,7 +874,7 @@ mod tests {
 
     #[test]
     fn healthy_swarm_completes() {
-        let report = SwarmSim::new(quick_cfg(), SwarmAttack::none(), 1).run_to_report();
+        let report = run::<SwarmSim>(quick_cfg(), SwarmAttack::none(), 1);
         assert!(
             report.all_complete,
             "swarm stuck after {} rounds",
@@ -898,15 +886,15 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = SwarmSim::new(quick_cfg(), SwarmAttack::none(), 3).run_to_report();
-        let b = SwarmSim::new(quick_cfg(), SwarmAttack::none(), 3).run_to_report();
+        let a = run::<SwarmSim>(quick_cfg(), SwarmAttack::none(), 3);
+        let b = run::<SwarmSim>(quick_cfg(), SwarmAttack::none(), 3);
         assert_eq!(a, b);
     }
 
     #[test]
     fn targets_complete_earlier() {
         let attack = SwarmAttack::satiate(3, 8, 0.3, TargetPolicy::Random);
-        let report = SwarmSim::new(quick_cfg(), attack, 5).run_to_report();
+        let report = run::<SwarmSim>(quick_cfg(), attack, 5);
         assert!(report.all_complete);
         let t = report.mean_completion_targeted().expect("targets exist");
         let nt = report
@@ -924,9 +912,9 @@ mod tests {
         // The paper's §1 claim: satiating BitTorrent leechers is "often
         // actually a net benefit to the torrent". Non-targeted completion
         // should not collapse the way BAR Gossip isolated delivery does.
-        let clean = SwarmSim::new(quick_cfg(), SwarmAttack::none(), 7).run_to_report();
+        let clean = run::<SwarmSim>(quick_cfg(), SwarmAttack::none(), 7);
         let attack = SwarmAttack::satiate(5, 8, 0.4, TargetPolicy::TopUploaders);
-        let attacked = SwarmSim::new(quick_cfg(), attack, 7).run_to_report();
+        let attacked = run::<SwarmSim>(quick_cfg(), attack, 7);
         assert!(attacked.all_complete, "swarm still finishes under attack");
         let clean_mean = clean.mean_completion();
         // TopUploaders rotates across the population as targets finish, so
@@ -951,12 +939,10 @@ mod tests {
         let mut rare_sum = 0.0;
         let mut rand_sum = 0.0;
         for seed in 1..=3 {
-            rare_sum += SwarmSim::new(rare_cfg.clone(), SwarmAttack::none(), seed)
-                .run_to_report()
-                .mean_completion();
-            rand_sum += SwarmSim::new(rand_cfg.clone(), SwarmAttack::none(), seed)
-                .run_to_report()
-                .mean_completion();
+            rare_sum +=
+                run::<SwarmSim>(rare_cfg.clone(), SwarmAttack::none(), seed).mean_completion();
+            rand_sum +=
+                run::<SwarmSim>(rand_cfg.clone(), SwarmAttack::none(), seed).mean_completion();
         }
         assert!(
             rare_sum <= rand_sum * 1.1,
@@ -968,8 +954,8 @@ mod tests {
     fn seeding_after_completion_helps() {
         let mut linger = quick_cfg();
         linger.seed_after_completion = 50;
-        let with_seeding = SwarmSim::new(linger, SwarmAttack::none(), 9).run_to_report();
-        let without = SwarmSim::new(quick_cfg(), SwarmAttack::none(), 9).run_to_report();
+        let with_seeding = run::<SwarmSim>(linger, SwarmAttack::none(), 9);
+        let without = run::<SwarmSim>(quick_cfg(), SwarmAttack::none(), 9);
         assert!(
             with_seeding.mean_completion() <= without.mean_completion(),
             "lingering seeds speed the tail: {} vs {}",
@@ -1013,8 +999,8 @@ mod tests {
         use lotus_core::faults::FaultPlan;
         let mut zeroed = quick_cfg();
         zeroed.faults = FaultPlan::parse("loss:0/dup:0/crash:0:0.5/partition:10:5:0").unwrap();
-        let a = SwarmSim::new(quick_cfg(), SwarmAttack::none(), 31).run_to_report();
-        let b = SwarmSim::new(zeroed, SwarmAttack::none(), 31).run_to_report();
+        let a = run::<SwarmSim>(quick_cfg(), SwarmAttack::none(), 31);
+        let b = run::<SwarmSim>(zeroed, SwarmAttack::none(), 31);
         assert_eq!(a, b, "zero-rate plans must be byte-invisible");
         assert!(b.fault_counters.is_none());
     }
@@ -1022,10 +1008,10 @@ mod tests {
     #[test]
     fn loss_slows_the_swarm() {
         use lotus_core::faults::FaultPlan;
-        let clean = SwarmSim::new(quick_cfg(), SwarmAttack::none(), 32).run_to_report();
+        let clean = run::<SwarmSim>(quick_cfg(), SwarmAttack::none(), 32);
         let mut cfg = quick_cfg();
         cfg.faults = FaultPlan::parse("loss:0.3").unwrap();
-        let lossy = SwarmSim::new(cfg, SwarmAttack::none(), 32).run_to_report();
+        let lossy = run::<SwarmSim>(cfg, SwarmAttack::none(), 32);
         let fc = lossy.fault_counters.expect("plan was active");
         assert!(fc.dropped > 0, "losses happened");
         assert!(
@@ -1061,10 +1047,10 @@ mod tests {
     #[test]
     fn duplicate_faults_surface_in_the_waste_counter() {
         use lotus_core::faults::FaultPlan;
-        let clean = SwarmSim::new(quick_cfg(), SwarmAttack::none(), 34).run_to_report();
+        let clean = run::<SwarmSim>(quick_cfg(), SwarmAttack::none(), 34);
         let mut cfg = quick_cfg();
         cfg.faults = FaultPlan::parse("dup:0.3").unwrap();
-        let dupy = SwarmSim::new(cfg, SwarmAttack::none(), 34).run_to_report();
+        let dupy = run::<SwarmSim>(cfg, SwarmAttack::none(), 34);
         assert!(
             dupy.duplicates > clean.duplicates,
             "duplicated transfers count as waste: {} vs {}",

@@ -6,6 +6,7 @@
 #![cfg(feature = "proptest-tests")]
 
 use lotus_core::satiation::Satiable;
+use lotus_core::scenario::run;
 use netsim::round::RoundSim;
 use netsim::NodeId;
 use proptest::prelude::*;
@@ -68,7 +69,7 @@ proptest! {
             .max_rounds(1_500)
             .build()
             .expect("valid config");
-        let report = SwarmSim::new(cfg, SwarmAttack::none(), seed).run_to_report();
+        let report = run::<SwarmSim>(cfg, SwarmAttack::none(), seed);
         prop_assert!(report.all_complete, "stuck after {} rounds", report.rounds);
         for c in &report.completion_rounds {
             prop_assert!(c.is_some());

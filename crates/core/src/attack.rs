@@ -381,7 +381,10 @@ impl Attacker for TokenAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token::{Allocation, SatFunction, TokenSystem, TokenSystemConfig};
+    use crate::scenario::Scenario;
+    use crate::token::{
+        Allocation, SatFunction, TokenScenarioConfig, TokenSystem, TokenSystemConfig,
+    };
     use netsim::graph::Graph;
 
     fn complete_system(n: u32, tokens: usize, seed: u64) -> TokenSystem {
@@ -529,9 +532,9 @@ mod tests {
             .sat(SatFunction::CollectAll)
             .build()
             .unwrap();
-        let mut sys = TokenSystem::new(cfg, 7);
-        let mut attack = SatiateCut::grid_column(4, 8, 4);
-        let report = sys.run(&mut attack, 200);
+        let attack = TokenAttack::cut(SatiateCut::grid_column(4, 8, 4));
+        let mut sys = TokenSystem::build(TokenScenarioConfig::new(cfg, 200), attack, 7);
+        let report = Scenario::finish(&mut sys);
         // Right side of the cut (columns 5..8) never gets token 0.
         let mut right_missing = 0;
         for r in 0..4u32 {

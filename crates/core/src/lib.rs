@@ -61,7 +61,7 @@
 //!   [`DynScenario`](scenario::DynScenario) layer that registries and
 //!   CLIs drive;
 //! * [`sweep`] — the multi-seed parameter-sweep harness behind every
-//!   figure, generic over any [`Scenario`](scenario::Scenario);
+//!   figure;
 //! * [`report`] — usability thresholds (the 93 % rule) and
 //!   paper-vs-measured crossover records;
 //! * [`bitset`] — the dense set representation all simulators share.
@@ -72,16 +72,16 @@
 //! # Example: a cut attack on a grid
 //!
 //! ```
-//! use lotus_core::attack::SatiateCut;
-//! use lotus_core::token::{TokenSystem, TokenSystemConfig};
+//! use lotus_core::attack::{SatiateCut, TokenAttack};
+//! use lotus_core::scenario::run;
+//! use lotus_core::token::{TokenScenarioConfig, TokenSystem, TokenSystemConfig};
 //! use netsim::graph::Graph;
 //!
 //! let cfg = TokenSystemConfig::builder(Graph::grid(4, 8, false))
 //!     .tokens(6)
 //!     .build()?;
-//! let mut sys = TokenSystem::new(cfg, 42);
-//! let mut attack = SatiateCut::grid_column(4, 8, 4);
-//! let report = sys.run(&mut attack, 100);
+//! let attack = TokenAttack::cut(SatiateCut::grid_column(4, 8, 4));
+//! let report = run::<TokenSystem>(TokenScenarioConfig::new(cfg, 100), attack, 42);
 //! // Satiating one grid column (4 of 32 nodes) can starve a whole side.
 //! assert!(report.mean_coverage() <= 1.0);
 //! # Ok::<(), lotus_core::token::ConfigError>(())

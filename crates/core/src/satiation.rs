@@ -5,16 +5,19 @@
 //! theorem — Observation 3.1 — says that in such a system, an attacker that
 //! can provide tokens *sufficiently rapidly* prevents a node from ever
 //! providing service. Here both become code: [`Satiable`] is the interface
-//! every simulator in the workspace implements, and [`observation_3_1`]
-//! verifies the claim mechanically against any [`Feedable`] system.
+//! the token system and the BAR Gossip, scrip, reputation and BitTorrent
+//! simulators implement, and [`observation_3_1`] verifies the claim
+//! mechanically against any [`Feedable`] one of them, stepping it through
+//! its own [`RoundSim`] rounds.
 
+use netsim::round::RoundSim;
 use netsim::{NodeId, Round};
 
 /// A system whose nodes can be observed for satiation and service.
 ///
 /// Implemented by the token system, the BAR Gossip simulator, the scrip
-/// economy and the BitTorrent swarm — the lotus-eater attack applies to
-/// anything with this shape.
+/// and reputation economies and the BitTorrent swarm — the lotus-eater
+/// attack applies to anything with this shape.
 pub trait Satiable {
     /// Number of nodes in the system.
     fn node_count(&self) -> u32;
@@ -36,26 +39,18 @@ pub trait Satiable {
     }
 }
 
-/// A [`Satiable`] system that an attacker can feed and step — the minimal
-/// interface needed to state Observation 3.1 operationally.
-pub trait Feedable: Satiable {
+/// A [`Satiable`] round simulator that an attacker can feed — the minimal
+/// interface needed to state Observation 3.1 operationally. Rounds
+/// advance through the simulator's own [`RoundSim`] primitive.
+pub trait Feedable: Satiable + RoundSim {
     /// Give `node` everything it could want, instantly ("sufficiently
     /// rapidly" taken to its limit, as the paper's proof sketch does).
     fn feed_fully(&mut self, node: NodeId);
-
-    /// Advance the system one round.
-    fn step(&mut self);
 }
 
 impl Feedable for crate::token::TokenSystem {
     fn feed_fully(&mut self, node: NodeId) {
         self.satiate(node);
-    }
-
-    fn step(&mut self) {
-        use netsim::round::RoundSim;
-        let t = self.rounds_run();
-        self.round(t);
     }
 }
 
@@ -106,7 +101,7 @@ pub fn observation_3_1<S: Feedable>(
         if !sys.is_satiated(target) {
             always_satiated = false;
         }
-        sys.step();
+        sys.round(sys.rounds_run());
     }
     let service_during = sys.service_provided(target) - service_before;
     Observation31Report {

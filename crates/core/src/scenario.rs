@@ -43,7 +43,7 @@
 //!
 //! // Type-erased driving: only the common vocabulary, any substrate.
 //! let mut erased = lotus_core::scenario::boxed::<TokenSystem>(cfg, TokenAttack::none(), 7);
-//! let summary = erased.finish();
+//! let summary = erased.finish_dyn();
 //! assert_eq!(summary.scenario, "token");
 //! assert!(summary.overall_delivery > 0.9);
 //! # Ok::<(), lotus_core::token::ConfigError>(())
@@ -81,9 +81,10 @@ impl StepOutcome {
 /// * **Idempotent completion** — once `step` returns
 ///   [`StepOutcome::Done`], further calls keep returning `Done` without
 ///   changing the report.
-/// * **Equivalence with the legacy entry points** — where a substrate
-///   also exposes an inherent `run_to_report`/`run`, driving it through
-///   this trait produces the same report.
+///
+/// This trait is the only way to run a substrate to completion: [`run`]
+/// builds and finishes one, and fixed-horizon substrates implement `step`
+/// with [`step_rounds`] over their `RoundSim::round` primitive.
 pub trait Scenario: Sized {
     /// Substrate configuration (topology, horizon, protocol parameters).
     type Config: Clone;
@@ -390,7 +391,7 @@ pub trait DynScenario {
     }
 
     /// Step to completion and return the final summary.
-    fn finish(&mut self) -> ScenarioReport {
+    fn finish_dyn(&mut self) -> ScenarioReport {
         while let StepOutcome::Continue = self.step_dyn() {}
         self.report_dyn()
     }
@@ -477,7 +478,7 @@ mod tests {
     fn typed_and_erased_paths_agree() {
         let typed = run::<Counter>(5, (), 9);
         let mut erased = boxed::<Counter>(5, (), 9);
-        let summary = erased.finish();
+        let summary = erased.finish_dyn();
         assert_eq!(typed.summarize(), summary);
         assert_eq!(summary.rounds, 5);
         assert_eq!(summary.metric("seed"), Some(9.0));

@@ -7,14 +7,11 @@
 //! (`std::thread::scope` — no external dependency), and returns a
 //! [`Series`] ready for crossover extraction and plotting.
 //!
-//! [`sweep_scenario`] is the [`Scenario`](crate::scenario::Scenario)-
-//! generic form: instead of a closure that hides the substrate, the
-//! caller supplies a `(config, attack)` factory and a metric projection,
-//! and the harness drives the scenario API — the same path the
-//! `lotus-bench` registry runner uses, so ad-hoc sweeps and the CLI agree
-//! bit-for-bit.
+//! The library sweeps are strict: a job that panics on its run and on
+//! its retry fails the whole sweep. [`sweep_stats_salvaged`] is the
+//! salvaging core for callers that report failures themselves (the
+//! `lotus-bench` runner).
 
-use crate::scenario::{Scenario, Summarize};
 use netsim::metrics::{Running, Series};
 
 /// Replication and parallelism settings for a sweep.
@@ -74,6 +71,10 @@ fn default_threads() -> usize {
 ///
 /// `measure` must be pure given its arguments (it runs concurrently on
 /// multiple threads). Points are returned in the input x order.
+///
+/// # Panics
+///
+/// Panics if a job panics on its retry too, as [`sweep_stats`] does.
 ///
 /// ```
 /// use lotus_core::sweep::{sweep_fraction, SweepConfig};
@@ -154,18 +155,21 @@ where
 /// Like [`sweep_fraction`] but returns the full per-x statistics
 /// (mean/min/max/std-dev across seeds) for error reporting.
 ///
-/// This is the hardened form behind every sweep entry point: a panicking
-/// job is retried once and, if it panics again, *salvaged out* — its
-/// failure is reported to stderr and the remaining jobs' statistics are
-/// returned — instead of aborting the whole sweep. Use
-/// [`sweep_stats_salvaged`] to receive the failure notes programmatically.
+/// A panicking job is retried once (see [`sweep_stats_salvaged`]).
+///
+/// # Panics
+///
+/// Panics if any job panics on its retry too, naming the first such job
+/// in job order (x, seed and message): a sweep missing a measurement
+/// would average fewer seeds at that x without saying so. Use
+/// [`sweep_stats_salvaged`] to keep the other jobs' statistics instead.
 pub fn sweep_stats<F>(xs: &[f64], cfg: &SweepConfig, measure: &F) -> Vec<Running>
 where
     F: Fn(f64, u64) -> f64 + Sync,
 {
     let (stats, failures) = sweep_stats_salvaged(xs, cfg, measure);
-    for failure in &failures {
-        eprintln!("warning: {failure} (partial results salvaged)");
+    if let Some(failure) = failures.first() {
+        panic!("{failure}");
     }
     stats
 }
@@ -240,84 +244,6 @@ where
     (stats, failures)
 }
 
-/// Sweep any [`Scenario`] over a grid of x values, replicated across the
-/// sweep seeds: for each `(x, seed)` pair, `make(x, seed)` produces the
-/// `(config, attack)` pair, the scenario is built and stepped to
-/// completion, and `metric` projects its typed report onto the y-axis.
-///
-/// This is the scenario-generic successor of [`sweep_fraction`]: the
-/// measurement is the scenario API itself rather than an opaque closure,
-/// so every substrate sweeps through the same machinery.
-///
-/// ```
-/// use lotus_core::attack::TokenAttack;
-/// use lotus_core::sweep::{sweep_scenario, SweepConfig};
-/// use lotus_core::token::{TokenScenarioConfig, TokenSystem, TokenSystemConfig};
-/// use netsim::graph::Graph;
-///
-/// let sweep = SweepConfig { seeds: vec![1, 2], threads: 2 };
-/// let s = sweep_scenario::<TokenSystem, _, _>(
-///     "mass satiation",
-///     &[0.0, 0.5],
-///     &sweep,
-///     |fraction, _seed| {
-///         let cfg = TokenSystemConfig::builder(Graph::complete(20))
-///             .tokens(6)
-///             .build()
-///             .expect("valid config");
-///         (TokenScenarioConfig::new(cfg, 40), TokenAttack::random_fraction(fraction))
-///     },
-///     |report| report.untouched_mean_coverage(),
-/// );
-/// assert_eq!(s.points.len(), 2);
-/// assert!(s.points[0].1 >= s.points[1].1, "satiation hurts the untouched");
-/// ```
-pub fn sweep_scenario<S, M, F>(
-    label: impl Into<String>,
-    xs: &[f64],
-    cfg: &SweepConfig,
-    make: M,
-    metric: F,
-) -> Series
-where
-    S: Scenario,
-    M: Fn(f64, u64) -> (S::Config, S::Attack) + Sync,
-    F: Fn(&S::Report) -> f64 + Sync,
-{
-    sweep_fraction(label, xs, cfg, move |x, seed| {
-        let (config, attack) = make(x, seed);
-        metric(&crate::scenario::run::<S>(config, attack, seed))
-    })
-}
-
-/// Like [`sweep_scenario`] but projecting through the common
-/// [`ScenarioReport`](crate::scenario::ScenarioReport) vocabulary: `metric`
-/// names any canonical or custom metric of the substrate's summary.
-///
-/// # Panics
-///
-/// Panics if the scenario's summary does not expose `metric` (the metric
-/// names a substrate offers are fixed, so this is a caller bug, not a
-/// data-dependent condition).
-pub fn sweep_scenario_metric<S, M>(
-    label: impl Into<String>,
-    xs: &[f64],
-    cfg: &SweepConfig,
-    make: M,
-    metric: &str,
-) -> Series
-where
-    S: Scenario,
-    M: Fn(f64, u64) -> (S::Config, S::Attack) + Sync,
-{
-    sweep_scenario::<S, M, _>(label, xs, cfg, make, move |report| {
-        report
-            .summarize()
-            .metric(metric)
-            .unwrap_or_else(|| panic!("scenario {} has no metric {metric:?}", S::NAME))
-    })
-}
-
 /// An evenly spaced grid of `points` values covering `[lo, hi]` inclusive.
 ///
 /// # Panics
@@ -337,6 +263,11 @@ pub fn grid(lo: f64, hi: f64, points: usize) -> Vec<f64> {
 ///
 /// Returns the midpoint of the final bracket after `iters` bisections, or
 /// `None` if the metric does not bracket the threshold on `[lo, hi]`.
+///
+/// # Panics
+///
+/// Panics if a probe's job panics on its retry too, as [`sweep_stats`]
+/// does.
 pub fn refine_crossover<F>(
     lo: f64,
     hi: f64,
@@ -478,6 +409,21 @@ mod tests {
         assert_eq!(stats[1].len(), 2);
         assert_eq!(stats[2].len(), 3);
         assert_eq!(stats[1].mean(), 0.5 + 2.0); // seeds 1 and 3 average to 2
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep job 4 (x = 0.5, seed = 2) panicked twice: poisoned job")]
+    fn strict_sweep_panics_with_the_first_failed_job() {
+        let cfg = SweepConfig {
+            seeds: vec![1, 2, 3],
+            threads: 2,
+        };
+        // Jobs 4 (x = 0.5) and 7 (x = 1.0) always panic; the sweep names
+        // the first in job order.
+        sweep_fraction("strict", &[0.0, 0.5, 1.0], &cfg, |x, seed| {
+            assert!(!(x >= 0.5 && seed == 2), "poisoned job");
+            x + seed as f64
+        });
     }
 
     #[test]

@@ -376,8 +376,8 @@ impl TokenReport {
 /// The running token-collecting system.
 ///
 /// ```
-/// use lotus_core::token::{SatFunction, TokenSystemConfig};
-/// use lotus_core::attack::NoAttack;
+/// use lotus_core::attack::TokenAttack;
+/// use lotus_core::token::{TokenScenarioConfig, TokenSystem, TokenSystemConfig};
 /// use netsim::graph::Graph;
 ///
 /// let cfg = TokenSystemConfig::builder(Graph::complete(20))
@@ -385,8 +385,8 @@ impl TokenReport {
 ///     .contacts_per_round(1)
 ///     .altruism(0.5) // a > 0 guarantees eventual global satiation (§3)
 ///     .build()?;
-/// let mut sys = lotus_core::token::TokenSystem::new(cfg, 7);
-/// let report = sys.run(&mut NoAttack, 200);
+/// let cfg = TokenScenarioConfig::new(cfg, 200);
+/// let report = lotus_core::scenario::run::<TokenSystem>(cfg, TokenAttack::none(), 7);
 /// assert!(report.all_satiated_at.is_some(), "gossip completes unattacked");
 /// # Ok::<(), lotus_core::token::ConfigError>(())
 /// ```
@@ -409,18 +409,16 @@ pub struct TokenSystem {
     satiated_series: Vec<(Round, f64)>,
     all_satiated_at: Option<Round>,
     attacked: std::collections::BTreeSet<NodeId>,
-    /// Attack driven by the [`Scenario`](crate::scenario::Scenario) path;
-    /// the legacy [`TokenSystem::run`] entry point takes its attacker as
-    /// an argument instead and ignores this field.
+    /// The attack consulted at the start of every round (none until
+    /// `Scenario::build` sets it).
     attack: crate::attack::TokenAttack,
-    /// Horizon for the scenario path (0 until `Scenario::build` sets it).
+    /// Horizon (0 until `Scenario::build` sets it).
     horizon: Round,
-    /// Attacker randomness for the scenario path; forked exactly like
-    /// [`TokenSystem::run`] forks so both paths see the same stream.
+    /// Attacker randomness, forked once from the system stream.
     attack_rng: DetRng,
     /// Churn, faults and attack timing; inert (everyone present, no
     /// faults, attack always on) unless the scenario config asks for
-    /// more, so the legacy entry points are unaffected.
+    /// more.
     env: RoundEnvelope,
 }
 
@@ -583,32 +581,6 @@ impl TokenSystem {
         }
     }
 
-    /// Run `rounds` rounds under `attacker`, returning the report.
-    ///
-    /// Each round the attacker is consulted first (it sees the
-    /// start-of-round state) and its chosen targets are satiated before any
-    /// gossip happens, exactly as in the paper's model. The attacker rides
-    /// the generic pre-round hook seam ([`netsim::round::run_with`]) over
-    /// the [`RoundSim`] rounds the scenario path steps too.
-    pub fn run(
-        &mut self,
-        attacker: &mut dyn crate::attack::Attacker,
-        rounds: Round,
-    ) -> TokenReport {
-        let mut attack_rng = self.rng.fork("attacker");
-        self.satiated_series.reserve(rounds as usize);
-        netsim::round::run_with(self, rounds, |sys, _t| {
-            let mut targets = std::mem::take(&mut sys.targets_scratch);
-            targets.clear();
-            attacker.targets_into(&sys.view(), &mut attack_rng, &mut targets);
-            for &t in &targets {
-                sys.satiate(t);
-            }
-            sys.targets_scratch = targets;
-        });
-        self.report()
-    }
-
     /// Snapshot the report without running further.
     pub fn report(&self) -> TokenReport {
         let n = self.holdings.len();
@@ -665,9 +637,7 @@ impl RoundSim for TokenSystem {
     /// One round: the timing layer steps, crashes wipe holdings, the
     /// scenario attacker (when the schedule has the attack on) is
     /// consulted on the start-of-round state and its present targets
-    /// are satiated, then gossip happens among present nodes. The
-    /// legacy [`TokenSystem::run`] drives this same round under an inert
-    /// timing layer and no scenario attacker.
+    /// are satiated, then gossip happens among present nodes.
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         use crate::attack::Attacker;
@@ -728,8 +698,8 @@ impl Satiable for TokenSystem {
 }
 
 /// Scenario configuration for the token model: a [`TokenSystemConfig`]
-/// plus the horizon the legacy [`TokenSystem::run`] took as an argument,
-/// plus the cross-substrate attack-timing and population dimensions.
+/// plus the horizon, plus the cross-substrate attack-timing and
+/// population dimensions.
 #[derive(Debug, Clone)]
 pub struct TokenScenarioConfig {
     /// The underlying system configuration.
@@ -856,8 +826,8 @@ impl crate::scenario::Scenario for TokenSystem {
         // reallocate mid-run.
         sys.satiated_series.reserve(cfg.rounds as usize);
         // Re-fork the timing layer with the configured dimensions;
-        // forking never advances `sys.rng`, so inert runs stay
-        // bit-identical to the legacy path. Flash-crowd members re-enter
+        // forking never advances `sys.rng`, so the gossip stream is the
+        // same whatever the timing dimensions. Flash-crowd members re-enter
         // with whatever their initial allocation gave them — they have
         // never gossiped. The rare-token holder is crash-exempt: faults
         // degrade dissemination, they must not destroy the content
@@ -953,7 +923,8 @@ impl crate::scenario::Summarize for TokenReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{NoAttack, SatiateRandomFraction};
+    use crate::attack::TokenAttack;
+    use crate::scenario::run;
 
     fn small_cfg(n: u32, tokens: usize) -> TokenSystemConfig {
         TokenSystemConfig::builder(Graph::complete(n))
@@ -968,8 +939,8 @@ mod tests {
         let plan = crate::faults::FaultPlan::parse("loss:0/crash:0:0.5/partition:5:5:0").unwrap();
         let base = TokenScenarioConfig::new(small_cfg(20, 6), 40);
         let zeroed = base.clone().with_faults(plan);
-        let a = crate::scenario::run::<TokenSystem>(base, crate::attack::TokenAttack::none(), 41);
-        let b = crate::scenario::run::<TokenSystem>(zeroed, crate::attack::TokenAttack::none(), 41);
+        let a = run::<TokenSystem>(base, TokenAttack::none(), 41);
+        let b = run::<TokenSystem>(zeroed, TokenAttack::none(), 41);
         assert_eq!(a, b, "zero-rate plans must be byte-invisible");
         assert!(b.fault_counters.is_none());
     }
@@ -986,15 +957,15 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let clean = crate::scenario::run::<TokenSystem>(
+        let clean = run::<TokenSystem>(
             TokenScenarioConfig::new(cfg(), 200),
-            crate::attack::TokenAttack::none(),
+            TokenAttack::none(),
             42,
         );
-        let lossy = crate::scenario::run::<TokenSystem>(
+        let lossy = run::<TokenSystem>(
             TokenScenarioConfig::new(cfg(), 200)
                 .with_faults(crate::faults::FaultPlan::parse("loss:0.5").unwrap()),
-            crate::attack::TokenAttack::none(),
+            TokenAttack::none(),
             42,
         );
         let fc = lossy.fault_counters.expect("plan was active");
@@ -1019,8 +990,7 @@ mod tests {
             .unwrap();
         let scenario = TokenScenarioConfig::new(cfg, 300)
             .with_faults(crate::faults::FaultPlan::parse("crash:0.05:0.2").unwrap());
-        let report =
-            crate::scenario::run::<TokenSystem>(scenario, crate::attack::TokenAttack::none(), 43);
+        let report = run::<TokenSystem>(scenario, TokenAttack::none(), 43);
         let fc = report.fault_counters.expect("plan was active");
         assert!(fc.crashes > 0, "crashes happened");
         assert!(
@@ -1113,8 +1083,7 @@ mod tests {
             .altruism(0.25)
             .build()
             .unwrap();
-        let mut sys = TokenSystem::new(cfg, 1);
-        let report = sys.run(&mut NoAttack, 300);
+        let report = run::<TokenSystem>(TokenScenarioConfig::new(cfg, 300), TokenAttack::none(), 1);
         assert!(report.all_satiated_at.is_some());
         assert!(report.mean_coverage() >= 1.0 - 1e-12);
     }
@@ -1126,8 +1095,8 @@ mod tests {
         // attack if key nodes happen to become satiated": the last
         // collectors can be stranded by unresponsive satiated peers. The
         // run still reaches high coverage.
-        let mut sys = TokenSystem::new(small_cfg(20, 10), 1);
-        let report = sys.run(&mut NoAttack, 100);
+        let cfg = TokenScenarioConfig::new(small_cfg(20, 10), 100);
+        let report = run::<TokenSystem>(cfg, TokenAttack::none(), 1);
         assert!(report.mean_coverage() > 0.9);
         if report.all_satiated_at.is_none() {
             let stranded = report.coverage.iter().filter(|&&c| c < 1.0).count();
@@ -1192,18 +1161,18 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let r1 = TokenSystem::new(small_cfg(15, 6), 9).run(&mut NoAttack, 30);
-        let r2 = TokenSystem::new(small_cfg(15, 6), 9).run(&mut NoAttack, 30);
+        let cfg = || TokenScenarioConfig::new(small_cfg(15, 6), 30);
+        let r1 = run::<TokenSystem>(cfg(), TokenAttack::none(), 9);
+        let r2 = run::<TokenSystem>(cfg(), TokenAttack::none(), 9);
         assert_eq!(r1, r2);
-        let r3 = TokenSystem::new(small_cfg(15, 6), 10).run(&mut NoAttack, 30);
+        let r3 = run::<TokenSystem>(cfg(), TokenAttack::none(), 10);
         assert!(r1.satiated_series != r3.satiated_series || r1.coverage != r3.coverage);
     }
 
     #[test]
     fn attack_marks_attacked_nodes() {
-        let mut sys = TokenSystem::new(small_cfg(10, 6), 2);
-        let mut att = SatiateRandomFraction::new(0.3);
-        let report = sys.run(&mut att, 5);
+        let cfg = TokenScenarioConfig::new(small_cfg(10, 6), 5);
+        let report = run::<TokenSystem>(cfg, TokenAttack::random_fraction(0.3), 2);
         assert_eq!(report.attacked_nodes.len(), 3);
         for n in &report.attacked_nodes {
             assert!((report.coverage[n.index()] - 1.0).abs() < 1e-12);
@@ -1253,7 +1222,9 @@ mod tests {
     #[test]
     fn round_sim_trait_drives_system() {
         let mut sys = TokenSystem::new(small_cfg(8, 4), 4);
-        netsim::round::run(&mut sys, 5);
+        for t in 0..5 {
+            sys.round(t);
+        }
         assert_eq!(sys.rounds_run(), 5);
     }
 }

@@ -6,21 +6,33 @@
 #![cfg(feature = "proptest-tests")]
 
 use lotus_core::attack::{
-    Attacker, BudgetedAttacker, NoAttack, RotatingSatiation, SatiateRandomFraction,
+    Attacker, BudgetedAttacker, RotatingSatiation, SatiateRandomFraction, TokenAttack,
 };
-use lotus_core::token::{SatFunction, TokenSystem, TokenSystemConfig};
+use lotus_core::scenario::Scenario;
+use lotus_core::token::{SatFunction, TokenScenarioConfig, TokenSystem, TokenSystemConfig};
 use netsim::graph::Graph;
 use netsim::rng::DetRng;
 use netsim::NodeId;
 use proptest::prelude::*;
 
-fn arb_system(n: u32, tokens: usize, altruism: f64, seed: u64) -> TokenSystem {
-    let cfg = TokenSystemConfig::builder(Graph::complete(n))
+fn arb_config(n: u32, tokens: usize, altruism: f64) -> TokenSystemConfig {
+    TokenSystemConfig::builder(Graph::complete(n))
         .tokens(tokens)
         .altruism(altruism)
         .build()
-        .expect("valid config");
-    TokenSystem::new(cfg, seed)
+        .expect("valid config")
+}
+
+fn arb_system(n: u32, tokens: usize, altruism: f64, seed: u64) -> TokenSystem {
+    TokenSystem::new(arb_config(n, tokens, altruism), seed)
+}
+
+/// An unattacked system run through its first `rounds` rounds.
+fn arb_finished(n: u32, tokens: usize, seed: u64, rounds: u64) -> TokenSystem {
+    let cfg = TokenScenarioConfig::new(arb_config(n, tokens, 0.0), rounds);
+    let mut sys = TokenSystem::build(cfg, TokenAttack::none(), seed);
+    Scenario::finish(&mut sys);
+    sys
 }
 
 proptest! {
@@ -61,8 +73,8 @@ proptest! {
         n in 4u32..20,
         tokens in 2usize..16,
     ) {
-        let mut sys = arb_system(n, tokens, 0.0, seed);
-        let report = sys.run(&mut NoAttack, 30);
+        let sys = arb_finished(n, tokens, seed, 30);
+        let report = sys.report();
         for (i, &cov) in report.coverage.iter().enumerate() {
             prop_assert!((0.0..=1.0).contains(&cov));
             let holds_all = (cov - 1.0).abs() < 1e-12;
@@ -97,8 +109,7 @@ proptest! {
             let b = k2.min(tokens);
             (a.min(b).max(1), a.max(b).max(1))
         };
-        let mut sys = arb_system(n, tokens, 0.0, seed);
-        let _ = sys.run(&mut NoAttack, 10);
+        let sys = arb_finished(n, tokens, seed, 10);
         for i in 0..n {
             let h = sys.holdings(NodeId(i));
             if SatFunction::AnyK(k_hi).is_satiated(h) {

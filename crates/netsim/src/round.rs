@@ -2,8 +2,8 @@
 //!
 //! All simulators in the workspace advance in synchronous rounds (the
 //! paper's model is round-based, as is BAR Gossip). [`RoundSim`] is the
-//! common trait; [`run`] and [`run_with`] drive a simulator while keeping
-//! the round counter honest in one place.
+//! common per-round primitive; `lotus_core::scenario` drives it to a
+//! horizon (`step_rounds`, `Scenario::finish`).
 
 use crate::Round;
 
@@ -14,30 +14,6 @@ pub trait RoundSim {
 
     /// Rounds executed so far (i.e. the next round index).
     fn rounds_run(&self) -> Round;
-}
-
-/// Drive `sim` for `rounds` additional rounds.
-pub fn run<S: RoundSim>(sim: &mut S, rounds: Round) {
-    let start = sim.rounds_run();
-    for t in start..start + rounds {
-        sim.round(t);
-    }
-}
-
-/// Drive `sim` for `rounds` additional rounds, invoking `before` with the
-/// simulator and the round index ahead of every round.
-///
-/// This is the generic seam for per-round environment dynamics that live
-/// outside the simulator proper — population churn
-/// (`lotus_core::population`), scheduled attack phase flips, fault
-/// injection. The hook runs before the round executes, so whatever it
-/// mutates is visible to that round.
-pub fn run_with<S: RoundSim>(sim: &mut S, rounds: Round, mut before: impl FnMut(&mut S, Round)) {
-    let start = sim.rounds_run();
-    for t in start..start + rounds {
-        before(sim, t);
-        sim.round(t);
-    }
 }
 
 /// Zero per-node round counters over the given index ranges — the
@@ -64,22 +40,6 @@ pub fn clear_counters_for(
 mod tests {
     use super::*;
 
-    struct Counter {
-        t: Round,
-        history: Vec<Round>,
-    }
-
-    impl RoundSim for Counter {
-        fn round(&mut self, t: Round) {
-            assert_eq!(t, self.t, "rounds must be strictly sequential");
-            self.history.push(t);
-            self.t += 1;
-        }
-        fn rounds_run(&self) -> Round {
-            self.t
-        }
-    }
-
     #[test]
     fn clear_counters_zeroes_exactly_the_ranges() {
         let mut slab = vec![7u32; 10];
@@ -87,32 +47,5 @@ mod tests {
         assert_eq!(slab, vec![7, 0, 0, 7, 7, 7, 7, 7, 0, 0]);
         clear_counters_for(&mut slab, std::iter::empty::<std::ops::Range<usize>>());
         assert_eq!(slab[0], 7, "no ranges, no writes");
-    }
-
-    #[test]
-    fn run_advances_sequentially() {
-        let mut c = Counter {
-            t: 0,
-            history: vec![],
-        };
-        run(&mut c, 5);
-        assert_eq!(c.history, vec![0, 1, 2, 3, 4]);
-        run(&mut c, 2);
-        assert_eq!(c.rounds_run(), 7);
-    }
-
-    #[test]
-    fn run_with_invokes_hook_before_each_round() {
-        let mut c = Counter {
-            t: 0,
-            history: vec![],
-        };
-        let mut hooked = Vec::new();
-        run_with(&mut c, 4, |sim, t| {
-            assert_eq!(sim.rounds_run(), t, "hook sees the pre-round state");
-            hooked.push(t);
-        });
-        assert_eq!(hooked, vec![0, 1, 2, 3]);
-        assert_eq!(c.rounds_run(), 4);
     }
 }

@@ -17,6 +17,7 @@
 //! # Example: the money supply caps satiation
 //!
 //! ```
+//! use lotus_core::scenario::run;
 //! use scrip_economy::{ScripAttack, ScripConfig, ScripSim};
 //!
 //! let cfg = ScripConfig::builder()
@@ -29,8 +30,7 @@
 //! // Even an attacker holding the entire supply cannot keep 80% of the
 //! // agents satiated: that would need 6 scrip each with only 1 per agent
 //! // in existence.
-//! let report = ScripSim::new(cfg, ScripAttack::lotus_eater(0.8, 1.0), 1)
-//!     .run_to_report();
+//! let report = run::<ScripSim>(cfg, ScripAttack::lotus_eater(0.8, 1.0), 1);
 //! assert!(report.target_satiation.unwrap() < 0.5);
 //! # Ok::<(), scrip_economy::config::ConfigError>(())
 //! ```

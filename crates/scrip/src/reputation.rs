@@ -162,6 +162,7 @@ pub struct ReputationReport {
 /// The reputation-economy simulator.
 ///
 /// ```
+/// use lotus_core::scenario::run;
 /// use scrip_economy::reputation::{
 ///     ReputationAttack, ReputationConfig, ReputationSim,
 /// };
@@ -172,7 +173,7 @@ pub struct ReputationReport {
 ///     warmup: 300,
 ///     ..ReputationConfig::default()
 /// };
-/// let report = ReputationSim::new(cfg, ReputationAttack::None, 7).run_to_report();
+/// let report = run::<ReputationSim>(cfg, ReputationAttack::None, 7);
 /// assert!(report.service_rate > 0.9);
 /// ```
 #[derive(Debug, Clone)]
@@ -250,16 +251,6 @@ impl ReputationSim {
         self.round >= self.cfg.warmup
     }
 
-    /// Run the configured horizon and produce the report.
-    pub fn run_to_report(mut self) -> ReputationReport {
-        let total = self.cfg.warmup + self.cfg.rounds;
-        while self.round < total {
-            let t = self.round;
-            self.round(t);
-        }
-        self.report()
-    }
-
     /// Snapshot the report so far.
     pub fn report(&self) -> ReputationReport {
         let req = self.requests.max(1) as f64;
@@ -290,17 +281,7 @@ impl lotus_core::scenario::Scenario for ReputationSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        let total = self.cfg.warmup + self.cfg.rounds;
-        if self.round >= total {
-            return lotus_core::scenario::StepOutcome::Done;
-        }
-        let t = self.round;
-        RoundSim::round(self, t);
-        if self.round >= total {
-            lotus_core::scenario::StepOutcome::Done
-        } else {
-            lotus_core::scenario::StepOutcome::Continue
-        }
+        lotus_core::scenario::step_rounds(self, self.cfg.warmup + self.cfg.rounds)
     }
 
     fn report(&self) -> ReputationReport {
@@ -443,17 +424,13 @@ impl Feedable for ReputationSim {
         }
         self.fed.insert(node.index());
     }
-
-    fn step(&mut self) {
-        let t = self.round;
-        self.round(t);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lotus_core::satiation::observation_3_1;
+    use lotus_core::scenario::run;
 
     fn quick_cfg() -> ReputationConfig {
         ReputationConfig {
@@ -466,7 +443,7 @@ mod tests {
 
     #[test]
     fn healthy_reputation_economy_serves() {
-        let report = ReputationSim::new(quick_cfg(), ReputationAttack::None, 1).run_to_report();
+        let report = run::<ReputationSim>(quick_cfg(), ReputationAttack::None, 1);
         assert!(report.service_rate > 0.9, "service {}", report.service_rate);
         assert_eq!(report.attacker_cost_per_round, 0.0);
         assert!(report.target_satiation.is_none());
@@ -506,7 +483,7 @@ mod tests {
         let attack = ReputationAttack::Inflate {
             target_fraction: 0.3,
         };
-        let report = ReputationSim::new(quick_cfg(), attack, 2).run_to_report();
+        let report = run::<ReputationSim>(quick_cfg(), attack, 2);
         let sat = report.target_satiation.expect("targets exist");
         assert!(sat > 0.95, "inflation keeps targets satiated: {sat}");
         // Maintenance ≈ k·(1-δ) per target per round: 18 targets × 4 × 0.05
@@ -529,14 +506,13 @@ mod tests {
         // same coverage is impossible.) The attacker's bill merely grows
         // linearly with the target count.
         let at = |frac| {
-            ReputationSim::new(
+            run::<ReputationSim>(
                 quick_cfg(),
                 ReputationAttack::Inflate {
                     target_fraction: frac,
                 },
                 3,
             )
-            .run_to_report()
         };
         let small = at(0.3);
         let large = at(0.9);
@@ -557,24 +533,22 @@ mod tests {
         let attack = ReputationAttack::Inflate {
             target_fraction: 0.3,
         };
-        let slow = ReputationSim::new(
+        let slow = run::<ReputationSim>(
             ReputationConfig {
                 decay: 0.99,
                 ..quick_cfg()
             },
             attack,
             4,
-        )
-        .run_to_report();
-        let fast = ReputationSim::new(
+        );
+        let fast = run::<ReputationSim>(
             ReputationConfig {
                 decay: 0.80,
                 ..quick_cfg()
             },
             attack,
             4,
-        )
-        .run_to_report();
+        );
         assert!(
             fast.attacker_cost_per_round > slow.attacker_cost_per_round * 2.0,
             "decay is the defense knob: {} vs {}",
@@ -598,8 +572,8 @@ mod tests {
         let attack = ReputationAttack::Inflate {
             target_fraction: 0.2,
         };
-        let a = ReputationSim::new(quick_cfg(), attack, 9).run_to_report();
-        let b = ReputationSim::new(quick_cfg(), attack, 9).run_to_report();
+        let a = run::<ReputationSim>(quick_cfg(), attack, 9);
+        let b = run::<ReputationSim>(quick_cfg(), attack, 9);
         assert_eq!(a, b);
     }
 

@@ -136,6 +136,7 @@ fn pick(pool: &BitSet, k: usize) -> usize {
 /// The scrip-economy simulator.
 ///
 /// ```
+/// use lotus_core::scenario::run;
 /// use scrip_economy::{ScripAttack, ScripConfig, ScripSim};
 ///
 /// let cfg = ScripConfig::builder()
@@ -145,7 +146,7 @@ fn pick(pool: &BitSet, k: usize) -> usize {
 ///     .rounds(2_000)
 ///     .warmup(200)
 ///     .build()?;
-/// let report = ScripSim::new(cfg, ScripAttack::None, 7).run_to_report();
+/// let report = run::<ScripSim>(cfg, ScripAttack::None, 7);
 /// assert!(report.service_rate > 0.9, "healthy economy serves requests");
 /// # Ok::<(), scrip_economy::config::ConfigError>(())
 /// ```
@@ -564,16 +565,6 @@ impl ScripSim {
         }
     }
 
-    /// Run the configured horizon and produce the report.
-    pub fn run_to_report(mut self) -> ScripReport {
-        let total = self.cfg.warmup + self.cfg.rounds;
-        while self.round < total {
-            let t = self.round;
-            self.round(t);
-        }
-        self.report()
-    }
-
     /// Snapshot the report so far.
     pub fn report(&self) -> ScripReport {
         let req = self.requests.max(1) as f64;
@@ -734,11 +725,6 @@ impl lotus_core::satiation::Feedable for ScripSim {
         let i = node.index();
         self.money[i] = self.money[i].max(u64::from(self.threshold[i]));
     }
-
-    fn step(&mut self) {
-        let t = self.round;
-        RoundSim::round(self, t);
-    }
 }
 
 impl Satiable for ScripSim {
@@ -762,6 +748,7 @@ impl Satiable for ScripSim {
 mod tests {
     use super::*;
     use crate::config::ScripConfig;
+    use lotus_core::scenario::run;
 
     fn quick_cfg() -> ScripConfig {
         ScripConfig::builder()
@@ -777,7 +764,7 @@ mod tests {
 
     #[test]
     fn healthy_economy_serves() {
-        let report = ScripSim::new(quick_cfg(), ScripAttack::None, 1).run_to_report();
+        let report = run::<ScripSim>(quick_cfg(), ScripAttack::None, 1);
         // With m = 2 and k = 4 a fraction of requesters is naturally broke
         // (EC'07: efficiency grows with m); ~0.8 is the healthy level here.
         assert!(
@@ -800,8 +787,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = ScripSim::new(quick_cfg(), ScripAttack::lotus_eater(0.2, 0.3), 9).run_to_report();
-        let b = ScripSim::new(quick_cfg(), ScripAttack::lotus_eater(0.2, 0.3), 9).run_to_report();
+        let a = run::<ScripSim>(quick_cfg(), ScripAttack::lotus_eater(0.2, 0.3), 9);
+        let b = run::<ScripSim>(quick_cfg(), ScripAttack::lotus_eater(0.2, 0.3), 9);
         assert_eq!(a, b);
     }
 
@@ -817,7 +804,7 @@ mod tests {
             .warmup(100)
             .build()
             .unwrap();
-        let report = ScripSim::new(cfg, ScripAttack::None, 3).run_to_report();
+        let report = run::<ScripSim>(cfg, ScripAttack::None, 3);
         // Requests fail for lack of volunteers (requesters have money).
         assert!(
             report.fail_no_volunteer_rate > 0.9,
@@ -830,7 +817,7 @@ mod tests {
     #[test]
     fn lotus_eater_satiates_targets_with_budget() {
         let attack = ScripAttack::lotus_eater(0.2, 0.5);
-        let report = ScripSim::new(quick_cfg(), attack, 4).run_to_report();
+        let report = run::<ScripSim>(quick_cfg(), attack, 4);
         let sat = report.target_satiation.expect("targets exist");
         assert!(
             sat > 0.95,
@@ -851,7 +838,7 @@ mod tests {
             .build()
             .unwrap();
         let big = ScripAttack::lotus_eater(0.8, 1.0);
-        let report = ScripSim::new(cfg, big, 5).run_to_report();
+        let report = run::<ScripSim>(cfg, big, 5);
         let sat = report.target_satiation.expect("targets exist");
         assert!(sat < 0.5, "the money supply must cap satiation, got {sat}");
     }
@@ -867,8 +854,8 @@ mod tests {
             .warmup(500)
             .build()
             .unwrap();
-        let clean = ScripSim::new(cfg.clone(), ScripAttack::None, 6).run_to_report();
-        let attacked = ScripSim::new(cfg, ScripAttack::retainer(0.3), 6).run_to_report();
+        let clean = run::<ScripSim>(cfg.clone(), ScripAttack::None, 6);
+        let attacked = run::<ScripSim>(cfg, ScripAttack::retainer(0.3), 6);
         assert!(
             clean.special_service_rate > 0.25,
             "unattacked special service works, got {}",
@@ -891,7 +878,7 @@ mod tests {
             .warmup(100)
             .build()
             .unwrap();
-        let report = ScripSim::new(cfg, ScripAttack::None, 7).run_to_report();
+        let report = run::<ScripSim>(cfg, ScripAttack::None, 7);
         assert!(
             report.free_rate > 0.5,
             "altruists dominate, got {}",
@@ -909,10 +896,10 @@ mod tests {
             .warmup(1_000)
             .build()
             .unwrap();
-        let no_alt = ScripSim::new(base.clone(), ScripAttack::None, 8).run_to_report();
+        let no_alt = run::<ScripSim>(base.clone(), ScripAttack::None, 8);
         let mut many_alt_cfg = base;
         many_alt_cfg.altruists = 30;
-        let many_alt = ScripSim::new(many_alt_cfg, ScripAttack::None, 8).run_to_report();
+        let many_alt = run::<ScripSim>(many_alt_cfg, ScripAttack::None, 8);
         assert!(
             many_alt.mean_threshold < no_alt.mean_threshold,
             "free service should erode thresholds: {} vs {}",
@@ -938,10 +925,8 @@ mod tests {
         use lotus_core::faults::FaultPlan;
         let mut zeroed = quick_cfg();
         zeroed.faults = FaultPlan::parse("loss:0/dup:0/delay:0/crash:0:0.5").unwrap();
-        let plain = ScripSim::new(quick_cfg(), ScripAttack::lotus_eater(0.2, 0.3), 21);
-        let faulted = ScripSim::new(zeroed, ScripAttack::lotus_eater(0.2, 0.3), 21);
-        let a = plain.run_to_report();
-        let b = faulted.run_to_report();
+        let a = run::<ScripSim>(quick_cfg(), ScripAttack::lotus_eater(0.2, 0.3), 21);
+        let b = run::<ScripSim>(zeroed, ScripAttack::lotus_eater(0.2, 0.3), 21);
         assert_eq!(a, b, "zero-rate plans must be byte-invisible");
         assert!(b.fault_counters.is_none());
     }
@@ -970,10 +955,10 @@ mod tests {
     #[test]
     fn loss_degrades_service() {
         use lotus_core::faults::FaultPlan;
-        let clean = ScripSim::new(quick_cfg(), ScripAttack::None, 23).run_to_report();
+        let clean = run::<ScripSim>(quick_cfg(), ScripAttack::None, 23);
         let mut cfg = quick_cfg();
         cfg.faults = FaultPlan::parse("loss:0.4").unwrap();
-        let lossy = ScripSim::new(cfg, ScripAttack::None, 23).run_to_report();
+        let lossy = run::<ScripSim>(cfg, ScripAttack::None, 23);
         assert!(
             lossy.service_rate < clean.service_rate - 0.1,
             "40% loss must hurt: {} vs {}",

@@ -7,6 +7,7 @@
 //! satiation invariants under arbitrary parameters and attacks.
 
 use lotus_core::satiation::Satiable;
+use lotus_core::scenario::run;
 use netsim::round::RoundSim;
 use netsim::NodeId;
 use proptest::prelude::*;
@@ -65,7 +66,7 @@ proptest! {
             .warmup(100)
             .build()
             .expect("valid config");
-        let report = ScripSim::new(cfg, attack, seed).run_to_report();
+        let report = run::<ScripSim>(cfg, attack, seed);
         let total = report.free_rate
             + report.paid_rate
             + report.fail_broke_rate

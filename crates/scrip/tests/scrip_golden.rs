@@ -33,8 +33,7 @@ fn economy() -> ScripConfig {
 }
 
 fn run(attack: ScripAttack, seed: u64) -> String {
-    ScripSim::new(economy(), attack, seed)
-        .run_to_report()
+    lotus_core::scenario::run::<ScripSim>(economy(), attack, seed)
         .summarize()
         .to_json()
 }

@@ -9,7 +9,6 @@
 //! Run with: `cargo run --release --example defense_playbook`
 
 use lotus_eater::bar_gossip::ReportConfig;
-use lotus_eater::lotus_core::attack::{BudgetedAttacker, SatiateRareHolders};
 use lotus_eater::lotus_core::defense::{Mechanism, Principle};
 use lotus_eater::lotus_core::token::{Allocation, SatFunction, TokenSystemConfig};
 use lotus_eater::prelude::*;
@@ -25,10 +24,8 @@ fn token_reach(copies: usize, sat: SatFunction) -> f64 {
         })
         .build()
         .expect("valid config");
-    let mut sys = TokenSystem::new(cfg, 7);
-    let mut attack = BudgetedAttacker::new(SatiateRareHolders::new(0), 2);
-    let report = sys.run(&mut attack, 80);
-    report.untouched_mean_coverage()
+    let attack = TokenAttack::rare_holders(0).budgeted(2);
+    run::<TokenSystem>(TokenScenarioConfig::new(cfg, 80), attack, 7).untouched_mean_coverage()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,9 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 copies: 3,
             })
             .build()?;
-        let mut sys = TokenSystem::new(cfg, 7);
-        let mut attack = BudgetedAttacker::new(SatiateRareHolders::new(0), 2);
-        sys.run(&mut attack, 80).untouched_mean_coverage()
+        let attack = TokenAttack::rare_holders(0).budgeted(2);
+        run::<TokenSystem>(TokenScenarioConfig::new(cfg, 80), attack, 7).untouched_mean_coverage()
     };
     println!("    rare token at ONE node, budget-2 attacker: coverage {single:.3}");
     println!("    -> spread every resource before an attacker can find it\n");
@@ -79,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .rounds(25)
         .build()?;
     let attack = AttackPlan::trade_lotus_eater(0.30, 0.70);
-    let undefended = BarGossipSim::new(base.clone(), attack, 3).run_to_report();
+    let undefended = run::<BarGossipSim>(base.clone(), attack, 3);
     let defended_cfg = BarGossipConfig::builder()
         .nodes(100)
         .updates_per_round(6)
@@ -91,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             excess_slack: 1,
         })
         .build()?;
-    let defended = BarGossipSim::new(defended_cfg, attack, 3).run_to_report();
+    let defended = run::<BarGossipSim>(defended_cfg, attack, 3);
     println!(
         "    trade attack at 30%: isolated delivery {:.3} -> {:.3} ({} of {} attackers evicted)\n",
         undefended.isolated_delivery(),
@@ -107,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Mechanism::PushSize(10).label()
     );
     let ideal = AttackPlan::ideal_lotus_eater(0.10, 0.70);
-    let small_push = BarGossipSim::new(base.clone(), ideal, 5).run_to_report();
+    let small_push = run::<BarGossipSim>(base.clone(), ideal, 5);
     let big_push_cfg = BarGossipConfig::builder()
         .nodes(100)
         .updates_per_round(6)
@@ -115,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .rounds(25)
         .push_size(10)
         .build()?;
-    let big_push = BarGossipSim::new(big_push_cfg, ideal, 5).run_to_report();
+    let big_push = run::<BarGossipSim>(big_push_cfg, ideal, 5);
     println!(
         "    ideal attack at 10%: isolated delivery {:.3} (push 2) -> {:.3} (push 10)",
         small_push.isolated_delivery(),

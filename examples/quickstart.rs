@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (name, plan) in attacks {
-        let report = BarGossipSim::new(cfg.clone(), plan, 42).run_to_report();
+        let report = run::<BarGossipSim>(cfg.clone(), plan, 42);
         println!(
             "{:<28} {:>18.3} {:>18.3} {:>14}",
             name,

@@ -65,7 +65,7 @@ fn main() {
         "scenario", "rounds", "overall", "targeted", "usable"
     );
     for run in &mut runs {
-        let s = run.finish();
+        let s = run.finish_dyn();
         println!(
             "{:<12} {:>8} {:>10.3} {:>10.3} {:>7}",
             s.scenario, s.rounds, s.overall_delivery, s.targeted_service, s.usable

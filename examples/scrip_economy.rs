@@ -17,18 +17,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .rounds(20_000)
         .warmup(2_000)
         .build()?;
-    let healthy = ScripSim::new(cfg.clone(), ScripAttack::None, 1).run_to_report();
+    let healthy = run::<ScripSim>(cfg.clone(), ScripAttack::None, 1);
     println!("healthy economy: service rate {:.3}", healthy.service_rate);
 
     // 2. Satiate 10% of agents: cheap and effective for the attacker.
-    let small = ScripSim::new(cfg.clone(), ScripAttack::lotus_eater(0.10, 0.5), 1).run_to_report();
+    let small = run::<ScripSim>(cfg.clone(), ScripAttack::lotus_eater(0.10, 0.5), 1);
     println!(
         "satiate 10%:     targets satiated {:.1}% of the time",
         small.target_satiation.unwrap_or(0.0) * 100.0
     );
 
     // 3. Try to satiate 70%: the money supply says no.
-    let large = ScripSim::new(cfg.clone(), ScripAttack::lotus_eater(0.70, 1.0), 1).run_to_report();
+    let large = run::<ScripSim>(cfg.clone(), ScripAttack::lotus_eater(0.70, 1.0), 1);
     println!(
         "satiate 70%:     targets satiated {:.1}% of the time — locking 70 x 5 scrip",
         large.target_satiation.unwrap_or(0.0) * 100.0
@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .rounds(30_000)
         .warmup(3_000)
         .build()?;
-    let clean = ScripSim::new(rare_cfg.clone(), ScripAttack::None, 2).run_to_report();
-    let retained = ScripSim::new(rare_cfg, ScripAttack::retainer(0.3), 2).run_to_report();
+    let clean = run::<ScripSim>(rare_cfg.clone(), ScripAttack::None, 2);
+    let retained = run::<ScripSim>(rare_cfg, ScripAttack::retainer(0.3), 2);
     println!();
     println!("retainer attack on the 3 providers of a rare service:");
     println!(

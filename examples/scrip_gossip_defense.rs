@@ -23,9 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for fraction in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5] {
         let attack = AttackPlan::trade_lotus_eater(fraction, 0.70);
-        let vanilla = BarGossipSim::new(base.clone(), attack, 7).run_to_report();
-        let scrip =
-            ScripGossipSim::new(ScripGossipConfig::new(base.clone()), attack, 7).run_to_report();
+        let vanilla = run::<BarGossipSim>(base.clone(), attack, 7);
+        let scrip = run::<ScripGossipSim>(ScripGossipConfig::new(base.clone()), attack, 7);
         println!(
             "{:>9.0}% {:>21.3}{} {:>21.3}{}",
             fraction * 100.0,

@@ -30,9 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let cfg = cfg.clone();
         let curve = sweep_fraction(label, &xs, &sweep, move |x, seed| {
-            BarGossipSim::new(cfg.clone(), make(x), seed)
-                .run_to_report()
-                .isolated_delivery()
+            run::<BarGossipSim>(cfg.clone(), make(x), seed).isolated_delivery()
         });
         curves.push(curve);
     }

@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --release --example token_playground`
 
-use lotus_eater::lotus_core::attack::{NoAttack, SatiateCut};
 use lotus_eater::lotus_core::token::{Allocation, TokenSystemConfig};
 use lotus_eater::prelude::*;
 
@@ -50,9 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             lists
         }))
         .build()?;
-    let mut sys = TokenSystem::new(cfg, 3);
-    let mut cut = SatiateCut::grid_column(rows, cols, cols / 2);
-    let attacked = sys.run(&mut cut, 150);
+    let cut = TokenAttack::cut(SatiateCut::grid_column(rows, cols, cols / 2));
+    let mut sys = TokenSystem::build(TokenScenarioConfig::new(cfg, 150), cut, 3);
+    let attacked = Scenario::finish(&mut sys);
     println!(
         "Grid {rows}x{cols}, column {} satiated ({} nodes): untouched coverage {:.3}",
         cols / 2,
@@ -75,8 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .tokens(6)
             .altruism(a)
             .build()?;
-        let mut sys = TokenSystem::new(cfg, 9);
-        let report = sys.run(&mut NoAttack, 2_000);
+        let cfg = TokenScenarioConfig::new(cfg, 2_000);
+        let report = run::<TokenSystem>(cfg, TokenAttack::none(), 9);
         match report.all_satiated_at {
             Some(t) => println!("  a = {a:>4}: all satiated by round {t}"),
             None => println!(

@@ -42,12 +42,12 @@
 //!     .expect("valid config");
 //!
 //! // No attack: isolated nodes receive (nearly) everything.
-//! let clean = BarGossipSim::new(cfg.clone(), AttackPlan::none(), 1).run_to_report();
+//! let clean = run::<BarGossipSim>(cfg.clone(), AttackPlan::none(), 1);
 //! assert!(clean.overall_delivery() > 0.95);
 //!
 //! // A trade lotus-eater attacker controlling 30% of the system.
 //! let attack = AttackPlan::trade_lotus_eater(0.30, 0.70);
-//! let attacked = BarGossipSim::new(cfg, attack, 1).run_to_report();
+//! let attacked = run::<BarGossipSim>(cfg, attack, 1);
 //! assert!(attacked.isolated_delivery() < clean.overall_delivery());
 //! ```
 //!
@@ -75,7 +75,7 @@
 //!
 //! // Type-erased: registries and CLIs drive `Box<dyn DynScenario>`.
 //! let mut run = lotus_core::scenario::boxed::<BarGossipSim>(cfg, attack, 1);
-//! let summary: ScenarioReport = run.finish();
+//! let summary: ScenarioReport = run.finish_dyn();
 //! assert_eq!(summary.scenario, "bar-gossip");
 //! assert!(summary.metric("isolated_delivery").is_some());
 //! ```
@@ -106,8 +106,10 @@ pub mod prelude {
     };
     pub use lotus_core::bitset::BitSet;
     pub use lotus_core::satiation::{observation_3_1, Satiable};
-    pub use lotus_core::scenario::{DynScenario, Scenario, ScenarioReport, StepOutcome, Summarize};
-    pub use lotus_core::sweep::{sweep_fraction, sweep_scenario, SweepConfig};
+    pub use lotus_core::scenario::{
+        run, DynScenario, Scenario, ScenarioReport, StepOutcome, Summarize,
+    };
+    pub use lotus_core::sweep::{sweep_fraction, SweepConfig};
     pub use lotus_core::token::{SatFunction, TokenScenarioConfig, TokenSystem, TokenSystemConfig};
     pub use netsim::graph::Graph;
     pub use netsim::metrics::Series;

@@ -37,9 +37,7 @@ fn curve(kind: AttackKind, xs: &[f64]) -> netsim::metrics::Series {
             AttackKind::Masquerade => AttackPlan::masquerade(x),
             AttackKind::Poison => AttackPlan::poison(x, 1.0),
         };
-        BarGossipSim::new(cfg.clone(), plan, seed)
-            .run_to_report()
-            .isolated_delivery()
+        run::<BarGossipSim>(cfg.clone(), plan, seed).isolated_delivery()
     })
 }
 
@@ -73,7 +71,7 @@ fn satiated_nodes_receive_near_perfect_service() {
         AttackPlan::ideal_lotus_eater(0.15, 0.70),
         AttackPlan::trade_lotus_eater(0.30, 0.70),
     ] {
-        let report = BarGossipSim::new(small_cfg(), plan, 5).run_to_report();
+        let report = run::<BarGossipSim>(small_cfg(), plan, 5);
         assert!(
             report.satiated_delivery() > 0.95,
             "{:?}: satiated delivery {}",
@@ -93,8 +91,7 @@ fn partial_satiation_suffices_for_the_ideal_attack() {
     // Paper: at its break point the ideal attacker holds well under full
     // coverage — frequent partial satiation is enough. (At this reduced
     // scale the denser seeding means the break happens around 10%.)
-    let report = BarGossipSim::new(small_cfg(), AttackPlan::ideal_lotus_eater(0.10, 0.70), 3)
-        .run_to_report();
+    let report = run::<BarGossipSim>(small_cfg(), AttackPlan::ideal_lotus_eater(0.10, 0.70), 3);
     assert!(
         report.attacker_coverage < 0.75,
         "attacker coverage should be partial, got {}",
@@ -109,9 +106,8 @@ fn partial_satiation_suffices_for_the_ideal_attack() {
 
 #[test]
 fn crash_attack_is_bandwidth_free_and_lotus_eater_is_not() {
-    let crash = BarGossipSim::new(small_cfg(), AttackPlan::crash(0.3), 7).run_to_report();
-    let trade =
-        BarGossipSim::new(small_cfg(), AttackPlan::trade_lotus_eater(0.3, 0.7), 7).run_to_report();
+    let crash = run::<BarGossipSim>(small_cfg(), AttackPlan::crash(0.3), 7);
+    let trade = run::<BarGossipSim>(small_cfg(), AttackPlan::trade_lotus_eater(0.3, 0.7), 7);
     assert_eq!(crash.mean_attacker_upload, 0.0);
     assert!(
         trade.mean_attacker_upload > crash.mean_attacker_upload,

@@ -1,7 +1,6 @@
 //! Integration: every §4 defense measurably helps against a live attack.
 
 use lotus_eater::bar_gossip::ReportConfig;
-use lotus_eater::lotus_core::attack::{BudgetedAttacker, SatiateRareHolders};
 use lotus_eater::lotus_core::token::{Allocation, SatFunction, TokenSystemConfig};
 use lotus_eater::prelude::*;
 
@@ -26,12 +25,8 @@ fn bigger_pushes_blunt_the_ideal_attack_figure_2() {
     let mut small_sum = 0.0;
     let mut big_sum = 0.0;
     for seed in 1..=3u64 {
-        small_sum += BarGossipSim::new(small(2, false), attack, seed)
-            .run_to_report()
-            .isolated_delivery();
-        big_sum += BarGossipSim::new(small(10, false), attack, seed)
-            .run_to_report()
-            .isolated_delivery();
+        small_sum += run::<BarGossipSim>(small(2, false), attack, seed).isolated_delivery();
+        big_sum += run::<BarGossipSim>(small(10, false), attack, seed).isolated_delivery();
     }
     assert!(
         big_sum > small_sum + 0.05,
@@ -45,12 +40,8 @@ fn unbalanced_exchanges_blunt_the_trade_attack_figure_3() {
     let mut bal = 0.0;
     let mut unb = 0.0;
     for seed in 1..=3u64 {
-        bal += BarGossipSim::new(small(2, false), attack, seed)
-            .run_to_report()
-            .isolated_delivery();
-        unb += BarGossipSim::new(small(2, true), attack, seed)
-            .run_to_report()
-            .isolated_delivery();
+        bal += run::<BarGossipSim>(small(2, false), attack, seed).isolated_delivery();
+        unb += run::<BarGossipSim>(small(2, true), attack, seed).isolated_delivery();
     }
     assert!(
         unb > bal,
@@ -63,11 +54,7 @@ fn figure_3_combination_beats_the_baseline() {
     let attack = AttackPlan::trade_lotus_eater(0.30, 0.70);
     let run = |push, unb| -> f64 {
         (1..=3u64)
-            .map(|seed| {
-                BarGossipSim::new(small(push, unb), attack, seed)
-                    .run_to_report()
-                    .isolated_delivery()
-            })
+            .map(|seed| run::<BarGossipSim>(small(push, unb), attack, seed).isolated_delivery())
             .sum::<f64>()
             / 3.0
     };
@@ -82,14 +69,14 @@ fn figure_3_combination_beats_the_baseline() {
 #[test]
 fn report_and_evict_restores_usability() {
     let attack = AttackPlan::trade_lotus_eater(0.30, 0.70);
-    let undefended = BarGossipSim::new(small(2, false), attack, 5).run_to_report();
+    let undefended = run::<BarGossipSim>(small(2, false), attack, 5);
     let mut cfg = small(2, false);
     cfg.defenses.report = Some(ReportConfig {
         obedient_fraction: 0.6,
         quorum: 3,
         excess_slack: 1,
     });
-    let defended = BarGossipSim::new(cfg, attack, 5).run_to_report();
+    let defended = run::<BarGossipSim>(cfg, attack, 5);
     assert!(
         defended.evictions > 0,
         "obedient reporters must evict attackers"
@@ -114,9 +101,9 @@ fn coding_satiation_defeats_rare_token_denial() {
             })
             .build()
             .expect("valid config");
-        let mut sys = TokenSystem::new(cfg, 11);
-        let mut attack = SatiateRareHolders::new(0);
-        let report = sys.run(&mut attack, 80);
+        let cfg = TokenScenarioConfig::new(cfg, 80);
+        let mut sys = TokenSystem::build(cfg, TokenAttack::rare_holders(0), 11);
+        let report = Scenario::finish(&mut sys);
         // Fraction of untouched nodes reaching satiation (getting content).
         let attacked: std::collections::HashSet<_> =
             report.attacked_nodes.iter().copied().collect();
@@ -153,9 +140,10 @@ fn altruism_defends_the_token_model() {
             .altruism(a)
             .build()
             .expect("valid config");
-        let mut sys = TokenSystem::new(cfg, 13);
-        let mut attack = SatiateRandomFraction::new(0.5);
-        sys.run(&mut attack, 100).untouched_mean_coverage()
+        let cfg = TokenScenarioConfig::new(cfg, 100);
+        let attack = TokenAttack::random_fraction(0.5);
+        lotus_eater::lotus_core::scenario::run::<TokenSystem>(cfg, attack, 13)
+            .untouched_mean_coverage()
     };
     let without = run(0.0);
     let with = run(0.2);
@@ -183,9 +171,10 @@ fn budgeted_rare_holder_attack_defeated_by_spreading() {
             }))
             .build()
             .expect("valid config");
-        let mut sys = TokenSystem::new(cfg, 17);
-        let mut attack = BudgetedAttacker::new(SatiateRareHolders::new(0), 2);
-        sys.run(&mut attack, 80);
+        let cfg = TokenScenarioConfig::new(cfg, 80);
+        let attack = TokenAttack::rare_holders(0).budgeted(2);
+        let mut sys = TokenSystem::build(cfg, attack, 17);
+        Scenario::finish(&mut sys);
         sys.view().holders_of(0).len() as f64 / 50.0
     };
     let contained = reach(1);

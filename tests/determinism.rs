@@ -2,7 +2,6 @@
 //! given its seed — the property that makes the figures in EXPERIMENTS.md
 //! reproducible on any machine.
 
-use lotus_eater::lotus_core::attack::SatiateRandomFraction;
 use lotus_eater::lotus_core::token::TokenSystemConfig;
 use lotus_eater::prelude::*;
 use lotus_eater::scrip_economy::ScripAttack;
@@ -18,10 +17,10 @@ fn bar_gossip_is_deterministic() {
         .build()
         .expect("valid config");
     let plan = AttackPlan::trade_lotus_eater(0.25, 0.70);
-    let a = BarGossipSim::new(cfg.clone(), plan, 99).run_to_report();
-    let b = BarGossipSim::new(cfg.clone(), plan, 99).run_to_report();
+    let a = run::<BarGossipSim>(cfg.clone(), plan, 99);
+    let b = run::<BarGossipSim>(cfg.clone(), plan, 99);
     assert_eq!(a, b);
-    let c = BarGossipSim::new(cfg, plan, 100).run_to_report();
+    let c = run::<BarGossipSim>(cfg, plan, 100);
     assert_ne!(a.delivery, c.delivery, "different seeds must differ");
 }
 
@@ -34,8 +33,9 @@ fn token_system_is_deterministic() {
             .build()
             .expect("valid config")
     };
-    let a = TokenSystem::new(build(), 7).run(&mut SatiateRandomFraction::new(0.3), 60);
-    let b = TokenSystem::new(build(), 7).run(&mut SatiateRandomFraction::new(0.3), 60);
+    let cfg = || TokenScenarioConfig::new(build(), 60);
+    let a = run::<TokenSystem>(cfg(), TokenAttack::random_fraction(0.3), 7);
+    let b = run::<TokenSystem>(cfg(), TokenAttack::random_fraction(0.3), 7);
     assert_eq!(a, b);
 }
 
@@ -47,8 +47,8 @@ fn scrip_economy_is_deterministic() {
         .warmup(400)
         .build()
         .expect("valid config");
-    let a = ScripSim::new(cfg.clone(), ScripAttack::lotus_eater(0.2, 0.4), 31).run_to_report();
-    let b = ScripSim::new(cfg, ScripAttack::lotus_eater(0.2, 0.4), 31).run_to_report();
+    let a = run::<ScripSim>(cfg.clone(), ScripAttack::lotus_eater(0.2, 0.4), 31);
+    let b = run::<ScripSim>(cfg, ScripAttack::lotus_eater(0.2, 0.4), 31);
     assert_eq!(a, b);
 }
 
@@ -60,8 +60,8 @@ fn swarm_is_deterministic() {
         .build()
         .expect("valid config");
     let attack = SwarmAttack::satiate(2, 6, 0.3, TargetPolicy::Random);
-    let a = SwarmSim::new(cfg.clone(), attack, 13).run_to_report();
-    let b = SwarmSim::new(cfg, attack, 13).run_to_report();
+    let a = run::<SwarmSim>(cfg.clone(), attack, 13);
+    let b = run::<SwarmSim>(cfg, attack, 13);
     assert_eq!(a, b);
 }
 

@@ -1,4 +1,4 @@
-//! Property tests for the unified `Scenario` API (ISSUE 1 satellite):
+//! Property tests for the unified `Scenario` API, on all six substrates:
 //!
 //! * every registered scenario is deterministic — the same
 //!   `(config, attack, seed)` triple produces a bit-identical
@@ -6,8 +6,8 @@
 //! * the type-erased `DynScenario` layer round-trips the typed reports —
 //!   driving through `Box<dyn DynScenario>` yields exactly
 //!   `typed_report.summarize()`;
-//! * the scenario path agrees with each substrate's legacy
-//!   `run_to_report`/`run` entry point.
+//! * completion is idempotent — once a run is `Done`, further steps
+//!   return `Done` and leave the report unchanged.
 
 use lotus_eater::lotus_core::attack::TokenAttack;
 use lotus_eater::lotus_core::scenario::{
@@ -35,15 +35,29 @@ where
     S::Report: PartialEq + std::fmt::Debug,
 {
     let a = run::<S>(cfg.clone(), attack.clone(), seed);
-    let b = run::<S>(cfg.clone(), attack.clone(), seed);
+    let mut sim = S::build(cfg.clone(), attack.clone(), seed);
+    let b = Scenario::finish(&mut sim);
     assert_eq!(
         a,
         b,
         "{}: same seed must give bit-identical reports",
         S::NAME
     );
+    for _ in 0..3 {
+        assert!(
+            Scenario::step(&mut sim).is_done(),
+            "{}: a finished scenario stays done",
+            S::NAME
+        );
+    }
+    assert_eq!(
+        Scenario::report(&sim),
+        a,
+        "{}: stepping a finished scenario must not change its report",
+        S::NAME
+    );
 
-    let summary: ScenarioReport = boxed::<S>(cfg, attack, seed).finish();
+    let summary: ScenarioReport = boxed::<S>(cfg, attack, seed).finish_dyn();
     assert_eq!(
         summary,
         a.summarize(),
@@ -118,66 +132,6 @@ fn all_scenarios_are_deterministic_and_round_trip() {
 }
 
 #[test]
-fn scenario_path_matches_legacy_run_to_report() {
-    let cfg = BarGossipConfig::builder()
-        .nodes(60)
-        .updates_per_round(4)
-        .copies_seeded(6)
-        .rounds(15)
-        .warmup_rounds(5)
-        .build()
-        .expect("valid config");
-    let attack = AttackPlan::trade_lotus_eater(0.3, 0.7);
-    let legacy = BarGossipSim::new(cfg.clone(), attack, 11).run_to_report();
-    let scenario = run::<BarGossipSim>(cfg, attack, 11);
-    assert_eq!(legacy, scenario);
-
-    let scfg = ScripConfig::builder()
-        .agents(40)
-        .rounds(800)
-        .warmup(100)
-        .build()
-        .expect("valid config");
-    let legacy =
-        ScripSim::new(scfg.clone(), ScripAttack::lotus_eater(0.4, 1.0), 11).run_to_report();
-    let scenario = run::<ScripSim>(scfg, ScripAttack::lotus_eater(0.4, 1.0), 11);
-    assert_eq!(legacy, scenario);
-
-    let wcfg = SwarmConfig::builder()
-        .leechers(16)
-        .pieces(24)
-        .build()
-        .expect("valid config");
-    let attack = SwarmAttack::satiate(2, 4, 0.3, TargetPolicy::Random);
-    let legacy = SwarmSim::new(wcfg.clone(), attack, 11).run_to_report();
-    let scenario = run::<SwarmSim>(wcfg, attack, 11);
-    assert_eq!(legacy, scenario);
-
-    // Token model: the legacy entry point takes the attacker by &mut and
-    // the horizon as an argument; the scenario path must match it.
-    let tcfg = token_cfg();
-    let mut legacy_sys = TokenSystem::new(tcfg.system.clone(), 11);
-    let mut legacy_attack = lotus_eater::lotus_core::attack::SatiateRandomFraction::new(0.4);
-    let legacy = legacy_sys.run(&mut legacy_attack, 60);
-    let scenario = run::<TokenSystem>(tcfg, TokenAttack::random_fraction(0.4), 11);
-    assert_eq!(legacy, scenario);
-}
-
-#[test]
-fn step_after_done_is_a_no_op() {
-    let mut sim = TokenSystem::build(token_cfg(), TokenAttack::none(), 3);
-    let first = Scenario::finish(&mut sim);
-    for _ in 0..3 {
-        assert!(Scenario::step(&mut sim).is_done());
-    }
-    assert_eq!(
-        Scenario::report(&sim),
-        first,
-        "stepping a finished scenario must not change its report"
-    );
-}
-
-#[test]
 fn erased_scenarios_mix_in_one_collection() {
     let mut runs: Vec<Box<dyn DynScenario>> = vec![
         boxed::<TokenSystem>(token_cfg(), TokenAttack::random_fraction(0.3), 5),
@@ -191,7 +145,7 @@ fn erased_scenarios_mix_in_one_collection() {
             5,
         ),
     ];
-    let summaries: Vec<ScenarioReport> = runs.iter_mut().map(|s| s.finish()).collect();
+    let summaries: Vec<ScenarioReport> = runs.iter_mut().map(|s| s.finish_dyn()).collect();
     assert_eq!(summaries[0].scenario, "token");
     assert_eq!(summaries[1].scenario, "bittorrent");
     for s in &summaries {
