@@ -52,14 +52,14 @@ fn unbalanced_exchanges_blunt_the_trade_attack_figure_3() {
 #[test]
 fn figure_3_combination_beats_the_baseline() {
     let attack = AttackPlan::trade_lotus_eater(0.30, 0.70);
-    let run = |push, unb| -> f64 {
+    let mean_isolated = |push, unb| -> f64 {
         (1..=3u64)
             .map(|seed| run::<BarGossipSim>(small(push, unb), attack, seed).isolated_delivery())
             .sum::<f64>()
             / 3.0
     };
-    let baseline = run(2, false);
-    let combo = run(4, true);
+    let baseline = mean_isolated(2, false);
+    let combo = mean_isolated(4, true);
     assert!(
         combo > baseline,
         "push 4 + unbalanced must beat the baseline: {combo:.3} vs {baseline:.3}"
@@ -91,7 +91,7 @@ fn report_and_evict_restores_usability() {
 
 #[test]
 fn coding_satiation_defeats_rare_token_denial() {
-    let run = |sat: SatFunction| -> f64 {
+    let untouched_satiated = |sat: SatFunction| -> f64 {
         let cfg = TokenSystemConfig::builder(Graph::complete(50))
             .tokens(10)
             .sat(sat)
@@ -120,8 +120,8 @@ fn coding_satiation_defeats_rare_token_denial() {
         }
         f64::from(ok) / f64::from(total.max(1))
     };
-    let collect_all = run(SatFunction::CollectAll);
-    let coded = run(SatFunction::AnyK(9));
+    let collect_all = untouched_satiated(SatFunction::CollectAll);
+    let coded = untouched_satiated(SatFunction::AnyK(9));
     assert_eq!(
         collect_all, 0.0,
         "denying the rare token denies collect-all entirely"
@@ -134,7 +134,7 @@ fn coding_satiation_defeats_rare_token_denial() {
 
 #[test]
 fn altruism_defends_the_token_model() {
-    let run = |a: f64| -> f64 {
+    let untouched_coverage = |a: f64| -> f64 {
         let cfg = TokenSystemConfig::builder(Graph::complete(60))
             .tokens(16)
             .altruism(a)
@@ -142,11 +142,10 @@ fn altruism_defends_the_token_model() {
             .expect("valid config");
         let cfg = TokenScenarioConfig::new(cfg, 100);
         let attack = TokenAttack::random_fraction(0.5);
-        lotus_eater::lotus_core::scenario::run::<TokenSystem>(cfg, attack, 13)
-            .untouched_mean_coverage()
+        run::<TokenSystem>(cfg, attack, 13).untouched_mean_coverage()
     };
-    let without = run(0.0);
-    let with = run(0.2);
+    let without = untouched_coverage(0.0);
+    let with = untouched_coverage(0.2);
     assert!(
         with > without,
         "altruism must raise untouched coverage: {with:.3} vs {without:.3}"
