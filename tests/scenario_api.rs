@@ -132,6 +132,20 @@ fn all_scenarios_are_deterministic_and_round_trip() {
 }
 
 #[test]
+fn step_after_done_is_a_no_op() {
+    let mut sim = TokenSystem::build(token_cfg(), TokenAttack::none(), 3);
+    let first = Scenario::finish(&mut sim);
+    for _ in 0..3 {
+        assert!(Scenario::step(&mut sim).is_done());
+    }
+    assert_eq!(
+        Scenario::report(&sim),
+        first,
+        "stepping a finished scenario must not change its report"
+    );
+}
+
+#[test]
 fn erased_scenarios_mix_in_one_collection() {
     let mut runs: Vec<Box<dyn DynScenario>> = vec![
         boxed::<TokenSystem>(token_cfg(), TokenAttack::random_fraction(0.3), 5),
