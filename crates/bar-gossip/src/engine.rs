@@ -18,8 +18,9 @@
 //!   counters ([`GossipEngine::advance_windows`]), broadcaster seeding
 //!   ([`GossipEngine::seed_round`]) and the plan half of every exchange
 //!   round: the shuffled initiator list ([`GossipEngine::plan_phase`])
-//!   and its pairs, planned one block at a time
-//!   ([`GossipEngine::plan_block`]);
+//!   and the one cursor every apply loop walks it with
+//!   ([`GossipEngine::next_pair`]), which plans its pairs one block at a
+//!   time and alone decides which of them reach the simulator's arms;
 //! * the read-outs: [`GossipEngine::delivery`] and the per-node
 //!   usability counters.
 //!
@@ -59,6 +60,8 @@
 //!    the active shards at the start of each sub-protocol phase, so
 //!    each sub-protocol has its own cap. Scrip-gossip keeps one counter
 //!    across both sub-protocols, cleared once per round.
+//! 6. **Link gates.** Each arm counts a partition-blocked pair where it
+//!    checks the link; BAR Gossip's push attacker arms never check it.
 //!
 //! # Hot-loop invariants
 //!
@@ -66,9 +69,9 @@
 //! lists are scratch buffers owned by the engine, reserved to their
 //! ceilings at build. The one per-node list is the initiator list
 //! `order` (4 bytes per node), which seeding reuses as its active list;
-//! planned pairs live only in the apply loop's stack block of
-//! [`PLAN_BLOCK`] entries. Seeding draws each update's copies with
-//! Floyd's algorithm over the `picked` bitset
+//! planned pairs live only in the phase's [`PairCursor`], a block of
+//! [`PLAN_BLOCK`] entries on the apply loop's stack. Seeding draws each
+//! update's copies with Floyd's algorithm over the `picked` bitset
 //! ([`BitSet::sample_into`]) and clears only the bits it picked, so a
 //! draw costs `O(copies)` whatever the population.
 //!
@@ -85,8 +88,8 @@
 //! rows, two classes and a responder counter at random indices into
 //! per-node arrays larger than the core's cache, one pair at a time
 //! inside a branchy loop. So a block that is not dense is *gathered*
-//! right after it is planned ([`GossipEngine::plan_block`]): those
-//! words are read for every viable pair up front, and the block's
+//! right after the cursor plans it ([`GossipEngine::gather_block`]):
+//! those words are read for every viable pair up front, and the block's
 //! independent cache misses overlap. The gather only reads, so reports
 //! cannot change. Dense plans (Table 1 and every other single-shard
 //! run, and scrip-gossip at any size) skip it: there the arrays fit the
@@ -116,10 +119,31 @@ use netsim::{NodeId, Round};
 /// allocation-free.
 const PLAN_POOL_MIN_ACTIVE: usize = 1 << 14;
 
-/// Pairs the apply loops plan at a time ([`GossipEngine::plan_block`]):
-/// a stack block small enough to stay in L1, large enough that the
-/// partner hashing runs as a tight loop rather than once per apply step.
-pub(crate) const PLAN_BLOCK: usize = 64;
+/// Pairs a [`PairCursor`] plans at a time: a block small enough to stay
+/// in L1, large enough that the partner hashing runs as a tight loop
+/// rather than once per apply step.
+const PLAN_BLOCK: usize = 64;
+
+/// One exchange phase's walk over its planned pairs, from
+/// [`GossipEngine::plan_phase`] and stepped by
+/// [`GossipEngine::next_pair`]: `block[pos..len]` is what is left of
+/// the block planned last, and `order[next..]` the initiators not yet
+/// planned. Dense phases skip the block gather.
+#[derive(Debug, Clone)]
+pub(crate) struct PairCursor {
+    planner: PairPlanner,
+    block: [PlannedPair; PLAN_BLOCK],
+    len: usize,
+    pos: usize,
+    next: usize,
+    dense: bool,
+    /// Whether a configured defense can remove nodes *during* the phase:
+    /// report-and-evict inserts into `evicted` and the silence cut-off
+    /// into `cut` while pairs are applied. When neither is on, aliveness
+    /// is fixed for the whole round (churn and faults only flip at round
+    /// start), so [`GossipEngine::next_pair`] skips the liveness probes.
+    strict: bool,
+}
 
 /// Index of a class in the per-class counter arrays.
 fn class_idx(class: NodeClass) -> usize {
@@ -195,13 +219,9 @@ pub(crate) struct GossipEngine {
     run_pool: WorkerPool,
     /// The round's node list, reserved to one entry per node: seeding's
     /// ascending active list, then each exchange phase's shuffled
-    /// initiator list ([`GossipEngine::plan_phase`]), which the apply
-    /// loop plans block by block ([`GossipEngine::plan_block`]).
-    pub(crate) order: Vec<u32>,
-    /// Whether the current phase's plan is dense
-    /// ([`GossipEngine::plan_phase`]): dense plans skip the block
-    /// gather in [`GossipEngine::plan_block`].
-    dense: bool,
+    /// initiator list ([`GossipEngine::plan_phase`]), which the phase's
+    /// [`PairCursor`] plans block by block.
+    order: Vec<u32>,
     // Scratch buffers; contents are meaningless between phases.
     picks_scratch: Vec<usize>,
     /// Seeding's membership set over `order` positions, clear between
@@ -312,7 +332,6 @@ impl GossipEngine {
             // One entry per node, so even the round a flash crowd lands
             // allocates nothing.
             order: Vec::with_capacity(n as usize),
-            dense: true,
             picks_scratch: Vec::with_capacity(cfg.copies_seeded as usize),
             picked: BitSet::new(n as usize),
             chunk_sizes: Vec::new(),
@@ -525,33 +544,15 @@ impl GossipEngine {
         self.picks_scratch = picks;
     }
 
-    /// Whether a configured defense can remove nodes *during* an
-    /// exchange phase: report-and-evict inserts into `evicted` and the
-    /// silence cut-off inserts into `cut` while pairs are being applied.
-    /// When neither is on, aliveness is fixed for the whole round (churn
-    /// and faults only flip at round start), so the plan's viability
-    /// snapshot stays exact through apply and the hot path can skip the
-    /// per-pair liveness probes entirely.
-    pub(crate) fn strict(&self) -> bool {
-        self.cfg.defenses.report.is_some() || self.cutoff.is_on()
-    }
-
-    /// Plan-time viability snapshot for a pair. In strict mode this
-    /// probes the live [`GossipEngine::alive`] sets; otherwise the
-    /// round-top shard snapshot *is* aliveness — one probe per endpoint
-    /// instead of four. Link state is static within a round, so it is
-    /// only sampled for viable pairs (apply never reads it on skipped
-    /// ones).
+    /// Viability flags for a pair, from the round-top shard snapshot,
+    /// which is a superset of [`GossipEngine::alive`] (nodes are only
+    /// removed during a round). Link state is static within a round, so
+    /// it is only sampled for viable pairs (nothing reads it on others).
     // lint: hot-loop
     #[inline]
-    fn pair_flags(&self, v: NodeId, p: NodeId, strict: bool) -> u8 {
-        let viable = if strict {
-            self.alive(v) && self.alive(p)
-        } else {
-            let shards = self.env.shards();
-            shards.contains(v.index()) && shards.contains(p.index())
-        };
-        if !viable {
+    fn pair_flags(&self, v: NodeId, p: NodeId) -> u8 {
+        let shards = self.env.shards();
+        if !(shards.contains(v.index()) && shards.contains(p.index())) {
             return 0;
         }
         if self.env.faults().link_up(v.index(), p.index()) {
@@ -602,11 +603,11 @@ impl GossipEngine {
 
     /// The plan half of an exchange round: fill `order` with the round's
     /// initiators and shuffle it with `order_rng`, then return the
-    /// round's [`PairPlanner`] for the apply loop's
-    /// [`GossipEngine::plan_block`] calls. A `dense` plan covers every
-    /// node in index order; otherwise only the active shards enter the
-    /// list (ascending walk, chunk-partitioned across the worker pool),
-    /// which keeps the round `O(active)` instead of `O(population)`.
+    /// phase's [`PairCursor`] for [`GossipEngine::next_pair`]. A `dense`
+    /// plan covers every node in index order; otherwise only the active
+    /// shards enter the list (ascending walk, chunk-partitioned across
+    /// the worker pool), which keeps the round `O(active)` instead of
+    /// `O(population)`.
     ///
     /// The shuffled list is the permutation a shuffled batch of planned
     /// pairs ([`netsim::plan::ExchangePlan::shuffle`]) would hold: a
@@ -619,9 +620,8 @@ impl GossipEngine {
         proto: Protocol,
         mut order_rng: DetRng,
         dense: bool,
-    ) -> PairPlanner {
+    ) -> PairCursor {
         self.order.clear();
-        self.dense = dense;
         if dense {
             let n = self.node_count() as u32;
             self.order.extend(0..n);
@@ -647,47 +647,65 @@ impl GossipEngine {
             self.chunk_bounds = bounds;
         }
         order_rng.shuffle(&mut self.order);
-        self.schedule.planner(t, proto)
+        PairCursor {
+            planner: self.schedule.planner(t, proto),
+            block: [PlannedPair::default(); PLAN_BLOCK],
+            len: 0,
+            pos: 0,
+            next: 0,
+            dense,
+            strict: self.cfg.defenses.report.is_some() || self.cutoff.is_on(),
+        }
     }
 
-    /// Plan the initiators `order[start..start + PLAN_BLOCK]` (fewer at
-    /// the list's tail) into `out`: each one's scheduled partner and a
-    /// viability snapshot ([`GossipEngine::pair_flags`]), taken now
-    /// rather than at the top of the phase. Aliveness only shrinks
-    /// within a phase, so a pair that is not viable here could not be
-    /// applied either, and strict mode rechecks the viable remainder
-    /// against removals made while the block is applied.
+    /// The phase's next pair to apply, in shuffled initiator order, or
+    /// `None` once the initiator list is spent. Only pairs viable in the
+    /// round-top snapshot are yielded, and in strict mode only while
+    /// both ends are still [`GossipEngine::alive`]: a removal applied
+    /// earlier in the phase (a report eviction, a silence cut) skips
+    /// every later pair that touches the removed node. Every check an
+    /// arm makes before its link gate writes nothing, so checking both
+    /// ends here skips exactly the pairs the arms would. `served` is the
+    /// simulator's responder counters, which the block gather reads.
     ///
-    /// Unless the phase is dense, the block is then gathered
-    /// ([`GossipEngine::gather_block`]) against `served`, the
-    /// simulator's responder counters.
+    /// Always inlined: as a call per pair it cost perfbench's
+    /// `paper-gossip` about 3% of its run time (2-vCPU Xeon, rustc 1.95).
     // lint: hot-loop
-    pub(crate) fn plan_block<'b>(
-        &self,
-        planner: &PairPlanner,
-        start: usize,
-        out: &'b mut [PlannedPair; PLAN_BLOCK],
-        served: &[u32],
-    ) -> &'b [PlannedPair] {
-        let initiators = &self.order[start..(start + PLAN_BLOCK).min(self.order.len())];
-        let out = &mut out[..initiators.len()];
-        let strict = self.strict();
-        planner.fill(
-            initiators.iter().map(|&i| NodeId(i)),
-            |v, p| self.pair_flags(v, p, strict),
-            out,
-        );
-        if !self.dense {
-            self.gather_block(out, served);
+    #[inline(always)]
+    pub(crate) fn next_pair(&self, cursor: &mut PairCursor, served: &[u32]) -> Option<PlannedPair> {
+        loop {
+            if cursor.pos == cursor.len {
+                // Plan the next block (fewer at the list's tail) and,
+                // unless the phase is dense, gather it.
+                let start = cursor.next;
+                let end = (start + PLAN_BLOCK).min(self.order.len());
+                if start == end {
+                    return None;
+                }
+                let initiators = self.order[start..end].iter().map(|&i| NodeId(i));
+                let block = &mut cursor.block[..end - start];
+                cursor
+                    .planner
+                    .fill(initiators, |v, p| self.pair_flags(v, p), block);
+                if !cursor.dense {
+                    self.gather_block(block, served);
+                }
+                (cursor.len, cursor.pos, cursor.next) = (end - start, 0, end);
+            }
+            let e = cursor.block[cursor.pos];
+            cursor.pos += 1;
+            if e.is_viable() && (!cursor.strict || self.alive(e.initiator) && self.alive(e.partner))
+            {
+                return Some(e);
+            }
         }
-        out
     }
 
     /// Read what the apply arms are about to touch for every viable pair
     /// of a planned block — the first word of both rows, both classes
     /// and the responder's `served` counter — so the block's cache misses
-    /// overlap (see the module docs). Every apply arm skips a pair
-    /// planned non-viable, so its ends are not read: before a flash
+    /// overlap (see the module docs). A pair planned non-viable is never
+    /// yielded, so its ends are not read: before a flash
     /// crowd lands most scheduled partners are absent. The reads are
     /// folded through [`std::hint::black_box`] so the compiler keeps them.
     // lint: hot-loop
@@ -732,5 +750,76 @@ impl GossipEngine {
         } else {
             self.measured_rounds
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lotus_core::{faults::FaultPlan, population::ArrivalProcess};
+    use netsim::plan::ExchangePlan;
+
+    /// A strict multi-shard phase yields exactly a shuffled
+    /// [`ExchangePlan`] over the round's active nodes, less the pairs the
+    /// round-top snapshot rules out and, once a node is evicted
+    /// mid-block, every later pair that touches it.
+    #[test]
+    fn strict_cursor_yields_the_snapshot_plan_less_mid_block_removals() {
+        let cfg = BarGossipConfig::builder()
+            .nodes(1500)
+            .arrival(ArrivalProcess::parse("burst:5:400").expect("valid arrival"))
+            .faults(FaultPlan::parse("partition:0:5:0.4").expect("valid faults"))
+            .cutoff_quorum(Some(2))
+            .build()
+            .expect("valid config");
+        let mut eng = GossipEngine::new(cfg, AttackPlan::none(), DetRng::seed_from(7));
+        eng.begin_round(0);
+        assert!(eng.env.shards().shard_count() > 1);
+        let order_rng = DetRng::seed_from(11).fork_idx("order", 0);
+
+        // The reference, flagged from the snapshot and the partition.
+        let (shards, faults) = (eng.env.shards(), eng.env.faults());
+        let mut active = Vec::new();
+        shards.collect_active_into(&mut active);
+        let mut plan = ExchangePlan::new();
+        plan.reset(active.len());
+        let up = |v: NodeId| shards.contains(v.index());
+        let flags =
+            |v: NodeId, p: NodeId| match (up(v) && up(p), faults.link_up(v.index(), p.index())) {
+                (false, _) => 0,
+                (true, linked) => VIABLE | if linked { LINKED } else { 0 },
+            };
+        let planner = eng.schedule.planner(0, Protocol::BalancedExchange);
+        planner.fill(active.iter().map(|&i| NodeId(i)), flags, plan.entries_mut());
+        plan.shuffle(&mut order_rng.clone());
+        let entries = plan.entries();
+        assert!(entries.iter().any(|e| !e.is_viable()));
+        assert!(entries.iter().any(|e| e.is_viable() && !e.is_linked()));
+
+        // Right after the first viable pair at position 70 or later, evict
+        // the partner of the next viable pair, in the same block.
+        let viable_from = |lo: usize| (lo..entries.len()).find(|&i| entries[i].is_viable());
+        let trigger = viable_from(70).expect("a viable pair");
+        let victim_pair = viable_from(trigger + 1).expect("a later viable pair");
+        assert!(victim_pair < 2 * PLAN_BLOCK, "the removal lands mid-block");
+        let victim = entries[victim_pair].partner;
+        let touches_victim = |e: &PlannedPair| e.initiator == victim || e.partner == victim;
+        let expected: Vec<PlannedPair> = (0..entries.len())
+            .filter(|&i| entries[i].is_viable() && !(i > trigger && touches_victim(&entries[i])))
+            .map(|i| entries[i])
+            .collect();
+        assert!(expected.len() < entries.iter().filter(|e| e.is_viable()).count());
+
+        let served = vec![0u32; 1500];
+        let mut pairs = eng.plan_phase(0, Protocol::BalancedExchange, order_rng, false);
+        assert!(pairs.strict);
+        let mut got = Vec::new();
+        while let Some(e) = eng.next_pair(&mut pairs, &served) {
+            got.push(e);
+            if e == entries[trigger] {
+                eng.evicted.insert(victim.index());
+            }
+        }
+        assert_eq!(got, expected);
     }
 }

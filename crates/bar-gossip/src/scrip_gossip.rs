@@ -42,11 +42,10 @@
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
-use crate::engine::{GossipEngine, PLAN_BLOCK};
+use crate::engine::GossipEngine;
 use crate::update::{count_lacking, wanted_rows, whole_window, Transfer};
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use netsim::partner::Protocol;
-use netsim::plan::PlannedPair;
 use netsim::rng::DetRng;
 use netsim::round::RoundSim;
 use netsim::{NodeId, Round};
@@ -270,12 +269,7 @@ impl ScripGossipSim {
         // else would — but they pay with their own scrip, which the
         // supply bounds. (They start with the same endowment.) Covert
         // attackers also buy honestly.
-        let kind = self.eng.plan.kind;
-        if self.eng.env.attack_active()
-            && self.eng.is_attacker(buyer)
-            && kind != AttackKind::TradeLotusEater
-            && !kind.covert()
-        {
+        if self.eng.overt_attacker(buyer) && self.eng.plan.kind != AttackKind::TradeLotusEater {
             return;
         }
         // Honest (or attacker-buyer) purchase.
@@ -368,43 +362,22 @@ impl RoundSim for ScripGossipSim {
                 .eng
                 .rng
                 .fork_idx("order", t.wrapping_mul(4).wrapping_add(tag));
-            let planner = self.eng.plan_phase(t, proto, order, true);
-            // Apply: aliveness only shrinks mid-phase (silence cuts), so
-            // non-viable pairs skip exactly; the viable remainder
-            // rechecks liveness when a defense can remove nodes under
-            // its feet.
-            let strict = self.eng.strict();
-            let mut block = [PlannedPair::default(); PLAN_BLOCK];
-            for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
-                for &e in self
-                    .eng
-                    .plan_block(&planner, start, &mut block, &self.served_this_round)
+            let mut pairs = self.eng.plan_phase(t, proto, order, true);
+            while let Some(e) = self.eng.next_pair(&mut pairs, &self.served_this_round) {
+                let (v, p) = (e.initiator, e.partner);
+                if self.eng.overt_attacker(v)
+                    && matches!(
+                        self.eng.plan.kind,
+                        AttackKind::Crash | AttackKind::IdealLotusEater
+                    )
                 {
-                    if !e.is_viable() {
-                        continue; // absent/crashed/cut end: the slot is wasted
-                    }
-                    let (v, p) = (e.initiator, e.partner);
-                    if strict && !self.eng.alive(v) {
-                        continue;
-                    }
-                    if self.eng.env.attack_active()
-                        && self.eng.is_attacker(v)
-                        && matches!(
-                            self.eng.plan.kind,
-                            AttackKind::Crash | AttackKind::IdealLotusEater
-                        )
-                    {
-                        continue; // crash/ideal attackers never interact
-                    }
-                    if strict && !self.eng.alive(p) {
-                        continue;
-                    }
-                    if !e.is_linked() {
-                        self.eng.env.faults_mut().note_partition_blocked();
-                        continue; // partitioned apart
-                    }
-                    self.interaction(v, p, cap);
+                    continue; // crash/ideal attackers never interact
                 }
+                if !e.is_linked() {
+                    self.eng.env.faults_mut().note_partition_blocked();
+                    continue; // partitioned apart
+                }
+                self.interaction(v, p, cap);
             }
         }
         self.round = t + 1;

@@ -38,25 +38,14 @@
 //! The **plan** fills the engine's initiator list — every node while the
 //! population fits one shard, otherwise the live shards in ascending
 //! order — and shuffles it with the phase's `fork_idx` stream. The
-//! sequential **apply** then walks the list 64 initiators at a time: it
-//! plans each block's scheduled partners and viability snapshots into a
-//! stack block of [`netsim::plan::PlannedPair`]s with the round's
-//! [`netsim::plan::PairPlanner`], and commits transfers, counters and
-//! rng-consuming outcomes pair by pair. A Fisher–Yates shuffle's draws
-//! depend only on length and a partner only on its initiator, so the
-//! blocks hold exactly the entries of a shuffled
-//! [`netsim::plan::ExchangePlan`] over the same initiators; a snapshot
-//! taken when its block is planned, rather than at the top of the phase,
-//! is exact because aliveness only shrinks within a phase. On a
-//! multi-shard population each planned block is also *gathered* before
-//! it is applied: the engine reads the first word of every viable
-//! pair's two rows, both classes and the responder's `served` counter
-//! (passed in, as it lives here), so the block's random reads miss the
-//! cache together rather than one pair at a time inside the branchy
-//! arms below. The gather writes nothing, and dense (single-shard)
-//! plans skip it. The list fill is partitioned along shard bounds
-//! across the [`lotus_core::pool::WorkerPool`] — concatenation in chunk
-//! order reproduces the ascending walk exactly, so every figure is
+//! sequential **apply** is one loop over the engine's pair cursor, which
+//! plans the list a block at a time, gathers multi-shard blocks and
+//! yields only the pairs that can still be applied (see the engine's
+//! module docs); the arms below keep their link gates and commit
+//! transfers, counters and rng-consuming outcomes pair by pair. The list
+//! fill is partitioned along shard bounds across the
+//! [`lotus_core::pool::WorkerPool`] — concatenation in chunk order
+//! reproduces the ascending walk exactly, so every figure is
 //! byte-identical for any `run_threads` value.
 //!
 //! Each arm exchanges through the exchange layer's row kernels, on bare
@@ -78,7 +67,7 @@
 //! index list the round loop needs (the engine's initiator list, which
 //! seeding shares, and the gift/return and exchange buffers) is a
 //! scratch buffer owned by the sim, cleared and refilled in place; the
-//! planned pairs live in a stack block; and membership tracking
+//! planned pairs live in the cursor's stack block; and membership tracking
 //! uses [`lotus_core::bitset::BitSet`] (`fed`) and a flat
 //! [`lotus_core::defense::QuorumSlots`] table (the report quorum). The
 //! push phase's two band masks are buffers of one row's stride,
@@ -95,7 +84,7 @@
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::{BarGossipConfig, DigestExchangeConfig};
-use crate::engine::{GossipEngine, PLAN_BLOCK};
+use crate::engine::GossipEngine;
 use crate::exchange::{
     balanced_rows, is_excessive_service, push_rows, wants_push_row, BalancedOutcome, PushOutcome,
 };
@@ -108,7 +97,6 @@ use lotus_core::schedule;
 use lotus_core::soa::ShardMap;
 use netsim::bandwidth::{BandwidthMeter, MsgClass};
 use netsim::partner::Protocol;
-use netsim::plan::PlannedPair;
 use netsim::rng::{DetRng, Odds};
 use netsim::round::RoundSim;
 use netsim::sign::Authority;
@@ -797,78 +785,49 @@ impl BarGossipSim {
             }
             None => self.eng.rng.fork_idx("balanced-order", t),
         };
-        let dense = self.dense_plan();
-        let planner = self
-            .eng
-            .plan_phase(t, Protocol::BalancedExchange, order, dense);
-        let strict = self.eng.strict();
-        let mut block = [PlannedPair::default(); PLAN_BLOCK];
-        for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
-            for &e in self
-                .eng
-                .plan_block(&planner, start, &mut block, &self.served)
-            {
-                // Aliveness only shrinks mid-phase, so a pair planned
-                // non-viable can never revive; strict mode rechecks the
-                // viable remainder against removals applied earlier in this
-                // very loop (report evictions, silence cuts).
-                if !e.is_viable() {
-                    continue;
-                }
-                let (v, p) = (e.initiator, e.partner);
-                if strict && (!self.eng.alive(v) || !self.eng.alive(p)) {
-                    continue;
-                }
-                if !e.is_linked() {
-                    // Partitioned apart: the interaction never happens. The
-                    // blocked-interaction counter ticks here — the position
-                    // the legacy walk's counting link check sat at.
-                    self.eng.env.faults_mut().note_partition_blocked();
-                    continue;
-                }
-                // While the schedule has the attack off, attacker nodes run
-                // the honest protocol (the cooperate phase), so both classes
-                // collapse to honest in the dispatch below. Covert
-                // (masquerade/poison) attackers *always* take the honest
-                // path — their defection lives inside the delivery step, not
-                // in the dispatch.
-                let classes = if self.eng.env.attack_active() && !self.eng.plan.kind.covert() {
-                    (self.eng.class[v.index()], self.eng.class[p.index()])
-                } else {
-                    (NodeClass::Isolated, NodeClass::Isolated)
-                };
-                let trade = self.eng.plan.kind == AttackKind::TradeLotusEater;
-                match classes {
-                    (NodeClass::Attacker, NodeClass::Attacker) => {
-                        if trade {
-                            self.attacker_sync(v, p);
-                        }
+        let mut pairs =
+            self.eng
+                .plan_phase(t, Protocol::BalancedExchange, order, self.dense_plan());
+        while let Some(e) = self.eng.next_pair(&mut pairs, &self.served) {
+            let (v, p) = (e.initiator, e.partner);
+            if !e.is_linked() {
+                // Partitioned apart: the interaction never happens.
+                self.eng.env.faults_mut().note_partition_blocked();
+                continue;
+            }
+            // Only overt attackers take the attacker arms: attackers run the
+            // honest protocol while the schedule has the attack off, and
+            // covert ones always do.
+            let trade = self.eng.plan.kind == AttackKind::TradeLotusEater;
+            match (self.eng.overt_attacker(v), self.eng.overt_attacker(p)) {
+                (true, true) => {
+                    if trade {
+                        self.attacker_sync(v, p);
                     }
-                    (NodeClass::Attacker, _) => {
-                        if trade && self.eng.target.contains(p.index()) && self.responder_accepts(p)
-                        {
-                            self.attacker_gift(v, p, t, false);
-                        }
-                        // Crash/ideal attackers never initiate.
+                }
+                (true, false) => {
+                    if trade && self.eng.target.contains(p.index()) && self.responder_accepts(p) {
+                        self.attacker_gift(v, p, t, false);
                     }
-                    (_, NodeClass::Attacker) => {
-                        if trade && self.eng.target.contains(v.index()) {
-                            // The scheduled exchange gives the attacker an
-                            // interaction; it responds by gifting.
-                            self.attacker_gift(p, v, t, false);
-                        }
-                        // Otherwise the exchange fails: the initiator's slot is
-                        // wasted (exactly the crash attack's damage).
+                    // Crash/ideal attackers never initiate.
+                }
+                (false, true) => {
+                    if trade && self.eng.target.contains(v.index()) {
+                        // The scheduled exchange gives the attacker an
+                        // interaction; it responds by gifting.
+                        self.attacker_gift(p, v, t, false);
                     }
-                    (_, _) => {
-                        if !self.responder_accepts(p) {
-                            continue; // responder at capacity: initiation wasted
-                        }
-                        if self.digest_state.is_some() {
-                            self.digest_exchange(v, p, t);
-                        } else {
-                            self.balanced_transfer(v, p, t);
-                        }
+                    // Otherwise the exchange fails: the initiator's slot is
+                    // wasted (exactly the crash attack's damage).
+                }
+                (false, false) => {
+                    if !self.responder_accepts(p) {
+                        continue; // responder at capacity: initiation wasted
+                    }
+                    if self.digest_state.is_some() {
+                        self.digest_exchange(v, p, t);
+                    } else {
+                        self.balanced_transfer(v, p, t);
                     }
                 }
             }
@@ -914,14 +873,12 @@ impl BarGossipSim {
         // Shard-range clear, as in `balanced_phase`: the push cap does
         // not count the balanced phase's interactions.
         netsim::round::clear_counters_for(&mut self.served, self.eng.env.shards().active_ranges());
-        let dense = self.dense_plan();
-        let planner = self.eng.plan_phase(
+        let mut pairs = self.eng.plan_phase(
             t,
             Protocol::OptimisticPush,
             self.eng.rng.fork_idx("push-order", t),
-            dense,
+            self.dense_plan(),
         );
-        let strict = self.eng.strict();
         // The rows and `full` advance in lockstep, so the phase checks
         // their alignment and derives its two age bands once, relative to
         // round t, the newest live round.
@@ -930,103 +887,82 @@ impl BarGossipSim {
         windows.check_aligned(&self.eng.full);
         windows.band_into(0, self.eng.cfg.recent_age, &mut self.recent_band);
         windows.band_into(self.eng.cfg.old_age, u32::MAX, &mut self.old_band);
-        let mut block = [PlannedPair::default(); PLAN_BLOCK];
-        for start in (0..self.eng.order.len()).step_by(PLAN_BLOCK) {
-            for &e in self
-                .eng
-                .plan_block(&planner, start, &mut block, &self.served)
-            {
-                // Either end planned dead means the legacy walk did nothing
-                // for this pair (an attacker initiator with a dead partner
-                // entered its branch but took no action), so the skip is
-                // exact; strict mode rechecks against mid-phase removals.
-                if !e.is_viable() {
-                    continue;
-                }
-                let (v, p) = (e.initiator, e.partner);
-                if strict && !self.eng.alive(v) {
-                    continue;
-                }
-                // Attacker-specific push behaviour only while the attack is
-                // on; a cooperating attacker falls through to the honest
-                // rational-push logic below, as do covert attackers (whose
-                // defection lives inside the delivery step). Note the
-                // attacker arms are deliberately *not* gated on the link —
-                // the legacy path never was (attacker pooling models an
-                // out-of-band channel), and the goldens pin that.
-                if self.eng.overt_attacker(v) {
-                    if self.eng.plan.kind == AttackKind::TradeLotusEater
-                        && (!strict || self.eng.alive(p))
-                    {
-                        if self.eng.class[p.index()] == NodeClass::Attacker {
-                            self.attacker_sync(v, p);
-                        } else if self.eng.target.contains(p.index()) && self.responder_accepts(p) {
-                            self.attacker_gift(v, p, t, true);
-                        }
+        while let Some(e) = self.eng.next_pair(&mut pairs, &self.served) {
+            let (v, p) = (e.initiator, e.partner);
+            // Attacker-specific push behaviour only while the attack is
+            // on; a cooperating attacker falls through to the honest
+            // rational-push logic below, as do covert attackers (whose
+            // defection lives inside the delivery step). Note the
+            // attacker arms are deliberately *not* gated on the link —
+            // the legacy path never was (attacker pooling models an
+            // out-of-band channel), and the goldens pin that.
+            if self.eng.overt_attacker(v) {
+                if self.eng.plan.kind == AttackKind::TradeLotusEater {
+                    if self.eng.class[p.index()] == NodeClass::Attacker {
+                        self.attacker_sync(v, p);
+                    } else if self.eng.target.contains(p.index()) && self.responder_accepts(p) {
+                        self.attacker_gift(v, p, t, true);
                     }
-                    continue;
                 }
-                // Rational initiation condition: only when missing old updates.
-                if !wants_push_row(
-                    self.eng.windows.row(v.index()).words(),
-                    self.eng.full.view().words(),
-                    self.old_band.iter().copied(),
-                ) {
-                    continue;
-                }
-                if strict && !self.eng.alive(p) {
-                    continue;
-                }
-                if !e.is_linked() {
-                    self.eng.env.faults_mut().note_partition_blocked();
-                    continue; // partitioned apart
-                }
-                if self.eng.overt_attacker(p) {
-                    if self.eng.plan.kind == AttackKind::TradeLotusEater
-                        && self.eng.target.contains(v.index())
-                    {
-                        self.attacker_gift(p, v, t, true);
-                    }
-                    continue;
-                }
-                if !self.responder_accepts(p) {
-                    continue;
-                }
-                let mut out = std::mem::take(&mut self.push_scratch);
-                push_rows(
-                    self.eng.windows.row(v.index()).words(),
-                    self.eng.windows.row(p.index()).words(),
-                    self.recent_band.iter().copied(),
-                    self.old_band.iter().copied(),
-                    self.eng.cfg.push_size,
-                    self.eng.cfg.defenses.rate_limit,
-                    &mut out,
-                );
-                if out.is_empty() {
-                    self.push_scratch = out;
-                    continue;
-                }
-                // The offer and the payment are each one message through the
-                // fault layer (the payment's junk rides along with its
-                // useful updates). No silence strikes here: the initiator
-                // cannot tell a lost offer from a withheld payment.
-                if self.faulty_send(v, p, out.to_responder.len as u64, 0) {
-                    self.eng
-                        .windows
-                        .union_words(p.index(), &out.to_responder.mask);
-                }
-                if self.faulty_send(
-                    p,
-                    v,
-                    out.useful_to_initiator.len as u64,
-                    u64::from(out.junk_to_initiator),
-                ) {
-                    self.eng
-                        .windows
-                        .union_words(v.index(), &out.useful_to_initiator.mask);
-                }
-                self.push_scratch = out;
+                continue;
             }
+            // Rational initiation condition: only when missing old updates.
+            if !wants_push_row(
+                self.eng.windows.row(v.index()).words(),
+                self.eng.full.view().words(),
+                self.old_band.iter().copied(),
+            ) {
+                continue;
+            }
+            if !e.is_linked() {
+                self.eng.env.faults_mut().note_partition_blocked();
+                continue; // partitioned apart
+            }
+            if self.eng.overt_attacker(p) {
+                if self.eng.plan.kind == AttackKind::TradeLotusEater
+                    && self.eng.target.contains(v.index())
+                {
+                    self.attacker_gift(p, v, t, true);
+                }
+                continue;
+            }
+            if !self.responder_accepts(p) {
+                continue;
+            }
+            let mut out = std::mem::take(&mut self.push_scratch);
+            push_rows(
+                self.eng.windows.row(v.index()).words(),
+                self.eng.windows.row(p.index()).words(),
+                self.recent_band.iter().copied(),
+                self.old_band.iter().copied(),
+                self.eng.cfg.push_size,
+                self.eng.cfg.defenses.rate_limit,
+                &mut out,
+            );
+            if out.is_empty() {
+                self.push_scratch = out;
+                continue;
+            }
+            // The offer and the payment are each one message through the
+            // fault layer (the payment's junk rides along with its
+            // useful updates). No silence strikes here: the initiator
+            // cannot tell a lost offer from a withheld payment.
+            if self.faulty_send(v, p, out.to_responder.len as u64, 0) {
+                self.eng
+                    .windows
+                    .union_words(p.index(), &out.to_responder.mask);
+            }
+            if self.faulty_send(
+                p,
+                v,
+                out.useful_to_initiator.len as u64,
+                u64::from(out.junk_to_initiator),
+            ) {
+                self.eng
+                    .windows
+                    .union_words(v.index(), &out.useful_to_initiator.mask);
+            }
+            self.push_scratch = out;
         }
     }
 

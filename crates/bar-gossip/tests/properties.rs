@@ -1,60 +1,67 @@
-//! Property-based tests for the BAR Gossip simulator: report sanity and
+//! Property tests for the BAR Gossip simulator: report sanity and
+//! protocol invariants under arbitrary attacks and defenses, on the
+//! dependency-free [`proptest_lite`](lotus_core::proptest_lite) harness.
 //!
-//! Requires the external `proptest` crate: enable the `proptest-tests`
-//! feature *and* add the `proptest` dev-dependency once the workspace
-//! has access to a registry (the default build must stay dependency-free).
-#![cfg(feature = "proptest-tests")]
-//! protocol invariants under arbitrary attacks and defenses.
+//! Every property runs 24 cases; the seed of each case's run comes from
+//! its derived stream ([`Draw::rng`]), and the attack, the defenses and
+//! every parameter are shrinkable draws.
 
 use bar_gossip::{AttackPlan, BarGossipConfig, BarGossipSim, DefenseSuite, ReportConfig};
+use lotus_core::proptest_lite::{check, Draw};
 use lotus_core::scenario::run;
-use proptest::prelude::*;
 
-fn arb_plan() -> impl Strategy<Value = AttackPlan> {
-    prop_oneof![
-        Just(AttackPlan::none()),
-        (0.0f64..1.0).prop_map(AttackPlan::crash),
-        (0.0f64..0.9, 0.3f64..0.9).prop_map(|(a, s)| AttackPlan::ideal_lotus_eater(a, s)),
-        (0.0f64..0.9, 0.3f64..0.9).prop_map(|(a, s)| AttackPlan::trade_lotus_eater(a, s)),
-        (0.0f64..0.9, 0.3f64..0.9, 1u64..20)
-            .prop_map(|(a, s, p)| AttackPlan::trade_lotus_eater(a, s).with_rotation(p)),
-    ]
+const CASES: u64 = 24;
+
+/// No attack, crash, ideal, trade or rotating trade, equally likely.
+fn arb_plan(d: &mut Draw) -> AttackPlan {
+    let attackers = |d: &mut Draw| 0.9 * d.ratio("attacker_fraction");
+    let satiated = |d: &mut Draw| 0.3 + 0.6 * d.ratio("satiate_fraction");
+    match d.int("plan", 0, 4) {
+        0 => AttackPlan::none(),
+        1 => AttackPlan::crash(d.ratio("attacker_fraction")),
+        2 => AttackPlan::ideal_lotus_eater(attackers(d), satiated(d)),
+        3 => AttackPlan::trade_lotus_eater(attackers(d), satiated(d)),
+        _ => AttackPlan::trade_lotus_eater(attackers(d), satiated(d))
+            .with_rotation(d.int("rotation", 1, 19) as u64),
+    }
 }
 
-fn arb_defenses() -> impl Strategy<Value = DefenseSuite> {
-    (
-        any::<bool>(),
-        proptest::option::of(1u32..8),
-        proptest::option::of((0.0f64..1.0, 1u32..5)),
-    )
-        .prop_map(|(unbalanced, rate_limit, report)| DefenseSuite {
-            unbalanced_exchanges: unbalanced,
-            rate_limit,
-            report: report.map(|(obedient_fraction, quorum)| ReportConfig {
-                obedient_fraction,
-                quorum,
-                excess_slack: 1,
-            }),
-        })
+/// The unbalanced-exchange switch, an optional rate limit and an
+/// optional report defense, each on half the time.
+fn arb_defenses(d: &mut Draw) -> DefenseSuite {
+    let unbalanced_exchanges = d.int("unbalanced", 0, 1) == 1;
+    let rate_limit = (d.int("rate_limit_on", 0, 1) == 1).then(|| d.int("rate_limit", 1, 7) as u32);
+    let report = (d.int("report_on", 0, 1) == 1).then(|| ReportConfig {
+        obedient_fraction: d.ratio("obedient_fraction"),
+        quorum: d.int("quorum", 1, 4) as u32,
+        excess_slack: 1,
+    });
+    DefenseSuite {
+        unbalanced_exchanges,
+        rate_limit,
+        report,
+        ..DefenseSuite::default()
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn small_cfg(nodes: u32, rounds: u32) -> bar_gossip::config::BarGossipConfigBuilder {
+    BarGossipConfig::builder()
+        .nodes(nodes)
+        .updates_per_round(4)
+        .update_lifetime(6)
+        .copies_seeded(5)
+        .rounds(rounds)
+        .warmup_rounds(rounds / 2)
+}
 
-    #[test]
-    fn reports_are_always_sane(
-        seed in any::<u64>(),
-        plan in arb_plan(),
-        defenses in arb_defenses(),
-        push_size in 1u32..12,
-    ) {
-        let cfg = BarGossipConfig::builder()
-            .nodes(40)
-            .updates_per_round(4)
-            .update_lifetime(6)
-            .copies_seeded(5)
-            .rounds(8)
-            .warmup_rounds(4)
+#[test]
+fn reports_are_always_sane() {
+    check("bar_gossip::reports_sane", CASES, |d| {
+        let seed = d.rng("seed").next_u64();
+        let plan = arb_plan(d);
+        let defenses = arb_defenses(d);
+        let push_size = d.int("push_size", 1, 11) as u32;
+        let cfg = small_cfg(40, 8)
             .push_size(push_size)
             .defenses(defenses)
             .build()
@@ -71,57 +78,71 @@ proptest! {
             report.nodes_ever_unusable,
             report.unusable_node_rounds,
         ] {
-            prop_assert!((0.0..=1.0).contains(&v), "metric out of range: {v}");
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!("metric out of range: {v}"));
+            }
         }
-        prop_assert_eq!(
-            report.counts.isolated + report.counts.satiated + report.counts.attacker,
-            40
-        );
-        prop_assert!(report.evictions <= report.counts.attacker,
-            "only attackers are ever evicted");
-        prop_assert!(report.mean_attacker_upload >= 0.0);
+        let counts = report.counts;
+        if counts.isolated + counts.satiated + counts.attacker != 40 {
+            return Err(format!("class counts {counts:?} do not sum to 40"));
+        }
+        if report.evictions > counts.attacker {
+            return Err(format!(
+                "{} evictions of {} attackers: only attackers are ever evicted",
+                report.evictions, counts.attacker
+            ));
+        }
+        if report.mean_attacker_upload < 0.0 {
+            return Err(format!("attacker upload {}", report.mean_attacker_upload));
+        }
         // The overall delivery is a weighted mean of the class deliveries.
-        let lo = report.delivery.isolated.min(report.delivery.satiated);
-        let hi = report.delivery.isolated.max(report.delivery.satiated);
-        if report.counts.isolated > 0 && report.counts.satiated > 0 {
-            prop_assert!(report.delivery.overall >= lo - 1e-9);
-            prop_assert!(report.delivery.overall <= hi + 1e-9);
+        let delivery = report.delivery;
+        let lo = delivery.isolated.min(delivery.satiated);
+        let hi = delivery.isolated.max(delivery.satiated);
+        if counts.isolated > 0
+            && counts.satiated > 0
+            && !(lo - 1e-9..=hi + 1e-9).contains(&delivery.overall)
+        {
+            return Err(format!("overall {} outside [{lo}, {hi}]", delivery.overall));
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn crash_attackers_never_upload(seed in any::<u64>(), frac in 0.0f64..1.0) {
-        let cfg = BarGossipConfig::builder()
-            .nodes(30)
-            .updates_per_round(4)
-            .update_lifetime(6)
-            .copies_seeded(5)
-            .rounds(6)
-            .warmup_rounds(3)
-            .build()
-            .expect("valid config");
+#[test]
+fn crash_attackers_never_upload() {
+    check("bar_gossip::crash_attackers_never_upload", CASES, |d| {
+        let seed = d.rng("seed").next_u64();
+        let frac = d.ratio("attacker_fraction");
+        let cfg = small_cfg(30, 6).build().expect("valid config");
         let report = run::<BarGossipSim>(cfg, AttackPlan::crash(frac), seed);
-        prop_assert_eq!(report.mean_attacker_upload, 0.0);
-    }
+        if report.mean_attacker_upload != 0.0 {
+            return Err(format!(
+                "crash attackers uploaded {}",
+                report.mean_attacker_upload
+            ));
+        }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn honest_only_system_never_evicts(seed in any::<u64>(), obedient in 0.0f64..1.0) {
-        let cfg = BarGossipConfig::builder()
-            .nodes(30)
-            .updates_per_round(4)
-            .update_lifetime(6)
-            .copies_seeded(5)
-            .rounds(6)
-            .warmup_rounds(3)
+#[test]
+fn honest_only_system_never_evicts() {
+    check("bar_gossip::honest_only_never_evicts", CASES, |d| {
+        let seed = d.rng("seed").next_u64();
+        let cfg = small_cfg(30, 6)
             .unbalanced_exchanges(true)
             .report_defense(ReportConfig {
-                obedient_fraction: obedient,
+                obedient_fraction: d.ratio("obedient_fraction"),
                 quorum: 1,
                 excess_slack: 1,
             })
             .build()
             .expect("valid config");
         let report = run::<BarGossipSim>(cfg, AttackPlan::none(), seed);
-        prop_assert_eq!(report.evictions, 0);
-    }
+        if report.evictions != 0 {
+            return Err(format!("{} honest nodes evicted", report.evictions));
+        }
+        Ok(())
+    });
 }

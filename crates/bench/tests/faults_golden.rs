@@ -17,16 +17,11 @@
 //! attacker reported for excess service, with its evictions and the
 //! three upload metrics, at Table 1 and above the single-shard cutoff.
 
+mod common;
+
+use common::{run_case, Golden};
 use lotus_bench::registry::{Params, RunRequest, ScenarioRegistry};
 use lotus_core::sweep::{sweep_fraction, SweepConfig};
-
-struct Golden {
-    scenario: &'static str,
-    attack: &'static str,
-    seed: u64,
-    params: &'static [(&'static str, &'static str)],
-    json: &'static str,
-}
 
 /// The PR 4 churned-run fixtures, verbatim from the churn golden suite:
 /// one report per scheduled substrate, generated before the fault layer
@@ -101,20 +96,6 @@ const PRE_FAULTS_GOLDENS: &[Golden] = &[
     },
 ];
 
-fn run_case(g: &Golden, extra: &[(&str, String)]) -> lotus_core::scenario::ScenarioReport {
-    let reg = ScenarioRegistry::standard();
-    let mut p = Params::new();
-    for (k, v) in g.params {
-        p.set(*k, *v);
-    }
-    for (k, v) in extra {
-        p.set(*k, v.clone());
-    }
-    let req = RunRequest::new(0.3, g.seed, g.attack, "fraction", &p);
-    reg.run(g.scenario, &req)
-        .unwrap_or_else(|e| panic!("{} {} seed {}: {e}", g.scenario, g.attack, g.seed))
-}
-
 #[test]
 fn inactive_fault_plans_reproduce_the_pre_faults_goldens_bit_identically() {
     // Every spelling of "no faults" the grammar allows: absent, the
@@ -130,9 +111,7 @@ fn inactive_fault_plans_reproduce_the_pre_faults_goldens_bit_identically() {
     ];
     for g in PRE_FAULTS_GOLDENS {
         for extra in spellings {
-            let owned: Vec<(&str, String)> =
-                extra.iter().map(|&(k, v)| (k, v.to_string())).collect();
-            let report = run_case(g, &owned);
+            let report = run_case(g, extra);
             assert_eq!(
                 report.to_json(),
                 g.json,

@@ -7,15 +7,9 @@
 //! churn) must keep reproducing them bit-identically: the timing layer is
 //! required to be invisible until asked for.
 
-use lotus_bench::registry::{Params, RunRequest, ScenarioRegistry};
+mod common;
 
-struct Golden {
-    scenario: &'static str,
-    attack: &'static str,
-    seed: u64,
-    params: &'static [(&'static str, &'static str)],
-    json: &'static str,
-}
+use common::{run_case, Golden};
 
 const GOLDENS: &[Golden] = &[
     Golden {
@@ -195,20 +189,6 @@ const GOLDENS: &[Golden] = &[
         json: r#"{"scenario":"reputation","rounds":700,"overall_delivery":0.6253333333333333,"targeted_service":1,"usable":true,"attacker_cost_per_round":2.400000000000317,"denied_rate":0,"no_volunteer_rate":0.37466666666666665,"service_rate":0.6253333333333333,"target_satiation":1}"#,
     },
 ];
-
-fn run_case(g: &Golden, extra: &[(&str, &str)]) -> lotus_core::scenario::ScenarioReport {
-    let reg = ScenarioRegistry::standard();
-    let mut p = Params::new();
-    for (k, v) in g.params {
-        p.set(*k, *v);
-    }
-    for (k, v) in extra {
-        p.set(*k, *v);
-    }
-    let req = RunRequest::new(0.3, g.seed, g.attack, "fraction", &p);
-    reg.run(g.scenario, &req)
-        .unwrap_or_else(|e| panic!("{} {} seed {}: {e}", g.scenario, g.attack, g.seed))
-}
 
 #[test]
 fn default_schedule_reproduces_pre_refactor_reports_bit_identically() {

@@ -22,7 +22,7 @@
 //!
 //! The per-round phases are **allocation-free in steady state**: candidate
 //! lists, tit-for-tat rankings, rarity counts, piece-selection sets and
-//! the transfer list all live in [`Scratch`] buffers owned by the sim
+//! the transfer list all live in `Scratch` buffers owned by the sim
 //! struct, cleared and refilled in place (the unchoke lists keep their
 //! per-peer `Vec` capacities across rounds). The timing layer
 //! (`lotus_core::schedule`, `lotus_core::population`) adds no

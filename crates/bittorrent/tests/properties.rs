@@ -1,67 +1,80 @@
-//! Property-based tests for the swarm simulator.
+//! Property tests for the swarm simulator, on the dependency-free
+//! [`proptest_lite`](lotus_core::proptest_lite) harness.
 //!
-//! Requires the external `proptest` crate: enable the `proptest-tests`
-//! feature *and* add the `proptest` dev-dependency once the workspace
-//! has access to a registry (the default build must stay dependency-free).
-#![cfg(feature = "proptest-tests")]
+//! Every property runs 16 cases; the seed of each case's swarm comes
+//! from its derived stream ([`Draw::rng`]), and the attack, the piece
+//! policy and every size are shrinkable draws.
 
+use lotus_core::proptest_lite::{check, Draw};
 use lotus_core::satiation::Satiable;
 use lotus_core::scenario::run;
 use netsim::round::RoundSim;
 use netsim::NodeId;
-use proptest::prelude::*;
 use torrent_sim::{PiecePolicy, SwarmAttack, SwarmConfig, SwarmSim, TargetPolicy};
 
-fn arb_attack() -> impl Strategy<Value = SwarmAttack> {
-    prop_oneof![
-        Just(SwarmAttack::none()),
-        (1u32..5, 1u32..8, 0.0f64..1.0)
-            .prop_map(|(p, s, f)| { SwarmAttack::satiate(p, s, f, TargetPolicy::Random) }),
-        (1u32..5, 1u32..8, 0.0f64..1.0).prop_map(|(p, s, f)| {
-            SwarmAttack::satiate(p, s, f, TargetPolicy::RarePieceHolders)
-        }),
-    ]
+const CASES: u64 = 16;
+
+/// No attack, or a satiation attack targeting random peers or rare-piece
+/// holders, equally likely.
+fn arb_attack(d: &mut Draw) -> SwarmAttack {
+    let policy = match d.int("attack", 0, 2) {
+        0 => return SwarmAttack::none(),
+        1 => TargetPolicy::Random,
+        _ => TargetPolicy::RarePieceHolders,
+    };
+    let peers = d.int("attacker_peers", 1, 4) as u32;
+    let slots = d.int("slots", 1, 7) as u32;
+    SwarmAttack::satiate(peers, slots, d.ratio("target_fraction"), policy)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+fn swarm(leechers: u32, pieces: u32, max_rounds: u64) -> SwarmConfig {
+    SwarmConfig::builder()
+        .leechers(leechers)
+        .pieces(pieces)
+        .max_rounds(max_rounds)
+        .build()
+        .expect("valid config")
+}
 
-    #[test]
-    fn pieces_only_accumulate(
-        seed in any::<u64>(),
-        leechers in 4u32..20,
-        pieces in 4u32..40,
-        attack in arb_attack(),
-    ) {
-        let cfg = SwarmConfig::builder()
-            .leechers(leechers)
-            .pieces(pieces)
-            .max_rounds(200)
-            .build()
-            .expect("valid config");
-        let mut sim = SwarmSim::new(cfg, attack, seed);
+#[test]
+fn pieces_only_accumulate() {
+    check("swarm::pieces_only_accumulate", CASES, |d| {
+        let seed = d.rng("seed").next_u64();
+        let cfg = swarm(
+            d.int("leechers", 4, 19) as u32,
+            d.int("pieces", 4, 39) as u32,
+            200,
+        );
+        let mut sim = SwarmSim::new(cfg, arb_attack(d), seed);
         let n = sim.node_count();
         let mut prev = vec![false; n as usize];
         for t in 0..40 {
             sim.round(t);
             for i in 0..n {
                 let complete = sim.is_complete(NodeId(i));
-                prop_assert!(
-                    complete || !prev[i as usize],
-                    "completion is permanent (node {i})"
-                );
+                if prev[i as usize] && !complete {
+                    return Err(format!("node {i} lost completion in round {t}"));
+                }
                 prev[i as usize] = complete;
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn swarm_always_completes_with_a_permanent_seed(
-        seed in any::<u64>(),
-        leechers in 4u32..16,
-        pieces in 4u32..24,
-        policy in prop_oneof![Just(PiecePolicy::RarestFirst), Just(PiecePolicy::Random)],
-    ) {
+#[test]
+fn swarm_always_completes_with_a_permanent_seed() {
+    check("swarm::completes_with_permanent_seed", CASES, |d| {
+        let seed = d.rng("seed").next_u64();
+        let (leechers, pieces) = (
+            d.int("leechers", 4, 15) as u32,
+            d.int("pieces", 4, 23) as u32,
+        );
+        let policy = if d.int("policy", 0, 1) == 0 {
+            PiecePolicy::RarestFirst
+        } else {
+            PiecePolicy::Random
+        };
         let cfg = SwarmConfig::builder()
             .leechers(leechers)
             .pieces(pieces)
@@ -70,24 +83,18 @@ proptest! {
             .build()
             .expect("valid config");
         let report = run::<SwarmSim>(cfg, SwarmAttack::none(), seed);
-        prop_assert!(report.all_complete, "stuck after {} rounds", report.rounds);
-        for c in &report.completion_rounds {
-            prop_assert!(c.is_some());
+        if !report.all_complete || report.completion_rounds.iter().any(Option::is_none) {
+            return Err(format!("stuck after {} rounds", report.rounds));
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn upload_accounting_is_consistent(
-        seed in any::<u64>(),
-        attack in arb_attack(),
-    ) {
-        let cfg = SwarmConfig::builder()
-            .leechers(10)
-            .pieces(16)
-            .max_rounds(400)
-            .build()
-            .expect("valid config");
-        let mut sim = SwarmSim::new(cfg, attack, seed);
+#[test]
+fn upload_accounting_is_consistent() {
+    check("swarm::upload_accounting_consistent", CASES, |d| {
+        let seed = d.rng("seed").next_u64();
+        let mut sim = SwarmSim::new(swarm(10, 16, 400), arb_attack(d), seed);
         for t in 0..60 {
             sim.round(t);
         }
@@ -95,25 +102,39 @@ proptest! {
         let per_node: u64 = (0..sim.node_count())
             .map(|i| sim.service_provided(NodeId(i)))
             .sum();
-        prop_assert_eq!(report.attacker_upload + report.honest_upload, per_node);
+        if report.attacker_upload + report.honest_upload != per_node {
+            return Err(format!(
+                "uploads {} + {} != per-node total {per_node}",
+                report.attacker_upload, report.honest_upload
+            ));
+        }
         // Useful receipts cannot exceed uploads.
-        prop_assert!(report.duplicates <= per_node);
-    }
+        if report.duplicates > per_node {
+            return Err(format!(
+                "{} duplicates of {per_node} uploads",
+                report.duplicates
+            ));
+        }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn satiation_equals_completion(seed in any::<u64>()) {
-        let cfg = SwarmConfig::builder()
-            .leechers(8)
-            .pieces(12)
-            .max_rounds(400)
-            .build()
-            .expect("valid config");
-        let mut sim = SwarmSim::new(cfg, SwarmAttack::none(), seed);
+#[test]
+fn satiation_equals_completion() {
+    check("swarm::satiation_equals_completion", CASES, |d| {
+        let mut sim = SwarmSim::new(
+            swarm(8, 12, 400),
+            SwarmAttack::none(),
+            d.rng("seed").next_u64(),
+        );
         for t in 0..30 {
             sim.round(t);
         }
-        for i in 0..sim.node_count() {
-            prop_assert_eq!(sim.is_satiated(NodeId(i)), sim.is_complete(NodeId(i)));
+        match (0..sim.node_count())
+            .find(|&i| sim.is_satiated(NodeId(i)) != sim.is_complete(NodeId(i)))
+        {
+            Some(i) => Err(format!("node {i}: satiation and completion disagree")),
+            None => Ok(()),
         }
-    }
+    });
 }

@@ -19,7 +19,7 @@
 //! * [`AdaptivePolicy`] — the deterministic per-run bandit stepper
 //!   [`ScheduleState`](crate::schedule::ScheduleState) embeds: epsilon-
 //!   greedy or UCB1 arm selection over per-arm
-//!   [`Running`](netsim::metrics::Running) reward statistics, fed from
+//!   [`Running`] reward statistics, fed from
 //!   the same `Option<f64>` metric observations the schedule layer
 //!   already consumes;
 //! * [`TraceEntry`] — the per-phase arm trace experiments export to show

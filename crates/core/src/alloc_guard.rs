@@ -16,7 +16,7 @@
 //! The workspace crates all carry `#![forbid(unsafe_code)]`, and a
 //! `GlobalAlloc` impl is necessarily unsafe — so the allocator itself is
 //! *not* compiled into this crate. Instead,
-//! [`install_counting_allocator!`] expands the shim into the calling test
+//! [`install_counting_allocator!`](crate::install_counting_allocator!) expands the shim into the calling test
 //! crate (integration tests are separate crates without the `forbid`),
 //! and the shim reports into the thread-local counters defined here:
 //!
@@ -52,7 +52,7 @@ thread_local! {
 
 /// Record one heap allocation of `size` bytes on this thread.
 ///
-/// Called by the [`install_counting_allocator!`]-generated shim on every
+/// Called by the [`install_counting_allocator!`](crate::install_counting_allocator!)-generated shim on every
 /// `alloc`/`realloc`; not meant to be called by hand, but harmless if it
 /// is (it only bumps counters).
 #[inline]
@@ -90,7 +90,7 @@ impl AllocStats {
 /// Run `f` and report how many heap allocations it performed on this
 /// thread.
 ///
-/// Requires [`install_counting_allocator!`] in the enclosing binary;
+/// Requires [`install_counting_allocator!`](crate::install_counting_allocator!) in the enclosing binary;
 /// without it the result is always zero, so pair every zero-assertion
 /// suite with a canary:
 ///

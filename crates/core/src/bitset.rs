@@ -656,74 +656,125 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest-tests"))]
-mod proptests {
+/// Model checks against a `BTreeSet`, on the crate's
+/// [`proptest_lite`](crate::proptest_lite) harness, 256 cases each.
+#[cfg(test)]
+mod props {
     use super::*;
-    use proptest::prelude::*;
+    use crate::proptest_lite::{check, Draw};
     use std::collections::BTreeSet;
 
     const UNIVERSE: usize = 257; // deliberately not a multiple of 64
+    const CASES: u64 = 256;
 
-    fn model_pair(items: &[usize]) -> (BitSet, BTreeSet<usize>) {
-        let set = BitSet::from_iter_with(UNIVERSE, items.iter().map(|&i| i % UNIVERSE));
-        let model: BTreeSet<usize> = items.iter().map(|&i| i % UNIVERSE).collect();
-        (set, model)
+    /// Up to `max_len` items of the universe, as a set and its model.
+    fn model_pair(d: &mut Draw, name: &'static str, max_len: i64) -> (BitSet, BTreeSet<usize>) {
+        let len = d.int("len", 0, max_len);
+        let items: Vec<usize> = (0..len)
+            .map(|_| d.int(name, 0, UNIVERSE as i64 - 1) as usize)
+            .collect();
+        let set = BitSet::from_iter_with(UNIVERSE, items.iter().copied());
+        (set, items.into_iter().collect())
     }
 
-    proptest! {
-        #[test]
-        fn matches_btreeset_iteration(items in proptest::collection::vec(0usize..UNIVERSE, 0..100)) {
-            let (set, model) = model_pair(&items);
-            prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
-            prop_assert_eq!(set.len(), model.len());
+    fn agree<T: PartialEq + std::fmt::Debug>(what: &str, got: T, model: T) -> Result<(), String> {
+        if got == model {
+            Ok(())
+        } else {
+            Err(format!("{what}: {got:?}, model {model:?}"))
         }
+    }
 
-        #[test]
-        fn union_matches_model(a in proptest::collection::vec(0usize..UNIVERSE, 0..80),
-                               b in proptest::collection::vec(0usize..UNIVERSE, 0..80)) {
-            let (mut sa, ma) = model_pair(&a);
-            let (sb, mb) = model_pair(&b);
+    #[test]
+    fn matches_btreeset_iteration() {
+        check("bitset::matches_btreeset_iteration", CASES, |d| {
+            let (set, model) = model_pair(d, "item", 99);
+            agree(
+                "iter",
+                set.iter().collect(),
+                model.iter().copied().collect::<Vec<_>>(),
+            )?;
+            agree("len", set.len(), model.len())
+        });
+    }
+
+    #[test]
+    fn union_matches_model() {
+        check("bitset::union_matches_model", CASES, |d| {
+            let (mut sa, ma) = model_pair(d, "a", 79);
+            let (sb, mb) = model_pair(d, "b", 79);
             sa.union_with(&sb);
-            let mu: BTreeSet<usize> = ma.union(&mb).copied().collect();
-            prop_assert_eq!(sa.iter().collect::<BTreeSet<_>>(), mu);
-        }
+            agree(
+                "union",
+                sa.iter().collect(),
+                ma.union(&mb).copied().collect::<BTreeSet<_>>(),
+            )
+        });
+    }
 
-        #[test]
-        fn subtract_matches_model(a in proptest::collection::vec(0usize..UNIVERSE, 0..80),
-                                  b in proptest::collection::vec(0usize..UNIVERSE, 0..80)) {
-            let (mut sa, ma) = model_pair(&a);
-            let (sb, mb) = model_pair(&b);
+    #[test]
+    fn subtract_matches_model() {
+        check("bitset::subtract_matches_model", CASES, |d| {
+            let (mut sa, ma) = model_pair(d, "a", 79);
+            let (sb, mb) = model_pair(d, "b", 79);
             sa.subtract(&sb);
-            let md: BTreeSet<usize> = ma.difference(&mb).copied().collect();
-            prop_assert_eq!(sa.iter().collect::<BTreeSet<_>>(), md);
-        }
+            agree(
+                "subtract",
+                sa.iter().collect(),
+                ma.difference(&mb).copied().collect::<BTreeSet<_>>(),
+            )
+        });
+    }
 
-        #[test]
-        fn counts_match_model(a in proptest::collection::vec(0usize..UNIVERSE, 0..80),
-                              b in proptest::collection::vec(0usize..UNIVERSE, 0..80)) {
-            let (sa, ma) = model_pair(&a);
-            let (sb, mb) = model_pair(&b);
-            prop_assert_eq!(sa.intersection_count(&sb), ma.intersection(&mb).count());
-            prop_assert_eq!(sa.difference_count(&sb), ma.difference(&mb).count());
-            prop_assert_eq!(sa.is_subset(&sb), ma.is_subset(&mb));
-        }
+    #[test]
+    fn counts_match_model() {
+        check("bitset::counts_match_model", CASES, |d| {
+            let (sa, ma) = model_pair(d, "a", 79);
+            let (sb, mb) = model_pair(d, "b", 79);
+            agree(
+                "intersection_count",
+                sa.intersection_count(&sb),
+                ma.intersection(&mb).count(),
+            )?;
+            agree(
+                "difference_count",
+                sa.difference_count(&sb),
+                ma.difference(&mb).count(),
+            )?;
+            agree("is_subset", sa.is_subset(&sb), ma.is_subset(&mb))
+        });
+    }
 
-        #[test]
-        fn difference_first_n_prefix(a in proptest::collection::vec(0usize..UNIVERSE, 0..80),
-                                     b in proptest::collection::vec(0usize..UNIVERSE, 0..80),
-                                     limit in 0usize..20) {
-            let (sa, ma) = model_pair(&a);
-            let (sb, mb) = model_pair(&b);
+    #[test]
+    fn difference_first_n_prefix() {
+        check("bitset::difference_first_n_prefix", CASES, |d| {
+            let (sa, ma) = model_pair(d, "a", 79);
+            let (sb, mb) = model_pair(d, "b", 79);
+            let limit = d.int("limit", 0, 19) as usize;
             let expected: Vec<usize> = ma.difference(&mb).take(limit).copied().collect();
-            prop_assert_eq!(sa.difference_first_n(&sb, limit), expected);
-        }
+            agree(
+                "difference_first_n",
+                sa.difference_first_n(&sb, limit),
+                expected,
+            )
+        });
+    }
 
-        #[test]
-        fn insert_then_remove_roundtrip(items in proptest::collection::vec(0usize..UNIVERSE, 0..50)) {
+    #[test]
+    fn insert_then_remove_roundtrip() {
+        check("bitset::insert_then_remove_roundtrip", CASES, |d| {
+            let len = d.int("len", 0, 49);
+            let items: Vec<usize> = (0..len)
+                .map(|_| d.int("item", 0, UNIVERSE as i64 - 1) as usize)
+                .collect();
             let mut s = BitSet::new(UNIVERSE);
-            for &i in &items { s.insert(i); }
-            for &i in &items { s.remove(i); }
-            prop_assert!(s.is_empty());
-        }
+            for &i in &items {
+                s.insert(i);
+            }
+            for &i in &items {
+                s.remove(i);
+            }
+            agree("empty after removal", s.is_empty(), true)
+        });
     }
 }

@@ -25,7 +25,7 @@
 //!   until their arrival round, entering with whatever state they were
 //!   constructed with — they have never participated;
 //! * [`Population`] — the per-run membership tracker: a
-//!   [`BitSet`](crate::bitset::BitSet) of present nodes advanced once per
+//!   [`BitSet`] of present nodes advanced once per
 //!   round by [`Population::begin_round`], driven by a dedicated
 //!   [`DetRng`] fork so enabling churn never perturbs any other
 //!   randomness stream.

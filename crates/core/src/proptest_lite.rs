@@ -1,10 +1,10 @@
 //! A dependency-free mini property-test harness.
 //!
-//! The workspace builds with zero external dependencies by design, which
-//! left the `proptest`-gated property suites permanently dark (the
-//! standing ROADMAP item). This module supplies the two things those
-//! suites actually needed — a *seeded case generator* and a *shrinker* —
-//! in ~200 lines over the workspace's own [`DetRng`]:
+//! The workspace builds with zero external dependencies by design, so
+//! its property suites cannot use the `proptest` crate. This module
+//! supplies the two things they need — a *seeded case generator* and a
+//! *shrinker* — in ~200 lines over the workspace's own [`DetRng`]. Every
+//! property suite of the workspace runs on it, inside `cargo test`:
 //!
 //! * [`check`] runs a property over `cases` deterministically generated
 //!   inputs. The property draws its inputs through [`Draw`]

@@ -1,7 +1,7 @@
 //! Sharded activity index for struct-of-arrays populations.
 //!
 //! The million-node engine keeps per-node state in parallel `Vec`s and
-//! [`BitSet`](crate::bitset::BitSet)s keyed by node index (struct of
+//! [`BitSet`]s keyed by node index (struct of
 //! arrays), and partitions the index space into fixed-size shards, each
 //! carrying a cached popcount of an *activity mask* (typically
 //! present ∧ not-crashed ∧ not-evicted, folded from
@@ -213,7 +213,7 @@ impl ShardMap {
     /// only, in ascending order — the seam that lets a worker pool walk
     /// disjoint shard ranges concurrently while each range's visit
     /// order (and hence any per-range output) stays identical to the
-    /// corresponding stretch of a full [`for_each_active`] walk.
+    /// corresponding stretch of a full [`ShardMap::for_each_active`] walk.
     // lint: hot-loop
     pub fn for_each_active_in(&self, shards: Range<usize>, mut f: impl FnMut(usize)) {
         let words = self.active.words();

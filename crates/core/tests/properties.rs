@@ -1,19 +1,23 @@
-//! Property-based tests for the token model and sweep harness.
+//! Property tests for the token model and its attackers, on the
+//! dependency-free [`proptest_lite`](lotus_core::proptest_lite) harness.
 //!
-//! Requires the external `proptest` crate: enable the `proptest-tests`
-//! feature *and* add the `proptest` dev-dependency once the workspace
-//! has access to a registry (the default build must stay dependency-free).
-#![cfg(feature = "proptest-tests")]
+//! Every property runs 32 cases; the seed of each case's system comes
+//! from its derived stream ([`Draw::rng`]), and every size, fraction and
+//! parameter is a shrinkable draw.
 
 use lotus_core::attack::{
     Attacker, BudgetedAttacker, RotatingSatiation, SatiateRandomFraction, TokenAttack,
 };
+use lotus_core::proptest_lite::{check, Draw};
+use lotus_core::satiation::Satiable;
 use lotus_core::scenario::Scenario;
 use lotus_core::token::{SatFunction, TokenScenarioConfig, TokenSystem, TokenSystemConfig};
 use netsim::graph::Graph;
 use netsim::rng::DetRng;
+use netsim::round::RoundSim;
 use netsim::NodeId;
-use proptest::prelude::*;
+
+const CASES: u64 = 32;
 
 fn arb_config(n: u32, tokens: usize, altruism: f64) -> TokenSystemConfig {
     TokenSystemConfig::builder(Graph::complete(n))
@@ -35,146 +39,183 @@ fn arb_finished(n: u32, tokens: usize, seed: u64, rounds: u64) -> TokenSystem {
     sys
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+fn seed(d: &Draw) -> u64 {
+    d.rng("seed").next_u64()
+}
 
-    #[test]
-    fn holdings_grow_monotonically_under_any_attack(
-        seed in any::<u64>(),
-        n in 4u32..24,
-        tokens in 2usize..24,
-        fraction in 0.0f64..1.0,
-        altruism in 0.0f64..1.0,
-    ) {
+/// Run the system's next round.
+fn step(sys: &mut TokenSystem) {
+    let t = sys.rounds_run();
+    sys.round(t);
+}
+
+#[test]
+fn holdings_grow_monotonically_under_any_attack() {
+    check("token::holdings_grow_monotonically", CASES, |d| {
+        let seed = seed(d);
+        let n = d.int("n", 4, 23) as u32;
+        let tokens = d.int("tokens", 2, 23) as usize;
+        let fraction = d.ratio("fraction");
+        let altruism = d.ratio("altruism");
         let mut sys = arb_system(n, tokens, altruism, seed);
         let mut attack = SatiateRandomFraction::new(fraction);
         let mut rng = DetRng::seed_from(seed ^ 1);
         let mut prev: Vec<usize> = (0..n).map(|i| sys.holdings(NodeId(i)).len()).collect();
         for _ in 0..15 {
-            let targets = attack.targets(&sys.view(), &mut rng);
-            for t in targets {
+            for t in attack.targets(&sys.view(), &mut rng) {
                 sys.satiate(t);
             }
-            use netsim::round::RoundSim;
-            let t = sys.rounds_run();
-            sys.round(t);
+            step(&mut sys);
             for i in 0..n {
                 let len = sys.holdings(NodeId(i)).len();
-                prop_assert!(len >= prev[i as usize], "holdings shrank at node {i}");
-                prop_assert!(len <= tokens);
+                if len < prev[i as usize] || len > tokens {
+                    return Err(format!(
+                        "node {i} holds {len} (was {}, {tokens} tokens)",
+                        prev[i as usize]
+                    ));
+                }
                 prev[i as usize] = len;
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn coverage_and_satiation_agree(
-        seed in any::<u64>(),
-        n in 4u32..20,
-        tokens in 2usize..16,
-    ) {
+#[test]
+fn coverage_and_satiation_agree() {
+    check("token::coverage_and_satiation_agree", CASES, |d| {
+        let seed = seed(d);
+        let n = d.int("n", 4, 19) as u32;
+        let tokens = d.int("tokens", 2, 15) as usize;
         let sys = arb_finished(n, tokens, seed, 30);
         let report = sys.report();
         for (i, &cov) in report.coverage.iter().enumerate() {
-            prop_assert!((0.0..=1.0).contains(&cov));
+            if !(0.0..=1.0).contains(&cov) {
+                return Err(format!("node {i} coverage {cov}"));
+            }
+            // CollectAll satiation must equal full coverage.
             let holds_all = (cov - 1.0).abs() < 1e-12;
-            use lotus_core::satiation::Satiable;
-            prop_assert_eq!(
-                sys.is_satiated(NodeId(i as u32)),
-                holds_all,
-                "CollectAll satiation must equal full coverage"
-            );
+            if sys.is_satiated(NodeId(i as u32)) != holds_all {
+                return Err(format!("node {i}: coverage {cov} but satiation disagrees"));
+            }
         }
         if let Some(t) = report.all_satiated_at {
-            prop_assert!(t <= report.rounds);
-            prop_assert!(report.mean_coverage() >= 1.0 - 1e-12);
+            if t > report.rounds || report.mean_coverage() < 1.0 - 1e-12 {
+                return Err(format!(
+                    "all satiated at {t} of {} rounds, mean coverage {}",
+                    report.rounds,
+                    report.mean_coverage()
+                ));
+            }
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn sat_functions_are_pointwise_monotone(
-        seed in any::<u64>(),
-        n in 4u32..16,
-        tokens in 4usize..16,
-        k1 in 1usize..16,
-        k2 in 1usize..16,
-    ) {
-        // On any holding set, satisfying AnyK(max) implies AnyK(min), and
-        // CollectAll implies every AnyK. (Note: this is a *pointwise*
-        // property. Globally, weaker satiation can complete LATER, because
-        // early-satiated nodes withdraw service and strand stragglers —
-        // the satiation trap.)
-        let (k_lo, k_hi) = {
-            let a = k1.min(tokens);
-            let b = k2.min(tokens);
-            (a.min(b).max(1), a.max(b).max(1))
-        };
+#[test]
+fn sat_functions_are_pointwise_monotone() {
+    // On any holding set, satisfying AnyK(max) implies AnyK(min), and
+    // CollectAll implies every AnyK. (Note: this is a *pointwise*
+    // property. Globally, weaker satiation can complete LATER, because
+    // early-satiated nodes withdraw service and strand stragglers — the
+    // satiation trap.)
+    check("token::sat_functions_pointwise_monotone", CASES, |d| {
+        let seed = seed(d);
+        let n = d.int("n", 4, 15) as u32;
+        let tokens = d.int("tokens", 4, 15) as usize;
+        let k1 = (d.int("k1", 1, 15) as usize).min(tokens);
+        let k2 = (d.int("k2", 1, 15) as usize).min(tokens);
+        let (k_lo, k_hi) = (k1.min(k2).max(1), k1.max(k2).max(1));
         let sys = arb_finished(n, tokens, seed, 10);
         for i in 0..n {
             let h = sys.holdings(NodeId(i));
-            if SatFunction::AnyK(k_hi).is_satiated(h) {
-                prop_assert!(SatFunction::AnyK(k_lo).is_satiated(h));
+            let (lo, hi) = (SatFunction::AnyK(k_lo), SatFunction::AnyK(k_hi));
+            if hi.is_satiated(h) && !lo.is_satiated(h) {
+                return Err(format!("node {i}: AnyK({k_hi}) without AnyK({k_lo})"));
             }
-            if SatFunction::CollectAll.is_satiated(h) {
-                prop_assert!(SatFunction::AnyK(k_lo).is_satiated(h));
-                prop_assert_eq!(SatFunction::AnyK(k_lo).deficit(h), 0);
+            if SatFunction::CollectAll.is_satiated(h) && (!lo.is_satiated(h) || lo.deficit(h) != 0)
+            {
+                return Err(format!("node {i}: CollectAll without AnyK({k_lo})"));
             }
             // Deficits are consistent with satiation.
-            for f in [SatFunction::CollectAll, SatFunction::AnyK(k_lo), SatFunction::AnyK(k_hi)] {
-                prop_assert_eq!(f.is_satiated(h), f.deficit(h) == 0);
+            for f in [SatFunction::CollectAll, lo, hi] {
+                if f.is_satiated(h) != (f.deficit(h) == 0) {
+                    return Err(format!("node {i}: {f:?} satiation and deficit disagree"));
+                }
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn budgets_are_respected(
-        seed in any::<u64>(),
-        budget in 0usize..6,
-        fraction in 0.0f64..1.0,
-    ) {
+#[test]
+fn budgets_are_respected() {
+    check("token::budgets_respected", CASES, |d| {
+        let seed = seed(d);
+        let budget = d.int("budget", 0, 5) as usize;
+        let fraction = d.ratio("fraction");
         let sys = arb_system(12, 6, 0.0, seed);
         let mut attack = BudgetedAttacker::new(SatiateRandomFraction::new(fraction), budget);
         let mut rng = DetRng::seed_from(seed);
         for _ in 0..5 {
             let t = attack.targets(&sys.view(), &mut rng);
-            prop_assert!(t.len() <= budget);
+            if t.len() > budget {
+                return Err(format!("{} targets over a budget of {budget}", t.len()));
+            }
         }
-        prop_assert!(attack.spent() <= (budget * 5) as u64);
-    }
+        if attack.spent() > (budget * 5) as u64 {
+            return Err(format!(
+                "spent {} over 5 rounds of {budget}",
+                attack.spent()
+            ));
+        }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn rotating_satiation_targets_are_valid(
-        seed in any::<u64>(),
-        fraction in 0.0f64..1.0,
-        period in 1u64..5,
-    ) {
+#[test]
+fn rotating_satiation_targets_are_valid() {
+    check("token::rotating_targets_valid", CASES, |d| {
+        let seed = seed(d);
+        let fraction = d.ratio("fraction");
+        let period = d.int("period", 1, 4) as u64;
         let mut sys = arb_system(15, 4, 0.0, seed);
         let mut attack = RotatingSatiation::new(fraction, period);
         let mut rng = DetRng::seed_from(seed);
         for _ in 0..8 {
-            let targets = attack.targets(&sys.view(), &mut rng);
-            let set: std::collections::HashSet<_> = targets.iter().collect();
-            prop_assert_eq!(set.len(), targets.len(), "no duplicate targets");
-            prop_assert!(targets.iter().all(|t| t.0 < 15));
-            use netsim::round::RoundSim;
-            let t = sys.rounds_run();
-            sys.round(t);
+            let mut targets = attack.targets(&sys.view(), &mut rng);
+            if targets.iter().any(|t| t.0 >= 15) {
+                return Err(format!("target out of range: {targets:?}"));
+            }
+            let drawn = targets.len();
+            targets.sort_unstable_by_key(|t| t.0);
+            targets.dedup();
+            if targets.len() != drawn {
+                return Err("duplicate targets".into());
+            }
+            step(&mut sys);
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn served_counters_only_grow(seed in any::<u64>(), altruism in 0.0f64..1.0) {
+#[test]
+fn served_counters_only_grow() {
+    check("token::served_counters_only_grow", CASES, |d| {
+        let seed = seed(d);
+        let altruism = d.ratio("altruism");
         let mut sys = arb_system(10, 8, altruism, seed);
         let mut prev = [0u64; 10];
         for _ in 0..10 {
-            use netsim::round::RoundSim;
-            let t = sys.rounds_run();
-            sys.round(t);
+            step(&mut sys);
             for i in 0..10u32 {
                 let s = sys.served(NodeId(i));
-                prop_assert!(s >= prev[i as usize]);
+                if s < prev[i as usize] {
+                    return Err(format!("node {i} served {s}, was {}", prev[i as usize]));
+                }
                 prev[i as usize] = s;
             }
         }
-    }
+        Ok(())
+    });
 }

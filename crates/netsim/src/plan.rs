@@ -12,28 +12,27 @@
 //!    partner selection is a pure hash ([`PartnerSchedule::partner_of`]),
 //!    not an rng stream.
 //! 2. **Apply**: the caller walks the planned pairs in a shuffled
-//!    initiator order, committing transfers, counters and rng-consuming
-//!    outcomes. Everything order-sensitive stays in apply.
+//!    initiator order, skips the ones it cannot apply and commits the
+//!    rest — transfers, counters and rng-consuming outcomes. Everything
+//!    order-sensitive stays in apply.
 //!
 //! Where the pairs live is the caller's choice. [`ExchangePlan`] holds a
 //! whole round as one flat batch, shuffled in place: a Fisher–Yates
 //! shuffle draws only as a function of slice *length*, and the batch
 //! has exactly one entry per initiator, so shuffling it draws exactly
 //! what shuffling the bare initiator list would. The gossip simulators
-//! do the latter: they shuffle the initiator list and plan it in blocks
-//! of 64 pairs just before applying each block, which gives the same
-//! entries without a per-node batch (a pair's partner depends only on
-//! its initiator).
+//! do the latter: they shuffle the initiator list, and one cursor per
+//! phase plans it in blocks of 64 pairs as the apply loop consumes
+//! them, which gives the same entries without a per-node batch (a
+//! pair's partner depends only on its initiator).
 //!
-//! Viability snapshots stay sound during apply because mid-phase state
-//! changes only ever *remove* nodes (evictions, silence cut-offs): a
-//! pair planned non-viable can never become viable, so apply may skip
-//! it unconditionally, and a caller whose configuration enables
-//! mid-phase removals rechecks liveness on the viable remainder —
-//! exactly the checks the legacy path made on every pair. The same
-//! holds for a snapshot taken at any point of the phase before its
-//! pair is applied, which is what lets the simulators plan block by
-//! block.
+//! A viability snapshot may be taken at any point before its pair is
+//! applied — the gossip cursor takes it from the activity index built
+//! at the top of the round — because state changes during a round only
+//! ever *remove* nodes (evictions, silence cut-offs): a pair planned
+//! non-viable can never become viable, so apply skips it
+//! unconditionally. A caller whose configuration enables such removals
+//! rechecks liveness on the viable remainder as each pair is applied.
 
 use crate::partner::{PartnerSchedule, Protocol};
 use crate::rng::{split_mix64, DetRng};

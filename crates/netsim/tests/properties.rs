@@ -4,10 +4,10 @@
 //! are checked on every build: cases come from a seeded [`DetRng`], and
 //! every case is compared against a scalar [`DetRng::chance`] loop.
 //!
-//! The `proptests` module requires the external `proptest` crate: enable
-//! the `proptest-tests` feature *and* add the `proptest` dev-dependency
-//! once the workspace has access to a registry (the default build must
-//! stay dependency-free).
+//! The substrate's generated-input properties (rng ranges, forks,
+//! shuffles and samples, metrics, graphs, the partner schedule and
+//! signatures) live in `lotus-core`'s `tests/netsim_props.rs`, on its
+//! `proptest_lite` harness, which this crate cannot depend on.
 
 use netsim::rng::{DetRng, Odds};
 
@@ -161,141 +161,5 @@ fn chance_bits_with_per_bit_thresholds_matches_a_scalar_chance_loop() {
             "rates {p0:e}/{p1:e}, mask {mask:#x}, sel {sel:#x}"
         );
         assert_eq!(word, scalar, "rates {p0:e}/{p1:e}: streams differ");
-    }
-}
-
-#[cfg(feature = "proptest-tests")]
-mod proptests {
-    use netsim::graph::Graph;
-    use netsim::metrics::{quantile_exact, Running, Series};
-    use netsim::partner::{PartnerSchedule, Protocol};
-    use netsim::rng::DetRng;
-    use netsim::sign::Authority;
-    use netsim::NodeId;
-    use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn rng_range_is_always_in_bounds(seed in any::<u64>(), n in 1u64..10_000) {
-            let mut rng = DetRng::seed_from(seed);
-            for _ in 0..50 {
-                prop_assert!(rng.range(n) < n);
-            }
-        }
-
-        #[test]
-        fn rng_forks_are_reproducible(seed in any::<u64>(), label in "[a-z]{1,12}") {
-            let parent = DetRng::seed_from(seed);
-            let mut a = parent.fork(&label);
-            let mut b = parent.fork(&label);
-            prop_assert_eq!(a.next_u64(), b.next_u64());
-        }
-
-        #[test]
-        fn shuffle_preserves_multiset(seed in any::<u64>(),
-                                      mut v in proptest::collection::vec(0u32..100, 0..50)) {
-            let mut rng = DetRng::seed_from(seed);
-            let mut expected = v.clone();
-            rng.shuffle(&mut v);
-            expected.sort_unstable();
-            v.sort_unstable();
-            prop_assert_eq!(v, expected);
-        }
-
-        #[test]
-        fn sample_indices_always_distinct(seed in any::<u64>(), n in 1usize..200, frac in 0.0f64..1.0) {
-            let k = ((n as f64) * frac) as usize;
-            let mut rng = DetRng::seed_from(seed);
-            let s = rng.sample_indices(n, k);
-            let set: std::collections::HashSet<_> = s.iter().collect();
-            prop_assert_eq!(set.len(), s.len());
-            prop_assert!(s.iter().all(|&i| i < n));
-        }
-
-        #[test]
-        fn running_merge_is_order_independent(a in proptest::collection::vec(-1e6f64..1e6, 1..40),
-                                              b in proptest::collection::vec(-1e6f64..1e6, 1..40)) {
-            let mut ra = Running::new();
-            a.iter().for_each(|&x| ra.push(x));
-            let mut rb = Running::new();
-            b.iter().for_each(|&x| rb.push(x));
-            let mut ab = ra;
-            ab.merge(&rb);
-            let mut ba = rb;
-            ba.merge({
-                let mut r = Running::new();
-                a.iter().for_each(|&x| r.push(x));
-                &r.clone()
-            });
-            prop_assert!((ab.mean() - ba.mean()).abs() < 1e-6);
-            prop_assert!((ab.variance() - ba.variance()).abs() < 1e-3);
-            prop_assert_eq!(ab.len(), ba.len());
-        }
-
-        #[test]
-        fn quantiles_are_monotone(data in proptest::collection::vec(-1e3f64..1e3, 1..60),
-                                  q1 in 0.0f64..1.0, q2 in 0.0f64..1.0) {
-            let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-            let a = quantile_exact(&data, lo).unwrap();
-            let b = quantile_exact(&data, hi).unwrap();
-            prop_assert!(a <= b + 1e-9);
-        }
-
-        #[test]
-        fn series_crossover_is_on_curve_range(ys in proptest::collection::vec(0.0f64..1.0, 2..30),
-                                              threshold in 0.0f64..1.0) {
-            let mut s = Series::new("p");
-            for (i, &y) in ys.iter().enumerate() {
-                s.push(i as f64, y);
-            }
-            if let Some(x) = s.crossover_below(threshold) {
-                prop_assert!(x >= 0.0 && x <= (ys.len() - 1) as f64);
-            }
-        }
-
-        #[test]
-        fn erdos_renyi_graphs_are_simple(seed in any::<u64>(), n in 2u32..60, p in 0.0f64..1.0) {
-            let mut rng = DetRng::seed_from(seed);
-            let g = Graph::erdos_renyi(n, p, &mut rng);
-            for v in g.nodes() {
-                let nb = g.neighbors(v);
-                prop_assert!(!nb.contains(&v.0), "no self loop");
-                for w in nb.windows(2) {
-                    prop_assert!(w[0] < w[1], "sorted, no duplicates");
-                }
-                // Symmetry.
-                for &u in nb {
-                    prop_assert!(g.contains_edge(NodeId(u), v));
-                }
-            }
-        }
-
-        #[test]
-        fn grid_graphs_are_connected(rows in 1u32..8, cols in 1u32..8) {
-            prop_assume!(rows * cols >= 1);
-            let g = Graph::grid(rows, cols, false);
-            prop_assert!(g.is_connected());
-            prop_assert_eq!(g.len(), rows * cols);
-        }
-
-        #[test]
-        fn partner_schedule_never_self(seed in any::<u64>(), n in 2u32..100, round in 0u64..50) {
-            let s = PartnerSchedule::new(seed, n);
-            for v in NodeId::all(n) {
-                prop_assert_ne!(s.partner_of(v, round, Protocol::BalancedExchange), v);
-            }
-        }
-
-        #[test]
-        fn signatures_never_cross_verify(seed in any::<u64>(), payload in any::<u64>()) {
-            let auth = Authority::new(seed, 4);
-            let signed = auth.sign(NodeId(0), payload);
-            // Re-attributing to any other node must fail.
-            for other in 1..4u32 {
-                let mut forged = signed;
-                forged.signer = NodeId(other);
-                prop_assert!(auth.verify(&forged).is_err());
-            }
-        }
     }
 }

@@ -1,82 +1,96 @@
-//! Property-based tests for the scrip economy: conservation and
+//! Property tests for the scrip economy: conservation and satiation
+//! invariants under arbitrary parameters and attacks, on the
+//! dependency-free [`proptest_lite`](lotus_core::proptest_lite) harness.
 //!
-//! Requires the external `proptest` crate: enable the `proptest-tests`
-//! feature *and* add the `proptest` dev-dependency once the workspace
-//! has access to a registry (the default build must stay dependency-free).
-#![cfg(feature = "proptest-tests")]
-//! satiation invariants under arbitrary parameters and attacks.
+//! Every property runs 24 cases; the seed of each case's economy comes
+//! from its derived stream ([`Draw::rng`]), and the attack and every
+//! parameter are shrinkable draws.
 
+use lotus_core::proptest_lite::{check, Draw};
 use lotus_core::satiation::Satiable;
 use lotus_core::scenario::run;
 use netsim::round::RoundSim;
 use netsim::NodeId;
-use proptest::prelude::*;
 use scrip_economy::{ScripAttack, ScripConfig, ScripSim};
 
-fn arb_attack() -> impl Strategy<Value = ScripAttack> {
-    prop_oneof![
-        Just(ScripAttack::None),
-        (0.0f64..1.0, 0.0f64..1.0).prop_map(|(t, e)| ScripAttack::lotus_eater(t, e)),
-    ]
+const CASES: u64 = 24;
+
+/// No attack or a lotus-eater attack, equally likely.
+fn arb_attack(d: &mut Draw) -> ScripAttack {
+    if d.int("attack", 0, 1) == 0 {
+        ScripAttack::None
+    } else {
+        ScripAttack::lotus_eater(d.ratio("target_fraction"), d.ratio("endowment_fraction"))
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn money_is_conserved_under_any_attack(
-        seed in any::<u64>(),
-        agents in 5u32..60,
-        m in 1u32..6,
-        k in 1u32..8,
-        beta in 0.05f64..1.0,
-        altruists_frac in 0.0f64..0.5,
-        attack in arb_attack(),
-    ) {
-        let altruists = ((agents as f64) * altruists_frac) as u32;
+#[test]
+fn money_is_conserved_under_any_attack() {
+    check("scrip::money_conserved", CASES, |d| {
+        let seed = d.rng("seed").next_u64();
+        let agents = d.int("agents", 5, 59) as u32;
+        let altruists = ((agents as f64) * 0.5 * d.ratio("altruists_frac")) as u32;
         let cfg = ScripConfig::builder()
             .agents(agents)
-            .money_per_agent(m)
-            .threshold(k)
-            .availability(beta)
+            .money_per_agent(d.int("money_per_agent", 1, 5) as u32)
+            .threshold(d.int("threshold", 1, 7) as u32)
+            .availability(0.05 + 0.95 * d.ratio("availability"))
             .altruists(altruists)
             .rounds(300)
             .warmup(30)
             .build()
             .expect("valid config");
         let supply = cfg.total_supply();
-        let mut sim = ScripSim::new(cfg, attack, seed);
+        let mut sim = ScripSim::new(cfg, arb_attack(d), seed);
         for t in 0..150 {
             sim.round(t);
-            prop_assert_eq!(sim.total_money(), supply);
+            if sim.total_money() != supply {
+                return Err(format!("round {t}: {} of {supply}", sim.total_money()));
+            }
         }
-        let report = sim.report();
-        prop_assert_eq!(report.total_money, supply);
-    }
+        if sim.report().total_money != supply {
+            return Err(format!(
+                "report money {} of {supply}",
+                sim.report().total_money
+            ));
+        }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn rates_partition_requests(
-        seed in any::<u64>(),
-        agents in 5u32..40,
-        attack in arb_attack(),
-    ) {
+#[test]
+fn rates_partition_requests() {
+    check("scrip::rates_partition_requests", CASES, |d| {
+        let seed = d.rng("seed").next_u64();
         let cfg = ScripConfig::builder()
-            .agents(agents)
+            .agents(d.int("agents", 5, 39) as u32)
             .rounds(2_000)
             .warmup(100)
             .build()
             .expect("valid config");
-        let report = run::<ScripSim>(cfg, attack, seed);
+        let report = run::<ScripSim>(cfg, arb_attack(d), seed);
         let total = report.free_rate
             + report.paid_rate
             + report.fail_broke_rate
             + report.fail_no_volunteer_rate;
-        prop_assert!((total - 1.0).abs() < 1e-9, "rates must partition: {total}");
-        prop_assert!((report.service_rate - report.free_rate - report.paid_rate).abs() < 1e-9);
-    }
+        if (total - 1.0).abs() >= 1e-9 {
+            return Err(format!("rates must partition: {total}"));
+        }
+        if (report.service_rate - report.free_rate - report.paid_rate).abs() >= 1e-9 {
+            return Err(format!(
+                "service rate {} is not free + paid",
+                report.service_rate
+            ));
+        }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn satiation_matches_balances(seed in any::<u64>(), agents in 5u32..30) {
+#[test]
+fn satiation_matches_balances() {
+    check("scrip::satiation_matches_balances", CASES, |d| {
+        let seed = d.rng("seed").next_u64();
+        let agents = d.int("agents", 5, 29) as u32;
         let cfg = ScripConfig::builder()
             .agents(agents)
             .rounds(500)
@@ -87,17 +101,24 @@ proptest! {
         for t in 0..200 {
             sim.round(t);
         }
-        for i in 0..agents {
-            let node = NodeId(i);
-            if sim.is_satiated(node) {
-                prop_assert!(sim.money(node) >= u64::from(sim.threshold(node)));
+        for node in NodeId::all(agents) {
+            if sim.is_satiated(node) && sim.money(node) < u64::from(sim.threshold(node)) {
+                return Err(format!("agent {} satiated below its threshold", node.0));
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn gini_is_in_unit_range(values in proptest::collection::vec(0u64..1000, 1..60)) {
+#[test]
+fn gini_is_in_unit_range() {
+    check("scrip::gini_in_unit_range", CASES, |d| {
+        let len = d.int("len", 1, 59);
+        let values: Vec<u64> = (0..len).map(|_| d.int("value", 0, 999) as u64).collect();
         let g = scrip_economy::gini(&values);
-        prop_assert!((0.0..=1.0).contains(&g), "gini {g}");
-    }
+        if !(0.0..=1.0).contains(&g) {
+            return Err(format!("gini {g} of {values:?}"));
+        }
+        Ok(())
+    });
 }
