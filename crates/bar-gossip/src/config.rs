@@ -23,8 +23,9 @@ use lotus_core::population::{ArrivalProcess, ChurnProfile};
 /// Report-and-evict defense settings (§4 "leveraging obedience").
 ///
 /// Obedient nodes report peers that hand them excessive service; a quorum
-/// of distinct reporters gets the peer evicted, using signed exchange
-/// records as evidence.
+/// of distinct reporters gets the peer evicted. The reports themselves
+/// are taken as authentic: the signed exchange records that would back
+/// them in a deployment are not modelled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReportConfig {
     /// Fraction of honest nodes that are obedient (follow the reporting

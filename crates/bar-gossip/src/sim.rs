@@ -99,7 +99,6 @@ use netsim::bandwidth::{BandwidthMeter, MsgClass};
 use netsim::partner::Protocol;
 use netsim::rng::{DetRng, Odds};
 use netsim::round::RoundSim;
-use netsim::sign::Authority;
 use netsim::trace::{EventKind, TraceBuffer};
 use netsim::{NodeId, Round};
 
@@ -278,8 +277,9 @@ pub struct BarGossipSim {
     /// Whether the fault plan can touch messages at all; hoisted out of
     /// `faulty_send` so inert plans skip the fate machinery entirely.
     faults_msg: bool,
-    /// Report-and-evict state; `None` unless the defense is on.
-    reports: Option<ReportState>,
+    /// Distinct reporters per node, up to the eviction quorum; `None`
+    /// unless the report-and-evict defense is on.
+    reports: Option<QuorumSlots>,
     /// Uploads: payload per node, every class per sender group
     /// ([`BarGossipSim::meter_group`]).
     meter: BandwidthMeter,
@@ -323,16 +323,6 @@ pub const ID_WIRE_BYTES: u64 = 8;
 const HONEST_GROUP: usize = 0;
 /// Upload-meter sender group of attacker nodes.
 const ATTACKER_GROUP: usize = 1;
-
-/// Per-run state of the report-and-evict defense (present only when
-/// the defense is configured).
-#[derive(Debug, Clone)]
-struct ReportState {
-    /// Signs and verifies excess-service evidence.
-    authority: Authority,
-    /// Distinct reporters per node, up to the eviction quorum.
-    reporters: QuorumSlots,
-}
 
 /// Per-run state of the two-leg digest exchange (present only when
 /// [`BarGossipConfig::digest`] is set, so classic runs carry none of
@@ -393,12 +383,10 @@ impl BarGossipSim {
         });
         BarGossipSim {
             faults_msg: cfg.faults.has_message_faults(),
-            // The authority's fork is stream-invisible, so drawing its
-            // seed only under the defense changes no other draw.
-            reports: cfg.defenses.report.map(|report| ReportState {
-                authority: Authority::new(rng.fork("authority").next_u64(), n),
-                reporters: QuorumSlots::new(n as usize, report.quorum),
-            }),
+            reports: cfg
+                .defenses
+                .report
+                .map(|report| QuorumSlots::new(n as usize, report.quorum)),
             meter: BandwidthMeter::new(n),
             trace: TraceBuffer::disabled(),
             round: 0,
@@ -448,11 +436,6 @@ impl BarGossipSim {
     /// Metric class of `node`.
     pub fn class_of(&self, node: NodeId) -> NodeClass {
         self.eng.class[node.index()]
-    }
-
-    /// Whether `node` has been evicted by the report defense.
-    pub fn is_evicted(&self, node: NodeId) -> bool {
-        self.eng.evicted.contains(node.index())
     }
 
     /// The sharded activity index (this round's snapshot).
@@ -610,7 +593,7 @@ impl BarGossipSim {
     /// holds that the target lacks (rate limit permitting); the target
     /// reciprocates protocol-style with up to the same number of updates
     /// when `attacker_receives` is on. Obedient targets detect the
-    /// excessive service and file a signed report.
+    /// excessive service and file a report.
     ///
     /// `push_slot` selects the excess bound: in a push interaction service
     /// up to `push_size` is protocol-legal.
@@ -668,7 +651,7 @@ impl BarGossipSim {
             if is_excessive_service(gift.len, effective_received, report.excess_slack)
                 && self.eng.obedient.contains(target.index())
             {
-                self.file_report(target, attacker, now, gift.len as u64);
+                self.file_report(target, attacker, now);
             }
         }
         self.gift_scratch = gift;
@@ -692,26 +675,19 @@ impl BarGossipSim {
         }
     }
 
-    /// File a signed excess-service report; evict on quorum.
-    fn file_report(&mut self, reporter: NodeId, reported: NodeId, now: Round, amount: u64) {
-        let st = self
+    /// File an excess-service report; evict on quorum.
+    fn file_report(&mut self, reporter: NodeId, reported: NodeId, now: Round) {
+        let reporters = self
             .reports
             .as_mut()
             .expect("file_report requires the report defense");
-        // Evidence: the reporter signs (reported, round, amount); the
-        // tracker verifies before accepting. With the simulated authority
-        // this always verifies, but the flow matches the real protocol.
-        let evidence = st.authority.sign(reporter, (reported, now, amount));
-        if st.authority.verify(&evidence).is_err() {
-            return; // forged evidence is dropped
-        }
         self.trace.emit_with(now, reported, EventKind::Report, || {
             format!("excess service reported by {reporter}")
         });
         // Only reports evict, so an evicted node's quorum is reached and
         // its reporters are never recorded again.
         if !self.eng.evicted.contains(reported.index())
-            && st.reporters.record(reported.index(), reporter.index())
+            && reporters.record(reported.index(), reporter.index())
         {
             self.eng.evicted.insert(reported.index());
             self.evictions += 1;

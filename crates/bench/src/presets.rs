@@ -443,7 +443,7 @@ pub const PRESETS: &[Preset] = &[
         ],
         epilogue: &[
             "A modest pool of obedient nodes suffices to evict every trade attacker",
-            "(signed exchange records are the evidence) and restore usability.",
+            "(a quorum of their reports is the evidence) and restore usability.",
         ],
         extra: Extra::None,
     },
@@ -684,7 +684,7 @@ pub const PRESETS: &[Preset] = &[
             "",
             "Sweepable and benchable through the ordinary grammar, e.g.:",
             "  lotus-bench --scenario bar-gossip --attack trade \\",
-            "      --schedule periodic:20:10 --sweep fraction --quick",
+            "      --param schedule=periodic:20:10 --sweep fraction --quick",
             "  lotus-bench --bench --scenario bar-gossip \\",
             "      --curve \"trade,schedule=periodic:20:10\"",
         ],
@@ -766,9 +766,9 @@ pub const PRESETS: &[Preset] = &[
             "",
             "Sweepable and benchable through the ordinary grammar, e.g.:",
             "  lotus-bench --scenario bar-gossip --attack trade \\",
-            "      --adaptive epsilon-greedy,10,0.1 --arm-trace --quick",
+            "      --param adaptive=epsilon-greedy,10,0.1 --arm-trace --quick",
             "  lotus-bench --scenario scrip --attack lotus-eater \\",
-            "      --adaptive ucb,50,1.4 --sweep adaptive_epsilon --x-values 0,0.5,1",
+            "      --param adaptive=ucb,50,1.4 --sweep adaptive_epsilon --x-values 0,0.5,1",
             "  lotus-bench --bench --scenario bar-gossip \\",
             "      --curve \"trade,adaptive=ucb:10:0.5\"",
         ],
@@ -821,8 +821,8 @@ pub const PRESETS: &[Preset] = &[
             "  the §1 \"barely dents\" result, now with arrivals.",
             "",
             "Sweepable and benchable through the ordinary grammar, e.g.:",
-            "  lotus-bench --scenario bar-gossip --attack trade --arrival burst:20:75 \\",
-            "      --schedule presence-above:0.99 --quick",
+            "  lotus-bench --scenario bar-gossip --attack trade \\",
+            "      --param arrival=burst:20:75 --param schedule=presence-above:0.99 --quick",
             "  lotus-bench --scenario bittorrent --attack satiate \\",
             "      --sweep arrival_size --x-values 0,10,20,40 --param arrival=burst:10:1",
         ],

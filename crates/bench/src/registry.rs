@@ -510,7 +510,7 @@ const BAR_GOSSIP_EXTRAS: &[ParamSpec] = &[
         "updates above the cap tolerated before reporting (default 1)"),
     param("run_threads", COUNT,
         "intra-run plan-phase worker threads (0 = auto: LOTUS_RUN_THREADS, else machine \
-         parallelism; figures identical for any value; --run-threads)"),
+         parallelism; figures identical for any value)"),
 ];
 
 /// The digest exchange, its audit defense and the poison attack.
@@ -536,35 +536,33 @@ const DIGEST: &[ParamSpec] = &[
 const TIMING_POPULATION_FAULTS: &[ParamSpec] = &[
     param("faults", Kind::Grammar,
         "fault plan: loss:<p> | dup:<p> | delay:<p> | crash:<p>:<recover> | \
-         partition:<start>:<len>:<frac>, combined with '/' (default: none; --faults)"),
+         partition:<start>:<len>:<frac>, combined with '/' (default: none)"),
     param("fault_loss", Kind::Unit,
         "override (or sweep) the message-loss rate of the fault plan"),
     param("schedule", Kind::Grammar,
         "attack timing: always | at:<r> | window:<a>:<b> | periodic:<p>:<a> | \
          delivery-above:<x> | delivery-below:<x> | targeted-above:<x> | targeted-below:<x> | \
          presence-above:<x> | presence-below:<x> | falsecut-above:<x> | falsecut-below:<x> \
-         (default always; --schedule)"),
+         (default always)"),
     param("adaptive", Kind::Grammar,
         "bandit attacker re-planning each phase from observed damage: \
          <policy>,<phase-len>,<epsilon>[,<metric>] with policy epsilon-greedy | ucb | \
          fixed-<dormant|cooperate|defect|rotate> (replaces the schedule; a learning policy \
          adds the metrics adaptive_phases, adaptive_<active|dormant|cooperate|defect|rotate>_share \
-         and adaptive_final_arm; --adaptive)"),
+         and adaptive_final_arm)"),
     param("adaptive_epsilon", Kind::Real,
         "override (or sweep) the adaptive exploration parameter (epsilon / UCB weight)"),
     param("adaptive_phase", POSITIVE,
         "override (or sweep) the adaptive phase length in rounds"),
     param("churn_leave", Kind::Unit,
-        "per-round probability a node goes offline (0 = closed population; --churn)"),
-    param("churn_rejoin", Kind::Unit,
-        "per-round probability an offline node returns (default 0.25)"),
+        "per-round probability a node goes offline, returning at 0.25 per round \
+         (0 = closed population; other return rates: churn_profile=uniform:<leave>:<rejoin>)"),
     param("churn_profile", Kind::Grammar,
         "heterogeneous churn cohorts: none | uniform:<leave>[:<rejoin>] | \
-         <w>:<leave>:<rejoin>[/...] (up to 4 weighted classes; replaces \
-         churn_leave/churn_rejoin; --churn-profile)"),
+         <w>:<leave>:<rejoin>[/...] (up to 4 weighted classes; replaces churn_leave)"),
     param("arrival", Kind::Grammar,
         "flash-crowd arrivals: none | burst:<round>:<size>[:<period>] | \
-         ramp:<start>:<size>[:<rate>] (held-back nodes enter with empty state; --arrival)"),
+         ramp:<start>:<size>[:<rate>] (held-back nodes enter with empty state)"),
     param("arrival_size", COUNT,
         "override (or sweep) the flash-crowd size of the configured arrival process"),
 ];
@@ -630,8 +628,8 @@ fn parse_timing(args: &Args<'_>) -> Result<AttackSchedule, String> {
         Some(adaptive) => {
             if !schedule.is_always() {
                 return Err(
-                    "adaptive attackers replace the schedule: drop --schedule (or keep it \
-                     'always') when passing --adaptive"
+                    "adaptive attackers replace the schedule: drop schedule (or keep it \
+                     'always') when passing adaptive"
                         .to_string(),
                 );
             }
@@ -665,24 +663,22 @@ fn attach_adaptive_metrics(
 }
 
 /// Resolve the full population axis: the heterogeneous `churn_profile`
-/// (which supersedes the uniform `churn_leave`/`churn_rejoin` pair — the
-/// two spellings are mutually exclusive) plus the `arrival` flash-crowd
+/// (which supersedes the uniform `churn_leave` rate — the two spellings
+/// are mutually exclusive) plus the `arrival` flash-crowd
 /// process with its sweepable `arrival_size` override.
 fn parse_population(args: &Args<'_>) -> Result<(ChurnProfile, ArrivalProcess), String> {
     let profile = match args.text("churn_profile") {
         Some(spec) => {
-            if args.has("churn_leave") || args.has("churn_rejoin") {
-                return Err(
-                    "churn_profile replaces the uniform axis: drop churn_leave/churn_rejoin \
+            if args.has("churn_leave") {
+                return Err("churn_profile replaces the uniform axis: drop churn_leave \
                      (use uniform:<leave>:<rejoin> inside the profile instead)"
-                        .to_string(),
-                );
+                    .to_string());
             }
             ChurnProfile::parse(spec)?
         }
         None => ChurnProfile::uniform(ChurnSpec::new(
             args.num("churn_leave").unwrap_or(0.0),
-            args.num("churn_rejoin").unwrap_or(0.25),
+            ChurnSpec::DEFAULT_REJOIN,
         )),
     };
     let mut arrival = match args.text("arrival") {
@@ -839,7 +835,7 @@ fn bar_gossip_plan(args: &Args<'_>) -> Result<AttackPlan, String> {
         if timing.adaptive.is_some() {
             return Err(
                 "adaptive attackers rotate on their own phase clock: drop rotation_period \
-                 when passing --adaptive"
+                 when passing adaptive"
                     .to_string(),
             );
         }

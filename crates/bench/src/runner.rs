@@ -266,56 +266,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| format!("--param wants key=value, got {v:?}"))?;
                 opts.params.set(k, val);
             }
-            "--schedule" => {
-                // Validate eagerly so typos fail at parse time, then pass
-                // the spec through the ordinary parameter channel.
-                let v = take("--schedule")?;
-                lotus_core::schedule::AttackSchedule::parse(v)?;
-                opts.params.set("schedule", v);
-            }
-            "--churn" => {
-                let v = take("--churn")?;
-                let churn = lotus_core::population::ChurnSpec::parse(v)?;
-                opts.params.set("churn_leave", churn.leave.to_string());
-                opts.params.set("churn_rejoin", churn.rejoin.to_string());
-            }
-            "--churn-profile" => {
-                // Validate eagerly (as for --schedule), then pass the
-                // spec through the ordinary parameter channel.
-                let v = take("--churn-profile")?;
-                lotus_core::population::ChurnProfile::parse(v)?;
-                opts.params.set("churn_profile", v);
-            }
-            "--arrival" => {
-                let v = take("--arrival")?;
-                lotus_core::population::ArrivalProcess::parse(v)?;
-                opts.params.set("arrival", v);
-            }
-            "--faults" => {
-                // Validate eagerly (as for --schedule), then pass the
-                // spec through the ordinary parameter channel.
-                let v = take("--faults")?;
-                lotus_core::faults::FaultPlan::parse(v)?;
-                opts.params.set("faults", v);
-            }
-            "--adaptive" => {
-                // Validate eagerly (as for --schedule), then pass the
-                // spec through the ordinary parameter channel.
-                let v = take("--adaptive")?;
-                lotus_core::adaptive::AdaptiveSpec::parse(v)?;
-                opts.params.set("adaptive", v);
-            }
-            "--run-threads" => {
-                // Validate eagerly (as for --faults), then pass the
-                // count through the ordinary parameter channel. This
-                // caps the *intra-run* plan-phase workers — independent
-                // from LOTUS_SWEEP_THREADS, which fans out whole runs.
-                let v = take("--run-threads")?;
-                v.parse::<u32>().map_err(|_| {
-                    format!("bad --run-threads value {v:?} (whole number of workers, 0 = auto)")
-                })?;
-                opts.params.set("run_threads", v);
-            }
             "--arm-trace" => opts.arm_trace = true,
             "--format" => {
                 opts.format = match take("--format")? {
@@ -380,45 +330,11 @@ options:
   --sweep KNOB          what x drives: fraction (default) or any numeric
                         parameter (see sweeps: in --list)
   --seeds N             replication seeds 1..=N (default 5, 2 with --quick)
-  --param K=V           scenario parameter (repeatable, applies to all curves)
-  --schedule SPEC       attack timing: always (default) | at:<round> |
-                        window:<from>:<until> | periodic:<period>:<active> |
-                        delivery-above:<x> | delivery-below:<x> |
-                        targeted-above:<x> | targeted-below:<x> |
-                        presence-above:<x> | presence-below:<x>
-                        (sugar for --param schedule=SPEC)
-  --churn L[:R]         population churn: per-round leave probability L and
-                        rejoin probability R (default 0.25); sugar for
-                        --param churn_leave=L / churn_rejoin=R
-  --churn-profile SPEC  heterogeneous churn cohorts: none |
-                        uniform:<leave>[:<rejoin>] |
-                        <w>:<leave>:<rejoin>[/...] (up to 4 weighted classes,
-                        e.g. 0.9:0.002:0.5/0.1:0.2:0.3 = stable core +
-                        transient fringe); replaces --churn
-                        (sugar for --param churn_profile=SPEC)
-  --arrival SPEC        flash-crowd arrivals: none (default) |
-                        burst:<round>:<size>[:<period>] |
-                        ramp:<start>:<size>[:<rate>] — held-back nodes enter
-                        with empty state; sweep arrival_size to scale the
-                        crowd (sugar for --param arrival=SPEC)
-  --faults SPEC         fault injection: loss:<p> | dup:<p> | delay:<p> |
-                        crash:<p>:<recover> | partition:<start>:<len>:<frac>,
-                        combined with '/' (e.g. loss:0.05/crash:0.01:0.2);
-                        sweep fault_loss to drive the loss rate through x
-                        (sugar for --param faults=SPEC)
-  --adaptive SPEC       bandit attacker re-planning each phase from observed
-                        damage: <policy>,<phase-len>,<epsilon>[,<metric>] with
-                        policy epsilon-greedy | ucb | fixed-<arm> and metric
-                        delivery (default) | targeted; replaces --schedule
-                        (sugar for --param adaptive=SPEC; inside --curve use
-                        colons: adaptive=ucb:20:1.4)
-  --run-threads N       intra-run plan-phase worker threads for scenarios
-                        that support them (bar-gossip family); 0 = auto
-                        (LOTUS_RUN_THREADS env, else machine parallelism).
-                        Figures are byte-identical for any value — only
-                        wall-clock changes. Independent from
-                        LOTUS_SWEEP_THREADS, which parallelizes across runs
-                        (sugar for --param run_threads=N)
+  --param K=V           scenario parameter (repeatable, applies to all curves);
+                        --list gives each one's kind or grammar (schedule,
+                        faults, adaptive, churn_profile, arrival, ...).
+                        Inside --curve, write the adaptive grammar's commas
+                        as colons: adaptive=ucb:20:1.4
   --arm-trace           append each curve's adaptive arm trace (phase, arm,
                         mean observed damage) at x = the middle grid point,
                         first seed — shows the schedule the bandit converged to
@@ -1515,8 +1431,18 @@ mod tests {
     }
 
     #[test]
-    fn faults_sugar_validates_and_sweeps_fault_loss() {
-        assert!(run_args(&args(&["--faults", "bogus"])).is_err());
+    fn faults_param_validates_and_sweeps_fault_loss() {
+        let err = run_args(&args(&[
+            "--scenario",
+            "bar-gossip",
+            "--attack",
+            "masquerade",
+            "--quick",
+            "--param",
+            "faults=bogus",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("fault plan \"bogus\""), "{err}");
         let out = run_args(&args(&[
             "--scenario",
             "bar-gossip",

@@ -1,7 +1,7 @@
 //! Determinism and equivalence tests for the adaptive bandit attackers.
 //!
 //! The contract mirrors the schedule layer's (see `schedule_golden.rs`):
-//! with `--adaptive` unset nothing changes (the golden fixtures pin
+//! with `adaptive` unset nothing changes (the golden fixtures pin
 //! that), a degenerate `fixed-<arm>` policy reproduces the equivalent
 //! static schedule **exactly**, and every learning policy replays
 //! bit-identically — same seed, same policy, same arm trace, same
@@ -301,8 +301,8 @@ fn adaptive_sweep_axes_run_end_to_end() {
     a.extend(args(&[
         "--attack",
         "trade",
-        "--adaptive",
-        "epsilon-greedy,5,0.1",
+        "--param",
+        "adaptive=epsilon-greedy,5,0.1",
         "--sweep",
         "adaptive_epsilon",
         "--x-values",
@@ -341,8 +341,8 @@ fn arm_trace_output_appears_in_both_formats() {
     a.extend(args(&[
         "--attack",
         "trade",
-        "--adaptive",
-        "ucb,5,0.5",
+        "--param",
+        "adaptive=ucb,5,0.5",
         "--x-values",
         "0.3",
         "--arm-trace",
@@ -358,8 +358,8 @@ fn arm_trace_output_appears_in_both_formats() {
     a.extend(args(&[
         "--attack",
         "trade",
-        "--adaptive",
-        "ucb,5,0.5",
+        "--param",
+        "adaptive=ucb,5,0.5",
         "--x-values",
         "0.3",
         "--arm-trace",
@@ -385,7 +385,7 @@ fn arm_trace_output_appears_in_both_formats() {
 /// Malformed or conflicting adaptive requests fail with clean messages.
 #[test]
 fn invalid_adaptive_requests_error_cleanly() {
-    // Bad specs die at flag-parse time.
+    // Bad specs die when the request is built.
     for bad in [
         "bogus,10,0.1",
         "epsilon-greedy,0,0.1",
@@ -394,7 +394,8 @@ fn invalid_adaptive_requests_error_cleanly() {
         "fixed-sideways,10,0",
     ] {
         let mut a = args(RUNNER_BASE);
-        a.extend(args(&["--attack", "trade", "--adaptive", bad]));
+        let spec = format!("adaptive={bad}");
+        a.extend(args(&["--attack", "trade", "--param", &spec]));
         assert!(run_args(&a).is_err(), "{bad:?} must be rejected");
     }
     // An adaptive attacker replaces the open-loop schedule...
@@ -404,10 +405,10 @@ fn invalid_adaptive_requests_error_cleanly() {
         "trade",
         "--x-values",
         "0.3",
-        "--adaptive",
-        "ucb,5,0.5",
-        "--schedule",
-        "periodic:6:3",
+        "--param",
+        "adaptive=ucb,5,0.5",
+        "--param",
+        "schedule=periodic:6:3",
     ]));
     let err = run_args(&a).expect_err("schedule+adaptive must conflict");
     assert!(err.contains("adaptive"), "{err}");
@@ -418,24 +419,24 @@ fn invalid_adaptive_requests_error_cleanly() {
         "trade",
         "--x-values",
         "0.3",
-        "--adaptive",
-        "ucb,5,0.5",
+        "--param",
+        "adaptive=ucb,5,0.5",
         "--param",
         "rotation_period=6",
     ]));
     let err = run_args(&a).expect_err("rotation_period+adaptive must conflict");
     assert!(err.contains("rotation"), "{err}");
-    // Keeping --schedule at its default is explicitly allowed.
+    // Keeping the schedule at its default is explicitly allowed.
     let mut a = args(RUNNER_BASE);
     a.extend(args(&[
         "--attack",
         "trade",
         "--x-values",
         "0.3",
-        "--adaptive",
-        "fixed-defect,5,0",
-        "--schedule",
-        "always",
+        "--param",
+        "adaptive=fixed-defect,5,0",
+        "--param",
+        "schedule=always",
     ]));
     assert!(
         run_args(&a).is_ok(),

@@ -8,8 +8,10 @@
 //! refactor must keep reproducing them bit-identically through both
 //! spellings of uniform churn:
 //!
-//! * the legacy `churn_leave`/`churn_rejoin` parameter pair, and
+//! * the `churn_leave` rate alone, on the rows that rejoin at the
+//!   default 0.25, and
 //! * the degenerate one-class `churn_profile=uniform:<leave>:<rejoin>`,
+//!   on every row,
 //!
 //! because a one-class profile is required to draw exactly the stream
 //! the uniform implementation drew. Zero-rate profiles must be
@@ -103,13 +105,20 @@ const UNIFORM_CHURN: &[(&str, &str)] = &[
 #[test]
 fn uniform_churn_parameters_reproduce_pr3_fixtures_bit_identically() {
     assert_eq!(GOLDENS.len(), UNIFORM_CHURN.len());
-    for (g, &(leave, rejoin)) in GOLDENS.iter().zip(UNIFORM_CHURN) {
-        let report = run_case(g, &[("churn_leave", leave), ("churn_rejoin", rejoin)]);
+    // Other rejoin rates are spelled only as a profile (next test).
+    let default_rejoin: Vec<_> = GOLDENS
+        .iter()
+        .zip(UNIFORM_CHURN)
+        .filter(|(_, &(_, rejoin))| rejoin == "0.25")
+        .collect();
+    assert_eq!(default_rejoin.len(), 2, "the 0.25-rejoin rows");
+    for (g, &(leave, _)) in default_rejoin {
+        let report = run_case(g, &[("churn_leave", leave)]);
         assert_eq!(
             report.to_json(),
             g.json,
-            "{} / {} / seed {}: churn_leave/churn_rejoin drifted from the PR 3 \
-             uniform-churn golden output",
+            "{} / {} / seed {}: churn_leave drifted from the PR 3 uniform-churn \
+             golden output",
             g.scenario,
             g.attack,
             g.seed

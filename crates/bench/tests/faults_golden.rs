@@ -37,8 +37,7 @@ const PRE_FAULTS_GOLDENS: &[Golden] = &[
             ("rounds", "10"),
             ("updates_per_round", "4"),
             ("warmup_rounds", "5"),
-            ("churn_leave", "0.05"),
-            ("churn_rejoin", "0.4"),
+            ("churn_profile", "uniform:0.05:0.4"),
         ],
         json: r#"{"scenario":"bar-gossip","rounds":25,"overall_delivery":0.9007142857142857,"targeted_service":0.955,"usable":false,"attacker_coverage":0.825,"evicted_fraction":0,"evictions":0,"isolated_delivery":0.8283333333333334,"junk_fraction":0.03276897870016385,"mean_attacker_upload":120.4,"mean_honest_upload":53.02857142857143,"min_node_delivery":0.125,"nodes_ever_unusable":0.37142857142857144,"satiated_delivery":0.955,"unusable_node_rounds":0.15428571428571428}"#,
     },
@@ -50,8 +49,7 @@ const PRE_FAULTS_GOLDENS: &[Golden] = &[
             ("agents", "40"),
             ("rounds", "600"),
             ("warmup", "100"),
-            ("churn_leave", "0.02"),
-            ("churn_rejoin", "0.3"),
+            ("churn_profile", "uniform:0.02:0.3"),
         ],
         json: r#"{"scenario":"scrip","rounds":700,"overall_delivery":0.32212389380530976,"targeted_service":0.9727777777777777,"usable":false,"attacker_money":33,"fail_broke_rate":0.6778761061946903,"fail_no_volunteer_rate":0,"free_rate":0,"gini":0.7058510638297872,"mean_satiated_fraction":0.2918333333333356,"mean_threshold":4,"paid_rate":0.32212389380530976,"service_rate":0.32212389380530976,"special_service_rate":1,"target_satiation":0.9727777777777777,"total_money":80}"#,
     },
@@ -62,8 +60,7 @@ const PRE_FAULTS_GOLDENS: &[Golden] = &[
         params: &[
             ("leechers", "15"),
             ("pieces", "16"),
-            ("churn_leave", "0.05"),
-            ("churn_rejoin", "0.5"),
+            ("churn_profile", "uniform:0.05:0.5"),
         ],
         json: r#"{"scenario":"bittorrent","rounds":13,"overall_delivery":1,"targeted_service":1,"usable":true,"attacker_upload":80,"duplicates":118,"honest_upload":278,"mean_completion":5.533333333333333,"mean_completion_nontargeted":6.8,"mean_completion_targeted":3,"p95_completion_nontargeted":10.649999999999997}"#,
     },
@@ -74,8 +71,7 @@ const PRE_FAULTS_GOLDENS: &[Golden] = &[
         params: &[
             ("nodes", "24"),
             ("rounds", "50"),
-            ("churn_leave", "0.08"),
-            ("churn_rejoin", "0.25"),
+            ("churn_profile", "uniform:0.08:0.25"),
         ],
         json: r#"{"scenario":"token","rounds":50,"overall_delivery":0.9901960784313725,"targeted_service":1,"usable":true,"all_satiated_at":-1,"attacked_nodes":7,"final_satiated_fraction":0.9166666666666666,"mean_coverage":0.9930555555555555,"min_coverage":0.9166666666666666,"token0_reach":1,"untouched_mean_coverage":0.9901960784313725,"untouched_satisfied":0.8823529411764706}"#,
     },
@@ -89,8 +85,7 @@ const PRE_FAULTS_GOLDENS: &[Golden] = &[
             ("rounds", "10"),
             ("updates_per_round", "4"),
             ("warmup_rounds", "5"),
-            ("churn_leave", "0.05"),
-            ("churn_rejoin", "0.4"),
+            ("churn_profile", "uniform:0.05:0.4"),
         ],
         json: r#"{"scenario":"scrip-gossip","rounds":25,"overall_delivery":0.9871428571428571,"targeted_service":1,"usable":true,"broke_rate":0.14127659574468085,"isolated_delivery":0.97,"refusal_rate":0,"satiated_delivery":1,"total_money":2000}"#,
     },

@@ -233,7 +233,7 @@ fn scheduled_and_churned_runs_replay_bit_identically() {
         &[("schedule", "window:4:12")],
         &[("schedule", "delivery-above:0.5")],
         &[("churn_leave", "0.05")],
-        &[("churn_leave", "0.05"), ("churn_rejoin", "0.5")],
+        &[("churn_profile", "uniform:0.05:0.5")],
         &[("schedule", "periodic:6:3"), ("churn_leave", "0.03")],
     ];
     for g in GOLDENS.iter().filter(|g| g.seed == 1) {
@@ -269,7 +269,7 @@ fn schedule_and_churn_axes_have_observable_effect() {
         late.overall_delivery,
         always.overall_delivery
     );
-    let churned = run_case(g, &[("churn_leave", "0.2"), ("churn_rejoin", "0.1")]);
+    let churned = run_case(g, &[("churn_profile", "uniform:0.2:0.1")]);
     assert!(
         churned.overall_delivery < always.overall_delivery,
         "heavy churn ({}) must hurt delivery vs the closed population ({})",

@@ -108,10 +108,9 @@ fn runner_list_documents_attacks_and_schedule_churn_axes() {
         7,
         "seven scenario configs advertise the churn axis:\n{out}"
     );
-    // The runner help documents the flags themselves.
+    // Every axis is spelled one way, as a parameter.
     let help = run_runner(&["--help"]);
-    assert!(help.contains("--schedule SPEC"), "{help}");
-    assert!(help.contains("--churn L[:R]"), "{help}");
+    assert!(help.contains("--param K=V"), "{help}");
 }
 
 #[test]
@@ -140,9 +139,45 @@ fn runner_schedule_and_churn_flags_run_end_to_end() {
         "copies_seeded=5",
     ];
     let mut scheduled = base.to_vec();
-    scheduled.extend(["--schedule", "periodic:6:3", "--churn", "0.05:0.5"]);
+    scheduled.extend([
+        "--param",
+        "schedule=periodic:6:3",
+        "--param",
+        "churn_profile=uniform:0.05:0.5",
+    ]);
     let out = run_runner(&scheduled);
     assert!(out.contains("\"points\":[[0.3,"), "no points in:\n{out}");
+
+    // A malformed grammar value fails with status 2 and a message that
+    // names its grammar, whether it is passed to every curve or to one.
+    let curveless = [&base[..2], &base[4..]].concat();
+    for (key, value, grammar) in [
+        ("faults", "bogus", "wants <kind>:<args>"),
+        ("schedule", "sometimes", "periodic:<p>:<a>"),
+        ("schedule", "periodic:0:0", "need 1 <= active <= period"),
+        ("adaptive", "bogus:10:0.1", "ucb | fixed-<arm>"),
+        ("churn_profile", "0.5:0.1", "<weight>:<leave>:<rejoin>"),
+        ("churn_profile", "uniform:1.5", "leave probability 1.5"),
+        ("arrival", "burst:x", "<round>:<size>[:<period>]"),
+    ] {
+        let param = format!("{key}={value}");
+        let curve = format!("trade,{param}");
+        for args in [
+            [&base[..], &["--param", &param]].concat(),
+            [&curveless[..], &["--curve", &curve]].concat(),
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_lotus-bench"))
+                .args(&args)
+                .output()
+                .expect("runner launches");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?} should be rejected");
+            assert!(
+                stderr.contains(grammar) && !stderr.contains("panicked"),
+                "{args:?} needs a message naming {grammar:?}, not a panic: {stderr}"
+            );
+        }
+    }
 
     // Malformed specs and parameters fail with status 2 and a message,
     // never a panic (a panicking sweep worker would salvage a made-up
@@ -171,12 +206,9 @@ fn runner_schedule_and_churn_flags_run_end_to_end() {
     let (scrip, bittorrent, reputation) =
         (small("scrip"), small("bittorrent"), small("reputation"));
     for (base, bad, named) in [
-        (&base[..], &["--schedule", "sometimes"][..], "schedule"),
-        (&base, &["--schedule", "periodic:0:0"], "schedule"),
-        (&base, &["--churn", "1.5"], "churn"),
         (
-            &token,
-            &["--attack", "rotating", "--param", "period=0"],
+            &token[..],
+            &["--attack", "rotating", "--param", "period=0"][..],
             "period",
         ),
         (
@@ -499,6 +531,17 @@ fn runner_rejects_unknown_scenarios_with_status_2() {
             "unknown scenario",
         ),
         (&["--preset", "ext_churn", "--quick"], "unknown preset"),
+        // Grammar values have no flag spelling of their own.
+        (&["--schedule", "always"], "unknown flag \"--schedule\""),
+        (&["--churn", "0.05"], "unknown flag \"--churn\""),
+        (
+            &["--churn-profile", "none"],
+            "unknown flag \"--churn-profile\"",
+        ),
+        (&["--arrival", "none"], "unknown flag \"--arrival\""),
+        (&["--faults", "none"], "unknown flag \"--faults\""),
+        (&["--adaptive", "ucb,5,0.5"], "unknown flag \"--adaptive\""),
+        (&["--run-threads", "1"], "unknown flag \"--run-threads\""),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_lotus-bench"))
             .args(args)

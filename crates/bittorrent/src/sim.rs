@@ -301,11 +301,6 @@ impl SwarmSim {
         self.peers[peer.index()].have.is_full()
     }
 
-    /// Whether `peer` has left the swarm.
-    pub fn is_departed(&self, peer: NodeId) -> bool {
-        self.peers[peer.index()].departed
-    }
-
     /// Whether every leecher has completed.
     pub fn all_leechers_complete(&self) -> bool {
         self.peers

@@ -15,7 +15,7 @@
 //! * [`AttackMode`] — the four arms: stay dormant, cooperate while
 //!   re-aiming, defect, or defect while rotating the target set;
 //! * [`AdaptiveSpec`] — policy + phase length + exploration parameter,
-//!   `Copy`, parseable from the `lotus-bench --adaptive` grammar;
+//!   `Copy`, parseable from the `adaptive` parameter's grammar;
 //! * [`AdaptivePolicy`] — the deterministic per-run bandit stepper
 //!   [`ScheduleState`](crate::schedule::ScheduleState) embeds: epsilon-
 //!   greedy or UCB1 arm selection over per-arm
@@ -39,7 +39,7 @@
 //! The policy draws exploration randomness from a **dedicated
 //! [`DetRng`] fork** (`rng.fork("adaptive")` in every simulator), so
 //! honest-path streams stay bit-identical whether or not an adaptive
-//! attacker is configured, and `--adaptive` off reproduces the PR 3
+//! attacker is configured, and `adaptive` unset reproduces the PR 3
 //! golden fixtures exactly. The per-round path
 //! ([`AdaptivePolicy::step`]) never allocates; the only allocation is
 //! one arm-trace entry per *phase* (amortized by the pre-reserved trace
@@ -156,7 +156,7 @@ pub enum PolicyKind {
     Ucb1,
     /// Always play one arm — the degenerate bandit used to pin
     /// equivalence with static schedules (e.g. `fixed-defect` must
-    /// reproduce `--schedule always` bit-identically).
+    /// reproduce `schedule=always` bit-identically).
     Fixed(AttackMode),
 }
 
@@ -258,7 +258,7 @@ impl AdaptiveSpec {
         !matches!(self.policy, PolicyKind::Fixed(_))
     }
 
-    /// Parse the `lotus-bench --adaptive` grammar:
+    /// Parse the `adaptive` parameter's grammar:
     ///
     /// ```text
     /// <policy>,<phase-len>,<epsilon>[,<metric>]

@@ -11,7 +11,7 @@
 //! question:
 //!
 //! * [`FaultPlan`] — the `Copy` fault specification, parseable from the
-//!   `lotus-bench --faults` grammar (`loss:0.05`, `crash:0.01:0.2`,
+//!   `faults` parameter's grammar (`loss:0.05`, `crash:0.01:0.2`,
 //!   `partition:200:80:0.3`, components combinable with `/`);
 //! * [`FaultState`] — the per-run stepper: message fates (drop,
 //!   duplicate, delay-by-one-round) drawn per directed delivery, node
@@ -201,7 +201,7 @@ impl FaultPlan {
         self
     }
 
-    /// Parse the `lotus-bench --faults` grammar: `none`, or one or more
+    /// Parse the `faults` parameter's grammar: `none`, or one or more
     /// `/`-separated components. Each kind may appear at most once;
     /// repeating a kind (`loss:0.1/loss:0.2`) is rejected rather than
     /// silently last-wins, so a typo cannot shadow an earlier rate:

@@ -18,7 +18,7 @@
 //! * [`ChurnProfile`] — *heterogeneous* churn: up to [`MAX_CHURN_CLASSES`]
 //!   weighted cohorts (e.g. a stable core at `0.002/round` next to a
 //!   transient fringe at `0.2/round`), parseable from the
-//!   `lotus-bench --churn-profile` grammar. Nodes are assigned to cohorts
+//!   `churn_profile` parameter's grammar. Nodes are assigned to cohorts
 //!   deterministically from a labelled fork of the population rng stream;
 //! * [`ArrivalProcess`] — flash crowds: deterministic burst waves and a
 //!   ramp mode that hold part of the population *outside* the system
@@ -83,6 +83,10 @@ impl Default for ChurnSpec {
 }
 
 impl ChurnSpec {
+    /// The rejoin probability a cohort gets when only its leave
+    /// probability is given.
+    pub const DEFAULT_REJOIN: f64 = 0.25;
+
     /// No churn: everyone present for the whole run (the default).
     pub fn none() -> Self {
         ChurnSpec {
@@ -105,8 +109,9 @@ impl ChurnSpec {
         self.leave > 0.0
     }
 
-    /// Parse the `lotus-bench --churn` grammar: `none`, `<leave>` (rejoin
-    /// defaults to `0.25`) or `<leave>:<rejoin>`.
+    /// Parse one cohort's rates, the body of the `churn_profile`
+    /// parameter's `uniform:` form: `none`, `<leave>` (rejoin defaults
+    /// to [`ChurnSpec::DEFAULT_REJOIN`]) or `<leave>:<rejoin>`.
     ///
     /// # Errors
     ///
@@ -132,7 +137,7 @@ impl ChurnSpec {
         };
         let leave = prob("leave probability")?
             .ok_or_else(|| format!("churn {spec:?}: missing leave probability"))?;
-        let rejoin = prob("rejoin probability")?.unwrap_or(0.25);
+        let rejoin = prob("rejoin probability")?.unwrap_or(Self::DEFAULT_REJOIN);
         if parts.next().is_some() {
             return Err(format!("churn {spec:?}: trailing fields"));
         }
@@ -264,7 +269,7 @@ impl ChurnProfile {
         self.classes().iter().any(|c| c.spec.is_active())
     }
 
-    /// Parse the `lotus-bench --churn-profile` grammar:
+    /// Parse the `churn_profile` parameter's grammar:
     ///
     /// ```text
     /// none                          closed population
@@ -372,19 +377,18 @@ impl ArrivalProcess {
         self
     }
 
-    /// Parse the `lotus-bench --arrival` grammar:
+    /// Parse the `arrival` parameter's grammar:
     ///
     /// ```text
     /// none                          no arrivals (default)
-    /// burst:<round>,<size>[,<period>]   a wave of <size> at <round>,
+    /// burst:<round>:<size>[:<period>]   a wave of <size> at <round>,
     ///                               repeating every <period> rounds
-    /// ramp:<start>,<size>[,<rate>]  <size> nodes at <rate>/round
+    /// ramp:<start>:<size>[:<rate>]  <size> nodes at <rate>/round
     ///                               (default 1) from <start>
     /// ```
     ///
-    /// Colons are accepted in place of commas (`burst:30:12:10`) so the
-    /// spec can ride inside a comma-separated `--curve`, mirroring the
-    /// adaptive grammar's colon form.
+    /// Commas are accepted in place of the colons after the head
+    /// (`burst:30,12,10`), as in the adaptive grammar.
     ///
     /// # Errors
     ///
@@ -440,14 +444,14 @@ impl ArrivalProcess {
                 })
             }
             ("burst", _) => Err(format!(
-                "arrival {spec:?}: burst wants <round>,<size>[,<period>]"
+                "arrival {spec:?}: burst wants <round>:<size>[:<period>]"
             )),
             ("ramp", _) => Err(format!(
-                "arrival {spec:?}: ramp wants <start>,<size>[,<rate>]"
+                "arrival {spec:?}: ramp wants <start>:<size>[:<rate>]"
             )),
             (other, _) => Err(format!(
-                "unknown arrival {other:?} (burst:<round>,<size>[,<period>] | \
-                 ramp:<start>,<size>[,<rate>] | none)"
+                "unknown arrival {other:?} (burst:<round>:<size>[:<period>] | \
+                 ramp:<start>:<size>[:<rate>] | none)"
             )),
         }
     }
@@ -554,11 +558,6 @@ impl Population {
         }
     }
 
-    /// A population that never churns (for legacy construction paths).
-    pub fn closed(n: usize) -> Self {
-        Population::new(n, ChurnProfile::none(), DetRng::seed_from(0))
-    }
-
     /// Mark `node` as never departing (origin seeds, attacker peers,
     /// broadcasters). Also readmits it if currently absent or pending.
     pub fn protect(&mut self, node: usize) {
@@ -619,19 +618,6 @@ impl Population {
     /// The arrival process in force.
     pub fn arrival(&self) -> &ArrivalProcess {
         &self.arrival
-    }
-
-    /// The uniform churn rates in force, for single-class profiles (the
-    /// common case); the first cohort's rates otherwise.
-    pub fn spec(&self) -> &ChurnSpec {
-        &self.profile.classes[0].spec
-    }
-
-    /// Whether membership can change at all: churn with a positive leave
-    /// rate, or an arrival process. Sims use this to keep per-node
-    /// presence probes out of closed-population hot paths.
-    pub fn has_dynamics(&self) -> bool {
-        self.profile.is_active() || self.arrival.is_some()
     }
 
     /// Whether `node` is currently in the system.
@@ -1188,6 +1174,18 @@ mod tests {
             "flood:5,3",
         ] {
             assert!(ArrivalProcess::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        // The messages advertise the colon form the registry documents.
+        for (bad, grammar) in [
+            ("burst:5", "burst wants <round>:<size>[:<period>]"),
+            ("ramp:5", "ramp wants <start>:<size>[:<rate>]"),
+            (
+                "flood:5:3",
+                "burst:<round>:<size>[:<period>] | ramp:<start>:<size>[:<rate>]",
+            ),
+        ] {
+            let err = ArrivalProcess::parse(bad).unwrap_err();
+            assert!(err.contains(grammar), "{bad:?}: {err}");
         }
     }
 

@@ -15,7 +15,7 @@
 //!   crosses a threshold ([`Trigger::MetricThreshold`] — the adaptive
 //!   "strike when the system looks healthy" attacker);
 //! * [`AttackSchedule`] — a trigger plus an optional target-rotation
-//!   period, `Copy`, parseable from the `lotus-bench --schedule` grammar;
+//!   period, `Copy`, parseable from the `schedule` parameter's grammar;
 //! * [`ScheduleState`] — the deterministic per-run stepper every sim
 //!   embeds; one `is_active` call per round decides the phase
 //!   (dormant/cooperate vs defect);
@@ -268,7 +268,7 @@ impl AttackSchedule {
         self.trigger == Trigger::Always && self.adaptive.is_none()
     }
 
-    /// Parse the `lotus-bench --schedule` grammar:
+    /// Parse the `schedule` parameter's grammar:
     ///
     /// ```text
     /// always                     active from round 0 (default)

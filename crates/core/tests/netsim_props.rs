@@ -1,6 +1,6 @@
 //! Property tests for the simulation substrate (`netsim`): rng ranges,
 //! forks, shuffles and samples, the running and quantile metrics, the
-//! graph builders, the partner schedule and signatures, on the
+//! graph builders and the partner schedule, on the
 //! dependency-free [`proptest_lite`](lotus_core::proptest_lite) harness.
 //! They live here because `netsim` cannot take a dev-dependency on the
 //! crate built on top of it; its own `tests/properties.rs` keeps the
@@ -14,8 +14,6 @@ use lotus_core::proptest_lite::{check, Draw};
 use netsim::graph::Graph;
 use netsim::metrics::{quantile_exact, Running, Series};
 use netsim::partner::{PartnerSchedule, Protocol};
-use netsim::rng::DetRng;
-use netsim::sign::Authority;
 use netsim::NodeId;
 
 const CASES: u64 = 256;
@@ -217,23 +215,5 @@ fn partner_schedule_never_self() {
             Some(v) => Err(format!("node {} partnered itself in round {round}", v.0)),
             None => Ok(()),
         }
-    });
-}
-
-#[test]
-fn signatures_never_cross_verify() {
-    check("netsim::signatures_never_cross_verify", CASES, |d| {
-        let mut rng: DetRng = d.rng("seed");
-        let auth = Authority::new(rng.next_u64(), 4);
-        let signed = auth.sign(NodeId(0), rng.next_u64());
-        // Re-attributing to any other node must fail.
-        for other in 1..4u32 {
-            let mut forged = signed;
-            forged.signer = NodeId(other);
-            if auth.verify(&forged).is_ok() {
-                return Err(format!("signature re-attributed to {other} verified"));
-            }
-        }
-        Ok(())
     });
 }

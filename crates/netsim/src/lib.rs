@@ -11,9 +11,6 @@
 //!   builders (complete, grid, Erdős–Rényi, Watts–Strogatz, Barabási–Albert);
 //! * [`partner`] — BAR-Gossip-style verifiable pseudorandom partner
 //!   selection: nodes cannot influence who they interact with;
-//! * [`sign`] — *simulated* message authentication used by the
-//!   report-and-evict defense (keyed 64-bit hashes standing in for real
-//!   signatures — **not** cryptographically secure);
 //! * [`metrics`], [`table`], [`plot`] — running statistics, histograms,
 //!   aligned text tables, CSV output and ASCII line plots for the
 //!   figure-regeneration harness;
@@ -49,7 +46,6 @@ pub mod plan;
 pub mod plot;
 pub mod rng;
 pub mod round;
-pub mod sign;
 pub mod table;
 pub mod trace;
 

@@ -5,9 +5,9 @@
 //! every case is compared against a scalar [`DetRng::chance`] loop.
 //!
 //! The substrate's generated-input properties (rng ranges, forks,
-//! shuffles and samples, metrics, graphs, the partner schedule and
-//! signatures) live in `lotus-core`'s `tests/netsim_props.rs`, on its
-//! `proptest_lite` harness, which this crate cannot depend on.
+//! shuffles and samples, metrics, graphs and the partner schedule) live
+//! in `lotus-core`'s `tests/netsim_props.rs`, on its `proptest_lite`
+//! harness, which this crate cannot depend on.
 
 use netsim::rng::{DetRng, Odds};
 
